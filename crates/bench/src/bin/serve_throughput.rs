@@ -63,11 +63,12 @@ fn run_scenario(
     executor: &Executor,
 ) -> Scenario {
     let report = simlab::run(&config, cost, Some(executor));
+    let (stats, phases) = (report.serve.stats, report.serve.phases);
     println!(
         "{name:<16} lanes {} batch {:>2}  completed {:>4}  shed {:>5.1}%  p50 {:>9}  p99 {:>9}  {:>7.3} req/Mcycle",
         config.lanes,
         config.policy.max_batch,
-        report.completed,
+        stats.completed,
         report.shed_rate * 100.0,
         report.latency.p50,
         report.latency.p99,
@@ -76,29 +77,29 @@ fn run_scenario(
     println!(
         "{:<16}   phases: queue-wait p50 {:>9} / p95 {:>9}  batch-wait p50 {:>7} / p95 {:>7}  exec p50 {:>9} / p95 {:>9}",
         "",
-        report.phases.queue_wait.p50,
-        report.phases.queue_wait.p95,
-        report.phases.batch_wait.p50,
-        report.phases.batch_wait.p95,
-        report.phases.exec.p50,
-        report.phases.exec.p95,
+        phases.queue_wait.p50,
+        phases.queue_wait.p95,
+        phases.batch_wait.p50,
+        phases.batch_wait.p95,
+        phases.exec.p50,
+        phases.exec.p95,
     );
-    let chaos_active = report.faults_injected
-        + report.retries
-        + report.failed
-        + report.deadline_dropped
-        + report.degraded_ticks
-        + report.breaker_trips;
+    let chaos_active = stats.faults_injected
+        + stats.retries
+        + stats.failed
+        + stats.expired
+        + stats.degraded_ticks
+        + stats.breaker_trips;
     if chaos_active > 0 {
         println!(
-            "{:<16}   chaos: faults {} retries {} failed {} deadline-dropped {} degraded-ticks {} breaker-trips {}",
+            "{:<16}   chaos: faults {} retries {} failed {} expired {} degraded-ticks {} breaker-trips {}",
             "",
-            report.faults_injected,
-            report.retries,
-            report.failed,
-            report.deadline_dropped,
-            report.degraded_ticks,
-            report.breaker_trips,
+            stats.faults_injected,
+            stats.retries,
+            stats.failed,
+            stats.expired,
+            stats.degraded_ticks,
+            stats.breaker_trips,
         );
     }
     Scenario {
@@ -110,13 +111,14 @@ fn run_scenario(
 
 fn scenario_json(s: &Scenario) -> String {
     let r = &s.report;
+    let (stats, phases) = (&r.serve.stats, &r.serve.phases);
     let mut json = String::new();
     let _ = writeln!(json, "  \"{}\": {{", s.name);
     let _ = writeln!(json, "    \"lanes\": {},", s.config.lanes);
     let _ = writeln!(json, "    \"max_batch\": {},", s.config.policy.max_batch);
     let _ = writeln!(json, "    \"requests\": {},", s.config.requests);
-    let _ = writeln!(json, "    \"completed\": {},", r.completed);
-    let _ = writeln!(json, "    \"batches\": {},", r.batches);
+    let _ = writeln!(json, "    \"completed\": {},", stats.completed);
+    let _ = writeln!(json, "    \"batches\": {},", stats.batches);
     let _ = writeln!(json, "    \"makespan_cycles\": {},", r.makespan);
     let _ = writeln!(
         json,
@@ -133,59 +135,60 @@ fn scenario_json(s: &Scenario) -> String {
     let _ = writeln!(
         json,
         "    \"queue_wait_p50_cycles\": {},",
-        r.phases.queue_wait.p50
+        phases.queue_wait.p50
     );
     let _ = writeln!(
         json,
         "    \"queue_wait_p95_cycles\": {},",
-        r.phases.queue_wait.p95
+        phases.queue_wait.p95
     );
     let _ = writeln!(
         json,
         "    \"batch_wait_p50_cycles\": {},",
-        r.phases.batch_wait.p50
+        phases.batch_wait.p50
     );
     let _ = writeln!(
         json,
         "    \"batch_wait_p95_cycles\": {},",
-        r.phases.batch_wait.p95
+        phases.batch_wait.p95
     );
     let _ = writeln!(
         json,
         "    \"exec_latency_p50_cycles\": {},",
-        r.phases.exec.p50
+        phases.exec.p50
     );
     let _ = writeln!(
         json,
         "    \"exec_latency_p95_cycles\": {},",
-        r.phases.exec.p95
+        phases.exec.p95
     );
     // Robustness metrics: zero on the inert scenarios, live on
     // nvsa_chaos. The key names place them in `bench_gate`'s
     // BoundedAbove class — a regression that retries, faults or sheds
     // *more* fails the gate, fewer is fine.
-    let _ = writeln!(json, "    \"retries\": {},", r.retries);
+    let _ = writeln!(json, "    \"retries\": {},", stats.retries);
     let _ = writeln!(
         json,
         "    \"retry_rate\": {:.6},",
-        r.retries as f64 / r.submitted.max(1) as f64
+        stats.retries as f64 / stats.submitted.max(1) as f64
     );
-    let _ = writeln!(json, "    \"faults_injected\": {},", r.faults_injected);
+    let _ = writeln!(json, "    \"faults_injected\": {},", stats.faults_injected);
     let _ = writeln!(
         json,
         "    \"fault_rate\": {:.6},",
-        r.faults_injected as f64 / r.batches.max(1) as f64
+        stats.faults_injected as f64 / stats.batches.max(1) as f64
     );
-    let _ = writeln!(json, "    \"deadline_shed\": {},", r.deadline_dropped);
-    let _ = writeln!(json, "    \"failed\": {},", r.failed);
-    let _ = writeln!(json, "    \"degraded_ticks\": {},", r.degraded_ticks);
-    let _ = writeln!(json, "    \"breaker_trips\": {},", r.breaker_trips);
+    // Admitted requests dropped at the pre-exec deadline check.
+    let _ = writeln!(json, "    \"deadline_shed\": {},", stats.expired);
+    let _ = writeln!(json, "    \"failed\": {},", stats.failed);
+    let _ = writeln!(json, "    \"degraded_ticks\": {},", stats.degraded_ticks);
+    let _ = writeln!(json, "    \"breaker_trips\": {},", stats.breaker_trips);
     // Total lifecycle events recorded (retained + overwritten): gated
     // as a liveness signal — tracing must never silently go dark.
     let _ = writeln!(
         json,
         "    \"trace_events\": {},",
-        r.trace.len() as u64 + r.trace.dropped
+        r.serve.trace.len() as u64 + r.serve.trace.dropped
     );
     let hist: Vec<String> = r
         .batch_hist
@@ -363,7 +366,7 @@ fn main() {
                 s.config.lanes,
                 s.config.policy.max_batch,
                 s.config.requests,
-                s.report.completed,
+                s.report.serve.stats.completed,
                 s.report.throughput_per_mcycle,
                 s.report.shed_rate,
                 s.report.latency.p50,
@@ -381,13 +384,13 @@ fn main() {
     if nsflow_telemetry::enabled() {
         let snapshot = nsflow_telemetry::TelemetrySnapshot::capture();
         assert!(
-            snapshot.counter("serve.sim.shed") > 0,
+            snapshot.counter("serve.shed") > 0,
             "saturation scenarios recorded zero sheds — admission control is not running"
         );
         println!(
             "[telemetry] submitted={} shed={}",
-            snapshot.counter("serve.sim.submitted"),
-            snapshot.counter("serve.sim.shed"),
+            snapshot.counter("serve.submitted"),
+            snapshot.counter("serve.shed"),
         );
     }
     emit_json(&scenarios, speedup, meets, quick);

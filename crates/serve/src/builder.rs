@@ -25,7 +25,7 @@ use crate::batcher::BatchPolicy;
 use crate::error::ConfigError;
 use crate::executor::ExecutorConfig;
 use crate::robust::{BreakerPolicy, DegradationPolicy, FaultPlan, RetryPolicy};
-use crate::server::{Server, ServerSpec};
+use crate::server::Server;
 
 /// Chainable configuration for [`Server::builder`].
 ///
@@ -36,16 +36,16 @@ use crate::server::{Server, ServerSpec};
 /// circuit breaker that never sees a failure.
 #[derive(Debug, Clone)]
 pub struct ServerBuilder {
-    queue_capacity: usize,
-    policy: BatchPolicy,
-    workers: usize,
-    executor: ExecutorConfig,
-    trace_capacity: usize,
-    deadline_default: Option<u64>,
-    retry: RetryPolicy,
-    degradation: Option<DegradationPolicy>,
-    breaker: BreakerPolicy,
-    faults: FaultPlan,
+    pub(crate) queue_capacity: usize,
+    pub(crate) policy: BatchPolicy,
+    pub(crate) workers: usize,
+    pub(crate) executor: ExecutorConfig,
+    pub(crate) trace_capacity: usize,
+    pub(crate) deadline_default: Option<u64>,
+    pub(crate) retry: RetryPolicy,
+    pub(crate) degradation: Option<DegradationPolicy>,
+    pub(crate) breaker: BreakerPolicy,
+    pub(crate) faults: FaultPlan,
 }
 
 impl Default for ServerBuilder {
@@ -179,18 +179,7 @@ impl ServerBuilder {
                 });
             }
         }
-        Ok(Server::spawn(ServerSpec {
-            queue_capacity: self.queue_capacity,
-            policy: self.policy,
-            workers: self.workers,
-            executor: self.executor,
-            trace_capacity: self.trace_capacity,
-            deadline_default: self.deadline_default,
-            retry: self.retry,
-            degradation: self.degradation,
-            breaker: self.breaker,
-            faults: self.faults,
-        }))
+        Ok(Server::spawn(self))
     }
 }
 

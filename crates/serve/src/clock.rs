@@ -1,25 +1,22 @@
-//! Tick sources for the serving runtime.
+//! The threaded server's tick source.
 //!
 //! Everything time-dependent in this crate (the batcher's max-wait
-//! deadline, per-request latency accounting) is expressed in abstract
-//! **ticks** so the same state machines run against two clocks:
+//! deadline, request deadlines, backoffs, per-request latency) is
+//! expressed in abstract **ticks**, and the serving core never reads a
+//! clock itself: its driver supplies the current tick. What a tick
+//! means depends on the driver:
 //!
-//! - [`WallClock`] — microseconds since server start; what the threaded
-//!   [`Server`](crate::server::Server) and the `nsflow serve` binary use.
-//! - [`ManualClock`] — an explicitly advanced counter, interpreted as the
-//!   simulator's **cycle clock**. The unit tests and the deterministic
-//!   virtual-time driver ([`simlab`](crate::simlab)) use it, which is what
-//!   makes batching behaviour and the `BENCH_serve.json` metrics
-//!   bit-reproducible across machines and runs.
+//! - under the threaded [`Server`](crate::server::Server) (and
+//!   `nsflow serve`) a tick is a **wall microsecond** since server
+//!   start, read from [`WallClock`];
+//! - under [`simlab`](crate::simlab) a tick is a **virtual cycle** of
+//!   the simulated architecture, advanced by the event loop and the
+//!   cost model, which is what makes its metrics bit-reproducible.
+//!
+//! The `serve.*_ticks` telemetry histograms and the trace timestamps
+//! carry the driver's unit unscaled.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// A monotonic tick source.
-pub trait Clock: Send + Sync {
-    /// Current tick. Must never decrease.
-    fn now(&self) -> u64;
-}
 
 /// Wall time in microseconds since construction.
 #[derive(Debug)]
@@ -35,6 +32,12 @@ impl WallClock {
             start: Instant::now(),
         }
     }
+
+    /// Microseconds since construction. Never decreases.
+    #[must_use]
+    pub fn now(&self) -> u64 {
+        u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX)
+    }
 }
 
 impl Default for WallClock {
@@ -43,56 +46,9 @@ impl Default for WallClock {
     }
 }
 
-impl Clock for WallClock {
-    fn now(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-}
-
-/// An explicitly advanced virtual clock (the sim's cycle counter).
-#[derive(Debug, Default)]
-pub struct ManualClock {
-    ticks: AtomicU64,
-}
-
-impl ManualClock {
-    /// Starts at cycle zero.
-    #[must_use]
-    pub fn new() -> Self {
-        ManualClock::default()
-    }
-
-    /// Advances the clock by `ticks` cycles and returns the new time.
-    pub fn advance(&self, ticks: u64) -> u64 {
-        self.ticks.fetch_add(ticks, Ordering::Relaxed) + ticks
-    }
-
-    /// Jumps the clock forward to `tick` (no-op if already past it).
-    pub fn advance_to(&self, tick: u64) {
-        self.ticks.fetch_max(tick, Ordering::Relaxed);
-    }
-}
-
-impl Clock for ManualClock {
-    fn now(&self) -> u64 {
-        self.ticks.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn manual_clock_advances_monotonically() {
-        let c = ManualClock::new();
-        assert_eq!(c.now(), 0);
-        assert_eq!(c.advance(5), 5);
-        c.advance_to(3); // backwards jump ignored
-        assert_eq!(c.now(), 5);
-        c.advance_to(9);
-        assert_eq!(c.now(), 9);
-    }
 
     #[test]
     fn wall_clock_is_monotonic() {

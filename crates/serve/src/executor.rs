@@ -26,7 +26,7 @@ use nsflow_workloads::sparse_reasoning::{SparsePipelineConfig, SparseReasoner};
 use nsflow_workloads::suites::Suite;
 use nsflow_workloads::superposition::{self, CapacityConfig};
 
-use crate::request::{Request, Response, WorkloadKind};
+use crate::request::{Request, WorkloadKind};
 
 /// Fixed codebook seeds: answers must not depend on which server
 /// instance built the reasoners.
@@ -187,31 +187,17 @@ impl Executor {
         }
     }
 
-    /// Executes every request in a batch (admission order) and stamps
-    /// the shared completion tick and batch size onto each response.
+    /// Executes every request in a batch and returns the answers in
+    /// input order.
     ///
     /// Requests fan out across the kernel engine's thread pool
     /// ([`nsflow_tensor::par::parallel_map`]); answers come back in
     /// input order and are identical at every thread count, so batching
     /// is invisible to clients.
     #[must_use]
-    pub fn execute_batch(&self, requests: &[Request], completed: u64) -> Vec<Response> {
-        let batch_size = requests.len();
-        let threads = self.config.kernels.resolve().min(batch_size.max(1));
-        let answers =
-            nsflow_tensor::par::parallel_map(requests, threads, |request| self.execute(request));
-        requests
-            .iter()
-            .zip(answers)
-            .map(|(request, answer)| Response {
-                id: request.id,
-                kind: request.kind,
-                answer,
-                arrival: request.arrival,
-                completed,
-                batch_size,
-            })
-            .collect()
+    pub fn execute_batch(&self, requests: &[Request]) -> Vec<u64> {
+        let threads = self.config.kernels.resolve().min(requests.len().max(1));
+        nsflow_tensor::par::parallel_map(requests, threads, |request| self.execute(request))
     }
 }
 
@@ -246,21 +232,6 @@ mod tests {
             .map(|s| ex.execute(&req(WorkloadKind::Nvsa, s)))
             .collect();
         let batch: Vec<Request> = (0..4).map(|s| req(WorkloadKind::Nvsa, s)).collect();
-        let batched: Vec<u64> = ex
-            .execute_batch(&batch, 99)
-            .into_iter()
-            .map(|r| r.answer)
-            .collect();
-        assert_eq!(solo, batched);
-    }
-
-    #[test]
-    fn batch_stamps_completion_and_size() {
-        let ex = Executor::new(ExecutorConfig::default());
-        let batch: Vec<Request> = (0..3).map(|s| req(WorkloadKind::Lvrf, s)).collect();
-        for r in ex.execute_batch(&batch, 77) {
-            assert_eq!(r.completed, 77);
-            assert_eq!(r.batch_size, 3);
-        }
+        assert_eq!(solo, ex.execute_batch(&batch));
     }
 }

@@ -17,19 +17,29 @@
 //! an unconfigured server behaves exactly like the pre-robustness
 //! runtime.
 //!
-//! Two drivers share those pieces:
+//! One serving core ([`core`]) owns the request lifecycle: the
+//! admission gates, batch formation, the attempt loop (deadline drops,
+//! fault rolls, retries, breaker and monitor accounting) and the one
+//! bookkeeping sink that feeds the flight recorder, [`ServeStats`] and
+//! the `serve.*` telemetry. Two drivers run it:
 //!
-//! - [`server::Server`] — real threads, wall-clock ticks, graceful
+//! - [`server::Server`] — real threads; a tick is a wall microsecond;
+//!   waiting is a sleep and execution is real inference; graceful
 //!   drain on shutdown. What `nsflow serve` runs.
-//! - [`simlab`] — a discrete-event simulation in the architecture's
-//!   cycle clock with execution costs calibrated by the cycle-level
-//!   simulator. Bit-deterministic given a seed — including chaos runs,
-//!   because fault draws hash only `(seed, batch id, attempt)` — and
-//!   the source of the CI-gated `BENCH_serve.json` metrics.
+//! - [`simlab`] — a discrete-event simulation; a tick is a virtual
+//!   cycle and execution costs come from a cost model calibrated by the
+//!   cycle-level simulator. Bit-deterministic given a seed — including
+//!   chaos runs, because fault draws hash only `(seed, batch id,
+//!   attempt)` — and the source of the CI-gated `BENCH_serve.json`
+//!   metrics.
 //!
-//! The split exists because serving metrics worth gating must be
-//! reproducible: wall-clock latency on a shared CI runner is noise, but
-//! virtual-time latency under a seeded arrival process is a constant.
+//! Both record the same counters (`serve.submitted`, `serve.shed.*`,
+//! `serve.retries`, …) and the same histograms
+//! (`serve.{queue_wait,batch_wait,exec,latency}_ticks`,
+//! `serve.batch_size`), in their own tick unit. The split exists
+//! because serving metrics worth gating must be reproducible:
+//! wall-clock latency on a shared CI runner is noise, but virtual-time
+//! latency under a seeded arrival process is a constant.
 //!
 //! # Examples
 //!
@@ -56,6 +66,7 @@
 pub mod batcher;
 pub mod builder;
 pub mod clock;
+pub mod core;
 pub mod error;
 pub mod executor;
 pub mod metrics;
@@ -66,6 +77,7 @@ pub mod robust;
 pub mod server;
 pub mod simlab;
 
+pub use crate::core::{ServeReport, ServeStats};
 pub use batcher::{Batch, BatchPolicy, Batcher};
 pub use builder::ServerBuilder;
 pub use error::{ConfigError, Error};
@@ -79,11 +91,9 @@ pub use robust::{
     BreakerPolicy, BreakerState, CircuitBreaker, DegradationPolicy, Fault, FaultPlan, LoadMonitor,
     RetryPolicy,
 };
-pub use server::{ServeReport, ServeStats, Server};
+pub use server::Server;
 // Lifecycle-tracing vocabulary shared with `nsflow-telemetry`: the
-// threaded server and the virtual-time simulator both record into a
-// `FlightRecorder` using the same typed events and shed reasons, so the
-// two paths cannot drift.
+// serving core records these typed events and shed reasons.
 pub use nsflow_telemetry::trace::{
     FlightRecorder, PhaseBreakdown, PhaseStats, RequestEvent, ShedReason, TraceSnapshot,
 };

@@ -27,6 +27,7 @@
 
 pub use crate::batcher::{Batch, BatchPolicy};
 pub use crate::builder::ServerBuilder;
+pub use crate::core::{ServeReport, ServeStats};
 pub use crate::error::{ConfigError, Error};
 pub use crate::executor::{Executor, ExecutorConfig};
 pub use crate::request::{
@@ -36,5 +37,5 @@ pub use crate::request::{
 pub use crate::robust::{
     BreakerPolicy, BreakerState, DegradationPolicy, Fault, FaultPlan, RetryPolicy,
 };
-pub use crate::server::{ServeReport, ServeStats, Server};
+pub use crate::server::Server;
 pub use nsflow_telemetry::trace::ShedReason;

@@ -18,6 +18,7 @@
 
 use std::fmt;
 
+use nsflow_telemetry::trace::PhaseStats;
 // All robustness randomness (fault draws, backoff jitter) funnels
 // through this stateless hash so replays are exact.
 use nsflow_tensor::rng::mix64;
@@ -357,13 +358,7 @@ impl LoadMonitor {
     /// p95 of the retained exec-latency window (0 with no samples).
     #[must_use]
     pub fn exec_p95(&self) -> u64 {
-        if self.exec_len == 0 {
-            return 0;
-        }
-        let mut window = self.exec_samples[..self.exec_len].to_vec();
-        window.sort_unstable();
-        let idx = ((0.95 * self.exec_len as f64).ceil() as usize).clamp(1, self.exec_len) - 1;
-        window[idx]
+        PhaseStats::from_samples(self.exec_samples[..self.exec_len].to_vec()).p95
     }
 
     /// Re-evaluates degraded mode at tick `now` against the current

@@ -5,152 +5,52 @@
 //! batcher lock and assembles a batch (pulling from the admission queue,
 //! sleeping until the flush deadline); the moment a batch forms it
 //! releases the lock — the next idle worker becomes the assembler — and
-//! executes the batch through the shared [`Executor`]. Ticks are wall
-//! microseconds ([`WallClock`]); the identical batching logic runs under
-//! the virtual cycle clock in [`crate::simlab`].
+//! executes the batch through the shared [`Executor`].
+//!
+//! The request lifecycle itself — admission gates, the attempt loop
+//! with deadlines, fault injection, retries and circuit breaking, and
+//! all bookkeeping — is the [`ServeCore`](crate::core) that
+//! [`crate::simlab`] drives too. This module is only its threaded
+//! driver: ticks are wall microseconds ([`WallClock`]), waiting is
+//! `thread::sleep`, and execution is [`Executor::execute_batch`].
 //!
 //! Construction goes through the validated builder
-//! ([`Server::builder`]); the robustness policies it carries —
-//! deadlines, bounded retries, fault injection, degradation, circuit
-//! breaking ([`crate::robust`]) — are enforced here at three points:
-//!
-//! - **Admission** ([`Server::submit_with`]): an open circuit breaker
-//!   or a degraded server shedding low-priority work refuses the
-//!   request; an already-expired deadline is shed as infeasible.
-//! - **Pre-execution**: members whose deadline passed while queued are
-//!   dropped from the batch with
-//!   [`ShedReason::DeadlineExceeded`] before any cycles are spent.
-//! - **Execution**: each attempt rolls the seeded [`FaultPlan`]; an
-//!   injected exec error fails the batch, and members with retry
-//!   budget left are retried after a deterministic backoff while the
-//!   rest fail permanently.
-//!
-//! Shutdown is a **graceful drain**: [`Server::shutdown`] closes the
-//! admission queue (new submissions are refused with
-//! [`AdmissionError::ShuttingDown`]) but every already-admitted request
-//! — queued or in flight — is executed and appears in the final report.
+//! ([`Server::builder`]). Shutdown is a **graceful drain**:
+//! [`Server::shutdown`] closes the admission queue (new submissions are
+//! refused with [`AdmissionError::ShuttingDown`]) but every
+//! already-admitted request — queued or in flight — is executed and
+//! appears in the final report.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use nsflow_telemetry::trace::{
-    FlightRecorder, PhaseBreakdown, RequestEvent, ShedReason, TraceSnapshot,
-};
-use nsflow_telemetry::{counter, gauge, histogram};
+use nsflow_telemetry::gauge;
+use nsflow_telemetry::trace::TraceSnapshot;
 
-use crate::batcher::{Batch, BatchPolicy, Batcher};
+use crate::batcher::Batcher;
 use crate::builder::ServerBuilder;
-use crate::clock::{Clock, WallClock};
+use crate::clock::WallClock;
+use crate::core::{CoreConfig, Driver, ServeCore};
+pub use crate::core::{ServeReport, ServeStats};
 use crate::error::Error;
-use crate::executor::{Executor, ExecutorConfig};
+use crate::executor::Executor;
 use crate::queue::{BoundedQueue, Popped};
-use crate::request::{
-    AdmissionError, FailedRequest, Priority, Request, Response, SubmitOptions, WorkloadKind,
-    NO_DEADLINE,
-};
-use crate::robust::{
-    BreakerPolicy, CircuitBreaker, DegradationPolicy, Fault, FaultPlan, LoadMonitor, RetryPolicy,
-};
+use crate::request::{AdmissionError, Request, SubmitOptions, WorkloadKind, NO_DEADLINE};
 
 /// Longest a worker sleeps when the batcher is empty; `close()` wakes
 /// it immediately, so this only bounds idle-loop bookkeeping.
 const IDLE_WAIT: Duration = Duration::from_millis(50);
-
-/// The full validated configuration a server spawns with — produced
-/// only by [`ServerBuilder::build`](crate::builder::ServerBuilder::build).
-pub(crate) struct ServerSpec {
-    pub queue_capacity: usize,
-    pub policy: BatchPolicy,
-    pub workers: usize,
-    pub executor: ExecutorConfig,
-    pub trace_capacity: usize,
-    pub deadline_default: Option<u64>,
-    pub retry: RetryPolicy,
-    pub degradation: Option<DegradationPolicy>,
-    pub breaker: BreakerPolicy,
-    pub faults: FaultPlan,
-}
-
-/// Counters accumulated over a server's lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeStats {
-    /// Requests admitted to the queue.
-    pub submitted: u64,
-    /// Requests refused at admission (queue full, infeasible deadline,
-    /// load shed, open breaker — not shutdown refusals).
-    pub shed: u64,
-    /// Requests executed to completion.
-    pub completed: u64,
-    /// Batches executed.
-    pub batches: u64,
-    /// Batch-member retries after injected exec errors.
-    pub retries: u64,
-    /// Faults injected by the [`FaultPlan`] (all three kinds).
-    pub faults_injected: u64,
-    /// Requests shed for a missed/infeasible deadline (at admission or
-    /// dropped from a batch before execution).
-    pub deadline_shed: u64,
-    /// Requests that exhausted their retry budget and failed.
-    pub failed: u64,
-    /// Degradation-monitor updates evaluated while degraded.
-    pub degraded_ticks: u64,
-    /// Circuit-breaker trips across all workload kinds.
-    pub breaker_trips: u64,
-}
-
-/// Everything a finished server run produced.
-#[derive(Debug, Clone)]
-pub struct ServeReport {
-    /// All completed responses, sorted by request id.
-    pub responses: Vec<Response>,
-    /// Requests that were admitted but exhausted their retry budget,
-    /// sorted by request id.
-    pub failed: Vec<FailedRequest>,
-    /// Lifetime counters.
-    pub stats: ServeStats,
-    /// Flight-recorder snapshot: the last `trace_capacity` lifecycle
-    /// events, exportable as a Chrome trace via
-    /// [`TraceSnapshot::to_chrome_trace`]. Empty when tracing is
-    /// disabled (capacity 0 or `--no-default-features`).
-    pub trace: TraceSnapshot,
-    /// Queue-wait / batch-wait / exec latency breakdown (wall µs),
-    /// derived from the traced lifecycles.
-    pub phases: PhaseBreakdown,
-}
-
-/// Mutable robustness state shared by admission and the workers.
-struct RobustState {
-    /// Present when a degradation policy was configured.
-    monitor: Option<LoadMonitor>,
-    /// One breaker per workload kind, [`WorkloadKind::index`]-ordered.
-    breakers: [CircuitBreaker; 4],
-}
 
 struct Shared {
     queue: BoundedQueue<Request>,
     batcher: Mutex<Batcher>,
     executor: Executor,
     clock: WallClock,
-    recorder: FlightRecorder,
-    responses: Mutex<Vec<Response>>,
-    failed: Mutex<Vec<FailedRequest>>,
-    robust: Mutex<RobustState>,
-    base_policy: BatchPolicy,
+    core: ServeCore,
     deadline_default: Option<u64>,
-    retry: RetryPolicy,
-    faults: FaultPlan,
     next_id: AtomicU64,
-    batch_seq: AtomicU64,
-    submitted: AtomicU64,
-    shed: AtomicU64,
-    completed: AtomicU64,
-    batches: AtomicU64,
-    retries: AtomicU64,
-    faults_injected: AtomicU64,
-    deadline_shed: AtomicU64,
-    failed_count: AtomicU64,
 }
 
 /// The serving runtime. Construct with [`Server::builder`], submit
@@ -169,34 +69,23 @@ impl Server {
         ServerBuilder::new()
     }
 
-    /// Spawns the worker threads for an already-validated spec.
-    pub(crate) fn spawn(spec: ServerSpec) -> Self {
+    /// Spawns the worker threads for an already-validated builder.
+    pub(crate) fn spawn(spec: ServerBuilder) -> Self {
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(spec.queue_capacity),
             batcher: Mutex::new(Batcher::new(spec.policy)),
             executor: Executor::new(spec.executor),
             clock: WallClock::new(),
-            recorder: FlightRecorder::new(spec.trace_capacity),
-            responses: Mutex::new(Vec::new()),
-            failed: Mutex::new(Vec::new()),
-            robust: Mutex::new(RobustState {
-                monitor: spec.degradation.map(LoadMonitor::new),
-                breakers: std::array::from_fn(|_| CircuitBreaker::new(spec.breaker)),
+            core: ServeCore::new(CoreConfig {
+                policy: spec.policy,
+                retry: spec.retry,
+                degradation: spec.degradation,
+                breaker: spec.breaker,
+                faults: spec.faults,
+                trace_capacity: spec.trace_capacity,
             }),
-            base_policy: spec.policy,
             deadline_default: spec.deadline_default,
-            retry: spec.retry,
-            faults: spec.faults,
             next_id: AtomicU64::new(0),
-            batch_seq: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            faults_injected: AtomicU64::new(0),
-            deadline_shed: AtomicU64::new(0),
-            failed_count: AtomicU64::new(0),
         });
         let workers = (0..spec.workers)
             .map(|i| {
@@ -251,95 +140,38 @@ impl Server {
         seed: u64,
         options: SubmitOptions,
     ) -> Result<u64, AdmissionError> {
-        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let now = self.shared.clock.now();
-        let budget = options.deadline.or(self.shared.deadline_default);
-        let deadline = budget.map_or(NO_DEADLINE, |b| now.saturating_add(b));
-        let attempts_allowed = options
-            .retry_override
-            .map_or(self.shared.retry.max_attempts, |r| r.max_attempts)
-            .max(1);
+        let shared = &*self.shared;
+        let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
+        let now = shared.clock.now();
+        let budget = options.deadline.or(shared.deadline_default);
         let request = Request {
-            id,
-            kind,
-            seed,
-            arrival: now,
-            deadline,
+            deadline: budget.map_or(NO_DEADLINE, |b| now.saturating_add(b)),
             priority: options.priority,
-            attempts_allowed,
+            attempts_allowed: options
+                .retry_override
+                .unwrap_or(shared.core.retry())
+                .max_attempts
+                .max(1),
+            ..Request::new(id, kind, seed, now)
         };
-
-        // Robustness gates, cheapest first: a zero-budget deadline can
-        // never be met, an open breaker refuses its workload, a
-        // degraded server sheds low-priority work.
-        let gate = if deadline != NO_DEADLINE && deadline <= now {
-            Some(AdmissionError::DeadlineInfeasible { deadline, now })
-        } else {
-            let mut robust = self.shared.robust.lock().expect("robust poisoned");
-            if !robust.breakers[kind.index()].admits(now) {
-                Some(AdmissionError::CircuitOpen { kind })
-            } else if options.priority == Priority::Low
-                && robust
-                    .monitor
-                    .as_ref()
-                    .is_some_and(LoadMonitor::sheds_low_priority)
-            {
-                Some(AdmissionError::LoadShed)
-            } else {
-                None
-            }
-        };
-        if let Some(err) = gate {
-            self.record_shed(id, now, err);
-            return Err(err);
-        }
-
-        match self.shared.queue.try_push(request) {
-            Ok(depth) => {
-                self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-                counter!("serve.submitted").incr();
-                gauge!("serve.queue_depth").set(depth as i64);
-                self.shared
-                    .recorder
-                    .record(id, request.arrival, RequestEvent::Admitted);
-                self.shared
-                    .recorder
-                    .record(id, request.arrival, RequestEvent::Enqueued);
-                Ok(id)
-            }
-            Err(err) => {
-                if matches!(err, AdmissionError::QueueFull { .. }) {
-                    // A shed means the queue sits exactly at capacity.
-                    gauge!("serve.queue_depth").set(self.shared.queue.capacity() as i64);
+        // The server learns an execution's cost only by running it, so
+        // the deadline gate checks only that the deadline is ahead.
+        shared
+            .core
+            .admit(&request, 0, || match shared.queue.try_push(request) {
+                Ok(depth) => {
+                    gauge!("serve.queue_depth").set(depth as i64);
+                    Ok(())
                 }
-                self.record_shed(id, now, err);
-                Err(err)
-            }
-        }
-    }
-
-    /// Shed bookkeeping shared by every admission refusal: the
-    /// `serve.shed.*` counters, the stats counters and the trace event.
-    fn record_shed(&self, id: u64, now: u64, err: AdmissionError) {
-        let reason = err.shed_reason();
-        if !matches!(err, AdmissionError::ShuttingDown) {
-            self.shared.shed.fetch_add(1, Ordering::Relaxed);
-            counter!("serve.shed").incr();
-        }
-        match reason {
-            ShedReason::QueueFull => counter!("serve.shed.queue_full").incr(),
-            ShedReason::Shutdown => counter!("serve.shed.shutdown").incr(),
-            ShedReason::DeadlineExceeded => {
-                self.shared.deadline_shed.fetch_add(1, Ordering::Relaxed);
-                counter!("serve.deadline_shed").incr();
-                counter!("serve.shed.deadline_exceeded").incr();
-            }
-            ShedReason::LoadShed => counter!("serve.shed.load_shed").incr(),
-            ShedReason::CircuitOpen => counter!("serve.shed.circuit_open").incr(),
-        }
-        self.shared
-            .recorder
-            .record(id, now, RequestEvent::Shed { reason });
+                Err(err) => {
+                    if matches!(err, AdmissionError::QueueFull { .. }) {
+                        // A shed means the queue sits exactly at capacity.
+                        gauge!("serve.queue_depth").set(shared.queue.capacity() as i64);
+                    }
+                    Err(err)
+                }
+            })?;
+        Ok(id)
     }
 
     /// Point-in-time copy of the flight recorder — the last
@@ -347,13 +179,13 @@ impl Server {
     /// call while the server is running.
     #[must_use]
     pub fn trace_snapshot(&self) -> TraceSnapshot {
-        self.shared.recorder.snapshot()
+        self.shared.core.trace()
     }
 
     /// Point-in-time counters.
     #[must_use]
     pub fn stats(&self) -> ServeStats {
-        stats_of(&self.shared)
+        self.shared.core.stats()
     }
 
     /// Closes admission, drains every queued and in-flight request,
@@ -364,45 +196,27 @@ impl Server {
         for worker in self.workers {
             worker.join().expect("worker panicked");
         }
-        let mut responses =
-            std::mem::take(&mut *self.shared.responses.lock().expect("responses poisoned"));
-        responses.sort_by_key(|r| r.id);
-        let mut failed = std::mem::take(&mut *self.shared.failed.lock().expect("failed poisoned"));
-        failed.sort_by_key(|f| f.id);
-        let trace = self.shared.recorder.snapshot();
-        let phases = trace.phases();
-        ServeReport {
-            responses,
-            failed,
-            stats: stats_of(&self.shared),
-            trace,
-            phases,
-        }
+        self.shared.core.report()
     }
 }
 
-fn stats_of(shared: &Shared) -> ServeStats {
-    let (degraded_ticks, breaker_trips) = {
-        let robust = shared.robust.lock().expect("robust poisoned");
-        (
-            robust
-                .monitor
-                .as_ref()
-                .map_or(0, LoadMonitor::degraded_ticks),
-            robust.breakers.iter().map(CircuitBreaker::trips).sum(),
-        )
-    };
-    ServeStats {
-        submitted: shared.submitted.load(Ordering::Relaxed),
-        shed: shared.shed.load(Ordering::Relaxed),
-        completed: shared.completed.load(Ordering::Relaxed),
-        batches: shared.batches.load(Ordering::Relaxed),
-        retries: shared.retries.load(Ordering::Relaxed),
-        faults_injected: shared.faults_injected.load(Ordering::Relaxed),
-        deadline_shed: shared.deadline_shed.load(Ordering::Relaxed),
-        failed: shared.failed_count.load(Ordering::Relaxed),
-        degraded_ticks,
-        breaker_trips,
+/// The threaded side of the attempt loop: wall microseconds, real
+/// sleeps, real inference.
+struct Wall<'a>(&'a Shared);
+
+impl Driver for Wall<'_> {
+    fn now(&self) -> u64 {
+        self.0.clock.now()
+    }
+
+    fn wait(&mut self, ticks: u64) {
+        if ticks > 0 {
+            std::thread::sleep(Duration::from_micros(ticks));
+        }
+    }
+
+    fn execute(&mut self, members: &[Request]) -> Vec<u64> {
+        self.0.executor.execute_batch(members)
     }
 }
 
@@ -415,8 +229,9 @@ fn worker_loop(shared: &Shared, worker: u32) {
                 let now = shared.clock.now();
                 // Degradation check: re-evaluate load, shrink or
                 // restore the batch bound. Lock order is always
-                // batcher → robust, matching the execution path.
-                update_degradation(shared, &mut batcher, now);
+                // batcher → core state.
+                let depth = shared.queue.len() + batcher.pending();
+                shared.core.degrade(&mut batcher, depth, now);
                 if let Some(batch) = batcher.poll(now) {
                     break Some(batch); // deadline flush
                 }
@@ -443,204 +258,12 @@ fn worker_loop(shared: &Shared, worker: u32) {
         };
         // Follower phase: execute outside the lock.
         match batch {
-            Some(batch) => execute_batch(shared, worker, batch),
+            Some(batch) => {
+                let (id, batch) = shared.core.form(batch);
+                shared.core.run_batch(id, batch, worker, &mut Wall(shared));
+            }
             // Queue closed and batcher empty: drain complete.
             None => return,
         }
-    }
-}
-
-/// Re-evaluates the load monitor (when configured) and applies its
-/// effective batch bound to the batcher. Called with the batcher lock
-/// held.
-fn update_degradation(shared: &Shared, batcher: &mut Batcher, now: u64) {
-    let mut robust = shared.robust.lock().expect("robust poisoned");
-    let Some(monitor) = robust.monitor.as_mut() else {
-        return;
-    };
-    let depth = shared.queue.len() + batcher.pending();
-    let degraded = monitor.update(now, depth);
-    if degraded {
-        counter!("serve.degraded_ticks").incr();
-    }
-    let effective = monitor.effective_max_batch(shared.base_policy.max_batch);
-    if effective != batcher.policy().max_batch {
-        batcher.set_policy(BatchPolicy {
-            max_batch: effective,
-            max_wait: shared.base_policy.max_wait,
-        });
-    }
-}
-
-/// Executes one formed batch with deadline enforcement, fault
-/// injection and bounded retries.
-fn execute_batch(shared: &Shared, worker: u32, batch: Batch) {
-    histogram!("serve.batch_size").record(batch.len() as u64);
-    let batch_id = shared.batch_seq.fetch_add(1, Ordering::Relaxed);
-    let size = batch.len() as u32;
-    for request in &batch.requests {
-        shared.recorder.record(
-            request.id,
-            batch.formed_at,
-            RequestEvent::BatchFormed { batch_id, size },
-        );
-        histogram!("serve.queue_wait_us").record(batch.formed_at.saturating_sub(request.arrival));
-    }
-
-    let mut members = batch.requests;
-    let mut attempt: u32 = 1;
-    loop {
-        // Drop members whose deadline passed while they queued,
-        // batched or backed off — before spending any execution.
-        let now = shared.clock.now();
-        members.retain(|request| {
-            if request.expired(now) {
-                shared.deadline_shed.fetch_add(1, Ordering::Relaxed);
-                counter!("serve.deadline_shed").incr();
-                counter!("serve.shed.deadline_exceeded").incr();
-                shared.recorder.record(
-                    request.id,
-                    now,
-                    RequestEvent::Shed {
-                        reason: ShedReason::DeadlineExceeded,
-                    },
-                );
-                false
-            } else {
-                true
-            }
-        });
-        if members.is_empty() {
-            return; // the whole batch expired
-        }
-
-        let fault = shared.faults.roll(batch_id, attempt);
-        if fault.is_some() {
-            shared.faults_injected.fetch_add(1, Ordering::Relaxed);
-            counter!("serve.faults_injected").incr();
-        }
-
-        if let Some(Fault::ExecError) = fault {
-            // Fail fast: no execution happened. Members with budget
-            // left retry after a deterministic backoff; the rest fail.
-            let fail_tick = shared.clock.now();
-            {
-                let mut robust = shared.robust.lock().expect("robust poisoned");
-                let mut kinds_seen = [false; 4];
-                for request in &members {
-                    kinds_seen[request.kind.index()] = true;
-                }
-                for (i, seen) in kinds_seen.iter().enumerate() {
-                    if *seen {
-                        robust.breakers[i].record_failure(fail_tick);
-                    }
-                }
-            }
-            let mut retained = Vec::with_capacity(members.len());
-            for request in members {
-                if request.attempts_allowed > attempt {
-                    shared.retries.fetch_add(1, Ordering::Relaxed);
-                    counter!("serve.retries").incr();
-                    shared.recorder.record(
-                        request.id,
-                        fail_tick,
-                        RequestEvent::Retried { attempt },
-                    );
-                    retained.push(request);
-                } else {
-                    shared.failed_count.fetch_add(1, Ordering::Relaxed);
-                    counter!("serve.failed").incr();
-                    shared.recorder.record(
-                        request.id,
-                        fail_tick,
-                        RequestEvent::Failed { attempts: attempt },
-                    );
-                    shared
-                        .failed
-                        .lock()
-                        .expect("failed poisoned")
-                        .push(FailedRequest {
-                            id: request.id,
-                            kind: request.kind,
-                            attempts: attempt,
-                        });
-                }
-            }
-            members = retained;
-            if members.is_empty() {
-                return; // every member exhausted its budget
-            }
-            // Backoff timing comes from the server-wide policy (a
-            // per-request override changes only the attempt budget).
-            let wait = shared.retry.backoff(attempt, batch_id);
-            if wait > 0 {
-                std::thread::sleep(Duration::from_micros(wait));
-            }
-            attempt += 1;
-            continue;
-        }
-
-        if let Some(Fault::WorkerStall { stall }) = fault {
-            // A hung lane: the batch starts late but succeeds.
-            if stall > 0 {
-                std::thread::sleep(Duration::from_micros(stall));
-            }
-        }
-
-        let exec_start = shared.clock.now();
-        for request in &members {
-            shared
-                .recorder
-                .record(request.id, exec_start, RequestEvent::ExecStart { worker });
-            if attempt == 1 {
-                histogram!("serve.batch_wait_us")
-                    .record(exec_start.saturating_sub(batch.formed_at));
-            }
-        }
-        let mut responses = shared.executor.execute_batch(&members, 0);
-        if let Some(Fault::LatencySpike { extra }) = fault {
-            // A slow batch: answers are correct, completion is late.
-            if extra > 0 {
-                std::thread::sleep(Duration::from_micros(extra));
-            }
-        }
-        let done = shared.clock.now();
-        histogram!("serve.exec_us").record(done.saturating_sub(exec_start));
-        {
-            let mut robust = shared.robust.lock().expect("robust poisoned");
-            if let Some(monitor) = robust.monitor.as_mut() {
-                monitor.observe_exec(done.saturating_sub(exec_start));
-            }
-            let mut kinds_seen = [false; 4];
-            for request in &members {
-                kinds_seen[request.kind.index()] = true;
-            }
-            for (i, seen) in kinds_seen.iter().enumerate() {
-                if *seen {
-                    robust.breakers[i].record_success();
-                }
-            }
-        }
-        for response in &mut responses {
-            response.completed = done;
-            histogram!("serve.latency_us").record(response.latency());
-            shared
-                .recorder
-                .record(response.id, done, RequestEvent::ExecEnd { worker });
-            shared
-                .recorder
-                .record(response.id, done, RequestEvent::Responded);
-        }
-        shared.batches.fetch_add(1, Ordering::Relaxed);
-        shared
-            .completed
-            .fetch_add(responses.len() as u64, Ordering::Relaxed);
-        counter!("serve.completed").add(responses.len() as u64);
-        shared
-            .responses
-            .lock()
-            .expect("responses poisoned")
-            .extend(responses);
-        return;
     }
 }

@@ -2,12 +2,14 @@
 //!
 //! The threaded [`Server`](crate::server::Server) measures wall time, so
 //! its latency numbers vary run to run — useless for a CI-gated
-//! benchmark. This module reruns the *same* admission + batching logic
-//! under a discrete-event simulation in the architecture's **cycle
-//! clock**: arrivals are an open-loop seeded Poisson-like process,
-//! execution costs come from a [`CostModel`] grounded in the cycle-level
-//! simulator, and every metric (latency percentiles, throughput, shed
-//! rate, batch-size histogram) is bit-reproducible given the seed.
+//! benchmark. This module drives the *same* serving core
+//! ([`crate::core`]: admission gates, batch formation, the attempt loop
+//! and all bookkeeping) from a discrete-event simulation in the
+//! architecture's **cycle clock**: arrivals are an open-loop seeded
+//! Poisson-like process, execution costs come from a [`CostModel`]
+//! grounded in the cycle-level simulator, and every metric (latency
+//! percentiles, throughput, shed rate, batch-size histogram) is
+//! bit-reproducible given the seed.
 //!
 //! The cost model captures why batching wins on NSFlow: an inference
 //! batch streams each workload's NN weights from off-chip **once per
@@ -15,39 +17,29 @@
 //! streaming cycles amortize across the batch while per-item compute
 //! stays constant.
 //!
-//! The robustness layer ([`crate::robust`]) runs here too, in virtual
-//! time: deadlines are enforced at admission (cost-informed — the sim
-//! knows a request's execution cost up front, so a budget smaller than
-//! one inference is shed immediately) and before each execution
-//! attempt; a seeded [`FaultPlan`] injects exec errors, latency spikes
-//! and lane stalls; failed attempts retry under the configured
-//! [`RetryPolicy`] with the lane held busy through the backoff; and the
-//! degradation monitor / per-workload circuit breakers govern admission
-//! exactly as in the threaded server. Because fault draws hash only
-//! `(seed, batch id, attempt)`, a chaos run is as bit-reproducible as a
-//! clean one.
+//! Because the simulator knows a request's execution cost up front,
+//! its deadline gate is cost-informed: a budget smaller than one
+//! inference is shed at admission. Failed attempts hold their lane busy
+//! through the backoff. Fault draws hash only `(seed, batch id,
+//! attempt)`, so a chaos run is as bit-reproducible as a clean one.
 //!
 //! Interarrival draws come from the workspace's [`SplitMix64`], so the
 //! simulated timeline depends only on the seed — the committed
-//! `baselines/BENCH_serve.json` depends only on this file.
+//! `baselines/BENCH_serve.json` depends only on this file and the core.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use nsflow_arch::memory::TransferModel;
 use nsflow_core::NsFlow;
-use nsflow_telemetry::trace::{
-    FlightRecorder, PhaseBreakdown, RequestEvent, ShedReason, TraceSnapshot,
-};
-use nsflow_telemetry::{counter, histogram};
+use nsflow_telemetry::trace::PhaseStats;
 use nsflow_tensor::rng::SplitMix64;
 use nsflow_workloads::traces;
 
 use crate::batcher::{Batch, BatchPolicy, Batcher};
+use crate::core::{CoreConfig, Driver, ServeCore, ServeReport};
 use crate::executor::Executor;
-use crate::request::{FailedRequest, Priority, Request, Response, WorkloadKind, NO_DEADLINE};
-use crate::robust::{
-    BreakerPolicy, CircuitBreaker, DegradationPolicy, Fault, FaultPlan, LoadMonitor, RetryPolicy,
-};
+use crate::request::{AdmissionError, Priority, Request, WorkloadKind, NO_DEADLINE};
+use crate::robust::{BreakerPolicy, DegradationPolicy, FaultPlan, RetryPolicy};
 
 /// Exponential draw with the given mean, floored at 1 tick.
 fn exp_ticks(rng: &mut SplitMix64, mean: f64) -> u64 {
@@ -184,8 +176,8 @@ pub struct SimConfig {
     /// Seeded fault-injection plan (default: injects nothing).
     pub faults: FaultPlan,
     /// Flight-recorder capacity: lifecycle trace events retained for
-    /// the report's [`TraceSnapshot`] (≈ 6 events per served request;
-    /// 0 disables tracing).
+    /// the report's [`TraceSnapshot`](crate::TraceSnapshot) (≈ 6 events
+    /// per served request; 0 disables tracing).
     pub trace_capacity: usize,
 }
 
@@ -213,101 +205,52 @@ impl Default for SimConfig {
     }
 }
 
-/// Latency percentiles over completed requests, in cycles.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyStats {
-    /// Median.
-    pub p50: u64,
-    /// 95th percentile.
-    pub p95: u64,
-    /// 99th percentile.
-    pub p99: u64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Worst case.
-    pub max: u64,
-}
-
-impl LatencyStats {
-    /// All-zero stats when nothing completed (a chaos run can shed or
-    /// fail every arrival — that must report, not panic).
-    fn from_sorted(latencies: &[u64]) -> LatencyStats {
-        if latencies.is_empty() {
-            return LatencyStats {
-                p50: 0,
-                p95: 0,
-                p99: 0,
-                mean: 0.0,
-                max: 0,
-            };
-        }
-        let rank = |p: f64| {
-            let n = latencies.len();
-            let idx = ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n) - 1;
-            latencies[idx]
-        };
-        LatencyStats {
-            p50: rank(50.0),
-            p95: rank(95.0),
-            p99: rank(99.0),
-            mean: latencies.iter().sum::<u64>() as f64 / latencies.len() as f64,
-            max: *latencies.last().expect("nonempty"),
-        }
-    }
-}
-
 /// Everything one simulation run produced.
 ///
-/// Conservation: `submitted + shed == requests`, and
-/// `completed + failed + deadline_dropped == submitted`.
+/// Conservation: `stats.submitted + stats.shed == requests`, and
+/// `stats.completed + stats.failed + stats.expired == stats.submitted`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
-    /// Completed responses sorted by id (timing-only: `answer` is 0
-    /// unless an executor was supplied).
-    pub responses: Vec<Response>,
-    /// Arrivals admitted past every gate (deadline, breaker,
-    /// degradation, capacity).
-    pub submitted: u64,
-    /// Arrivals refused at admission (any reason).
-    pub shed: u64,
-    /// Admitted requests that produced a response.
-    pub completed: u64,
-    /// Admitted requests that exhausted their retry budget on injected
-    /// faults.
-    pub failed: u64,
-    /// Admitted requests dropped from a batch because their deadline
-    /// passed before execution.
-    pub deadline_dropped: u64,
-    /// Batch-member retries after injected exec errors.
-    pub retries: u64,
-    /// Faults injected by the plan (all three kinds).
-    pub faults_injected: u64,
-    /// Monitor updates evaluated while degraded.
-    pub degraded_ticks: u64,
-    /// Circuit-breaker trips across all workload kinds.
-    pub breaker_trips: u64,
-    /// Batches executed.
-    pub batches: u64,
+    /// What the serving core recorded, in cycles. Response answers are
+    /// 0 unless an executor was supplied.
+    pub serve: ServeReport,
     /// Cycle the last batch completed.
     pub makespan: u64,
     /// Latency distribution of completed requests (all-zero when
     /// nothing completed).
-    pub latency: LatencyStats,
+    pub latency: PhaseStats,
     /// batch size → number of batches (executed members).
     pub batch_hist: BTreeMap<usize, u64>,
     /// Completed requests per million cycles.
     pub throughput_per_mcycle: f64,
     /// Fraction of arrivals shed.
     pub shed_rate: f64,
-    /// Requests that exhausted their retry budget, sorted by id.
-    pub failed_requests: Vec<FailedRequest>,
-    /// Flight-recorder snapshot of the run's lifecycle events (virtual
-    /// cycles; bit-reproducible given the seed). Empty when tracing is
-    /// disabled.
-    pub trace: TraceSnapshot,
-    /// Queue-wait / batch-wait / exec latency breakdown (cycles),
-    /// derived from the traced lifecycles.
-    pub phases: PhaseBreakdown,
+}
+
+/// One lane's side of the attempt loop: virtual cycles from the cost
+/// model, answers from the optional executor.
+struct Lane<'a> {
+    time: u64,
+    cost: &'a CostModel,
+    executor: Option<&'a Executor>,
+}
+
+impl Driver for Lane<'_> {
+    fn now(&self) -> u64 {
+        self.time
+    }
+
+    fn wait(&mut self, ticks: u64) {
+        self.time = self.time.saturating_add(ticks);
+    }
+
+    fn execute(&mut self, members: &[Request]) -> Vec<u64> {
+        self.wait(self.cost.batch_cycles(members));
+        members
+            .iter()
+            .map(|request| self.executor.map_or(0, |ex| ex.execute(request)))
+            .collect()
+    }
 }
 
 /// Runs the discrete-event simulation. When `executor` is supplied,
@@ -344,177 +287,40 @@ pub fn run(config: &SimConfig, cost: &CostModel, executor: Option<&Executor>) ->
         });
     }
 
-    let recorder = FlightRecorder::new(config.trace_capacity);
+    let core = ServeCore::new(CoreConfig {
+        policy: config.policy,
+        retry: config.retry,
+        degradation: config.degradation,
+        breaker: config.breaker,
+        faults: config.faults,
+        trace_capacity: config.trace_capacity,
+    });
     let mut batcher = Batcher::new(config.policy);
-    let mut monitor = config.degradation.map(LoadMonitor::new);
-    let mut breakers: [CircuitBreaker; 4] =
-        std::array::from_fn(|_| CircuitBreaker::new(config.breaker));
     let mut ready: VecDeque<(u64, Batch)> = VecDeque::new();
-    let mut next_batch_id = 0u64;
     let mut waiting_in_ready = 0usize;
     let mut lanes = vec![0u64; config.lanes];
-    let mut responses: Vec<Response> = Vec::with_capacity(config.requests);
-    let mut failed_requests: Vec<FailedRequest> = Vec::new();
-    let mut batch_hist: BTreeMap<usize, u64> = BTreeMap::new();
-    let (mut submitted, mut shed, mut batches) = (0u64, 0u64, 0u64);
-    let (mut deadline_dropped, mut retries, mut faults_injected) = (0u64, 0u64, 0u64);
     let mut next_arrival = 0usize;
     let mut now = 0u64;
-
-    // A batch leaving the batcher gets an id and a BatchFormed event
-    // per member request, exactly like the threaded server's workers.
-    let form_batch = |batch: Batch, next_batch_id: &mut u64| {
-        let batch_id = *next_batch_id;
-        *next_batch_id += 1;
-        let size = batch.len() as u32;
-        for request in &batch.requests {
-            recorder.record(
-                request.id,
-                batch.formed_at,
-                RequestEvent::BatchFormed { batch_id, size },
-            );
-            histogram!("serve.sim.queue_wait_cycles")
-                .record(batch.formed_at.saturating_sub(request.arrival));
-        }
-        (batch_id, batch)
-    };
 
     loop {
         // Dispatch formed batches onto lanes that are free *now*
         // (lowest-index free lane first — a fixed tie-break keeps the
-        // timeline deterministic). Each dispatch simulates the full
-        // attempt sequence — expiry drops, fault rolls, backoffs —
-        // synchronously in virtual time, holding the lane busy
-        // throughout, mirroring the threaded worker's execute loop.
+        // timeline deterministic). Each dispatch runs the full attempt
+        // sequence synchronously in virtual time, holding the lane busy
+        // throughout.
         while !ready.is_empty() {
             let Some(lane) = (0..lanes.len()).find(|&l| lanes[l] <= now) else {
                 break;
             };
             let (batch_id, batch) = ready.pop_front().expect("checked nonempty");
             waiting_in_ready -= batch.len();
-            let worker = lane as u32;
-            let mut members = batch.requests;
-            let mut attempt: u32 = 1;
-            let mut lane_time = now;
-            loop {
-                // Drop members whose deadline passed while they
-                // queued, batched or backed off.
-                members.retain(|request| {
-                    if request.expired(lane_time) {
-                        deadline_dropped += 1;
-                        counter!("serve.sim.deadline_shed").incr();
-                        counter!("serve.sim.shed.deadline_exceeded").incr();
-                        recorder.record(
-                            request.id,
-                            lane_time,
-                            RequestEvent::Shed {
-                                reason: ShedReason::DeadlineExceeded,
-                            },
-                        );
-                        false
-                    } else {
-                        true
-                    }
-                });
-                if members.is_empty() {
-                    break;
-                }
-
-                let fault = config.faults.roll(batch_id, attempt);
-                if fault.is_some() {
-                    faults_injected += 1;
-                    counter!("serve.sim.faults_injected").incr();
-                }
-
-                if let Some(Fault::ExecError) = fault {
-                    let mut kinds_seen = [false; 4];
-                    for request in &members {
-                        kinds_seen[request.kind.index()] = true;
-                    }
-                    for (i, seen) in kinds_seen.iter().enumerate() {
-                        if *seen {
-                            breakers[i].record_failure(lane_time);
-                        }
-                    }
-                    members.retain(|request| {
-                        if request.attempts_allowed > attempt {
-                            retries += 1;
-                            counter!("serve.sim.retries").incr();
-                            recorder.record(
-                                request.id,
-                                lane_time,
-                                RequestEvent::Retried { attempt },
-                            );
-                            true
-                        } else {
-                            counter!("serve.sim.failed").incr();
-                            recorder.record(
-                                request.id,
-                                lane_time,
-                                RequestEvent::Failed { attempts: attempt },
-                            );
-                            failed_requests.push(FailedRequest {
-                                id: request.id,
-                                kind: request.kind,
-                                attempts: attempt,
-                            });
-                            false
-                        }
-                    });
-                    if members.is_empty() {
-                        break;
-                    }
-                    lane_time = lane_time.saturating_add(config.retry.backoff(attempt, batch_id));
-                    attempt += 1;
-                    continue;
-                }
-
-                if let Some(Fault::WorkerStall { stall }) = fault {
-                    lane_time = lane_time.saturating_add(stall);
-                }
-
-                let exec_start = lane_time;
-                let mut done = exec_start.saturating_add(cost.batch_cycles(&members));
-                if let Some(Fault::LatencySpike { extra }) = fault {
-                    done = done.saturating_add(extra);
-                }
-                batches += 1;
-                *batch_hist.entry(members.len()).or_insert(0) += 1;
-                histogram!("serve.sim.batch_size").record(members.len() as u64);
-                if attempt == 1 {
-                    histogram!("serve.sim.batch_wait_cycles")
-                        .record(exec_start.saturating_sub(batch.formed_at));
-                }
-                histogram!("serve.sim.exec_cycles").record(done - exec_start);
-                if let Some(monitor) = monitor.as_mut() {
-                    monitor.observe_exec(done - exec_start);
-                }
-                let mut kinds_seen = [false; 4];
-                for request in &members {
-                    kinds_seen[request.kind.index()] = true;
-                }
-                for (i, seen) in kinds_seen.iter().enumerate() {
-                    if *seen {
-                        breakers[i].record_success();
-                    }
-                }
-                for request in &members {
-                    recorder.record(request.id, exec_start, RequestEvent::ExecStart { worker });
-                    recorder.record(request.id, done, RequestEvent::ExecEnd { worker });
-                    recorder.record(request.id, done, RequestEvent::Responded);
-                    responses.push(Response {
-                        id: request.id,
-                        kind: request.kind,
-                        answer: executor.map_or(0, |ex| ex.execute(request)),
-                        arrival: request.arrival,
-                        completed: done,
-                        batch_size: members.len(),
-                    });
-                }
-                lane_time = done;
-                break;
-            }
-            lanes[lane] = lane_time;
+            let mut driver = Lane {
+                time: now,
+                cost,
+                executor,
+            };
+            core.run_batch(batch_id, batch, lane as u32, &mut driver);
+            lanes[lane] = driver.time;
         }
 
         // Advance to the next event: arrival, flush deadline, or (when
@@ -534,116 +340,63 @@ pub fn run(config: &SimConfig, cost: &CostModel, executor: Option<&Executor>) ->
         }
         now = now.max(next);
 
-        // Degradation check: re-evaluate load at every event, shrink
-        // or restore the batch bound — the leader-loop analog.
-        if let Some(monitor) = monitor.as_mut() {
-            let depth = batcher.pending() + waiting_in_ready;
-            if monitor.update(now, depth) {
-                counter!("serve.sim.degraded_ticks").incr();
-            }
-            let effective = monitor.effective_max_batch(config.policy.max_batch);
-            if effective != batcher.policy().max_batch {
-                batcher.set_policy(BatchPolicy {
-                    max_batch: effective,
-                    max_wait: config.policy.max_wait,
-                });
-            }
-        }
+        // Degradation check at every event — the leader-loop analog.
+        let depth = batcher.pending() + waiting_in_ready;
+        core.degrade(&mut batcher, depth, now);
 
         // Deadline flush (or size flush after a degradation shrink).
         if let Some(batch) = batcher.poll(now) {
             waiting_in_ready += batch.len();
-            ready.push_back(form_batch(batch, &mut next_batch_id));
+            ready.push_back(core.form(batch));
         }
 
-        // Admit (or shed) every arrival due by `now`, through the same
-        // gates as the threaded server: deadline feasibility (here
-        // cost-informed — the sim knows per-item cycles), breaker,
-        // degradation, capacity.
+        // Admit (or shed) every arrival due by `now`. Capacity bounds
+        // the requests waiting in the batcher and in formed batches.
         while next_arrival < arrivals.len() && arrivals[next_arrival].arrival <= now {
             let request = arrivals[next_arrival];
             next_arrival += 1;
-            let refuse = |reason: ShedReason, shed: &mut u64| {
-                *shed += 1;
-                counter!("serve.sim.shed").incr();
-                match reason {
-                    ShedReason::QueueFull => counter!("serve.sim.shed.queue_full").incr(),
-                    ShedReason::Shutdown => counter!("serve.sim.shed.shutdown").incr(),
-                    ShedReason::DeadlineExceeded => {
-                        counter!("serve.sim.deadline_shed").incr();
-                        counter!("serve.sim.shed.deadline_exceeded").incr();
-                    }
-                    ShedReason::LoadShed => counter!("serve.sim.shed.load_shed").incr(),
-                    ShedReason::CircuitOpen => counter!("serve.sim.shed.circuit_open").incr(),
+            let full = batcher.pending() + waiting_in_ready >= config.queue_capacity;
+            let admitted = core.admit(&request, cost.per_item(request.kind), || {
+                if full {
+                    Err(AdmissionError::QueueFull {
+                        capacity: config.queue_capacity,
+                    })
+                } else {
+                    Ok(())
                 }
-                recorder.record(request.id, request.arrival, RequestEvent::Shed { reason });
-            };
-            if request.deadline != NO_DEADLINE
-                && (request.deadline <= request.arrival
-                    || request.arrival.saturating_add(cost.per_item(request.kind))
-                        > request.deadline)
-            {
-                refuse(ShedReason::DeadlineExceeded, &mut shed);
-                continue;
-            }
-            if !breakers[request.kind.index()].admits(now) {
-                refuse(ShedReason::CircuitOpen, &mut shed);
-                continue;
-            }
-            if request.priority == Priority::Low
-                && monitor
-                    .as_ref()
-                    .is_some_and(LoadMonitor::sheds_low_priority)
-            {
-                refuse(ShedReason::LoadShed, &mut shed);
-                continue;
-            }
-            if batcher.pending() + waiting_in_ready >= config.queue_capacity {
-                refuse(ShedReason::QueueFull, &mut shed);
-                continue;
-            }
-            submitted += 1;
-            counter!("serve.sim.submitted").incr();
-            recorder.record(request.id, request.arrival, RequestEvent::Admitted);
-            recorder.record(request.id, request.arrival, RequestEvent::Enqueued);
-            if let Some(batch) = batcher.offer(request, now) {
-                waiting_in_ready += batch.len();
-                ready.push_back(form_batch(batch, &mut next_batch_id));
+            });
+            if admitted.is_ok() {
+                if let Some(batch) = batcher.offer(request, now) {
+                    waiting_in_ready += batch.len();
+                    ready.push_back(core.form(batch));
+                }
             }
         }
     }
 
-    responses.sort_by_key(|r| r.id);
-    failed_requests.sort_by_key(|f| f.id);
-    let mut latencies: Vec<u64> = responses.iter().map(Response::latency).collect();
-    latencies.sort_unstable();
-    for &l in &latencies {
-        histogram!("serve.sim.latency_cycles").record(l);
+    let serve = core.report();
+    let latency = PhaseStats::from_samples(serve.responses.iter().map(|r| r.latency()).collect());
+    let makespan = serve
+        .responses
+        .iter()
+        .map(|r| r.completed)
+        .max()
+        .unwrap_or(0);
+    // An executed batch of size n answers n requests.
+    let mut batch_hist: BTreeMap<usize, u64> = BTreeMap::new();
+    for response in &serve.responses {
+        *batch_hist.entry(response.batch_size).or_insert(0) += 1;
     }
-    let makespan = responses.iter().map(|r| r.completed).max().unwrap_or(0);
-    let completed = responses.len() as u64;
-    let trace = recorder.snapshot();
-    let phases = trace.phases();
+    for (size, count) in &mut batch_hist {
+        *count /= *size as u64;
+    }
     SimReport {
-        submitted,
-        shed,
-        completed,
-        failed: failed_requests.len() as u64,
-        deadline_dropped,
-        retries,
-        faults_injected,
-        degraded_ticks: monitor.as_ref().map_or(0, LoadMonitor::degraded_ticks),
-        breaker_trips: breakers.iter().map(CircuitBreaker::trips).sum(),
-        batches,
         makespan,
-        latency: LatencyStats::from_sorted(&latencies),
+        latency,
         batch_hist,
-        throughput_per_mcycle: completed as f64 / makespan.max(1) as f64 * 1e6,
-        shed_rate: shed as f64 / config.requests as f64,
-        failed_requests,
-        responses,
-        trace,
-        phases,
+        throughput_per_mcycle: serve.stats.completed as f64 / makespan.max(1) as f64 * 1e6,
+        shed_rate: serve.stats.shed as f64 / config.requests as f64,
+        serve,
     }
 }
 
@@ -717,33 +470,38 @@ mod tests {
         let a = run(&chaos_config(), &cost, None);
         let b = run(&chaos_config(), &cost, None);
         assert_eq!(a, b, "chaos must replay bit-identically");
-        assert!(a.faults_injected > 0, "plan must fire at these rates");
-        assert!(a.retries > 0, "exec errors must trigger retries");
-        assert_eq!(a.submitted + a.shed, chaos_config().requests as u64);
+        assert!(
+            a.serve.stats.faults_injected > 0,
+            "plan must fire at these rates"
+        );
+        assert!(
+            a.serve.stats.retries > 0,
+            "exec errors must trigger retries"
+        );
+        let stats = a.serve.stats;
+        assert_eq!(stats.submitted + stats.shed, chaos_config().requests as u64);
         assert_eq!(
-            a.completed + a.failed + a.deadline_dropped,
-            a.submitted,
+            stats.completed + stats.failed + stats.expired,
+            stats.submitted,
             "every admitted request must be accounted for"
         );
-        assert_eq!(a.failed_requests.len() as u64, a.failed);
+        assert_eq!(a.serve.failed.len() as u64, stats.failed);
     }
 
     #[test]
     fn conservation_holds() {
         let cost = CostModel::synthetic(1_000, 200);
         let report = run(&quick_config(), &cost, None);
-        assert_eq!(
-            report.submitted + report.shed,
-            quick_config().requests as u64
-        );
-        assert_eq!(report.completed, report.submitted, "inert: nothing lost");
+        let stats = report.serve.stats;
+        assert_eq!(stats.submitted + stats.shed, quick_config().requests as u64);
+        assert_eq!(stats.completed, stats.submitted, "inert: nothing lost");
         let hist_total: u64 = report
             .batch_hist
             .iter()
             .map(|(size, count)| *size as u64 * count)
             .sum();
-        assert_eq!(hist_total, report.completed);
-        assert_eq!(report.batch_hist.values().sum::<u64>(), report.batches);
+        assert_eq!(hist_total, stats.completed);
+        assert_eq!(report.batch_hist.values().sum::<u64>(), stats.batches);
     }
 
     #[test]
@@ -755,8 +513,11 @@ mod tests {
         };
         let cost = CostModel::synthetic(10_000, 1_000);
         let report = run(&config, &cost, None);
-        assert!(report.shed > 0, "overload must shed");
-        assert!(report.submitted > 0, "some requests must still complete");
+        assert!(report.serve.stats.shed > 0, "overload must shed");
+        assert!(
+            report.serve.stats.submitted > 0,
+            "some requests must still complete"
+        );
         assert!(report.shed_rate > 0.0 && report.shed_rate < 1.0);
     }
 
@@ -771,9 +532,9 @@ mod tests {
         };
         let cost = CostModel::synthetic(1_000, 200);
         let report = run(&config, &cost, None);
-        assert_eq!(report.shed, config.requests as u64);
-        assert_eq!(report.submitted, 0);
-        assert_eq!(report.completed, 0);
+        assert_eq!(report.serve.stats.shed, config.requests as u64);
+        assert_eq!(report.serve.stats.submitted, 0);
+        assert_eq!(report.serve.stats.completed, 0);
         assert_eq!(report.latency.max, 0);
         assert_eq!(report.throughput_per_mcycle, 0.0);
     }
@@ -800,15 +561,16 @@ mod tests {
         };
         let cost = CostModel::synthetic(1_000, 200);
         let report = run(&config, &cost, None);
-        assert_eq!(report.completed, 0, "nothing can succeed");
-        assert_eq!(report.failed, report.submitted);
-        assert!(report.retries > 0, "each member retries once");
-        assert!(report.breaker_trips > 0, "repeated failures trip breakers");
+        let stats = report.serve.stats;
+        assert_eq!(stats.completed, 0, "nothing can succeed");
+        assert_eq!(stats.failed, stats.submitted);
+        assert!(stats.retries > 0, "each member retries once");
+        assert!(stats.breaker_trips > 0, "repeated failures trip breakers");
         assert!(
-            report.shed > 0,
+            stats.shed > 0,
             "open breakers shed later arrivals at admission"
         );
-        for f in &report.failed_requests {
+        for f in &report.serve.failed {
             assert_eq!(f.attempts, 2, "budget fully consumed");
         }
     }
@@ -851,22 +613,23 @@ mod tests {
     fn trace_covers_every_lifecycle_and_phases_add_up() {
         let cost = CostModel::synthetic(1_000, 200);
         let report = run(&quick_config(), &cost, None);
+        let serve = &report.serve;
         if !nsflow_telemetry::enabled() {
-            assert!(report.trace.is_empty(), "tracing must be inert");
+            assert!(serve.trace.is_empty(), "tracing must be inert");
             return;
         }
         // 6 events per served request + 1 per shed, all retained.
         assert_eq!(
-            report.trace.len() as u64,
-            report.submitted * 6 + report.shed
+            serve.trace.len() as u64,
+            serve.stats.submitted * 6 + serve.stats.shed
         );
-        assert_eq!(report.trace.dropped, 0);
-        assert_eq!(report.phases.exec.count, report.submitted);
+        assert_eq!(serve.trace.dropped, 0);
+        assert_eq!(serve.phases.exec.count, serve.stats.submitted);
         // Per-request: queue + batch + exec spans compose the latency.
         let worst =
-            report.phases.queue_wait.max + report.phases.batch_wait.max + report.phases.exec.max;
+            serve.phases.queue_wait.max + serve.phases.batch_wait.max + serve.phases.exec.max;
         assert!(report.latency.max <= worst);
-        assert!(report.phases.exec.p50 >= 1_000, "at least one item's cost");
+        assert!(serve.phases.exec.p50 >= 1_000, "at least one item's cost");
     }
 
     #[test]
@@ -877,8 +640,8 @@ mod tests {
             ..quick_config()
         };
         let report = run(&config, &cost, None);
-        assert!(report.trace.is_empty());
-        assert_eq!(report.phases.exec.count, 0);
+        assert!(report.serve.trace.is_empty());
+        assert_eq!(report.serve.phases.exec.count, 0);
     }
 
     #[test]

@@ -11,6 +11,16 @@ use nsflow_serve::request::{Priority, WorkloadKind};
 use nsflow_serve::robust::{BreakerPolicy, DegradationPolicy, FaultPlan, RetryPolicy};
 use nsflow_serve::simlab::{self, CostModel, SimConfig};
 
+/// FNV-1a digest of the chaos run's rendered Chrome trace, pinned so a
+/// refactor of the serving core cannot change simlab output unnoticed.
+const CHAOS_TRACE_FNV1A: u64 = 0x09c0_98a5_ea96_6cf4;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 /// A saturating mixed-priority run where every robustness policy is
 /// live: deadlines, retries, all three fault kinds, degradation and
 /// breakers all fire at these rates.
@@ -64,6 +74,7 @@ fn chaos_chrome_trace_is_bit_identical_across_reruns() {
     let a = simlab::run(&chaos_config(), &cost, None);
     let b = simlab::run(&chaos_config(), &cost, None);
     assert_eq!(a, b, "same seed, same chaos — the full report matches");
+    let (a, b) = (a.serve, b.serve);
 
     let text_a = a.trace.to_chrome_trace("chaos", "cycle").render_pretty();
     let text_b = b.trace.to_chrome_trace("chaos", "cycle").render_pretty();
@@ -75,15 +86,24 @@ fn chaos_chrome_trace_is_bit_identical_across_reruns() {
 
     // The scenario genuinely exercises the whole layer — otherwise the
     // replay guarantee is vacuous.
-    assert!(a.faults_injected > 0, "plan must fire at these rates");
-    assert!(a.retries > 0, "exec errors must drive retries");
-    assert_eq!(a.submitted + a.shed, chaos_config().requests as u64);
-    assert_eq!(a.completed + a.failed + a.deadline_dropped, a.submitted);
+    let stats = a.stats;
+    assert!(stats.faults_injected > 0, "plan must fire at these rates");
+    assert!(stats.retries > 0, "exec errors must drive retries");
+    assert_eq!(stats.submitted + stats.shed, chaos_config().requests as u64);
+    assert_eq!(
+        stats.completed + stats.failed + stats.expired,
+        stats.submitted
+    );
 
     if nsflow_telemetry::enabled() {
         assert!(
             text_a.contains("\"faults\""),
             "retried/failed lifecycles surface the dedicated faults track"
+        );
+        assert_eq!(
+            fnv1a(text_a.as_bytes()),
+            CHAOS_TRACE_FNV1A,
+            "the chaos run's Chrome trace changed"
         );
     }
 
@@ -110,10 +130,10 @@ fn fault_free_runs_have_no_faults_track() {
         ..chaos_config()
     };
     let cost = CostModel::synthetic(3_000, 1_500);
-    let report = simlab::run(&config, &cost, None);
-    assert_eq!(report.failed, 0);
-    assert_eq!(report.retries, 0);
-    assert_eq!(report.faults_injected, 0);
+    let report = simlab::run(&config, &cost, None).serve;
+    assert_eq!(report.stats.failed, 0);
+    assert_eq!(report.stats.retries, 0);
+    assert_eq!(report.stats.faults_injected, 0);
     let text = report
         .trace
         .to_chrome_trace("clean", "cycle")

@@ -112,7 +112,7 @@ fn sim_answers_match_direct_execution() {
     };
     let executor = Executor::new(ExecutorConfig::serial());
     let report = simlab::run(&config, &cost, Some(&executor));
-    for response in &report.responses {
+    for response in &report.serve.responses {
         let direct = executor.execute(&Request::new(
             response.id,
             response.kind,

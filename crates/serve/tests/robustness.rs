@@ -265,9 +265,12 @@ fn expired_requests_are_dropped_before_execution() {
     assert_eq!(report.stats.submitted, 1);
     assert_eq!(report.stats.completed, 0);
     assert_eq!(report.stats.failed, 0);
+    assert_eq!(report.stats.expired, 1, "dropped at the pre-exec check");
+    assert_eq!(report.stats.deadline_shed, 1, "counted as a deadline shed");
     assert_eq!(
-        report.stats.deadline_shed, 1,
-        "dropped at the pre-exec check"
+        report.stats.completed + report.stats.failed + report.stats.expired,
+        report.stats.submitted,
+        "every admitted request completes, fails or expires"
     );
     if nsflow_telemetry::enabled() {
         assert!(report.trace.records.iter().any(|r| r.trace_id == id

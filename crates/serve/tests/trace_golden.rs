@@ -11,6 +11,16 @@ use nsflow_serve::simlab::{self, CostModel, SimConfig};
 use nsflow_serve::RequestEvent;
 use nsflow_telemetry::JsonValue;
 
+/// FNV-1a digest of the golden run's rendered Chrome trace, pinned so a
+/// refactor of the serving core cannot change simlab output unnoticed.
+const GOLDEN_TRACE_FNV1A: u64 = 0xc686_8290_35e7_0ef8;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 fn golden_config() -> SimConfig {
     SimConfig {
         requests: 96,
@@ -31,8 +41,8 @@ fn golden_config() -> SimConfig {
 #[test]
 fn sim_chrome_trace_is_bit_identical_across_reruns() {
     let cost = CostModel::synthetic(3_000, 1_500);
-    let a = simlab::run(&golden_config(), &cost, None);
-    let b = simlab::run(&golden_config(), &cost, None);
+    let a = simlab::run(&golden_config(), &cost, None).serve;
+    let b = simlab::run(&golden_config(), &cost, None).serve;
     assert_eq!(a.trace, b.trace, "same seed, same recorded events");
     assert_eq!(a.phases, b.phases);
 
@@ -44,6 +54,11 @@ fn sim_chrome_trace_is_bit_identical_across_reruns() {
         assert!(a.trace.is_empty());
         return;
     }
+    assert_eq!(
+        fnv1a(text_a.as_bytes()),
+        GOLDEN_TRACE_FNV1A,
+        "the golden run's Chrome trace changed"
+    );
 
     // The emitted document strict-parses with the in-repo parser and
     // has the advertised structure.
@@ -52,7 +67,10 @@ fn sim_chrome_trace_is_bit_identical_across_reruns() {
         .get("traceEvents")
         .and_then(JsonValue::as_array)
         .expect("traceEvents array");
-    assert!(events.len() > a.submitted as usize, "slices per request");
+    assert!(
+        events.len() > a.stats.submitted as usize,
+        "slices per request"
+    );
     assert_eq!(
         doc.get("metadata")
             .and_then(|m| m.get("time_unit"))
@@ -86,7 +104,7 @@ fn sim_chrome_trace_is_bit_identical_across_reruns() {
 #[test]
 fn sim_event_chains_are_causally_ordered() {
     let cost = CostModel::synthetic(3_000, 1_500);
-    let report = simlab::run(&golden_config(), &cost, None);
+    let report = simlab::run(&golden_config(), &cost, None).serve;
     if !nsflow_telemetry::enabled() {
         return;
     }
@@ -133,7 +151,7 @@ fn ring_keeps_only_the_newest_lifecycles() {
         ..golden_config()
     };
     let cost = CostModel::synthetic(3_000, 1_500);
-    let report = simlab::run(&config, &cost, None);
+    let report = simlab::run(&config, &cost, None).serve;
     if !nsflow_telemetry::enabled() {
         return;
     }

@@ -12,7 +12,7 @@
 //!
 //! Timestamps are abstract **ticks** supplied by the caller: the
 //! threaded server records wall microseconds, the virtual-time
-//! simulator records cycles. Under the simulator's manual clock the
+//! simulator records cycles. In the simulator's virtual time the
 //! recorded stream (and therefore the exported Chrome trace) is
 //! bit-reproducible given a seed.
 //!
@@ -616,9 +616,21 @@ mod enabled {
     const SHARDS: usize = 8;
 
     struct Shard {
-        /// Preallocated ring storage; grows (within its preallocation)
-        /// only until the first wrap.
-        records: Vec<TraceRecord>,
+        /// Ring storage, allocated once at full shard capacity; `None`
+        /// marks a slot no record has reached yet.
+        records: Vec<Option<TraceRecord>>,
+    }
+
+    /// Writes `record` into the slot its `seq` maps to in one shard's
+    /// ring, unless that slot already holds a newer record (a slower
+    /// thread can arrive with an older `seq` after the ring wrapped
+    /// past it; the older record is then the one dropped).
+    pub(super) fn place(ring: &mut [Option<TraceRecord>], record: TraceRecord) {
+        let slot = (record.seq as usize / SHARDS) % ring.len();
+        let cell = &mut ring[slot];
+        if cell.is_none_or(|held| held.seq < record.seq) {
+            *cell = Some(record);
+        }
     }
 
     /// Fixed-capacity flight recorder for request lifecycle events.
@@ -651,7 +663,7 @@ mod enabled {
                 shards: (0..SHARDS)
                     .map(|_| {
                         Mutex::new(Shard {
-                            records: Vec::with_capacity(shard_capacity),
+                            records: vec![None; shard_capacity],
                         })
                     })
                     .collect(),
@@ -687,13 +699,10 @@ mod enabled {
                 event,
             };
             let shard = &self.shards[(seq as usize) % SHARDS];
-            let slot = (seq as usize / SHARDS) % self.shard_capacity;
-            let mut guard = shard.lock().expect("flight recorder poisoned");
-            if slot < guard.records.len() {
-                guard.records[slot] = record;
-            } else {
-                guard.records.push(record);
-            }
+            place(
+                &mut shard.lock().expect("flight recorder poisoned").records,
+                record,
+            );
         }
 
         /// Copies out the retained records, oldest first, plus the
@@ -702,7 +711,14 @@ mod enabled {
         pub fn snapshot(&self) -> TraceSnapshot {
             let mut records: Vec<TraceRecord> = Vec::with_capacity(self.capacity());
             for shard in &self.shards {
-                records.extend_from_slice(&shard.lock().expect("flight recorder poisoned").records);
+                records.extend(
+                    shard
+                        .lock()
+                        .expect("flight recorder poisoned")
+                        .records
+                        .iter()
+                        .flatten(),
+                );
             }
             records.sort_unstable_by_key(|r| r.seq);
             let dropped = self.recorded().saturating_sub(records.len() as u64);
@@ -790,6 +806,32 @@ mod tests {
         // Exactly the newest records survive.
         let ids: Vec<u64> = snap.records.iter().map(|r| r.trace_id).collect();
         assert_eq!(ids, (84..100).collect::<Vec<_>>());
+    }
+
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn out_of_order_seqs_land_in_their_own_slots() {
+        // Seqs 0, 16, 8 all map to shard 0 (of 8), slots 0, 2, 1. A
+        // thread holding seq 8 can reach the shard after the one
+        // holding seq 16; both must survive below capacity.
+        let record = |seq| TraceRecord {
+            seq,
+            trace_id: seq,
+            ts: seq,
+            event: RequestEvent::Admitted,
+        };
+        let mut ring = vec![None; 4];
+        for seq in [0, 16, 8] {
+            enabled::place(&mut ring, record(seq));
+        }
+        let held: Vec<u64> = ring.iter().flatten().map(|r| r.seq).collect();
+        assert_eq!(held, [0, 8, 16]);
+        // Seq 40 wraps onto slot 1 and evicts seq 8; seq 8 arriving
+        // again (late) must not evict the newer record.
+        enabled::place(&mut ring, record(40));
+        enabled::place(&mut ring, record(8));
+        let held: Vec<u64> = ring.iter().flatten().map(|r| r.seq).collect();
+        assert_eq!(held, [0, 40, 16]);
     }
 
     #[cfg(feature = "telemetry")]

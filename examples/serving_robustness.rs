@@ -120,15 +120,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..SimConfig::default()
     };
     let cost = CostModel::synthetic(3_000, 1_500);
-    let a = simlab::run(&config, &cost, None);
-    let b = simlab::run(&config, &cost, None);
+    let a = simlab::run(&config, &cost, None).serve;
+    let b = simlab::run(&config, &cost, None).serve;
     assert_eq!(a, b, "seeded chaos replays exactly");
     let trace_a = a.trace.to_chrome_trace("chaos", "cycle").render_pretty();
     let trace_b = b.trace.to_chrome_trace("chaos", "cycle").render_pretty();
     assert_eq!(trace_a.as_bytes(), trace_b.as_bytes());
+    let s = a.stats;
     println!(
-        "simlab:   submitted {} completed {} failed {} deadline-dropped {} retries {} faults {}",
-        a.submitted, a.completed, a.failed, a.deadline_dropped, a.retries, a.faults_injected
+        "simlab:   submitted {} completed {} failed {} expired {} retries {} faults {}",
+        s.submitted, s.completed, s.failed, s.expired, s.retries, s.faults_injected
     );
     println!(
         "simlab:   chaos trace is {} bytes, byte-identical across two runs",

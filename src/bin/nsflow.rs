@@ -43,7 +43,7 @@ use nsflow::arch::PrecisionConfig;
 use nsflow::core::NsFlow;
 use nsflow::fpga::FpgaDevice;
 use nsflow::serve::prelude::*;
-use nsflow::serve::MetricsExporter;
+use nsflow::serve::{MetricsExporter, PhaseStats};
 use nsflow::sim::schedule::{run_pooled, SimOptions};
 use nsflow::tensor::DType;
 use nsflow::trace::parser::{parse_trace, ModuleRegistry, ParsePrecision};
@@ -298,21 +298,11 @@ fn serve(args: ServeArgs) -> Result<(), String> {
             stats.breaker_trips
         );
     }
-    let mut latencies: Vec<u64> = report.responses.iter().map(|r| r.latency()).collect();
-    latencies.sort_unstable();
-    if !latencies.is_empty() {
-        let pct = |p: f64| {
-            let idx = ((p / 100.0 * latencies.len() as f64).ceil() as usize)
-                .clamp(1, latencies.len())
-                - 1;
-            latencies[idx]
-        };
+    let latency = PhaseStats::from_samples(report.responses.iter().map(|r| r.latency()).collect());
+    if latency.count > 0 {
         println!(
             "latency µs: p50 {}  p95 {}  p99 {}  max {}",
-            pct(50.0),
-            pct(95.0),
-            pct(99.0),
-            latencies[latencies.len() - 1]
+            latency.p50, latency.p95, latency.p99, latency.max
         );
     }
     let mut hist: std::collections::BTreeMap<usize, u64> = std::collections::BTreeMap::new();
