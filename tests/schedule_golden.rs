@@ -1,0 +1,332 @@
+//! Golden digests of the cycle-level schedulers.
+//!
+//! Every field a schedule exposes — each `ScheduledOp`, the claimed
+//! sub-arrays, busy cycles, the makespan and the critical path — is
+//! folded into one FNV-1a digest per case and compared against a pinned
+//! value. Both schedulers (`run` and `run_pooled`) are covered on the
+//! four workloads' compiled U250 designs at several loop multipliers and
+//! on seeded random graphs, and two Chrome-trace documents are pinned
+//! byte for byte. Any change to scheduling order, tie-breaking or stall
+//! attribution shows up here.
+
+use nsflow::arch::memory::TransferModel;
+use nsflow::arch::{ArrayConfig, Mapping};
+use nsflow::core::{Design, NsFlow};
+use nsflow::graph::DataflowGraph;
+use nsflow::sim::schedule::{run, run_pooled, Resource, Schedule, SimOptions};
+use nsflow::sim::timeline::BindKind;
+use nsflow::tensor::rng::StdRng;
+use nsflow::tensor::DType;
+use nsflow::trace::{Domain, EltFunc, OpKind, ReduceFunc, TraceBuilder};
+use nsflow::workloads::traces;
+
+/// 64-bit FNV-1a.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+}
+
+fn resource_code(r: Resource) -> u64 {
+    match r {
+        Resource::NnPartition => 0,
+        Resource::VsaPartition => 1,
+        Resource::Simd => 2,
+    }
+}
+
+/// Folds every observable of `schedule` and its critical path.
+fn digest(schedule: &Schedule, graph: &DataflowGraph) -> u64 {
+    let mut h = Fnv::new();
+    h.u64(schedule.ops().len() as u64);
+    for (i, so) in schedule.ops().iter().enumerate() {
+        for v in [
+            so.loop_idx as u64,
+            so.op.index() as u64,
+            so.start,
+            so.end,
+            resource_code(so.resource),
+            so.dep_wait,
+            so.resource_wait,
+            so.transfer_stall,
+        ] {
+            h.u64(v);
+        }
+        let units = schedule.claimed_units(i);
+        h.u64(units.len() as u64);
+        for &u in units {
+            h.u64(u64::from(u));
+        }
+    }
+    let (nn, vsa, simd) = schedule.busy_cycles();
+    for v in [nn, vsa, simd, schedule.total_cycles()] {
+        h.u64(v);
+    }
+    h.u64(schedule.pool_units() as u64);
+    h.u64(u64::from(schedule.is_sequential()));
+    let path = schedule.critical_path(graph);
+    h.u64(path.total_cycles);
+    h.u64(path.nodes.len() as u64);
+    for n in &path.nodes {
+        let bound = match n.bound {
+            BindKind::Origin => 0,
+            BindKind::Dependency => 1,
+            BindKind::Resource => 2,
+        };
+        for v in [
+            n.index as u64,
+            n.loop_idx as u64,
+            n.op.index() as u64,
+            resource_code(n.resource),
+            n.cycles,
+            n.transfer_stall,
+            bound,
+        ] {
+            h.u64(v);
+        }
+    }
+    h.0
+}
+
+fn designs() -> Vec<(&'static str, Design)> {
+    traces::all()
+        .into_iter()
+        .map(|w| {
+            let design = NsFlow::new().compile(w.trace).expect("U250 compile");
+            (w.name, design)
+        })
+        .collect()
+}
+
+/// The design's graph with its loop count multiplied by `multiplier`.
+fn batched(design: &Design, multiplier: usize) -> DataflowGraph {
+    let trace = design.graph.trace();
+    DataflowGraph::from_trace(
+        trace
+            .with_loop_count(trace.loop_count() * multiplier)
+            .unwrap(),
+    )
+}
+
+fn design_options(design: &Design) -> SimOptions {
+    SimOptions {
+        simd_lanes: design.config.simd_lanes,
+        transfer: Some(TransferModel::default()),
+    }
+}
+
+/// Compares computed `(case, digest)` rows against the pinned table and
+/// prints the whole computed table on any mismatch.
+fn check(computed: &[(String, u64)], pinned: &[(&str, u64)]) {
+    let matches = computed.len() == pinned.len()
+        && computed
+            .iter()
+            .zip(pinned)
+            .all(|((case, d), (p_case, p_d))| case == p_case && d == p_d);
+    if !matches {
+        for (case, d) in computed {
+            eprintln!("    (\"{case}\", {d:#018x}),");
+        }
+        panic!("schedule digests differ from the pinned table");
+    }
+}
+
+const WORKLOAD_DIGESTS: [(&str, u64); 24] = [
+    ("NVSA x1 pooled", 0x2957d944f36b80b2),
+    ("NVSA x1 queues", 0x6755d5f65a9e6be6),
+    ("NVSA x8 pooled", 0x10f9af96d655bc14),
+    ("NVSA x8 queues", 0x80eee2cba688b898),
+    ("NVSA x64 pooled", 0x6c915ca39f27abcc),
+    ("NVSA x64 queues", 0x7ab3c43a6d9ef4d1),
+    ("MIMONet x1 pooled", 0x3701a9ff56b1bb48),
+    ("MIMONet x1 queues", 0x377d1a2ecad3660e),
+    ("MIMONet x8 pooled", 0x582b06e40eafc4f8),
+    ("MIMONet x8 queues", 0xe26507add581e40b),
+    ("MIMONet x64 pooled", 0x097d8c77bc2ca816),
+    ("MIMONet x64 queues", 0x6c663cd69c62e6bf),
+    ("LVRF x1 pooled", 0xac5f753ec5910cda),
+    ("LVRF x1 queues", 0xb45b82cd72f60a58),
+    ("LVRF x8 pooled", 0x7f5d03d4670c1650),
+    ("LVRF x8 queues", 0x9cef29692f84ac4a),
+    ("LVRF x64 pooled", 0xb9ede252d5f94a69),
+    ("LVRF x64 queues", 0xff9dcd56c43d05ac),
+    ("PrAE x1 pooled", 0x63667b883fc31d83),
+    ("PrAE x1 queues", 0xd6c7421f401bfc17),
+    ("PrAE x8 pooled", 0x28191d3406cf77f7),
+    ("PrAE x8 queues", 0xc2907dc73649235d),
+    ("PrAE x64 pooled", 0xfca1d69832e9538a),
+    ("PrAE x64 queues", 0xa846c9dd5831338f),
+];
+
+#[test]
+fn workload_schedules_match_pinned_digests() {
+    let mut computed = Vec::new();
+    for (name, design) in designs() {
+        let options = design_options(&design);
+        for multiplier in [1, 8, 64] {
+            let graph = batched(&design, multiplier);
+            let pooled = run_pooled(&graph, design.array(), design.mapping(), &options);
+            computed.push((
+                format!("{name} x{multiplier} pooled"),
+                digest(&pooled, &graph),
+            ));
+            let queues = run(&graph, design.array(), design.mapping(), &options);
+            computed.push((
+                format!("{name} x{multiplier} queues"),
+                digest(&queues, &graph),
+            ));
+        }
+    }
+    check(&computed, &WORKLOAD_DIGESTS);
+}
+
+/// A seeded random DAG with every op class, fan-in up to three (inputs
+/// may repeat), and a random mapping on a random array.
+fn random_case(seed: u64) -> (DataflowGraph, ArrayConfig, Mapping, SimOptions) {
+    let rng = &mut StdRng::seed_from_u64(seed);
+    let n_sub = [1usize, 2, 3, 4, 8][rng.gen_range(0usize..5)];
+    let cfg = ArrayConfig::new(
+        8 << rng.gen_range(0usize..3),
+        8 << rng.gen_range(0usize..3),
+        n_sub,
+    )
+    .unwrap();
+    let n_ops = rng.gen_range(2usize..14);
+    let mut b = TraceBuilder::new(format!("random{seed}"));
+    let mut ids = Vec::new();
+    for i in 0..n_ops {
+        let fan_in = if ids.is_empty() {
+            0
+        } else {
+            rng.gen_range(0usize..4)
+        };
+        let inputs: Vec<_> = (0..fan_in)
+            .map(|_| ids[rng.gen_range(0..ids.len())])
+            .collect();
+        let (kind, domain, dtype) = match rng.gen_range(0u32..5) {
+            0 => (
+                OpKind::Gemm {
+                    m: rng.gen_range(8usize..300),
+                    n: rng.gen_range(4usize..80),
+                    k: rng.gen_range(4usize..80),
+                },
+                Domain::Neural,
+                DType::Int8,
+            ),
+            1 => (
+                OpKind::VsaConv {
+                    n_vec: rng.gen_range(1usize..16),
+                    dim: 1 << rng.gen_range(4u32..9),
+                },
+                Domain::Symbolic,
+                DType::Int4,
+            ),
+            2 => (
+                OpKind::Elementwise {
+                    elems: rng.gen_range(1usize..5000),
+                    func: EltFunc::Relu,
+                },
+                Domain::Neural,
+                DType::Int8,
+            ),
+            3 => (
+                OpKind::Reduce {
+                    elems: rng.gen_range(1usize..5000),
+                    func: ReduceFunc::Sum,
+                },
+                Domain::Symbolic,
+                DType::Int4,
+            ),
+            _ => (
+                OpKind::Similarity {
+                    n_vec: rng.gen_range(1usize..16),
+                    dim: rng.gen_range(16usize..512),
+                },
+                Domain::Symbolic,
+                DType::Int4,
+            ),
+        };
+        ids.push(b.push(format!("op{i}"), kind, domain, dtype, &inputs));
+    }
+    let loops = rng.gen_range(1usize..7);
+    let graph = DataflowGraph::from_trace(b.finish(loops).unwrap());
+    let trace = graph.trace();
+    let mut pick = || rng.gen_range(1..=n_sub);
+    let mapping = Mapping {
+        n_l: trace.nn_nodes().iter().map(|_| pick()).collect(),
+        n_v: trace.vsa_nodes().iter().map(|_| pick()).collect(),
+        parallel: rng.gen_range(0u32..3) > 0,
+    };
+    let options = SimOptions {
+        simd_lanes: 16 << rng.gen_range(0usize..3),
+        transfer: (rng.gen_range(0u32..2) == 0).then(|| TransferModel::new(0.5)),
+    };
+    (graph, cfg, mapping, options)
+}
+
+const RANDOM_CASES: u64 = 48;
+
+const RANDOM_DIGESTS: [(&str, u64); 2] = [
+    ("random pooled", 0xa96f45c00a10ca35),
+    ("random queues", 0x96c300147c38cfff),
+];
+
+#[test]
+fn random_graph_schedules_match_pinned_digests() {
+    let (mut pooled, mut queues) = (Fnv::new(), Fnv::new());
+    for seed in 0..RANDOM_CASES {
+        let (graph, cfg, mapping, options) = random_case(seed);
+        pooled.u64(digest(
+            &run_pooled(&graph, &cfg, &mapping, &options),
+            &graph,
+        ));
+        queues.u64(digest(&run(&graph, &cfg, &mapping, &options), &graph));
+    }
+    check(
+        &[
+            ("random pooled".to_string(), pooled.0),
+            ("random queues".to_string(), queues.0),
+        ],
+        &RANDOM_DIGESTS,
+    );
+}
+
+const CHROME_TRACE_DIGESTS: [(&str, u64); 2] = [
+    ("LVRF x2 pooled", 0x9cdb7f9875869098),
+    ("LVRF x2 queues", 0x58ad76ea387a9be8),
+];
+
+#[test]
+fn chrome_traces_match_pinned_digests() {
+    let workload = traces::lvrf();
+    let design = NsFlow::new().compile(workload.trace).unwrap();
+    let options = design_options(&design);
+    let graph = batched(&design, 2);
+    let render = |s: &Schedule| {
+        let mut h = Fnv::new();
+        h.bytes(s.to_chrome_trace(&graph).render_compact().as_bytes());
+        h.0
+    };
+    let pooled = run_pooled(&graph, design.array(), design.mapping(), &options);
+    let queues = run(&graph, design.array(), design.mapping(), &options);
+    check(
+        &[
+            ("LVRF x2 pooled".to_string(), render(&pooled)),
+            ("LVRF x2 queues".to_string(), render(&queues)),
+        ],
+        &CHROME_TRACE_DIGESTS,
+    );
+}
