@@ -21,11 +21,14 @@
 //! - `--out DIR`: directory for `<workload>.trace.json` (default `.`).
 //!
 //! Also emits `BENCH_simtrace.json` (stall totals + attribution check)
-//! for the `bench_gate` regression gate.
+//! for the `bench_gate` regression gate, with the measured wall time per
+//! scheduler and critical-path call averaged over the workloads' final
+//! schedules (informational: host-dependent).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
 use nsflow_arch::ArrayConfig;
 use nsflow_bench::simreport::{analyze, parse_config, WorkloadTimeline};
@@ -94,9 +97,13 @@ fn emit_json(timelines: &[WorkloadTimeline], args: &Args, all_exact: bool) {
         if args.pooled { "pooled" } else { "queues" }
     );
     let _ = writeln!(json, "  \"workloads\": [");
+    let (mut schedule_wall, mut path_wall) = (Duration::ZERO, Duration::ZERO);
     for (i, t) in timelines.iter().enumerate() {
         let stalls = t.schedule.stall_totals();
+        let started = Instant::now();
         let path = t.schedule.critical_path(&t.graph);
+        path_wall += started.elapsed();
+        schedule_wall += t.schedule_wall;
         let total = t.schedule.total_cycles();
         let _ = writeln!(json, "    {{");
         let _ = writeln!(json, "      \"name\": \"{}\",", t.name);
@@ -132,6 +139,22 @@ fn emit_json(timelines: &[WorkloadTimeline], args: &Args, all_exact: bool) {
         );
     }
     let _ = writeln!(json, "  ],");
+    let calls = timelines.len().max(1) as f64;
+    let _ = writeln!(
+        json,
+        "  \"threads\": {},",
+        nsflow_tensor::par::available_threads()
+    );
+    let _ = writeln!(
+        json,
+        "  \"schedule_us_per_call\": {:.1},",
+        schedule_wall.as_secs_f64() * 1e6 / calls
+    );
+    let _ = writeln!(
+        json,
+        "  \"critical_path_us_per_call\": {:.1},",
+        path_wall.as_secs_f64() * 1e6 / calls
+    );
     let _ = writeln!(json, "  \"meets_target\": {all_exact},");
     json.push_str(&nsflow_bench::telemetry_json_member());
     json.push_str("\n}\n");

@@ -761,6 +761,25 @@ mod tests {
     }
 
     #[test]
+    fn simtrace_timing_fields_are_informational() {
+        let timing = |us: f64, threads: u64| {
+            JsonValue::parse(&format!(
+                r#"{{ "threads": {threads}, "schedule_us_per_call": {us},
+                    "critical_path_us_per_call": {us} }}"#
+            ))
+            .unwrap()
+        };
+        for (base, cur) in [
+            (timing(10.0, 1), timing(900.0, 4)),
+            (timing(900.0, 4), timing(1.0, 1)),
+        ] {
+            let rows = compare_documents("BENCH_simtrace.json", &base, &cur, 0.5);
+            assert_eq!(rows.len(), 3);
+            assert!(rows.iter().all(|r| r.verdict == Verdict::Info), "{rows:?}");
+        }
+    }
+
+    #[test]
     fn report_table_renders_and_counts() {
         let base = doc(4.0, 100, true, 7);
         let bad = doc(0.5, 100, true, 7);

@@ -3,6 +3,8 @@
 //! and a scheduler, then package the schedule's observability artifacts
 //! (Chrome trace JSON, bottleneck report, roofline phase bounds).
 
+use std::time::{Duration, Instant};
+
 use nsflow_arch::ArrayConfig;
 use nsflow_graph::DataflowGraph;
 use nsflow_sim::roofline::{workload_points, Bound, Roof};
@@ -23,6 +25,8 @@ pub struct WorkloadTimeline {
     pub graph: DataflowGraph,
     /// The schedule with per-op stall attribution.
     pub schedule: Schedule,
+    /// Wall time of the scheduler call that produced `schedule`.
+    pub schedule_wall: Duration,
 }
 
 /// Parses an `HxWxN` array-config argument (e.g. `32x32x8`).
@@ -52,15 +56,18 @@ pub fn analyze(
     let name = workload.name;
     let graph = DataflowGraph::from_trace(workload.trace);
     let mapping = mapping::two_phase_mapping(&graph, cfg, opts);
+    let started = Instant::now();
     let schedule = if pooled {
         schedule::run_pooled(&graph, cfg, &mapping, opts)
     } else {
         schedule::run(&graph, cfg, &mapping, opts)
     };
+    let schedule_wall = started.elapsed();
     WorkloadTimeline {
         name,
         graph,
         schedule,
+        schedule_wall,
     }
 }
 

@@ -10,6 +10,26 @@
 //! an op of loop `i+1` waits only for its *intra-loop* dependencies and
 //! for its resource to free — so the next loop's first NN layer overlaps
 //! the previous loop's symbolic tail.
+//!
+//! Both schedulers first flatten the graph into a `SchedulePlan`: the
+//! loop-invariant latency, transfer stall, pool demand and resource class
+//! of every op, plus a CSR consumer table, all indexed by op position.
+//! Every loop instance replays those terms, so nothing is hashed or
+//! re-costed inside the scheduling loops.
+//!
+//! [`run_pooled`] keeps its ready instances in min-heaps by instance
+//! index `loop · ops + op`: one for the SIMD unit and one per pool demand
+//! `0..=N`. Each scheduling pass starts the smallest ready SIMD instance
+//! if the unit is free, then repeatedly the smallest ready array instance
+//! among the demand buckets that fit the free sub-arrays. That is exactly
+//! what an ascending first-fit scan of the ready set starts: free capacity
+//! only shrinks within a pass, so an instance the scan skipped never fits
+//! later in the same pass. A pass costs `O(N + log R)` per start instead
+//! of `O(R)` for `R` ready instances, for `O(I · (N + log I))` over `I`
+//! instances.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use nsflow_arch::memory::TransferModel;
 use nsflow_arch::{analytical, simd, ArrayConfig, Mapping};
@@ -26,6 +46,13 @@ pub enum Resource {
     VsaPartition,
     /// The SIMD unit.
     Simd,
+}
+
+impl Resource {
+    /// Dense index (NN 0, VSA 1, SIMD 2) for per-class arrays.
+    pub(crate) const fn index(self) -> usize {
+        self as usize
+    }
 }
 
 /// One scheduled op instance, including *why* it started when it did.
@@ -78,10 +105,12 @@ pub struct Schedule {
     /// Whether the producing mapping time-shared one array (sequential
     /// mode of [`run`]); pooled schedules are never sequential.
     sequential: bool,
-    /// Concrete sub-array indices claimed by each op (aligned with
-    /// `ops`). Empty per-op for SIMD ops and for the partition-queue
-    /// scheduler, which does not place ops on individual sub-arrays.
-    unit_sets: Vec<Vec<u16>>,
+    /// Concrete sub-array indices claimed by every op, concatenated in
+    /// `ops` order: op `i` claimed `units[unit_offsets[i]..unit_offsets[i + 1]]`.
+    /// Both are empty for the partition-queue scheduler, which does not
+    /// place ops on individual sub-arrays.
+    units: Vec<u16>,
+    unit_offsets: Vec<usize>,
 }
 
 impl Schedule {
@@ -109,7 +138,9 @@ impl Schedule {
     /// scheduler. Empty for SIMD ops and partition-queue schedules.
     #[must_use]
     pub fn claimed_units(&self, i: usize) -> &[u16] {
-        self.unit_sets.get(i).map_or(&[], Vec::as_slice)
+        self.unit_offsets
+            .get(i..i + 2)
+            .map_or(&[], |w| &self.units[w[0]..w[1]])
     }
 
     /// Makespan in cycles.
@@ -217,21 +248,12 @@ fn record_schedule(schedule: &Schedule) {
     telemetry::counter!("sim.cycles.nn").add(schedule.busy_nn);
     telemetry::counter!("sim.cycles.vsa").add(schedule.busy_vsa);
     telemetry::counter!("sim.cycles.simd").add(schedule.busy_simd);
-    let (mut dep, mut res, mut xfer) = (0u64, 0u64, 0u64);
-    for op in &schedule.ops {
-        dep += op.dep_wait;
-        res += op.resource_wait;
-        xfer += op.transfer_stall;
-    }
-    telemetry::counter!("sim.stall_dep_wait").add(dep);
-    telemetry::counter!("sim.stall_resource_wait").add(res);
-    telemetry::counter!("sim.stall_transfer").add(xfer);
-    if telemetry::enabled() {
-        let histogram = telemetry::global().histogram("sim.op_cycles");
-        for op in &schedule.ops {
-            histogram.record(op.end - op.start);
-        }
-    }
+    let stalls = schedule.stall_totals();
+    telemetry::counter!("sim.stall_dep_wait").add(stalls.dep_wait);
+    telemetry::counter!("sim.stall_resource_wait").add(stalls.resource_wait);
+    telemetry::counter!("sim.stall_transfer").add(stalls.transfer_stall);
+    telemetry::histogram!("sim.op_cycles")
+        .record_all(schedule.ops.iter().map(|op| op.end - op.start));
 }
 
 /// Options for [`run`].
@@ -252,6 +274,98 @@ impl Default for SimOptions {
     }
 }
 
+/// The loop-invariant terms of one op: what each of its loop instances
+/// costs and claims.
+struct OpPlan {
+    /// Occupancy cycles (compute plus transfer stall, at least 1).
+    latency: u64,
+    /// Double-buffered transfer stall cycles inside `latency`.
+    stall: u64,
+    /// Sub-arrays claimed (0 for SIMD ops).
+    demand: usize,
+    class: Resource,
+    /// Input edges (an input listed twice counts twice).
+    inputs: usize,
+}
+
+/// One (graph, array geometry, mapping, options) flattened for the
+/// schedulers: an [`OpPlan`] per op position plus a CSR consumer table,
+/// built once per call and replayed for every loop instance.
+struct SchedulePlan {
+    ops: Vec<OpPlan>,
+    /// Op `p`'s consumers are `consumers[consumer_start[p]..consumer_start[p + 1]]`,
+    /// one entry per input edge.
+    consumer_start: Vec<usize>,
+    consumers: Vec<usize>,
+}
+
+impl SchedulePlan {
+    /// Costs every op once. `cap` bounds each array op's allocation: the
+    /// pool size for [`run_pooled`], unbounded for [`run`].
+    fn new(
+        graph: &DataflowGraph,
+        cfg: &ArrayConfig,
+        mapping: &Mapping,
+        options: &SimOptions,
+        cap: usize,
+    ) -> Self {
+        let trace = graph.trace();
+        let (nn_nodes, vsa_nodes) = (trace.nn_nodes().len(), trace.vsa_nodes().len());
+        assert_eq!(mapping.n_l.len(), nn_nodes, "NN mapping length");
+        assert_eq!(mapping.n_v.len(), vsa_nodes, "VSA mapping length");
+        // Running NN/VSA counters: the mapping lists allocations in op order.
+        let (mut nn, mut vsa) = (0, 0);
+        let ops: Vec<OpPlan> = trace
+            .ops()
+            .iter()
+            .map(|op| {
+                let (compute, demand, class) = match *op.kind() {
+                    OpKind::Gemm { m, n, k } => {
+                        let units = mapping.n_l[nn].min(cap);
+                        nn += 1;
+                        let compute = analytical::nn_layer_cycles(cfg, units, m, n, k);
+                        (compute, units, Resource::NnPartition)
+                    }
+                    OpKind::VsaConv { n_vec, dim } => {
+                        let units = mapping.n_v[vsa].min(cap);
+                        vsa += 1;
+                        let (compute, _) = analytical::vsa_node_cycles(cfg, units, n_vec, dim);
+                        (compute, units, Resource::VsaPartition)
+                    }
+                    ref k => (simd::op_cycles(k, options.simd_lanes), 0, Resource::Simd),
+                };
+                let stall = match (class, &options.transfer) {
+                    (Resource::Simd, _) | (_, None) => 0,
+                    (_, Some(t)) => t.stall_cycles(op.weight_bytes(), compute),
+                };
+                OpPlan {
+                    latency: (compute + stall).max(1),
+                    stall,
+                    demand,
+                    class,
+                    inputs: op.inputs().len(),
+                }
+            })
+            .collect();
+        let mut edges: Vec<(usize, usize)> = (trace.ops().iter().enumerate())
+            .flat_map(|(c, op)| op.inputs().iter().map(move |d| (d.index(), c)))
+            .collect();
+        edges.sort_unstable();
+        SchedulePlan {
+            ops,
+            consumer_start: (0..=trace.ops().len())
+                .map(|p| edges.partition_point(|e| e.0 < p))
+                .collect(),
+            consumers: edges.into_iter().map(|(_, c)| c).collect(),
+        }
+    }
+
+    /// Ops that consume op `p`'s output, once per input edge.
+    fn consumers(&self, p: usize) -> &[usize] {
+        &self.consumers[self.consumer_start[p]..self.consumer_start[p + 1]]
+    }
+}
+
 /// Executes `graph` (all loop iterations) on the configured backend and
 /// returns the schedule.
 ///
@@ -267,116 +381,95 @@ pub fn run(
     options: &SimOptions,
 ) -> Schedule {
     let _span = telemetry::span!("sim.run");
+    let plan = SchedulePlan::new(graph, cfg, mapping, options, usize::MAX);
     let trace = graph.trace();
-    let nn_nodes = trace.nn_nodes();
-    let vsa_nodes = trace.vsa_nodes();
-    assert_eq!(mapping.n_l.len(), nn_nodes.len(), "NN mapping length");
-    assert_eq!(mapping.n_v.len(), vsa_nodes.len(), "VSA mapping length");
 
-    // Per-op resource + latency (loop-invariant).
-    let nn_index: std::collections::HashMap<OpId, usize> = nn_nodes
-        .iter()
-        .enumerate()
-        .map(|(i, id)| (*id, i))
-        .collect();
-    let vsa_index: std::collections::HashMap<OpId, usize> = vsa_nodes
-        .iter()
-        .enumerate()
-        .map(|(i, id)| (*id, i))
-        .collect();
-
-    let mut latencies = Vec::with_capacity(trace.ops().len());
-    let mut stalls = Vec::with_capacity(trace.ops().len());
-    let mut resources = Vec::with_capacity(trace.ops().len());
-    for op in trace.ops() {
-        let (latency, stall, resource) = match *op.kind() {
-            OpKind::Gemm { m, n, k } => {
-                let n_l = mapping.n_l[nn_index[&op.id()]];
-                let compute = analytical::nn_layer_cycles(cfg, n_l, m, n, k);
-                let stall = options
-                    .transfer
-                    .as_ref()
-                    .map_or(0, |t| t.stall_cycles(op.weight_bytes(), compute));
-                (compute + stall, stall, Resource::NnPartition)
-            }
-            OpKind::VsaConv { n_vec, dim } => {
-                let n_v = mapping.n_v[vsa_index[&op.id()]];
-                let (compute, _) = analytical::vsa_node_cycles(cfg, n_v, n_vec, dim);
-                let stall = options
-                    .transfer
-                    .as_ref()
-                    .map_or(0, |t| t.stall_cycles(op.weight_bytes(), compute));
-                (compute + stall, stall, Resource::VsaPartition)
-            }
-            ref k => (
-                simd::op_cycles(k, options.simd_lanes).max(1),
-                0,
-                Resource::Simd,
-            ),
-        };
-        latencies.push(latency.max(1));
-        stalls.push(stall);
-        resources.push(resource);
-    }
-
-    // In sequential mode the VSA partition aliases the NN partition.
-    let alias = |r: Resource| -> Resource {
+    // Issue lane per class; in sequential mode the VSA partition aliases
+    // the NN partition.
+    let lane = |r: Resource| {
         if !mapping.parallel && r == Resource::VsaPartition {
-            Resource::NnPartition
+            Resource::NnPartition.index()
         } else {
-            r
+            r.index()
         }
     };
-
-    let mut free_at: std::collections::HashMap<Resource, u64> = std::collections::HashMap::new();
-    let mut scheduled = Vec::new();
-    let mut busy = std::collections::HashMap::<Resource, u64>::new();
-    let n_ops = trace.ops().len();
-    let mut end_of: Vec<u64> = vec![0; n_ops];
+    let mut free_at = [0u64; 3];
+    let mut busy = [0u64; 3];
+    let mut end_of = vec![0u64; trace.ops().len()];
+    let mut scheduled = Vec::with_capacity(trace.loop_count() * trace.ops().len());
     let mut makespan = 0u64;
 
     for loop_idx in 0..trace.loop_count() {
-        for (pos, op) in trace.ops().iter().enumerate() {
-            let res = alias(resources[pos]);
+        for (p, op) in trace.ops().iter().enumerate() {
+            let cost = &plan.ops[p];
+            let lane = lane(cost.class);
             let dep_ready = op
                 .inputs()
                 .iter()
                 .map(|d| end_of[d.index()])
                 .max()
                 .unwrap_or(0);
-            let res_ready = free_at.get(&res).copied().unwrap_or(0);
+            let res_ready = free_at[lane];
             let start = dep_ready.max(res_ready);
-            let end = start + latencies[pos];
-            end_of[pos] = end;
-            free_at.insert(res, end);
-            *busy.entry(res).or_insert(0) += latencies[pos];
+            let end = start + cost.latency;
+            end_of[p] = end;
+            free_at[lane] = end;
+            busy[lane] += cost.latency;
             makespan = makespan.max(end);
             scheduled.push(ScheduledOp {
                 loop_idx,
                 op: op.id(),
                 start,
                 end,
-                resource: resources[pos],
+                resource: cost.class,
                 dep_wait: dep_ready.saturating_sub(res_ready),
                 resource_wait: res_ready.saturating_sub(dep_ready),
-                transfer_stall: stalls[pos],
+                transfer_stall: cost.stall,
             });
         }
     }
 
-    let n_scheduled = scheduled.len();
     let schedule = Schedule {
         ops: scheduled,
         total_cycles: makespan,
-        busy_nn: busy.get(&Resource::NnPartition).copied().unwrap_or(0),
-        busy_vsa: busy.get(&Resource::VsaPartition).copied().unwrap_or(0),
-        busy_simd: busy.get(&Resource::Simd).copied().unwrap_or(0),
+        busy_nn: busy[0],
+        busy_vsa: busy[1],
+        busy_simd: busy[2],
         pool_units: 0,
         sequential: !mapping.parallel,
-        unit_sets: vec![Vec::new(); n_scheduled],
+        units: Vec::new(),
+        unit_offsets: Vec::new(),
     };
     record_schedule(&schedule);
     schedule
+}
+
+/// Ready instances of the pooled scheduler, each queue a min-heap by
+/// instance index: one for the SIMD unit, one per pool demand `0..=N`.
+struct ReadyQueues {
+    simd: BinaryHeap<Reverse<usize>>,
+    by_demand: Vec<BinaryHeap<Reverse<usize>>>,
+}
+
+impl ReadyQueues {
+    fn push(&mut self, cost: &OpPlan, inst: usize) {
+        if cost.class == Resource::Simd {
+            self.simd.push(Reverse(inst));
+        } else {
+            self.by_demand[cost.demand].push(Reverse(inst));
+        }
+    }
+
+    /// Removes the smallest ready array instance whose demand fits in
+    /// `free` sub-arrays.
+    fn pop_fitting(&mut self, free: usize) -> Option<usize> {
+        let (demand, _) = self.by_demand[..=free]
+            .iter()
+            .enumerate()
+            .filter_map(|(d, heap)| heap.peek().map(|&Reverse(inst)| (d, inst)))
+            .min_by_key(|&(_, inst)| inst)?;
+        self.by_demand[demand].pop().map(|Reverse(inst)| inst)
+    }
 }
 
 /// Executes `graph` on the **pooled** AdArray model: the `N` sub-arrays
@@ -402,211 +495,137 @@ pub fn run_pooled(
     options: &SimOptions,
 ) -> Schedule {
     let _span = telemetry::span!("sim.run_pooled");
-    let trace = graph.trace();
-    let nn_nodes = trace.nn_nodes();
-    let vsa_nodes = trace.vsa_nodes();
-    assert_eq!(mapping.n_l.len(), nn_nodes.len(), "NN mapping length");
-    assert_eq!(mapping.n_v.len(), vsa_nodes.len(), "VSA mapping length");
     let pool = cfg.n_subarrays();
+    let plan = SchedulePlan::new(graph, cfg, mapping, options, pool);
+    let trace = graph.trace();
 
-    let nn_index: std::collections::HashMap<OpId, usize> = nn_nodes
-        .iter()
-        .enumerate()
-        .map(|(i, id)| (*id, i))
-        .collect();
-    let vsa_index: std::collections::HashMap<OpId, usize> = vsa_nodes
-        .iter()
-        .enumerate()
-        .map(|(i, id)| (*id, i))
-        .collect();
-
-    // Per-op latency, pool demand and class (loop-invariant).
+    // Event-driven list scheduling over (loop, op) instances, numbered
+    // `l · n_ops + p`. An instance waits on its intra-loop inputs and on
+    // the previous instance of the same op (stationary-operand
+    // serialization), so the dependents of `(l, p)` are implicit:
+    // `(l, consumers(p))` and `(l + 1, p)`.
     let n_ops = trace.ops().len();
-    let mut latency = vec![0u64; n_ops];
-    let mut stall_of = vec![0u64; n_ops];
-    let mut demand = vec![0usize; n_ops];
-    let mut class = Vec::with_capacity(n_ops);
-    for (pos, op) in trace.ops().iter().enumerate() {
-        match *op.kind() {
-            OpKind::Gemm { m, n, k } => {
-                let units = mapping.n_l[nn_index[&op.id()]].min(pool);
-                let compute = analytical::nn_layer_cycles(cfg, units, m, n, k);
-                let stall = options
-                    .transfer
-                    .as_ref()
-                    .map_or(0, |t| t.stall_cycles(op.weight_bytes(), compute));
-                latency[pos] = (compute + stall).max(1);
-                stall_of[pos] = stall;
-                demand[pos] = units;
-                class.push(Resource::NnPartition);
-            }
-            OpKind::VsaConv { n_vec, dim } => {
-                let units = mapping.n_v[vsa_index[&op.id()]].min(pool);
-                let (compute, _) = analytical::vsa_node_cycles(cfg, units, n_vec, dim);
-                let stall = options
-                    .transfer
-                    .as_ref()
-                    .map_or(0, |t| t.stall_cycles(op.weight_bytes(), compute));
-                latency[pos] = (compute + stall).max(1);
-                stall_of[pos] = stall;
-                demand[pos] = units;
-                class.push(Resource::VsaPartition);
-            }
-            ref k => {
-                latency[pos] = simd::op_cycles(k, options.simd_lanes).max(1);
-                demand[pos] = 0;
-                class.push(Resource::Simd);
-            }
-        }
+    let total = trace.loop_count() * n_ops;
+    let mut deps_left: Vec<usize> = (0..total)
+        .map(|i| plan.ops[i % n_ops].inputs + usize::from(i >= n_ops))
+        .collect();
+    let mut ready = ReadyQueues {
+        simd: BinaryHeap::new(),
+        by_demand: vec![BinaryHeap::new(); pool + 1],
+    };
+    for p in (0..n_ops).filter(|&p| deps_left[p] == 0) {
+        ready.push(&plan.ops[p], p);
     }
-
-    // Event-driven list scheduling over (loop, op) instances.
-    let loops = trace.loop_count();
-    let total = loops * n_ops;
-    let idx = |l: usize, p: usize| l * n_ops + p;
-    // Remaining dependency count: intra-loop deps + previous instance of
-    // the same op (stationary-operand serialization).
-    let mut deps_left = vec![0usize; total];
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); total];
-    for l in 0..loops {
-        for (p, op) in trace.ops().iter().enumerate() {
-            let me = idx(l, p);
-            for d in op.inputs() {
-                deps_left[me] += 1;
-                dependents[idx(l, d.index())].push(me);
-            }
-            if l > 0 {
-                deps_left[me] += 1;
-                dependents[idx(l - 1, p)].push(me);
-            }
-        }
-    }
-
-    use std::cmp::Reverse;
-    use std::collections::{BTreeSet, BinaryHeap};
-    let mut ready: BTreeSet<usize> = (0..total).filter(|&i| deps_left[i] == 0).collect();
     let mut running: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
     let mut free = pool;
     let mut simd_free = true;
     let mut now = 0u64;
-    let mut scheduled: Vec<(ScheduledOp, Vec<u16>)> = Vec::with_capacity(total);
-    let mut busy = std::collections::HashMap::<Resource, u64>::new();
+    let mut scheduled = Vec::with_capacity(total);
+    let (mut units, mut unit_offsets) = (Vec::new(), vec![0]);
+    let mut busy = [0u64; 3];
     let mut makespan = 0u64;
-    let mut done = 0usize;
     // Stall-attribution state: when each instance's dependencies finished
     // (its entry into `ready`), when each concrete sub-array frees, and
     // the previous SIMD op's end.
     let mut ready_at = vec![0u64; total];
     let mut unit_free = vec![0u64; pool];
     let mut simd_prev_end = 0u64;
+    let mut starts = Vec::new();
 
-    while done < total {
-        // Start every ready instance that fits, in deterministic order.
-        let candidates: Vec<usize> = ready.iter().copied().collect();
-        for inst in candidates {
-            let p = inst % n_ops;
-            let fits = if class[p] == Resource::Simd {
-                simd_free
-            } else {
-                demand[p] <= free
-            };
-            if !fits {
-                continue;
+    loop {
+        // Start every ready instance that fits, in instance order.
+        starts.clear();
+        if simd_free {
+            if let Some(Reverse(inst)) = ready.simd.pop() {
+                simd_free = false;
+                starts.push(inst);
             }
-            ready.remove(&inst);
+        }
+        while let Some(inst) = ready.pop_fitting(free) {
+            free -= plan.ops[inst % n_ops].demand;
+            starts.push(inst);
+        }
+        starts.sort_unstable();
+        for &inst in &starts {
+            let p = inst % n_ops;
+            let cost = &plan.ops[p];
+            let end = now + cost.latency;
             // Claim concrete resources and note how long the last-needed
             // one had been sitting idle — that idle window before the
             // instance became ready is dependency-imposed.
-            let (anchor, units) = if class[p] == Resource::Simd {
-                simd_free = false;
-                let anchor = simd_prev_end;
-                simd_prev_end = now + latency[p];
-                (anchor, Vec::new())
+            let anchor = if cost.class == Resource::Simd {
+                std::mem::replace(&mut simd_prev_end, end)
             } else {
-                free -= demand[p];
-                let mut claimed = Vec::with_capacity(demand[p]);
-                let mut anchor = 0u64;
-                for (u, f) in unit_free.iter_mut().enumerate() {
-                    if claimed.len() == demand[p] {
-                        break;
-                    }
-                    if *f <= now {
-                        anchor = anchor.max(*f);
-                        *f = now + latency[p];
-                        claimed.push(u as u16);
-                    }
+                let (mut anchor, claimed) = (0u64, units.len());
+                let idle = unit_free.iter_mut().enumerate().filter(|(_, f)| **f <= now);
+                for (u, f) in idle.take(cost.demand) {
+                    anchor = anchor.max(*f);
+                    *f = end;
+                    units.push(u as u16);
                 }
-                debug_assert_eq!(claimed.len(), demand[p], "pool accounting diverged");
-                (anchor, claimed)
+                debug_assert_eq!(
+                    units.len() - claimed,
+                    cost.demand,
+                    "pool accounting diverged"
+                );
+                anchor
             };
-            let end = now + latency[p];
+            unit_offsets.push(units.len());
             running.push(Reverse((end, inst)));
-            // Pool utilization weights busy time by claimed sub-arrays.
-            let weight = if class[p] == Resource::Simd {
-                1
-            } else {
-                demand[p] as u64
-            };
-            *busy.entry(class[p]).or_insert(0) += latency[p] * weight;
+            // Pool utilization weights busy time by claimed sub-arrays; a
+            // SIMD op claims none and weighs one lane.
+            busy[cost.class.index()] += cost.latency * cost.demand.max(1) as u64;
             makespan = makespan.max(end);
-            scheduled.push((
-                ScheduledOp {
-                    loop_idx: inst / n_ops,
-                    op: trace.ops()[p].id(),
-                    start: now,
-                    end,
-                    resource: class[p],
-                    dep_wait: ready_at[inst].saturating_sub(anchor),
-                    resource_wait: now - ready_at[inst],
-                    transfer_stall: stall_of[p],
-                },
-                units,
-            ));
+            scheduled.push(ScheduledOp {
+                loop_idx: inst / n_ops,
+                op: trace.ops()[p].id(),
+                start: now,
+                end,
+                resource: cost.class,
+                dep_wait: ready_at[inst].saturating_sub(anchor),
+                resource_wait: now - ready_at[inst],
+                transfer_stall: cost.stall,
+            });
         }
-        // Advance to the next completion.
-        let Some(Reverse((t, inst))) = running.pop() else {
-            debug_assert!(done == total, "scheduler stalled with work remaining");
+        // Advance to the next completion and retire everything ending
+        // then. Every start of this pass ends after `now`, so `now`
+        // strictly increases and passes are already in start order.
+        let Some(&Reverse((next, _))) = running.peek() else {
             break;
         };
-        now = t;
-        let mut finished = vec![inst];
-        while let Some(&Reverse((t2, inst2))) = running.peek() {
-            if t2 == now {
-                running.pop();
-                finished.push(inst2);
-            } else {
+        now = next;
+        while let Some(&Reverse((t, inst))) = running.peek() {
+            if t != now {
                 break;
             }
-        }
-        for f in finished {
-            let p = f % n_ops;
-            if class[p] == Resource::Simd {
-                simd_free = true;
-            } else {
-                free += demand[p];
-            }
-            done += 1;
-            for &dep in &dependents[f] {
+            running.pop();
+            let p = inst % n_ops;
+            free += plan.ops[p].demand;
+            simd_free |= plan.ops[p].class == Resource::Simd;
+            let base = inst - p;
+            let next_loop = (inst + n_ops < total).then_some(inst + n_ops);
+            let dependents = plan.consumers(p).iter().map(|&c| base + c);
+            for dep in dependents.chain(next_loop) {
                 deps_left[dep] -= 1;
                 if deps_left[dep] == 0 {
-                    ready.insert(dep);
                     ready_at[dep] = now;
+                    ready.push(&plan.ops[dep % n_ops], dep);
                 }
             }
         }
     }
+    debug_assert_eq!(scheduled.len(), total, "scheduler stalled");
 
-    scheduled.sort_by_key(|(so, _)| (so.start, so.loop_idx, so.op.index()));
-    let (ops, unit_sets): (Vec<ScheduledOp>, Vec<Vec<u16>>) = scheduled.into_iter().unzip();
     let schedule = Schedule {
-        ops,
+        ops: scheduled,
         total_cycles: makespan,
-        busy_nn: busy.get(&Resource::NnPartition).copied().unwrap_or(0),
-        busy_vsa: busy.get(&Resource::VsaPartition).copied().unwrap_or(0),
-        busy_simd: busy.get(&Resource::Simd).copied().unwrap_or(0),
+        busy_nn: busy[0],
+        busy_vsa: busy[1],
+        busy_simd: busy[2],
         pool_units: pool,
         sequential: false,
-        unit_sets,
+        units,
+        unit_offsets,
     };
     record_schedule(&schedule);
     schedule

@@ -15,7 +15,10 @@
 //!   the last-finishing op, at each hop following the constraint that
 //!   actually bound the op's start (a data dependency or a resource
 //!   release). The resulting chain tiles `[0, total_cycles)` exactly, so
-//!   attributed cycles sum to the makespan.
+//!   attributed cycles sum to the makespan. Instances map to schedule
+//!   indices through a dense table sized from the schedule, and "who
+//!   ended at `t`" is a binary search in one end-sorted array: `O(n log n)`
+//!   over `n` scheduled ops, with no hashing.
 //! - [`Schedule::utilization_timeline`]: windowed per-class occupancy
 //!   series, and [`Schedule::classes_overlap_cycles`] — how long at
 //!   least two of NN/VSA/SIMD were simultaneously active (the step-③
@@ -108,15 +111,11 @@ impl CriticalPathReport {
     /// Path cycles per resource class `(nn, vsa, simd)`.
     #[must_use]
     pub fn cycles_by_resource(&self) -> (u64, u64, u64) {
-        let mut out = (0u64, 0u64, 0u64);
+        let mut out = [0u64; 3];
         for n in &self.nodes {
-            match n.resource {
-                Resource::NnPartition => out.0 += n.cycles,
-                Resource::VsaPartition => out.1 += n.cycles,
-                Resource::Simd => out.2 += n.cycles,
-            }
+            out[n.resource.index()] += n.cycles;
         }
-        out
+        (out[0], out[1], out[2])
     }
 
     /// Transfer-stall cycles sitting on the critical path.
@@ -189,23 +188,17 @@ pub fn kind_label(kind: &OpKind) -> &'static str {
     }
 }
 
-fn resource_label(r: Resource) -> &'static str {
-    match r {
-        Resource::NnPartition => "nn",
-        Resource::VsaPartition => "vsa",
-        Resource::Simd => "simd",
-    }
-}
-
 fn obj(pairs: Vec<(&str, JsonValue)>) -> JsonValue {
     JsonValue::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-/// Track id layout: fixed lanes for the partition-queue scheduler and
-/// the SIMD unit, `POOL_TID_BASE + u` for pooled sub-array `u`.
-const TID_NN: u64 = 1;
-const TID_VSA: u64 = 2;
-const TID_SIMD: u64 = 3;
+/// Trace event category per resource class (indexed by [`Resource`]).
+const RESOURCE_LABELS: [&str; 3] = ["nn", "vsa", "simd"];
+
+/// Track id layout: fixed lanes (NN, VSA, SIMD) for the partition-queue
+/// scheduler and the SIMD unit, `POOL_TID_BASE + u` for pooled sub-array
+/// `u`.
+const LANE_TIDS: [u64; 3] = [1, 2, 3];
 const POOL_TID_BASE: u64 = 10;
 
 impl Schedule {
@@ -239,13 +232,8 @@ impl Schedule {
         // Event sweep over per-class active-op counts.
         let mut events: Vec<(u64, usize, i64)> = Vec::with_capacity(self.ops().len() * 2);
         for so in self.ops() {
-            let c = match so.resource {
-                Resource::NnPartition => 0,
-                Resource::VsaPartition => 1,
-                Resource::Simd => 2,
-            };
-            events.push((so.start, c, 1));
-            events.push((so.end, c, -1));
+            events.push((so.start, so.resource.index(), 1));
+            events.push((so.end, so.resource.index(), -1));
         }
         events.sort_unstable();
         let mut active = [0i64; 3];
@@ -361,24 +349,15 @@ impl Schedule {
                 events.push(meta(POOL_TID_BASE + u as u64, format!("subarray[{u}]")));
             }
         } else {
-            events.push(meta(
-                TID_NN,
-                if self.is_sequential() {
-                    "array (sequential)".to_string()
-                } else {
-                    "NN partition".to_string()
-                },
-            ));
-            events.push(meta(
-                TID_VSA,
-                if self.is_sequential() {
-                    "VSA ops (time-shared on array)".to_string()
-                } else {
-                    "VSA partition".to_string()
-                },
-            ));
+            let (nn, vsa) = if self.is_sequential() {
+                ("array (sequential)", "VSA ops (time-shared on array)")
+            } else {
+                ("NN partition", "VSA partition")
+            };
+            events.push(meta(LANE_TIDS[0], nn.to_string()));
+            events.push(meta(LANE_TIDS[1], vsa.to_string()));
         }
-        events.push(meta(TID_SIMD, "SIMD unit".to_string()));
+        events.push(meta(LANE_TIDS[2], "SIMD unit".to_string()));
 
         // Duration events.
         let mut timed: Vec<(u64, u64, JsonValue)> = Vec::new();
@@ -408,11 +387,7 @@ impl Schedule {
                     .map(|&u| POOL_TID_BASE + u64::from(u))
                     .collect()
             } else {
-                vec![match so.resource {
-                    Resource::NnPartition => TID_NN,
-                    Resource::VsaPartition => TID_VSA,
-                    Resource::Simd => TID_SIMD,
-                }]
+                vec![LANE_TIDS[so.resource.index()]]
             };
             for tid in tids {
                 timed.push((
@@ -423,7 +398,10 @@ impl Schedule {
                         ("pid", JsonValue::UInt(0)),
                         ("tid", JsonValue::UInt(tid)),
                         ("name", JsonValue::Str(op.name().to_string())),
-                        ("cat", JsonValue::Str(resource_label(so.resource).into())),
+                        (
+                            "cat",
+                            JsonValue::Str(RESOURCE_LABELS[so.resource.index()].into()),
+                        ),
                         ("ts", JsonValue::UInt(so.start)),
                         ("dur", JsonValue::UInt(so.end - so.start)),
                         ("args", args.clone()),
@@ -436,13 +414,8 @@ impl Schedule {
         let mut deltas: Vec<(u64, usize, i64)> = Vec::new();
         for (i, so) in self.ops().iter().enumerate() {
             let w = self.occupancy_weight(i) as i64;
-            let c = match so.resource {
-                Resource::NnPartition => 0,
-                Resource::VsaPartition => 1,
-                Resource::Simd => 2,
-            };
-            deltas.push((so.start, c, w));
-            deltas.push((so.end, c, -w));
+            deltas.push((so.start, so.resource.index(), w));
+            deltas.push((so.end, so.resource.index(), -w));
         }
         deltas.sort_unstable();
         let mut level = [0i64; 3];
@@ -520,16 +493,34 @@ impl Schedule {
         let trace = graph.trace();
         let pooled = self.pool_units() > 0;
 
-        let mut by_inst: HashMap<(usize, usize), usize> = HashMap::with_capacity(ops.len());
-        let mut by_end: HashMap<u64, Vec<usize>> = HashMap::new();
+        // Schedule index of each (loop, op) instance, dense over the
+        // schedule's own extent (`usize::MAX`: not scheduled). A later
+        // duplicate of an instance overwrites an earlier one.
+        let n_ops = ops.iter().map(|so| so.op.index()).max().unwrap_or(0) + 1;
+        let loops = ops.iter().map(|so| so.loop_idx).max().unwrap_or(0) + 1;
+        let mut by_inst = vec![usize::MAX; loops * n_ops];
         for (i, so) in ops.iter().enumerate() {
-            by_inst.insert((so.loop_idx, so.op.index()), i);
-            by_end.entry(so.end).or_default().push(i);
+            by_inst[so.loop_idx * n_ops + so.op.index()] = i;
         }
-        // Deterministic candidate order inside one end time.
-        for list in by_end.values_mut() {
-            list.sort_by_key(|&i| (ops[i].loop_idx, ops[i].op.index()));
-        }
+        let find = |loop_idx: usize, op: usize| {
+            let i = *by_inst.get(loop_idx * n_ops + op).filter(|_| op < n_ops)?;
+            (i != usize::MAX).then_some(i)
+        };
+        // Completions by end time; candidates inside one end time in
+        // (loop, op) order, then schedule order.
+        let mut by_end: Vec<(u64, usize, usize)> = ops
+            .iter()
+            .enumerate()
+            .map(|(i, so)| (so.end, so.loop_idx * n_ops + so.op.index(), i))
+            .collect();
+        by_end.sort_unstable();
+        let ended_at = |t: u64| {
+            let lo = by_end.partition_point(|e| e.0 < t);
+            by_end[lo..]
+                .iter()
+                .take_while(move |e| e.0 == t)
+                .map(|e| e.2)
+        };
 
         // Last-finishing op; ties broken toward the smallest instance.
         let mut cur = (0..ops.len())
@@ -541,21 +532,12 @@ impl Schedule {
             })
             .expect("non-empty schedule");
 
-        let same_group = |a: Resource, b: Resource| -> bool {
-            match (a, b) {
-                (Resource::Simd, Resource::Simd) => true,
-                (Resource::Simd, _) | (_, Resource::Simd) => false,
-                // Array classes share hardware on the pooled backend and
-                // in sequential (time-shared) mode; otherwise each
-                // partition is its own queue.
-                (a, b) => {
-                    if pooled || self.is_sequential() {
-                        true
-                    } else {
-                        a == b
-                    }
-                }
-            }
+        // The SIMD unit is its own group. Array classes share hardware on
+        // the pooled backend and in sequential (time-shared) mode;
+        // otherwise each partition is its own queue.
+        let same_group = |a: Resource, b: Resource| {
+            (a == Resource::Simd) == (b == Resource::Simd)
+                && (a == b || pooled || self.is_sequential())
         };
 
         let mut nodes = Vec::new();
@@ -577,7 +559,7 @@ impl Schedule {
             // Dependency instances that finished exactly at our start.
             let mut dep_pred = None;
             for d in trace.op(so.op).inputs() {
-                if let Some(&i) = by_inst.get(&(so.loop_idx, d.index())) {
+                if let Some(i) = find(so.loop_idx, d.index()) {
                     if ops[i].end == so.start {
                         dep_pred = Some(i);
                         break;
@@ -587,7 +569,7 @@ impl Schedule {
             if dep_pred.is_none() && pooled && so.loop_idx > 0 {
                 // Stationary-operand serialization with the previous
                 // instance counts as a dependency.
-                if let Some(&i) = by_inst.get(&(so.loop_idx - 1, so.op.index())) {
+                if let Some(i) = find(so.loop_idx - 1, so.op.index()) {
                     if ops[i].end == so.start {
                         dep_pred = Some(i);
                     }
@@ -599,13 +581,10 @@ impl Schedule {
             } else {
                 // The resource release that unblocked us: prefer an op of
                 // the same resource group, fall back to any completion.
-                let cands = by_end.get(&so.start).map_or(&[][..], Vec::as_slice);
                 node.bound = BindKind::Resource;
-                cands
-                    .iter()
-                    .copied()
+                ended_at(so.start)
                     .find(|&i| i != cur && same_group(ops[i].resource, so.resource))
-                    .or_else(|| cands.iter().copied().find(|&i| i != cur))
+                    .or_else(|| ended_at(so.start).find(|&i| i != cur))
             };
             nodes.push(node);
             match pred {

@@ -173,6 +173,33 @@ mod enabled {
             self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         }
 
+        /// Record every sample of `values`: fold them locally, then
+        /// publish with one atomic update per touched cell. The snapshot
+        /// equals that of one [`record`](Self::record) call per value.
+        pub fn record_all(&self, values: impl IntoIterator<Item = u64>) {
+            let (mut count, mut sum, mut min, mut max) = (0u64, 0u64, u64::MAX, 0u64);
+            let mut buckets = [0u64; BUCKETS];
+            for value in values {
+                count += 1;
+                sum = sum.wrapping_add(value);
+                min = min.min(value);
+                max = max.max(value);
+                buckets[bucket_index(value)] += 1;
+            }
+            if count == 0 {
+                return;
+            }
+            self.count.fetch_add(count, Ordering::Relaxed);
+            self.sum.fetch_add(sum, Ordering::Relaxed);
+            self.min.fetch_min(min, Ordering::Relaxed);
+            self.max.fetch_max(max, Ordering::Relaxed);
+            for (cell, n) in self.buckets.iter().zip(buckets) {
+                if n > 0 {
+                    cell.fetch_add(n, Ordering::Relaxed);
+                }
+            }
+        }
+
         /// Number of recorded samples.
         pub fn count(&self) -> u64 {
             self.count.load(Ordering::Relaxed)
@@ -463,6 +490,10 @@ mod disabled {
         #[inline]
         pub fn record(&self, _value: u64) {}
 
+        /// No-op; `values` is not iterated.
+        #[inline]
+        pub fn record_all(&self, _values: impl IntoIterator<Item = u64>) {}
+
         /// Always zero.
         pub fn count(&self) -> u64 {
             0
@@ -582,6 +613,24 @@ mod tests {
 
     #[cfg(feature = "telemetry")]
     #[test]
+    fn record_all_matches_per_value_records() {
+        let values = [7u64, 0, 1, 1, 300, u64::MAX, 64, 63, 1 << 40, 7];
+        let one_by_one = Histogram::new();
+        for &v in &values {
+            one_by_one.record(v);
+        }
+        let batched = Histogram::new();
+        batched.record_all(values[..4].iter().copied());
+        batched.record_all(std::iter::empty());
+        batched.record_all(values[4..].iter().copied());
+        assert_eq!(batched.snapshot(), one_by_one.snapshot());
+        let untouched = Histogram::new();
+        untouched.record_all(std::iter::empty());
+        assert_eq!(untouched.snapshot(), Histogram::new().snapshot());
+    }
+
+    #[cfg(feature = "telemetry")]
+    #[test]
     fn empty_histogram_snapshot_has_zero_min() {
         let h = Histogram::new();
         let snap = h.snapshot();
@@ -621,6 +670,7 @@ mod tests {
         let registry = Registry::new();
         registry.counter("a.hits").add(3);
         registry.histogram("a.lat").record(5);
+        registry.histogram("a.lat").record_all([1, 2, 3]);
         assert_eq!(registry.counter("a.hits").get(), 0);
         assert!(registry.snapshot().counters.is_empty());
     }

@@ -89,16 +89,6 @@ impl ExecutionTrace {
         })
     }
 
-    /// Ids of ops that consume `id`'s output.
-    #[must_use]
-    pub fn consumers(&self, id: OpId) -> Vec<OpId> {
-        self.ops
-            .iter()
-            .filter(|op| op.inputs.contains(&id))
-            .map(|op| op.id)
-            .collect()
-    }
-
     /// Array-class NN ops (the paper's `R_l` set), in order.
     #[must_use]
     pub fn nn_nodes(&self) -> Vec<OpId> {
@@ -250,15 +240,6 @@ mod tests {
             t.nn_nodes().len() + t.vsa_nodes().len() + t.simd_nodes().len(),
             t.ops().len()
         );
-    }
-
-    #[test]
-    fn consumers_follow_edges() {
-        let t = sample();
-        let c1 = t.ops()[0].id();
-        let consumers = t.consumers(c1);
-        assert_eq!(consumers.len(), 1);
-        assert_eq!(t.op(consumers[0]).name(), "relu1");
     }
 
     #[test]
