@@ -384,7 +384,7 @@ pub fn run(
     let plan = SchedulePlan::new(graph, cfg, mapping, options, usize::MAX);
     let trace = graph.trace();
 
-    // Issue lane per class; in sequential mode the VSA partition aliases
+    // Dispatch lane per class; in sequential mode the VSA partition aliases
     // the NN partition.
     let lane = |r: Resource| {
         if !mapping.parallel && r == Resource::VsaPartition {
