@@ -8,13 +8,21 @@
 //! on seeded random graphs, and two Chrome-trace documents are pinned
 //! byte for byte. Any change to scheduling order, tie-breaking or stall
 //! attribution shows up here.
+//!
+//! The pretty JSON writer is pinned the same way: the rendered Chrome
+//! trace of every `compile_designs` target (workload × device ×
+//! precision, pooled schedule), one telemetry snapshot and one serving
+//! trace are each folded into a digest of their `render_pretty` bytes.
 
 use nsflow::arch::memory::TransferModel;
-use nsflow::arch::{ArrayConfig, Mapping};
-use nsflow::core::{Design, NsFlow};
+use nsflow::arch::{ArrayConfig, Mapping, PrecisionConfig};
+use nsflow::core::{CompileError, Design, NsFlow};
+use nsflow::fpga::FpgaDevice;
 use nsflow::graph::DataflowGraph;
 use nsflow::sim::schedule::{run, run_pooled, Resource, Schedule, SimOptions};
 use nsflow::sim::timeline::BindKind;
+use nsflow::telemetry::trace::{RequestEvent, ShedReason, TraceRecord, TraceSnapshot};
+use nsflow::telemetry::{HistogramSnapshot, SpanSnapshot, TelemetrySnapshot};
 use nsflow::tensor::rng::StdRng;
 use nsflow::tensor::DType;
 use nsflow::trace::{Domain, EltFunc, OpKind, ReduceFunc, TraceBuilder};
@@ -328,5 +336,183 @@ fn chrome_traces_match_pinned_digests() {
             ("LVRF x2 queues".to_string(), render(&queues)),
         ],
         &CHROME_TRACE_DIGESTS,
+    );
+}
+
+fn fnv_text(text: &str) -> u64 {
+    let mut h = Fnv::new();
+    h.bytes(text.as_bytes());
+    h.0
+}
+
+const PRETTY_DESIGN_DIGESTS: [(&str, u64); 14] = [
+    ("NVSA U250 mixed", 0x21814eadb93d3c67),
+    ("NVSA U250 int8", 0x21814eadb93d3c67),
+    ("MIMONet U250 mixed", 0xa9f2df21172b4ef6),
+    ("MIMONet U250 int8", 0xa9f2df21172b4ef6),
+    ("MIMONet ZCU104 mixed", 0x6e73cf38b01d2342),
+    ("MIMONet ZCU104 int8", 0x5f22eb3459d7d769),
+    ("LVRF U250 mixed", 0x7c9710d72673b67b),
+    ("LVRF U250 int8", 0x7c9710d72673b67b),
+    ("LVRF ZCU104 mixed", 0x37aac2c28e9ea5a8),
+    ("LVRF ZCU104 int8", 0x29312c3aa938a19a),
+    ("PrAE U250 mixed", 0xc1b4748c84b7e773),
+    ("PrAE U250 int8", 0xc1b4748c84b7e773),
+    ("PrAE ZCU104 mixed", 0x6b925273d4594de7),
+    ("PrAE ZCU104 int8", 0x789ed8d23b407d64),
+];
+
+/// Every `compile_designs` target (the four workloads × {U250, ZCU104}
+/// × {mixed, int8}) that fits its device, scheduled by `run_pooled` and
+/// rendered as a pretty Chrome trace.
+#[test]
+fn pretty_chrome_traces_of_compiled_designs_match_pinned_digests() {
+    let mut computed = Vec::new();
+    for workload in traces::all() {
+        for (board, device) in [
+            ("U250", FpgaDevice::u250()),
+            ("ZCU104", FpgaDevice::zcu104()),
+        ] {
+            for (label, precision) in [
+                ("mixed", PrecisionConfig::mixed()),
+                ("int8", PrecisionConfig::uniform(DType::Int8)),
+            ] {
+                let compiled = NsFlow::new()
+                    .with_device(device.clone())
+                    .with_precision(precision)
+                    .compile(workload.trace.clone());
+                let design = match compiled {
+                    Ok(design) => design,
+                    Err(CompileError::DeviceTooSmall(_)) => continue,
+                    Err(e) => panic!("{} on {}: {e}", workload.name, device.name()),
+                };
+                let schedule = run_pooled(
+                    &design.graph,
+                    design.array(),
+                    design.mapping(),
+                    &design_options(&design),
+                );
+                let text = schedule.to_chrome_trace(&design.graph).render_pretty();
+                computed.push((
+                    format!("{} {board} {label}", workload.name),
+                    fnv_text(&text),
+                ));
+            }
+        }
+    }
+    check(&computed, &PRETTY_DESIGN_DIGESTS);
+}
+
+/// A snapshot with every section, a bucket list too long to inline,
+/// `u64::MAX`/negative values and names that need escaping.
+fn sample_snapshot() -> TelemetrySnapshot {
+    let mut snapshot = TelemetrySnapshot::default();
+    snapshot
+        .counters
+        .insert("sim.ops_scheduled".into(), 390_720);
+    snapshot.counters.insert("max".into(), u64::MAX);
+    snapshot.counters.insert("quote\"back\\slash".into(), 0);
+    snapshot.gauges.insert("dse.threads".into(), 1);
+    snapshot.gauges.insert("ünïcode.gauge".into(), i64::MIN);
+    snapshot.gauges.insert("tab\tnewline\n".into(), -1);
+    snapshot.histograms.insert(
+        "short".into(),
+        HistogramSnapshot {
+            count: 4,
+            sum: 78,
+            min: 9,
+            max: 49,
+            buckets: vec![(4, 3), (6, 1)],
+        },
+    );
+    snapshot.histograms.insert(
+        "long".into(),
+        HistogramSnapshot {
+            count: 390_720,
+            sum: 2_608_034_808,
+            min: 1,
+            max: u64::MAX,
+            buckets: (0u8..18).map(|i| (i, 1u64 << (2 * i))).collect(),
+        },
+    );
+    snapshot.spans.insert(
+        "sim.run_pooled".into(),
+        SpanSnapshot {
+            count: 620,
+            total_ns: 23_919_683,
+            max_ns: 138_123,
+        },
+    );
+    snapshot
+}
+
+/// A seeded flight-recorder stream over every event kind: admitted,
+/// shed, batched, executed, retried, failed and responded requests.
+fn sample_serving_trace() -> TraceSnapshot {
+    let rng = &mut StdRng::seed_from_u64(0x5e_7e);
+    let mut records = Vec::new();
+    let mut push = |trace_id: u64, ts: u64, event: RequestEvent| {
+        let seq = records.len() as u64;
+        records.push(TraceRecord {
+            seq,
+            trace_id,
+            ts,
+            event,
+        });
+    };
+    let mut ts = 0u64;
+    for id in 0..48u64 {
+        ts += rng.gen_range(1u64..900);
+        push(id, ts, RequestEvent::Admitted);
+        if rng.gen_range(0u32..6) == 0 {
+            let reason = ShedReason::all()[rng.gen_range(0usize..5)];
+            push(id, ts + 1, RequestEvent::Shed { reason });
+            continue;
+        }
+        push(id, ts + 2, RequestEvent::Enqueued);
+        let formed = ts + rng.gen_range(3u64..4_000);
+        let batch_id = id / 4;
+        push(id, formed, RequestEvent::BatchFormed { batch_id, size: 4 });
+        let worker = (batch_id % 3) as u32;
+        let start = formed + rng.gen_range(0u64..500);
+        push(id, start, RequestEvent::ExecStart { worker });
+        let mut end = start + rng.gen_range(100u64..3_000);
+        let retries = rng.gen_range(0u32..3);
+        for attempt in 1..=retries {
+            push(id, end, RequestEvent::Retried { attempt });
+            end += rng.gen_range(100u64..3_000);
+        }
+        push(id, end, RequestEvent::ExecEnd { worker });
+        if retries == 2 && rng.gen_range(0u32..2) == 0 {
+            push(id, end, RequestEvent::Failed { attempts: 3 });
+        } else {
+            push(id, end + 1, RequestEvent::Responded);
+        }
+    }
+    TraceSnapshot {
+        records,
+        dropped: 7,
+    }
+}
+
+const PRETTY_DOCUMENT_DIGESTS: [(&str, u64); 2] = [
+    ("snapshot", 0x23c15bdc7ae42c2a),
+    ("serving trace", 0x3fc9f2abda81a494),
+];
+
+#[test]
+fn pretty_telemetry_documents_match_pinned_digests() {
+    let serving = sample_serving_trace()
+        .to_chrome_trace("golden \"serve\" é\u{1}", "tick")
+        .render_pretty();
+    check(
+        &[
+            (
+                "snapshot".to_string(),
+                fnv_text(&sample_snapshot().to_json()),
+            ),
+            ("serving trace".to_string(), fnv_text(&serving)),
+        ],
+        &PRETTY_DOCUMENT_DIGESTS,
     );
 }
