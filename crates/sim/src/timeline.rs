@@ -188,10 +188,6 @@ pub fn kind_label(kind: &OpKind) -> &'static str {
     }
 }
 
-fn obj(pairs: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
 /// Trace event category per resource class (indexed by [`Resource`]).
 const RESOURCE_LABELS: [&str; 3] = ["nn", "vsa", "simd"];
 
@@ -324,21 +320,21 @@ impl Schedule {
 
         // Track metadata.
         let meta = |tid: u64, name: String| {
-            obj(vec![
+            JsonValue::object([
                 ("ph", JsonValue::Str("M".into())),
                 ("pid", JsonValue::UInt(0)),
                 ("tid", JsonValue::UInt(tid)),
                 ("name", JsonValue::Str("thread_name".into())),
-                ("args", obj(vec![("name", JsonValue::Str(name))])),
+                ("args", JsonValue::object([("name", JsonValue::Str(name))])),
             ])
         };
-        events.push(obj(vec![
+        events.push(JsonValue::object([
             ("ph", JsonValue::Str("M".into())),
             ("pid", JsonValue::UInt(0)),
             ("name", JsonValue::Str("process_name".into())),
             (
                 "args",
-                obj(vec![(
+                JsonValue::object([(
                     "name",
                     JsonValue::Str(format!("nsflow-sim: {}", trace.name())),
                 )]),
@@ -363,7 +359,7 @@ impl Schedule {
         let mut timed: Vec<(u64, u64, JsonValue)> = Vec::new();
         for (i, so) in self.ops().iter().enumerate() {
             let op = trace.op(so.op);
-            let args = obj(vec![
+            let args = JsonValue::object([
                 ("loop", JsonValue::UInt(so.loop_idx as u64)),
                 ("op", JsonValue::UInt(so.op.index() as u64)),
                 ("kind", JsonValue::Str(kind_label(op.kind()).into())),
@@ -393,7 +389,7 @@ impl Schedule {
                 timed.push((
                     so.start,
                     tid,
-                    obj(vec![
+                    JsonValue::object([
                         ("ph", JsonValue::Str("X".into())),
                         ("pid", JsonValue::UInt(0)),
                         ("tid", JsonValue::UInt(tid)),
@@ -429,14 +425,14 @@ impl Schedule {
             timed.push((
                 t,
                 u64::MAX, // counters sort after duration events at the same ts
-                obj(vec![
+                JsonValue::object([
                     ("ph", JsonValue::Str("C".into())),
                     ("pid", JsonValue::UInt(0)),
                     ("name", JsonValue::Str("occupancy".into())),
                     ("ts", JsonValue::UInt(t)),
                     (
                         "args",
-                        obj(vec![
+                        JsonValue::object([
                             ("nn", JsonValue::UInt(level[0].max(0) as u64)),
                             ("vsa", JsonValue::UInt(level[1].max(0) as u64)),
                             ("simd", JsonValue::UInt(level[2].max(0) as u64)),
@@ -449,11 +445,11 @@ impl Schedule {
         events.extend(timed.into_iter().map(|(_, _, e)| e));
 
         let stalls = self.stall_totals();
-        obj(vec![
+        JsonValue::object([
             ("displayTimeUnit", JsonValue::Str("ms".into())),
             (
                 "metadata",
-                obj(vec![
+                JsonValue::object([
                     ("workload", JsonValue::Str(trace.name().to_string())),
                     (
                         "scheduler",

@@ -5,8 +5,15 @@
 //! external JSON dependency. The writers are deterministic: the same
 //! [`JsonValue`] always renders to the same bytes, so snapshots diff
 //! cleanly in CI.
+//!
+//! Both writers make one pass over the tree and append straight into
+//! the caller's buffer: integers are formatted from a stack digit
+//! buffer, strings without escapable bytes are copied whole, and object
+//! keys are [`Cow<'static, str>`](Cow) so documents built in code borrow
+//! their literal keys instead of allocating them.
 
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// Error produced while parsing or decoding JSON documents.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,7 +50,9 @@ impl std::error::Error for JsonError {}
 /// `u64::MAX` sentinels), [`JsonValue::Int`] for negative integers and
 /// [`JsonValue::Float`] for everything with a fractional or exponent
 /// part. Object keys preserve insertion/document order, so values built
-/// from sorted maps render deterministically.
+/// from sorted maps render deterministically. Keys are borrowed
+/// `&'static str`s when built in code (see [`JsonValue::object`]) and
+/// owned when parsed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
@@ -61,11 +70,12 @@ pub enum JsonValue {
     /// Array of values.
     Array(Vec<JsonValue>),
     /// Object as key/value pairs in insertion order.
-    Object(Vec<(String, JsonValue)>),
+    Object(Vec<(Cow<'static, str>, JsonValue)>),
 }
 
-/// Maximum rendered width for an array to stay on one line in pretty
-/// output (keeps histogram bucket pair-lists compact).
+/// Maximum compact width for an array to stay on one line in pretty
+/// output (keeps histogram bucket pair-lists compact). Arrays with an
+/// object item never go inline.
 const INLINE_ARRAY_WIDTH: usize = 72;
 
 /// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
@@ -74,6 +84,16 @@ const INLINE_ARRAY_WIDTH: usize = 72;
 pub const MAX_DEPTH: usize = 128;
 
 impl JsonValue {
+    /// An object with literal keys, in the given order.
+    pub fn object(pairs: impl IntoIterator<Item = (&'static str, JsonValue)>) -> JsonValue {
+        JsonValue::Object(
+            pairs
+                .into_iter()
+                .map(|(key, value)| (Cow::Borrowed(key), value))
+                .collect(),
+        )
+    }
+
     /// Parse a JSON document from text.
     ///
     /// # Errors
@@ -130,7 +150,7 @@ impl JsonValue {
     }
 
     /// Borrow object entries in document order.
-    pub fn as_object(&self) -> Option<&[(String, JsonValue)]> {
+    pub fn as_object(&self) -> Option<&[(Cow<'static, str>, JsonValue)]> {
         match self {
             JsonValue::Object(entries) => Some(entries),
             _ => None,
@@ -184,11 +204,12 @@ impl JsonValue {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::UInt(v) => {
-                out.push_str(&v.to_string());
-            }
+            JsonValue::UInt(v) => write_u64(out, *v),
             JsonValue::Int(v) => {
-                out.push_str(&v.to_string());
+                if *v < 0 {
+                    out.push('-');
+                }
+                write_u64(out, v.unsigned_abs());
             }
             JsonValue::Float(v) => write_float(out, *v),
             JsonValue::Str(s) => escape_into(out, s),
@@ -229,12 +250,14 @@ impl JsonValue {
                     out.push_str("[]");
                     return;
                 }
-                let compact = self.render_compact();
-                if compact.len() <= INLINE_ARRAY_WIDTH
-                    && !items.iter().any(|v| matches!(v, JsonValue::Object(_)))
-                {
-                    out.push_str(&compact);
-                    return;
+                if !items.iter().any(|v| matches!(v, JsonValue::Object(_))) {
+                    // Try the inline form in place; too wide, take it back.
+                    let mark = out.len();
+                    self.write_compact(out);
+                    if out.len() - mark <= INLINE_ARRAY_WIDTH {
+                        return;
+                    }
+                    out.truncate(mark);
                 }
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -286,32 +309,62 @@ fn write_float(out: &mut String, v: f64) {
         out.push_str("null");
         return;
     }
-    let rendered = if v.fract() == 0.0 && v.abs() < 1e15 {
+    // Writing to a `String` cannot fail.
+    let _ = if v.fract() == 0.0 && v.abs() < 1e15 {
         // Force a decimal point so the value re-parses into the float
         // lane instead of collapsing into an integer.
-        format!("{v:.1}")
+        write!(out, "{v:.1}")
     } else {
-        format!("{v}")
+        write!(out, "{v}")
     };
-    out.push_str(&rendered);
+}
+
+/// Appends the decimal digits of `v`.
+fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    for &d in &digits[start..] {
+        out.push(char::from(d));
+    }
 }
 
 /// Append `s` to `out` as a quoted, escaped JSON string.
+///
+/// Runs between escapable bytes (`"`, `\` and controls below 0x20, all
+/// ASCII and so on char boundaries) are copied whole; a string with none
+/// is one copy.
 pub fn escape_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -571,7 +624,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            let key = self.parse_string()?;
+            let key = Cow::Owned(self.parse_string()?);
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -691,6 +744,108 @@ mod tests {
         );
         assert_eq!(v.get("missing"), None);
         assert_eq!(v.get("k").and_then(JsonValue::as_f64), Some(7.0));
+    }
+
+    #[test]
+    fn pretty_inlines_arrays_up_to_the_width_limit() {
+        // `["x…x"]` is 4 bytes of punctuation plus the string.
+        let field = |len: usize| {
+            JsonValue::object([("a", JsonValue::Array(vec![JsonValue::Str("x".repeat(len))]))])
+        };
+        let at_limit = "x".repeat(INLINE_ARRAY_WIDTH - 4);
+        assert_eq!(
+            field(INLINE_ARRAY_WIDTH - 4).render_pretty(),
+            format!("{{\n  \"a\": [\"{at_limit}\"]\n}}")
+        );
+        let over = "x".repeat(INLINE_ARRAY_WIDTH - 3);
+        assert_eq!(
+            field(INLINE_ARRAY_WIDTH - 3).render_pretty(),
+            format!("{{\n  \"a\": [\n    \"{over}\"\n  ]\n}}")
+        );
+        // The same boundary with integer items: 34 ones and one 10 make
+        // 72 bytes, 33 ones and two 10s make 73.
+        let ints = |tens: usize| {
+            let mut items = vec![JsonValue::UInt(1); 35 - tens];
+            items.extend(vec![JsonValue::UInt(10); tens]);
+            JsonValue::Array(items)
+        };
+        assert_eq!(ints(1).render_compact().len(), 72);
+        assert_eq!(ints(1).render_pretty(), ints(1).render_compact());
+        let broken = ints(2).render_pretty();
+        assert!(broken.starts_with("[\n  1,\n  1,\n"), "{broken}");
+        assert!(broken.ends_with(",\n  10,\n  10\n]"), "{broken}");
+    }
+
+    #[test]
+    fn pretty_never_inlines_an_array_holding_an_object() {
+        let v = JsonValue::parse(r#"[{}]"#).unwrap();
+        assert_eq!(v.render_pretty(), "[\n  {}\n]");
+        let v = JsonValue::parse(r#"[1,{"k":2}]"#).unwrap();
+        assert_eq!(v.render_pretty(), "[\n  1,\n  {\n    \"k\": 2\n  }\n]");
+        // Only direct items count: an object one array further down
+        // rides inline with its short parent.
+        let v = JsonValue::parse(r#"[[{"k":2}]]"#).unwrap();
+        assert_eq!(v.render_pretty(), r#"[[{"k":2}]]"#);
+    }
+
+    #[test]
+    fn pretty_nests_arrays_and_empty_containers() {
+        let v = JsonValue::parse(r#"{"e":[],"o":{},"n":[[1,2],[3,[4,[]]]],"x":[{}]}"#).unwrap();
+        assert_eq!(
+            v.render_pretty(),
+            "{\n  \"e\": [],\n  \"o\": {},\n  \"n\": [[1,2],[3,[4,[]]]],\n  \"x\": [\n    {}\n  ]\n}"
+        );
+        let row = |i: u64| {
+            JsonValue::Array(vec![
+                JsonValue::UInt(i),
+                JsonValue::Str("y".repeat(30)),
+                JsonValue::Array(vec![]),
+            ])
+        };
+        let v = JsonValue::object([("rows", JsonValue::Array(vec![row(0), row(1)]))]);
+        let y = "y".repeat(30);
+        assert_eq!(
+            v.render_pretty(),
+            format!("{{\n  \"rows\": [\n    [0,\"{y}\",[]],\n    [1,\"{y}\",[]]\n  ]\n}}")
+        );
+        assert_eq!(JsonValue::Array(vec![]).render_pretty(), "[]");
+        assert_eq!(JsonValue::Object(vec![]).render_pretty(), "{}");
+    }
+
+    #[test]
+    fn integers_render_at_the_lane_extremes() {
+        for (value, text) in [
+            (JsonValue::UInt(0), "0"),
+            (JsonValue::UInt(7), "7"),
+            (JsonValue::UInt(u64::MAX), "18446744073709551615"),
+            (JsonValue::Int(-1), "-1"),
+            (JsonValue::Int(0), "0"),
+            (JsonValue::Int(42), "42"),
+            (JsonValue::Int(i64::MIN), "-9223372036854775808"),
+            (JsonValue::Int(i64::MAX), "9223372036854775807"),
+        ] {
+            assert_eq!(value.render_compact(), text);
+            assert_eq!(value.render_pretty(), text);
+        }
+    }
+
+    #[test]
+    fn strings_escape_in_values_and_keys() {
+        let raw = "q\"b\\s\nr\rt\tc\u{1}\u{1f}é日😀/";
+        let escaped = r#""q\"b\\s\nr\rt\tc\u0001\u001fé日😀/""#;
+        assert_eq!(JsonValue::Str(raw.to_string()).render_compact(), escaped);
+        assert_eq!(JsonValue::Str(String::new()).render_compact(), r#""""#);
+        assert_eq!(
+            JsonValue::Str("plain".into()).render_compact(),
+            r#""plain""#
+        );
+        let v = JsonValue::Object(vec![(
+            Cow::Owned(raw.to_string()),
+            JsonValue::Str(raw.to_string()),
+        )]);
+        assert_eq!(v.render_compact(), format!("{{{escaped}:{escaped}}}"));
+        assert_eq!(v.render_pretty(), format!("{{\n  {escaped}: {escaped}\n}}"));
+        assert_eq!(JsonValue::parse(&v.render_pretty()).unwrap(), v);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Point-in-time, deterministically ordered copies of the registry.
 
 use crate::json::{JsonError, JsonValue};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Copy of one histogram's state.
@@ -151,7 +152,7 @@ impl TelemetrySnapshot {
         let counters = self
             .counters
             .iter()
-            .map(|(name, value)| (name.clone(), JsonValue::UInt(*value)))
+            .map(|(name, value)| (Cow::Owned(name.clone()), JsonValue::UInt(*value)))
             .collect();
         let gauges = self
             .gauges
@@ -162,7 +163,7 @@ impl TelemetrySnapshot {
                 } else {
                     JsonValue::Int(*value)
                 };
-                (name.clone(), json)
+                (Cow::Owned(name.clone()), json)
             })
             .collect();
         let histograms = self
@@ -179,33 +180,33 @@ impl TelemetrySnapshot {
                         ])
                     })
                     .collect();
-                let obj = JsonValue::Object(vec![
-                    ("count".to_string(), JsonValue::UInt(h.count)),
-                    ("sum".to_string(), JsonValue::UInt(h.sum)),
-                    ("min".to_string(), JsonValue::UInt(h.min)),
-                    ("max".to_string(), JsonValue::UInt(h.max)),
-                    ("buckets".to_string(), JsonValue::Array(buckets)),
+                let obj = JsonValue::object([
+                    ("count", JsonValue::UInt(h.count)),
+                    ("sum", JsonValue::UInt(h.sum)),
+                    ("min", JsonValue::UInt(h.min)),
+                    ("max", JsonValue::UInt(h.max)),
+                    ("buckets", JsonValue::Array(buckets)),
                 ]);
-                (name.clone(), obj)
+                (Cow::Owned(name.clone()), obj)
             })
             .collect();
         let spans = self
             .spans
             .iter()
             .map(|(name, s)| {
-                let obj = JsonValue::Object(vec![
-                    ("count".to_string(), JsonValue::UInt(s.count)),
-                    ("total_ns".to_string(), JsonValue::UInt(s.total_ns)),
-                    ("max_ns".to_string(), JsonValue::UInt(s.max_ns)),
+                let obj = JsonValue::object([
+                    ("count", JsonValue::UInt(s.count)),
+                    ("total_ns", JsonValue::UInt(s.total_ns)),
+                    ("max_ns", JsonValue::UInt(s.max_ns)),
                 ]);
-                (name.clone(), obj)
+                (Cow::Owned(name.clone()), obj)
             })
             .collect();
-        JsonValue::Object(vec![
-            ("counters".to_string(), JsonValue::Object(counters)),
-            ("gauges".to_string(), JsonValue::Object(gauges)),
-            ("histograms".to_string(), JsonValue::Object(histograms)),
-            ("spans".to_string(), JsonValue::Object(spans)),
+        JsonValue::object([
+            ("counters", JsonValue::Object(counters)),
+            ("gauges", JsonValue::Object(gauges)),
+            ("histograms", JsonValue::Object(histograms)),
+            ("spans", JsonValue::Object(spans)),
         ])
     }
 
@@ -236,20 +237,20 @@ impl TelemetrySnapshot {
         if let Some(counters) = value.get("counters") {
             for (name, v) in expect_object(counters, "counters")? {
                 let v = v.as_u64().ok_or_else(|| bad_field("counter", name))?;
-                snapshot.counters.insert(name.clone(), v);
+                snapshot.counters.insert(name.to_string(), v);
             }
         }
         if let Some(gauges) = value.get("gauges") {
             for (name, v) in expect_object(gauges, "gauges")? {
                 let v = v.as_i64().ok_or_else(|| bad_field("gauge", name))?;
-                snapshot.gauges.insert(name.clone(), v);
+                snapshot.gauges.insert(name.to_string(), v);
             }
         }
         if let Some(histograms) = value.get("histograms") {
             for (name, v) in expect_object(histograms, "histograms")? {
                 snapshot
                     .histograms
-                    .insert(name.clone(), decode_histogram(name, v)?);
+                    .insert(name.to_string(), decode_histogram(name, v)?);
             }
         }
         if let Some(spans) = value.get("spans") {
@@ -259,7 +260,7 @@ impl TelemetrySnapshot {
                     total_ns: field_u64(v, "total_ns").ok_or_else(|| bad_field("span", name))?,
                     max_ns: field_u64(v, "max_ns").ok_or_else(|| bad_field("span", name))?,
                 };
-                snapshot.spans.insert(name.clone(), span);
+                snapshot.spans.insert(name.to_string(), span);
             }
         }
         Ok(snapshot)
@@ -269,7 +270,7 @@ impl TelemetrySnapshot {
 fn expect_object<'a>(
     value: &'a JsonValue,
     section: &str,
-) -> Result<&'a [(String, JsonValue)], JsonError> {
+) -> Result<&'a [(Cow<'static, str>, JsonValue)], JsonError> {
     value
         .as_object()
         .ok_or_else(|| JsonError::new(format!("snapshot section '{section}' must be an object")))

@@ -327,32 +327,26 @@ impl TraceSnapshot {
     /// same snapshot always renders to the same bytes.
     #[must_use]
     pub fn to_chrome_trace(&self, process: &str, time_unit: &str) -> JsonValue {
-        let obj = |pairs: Vec<(&str, JsonValue)>| {
-            JsonValue::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-        };
         let lifecycles = self.lifecycles();
         let mut events: Vec<JsonValue> = Vec::new();
 
         // Track metadata.
-        events.push(obj(vec![
+        events.push(JsonValue::object([
             ("ph", JsonValue::Str("M".into())),
             ("pid", JsonValue::UInt(0)),
             ("name", JsonValue::Str("process_name".into())),
             (
                 "args",
-                obj(vec![(
-                    "name",
-                    JsonValue::Str(format!("nsflow-serve: {process}")),
-                )]),
+                JsonValue::object([("name", JsonValue::Str(format!("nsflow-serve: {process}")))]),
             ),
         ]));
         let meta = |tid: u64, name: String| {
-            obj(vec![
+            JsonValue::object([
                 ("ph", JsonValue::Str("M".into())),
                 ("pid", JsonValue::UInt(0)),
                 ("tid", JsonValue::UInt(tid)),
                 ("name", JsonValue::Str("thread_name".into())),
-                ("args", obj(vec![("name", JsonValue::Str(name))])),
+                ("args", JsonValue::object([("name", JsonValue::Str(name))])),
             ])
         };
         events.push(meta(TID_ADMISSION, "admission".into()));
@@ -388,7 +382,7 @@ impl TraceSnapshot {
                 timed.push((
                     ts,
                     *id,
-                    obj(vec![
+                    JsonValue::object([
                         ("ph", JsonValue::Str("i".into())),
                         ("pid", JsonValue::UInt(0)),
                         ("tid", JsonValue::UInt(TID_ADMISSION)),
@@ -403,7 +397,7 @@ impl TraceSnapshot {
                 timed.push((
                     ts,
                     *id,
-                    obj(vec![
+                    JsonValue::object([
                         ("ph", JsonValue::Str("i".into())),
                         ("pid", JsonValue::UInt(0)),
                         ("tid", JsonValue::UInt(TID_ADMISSION)),
@@ -413,13 +407,13 @@ impl TraceSnapshot {
                         ("s", JsonValue::Str("t".into())),
                         (
                             "args",
-                            obj(vec![("reason", JsonValue::Str(reason.name().into()))]),
+                            JsonValue::object([("reason", JsonValue::Str(reason.name().into()))]),
                         ),
                     ]),
                 ));
             }
-            let phase_slice = |tid: u64, cat: &str, start: u64, end: u64, batch_id: u64| {
-                obj(vec![
+            let phase_slice = |tid: u64, cat: &'static str, start: u64, end: u64, batch_id: u64| {
+                JsonValue::object([
                     ("ph", JsonValue::Str("X".into())),
                     ("pid", JsonValue::UInt(0)),
                     ("tid", JsonValue::UInt(tid)),
@@ -427,7 +421,10 @@ impl TraceSnapshot {
                     ("cat", JsonValue::Str(cat.into())),
                     ("ts", JsonValue::UInt(start)),
                     ("dur", JsonValue::UInt(end.saturating_sub(start))),
-                    ("args", obj(vec![("batch", JsonValue::UInt(batch_id))])),
+                    (
+                        "args",
+                        JsonValue::object([("batch", JsonValue::UInt(batch_id))]),
+                    ),
                 ])
             };
             if let (Some(enq), Some((formed, batch_id, _))) = (life.enqueued, life.formed) {
@@ -470,7 +467,7 @@ impl TraceSnapshot {
             timed.push((
                 r.ts,
                 r.trace_id,
-                obj(vec![
+                JsonValue::object([
                     ("ph", JsonValue::Str("i".into())),
                     ("pid", JsonValue::UInt(0)),
                     ("tid", JsonValue::UInt(TID_FAULTS)),
@@ -478,7 +475,10 @@ impl TraceSnapshot {
                     ("cat", JsonValue::Str(cat.into())),
                     ("ts", JsonValue::UInt(r.ts)),
                     ("s", JsonValue::Str("t".into())),
-                    ("args", obj(vec![(arg_key, JsonValue::UInt(arg_val))])),
+                    (
+                        "args",
+                        JsonValue::object([(arg_key, JsonValue::UInt(arg_val))]),
+                    ),
                 ]),
             ));
         }
@@ -515,7 +515,7 @@ impl TraceSnapshot {
             timed.push((
                 agg.start,
                 u64::MAX - 1, // batch slices sort after request rows at the same ts
-                obj(vec![
+                JsonValue::object([
                     ("ph", JsonValue::Str("X".into())),
                     ("pid", JsonValue::UInt(0)),
                     ("tid", JsonValue::UInt(tid)),
@@ -528,7 +528,7 @@ impl TraceSnapshot {
                     ("dur", JsonValue::UInt(agg.end.saturating_sub(agg.start))),
                     (
                         "args",
-                        obj(vec![
+                        JsonValue::object([
                             ("batch", JsonValue::UInt(*batch_id)),
                             ("size", JsonValue::UInt(u64::from(agg.size))),
                             ("traced_requests", JsonValue::UInt(agg.requests)),
@@ -559,14 +559,14 @@ impl TraceSnapshot {
             timed.push((
                 t,
                 u64::MAX, // counters sort after duration events at the same ts
-                obj(vec![
+                JsonValue::object([
                     ("ph", JsonValue::Str("C".into())),
                     ("pid", JsonValue::UInt(0)),
                     ("name", JsonValue::Str("waiting_requests".into())),
                     ("ts", JsonValue::UInt(t)),
                     (
                         "args",
-                        obj(vec![("waiting", JsonValue::UInt(level.max(0) as u64))]),
+                        JsonValue::object([("waiting", JsonValue::UInt(level.max(0) as u64))]),
                     ),
                 ]),
             ));
@@ -575,11 +575,11 @@ impl TraceSnapshot {
         timed.sort_by_key(|&(ts, tiebreak, _)| (ts, tiebreak));
         events.extend(timed.into_iter().map(|(_, _, e)| e));
 
-        obj(vec![
+        JsonValue::object([
             ("displayTimeUnit", JsonValue::Str("ms".into())),
             (
                 "metadata",
-                obj(vec![
+                JsonValue::object([
                     ("source", JsonValue::Str(format!("nsflow-serve: {process}"))),
                     ("time_unit", JsonValue::Str(time_unit.to_string())),
                     ("events", JsonValue::UInt(self.records.len() as u64)),

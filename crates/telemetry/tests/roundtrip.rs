@@ -1,5 +1,6 @@
 //! Seeded property tests: `TelemetrySnapshot` survives a JSON round-trip
-//! through both native writers and a Prometheus round-trip, and the JSON
+//! through both native writers and a Prometheus round-trip, random
+//! documents survive both JSON writers, and the JSON
 //! and Prometheus parsers answer arbitrary (mutated or random) input
 //! with `Ok` or an error, never a panic. Each property runs over seeds
 //! `0..CASES`; a failure names its seed.
@@ -21,6 +22,72 @@ fn name(rng: &mut StdRng) -> String {
     (0..rng.gen_range(1..12))
         .map(|_| NAME_CHARS[rng.gen_range(0..NAME_CHARS.len())])
         .collect()
+}
+
+/// Alphabet for document keys and string values: every escape the
+/// writer emits (`\u0001`, `\u001f` included) and one-, two-, three- and
+/// four-byte UTF-8.
+const TEXT_CHARS: [char; 14] = [
+    'a',
+    ' ',
+    '/',
+    '"',
+    '\\',
+    '\n',
+    '\r',
+    '\t',
+    '\u{1}',
+    '\u{1f}',
+    '\u{7f}',
+    'é',
+    '日',
+    '\u{1f600}',
+];
+
+fn text(rng: &mut StdRng) -> String {
+    (0..rng.gen_range(0..10))
+        .map(|_| TEXT_CHARS[rng.gen_range(0..TEXT_CHARS.len())])
+        .collect()
+}
+
+/// A random document up to `depth` containers deep. Arrays of small
+/// integers are sized so their compact form lands within a few bytes
+/// of the pretty writer's 72-byte inline limit.
+fn document(rng: &mut StdRng, depth: u32) -> JsonValue {
+    let leaf_only = depth == 0;
+    match rng.gen_range(0..if leaf_only { 7u32 } else { 10 }) {
+        0 => JsonValue::Null,
+        1 => JsonValue::Bool(rng.gen()),
+        2 => JsonValue::UInt(any_u64(rng)),
+        // The Int lane holds negatives; non-negatives parse as UInt.
+        3 => JsonValue::Int(rng.gen_range(i64::MIN..0)),
+        // Fractional floats well below the 1e15 integral cut-over.
+        4 => JsonValue::Float(rng.gen::<f64>() * 1e6 - 5e5),
+        5 | 6 => JsonValue::Str(text(rng)),
+        7 => {
+            // `n` single digits render as `2n + 1` bytes: 34..=37 items
+            // straddle 72.
+            let n = rng.gen_range(34..38usize);
+            let widen = rng.gen_range(0..3usize);
+            let mut items: Vec<JsonValue> = (0..n)
+                .map(|_| JsonValue::UInt(rng.gen_range(0..10)))
+                .collect();
+            for item in items.iter_mut().take(widen) {
+                *item = JsonValue::UInt(rng.gen_range(10..100));
+            }
+            JsonValue::Array(items)
+        }
+        8 => JsonValue::Array(
+            (0..rng.gen_range(0..5))
+                .map(|_| document(rng, depth - 1))
+                .collect(),
+        ),
+        _ => JsonValue::Object(
+            (0..rng.gen_range(0..5))
+                .map(|_| (text(rng).into(), document(rng, depth - 1)))
+                .collect(),
+        ),
+    }
 }
 
 /// Full-range u64 with an explicit shot at `u64::MAX`.
@@ -125,11 +192,13 @@ fn snapshots_round_trip_through_both_json_writers() {
 #[test]
 fn json_documents_round_trip_through_parser() {
     for seed in 0..CASES {
-        let value = snapshot(&mut StdRng::seed_from_u64(seed)).to_json_value();
-        let compact = JsonValue::parse(&value.render_compact());
-        assert_eq!(compact.as_ref(), Ok(&value), "seed {seed}");
-        let pretty = JsonValue::parse(&value.render_pretty());
-        assert_eq!(pretty.as_ref(), Ok(&value), "seed {seed}");
+        let rng = &mut StdRng::seed_from_u64(seed);
+        for value in [snapshot(rng).to_json_value(), document(rng, 4)] {
+            let compact = JsonValue::parse(&value.render_compact());
+            assert_eq!(compact.as_ref(), Ok(&value), "seed {seed}");
+            let pretty = JsonValue::parse(&value.render_pretty());
+            assert_eq!(pretty.as_ref(), Ok(&value), "seed {seed}");
+        }
     }
 }
 
