@@ -22,8 +22,9 @@
 //!
 //! Also emits `BENCH_simtrace.json` (stall totals + attribution check)
 //! for the `bench_gate` regression gate, with the measured wall time per
-//! scheduler and critical-path call averaged over the workloads' final
-//! schedules (informational: host-dependent).
+//! scheduler, critical-path, Chrome-trace build and `render_pretty` call
+//! averaged over the workloads' final schedules (informational:
+//! host-dependent).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -81,7 +82,14 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-fn emit_json(timelines: &[WorkloadTimeline], args: &Args, all_exact: bool) {
+/// Wall time spent building and rendering the workloads' Chrome traces.
+#[derive(Default)]
+struct TraceWall {
+    build: Duration,
+    render: Duration,
+}
+
+fn emit_json(timelines: &[WorkloadTimeline], args: &Args, all_exact: bool, wall: &TraceWall) {
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"simtrace\",");
     let _ = writeln!(
@@ -155,6 +163,16 @@ fn emit_json(timelines: &[WorkloadTimeline], args: &Args, all_exact: bool) {
         "  \"critical_path_us_per_call\": {:.1},",
         path_wall.as_secs_f64() * 1e6 / calls
     );
+    let _ = writeln!(
+        json,
+        "  \"chrome_trace_us_per_call\": {:.1},",
+        wall.build.as_secs_f64() * 1e6 / calls
+    );
+    let _ = writeln!(
+        json,
+        "  \"render_us_per_call\": {:.1},",
+        wall.render.as_secs_f64() * 1e6 / calls
+    );
     let _ = writeln!(json, "  \"meets_target\": {all_exact},");
     json.push_str(&nsflow_bench::telemetry_json_member());
     json.push_str("\n}\n");
@@ -179,6 +197,7 @@ fn main() -> ExitCode {
 
     let mut timelines = Vec::new();
     let mut all_exact = true;
+    let mut wall = TraceWall::default();
     for name in &args.workloads {
         let Some(workload) = traces::by_name(name) else {
             eprintln!("simtrace: unknown workload `{name}` (want nvsa|mimonet|lvrf|prae|all)");
@@ -187,7 +206,12 @@ fn main() -> ExitCode {
         let opts = SimOptions::default();
         let t = analyze(workload, &args.cfg, &opts, args.pooled);
 
-        let rendered = t.chrome_trace().render_pretty();
+        let started = Instant::now();
+        let chrome = t.chrome_trace();
+        wall.build += started.elapsed();
+        let started = Instant::now();
+        let rendered = chrome.render_pretty();
+        wall.render += started.elapsed();
         if let Err(e) = t.validate_trace(&rendered) {
             eprintln!("simtrace: {name}: invalid trace: {e}");
             all_exact = false;
@@ -204,7 +228,7 @@ fn main() -> ExitCode {
         timelines.push(t);
     }
 
-    emit_json(&timelines, &args, all_exact);
+    emit_json(&timelines, &args, all_exact, &wall);
     if all_exact {
         ExitCode::SUCCESS
     } else {

@@ -765,7 +765,8 @@ mod tests {
         let timing = |us: f64, threads: u64| {
             JsonValue::parse(&format!(
                 r#"{{ "threads": {threads}, "schedule_us_per_call": {us},
-                    "critical_path_us_per_call": {us} }}"#
+                    "critical_path_us_per_call": {us},
+                    "chrome_trace_us_per_call": {us}, "render_us_per_call": {us} }}"#
             ))
             .unwrap()
         };
@@ -774,7 +775,7 @@ mod tests {
             (timing(900.0, 4), timing(1.0, 1)),
         ] {
             let rows = compare_documents("BENCH_simtrace.json", &base, &cur, 0.5);
-            assert_eq!(rows.len(), 3);
+            assert_eq!(rows.len(), 5);
             assert!(rows.iter().all(|r| r.verdict == Verdict::Info), "{rows:?}");
         }
     }

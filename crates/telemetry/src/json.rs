@@ -342,7 +342,6 @@ fn write_u64(out: &mut String, mut v: u64) {
 /// ASCII and so on char boundaries) are copied whole; a string with none
 /// is one copy.
 pub fn escape_into(out: &mut String, s: &str) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {
@@ -357,9 +356,7 @@ pub fn escape_into(out: &mut String, s: &str) {
             b'\r' => out.push_str("\\r"),
             b'\t' => out.push_str("\\t"),
             _ => {
-                out.push_str("\\u00");
-                out.push(char::from(HEX[usize::from(b >> 4)]));
-                out.push(char::from(HEX[usize::from(b & 0xf)]));
+                let _ = write!(out, "\\u{b:04x}");
             }
         }
         run = i + 1;
