@@ -54,8 +54,8 @@ fn text(rng: &mut StdRng) -> String {
 /// integers are sized so their compact form lands within a few bytes
 /// of the pretty writer's 72-byte inline limit.
 fn document(rng: &mut StdRng, depth: u32) -> JsonValue {
-    let leaf_only = depth == 0;
-    match rng.gen_range(0..if leaf_only { 7u32 } else { 10 }) {
+    // At depth 0 only leaves and flat arrays (arms 0..=7).
+    match rng.gen_range(0..if depth == 0 { 8u32 } else { 10 }) {
         0 => JsonValue::Null,
         1 => JsonValue::Bool(rng.gen()),
         2 => JsonValue::UInt(any_u64(rng)),

@@ -48,6 +48,13 @@ impl Fnv {
     }
 }
 
+/// FNV-1a of `text`'s bytes.
+fn fnv_text(text: &str) -> u64 {
+    let mut h = Fnv::new();
+    h.bytes(text.as_bytes());
+    h.0
+}
+
 fn resource_code(r: Resource) -> u64 {
     match r {
         Resource::NnPartition => 0,
@@ -323,11 +330,7 @@ fn chrome_traces_match_pinned_digests() {
     let design = NsFlow::new().compile(workload.trace).unwrap();
     let options = design_options(&design);
     let graph = batched(&design, 2);
-    let render = |s: &Schedule| {
-        let mut h = Fnv::new();
-        h.bytes(s.to_chrome_trace(&graph).render_compact().as_bytes());
-        h.0
-    };
+    let render = |s: &Schedule| fnv_text(&s.to_chrome_trace(&graph).render_compact());
     let pooled = run_pooled(&graph, design.array(), design.mapping(), &options);
     let queues = run(&graph, design.array(), design.mapping(), &options);
     check(
@@ -337,12 +340,6 @@ fn chrome_traces_match_pinned_digests() {
         ],
         &CHROME_TRACE_DIGESTS,
     );
-}
-
-fn fnv_text(text: &str) -> u64 {
-    let mut h = Fnv::new();
-    h.bytes(text.as_bytes());
-    h.0
 }
 
 const PRETTY_DESIGN_DIGESTS: [(&str, u64); 14] = [
