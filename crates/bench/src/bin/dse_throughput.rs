@@ -1,16 +1,12 @@
 //! DSE sweep throughput: serial seed implementation vs memoized cycle
-//! tables vs the threaded sweep, on the NVSA workload at growing PE
-//! budgets.
+//! tables, on the NVSA workload at growing PE budgets.
 //!
 //! For each `max_pes ∈ {2¹⁰, 2¹², 2¹⁴}` the full uniform design space is
-//! enumerated three ways — all three must agree bit-for-bit:
+//! enumerated two ways — both must agree bit-for-bit:
 //!
 //! - **serial**: [`exhaustive_uniform_reference`], the original
 //!   trace-walking implementation (the baseline),
-//! - **cached**: [`exhaustive_uniform`] pinned to one thread — isolates
-//!   the cycle-table memoization win,
-//! - **parallel**: [`exhaustive_uniform`] at the host's available
-//!   parallelism — adds the threaded `(H, W)` sweep on top.
+//! - **cached**: [`exhaustive_uniform`] — the cycle-table memoization win.
 //!
 //! Results go to stdout, `target/experiments/dse_throughput.csv`, and a
 //! machine-readable `BENCH_dse.json` in the working directory. Pass
@@ -29,8 +25,8 @@ use nsflow_dse::DseOptions;
 use nsflow_graph::DataflowGraph;
 use nsflow_workloads::traces;
 
-/// The speedup the parallel+memoized sweep must reach over the serial
-/// seed at the largest budget.
+/// The speedup the memoized sweep must reach over the serial seed at the
+/// largest budget.
 const SPEEDUP_TARGET: f64 = 4.0;
 
 /// Minimum measured wall time per mode; short sweeps are repeated until
@@ -77,30 +73,17 @@ fn time_mode<F: FnMut() -> ExhaustiveResult>(mut f: F) -> (f64, ExhaustiveResult
     }
 }
 
-fn bench_budget(graph: &DataflowGraph, max_pes: usize, threads: usize) -> Run {
+fn bench_budget(graph: &DataflowGraph, max_pes: usize) -> Run {
     let opts = options(max_pes);
-    let serial_opts = opts.clone();
-    let cached_opts = DseOptions {
-        threads: Some(1),
-        ..opts.clone()
-    };
-    let parallel_opts = DseOptions {
-        threads: None,
-        ..opts
-    };
-
-    let (serial_wall, serial) = time_mode(|| exhaustive_uniform_reference(graph, &serial_opts));
-    let (cached_wall, cached) = time_mode(|| exhaustive_uniform(graph, &cached_opts));
-    let (parallel_wall, parallel) = time_mode(|| exhaustive_uniform(graph, &parallel_opts));
+    let (serial_wall, serial) = time_mode(|| exhaustive_uniform_reference(graph, &opts));
+    let (cached_wall, cached) = time_mode(|| exhaustive_uniform(graph, &opts));
 
     // The whole point of the engine: same optimum, same tie-breaking,
     // same point count — only the wall time changes.
-    for (name, r) in [("cached", &cached), ("parallel", &parallel)] {
-        assert_eq!(r.config, serial.config, "{name} diverged on config");
-        assert_eq!(r.mapping, serial.mapping, "{name} diverged on mapping");
-        assert_eq!(r.t_loop, serial.t_loop, "{name} diverged on t_loop");
-        assert_eq!(r.points, serial.points, "{name} diverged on points");
-    }
+    assert_eq!(cached.config, serial.config, "cached diverged on config");
+    assert_eq!(cached.mapping, serial.mapping, "cached diverged on mapping");
+    assert_eq!(cached.t_loop, serial.t_loop, "cached diverged on t_loop");
+    assert_eq!(cached.points, serial.points, "cached diverged on points");
 
     let points = serial.points;
     let mode = |name, wall: f64| Mode {
@@ -109,31 +92,24 @@ fn bench_budget(graph: &DataflowGraph, max_pes: usize, threads: usize) -> Run {
         points_per_sec: points as f64 / wall,
     };
     println!(
-        "max_pes=2^{:<2} points={points:>6}  serial {:>10}  cached {:>10} ({:>5.1}x)  parallel({threads}t) {:>10} ({:>5.1}x)",
+        "max_pes=2^{:<2} points={points:>6}  serial {:>10}  cached {:>10} ({:>5.1}x)",
         max_pes.ilog2(),
         fmt_seconds(serial_wall),
         fmt_seconds(cached_wall),
         serial_wall / cached_wall,
-        fmt_seconds(parallel_wall),
-        serial_wall / parallel_wall,
     );
     Run {
         max_pes,
         points,
-        modes: vec![
-            mode("serial", serial_wall),
-            mode("cached", cached_wall),
-            mode("parallel", parallel_wall),
-        ],
+        modes: vec![mode("serial", serial_wall), mode("cached", cached_wall)],
     }
 }
 
-fn emit_json(runs: &[Run], threads: usize, quick: bool) {
+fn emit_json(runs: &[Run], quick: bool) {
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"dse_throughput\",");
     let _ = writeln!(json, "  \"workload\": \"nvsa\",");
     let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"parallel_threads\": {threads},");
     let _ = writeln!(json, "  \"speedup_target\": {SPEEDUP_TARGET},");
     let _ = writeln!(json, "  \"runs\": [");
     for (i, run) in runs.iter().enumerate() {
@@ -179,7 +155,6 @@ fn main() {
     nsflow_telemetry::reset();
     let workload = traces::nvsa();
     let graph = DataflowGraph::from_trace(workload.trace);
-    let threads = DseOptions::default().effective_threads();
     let budgets: &[usize] = if quick {
         &[1 << 10]
     } else {
@@ -187,16 +162,12 @@ fn main() {
     };
 
     println!(
-        "DSE throughput — workload {} ({} nodes), {} worker thread(s)\n",
+        "DSE throughput — workload {} ({} nodes)\n",
         workload.name,
         graph.trace().ops().len(),
-        threads
     );
 
-    let runs: Vec<Run> = budgets
-        .iter()
-        .map(|&m| bench_budget(&graph, m, threads))
-        .collect();
+    let runs: Vec<Run> = budgets.iter().map(|&m| bench_budget(&graph, m)).collect();
 
     let rows: Vec<String> = runs
         .iter()
@@ -233,7 +204,7 @@ fn main() {
             "cycle-table memoizer recorded zero cache hits — the cached sweep is not caching"
         );
     }
-    emit_json(&runs, threads, quick);
+    emit_json(&runs, quick);
 
     if !quick {
         let last = runs.last().expect("at least one budget");

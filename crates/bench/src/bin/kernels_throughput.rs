@@ -1,5 +1,5 @@
 //! VSA/NN kernel-engine throughput: reference kernels vs the
-//! spectral-cached, thread-parallel engine.
+//! spectral-cached engine.
 //!
 //! Three kernel families are measured, each against its reference oracle
 //! with an equivalence assertion (the engine's whole contract is "same
@@ -10,8 +10,8 @@
 //!   [`SpectralResonator::factorize`] (cached spectra, one inverse FFT
 //!   per update) on three-factor unitary codebooks at growing dimension.
 //!   Recovered indices must match exactly.
-//! - **gemm**: the reference `matmul` vs the blocked/threaded
-//!   `matmul_fast`, bit-identical by construction.
+//! - **gemm**: the reference `matmul` vs the blocked `matmul_fast`,
+//!   bit-identical by construction.
 //! - **bind/cleanup**: direct blockwise convolution vs the FFT fast
 //!   path, and the reference codebook similarity scan vs the
 //!   precomputed-matrix scan (bit-identical).
@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use nsflow_bench::{fmt_seconds, write_csv};
 use nsflow_nn::gemm;
-use nsflow_tensor::par::{available_threads, KernelOptions};
+use nsflow_tensor::par::available_threads;
 use nsflow_tensor::rng::StdRng;
 use nsflow_vsa::engine::{SpectralCodebook, SpectralResonator};
 use nsflow_vsa::resonator::{Resonator, ResonatorConfig};
@@ -87,7 +87,7 @@ fn time_mode<T, F: FnMut() -> T>(mut f: F) -> (f64, T) {
     }
 }
 
-fn print_run(run: &Run, threads: usize) {
+fn print_run(run: &Run) {
     let reference = run.modes[0].wall;
     let mut line = format!(
         "{:<10} {:<12} reference {:>10}",
@@ -104,7 +104,6 @@ fn print_run(run: &Run, threads: usize) {
             reference / m.wall
         );
     }
-    let _ = threads;
     println!("{line}");
 }
 
@@ -124,28 +123,19 @@ fn bench_resonator(n_blocks: usize, block_dim: usize, seed: u64) -> Run {
     let cfg = ResonatorConfig::default();
 
     let reference = Resonator::new(books.clone()).expect("valid factors");
-    let spectral_serial =
-        SpectralResonator::new(books.clone(), KernelOptions::serial()).expect("valid factors");
-    let spectral_auto =
-        SpectralResonator::new(books, KernelOptions::auto()).expect("valid factors");
+    let spectral = SpectralResonator::new(books).expect("valid factors");
 
     let (ref_wall, ref_out) = time_mode(|| reference.factorize(&target, cfg).expect("factorizes"));
-    let (serial_wall, serial_out) =
-        time_mode(|| spectral_serial.factorize(&target, cfg).expect("factorizes"));
-    let (auto_wall, auto_out) =
-        time_mode(|| spectral_auto.factorize(&target, cfg).expect("factorizes"));
+    let (spectral_wall, spectral_out) =
+        time_mode(|| spectral.factorize(&target, cfg).expect("factorizes"));
 
     assert_eq!(
         ref_out.indices, expected,
         "reference missed the planted factors"
     );
     assert_eq!(
-        serial_out.indices, expected,
+        spectral_out.indices, expected,
         "spectral diverged from reference"
-    );
-    assert_eq!(
-        auto_out, serial_out,
-        "spectral result depends on thread count"
     );
 
     Run {
@@ -159,31 +149,21 @@ fn bench_resonator(n_blocks: usize, block_dim: usize, seed: u64) -> Run {
             },
             Mode {
                 name: "spectral",
-                wall: serial_wall,
-            },
-            Mode {
-                name: "spectral_mt",
-                wall: auto_wall,
+                wall: spectral_wall,
             },
         ],
     }
 }
 
-/// Square GEMM: reference vs blocked serial vs blocked threaded.
+/// Square GEMM: reference vs blocked.
 fn bench_gemm(size: usize, seed: u64) -> Run {
     let mut rng = StdRng::seed_from_u64(seed);
     let a: Vec<f32> = (0..size * size).map(|_| rng.gen_range(-1.0..1.0)).collect();
     let b: Vec<f32> = (0..size * size).map(|_| rng.gen_range(-1.0..1.0)).collect();
 
     let (ref_wall, expected) = time_mode(|| gemm::matmul(&a, &b, size, size, size));
-    let serial = KernelOptions::serial();
-    let (serial_wall, serial_out) =
-        time_mode(|| gemm::matmul_fast(&a, &b, size, size, size, &serial));
-    let auto = KernelOptions::auto();
-    let (auto_wall, auto_out) = time_mode(|| gemm::matmul_fast(&a, &b, size, size, size, &auto));
-
-    assert_eq!(serial_out, expected, "blocked GEMM not bit-identical");
-    assert_eq!(auto_out, expected, "threaded GEMM not bit-identical");
+    let (blocked_wall, blocked) = time_mode(|| gemm::matmul_fast(&a, &b, size, size, size));
+    assert_eq!(blocked, expected, "blocked GEMM not bit-identical");
 
     Run {
         kernel: "gemm",
@@ -196,11 +176,7 @@ fn bench_gemm(size: usize, seed: u64) -> Run {
             },
             Mode {
                 name: "blocked",
-                wall: serial_wall,
-            },
-            Mode {
-                name: "blocked_mt",
-                wall: auto_wall,
+                wall: blocked_wall,
             },
         ],
     }
@@ -214,7 +190,6 @@ fn bench_bind_cleanup(n_blocks: usize, block_dim: usize, seed: u64) -> Run {
     let engine = SpectralCodebook::new(book.clone());
     let a = book.codeword(0);
     let b = book.codeword(1);
-    let opts = KernelOptions::auto();
 
     let (direct_wall, direct) = time_mode(|| {
         let bound = ops::bind(a, b).expect("shared geometry");
@@ -222,7 +197,7 @@ fn bench_bind_cleanup(n_blocks: usize, block_dim: usize, seed: u64) -> Run {
     });
     let (fast_wall, fast) = time_mode(|| {
         let bound = fft::bind_fast(a, b).expect("shared geometry");
-        engine.similarities(&bound, &opts).expect("shared geometry")
+        engine.similarities(&bound).expect("shared geometry")
     });
 
     // The bound vectors differ by FFT rounding, so compare scans within
@@ -297,7 +272,7 @@ fn main() {
     // Fresh counters so the embedded snapshot covers exactly this run.
     nsflow_telemetry::reset();
     let threads = available_threads();
-    println!("kernel engine throughput — {threads} worker thread(s) available\n");
+    println!("kernel engine throughput — {threads} hardware thread(s), kernels run on one\n");
 
     let mut runs = Vec::new();
     // The NVSA block-code geometry (4×256 = d 1024) plus single-block
@@ -310,7 +285,7 @@ fn main() {
         runs.push(bench_bind_cleanup(4, 1024, 105));
     }
     for run in &runs {
-        print_run(run, threads);
+        print_run(run);
     }
 
     let rows: Vec<String> = runs

@@ -31,9 +31,9 @@
 
 use std::fmt;
 
-/// The shared deterministic parallelism utility ([`par::parallel_map`],
-/// [`par::KernelOptions`]) used by the DSE sweeps, the blocked GEMM
-/// kernels and the spectral VSA engine. Physically hosted in
+/// The request-level fan-out utility ([`par::parallel_map`],
+/// [`par::KernelOptions`]) the serving executor runs a batch's requests
+/// on. Physically hosted in
 /// `nsflow-tensor` (the dependency-free base crate) so every kernel crate
 /// can reach it; re-exported here as the framework-level name.
 pub use nsflow_tensor::par;

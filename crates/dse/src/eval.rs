@@ -1,5 +1,4 @@
-//! The shared DSE evaluation engine: memoized per-node cycle tables and a
-//! deterministic parallel sweep runner.
+//! The shared DSE evaluation engine: memoized per-node cycle tables.
 //!
 //! # Why this exists
 //!
@@ -19,20 +18,11 @@
 //!    per-assignment totals, and arbitrary per-node mappings in O(nodes)
 //!    table lookups ([`CycleTable::mapping_timing`]).
 //!
-//! # Determinism
-//!
-//! [`parallel_map`] (now the shared `nsflow_tensor::par::parallel_map`,
-//! re-exported here) splits the work list into contiguous chunks, one
-//! worker thread per chunk, and returns results **in input order** —
-//! reductions that scan the output with strict-`<` "first minimum wins"
-//! tie-breaking therefore produce bit-identical results to a serial scan,
-//! regardless of thread count. The seeded equivalence tests in
-//! `crates/dse/tests/parallel_equivalence.rs` pin this down against the
-//! serial reference implementations.
+//! The seeded equivalence tests in
+//! `crates/dse/tests/parallel_equivalence.rs` pin every engine-backed
+//! search against the serial reference implementations bit for bit.
 
 use std::time::Duration;
-
-pub(crate) use nsflow_tensor::par::parallel_map;
 
 use nsflow_telemetry as telemetry;
 
@@ -41,8 +31,7 @@ use nsflow_arch::{analytical, ArrayConfig, Mapping};
 use nsflow_graph::DataflowGraph;
 
 /// Observability counters for one sweep, threaded through every search
-/// result so memoization and parallel speedups are measurable rather than
-/// assumed.
+/// result so memoization speedups are measurable rather than assumed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SweepStats {
     /// Design points whose timing was evaluated.
@@ -52,20 +41,16 @@ pub struct SweepStats {
     pub cache_hits: usize,
     /// Cycle tables constructed (one per `(H, W)` geometry visited).
     pub tables_built: usize,
-    /// Worker threads the sweep ran on (1 = serial).
-    pub threads: usize,
     /// Wall-clock time of the sweep.
     pub wall: Duration,
 }
 
 impl SweepStats {
-    /// Merges counters from a sub-sweep (wall times add; thread counts
-    /// take the max — sub-sweeps run within the same budget).
+    /// Merges counters from a sub-sweep (wall times add).
     pub fn absorb(&mut self, other: &SweepStats) {
         self.points_evaluated += other.points_evaluated;
         self.cache_hits += other.cache_hits;
         self.tables_built += other.tables_built;
-        self.threads = self.threads.max(other.threads);
         self.wall += other.wall;
     }
 
@@ -83,31 +68,15 @@ impl SweepStats {
 }
 
 /// Publishes a finished sweep's [`SweepStats`] into the global telemetry
-/// registry (counters `dse.points_evaluated` / `dse.cache_hits`, gauge
-/// `dse.threads`, histogram `dse.sweep_wall_us`). Tables built are
+/// registry (counters `dse.points_evaluated` / `dse.cache_hits`,
+/// histogram `dse.sweep_wall_us`). Tables built are
 /// counted directly in [`EvalEngine::build_table`] so ad-hoc engine use
 /// is visible too. No-op when the `telemetry` feature is disabled.
 pub fn record_sweep_stats(stats: &SweepStats) {
     telemetry::counter!("dse.points_evaluated").add(stats.points_evaluated as u64);
     telemetry::counter!("dse.cache_hits").add(stats.cache_hits as u64);
-    telemetry::gauge!("dse.threads").set(stats.threads as i64);
     telemetry::histogram!("dse.sweep_wall_us")
         .record(u64::try_from(stats.wall.as_micros()).unwrap_or(u64::MAX));
-}
-
-/// Records the per-worker chunk sizes a [`parallel_map`] sweep over
-/// `items` work items uses (mirrors the contiguous chunking in
-/// `nsflow_tensor::par`), making thread-pool utilization visible in
-/// snapshots: a lopsided `dse.chunk_items` histogram means idle workers.
-pub(crate) fn record_chunk_utilization(items: usize, threads: usize) {
-    let threads = threads.clamp(1, items.max(1));
-    let chunk = items.div_ceil(threads).max(1);
-    let mut start = 0usize;
-    while start < items {
-        let end = (start + chunk).min(items);
-        telemetry::histogram!("dse.chunk_items").record((end - start) as u64);
-        start = end;
-    }
 }
 
 /// Per-`(H, W)` memo: cycles of every array-class node for every possible
@@ -502,39 +471,23 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_preserves_input_order() {
-        let items: Vec<usize> = (0..97).collect();
-        for threads in [1, 2, 3, 8] {
-            let out = parallel_map(&items, threads, |&x| x * 2);
-            assert_eq!(
-                out,
-                items.iter().map(|&x| x * 2).collect::<Vec<_>>(),
-                "t={threads}"
-            );
-        }
-    }
-
-    #[test]
     fn stats_absorb_accumulates() {
         let mut a = SweepStats {
             points_evaluated: 10,
             cache_hits: 8,
             tables_built: 2,
-            threads: 1,
             wall: Duration::from_millis(5),
         };
         let b = SweepStats {
             points_evaluated: 3,
             cache_hits: 2,
             tables_built: 1,
-            threads: 4,
             wall: Duration::from_millis(2),
         };
         a.absorb(&b);
         assert_eq!(a.points_evaluated, 13);
         assert_eq!(a.cache_hits, 10);
         assert_eq!(a.tables_built, 3);
-        assert_eq!(a.threads, 4);
         assert_eq!(a.wall, Duration::from_millis(7));
     }
 }

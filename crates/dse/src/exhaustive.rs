@@ -8,8 +8,8 @@
 //! within a small factor of the exhaustive optimum.
 //!
 //! Like Phase I, the search comes in two bit-identical flavours:
-//! [`exhaustive_uniform`] (memoized cycle tables + threaded `(H, W)`
-//! sweep) and [`exhaustive_uniform_reference`] (the serial trace-walking
+//! [`exhaustive_uniform`] (memoized cycle tables) and
+//! [`exhaustive_uniform_reference`] (the serial trace-walking
 //! implementation, kept as the equivalence/speedup baseline).
 
 use std::time::Instant;
@@ -17,9 +17,7 @@ use std::time::Instant;
 use nsflow_arch::{analytical, ArrayConfig, Mapping};
 use nsflow_graph::DataflowGraph;
 
-use crate::eval::{
-    parallel_map, record_chunk_utilization, record_sweep_stats, EvalEngine, SweepStats,
-};
+use crate::eval::{record_sweep_stats, EvalEngine, SweepStats};
 use crate::phase1::{reduce_outcomes, Candidate, PairOutcome};
 use crate::DseOptions;
 use nsflow_telemetry as telemetry;
@@ -50,9 +48,8 @@ pub struct ExhaustiveResult {
 /// `N ∈ [1, N_max]` of that pair (per-node cycles are independent of `N`),
 /// so the sequential-mode point at each `N` and every `N̄_l` split are
 /// plain table lookups; candidate mappings are only materialized for the
-/// final winner, never per point. The `(H, W)` pairs sweep on
-/// [`DseOptions::threads`] workers with deterministic reduction — results
-/// are bit-identical to [`exhaustive_uniform_reference`].
+/// final winner, never per point. Results are bit-identical to
+/// [`exhaustive_uniform_reference`].
 ///
 /// # Panics
 ///
@@ -66,47 +63,47 @@ pub fn exhaustive_uniform(graph: &DataflowGraph, options: &DseOptions) -> Exhaus
     let vsa = trace.vsa_nodes().len();
     let engine = EvalEngine::new(graph, options.simd_lanes);
     let pairs = unpruned_pairs(options);
-    let threads = options.effective_threads();
-    record_chunk_utilization(pairs.len(), threads);
 
-    let outcomes = parallel_map(&pairs, threads, |&(h, w, n_max)| {
-        let table = engine.build_table(h, w, n_max);
-        let mut best: Option<Candidate> = None;
-        let mut points = 0usize;
-        // Every sub-array count, not just the maximal one.
-        for n in 1..=n_max {
-            if nn > 0 && vsa > 0 && n >= 2 {
-                for nl in 1..n {
-                    let t = table.uniform_timing(nl, n - nl).t_loop;
-                    points += 1;
-                    if best.is_none_or(|b| t < b.t_loop) {
-                        best = Some(Candidate {
-                            t_loop: t,
-                            h,
-                            w,
-                            n,
-                            split: Some(nl),
-                        });
+    let outcomes: Vec<PairOutcome> = pairs
+        .iter()
+        .map(|&(h, w, n_max)| {
+            let table = engine.build_table(h, w, n_max);
+            let mut best: Option<Candidate> = None;
+            let mut points = 0usize;
+            // Every sub-array count, not just the maximal one.
+            for n in 1..=n_max {
+                if nn > 0 && vsa > 0 && n >= 2 {
+                    for nl in 1..n {
+                        let t = table.uniform_timing(nl, n - nl).t_loop;
+                        points += 1;
+                        if best.is_none_or(|b| t < b.t_loop) {
+                            best = Some(Candidate {
+                                t_loop: t,
+                                h,
+                                w,
+                                n,
+                                split: Some(nl),
+                            });
+                        }
                     }
                 }
+                let t = table.sequential_timing(n).t_loop;
+                points += 1;
+                if best.is_none_or(|b| t < b.t_loop) {
+                    best = Some(Candidate {
+                        t_loop: t,
+                        h,
+                        w,
+                        n,
+                        split: None,
+                    });
+                }
             }
-            let t = table.sequential_timing(n).t_loop;
-            points += 1;
-            if best.is_none_or(|b| t < b.t_loop) {
-                best = Some(Candidate {
-                    t_loop: t,
-                    h,
-                    w,
-                    n,
-                    split: None,
-                });
-            }
-        }
-        PairOutcome { best, points }
-    });
+            PairOutcome { best, points }
+        })
+        .collect();
 
     let (best, points, mut stats) = reduce_outcomes(&outcomes);
-    stats.threads = threads;
     stats.wall = start.elapsed();
     record_sweep_stats(&stats);
     let c = best.expect("at least one configuration must fit");
@@ -179,7 +176,6 @@ pub fn exhaustive_uniform_reference(
     result.points = points;
     result.stats = SweepStats {
         points_evaluated: points,
-        threads: 1,
         wall: start.elapsed(),
         ..SweepStats::default()
     };
@@ -324,18 +320,13 @@ mod tests {
     #[test]
     fn engine_path_matches_reference_bit_for_bit() {
         let g = graph(4);
-        for threads in [Some(1), Some(3), None] {
-            let opts = DseOptions {
-                threads,
-                ..small_opts()
-            };
-            let fast = exhaustive_uniform(&g, &opts);
-            let slow = exhaustive_uniform_reference(&g, &opts);
-            assert_eq!(fast.config, slow.config);
-            assert_eq!(fast.mapping, slow.mapping);
-            assert_eq!(fast.t_loop, slow.t_loop);
-            assert_eq!(fast.points, slow.points);
-        }
+        let opts = small_opts();
+        let fast = exhaustive_uniform(&g, &opts);
+        let slow = exhaustive_uniform_reference(&g, &opts);
+        assert_eq!(fast.config, slow.config);
+        assert_eq!(fast.mapping, slow.mapping);
+        assert_eq!(fast.t_loop, slow.t_loop);
+        assert_eq!(fast.points, slow.points);
     }
 
     #[test]

@@ -22,9 +22,8 @@
 //!
 //! All search paths evaluate candidates through the shared
 //! [`EvalEngine`]: per-`(H, W)` cycle tables turn the inner `N̄_l` sweep
-//! into O(1) lookups, the mapping-independent SIMD term is computed once,
-//! and the `(H, W)` pairs fan out over worker threads with deterministic
-//! reduction ([`SweepStats`] records points, cache hits and wall time).
+//! into O(1) lookups, and the mapping-independent SIMD term is computed
+//! once ([`SweepStats`] records points, cache hits and wall time).
 //! Serial trace-walking references ([`phase1_reference`],
 //! [`exhaustive::exhaustive_uniform_reference`]) are kept for equivalence
 //! tests and speedup baselines.
@@ -62,7 +61,6 @@ pub use phase2::{phase2, phase2_with_stats, vsa_span_of_layer, Phase2Outcome};
 
 use nsflow_arch::{analytical, ArrayConfig, Mapping};
 use nsflow_graph::DataflowGraph;
-use nsflow_tensor::par;
 
 /// Options controlling the exploration.
 ///
@@ -94,11 +92,6 @@ pub struct DseOptions {
     pub iter_max: usize,
     /// SIMD lanes assumed while evaluating timings.
     pub simd_lanes: usize,
-    /// Worker threads for the sweeps: `None` picks the host's available
-    /// parallelism, `Some(1)` forces a serial run. Results are
-    /// bit-identical at any thread count — parallelism only changes wall
-    /// time (see [`SweepStats`]).
-    pub threads: Option<usize>,
 }
 
 impl Default for DseOptions {
@@ -111,7 +104,6 @@ impl Default for DseOptions {
             max_subarrays: 16,
             iter_max: 16,
             simd_lanes: 64,
-            threads: None,
         }
     }
 }
@@ -128,17 +120,6 @@ impl DseOptions {
             v
         };
         (norm(&self.heights), norm(&self.widths))
-    }
-
-    /// Resolves [`DseOptions::threads`] against the host: explicit value
-    /// if set (minimum 1), otherwise the workspace default
-    /// ([`par::available_threads`], which honors `NSFLOW_THREADS`).
-    #[must_use]
-    pub fn effective_threads(&self) -> usize {
-        match self.threads {
-            Some(t) => t.max(1),
-            None => par::available_threads(),
-        }
     }
 }
 

@@ -5,8 +5,8 @@
 //!
 //! - [`phase1`] — the production path: per-`(H, W)` cycle tables from the
 //!   [`crate::EvalEngine`] make each `(N̄_l)` split an O(1) lookup, and
-//!   the `(H, W)` pairs are swept on worker threads with deterministic
-//!   first-minimum-wins reduction,
+//!   the `(H, W)` pairs are reduced with first-minimum-wins
+//!   tie-breaking,
 //! - [`phase1_reference`] — the serial reference that re-walks the trace
 //!   via [`analytical::loop_timing`] for every point, kept as the
 //!   ground truth the equivalence tests compare against.
@@ -20,9 +20,7 @@ use std::time::Instant;
 use nsflow_arch::{analytical, ArrayConfig, Mapping};
 use nsflow_graph::DataflowGraph;
 
-use crate::eval::{
-    parallel_map, record_chunk_utilization, record_sweep_stats, EvalEngine, SweepStats,
-};
+use crate::eval::{record_sweep_stats, EvalEngine, SweepStats};
 use crate::DseOptions;
 use nsflow_telemetry as telemetry;
 
@@ -146,8 +144,7 @@ fn materialize(
 /// Workloads with no NN nodes or no VSA nodes skip the split sweep and
 /// use sequential mode directly (there is nothing to run concurrently).
 ///
-/// Candidate timings come from memoized cycle tables (one per `(H, W)`)
-/// and the pair sweep runs on [`DseOptions::threads`] worker threads;
+/// Candidate timings come from memoized cycle tables (one per `(H, W)`);
 /// results are bit-identical to [`phase1_reference`].
 ///
 /// # Panics
@@ -162,44 +159,44 @@ pub fn phase1(graph: &DataflowGraph, options: &DseOptions) -> Phase1Result {
     let vsa_count = trace.vsa_nodes().len();
     let engine = EvalEngine::new(graph, options.simd_lanes);
     let pairs = pruned_pairs(options);
-    let threads = options.effective_threads();
-    record_chunk_utilization(pairs.len(), threads);
 
-    let outcomes = parallel_map(&pairs, threads, |&(h, w, n)| {
-        let table = engine.build_table(h, w, n);
-        let mut best: Option<Candidate> = None;
-        let mut points = 0usize;
-        if nn_count > 0 && vsa_count > 0 && n >= 2 {
-            for nl in 1..n {
-                let t = table.uniform_timing(nl, n - nl).t_loop;
-                points += 1;
-                if best.is_none_or(|b| t < b.t_loop) {
-                    best = Some(Candidate {
-                        t_loop: t,
-                        h,
-                        w,
-                        n,
-                        split: Some(nl),
-                    });
+    let outcomes: Vec<PairOutcome> = pairs
+        .iter()
+        .map(|&(h, w, n)| {
+            let table = engine.build_table(h, w, n);
+            let mut best: Option<Candidate> = None;
+            let mut points = 0usize;
+            if nn_count > 0 && vsa_count > 0 && n >= 2 {
+                for nl in 1..n {
+                    let t = table.uniform_timing(nl, n - nl).t_loop;
+                    points += 1;
+                    if best.is_none_or(|b| t < b.t_loop) {
+                        best = Some(Candidate {
+                            t_loop: t,
+                            h,
+                            w,
+                            n,
+                            split: Some(nl),
+                        });
+                    }
                 }
             }
-        }
-        let t = table.sequential_timing(n).t_loop;
-        points += 1;
-        if best.is_none_or(|b| t < b.t_loop) {
-            best = Some(Candidate {
-                t_loop: t,
-                h,
-                w,
-                n,
-                split: None,
-            });
-        }
-        PairOutcome { best, points }
-    });
+            let t = table.sequential_timing(n).t_loop;
+            points += 1;
+            if best.is_none_or(|b| t < b.t_loop) {
+                best = Some(Candidate {
+                    t_loop: t,
+                    h,
+                    w,
+                    n,
+                    split: None,
+                });
+            }
+            PairOutcome { best, points }
+        })
+        .collect();
 
     let (best, points, mut stats) = reduce_outcomes(&outcomes);
-    stats.threads = threads;
     stats.wall = start.elapsed();
     record_sweep_stats(&stats);
     let c = best.expect("at least one candidate configuration must fit the PE budget");
@@ -208,7 +205,7 @@ pub fn phase1(graph: &DataflowGraph, options: &DseOptions) -> Phase1Result {
 
 /// The serial reference implementation of Phase I: identical candidate
 /// order and tie-breaking, but every point re-walks the trace through
-/// [`analytical::loop_timing`] with no memoization and no threads. Kept
+/// [`analytical::loop_timing`] with no memoization. Kept
 /// as the ground truth for the equivalence tests and the
 /// `dse_throughput` speedup baseline.
 ///
@@ -274,7 +271,6 @@ pub fn phase1_reference(graph: &DataflowGraph, options: &DseOptions) -> Phase1Re
     result.points_evaluated = points;
     result.stats = SweepStats {
         points_evaluated: points,
-        threads: 1,
         wall: start.elapsed(),
         ..SweepStats::default()
     };
@@ -406,18 +402,13 @@ mod tests {
     #[test]
     fn engine_path_matches_reference_bit_for_bit() {
         let g = graph();
-        for threads in [Some(1), Some(4), None] {
-            let opts = DseOptions {
-                threads,
-                ..DseOptions::default()
-            };
-            let fast = phase1(&g, &opts);
-            let slow = phase1_reference(&g, &opts);
-            assert_eq!(fast.config, slow.config);
-            assert_eq!(fast.mapping, slow.mapping);
-            assert_eq!(fast.timing, slow.timing);
-            assert_eq!(fast.points_evaluated, slow.points_evaluated);
-        }
+        let opts = DseOptions::default();
+        let fast = phase1(&g, &opts);
+        let slow = phase1_reference(&g, &opts);
+        assert_eq!(fast.config, slow.config);
+        assert_eq!(fast.mapping, slow.mapping);
+        assert_eq!(fast.timing, slow.timing);
+        assert_eq!(fast.points_evaluated, slow.points_evaluated);
     }
 
     #[test]

@@ -6,12 +6,10 @@
 //! graph), then shifts one sub-array between the layer and its span
 //! toward whichever side is the sweep-start bottleneck. All of a sweep's
 //! candidates are evaluated against the same snapshot (steepest-descent /
-//! Jacobi form), which makes them independent: the engine scores them in
-//! parallel through per-node cycle-table lookups, and the best strictly
-//! improving candidate (lowest loop time, ties to the lowest layer index)
-//! is applied before the next sweep. Evaluation order never affects the
-//! outcome, so threaded and serial runs are bit-identical. Search
-//! granularity is one NN layer (VSA kernels being smaller and more
+//! Jacobi form): the engine scores them through per-node cycle-table
+//! lookups, and the best strictly improving candidate (lowest loop time,
+//! ties to the lowest layer index) is applied before the next sweep.
+//! Search granularity is one NN layer (VSA kernels being smaller and more
 //! malleable, per the paper).
 
 use std::time::Instant;
@@ -19,7 +17,7 @@ use std::time::Instant;
 use nsflow_arch::{ArrayConfig, Mapping};
 use nsflow_graph::DataflowGraph;
 
-use crate::eval::{parallel_map, record_sweep_stats, EvalEngine, SweepStats};
+use crate::eval::{record_sweep_stats, EvalEngine, SweepStats};
 use crate::DseOptions;
 use nsflow_telemetry as telemetry;
 
@@ -103,7 +101,6 @@ pub fn phase2_with_stats(
     let vsa_count = trace.vsa_nodes().len();
     let nn_count = start.n_l.len();
     let n = config.n_subarrays();
-    let threads = options.effective_threads();
 
     // One table serves the whole refinement; spans never change across
     // sweeps, so hoist them too.
@@ -115,7 +112,6 @@ pub fn phase2_with_stats(
 
     let mut stats = SweepStats {
         tables_built: 1,
-        threads,
         ..SweepStats::default()
     };
     let mut current = start.clone();
@@ -176,10 +172,11 @@ pub fn phase2_with_stats(
             break;
         }
 
-        // Score every candidate against the same snapshot — independent
-        // work, safe to fan out; input-order results keep the argmin
-        // deterministic.
-        let times = parallel_map(&candidates, threads, |m| table.mapping_timing(m).t_loop);
+        // Score every candidate against the same snapshot.
+        let times: Vec<u64> = candidates
+            .iter()
+            .map(|m| table.mapping_timing(m).t_loop)
+            .collect();
         stats.points_evaluated += times.len();
         stats.cache_hits += times.len();
 
@@ -325,34 +322,6 @@ mod tests {
         let (out, _) = phase2(&g, &cfg, &start, &DseOptions::default());
         assert!(out.n_l.iter().all(|&x| x >= 1));
         assert!(out.n_v.iter().all(|&x| x >= 1));
-    }
-
-    #[test]
-    fn threaded_and_serial_refinement_agree() {
-        let g = lopsided_graph();
-        let cfg = ArrayConfig::new(16, 16, 8).unwrap();
-        let start = Mapping::uniform(2, 2, 4, 4);
-        let serial = phase2(
-            &g,
-            &cfg,
-            &start,
-            &DseOptions {
-                threads: Some(1),
-                ..DseOptions::default()
-            },
-        );
-        for threads in [Some(2), Some(7), None] {
-            let par = phase2(
-                &g,
-                &cfg,
-                &start,
-                &DseOptions {
-                    threads,
-                    ..DseOptions::default()
-                },
-            );
-            assert_eq!(par, serial, "threads={threads:?}");
-        }
     }
 
     #[test]

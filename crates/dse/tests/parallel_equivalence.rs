@@ -1,5 +1,5 @@
 //! Equivalence properties for the DSE evaluation engine: on random small
-//! graphs and option sets, the memoized + threaded search paths return
+//! graphs and option sets, the memoized search paths return
 //! exactly the same `(config, mapping, t_loop, points)` as the serial
 //! trace-walking references, and the two-phase `explore` never falls
 //! behind the exhaustive-uniform optimum. Each property runs over seeds
@@ -102,34 +102,20 @@ fn options(rng: &mut StdRng) -> DseOptions {
     }
 }
 
-/// One random case: the graph (at `loops`, or a drawn loop count) and
-/// the option set.
-fn case(seed: u64, loops: Option<usize>) -> (DataflowGraph, DseOptions) {
+/// One random case: the graph (at a drawn loop count) and the option set.
+fn case(seed: u64) -> (DataflowGraph, DseOptions) {
     let rng = &mut StdRng::seed_from_u64(seed);
     let (nn, vsa) = (nn_spec(rng), vsa_spec(rng));
-    let loops = loops.unwrap_or_else(|| rng.gen_range(1..=4));
+    let loops = rng.gen_range(1..=4);
     (build_graph(&nn, &vsa, loops), options(rng))
 }
 
 #[test]
-fn phase1_parallel_equals_serial_reference() {
+fn phase1_engine_equals_serial_reference() {
     for seed in 0..CASES {
-        let (g, opts) = case(seed, None);
-        let threads = StdRng::seed_from_u64(!seed).gen_range(2usize..=6);
-        let fast = phase1(
-            &g,
-            &DseOptions {
-                threads: Some(threads),
-                ..opts.clone()
-            },
-        );
-        let slow = phase1_reference(
-            &g,
-            &DseOptions {
-                threads: Some(1),
-                ..opts
-            },
-        );
+        let (g, opts) = case(seed);
+        let fast = phase1(&g, &opts);
+        let slow = phase1_reference(&g, &opts);
         assert_eq!(fast.config, slow.config, "seed {seed}");
         assert_eq!(fast.mapping, slow.mapping, "seed {seed}");
         assert_eq!(fast.timing.t_loop, slow.timing.t_loop, "seed {seed}");
@@ -138,24 +124,11 @@ fn phase1_parallel_equals_serial_reference() {
 }
 
 #[test]
-fn exhaustive_parallel_equals_serial_reference() {
+fn exhaustive_engine_equals_serial_reference() {
     for seed in 0..CASES {
-        let (g, opts) = case(seed, None);
-        let threads = StdRng::seed_from_u64(!seed).gen_range(2usize..=6);
-        let fast = exhaustive_uniform(
-            &g,
-            &DseOptions {
-                threads: Some(threads),
-                ..opts.clone()
-            },
-        );
-        let slow = exhaustive_uniform_reference(
-            &g,
-            &DseOptions {
-                threads: Some(1),
-                ..opts
-            },
-        );
+        let (g, opts) = case(seed);
+        let fast = exhaustive_uniform(&g, &opts);
+        let slow = exhaustive_uniform_reference(&g, &opts);
         assert_eq!(fast.config, slow.config, "seed {seed}");
         assert_eq!(fast.mapping, slow.mapping, "seed {seed}");
         assert_eq!(fast.t_loop, slow.t_loop, "seed {seed}");
@@ -166,7 +139,7 @@ fn exhaustive_parallel_equals_serial_reference() {
 #[test]
 fn explore_stays_at_or_below_exhaustive_uniform_optimum() {
     for seed in 0..CASES {
-        let (g, opts) = case(seed, None);
+        let (g, opts) = case(seed);
         let ex = exhaustive_uniform(&g, &opts);
         let two_phase = explore(&g, &opts);
         assert!(
@@ -175,31 +148,5 @@ fn explore_stays_at_or_below_exhaustive_uniform_optimum() {
             two_phase.timing.t_loop,
             ex.t_loop
         );
-    }
-}
-
-#[test]
-fn thread_count_never_changes_the_explore_result() {
-    for seed in 0..CASES {
-        let (g, opts) = case(seed, Some(2));
-        let serial = explore(
-            &g,
-            &DseOptions {
-                threads: Some(1),
-                ..opts.clone()
-            },
-        );
-        let par = explore(
-            &g,
-            &DseOptions {
-                threads: Some(5),
-                ..opts
-            },
-        );
-        assert_eq!(serial.config, par.config, "seed {seed}");
-        assert_eq!(serial.mapping, par.mapping, "seed {seed}");
-        assert_eq!(serial.timing, par.timing, "seed {seed}");
-        assert_eq!(serial.phase1_points, par.phase1_points, "seed {seed}");
-        assert_eq!(serial.phase2_sweeps, par.phase2_sweeps, "seed {seed}");
     }
 }

@@ -7,16 +7,10 @@
 //! algebra against real data movement and (b) drive the quantized
 //! reasoning-accuracy experiments with genuine NN arithmetic.
 //!
-//! The engine kernels are bit-identical to the reference GEMM oracles at
-//! every thread count, so [`forward`] (which runs with
-//! [`KernelOptions::default`]) and [`forward_with`] produce the same
-//! tensors regardless of the `threads` knob.
-//!
 //! Weights are owned by [`Parameters`], generated deterministically from a
 //! seed so every experiment is reproducible.
 
 use nsflow_telemetry as telemetry;
-use nsflow_tensor::par::KernelOptions;
 use nsflow_tensor::rng::StdRng;
 use nsflow_tensor::{Shape, Tensor};
 
@@ -124,22 +118,6 @@ fn gaussianish(n: usize, std: f32, rng: &mut StdRng) -> Vec<f32> {
 /// Returns [`NnError::ShapeMismatch`] if `input` differs from the model's
 /// declared input shape, and propagates per-layer shape errors.
 pub fn forward(model: &Model, params: &Parameters, input: &Tensor) -> Result<Tensor> {
-    forward_with(model, params, input, &KernelOptions::default())
-}
-
-/// Runs a full forward pass with an explicit kernel-engine configuration
-/// (thread count). The result is independent of `options.threads`.
-///
-/// # Errors
-///
-/// Returns [`NnError::ShapeMismatch`] if `input` differs from the model's
-/// declared input shape, and propagates per-layer shape errors.
-pub fn forward_with(
-    model: &Model,
-    params: &Parameters,
-    input: &Tensor,
-    options: &KernelOptions,
-) -> Result<Tensor> {
     let _span = telemetry::span!("nn.forward");
     if input.shape() != model.input_shape() {
         return Err(NnError::ShapeMismatch {
@@ -151,14 +129,7 @@ pub fn forward_with(
     let mut x = input.clone();
     for (i, layer) in model.layers().iter().enumerate() {
         telemetry::counter!("nn.layers_executed").incr();
-        x = forward_layer(
-            layer.kind(),
-            &x,
-            params.weight(i),
-            params.bias(i),
-            layer,
-            options,
-        )?;
+        x = forward_layer(layer.kind(), &x, params.weight(i), params.bias(i), layer)?;
     }
     Ok(x)
 }
@@ -169,7 +140,6 @@ fn forward_layer(
     w: &[f32],
     b: &[f32],
     layer: &crate::LayerSpec,
-    options: &KernelOptions,
 ) -> Result<Tensor> {
     let out_shape = layer.output_shape(x.shape())?;
     match kind {
@@ -180,7 +150,7 @@ fn forward_layer(
             stride,
             padding,
         } => conv2d(
-            x, w, b, *in_ch, *out_ch, *kernel, *stride, *padding, &out_shape, options,
+            x, w, b, *in_ch, *out_ch, *kernel, *stride, *padding, &out_shape,
         ),
         LayerKind::Linear {
             in_features,
@@ -190,7 +160,7 @@ fn forward_layer(
             let mut out = Vec::with_capacity(batch * out_features);
             for bi in 0..batch {
                 let row = &x.data()[bi * in_features..(bi + 1) * in_features];
-                let y = gemm::matvec_fast(w, row, *out_features, *in_features, options);
+                let y = gemm::matvec(w, row, *out_features, *in_features);
                 out.extend(y.iter().zip(b).map(|(v, bias)| v + bias));
             }
             Ok(Tensor::from_vec(out_shape, out).expect("volume matches by construction"))
@@ -213,7 +183,6 @@ fn conv2d(
     stride: usize,
     padding: usize,
     out_shape: &Shape,
-    options: &KernelOptions,
 ) -> Result<Tensor> {
     let d = x.shape().dims();
     let (batch, h, width) = (d[0], d[2], d[3]);
@@ -257,7 +226,7 @@ fn conv2d(
                 wt[p * out_ch + oc] = w[oc * patch_len + p];
             }
         }
-        let y = gemm::matmul_fast(&cols, &wt, oh * ow, patch_len, out_ch, options);
+        let y = gemm::matmul_fast(&cols, &wt, oh * ow, patch_len, out_ch);
         // Scatter back to NCHW, adding bias.
         for oc in 0..out_ch {
             for pix in 0..oh * ow {

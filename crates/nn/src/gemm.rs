@@ -6,29 +6,22 @@
 //! cross-check the systolic microsimulator's outputs against them. They
 //! are kept verbatim as the cross-check oracles for the fast path.
 //!
-//! [`matmul_fast`]/[`matvec_fast`] are the engine kernels: cache-tiled
-//! over the reduction dimension (one `K_TILE × n` panel of `B` stays hot
-//! across a whole row block of `A`) and thread-parallel over contiguous
-//! row blocks of `C` via [`nsflow_tensor::par`]. Each output element is
-//! owned by exactly one worker and accumulated in the same `p = 0..k`
-//! order as the reference, so the fast kernels are **bit-identical** to
-//! the oracles at every thread count — the property the seeded tests in
-//! `crates/nn/tests/gemm_equivalence.rs` pin down.
+//! [`matmul_fast`] is the engine kernel: cache-tiled over the reduction
+//! dimension (one `K_TILE × n` panel of `B` stays hot across the rows of
+//! `A`). Each output element is accumulated in the same `p = 0..k` order
+//! as the reference, so it is **bit-identical** to the oracle — the
+//! property the seeded tests in `crates/nn/tests/gemm_equivalence.rs` pin
+//! down.
 
 use nsflow_telemetry as telemetry;
-use nsflow_tensor::par::KernelOptions;
 
 /// Reduction-dimension tile of the blocked kernel: `K_TILE` rows of `B`
-/// (a `K_TILE × n` panel) are streamed against a block of `A` rows before
-/// moving on, which keeps the panel in cache across the row block.
+/// (a `K_TILE × n` panel) are streamed against every row of `A` before
+/// moving on, which keeps the panel in cache across the rows.
 /// Tiling the reduction loop does not change the per-element accumulation
 /// order — tiles are visited in ascending `p` order and partial sums land
 /// directly in `C` — so blocking preserves bit-exactness.
 const K_TILE: usize = 256;
-
-/// Below this many multiply-accumulates the thread-spawn overhead
-/// outweighs any speedup; the fast kernels short-circuit to one worker.
-const PAR_THRESHOLD_FLOPS: usize = 1 << 16;
 
 /// `C = A·B` for row-major `A (m×k)`, `B (k×n)`, producing row-major
 /// `C (m×n)`.
@@ -81,27 +74,18 @@ pub fn matvec(a: &[f32], x: &[f32], m: usize, k: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Blocked, thread-parallel `C = A·B` — bit-identical to [`matmul`].
+/// Blocked `C = A·B` — bit-identical to [`matmul`].
 ///
-/// Workers own contiguous row blocks of `C`; within a block the reduction
-/// dimension is tiled by `K_TILE` so the active `B` panel stays cached.
-/// Every `C[i][j]` receives its `a[i][p]·b[p][j]` contributions in the
-/// same ascending-`p` order as the reference (including the reference's
-/// skip of zero `a` entries), so the result does not depend on
-/// `options.threads`.
+/// The reduction dimension is tiled by `K_TILE` so the active `B` panel
+/// stays cached across the rows of `A`. Every `C[i][j]` receives its
+/// `a[i][p]·b[p][j]` contributions in the same ascending-`p` order as the
+/// reference (including the reference's skip of zero `a` entries).
 ///
 /// # Panics
 ///
 /// Panics if slice lengths disagree with the given dimensions.
 #[must_use]
-pub fn matmul_fast(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    options: &KernelOptions,
-) -> Vec<f32> {
+pub fn matmul_fast(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     assert_eq!(a.len(), m * k, "A must be m×k");
     assert_eq!(b.len(), k * n, "B must be k×n");
     telemetry::counter!("nn.gemm_fast_calls").incr();
@@ -110,87 +94,23 @@ pub fn matmul_fast(
     if m == 0 || n == 0 {
         return c;
     }
-    let threads = if m * k * n < PAR_THRESHOLD_FLOPS {
-        1
-    } else {
-        options.resolve()
-    };
-    // Split C into disjoint contiguous row blocks up front; each worker
-    // receives exclusive ownership of its block, so no synchronization
-    // (and no unsafe) is needed.
-    let chunk_rows = m.div_ceil(threads.clamp(1, m));
-    let worker = |row0: usize, c_block: &mut [f32]| {
-        let rows = c_block.len() / n;
-        for p0 in (0..k).step_by(K_TILE) {
-            let p1 = (p0 + K_TILE).min(k);
-            for i in 0..rows {
-                let ai = (row0 + i) * k;
-                let c_row = &mut c_block[i * n..(i + 1) * n];
-                for p in p0..p1 {
-                    let aip = a[ai + p];
-                    if aip == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b[p * n..(p + 1) * n];
-                    for (cv, bv) in c_row.iter_mut().zip(b_row) {
-                        *cv += aip * bv;
-                    }
+    for p0 in (0..k).step_by(K_TILE) {
+        let p1 = (p0 + K_TILE).min(k);
+        for (i, c_row) in c.chunks_exact_mut(n).enumerate() {
+            let ai = i * k;
+            for p in p0..p1 {
+                let aip = a[ai + p];
+                if aip == 0.0 {
+                    continue;
+                }
+                let b_row = &b[p * n..(p + 1) * n];
+                for (cv, bv) in c_row.iter_mut().zip(b_row) {
+                    *cv += aip * bv;
                 }
             }
         }
-    };
-    if threads <= 1 || chunk_rows >= m {
-        worker(0, &mut c);
-    } else {
-        let worker = &worker;
-        std::thread::scope(|s| {
-            for (bi, c_block) in c.chunks_mut(chunk_rows * n).enumerate() {
-                s.spawn(move || worker(bi * chunk_rows, c_block));
-            }
-        });
     }
     c
-}
-
-/// Thread-parallel `y = A·x` — bit-identical to [`matvec`].
-///
-/// Rows are distributed over workers in contiguous blocks; each row's dot
-/// product folds in the same left-to-right order as the reference.
-///
-/// # Panics
-///
-/// Panics if slice lengths disagree with the given dimensions.
-#[must_use]
-pub fn matvec_fast(a: &[f32], x: &[f32], m: usize, k: usize, options: &KernelOptions) -> Vec<f32> {
-    assert_eq!(a.len(), m * k, "A must be m×k");
-    assert_eq!(x.len(), k, "x must have length k");
-    let threads = if m * k < PAR_THRESHOLD_FLOPS {
-        1
-    } else {
-        options.resolve()
-    };
-    if threads <= 1 {
-        // Small problem: the reference kernel runs (and is counted under
-        // the `nn.*_reference` lanes — those record what executed).
-        return matvec(a, x, m, k);
-    }
-    telemetry::counter!("nn.gemm_fast_calls").incr();
-    telemetry::counter!("nn.flops_fast").add(2 * (m as u64) * (k as u64));
-    let mut y = vec![0.0f32; m];
-    let out = &mut y[..];
-    let chunk = m.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (bi, y_block) in out.chunks_mut(chunk).enumerate() {
-            s.spawn(move || {
-                let row0 = bi * chunk;
-                for (i, slot) in y_block.iter_mut().enumerate() {
-                    let row = &a[(row0 + i) * k..(row0 + i + 1) * k];
-                    *slot = row.iter().zip(x).map(|(av, xv)| av * xv).sum();
-                }
-            });
-        }
-    });
-    y
 }
 
 #[cfg(test)]

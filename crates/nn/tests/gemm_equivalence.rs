@@ -1,13 +1,12 @@
-//! Equivalence properties for the blocked/parallel GEMM engine: on random
-//! shapes and data — including degenerate zero dimensions and entries the
-//! reference's zero-skip branch sees — `matmul_fast`/`matvec_fast` return
-//! **bit-identical** output to the reference oracles at every thread
-//! count. Exactness (not tolerance) is the contract: the fast kernels
-//! reorder nothing, they only tile and partition. Each random property
-//! runs over seeds `0..CASES`; a failure names its seed.
+//! Equivalence properties for the blocked GEMM engine: on random shapes
+//! and data — including degenerate zero dimensions and entries the
+//! reference's zero-skip branch sees — `matmul_fast` returns
+//! **bit-identical** output to the reference oracle. Exactness (not
+//! tolerance) is the contract: the fast kernel reorders nothing, it only
+//! tiles. Each random property runs over seeds `0..CASES`; a failure
+//! names its seed.
 
-use nsflow_nn::gemm::{matmul, matmul_fast, matvec, matvec_fast};
-use nsflow_tensor::par::KernelOptions;
+use nsflow_nn::gemm::{matmul, matmul_fast, matvec};
 use nsflow_tensor::rng::StdRng;
 
 /// Cases per property.
@@ -38,30 +37,14 @@ fn matmul_fast_matches_reference() {
             rng.gen_range(0usize..20),
             rng.gen_range(0usize..20),
         );
-        let threads = rng.gen_range(1usize..6);
         let (a, b) = (matrix(rng, m * k), matrix(rng, k * n));
         let expected = matmul(&a, &b, m, k, n);
-        let opts = KernelOptions::with_threads(threads);
-        assert_eq!(matmul_fast(&a, &b, m, k, n, &opts), expected, "seed {seed}");
-    }
-}
-
-#[test]
-fn matvec_fast_matches_reference() {
-    for seed in 0..CASES {
-        let rng = &mut StdRng::seed_from_u64(seed);
-        let (m, k) = (rng.gen_range(0usize..40), rng.gen_range(0usize..40));
-        let threads = rng.gen_range(1usize..6);
-        let (a, x) = (matrix(rng, m * k), matrix(rng, k));
-        let expected = matvec(&a, &x, m, k);
-        let opts = KernelOptions::with_threads(threads);
-        assert_eq!(matvec_fast(&a, &x, m, k, &opts), expected, "seed {seed}");
+        assert_eq!(matmul_fast(&a, &b, m, k, n), expected, "seed {seed}");
     }
 }
 
 /// Deterministic pseudo-random data for the large-shape cases the random
-/// ranges above do not reach: sizes that cross the parallel threshold and
-/// the `K_TILE` boundary.
+/// ranges above do not reach: sizes that cross the `K_TILE` boundary.
 fn lcg_data(len: usize, seed: u64) -> Vec<f32> {
     let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
     (0..len)
@@ -81,73 +64,25 @@ fn lcg_data(len: usize, seed: u64) -> Vec<f32> {
 }
 
 #[test]
-fn matmul_fast_exact_above_parallel_threshold_and_k_tile() {
-    // 96×300×64: crosses PAR_THRESHOLD_FLOPS (2^16) and the K_TILE = 256
-    // boundary, so both the tiled reduction and the threaded row split run.
+fn matmul_fast_exact_across_k_tile() {
+    // 96×300×64 crosses the K_TILE = 256 boundary, so the tiled reduction
+    // visits two panels per output row.
     let (m, k, n) = (96usize, 300usize, 64usize);
     let a = lcg_data(m * k, 7);
     let b = lcg_data(k * n, 8);
-    let expected = matmul(&a, &b, m, k, n);
-    for threads in [1usize, 2, 3, 5, 16] {
-        let opts = KernelOptions::with_threads(threads);
-        assert_eq!(
-            matmul_fast(&a, &b, m, k, n, &opts),
-            expected,
-            "threads={threads}"
-        );
-    }
-    assert_eq!(
-        matmul_fast(&a, &b, m, k, n, &KernelOptions::auto()),
-        expected
-    );
-}
-
-#[test]
-fn matvec_fast_exact_above_parallel_threshold() {
-    let (m, k) = (512usize, 256usize);
-    let a = lcg_data(m * k, 9);
-    let x = lcg_data(k, 10);
-    let expected = matvec(&a, &x, m, k);
-    for threads in [1usize, 2, 7, 32] {
-        let opts = KernelOptions::with_threads(threads);
-        assert_eq!(
-            matvec_fast(&a, &x, m, k, &opts),
-            expected,
-            "threads={threads}"
-        );
-    }
+    assert_eq!(matmul_fast(&a, &b, m, k, n), matmul(&a, &b, m, k, n));
 }
 
 #[test]
 fn degenerate_dimensions_are_exact() {
-    let opts = KernelOptions::with_threads(4);
     // m = 0: empty output.
-    assert_eq!(
-        matmul_fast(&[], &[1.0, 2.0], 0, 1, 2, &opts),
-        Vec::<f32>::new()
-    );
+    assert_eq!(matmul_fast(&[], &[1.0, 2.0], 0, 1, 2), Vec::<f32>::new());
     // k = 0: all-zero m×n output (no accumulation happens).
-    assert_eq!(matmul_fast(&[], &[], 3, 0, 2, &opts), vec![0.0; 6]);
+    assert_eq!(matmul_fast(&[], &[], 3, 0, 2), vec![0.0; 6]);
     assert_eq!(matmul(&[], &[], 3, 0, 2), vec![0.0; 6]);
     // n = 0: empty output.
-    assert_eq!(
-        matmul_fast(&[1.0, 2.0], &[], 2, 1, 0, &opts),
-        Vec::<f32>::new()
-    );
+    assert_eq!(matmul_fast(&[1.0, 2.0], &[], 2, 1, 0), Vec::<f32>::new());
     // matvec with m = 0 and k = 0.
-    assert_eq!(matvec_fast(&[], &[1.0], 0, 1, &opts), Vec::<f32>::new());
-    assert_eq!(matvec_fast(&[], &[], 2, 0, &opts), vec![0.0; 2]);
+    assert_eq!(matvec(&[], &[1.0], 0, 1), Vec::<f32>::new());
     assert_eq!(matvec(&[], &[], 2, 0), vec![0.0; 2]);
-}
-
-#[test]
-fn more_threads_than_rows_is_exact() {
-    let (m, k, n) = (3usize, 40usize, 40usize);
-    let a = lcg_data(m * k, 11);
-    let b = lcg_data(k * n, 12);
-    let expected = matmul(&a, &b, m, k, n);
-    assert_eq!(
-        matmul_fast(&a, &b, m, k, n, &KernelOptions::with_threads(64)),
-        expected
-    );
 }

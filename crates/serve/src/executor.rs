@@ -49,8 +49,9 @@ fn request_rng(kind: WorkloadKind, seed: u64) -> StdRng {
 /// Executor configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutorConfig {
-    /// Kernel-engine threading for the VSA pipelines. Results are
-    /// identical at every thread count.
+    /// How many of a batch's requests [`Executor::execute_batch`] runs at
+    /// once, one request per thread. Each request itself runs on one
+    /// thread, so answers are identical at every setting.
     pub kernels: KernelOptions,
     /// Elements per block for the serving reasoners. The serving
     /// default (32) halves the pipelines' footprint relative to the
@@ -75,7 +76,7 @@ impl Default for ExecutorConfig {
 }
 
 impl ExecutorConfig {
-    /// Serial-kernel variant (single-thread determinism cell).
+    /// Variant that runs a batch's requests one after another.
     #[must_use]
     pub fn serial() -> Self {
         ExecutorConfig {
@@ -103,7 +104,7 @@ impl Executor {
         let nvsa_params = Suite::RavenLike.task_params();
         let nvsa_cfg = nsflow_workloads::reasoning::PipelineConfig {
             block_dim: config.block_dim,
-            ..Suite::RavenLike.pipeline_config_with_kernels(config.kernels)
+            ..Suite::RavenLike.pipeline_config()
         };
         let nvsa = VsaReasoner::new(
             nvsa_params.attributes,
@@ -115,7 +116,7 @@ impl Executor {
         let prae_params = Suite::PgmLike.task_params();
         let prae_cfg = nsflow_workloads::reasoning::PipelineConfig {
             block_dim: config.block_dim,
-            ..Suite::PgmLike.pipeline_config_with_kernels(config.kernels)
+            ..Suite::PgmLike.pipeline_config()
         };
         let prae = VsaReasoner::new(
             prae_params.attributes,
@@ -190,10 +191,11 @@ impl Executor {
     /// Executes every request in a batch and returns the answers in
     /// input order.
     ///
-    /// Requests fan out across the kernel engine's thread pool
-    /// ([`nsflow_tensor::par::parallel_map`]); answers come back in
-    /// input order and are identical at every thread count, so batching
-    /// is invisible to clients.
+    /// Requests fan out over up to [`ExecutorConfig::kernels`] threads,
+    /// one request per thread ([`nsflow_tensor::par::parallel_map`]);
+    /// this is the one place the host runs work in parallel. Answers come
+    /// back in input order and are identical at every thread count, so
+    /// batching is invisible to clients.
     #[must_use]
     pub fn execute_batch(&self, requests: &[Request]) -> Vec<u64> {
         let threads = self.config.kernels.resolve().min(requests.len().max(1));
@@ -211,27 +213,30 @@ mod tests {
 
     #[test]
     fn answers_depend_only_on_kind_and_seed() {
+        // Two independently built executors share codebooks (fixed seeds),
+        // so the same request gets the same answer from either.
         let a = Executor::new(ExecutorConfig::default());
-        let b = Executor::new(ExecutorConfig::serial());
+        let b = Executor::new(ExecutorConfig::default());
         for kind in WorkloadKind::all() {
             for seed in [0u64, 1, 42] {
                 let r = req(kind, seed);
-                assert_eq!(
-                    a.execute(&r),
-                    b.execute(&r),
-                    "{kind} seed {seed}: answer must not depend on threading"
-                );
+                assert_eq!(a.execute(&r), b.execute(&r), "{kind} seed {seed}");
             }
         }
     }
 
     #[test]
     fn batch_composition_does_not_change_answers() {
-        let ex = Executor::new(ExecutorConfig::default());
-        let solo: Vec<u64> = (0..4)
-            .map(|s| ex.execute(&req(WorkloadKind::Nvsa, s)))
+        // Four threads whatever the host or `NSFLOW_THREADS` says, so the
+        // batch fan-out really runs in parallel here.
+        let ex = Executor::new(ExecutorConfig {
+            kernels: KernelOptions::with_threads(4),
+            ..ExecutorConfig::default()
+        });
+        let batch: Vec<Request> = (0..8)
+            .map(|s| req(WorkloadKind::all()[s as usize % 4], s))
             .collect();
-        let batch: Vec<Request> = (0..4).map(|s| req(WorkloadKind::Nvsa, s)).collect();
+        let solo: Vec<u64> = batch.iter().map(|r| ex.execute(r)).collect();
         assert_eq!(solo, ex.execute_batch(&batch));
     }
 }

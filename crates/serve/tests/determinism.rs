@@ -1,10 +1,10 @@
 //! Serving determinism: answers are a function of `(kind, seed)` only —
-//! independent of batch size, worker count, kernel threads, and arrival
-//! order — and the virtual-time simulation is bit-reproducible.
+//! independent of batch size, worker count, batch fan-out threads, and
+//! arrival order — and the virtual-time simulation is bit-reproducible.
 //!
 //! The CI determinism cell reruns this file with `NSFLOW_THREADS=1` to
-//! pin every auto-sized pool to one thread; every assertion must hold
-//! unchanged there.
+//! pin the auto-sized batch fan-out to one thread; every assertion must
+//! hold unchanged there.
 
 use std::collections::BTreeMap;
 

@@ -309,13 +309,16 @@ fn write_float(out: &mut String, v: f64) {
         out.push_str("null");
         return;
     }
+    // An integral value must carry a decimal point or an exponent so it
+    // re-parses into the float lane instead of collapsing into an
+    // integer; from 1e15 up the exponent form is the shorter of the two.
     // Writing to a `String` cannot fail.
-    let _ = if v.fract() == 0.0 && v.abs() < 1e15 {
-        // Force a decimal point so the value re-parses into the float
-        // lane instead of collapsing into an integer.
+    let _ = if v.fract() != 0.0 {
+        write!(out, "{v}")
+    } else if v.abs() < 1e15 {
         write!(out, "{v:.1}")
     } else {
-        write!(out, "{v}")
+        write!(out, "{v:e}")
     };
 }
 
@@ -719,7 +722,18 @@ mod tests {
 
     #[test]
     fn float_rendering_survives_round_trip() {
-        for v in [0.5, -2.25, 3.0, 1e300, 6.02e23, -0.125] {
+        for v in [
+            0.5,
+            -2.25,
+            3.0,
+            1e300,
+            6.02e23,
+            -0.125,
+            1e15,
+            9007199254740992.0,
+            -1e16,
+            1.8e19,
+        ] {
             let rendered = JsonValue::Float(v).render_compact();
             match JsonValue::parse(&rendered).unwrap() {
                 JsonValue::Float(back) => assert_eq!(back, v, "{rendered}"),

@@ -14,9 +14,9 @@
 //! - [`quant`]: symmetric fixed-point quantization and software FP16
 //!   emulation, used both functionally (fake-quantized execution for the
 //!   reasoning-accuracy harness) and for storage sizing,
-//! - [`par`]: the deterministic input-order-chunked thread pool and the
-//!   [`par::KernelOptions`] threads knob shared by the DSE sweeps, the
-//!   blocked GEMM kernels and the spectral VSA engine,
+//! - [`par`]: the input-order-chunked [`par::parallel_map`] and its
+//!   [`par::KernelOptions`] threads knob, which size the serving
+//!   executor's request-level batch fan-out,
 //! - [`rng`]: the workspace's one seeded random-number generator.
 //!
 //! # Examples

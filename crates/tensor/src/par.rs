@@ -1,30 +1,23 @@
-//! Deterministic thread-parallel mapping shared by every software kernel.
+//! Request-level thread fan-out for the serving executor.
 //!
-//! PR 1 buried a deterministic `std::thread::scope` pool inside
-//! `nsflow-dse::eval`; the functional kernel engine (blocked GEMM in
-//! `nsflow-nn`, the spectral VSA engine in `nsflow-vsa`, the workload
-//! pipelines) needs the same primitive, so it lives here in the base crate
-//! and is re-exported as `nsflow_core::par`.
+//! NSFlow's parallelism belongs to the modelled hardware (AdArray
+//! sub-arrays, NN/VSA partitions); the host-side kernels and DSE sweeps
+//! run on one thread. The one host lane that fans out is
+//! `Executor::execute_batch` in `nsflow-serve`, which runs a batch's
+//! independent requests through [`parallel_map`]. [`KernelOptions`] sizes
+//! that fan-out and nothing else.
 //!
 //! # Determinism contract
 //!
 //! [`parallel_map`] splits the work list into **contiguous chunks in input
-//! order**, one worker per chunk, and returns results in input order.
-//! Reductions that scan the output with strict-`<` "first minimum wins"
-//! tie-breaking therefore produce bit-identical results to a serial scan,
-//! regardless of thread count — the property the DSE equivalence tests
-//! (`crates/dse/tests/parallel_equivalence.rs`) and the GEMM/VSA kernel
-//! tests pin down. Kernels built on it additionally keep each output
-//! element owned by exactly one worker, so floating-point accumulation
-//! order never depends on the thread count either.
+//! order**, one worker per chunk, and returns results in input order, so
+//! the output is the serial map's output at every thread count.
 
-/// Thread-count knob threaded through the functional kernel engine
-/// (blocked GEMM, the spectral resonator, the workload pipelines).
+/// Thread-count knob for the serving executor's batch fan-out (one
+/// request per worker, at most).
 ///
-/// The knob only changes *wall time*: every kernel taking a
-/// `KernelOptions` partitions outputs so each element is produced by one
-/// worker with a fixed accumulation order, making results independent of
-/// the thread count.
+/// The knob only changes *wall time*: each request runs start to finish
+/// on one worker, so answers do not depend on the thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KernelOptions {
     /// Worker threads; `None` selects the host's available parallelism,
@@ -65,14 +58,12 @@ impl KernelOptions {
     }
 }
 
-/// Name of the environment variable that pins the workspace-wide
-/// default worker count (see [`available_threads`]).
+/// Name of the environment variable that pins the default batch fan-out
+/// width (see [`available_threads`]).
 pub const THREADS_ENV: &str = "NSFLOW_THREADS";
 
-/// The default worker count: the `NSFLOW_THREADS` environment variable
-/// when set to a positive integer (the CI determinism cell exports
-/// `NSFLOW_THREADS=1` to pin every auto-sized pool to one thread),
-/// otherwise the host's available parallelism (1 when it cannot be
+/// The default batch fan-out width: the `NSFLOW_THREADS` environment
+/// variable when set to a positive integer, otherwise the host's available parallelism (1 when it cannot be
 /// queried). Unparseable or zero values are ignored, not errors.
 #[must_use]
 pub fn available_threads() -> usize {
@@ -89,10 +80,8 @@ pub fn available_threads() -> usize {
 }
 
 /// Maps `f` over `items` on up to `threads` OS threads, returning results
-/// **in input order**. Contiguous chunking keeps reductions deterministic:
-/// scanning the output with strict-`<` comparisons visits candidates in
-/// exactly the serial order. `threads <= 1` (or a single item) short-
-/// circuits to a plain serial map with zero threading overhead.
+/// **in input order**, exactly as a serial map would. `threads <= 1` (or
+/// a single item) short-circuits to a plain serial map.
 ///
 /// # Panics
 ///
@@ -122,33 +111,6 @@ where
     })
 }
 
-/// Runs `f` once per contiguous chunk of `0..len`, in parallel, passing
-/// each chunk's half-open index range. This is the "each worker owns a
-/// disjoint slice of the output" building block the blocked GEMM kernels
-/// use: `f` receives `(start, end)` and must only touch outputs in that
-/// range, which makes the result independent of the thread count by
-/// construction.
-pub fn parallel_chunks<F>(len: usize, threads: usize, f: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    let threads = threads.clamp(1, len.max(1));
-    if threads == 1 {
-        f(0, len);
-        return;
-    }
-    let chunk = len.div_ceil(threads);
-    let f = &f;
-    std::thread::scope(|s| {
-        let mut start = 0usize;
-        while start < len {
-            let end = (start + chunk).min(len);
-            s.spawn(move || f(start, end));
-            start = end;
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,24 +133,6 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(parallel_map(&empty, 4, |&x| x).is_empty());
         assert_eq!(parallel_map(&[7u32], 4, |&x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn parallel_chunks_covers_every_index_once() {
-        use std::sync::Mutex;
-        for (len, threads) in [(0usize, 4usize), (1, 4), (10, 3), (64, 8), (7, 16)] {
-            let seen = Mutex::new(vec![0u32; len]);
-            parallel_chunks(len, threads, |start, end| {
-                let mut s = seen.lock().unwrap();
-                for i in start..end {
-                    s[i] += 1;
-                }
-            });
-            assert!(
-                seen.into_inner().unwrap().iter().all(|&c| c == 1),
-                "len={len} t={threads}"
-            );
-        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! `NSFLOW_THREADS` pins the workspace-wide default worker count.
+//! `NSFLOW_THREADS` pins the default width of the serving batch fan-out.
 //!
 //! All assertions live in one `#[test]` because they mutate process-wide
 //! environment state — the default parallel test runner must never

@@ -16,8 +16,6 @@
 //! GEMM reduction lengths are not expressible in the text format; the
 //! emitter returns the [`ModuleRegistry`] needed to re-parse them.
 
-use nsflow_tensor::DType;
-
 use crate::parser::ModuleRegistry;
 use crate::{EltFunc, ExecutionTrace, OpKind, ReduceFunc};
 
@@ -136,18 +134,12 @@ pub fn structural_signature(trace: &ExecutionTrace) -> Vec<(OpKind, usize)> {
         .collect()
 }
 
-/// Does the dtype assignment the parser will produce match the trace's?
-/// (Parsing re-derives dtypes from domains via [`crate::parser::ParsePrecision`].)
-#[must_use]
-pub fn dtype_profile(trace: &ExecutionTrace) -> Vec<DType> {
-    trace.ops().iter().map(|op| op.dtype()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::{parse_trace, ParsePrecision};
     use crate::{Domain, TraceBuilder};
+    use nsflow_tensor::DType;
 
     fn sample() -> ExecutionTrace {
         let mut b = TraceBuilder::new("sample");
@@ -236,13 +228,5 @@ mod tests {
         assert!(text.contains("call_function[nvsa.binding_circular]"));
         assert!(text.contains("call_function[torch.sum]"));
         assert!(text.lines().count() >= 6);
-    }
-
-    #[test]
-    fn dtype_profile_follows_domains() {
-        let t = sample();
-        let profile = dtype_profile(&t);
-        assert_eq!(profile[0], DType::Int8);
-        assert_eq!(profile[2], DType::Int4);
     }
 }

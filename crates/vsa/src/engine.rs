@@ -14,8 +14,8 @@
 //! - [`SpectralCodebook`] precomputes, **once**, the per-codeword block
 //!   spectra (for spectral-domain superposition), a flat row-major
 //!   codeword matrix, and the per-codeword norms. Cleanup, similarity
-//!   scans, and softmax projections become one blocked matvec over the
-//!   matrix ([`nsflow_nn::gemm::matvec_fast`]) plus a scale — and are
+//!   scans, and softmax projections become one matvec over the matrix
+//!   ([`nsflow_nn::gemm::matvec`]) plus a scale — and are
 //!   **bit-identical** to the reference `Codebook` methods, because the
 //!   matvec folds each row in the same left-to-right order as
 //!   [`BlockCode::similarity`].
@@ -65,7 +65,6 @@
 
 use nsflow_nn::gemm;
 use nsflow_telemetry as telemetry;
-use nsflow_tensor::par::KernelOptions;
 
 use crate::fft::{self, Complex, FftPlan};
 use crate::resonator::{Factorization, Resonator, ResonatorConfig};
@@ -80,13 +79,12 @@ use crate::{ops, BlockCode, Codebook, Result};
 ///
 /// ```
 /// use nsflow_vsa::{Codebook, engine::SpectralCodebook};
-/// use nsflow_tensor::par::KernelOptions;
 ///
 /// let mut rng = nsflow_tensor::rng::StdRng::seed_from_u64(1);
 /// let book = Codebook::random_unitary(16, 4, 64, &mut rng);
 /// let engine = SpectralCodebook::new(book.clone());
 /// let query = book.codeword(9);
-/// assert_eq!(engine.cleanup(query, &KernelOptions::auto())?, 9);
+/// assert_eq!(engine.cleanup(query)?, 9);
 /// # Ok::<(), nsflow_vsa::VsaError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -162,16 +160,15 @@ impl SpectralCodebook {
         self.spectra.is_some()
     }
 
-    /// Similarities of `query` against every codeword as one blocked
-    /// matvec — bit-identical to [`Codebook::similarities`].
+    /// Similarities of `query` against every codeword as one matvec — bit-identical to [`Codebook::similarities`].
     ///
     /// # Errors
     ///
     /// Returns [`crate::VsaError::GeometryMismatch`] on geometry
     /// disagreement.
-    pub fn similarities(&self, query: &BlockCode, options: &KernelOptions) -> Result<Vec<f32>> {
+    pub fn similarities(&self, query: &BlockCode) -> Result<Vec<f32>> {
         self.book.codeword(0).check_geometry(query)?;
-        Ok(self.similarities_flat(query.data(), options))
+        Ok(self.similarities_flat(query.data()))
     }
 
     /// Cleanup memory: index of the most similar codeword (first of equal
@@ -181,8 +178,8 @@ impl SpectralCodebook {
     ///
     /// Returns [`crate::VsaError::GeometryMismatch`] on geometry
     /// disagreement.
-    pub fn cleanup(&self, query: &BlockCode, options: &KernelOptions) -> Result<usize> {
-        let sims = self.similarities(query, options)?;
+    pub fn cleanup(&self, query: &BlockCode) -> Result<usize> {
+        let sims = self.similarities(query)?;
         let mut best = 0usize;
         let mut best_sim = f32::NEG_INFINITY;
         for (i, &s) in sims.iter().enumerate() {
@@ -201,13 +198,8 @@ impl SpectralCodebook {
     ///
     /// Returns [`crate::VsaError::GeometryMismatch`] on geometry
     /// disagreement.
-    pub fn match_prob(
-        &self,
-        query: &BlockCode,
-        temperature: f32,
-        options: &KernelOptions,
-    ) -> Result<Vec<f32>> {
-        let sims = self.similarities(query, options)?;
+    pub fn match_prob(&self, query: &BlockCode, temperature: f32) -> Result<Vec<f32>> {
+        let sims = self.similarities(query)?;
         let t = temperature.max(f32::MIN_POSITIVE);
         let logits: Vec<f32> = sims.into_iter().map(|s| s / t).collect();
         Ok(ops::softmax(&logits))
@@ -215,9 +207,9 @@ impl SpectralCodebook {
 
     /// Similarity scan against a raw query slice (no geometry to check:
     /// the engine's internal residuals are plain vectors).
-    fn similarities_flat(&self, query: &[f32], options: &KernelOptions) -> Vec<f32> {
+    fn similarities_flat(&self, query: &[f32]) -> Vec<f32> {
         debug_assert_eq!(query.len(), self.dim);
-        let dots = gemm::matvec_fast(&self.flat, query, self.book.len(), self.dim, options);
+        let dots = gemm::matvec(&self.flat, query, self.book.len(), self.dim);
         let qn: f32 = query.iter().map(|x| x * x).sum::<f32>().sqrt();
         dots.into_iter()
             .zip(&self.norms)
@@ -253,13 +245,12 @@ fn spectrum_of(data: &[f32], n_blocks: usize, plan: &FftPlan) -> Vec<Complex> {
 /// ```
 /// use nsflow_vsa::{Codebook, engine::SpectralResonator};
 /// use nsflow_vsa::resonator::ResonatorConfig;
-/// use nsflow_tensor::par::KernelOptions;
 ///
 /// let mut rng = nsflow_tensor::rng::StdRng::seed_from_u64(3);
 /// let f1 = Codebook::random_unitary(5, 4, 128, &mut rng);
 /// let f2 = Codebook::random_unitary(5, 4, 128, &mut rng);
 /// let target = f1.codeword(2).bind(f2.codeword(4))?;
-/// let res = SpectralResonator::new(vec![f1, f2], KernelOptions::auto())?;
+/// let res = SpectralResonator::new(vec![f1, f2])?;
 /// let out = res.factorize(&target, ResonatorConfig::default())?;
 /// assert_eq!(out.indices, vec![2, 4]);
 /// # Ok::<(), nsflow_vsa::VsaError>(())
@@ -268,7 +259,6 @@ fn spectrum_of(data: &[f32], n_blocks: usize, plan: &FftPlan) -> Vec<Complex> {
 pub struct SpectralResonator {
     reference: Resonator,
     books: Vec<SpectralCodebook>,
-    options: KernelOptions,
 }
 
 impl SpectralResonator {
@@ -278,14 +268,10 @@ impl SpectralResonator {
     ///
     /// Returns [`crate::VsaError::FactorGeometryMismatch`] under the same
     /// conditions as [`Resonator::new`].
-    pub fn new(factors: Vec<Codebook>, options: KernelOptions) -> Result<Self> {
+    pub fn new(factors: Vec<Codebook>) -> Result<Self> {
         let books = factors.iter().cloned().map(SpectralCodebook::new).collect();
         let reference = Resonator::new(factors)?;
-        Ok(SpectralResonator {
-            reference,
-            books,
-            options,
-        })
+        Ok(SpectralResonator { reference, books })
     }
 
     /// The spectral factor codebooks.
@@ -299,12 +285,6 @@ impl SpectralResonator {
     #[must_use]
     pub fn reference(&self) -> &Resonator {
         &self.reference
-    }
-
-    /// The threading knob every kernel call inherits.
-    #[must_use]
-    pub fn options(&self) -> &KernelOptions {
-        &self.options
     }
 
     /// Whether factorization will run the spectral loop (vs. delegating
@@ -400,7 +380,7 @@ impl SpectralResonator {
                     residual[blk * bd..(blk + 1) * bd].copy_from_slice(&time);
                 }
                 let book = &self.books[f];
-                let sims = book.similarities_flat(&residual, &self.options);
+                let sims = book.similarities_flat(&residual);
                 let t = config.temperature.max(f32::MIN_POSITIVE);
                 let logits: Vec<f32> = sims.iter().map(|s| s / t).collect();
                 let probs = ops::softmax(&logits);
@@ -477,28 +457,26 @@ mod tests {
             }
             q
         };
-        for opts in [KernelOptions::serial(), KernelOptions::with_threads(4)] {
-            assert_eq!(
-                engine.similarities(&noisy, &opts).unwrap(),
-                book.similarities(&noisy).unwrap(),
-                "similarities must be bit-identical"
-            );
-            assert_eq!(
-                engine.cleanup(&noisy, &opts).unwrap(),
-                book.cleanup(&noisy).unwrap()
-            );
-            assert_eq!(
-                engine.match_prob(&noisy, 0.08, &opts).unwrap(),
-                book.match_prob(&noisy, 0.08).unwrap()
-            );
-        }
+        assert_eq!(
+            engine.similarities(&noisy).unwrap(),
+            book.similarities(&noisy).unwrap(),
+            "similarities must be bit-identical"
+        );
+        assert_eq!(
+            engine.cleanup(&noisy).unwrap(),
+            book.cleanup(&noisy).unwrap()
+        );
+        assert_eq!(
+            engine.match_prob(&noisy, 0.08).unwrap(),
+            book.match_prob(&noisy, 0.08).unwrap()
+        );
     }
 
     #[test]
     fn spectral_factorization_matches_reference_two_factors() {
         let books = unitary_books(&[6, 6], 4, 128, 21);
         let target = books[0].codeword(1).bind(books[1].codeword(4)).unwrap();
-        let engine = SpectralResonator::new(books.clone(), KernelOptions::auto()).unwrap();
+        let engine = SpectralResonator::new(books.clone()).unwrap();
         assert!(engine.is_spectral());
         let reference = Resonator::new(books).unwrap();
         let cfg = ResonatorConfig::default();
@@ -517,7 +495,7 @@ mod tests {
             .unwrap()
             .bind(books[2].codeword(3))
             .unwrap();
-        let engine = SpectralResonator::new(books.clone(), KernelOptions::auto()).unwrap();
+        let engine = SpectralResonator::new(books.clone()).unwrap();
         let reference = Resonator::new(books).unwrap();
         let cfg = ResonatorConfig::default();
         let fast = engine.factorize(&target, cfg).unwrap();
@@ -526,28 +504,10 @@ mod tests {
     }
 
     #[test]
-    fn results_are_independent_of_thread_count() {
-        let books = unitary_books(&[8, 8], 2, 256, 23);
-        let target = books[0].codeword(5).bind(books[1].codeword(2)).unwrap();
-        let cfg = ResonatorConfig::default();
-        let baseline = SpectralResonator::new(books.clone(), KernelOptions::serial())
-            .unwrap()
-            .factorize(&target, cfg)
-            .unwrap();
-        for threads in [2usize, 4, 8] {
-            let out = SpectralResonator::new(books.clone(), KernelOptions::with_threads(threads))
-                .unwrap()
-                .factorize(&target, cfg)
-                .unwrap();
-            assert_eq!(out, baseline, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn non_power_of_two_geometry_falls_back_to_reference() {
         let books = unitary_books(&[4, 4], 2, 24, 24); // bd = 24: not a power of two
         let target = books[0].codeword(1).bind(books[1].codeword(3)).unwrap();
-        let engine = SpectralResonator::new(books.clone(), KernelOptions::auto()).unwrap();
+        let engine = SpectralResonator::new(books.clone()).unwrap();
         assert!(!engine.is_spectral());
         let out = engine
             .factorize(&target, ResonatorConfig::default())
@@ -569,7 +529,7 @@ mod tests {
         for x in target.data_mut() {
             *x += 0.02 * (rng.gen::<f32>() - 0.5);
         }
-        let engine = SpectralResonator::new(books, KernelOptions::auto()).unwrap();
+        let engine = SpectralResonator::new(books).unwrap();
         let out = engine
             .factorize(&target, ResonatorConfig::default())
             .unwrap();
@@ -580,7 +540,7 @@ mod tests {
     fn iteration_cap_and_convergence_flags_match() {
         let books = unitary_books(&[8, 8], 4, 64, 27);
         let target = books[0].codeword(0).bind(books[1].codeword(0)).unwrap();
-        let engine = SpectralResonator::new(books, KernelOptions::auto()).unwrap();
+        let engine = SpectralResonator::new(books).unwrap();
         let cfg = ResonatorConfig {
             max_iterations: 1,
             temperature: 0.08,
@@ -593,7 +553,7 @@ mod tests {
     #[test]
     fn geometry_mismatch_is_rejected() {
         let books = unitary_books(&[4, 4], 2, 32, 28);
-        let engine = SpectralResonator::new(books, KernelOptions::auto()).unwrap();
+        let engine = SpectralResonator::new(books).unwrap();
         let wrong = BlockCode::zeros(1, 64);
         assert!(engine
             .factorize(&wrong, ResonatorConfig::default())
@@ -604,16 +564,14 @@ mod tests {
             32,
             &mut StdRng::seed_from_u64(29),
         ));
-        assert!(book_engine
-            .similarities(&wrong, &KernelOptions::auto())
-            .is_err());
+        assert!(book_engine.similarities(&wrong).is_err());
     }
 
     #[test]
     fn reconstruct_delegates_to_reference() {
         let books = unitary_books(&[4, 4], 2, 64, 30);
         let target = books[0].codeword(3).bind(books[1].codeword(2)).unwrap();
-        let engine = SpectralResonator::new(books, KernelOptions::auto()).unwrap();
+        let engine = SpectralResonator::new(books).unwrap();
         let rebuilt = engine.reconstruct(&[3, 2]).unwrap();
         assert!(rebuilt.similarity(&target).unwrap() > 0.999);
         assert!(engine.reconstruct(&[3]).is_err());

@@ -17,8 +17,8 @@
 //! - [`ops`]: circular convolution/correlation, bundling, permutation,
 //! - [`Codebook`]: random item memories (bipolar and unitary) with cleanup,
 //! - [`fft`]: O(d·log d) convolution/correlation for software consumers,
-//! - [`engine`]: spectral-cached, thread-parallel codebook + resonator
-//!   kernels for the functional workload path,
+//! - [`engine`]: spectral-cached codebook + resonator kernels for the
+//!   functional workload path,
 //! - [`sparse`]: sparse block codes (the one-hot-per-block family NVSA
 //!   uses), whose binding reduces to modular index arithmetic,
 //! - [`resonator`]: a resonator network for factorizing bound products,

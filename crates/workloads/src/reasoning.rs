@@ -22,7 +22,6 @@
 //! Tab. IV measures: coarser symbolic precision erodes codebook
 //! similarity margins until factorization or candidate scoring flips.
 
-use nsflow_tensor::par::KernelOptions;
 use nsflow_tensor::quant::{self, QuantParams};
 use nsflow_tensor::rng::StdRng;
 use nsflow_tensor::DType;
@@ -61,12 +60,6 @@ pub struct PipelineConfig {
     pub ambiguity_std: f32,
     /// Resonator settings for panel factorization.
     pub resonator: ResonatorConfig,
-    /// Threading knob for the kernel engine (resonator, codebook scans).
-    /// [`KernelOptions::auto`] sizes worker pools to the machine;
-    /// [`KernelOptions::serial`] pins everything to one thread. Results
-    /// are identical either way — the engine's kernels are deterministic
-    /// at every thread count.
-    pub kernels: KernelOptions,
 }
 
 impl Default for PipelineConfig {
@@ -83,7 +76,6 @@ impl Default for PipelineConfig {
                 max_iterations: 12,
                 temperature: 0.08,
             },
-            kernels: KernelOptions::auto(),
         }
     }
 }
@@ -109,8 +101,7 @@ pub struct Solution {
 /// ([`nsflow_vsa::engine`]): factorization through [`SpectralResonator`],
 /// cleanup through the precomputed codeword matrices, binding through the
 /// FFT fast path. The engine is numerically equivalent to the reference
-/// kernels (see the engine module docs for the bounded differences) and
-/// its outputs are independent of [`PipelineConfig::kernels`].
+/// kernels (see the engine module docs for the bounded differences).
 #[derive(Debug, Clone)]
 pub struct VsaReasoner {
     codebooks: Vec<Codebook>,
@@ -141,7 +132,7 @@ impl VsaReasoner {
                 quantize_codebook(&book, config.symbolic_dtype)
             })
             .collect();
-        let engine = SpectralResonator::new(codebooks.clone(), config.kernels)
+        let engine = SpectralResonator::new(codebooks.clone())
             .expect("codebooks share geometry by construction");
         VsaReasoner {
             codebooks,
@@ -373,7 +364,7 @@ impl VsaReasoner {
         let residual = fft::unbind_fast(target, &others.expect("at least two factors"))
             .expect("geometry fixed");
         let best = self.engine.books()[a]
-            .cleanup(&residual, &self.config.kernels)
+            .cleanup(&residual)
             .expect("geometry fixed");
         let changed = best != indices[a];
         indices[a] = best;

@@ -8,8 +8,6 @@
 //! (RAVEN-style resampled distractors vs I-RAVEN-style one-attribute
 //! edits) and attribute count.
 
-use nsflow_tensor::par::KernelOptions;
-
 use crate::raven::{CandidateStyle, TaskParams};
 use crate::reasoning::PipelineConfig;
 
@@ -92,18 +90,6 @@ impl Suite {
                 ambiguity_std: 0.165,
                 ..base
             },
-        }
-    }
-
-    /// [`Suite::pipeline_config`] with an explicit kernel-engine
-    /// threading knob. Accuracy results are identical at every thread
-    /// count — the engine's kernels are deterministic — so this only
-    /// trades wall-clock for cores.
-    #[must_use]
-    pub fn pipeline_config_with_kernels(&self, kernels: KernelOptions) -> PipelineConfig {
-        PipelineConfig {
-            kernels,
-            ..self.pipeline_config()
         }
     }
 }

@@ -6,7 +6,6 @@
 //! cargo run --release --example nvsa_reasoning
 //! ```
 
-use nsflow::core::par::{available_threads, KernelOptions};
 use nsflow::workloads::accuracy::{evaluate, EvalConfig, Precision};
 use nsflow::workloads::raven::{generate, TaskParams};
 use nsflow::workloads::reasoning::{PipelineConfig, VsaReasoner};
@@ -17,17 +16,12 @@ fn main() {
     // ── Solve one task step by step ─────────────────────────────────────
     let mut rng = StdRng::seed_from_u64(2025);
     let params = TaskParams::default();
-    // The pipeline runs on the spectral kernel engine; `kernels` sizes its
-    // worker pools (results are identical at any thread count).
+    // The pipeline runs on the spectral kernel engine.
     let pipeline = PipelineConfig {
         ambiguity_std: 0.08,
-        kernels: KernelOptions::auto(),
         ..PipelineConfig::default()
     };
-    println!(
-        "kernel engine: spectral resonator, {} worker thread(s)\n",
-        available_threads()
-    );
+    println!("kernel engine: spectral resonator\n");
     let reasoner = VsaReasoner::new(params.attributes, params.values, pipeline, &mut rng);
 
     let task = generate(&params, &mut rng);

@@ -9,7 +9,6 @@
 
 use std::time::Instant;
 
-use nsflow::core::par::KernelOptions;
 use nsflow::core::NsFlow;
 use nsflow::sim::devices::{DeviceModel, TpuLikeArray};
 use nsflow::vsa::engine::SpectralResonator;
@@ -70,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let slow = reference.factorize(&target, cfg)?;
         let ref_s = start.elapsed().as_secs_f64();
 
-        let engine = SpectralResonator::new(books, KernelOptions::auto())?;
+        let engine = SpectralResonator::new(books)?;
         let start = Instant::now();
         let fast = engine.factorize(&target, cfg)?;
         let eng_s = start.elapsed().as_secs_f64();
