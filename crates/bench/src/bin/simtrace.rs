@@ -11,12 +11,10 @@
 //! ```
 //!
 //! Usage: `simtrace <nvsa|mimonet|lvrf|prae|all> [--config HxWxN]
-//! [--queues] [--top N] [--out DIR]`
+//! [--top N] [--out DIR]`
 //!
 //! - `--config HxWxN`: AdArray geometry (default `32x32x8`, the paper's
 //!   Fig. 6 architecture),
-//! - `--queues`: use the partition-queue scheduler instead of the pooled
-//!   one,
 //! - `--top N`: rows in the top-ops table (default 8),
 //! - `--out DIR`: directory for `<workload>.trace.json` (default `.`).
 //!
@@ -39,7 +37,6 @@ use nsflow_workloads::traces;
 struct Args {
     workloads: Vec<String>,
     cfg: ArrayConfig,
-    pooled: bool,
     top: usize,
     out: PathBuf,
 }
@@ -47,7 +44,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut workloads = Vec::new();
     let mut cfg = parse_config("32x32x8")?;
-    let mut pooled = true;
     let mut top = 8usize;
     let mut out = PathBuf::from(".");
     let mut argv = std::env::args().skip(1);
@@ -57,7 +53,6 @@ fn parse_args() -> Result<Args, String> {
                 let v = argv.next().ok_or("--config needs a value (HxWxN)")?;
                 cfg = parse_config(&v)?;
             }
-            "--queues" => pooled = false,
             "--top" => {
                 let v = argv.next().ok_or("--top needs a value")?;
                 top = v.parse().map_err(|e| format!("--top `{v}`: {e}"))?;
@@ -71,12 +66,14 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     if workloads.is_empty() {
-        return Err("usage: simtrace <nvsa|mimonet|lvrf|prae|all> [--config HxWxN] [--queues] [--top N] [--out DIR]".into());
+        return Err(
+            "usage: simtrace <nvsa|mimonet|lvrf|prae|all> [--config HxWxN] [--top N] [--out DIR]"
+                .into(),
+        );
     }
     Ok(Args {
         workloads,
         cfg,
-        pooled,
         top,
         out,
     })
@@ -99,11 +96,7 @@ fn emit_json(timelines: &[WorkloadTimeline], args: &Args, all_exact: bool, wall:
         args.cfg.width(),
         args.cfg.n_subarrays()
     );
-    let _ = writeln!(
-        json,
-        "  \"scheduler\": \"{}\",",
-        if args.pooled { "pooled" } else { "queues" }
-    );
+    let _ = writeln!(json, "  \"scheduler\": \"pooled\",");
     let _ = writeln!(json, "  \"workloads\": [");
     let (mut schedule_wall, mut path_wall) = (Duration::ZERO, Duration::ZERO);
     for (i, t) in timelines.iter().enumerate() {
@@ -204,7 +197,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         };
         let opts = SimOptions::default();
-        let t = analyze(workload, &args.cfg, &opts, args.pooled);
+        let t = analyze(workload, &args.cfg, &opts);
 
         let started = Instant::now();
         let chrome = t.chrome_trace();

@@ -1,6 +1,6 @@
 //! Shared pipeline behind the `simtrace` binary and its integration
 //! tests: run a named workload through the two-phase mapping pipeline
-//! and a scheduler, then package the schedule's observability artifacts
+//! and the scheduler, then package the schedule's observability artifacts
 //! (Chrome trace JSON, bottleneck report, roofline phase bounds).
 
 use std::time::{Duration, Instant};
@@ -44,24 +44,15 @@ pub fn parse_config(s: &str) -> Result<ArrayConfig, String> {
     ArrayConfig::new(parse(h)?, parse(w)?, parse(n)?).map_err(|e| e.to_string())
 }
 
-/// Schedules one workload: two-phase mapping selection, then the pooled
-/// scheduler (or the partition-queue scheduler when `pooled` is false).
+/// Schedules one workload: two-phase mapping selection, then
+/// [`schedule::run_pooled`].
 #[must_use]
-pub fn analyze(
-    workload: Workload,
-    cfg: &ArrayConfig,
-    opts: &SimOptions,
-    pooled: bool,
-) -> WorkloadTimeline {
+pub fn analyze(workload: Workload, cfg: &ArrayConfig, opts: &SimOptions) -> WorkloadTimeline {
     let name = workload.name;
     let graph = DataflowGraph::from_trace(workload.trace);
     let mapping = mapping::two_phase_mapping(&graph, cfg, opts);
     let started = Instant::now();
-    let schedule = if pooled {
-        schedule::run_pooled(&graph, cfg, &mapping, opts)
-    } else {
-        schedule::run(&graph, cfg, &mapping, opts)
-    };
+    let schedule = schedule::run_pooled(&graph, cfg, &mapping, opts);
     let schedule_wall = started.elapsed();
     WorkloadTimeline {
         name,

@@ -14,7 +14,7 @@ fn every_workload_emits_a_valid_trace_with_exact_attribution() {
     let cfg = parse_config("32x32x8").unwrap();
     for workload in traces::all() {
         let name = workload.name;
-        let t = analyze(workload, &cfg, &SimOptions::default(), true);
+        let t = analyze(workload, &cfg, &SimOptions::default());
 
         let rendered = t.chrome_trace().render_pretty();
         t.validate_trace(&rendered)
@@ -56,14 +56,6 @@ fn every_workload_emits_a_valid_trace_with_exact_attribution() {
         let report = t.report(5);
         assert!(report.contains("roofline"), "{name}: {report}");
     }
-}
-
-#[test]
-fn queues_scheduler_also_produces_valid_traces() {
-    let cfg = parse_config("16x16x4").unwrap();
-    let t = analyze(traces::prae(), &cfg, &SimOptions::default(), false);
-    let rendered = t.chrome_trace().render_compact();
-    t.validate_trace(&rendered).unwrap();
 }
 
 #[test]

@@ -359,7 +359,13 @@ impl ServeCore {
             if let Some(Fault::WorkerStall { stall }) = fault {
                 driver.wait(stall); // a hung lane: the batch starts late
             }
+            // Record the start before executing, so a live trace shows
+            // the batch while it runs.
             let exec_start = driver.now();
+            for request in &members {
+                let event = RequestEvent::ExecStart { worker };
+                self.emit(&mut tally, request.id, exec_start, event);
+            }
             let answers = driver.execute(&members);
             if let Some(Fault::LatencySpike { extra }) = fault {
                 driver.wait(extra); // a slow batch: correct, but late
@@ -376,12 +382,8 @@ impl ServeCore {
                 .iter()
                 .zip(answers)
                 .map(|(request, answer)| {
-                    for (ts, event) in [
-                        (exec_start, RequestEvent::ExecStart { worker }),
-                        (done, RequestEvent::ExecEnd { worker }),
-                        (done, RequestEvent::Responded),
-                    ] {
-                        self.emit(&mut tally, request.id, ts, event);
+                    for event in [RequestEvent::ExecEnd { worker }, RequestEvent::Responded] {
+                        self.emit(&mut tally, request.id, done, event);
                     }
                     let response = Response {
                         id: request.id,
@@ -482,4 +484,69 @@ fn kinds_in(members: &[Request]) -> impl Iterator<Item = usize> {
         seen[request.kind.index()] = true;
     }
     (0..4).filter(move |&i| seen[i])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::request::WorkloadKind;
+
+    /// Executes at a fixed tick and checks, while the batch runs, that
+    /// the core's flight recorder already holds every member's
+    /// `ExecStart`.
+    struct InspectingDriver<'a> {
+        core: &'a ServeCore,
+        executed: usize,
+    }
+
+    impl Driver for InspectingDriver<'_> {
+        fn now(&self) -> u64 {
+            10
+        }
+
+        fn wait(&mut self, _ticks: u64) {}
+
+        fn execute(&mut self, members: &[Request]) -> Vec<u64> {
+            let records = self.core.trace().records;
+            for request in members {
+                assert!(
+                    records.iter().any(|r| r.trace_id == request.id
+                        && r.event == RequestEvent::ExecStart { worker: 3 }),
+                    "request {} has no ExecStart while its batch runs",
+                    request.id
+                );
+            }
+            self.executed += 1;
+            vec![0; members.len()]
+        }
+    }
+
+    #[test]
+    fn exec_start_is_recorded_before_the_batch_executes() {
+        if !nsflow_telemetry::enabled() {
+            return;
+        }
+        let core = ServeCore::new(CoreConfig {
+            policy: BatchPolicy::default(),
+            retry: RetryPolicy::default(),
+            degradation: None,
+            breaker: BreakerPolicy::default(),
+            faults: FaultPlan::default(),
+            trace_capacity: 64,
+        });
+        let requests: Vec<Request> = (0..3)
+            .map(|id| Request::new(id, WorkloadKind::Nvsa, id, 0))
+            .collect();
+        let (id, batch) = core.form(Batch {
+            requests,
+            formed_at: 0,
+        });
+        let mut driver = InspectingDriver {
+            core: &core,
+            executed: 0,
+        };
+        core.run_batch(id, batch, 3, &mut driver);
+        assert_eq!(driver.executed, 1);
+        assert_eq!(core.stats().completed, 3);
+    }
 }

@@ -1,21 +1,25 @@
 //! Event-driven execution of a dataflow graph on the NSFlow backend.
 //!
-//! Three resources exist: the NN partition of the AdArray, the VSA
-//! partition, and the SIMD unit. In parallel mode the partitions run
-//! concurrently on disjoint sub-arrays; in sequential mode they are the
-//! same time-shared resource. Each op's latency comes from the analytical
-//! model (eqs. (1)–(5)) plus an optional double-buffered transfer stall.
+//! The backend has two resources: the AdArray's `N` sub-arrays, folded
+//! at run time into NN and VSA partitions, and the SIMD unit.
+//! [`run_pooled`] models the array as one pool of sub-arrays. Each array
+//! op claims its mapped allocation for its duration and releases it on
+//! completion, so parallel and sequential mode are two allocations on
+//! the same pool: a sequential mapping gives every array op all `N`
+//! sub-arrays, and array ops then time-share. Each op's latency comes
+//! from the analytical model (eqs. (1)–(5)) plus an optional
+//! double-buffered transfer stall.
 //!
 //! Loop iterations are pipelined exactly as the paper's step ③ describes:
-//! an op of loop `i+1` waits only for its *intra-loop* dependencies and
-//! for its resource to free — so the next loop's first NN layer overlaps
-//! the previous loop's symbolic tail.
+//! an op of loop `i+1` waits only for its *intra-loop* dependencies, its
+//! own previous instance and free capacity — so the next loop's first NN
+//! layer overlaps the previous loop's symbolic tail.
 //!
-//! Both schedulers first flatten the graph into a `SchedulePlan`: the
+//! The scheduler first flattens the graph into a `SchedulePlan`: the
 //! loop-invariant latency, transfer stall, pool demand and resource class
 //! of every op, plus a CSR consumer table, all indexed by op position.
 //! Every loop instance replays those terms, so nothing is hashed or
-//! re-costed inside the scheduling loops.
+//! re-costed inside the scheduling loop.
 //!
 //! [`run_pooled`] keeps its ready instances in min-heaps by instance
 //! index `loop · ops + op`: one for the SIMD unit and one per pool demand
@@ -40,9 +44,9 @@ use nsflow_trace::{OpId, OpKind};
 /// Which execution resource an op occupied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Resource {
-    /// The AdArray's NN partition (or the whole array when sequential).
+    /// Sub-arrays of the AdArray running an NN layer.
     NnPartition,
-    /// The AdArray's VSA partition.
+    /// Sub-arrays of the AdArray running a VSA node.
     VsaPartition,
     /// The SIMD unit.
     Simd,
@@ -61,11 +65,11 @@ impl Resource {
 /// categories, both measured by the scheduler that placed the op:
 ///
 /// - [`dep_wait`](Self::dep_wait): cycles the op's execution slot sat
-///   idle because a data dependency (or, on the pooled backend, the
-///   previous loop instance of the same op) had not finished yet,
+///   idle because a data dependency (or the previous loop instance of
+///   the same op) had not finished yet,
 /// - [`resource_wait`](Self::resource_wait): cycles the op was ready
-///   (all dependencies done) but its resource — partition queue, SIMD
-///   unit, or enough free pool sub-arrays — was still claimed.
+///   (all dependencies done) but its resource — the SIMD unit or enough
+///   free pool sub-arrays — was still claimed.
 ///
 /// [`transfer_stall`](Self::transfer_stall) is different in kind: it is
 /// *inside* `[start, end)` — extra occupancy cycles where the claimed
@@ -99,16 +103,10 @@ pub struct Schedule {
     busy_nn: u64,
     busy_vsa: u64,
     busy_simd: u64,
-    /// Sub-array count when produced by the pooled scheduler
-    /// ([`run_pooled`]); 0 for the partition-queue scheduler ([`run`]).
+    /// Sub-array pool size.
     pool_units: usize,
-    /// Whether the producing mapping time-shared one array (sequential
-    /// mode of [`run`]); pooled schedules are never sequential.
-    sequential: bool,
     /// Concrete sub-array indices claimed by every op, concatenated in
     /// `ops` order: op `i` claimed `units[unit_offsets[i]..unit_offsets[i + 1]]`.
-    /// Both are empty for the partition-queue scheduler, which does not
-    /// place ops on individual sub-arrays.
     units: Vec<u16>,
     unit_offsets: Vec<usize>,
 }
@@ -120,22 +118,15 @@ impl Schedule {
         &self.ops
     }
 
-    /// Sub-array pool size for pooled schedules ([`run_pooled`]);
-    /// 0 for the partition-queue scheduler ([`run`]).
+    /// Sub-array pool size.
     #[must_use]
     pub fn pool_units(&self) -> usize {
         self.pool_units
     }
 
-    /// Whether the mapping time-shared a single array resource.
-    #[must_use]
-    pub fn is_sequential(&self) -> bool {
-        self.sequential
-    }
-
     /// Concrete sub-array indices op `i` (index into [`Schedule::ops`])
-    /// claimed, assigned deterministically first-fit by the pooled
-    /// scheduler. Empty for SIMD ops and partition-queue schedules.
+    /// claimed, assigned deterministically first-fit. Empty for SIMD
+    /// ops.
     #[must_use]
     pub fn claimed_units(&self, i: usize) -> &[u16] {
         self.unit_offsets
@@ -213,30 +204,16 @@ impl Schedule {
         lines
     }
 
-    /// Temporal utilization of the array: sub-array-cycles busy over
-    /// sub-array-cycles available (pooled schedules, where per-op busy
-    /// time is weighted by the claimed sub-arrays), or partition
-    /// busy/makespan for the two-queue scheduler.
-    ///
-    /// The denominator follows the schedule's actual array resources: the
-    /// sub-array pool for [`run_pooled`], two partition lanes for
-    /// parallel-mode [`run`], and a *single* time-shared lane for
-    /// sequential-mode [`run`] — so a fully busy sequential schedule
-    /// reports 100%, not 50%, and a pooled schedule can never exceed
-    /// 100% (its busy cycles are capacity-bounded by construction).
+    /// Temporal utilization of the array: sub-array-cycles busy (per-op
+    /// busy time weighted by the claimed sub-arrays) over sub-array-cycles
+    /// available. Never above 100%: busy cycles are capacity-bounded by
+    /// construction.
     #[must_use]
     pub fn array_utilization(&self) -> f64 {
         if self.total_cycles == 0 {
             return 0.0;
         }
-        let lanes = if self.pool_units > 0 {
-            self.pool_units as u64
-        } else if self.sequential {
-            1
-        } else {
-            2
-        };
-        (self.busy_nn + self.busy_vsa) as f64 / (lanes * self.total_cycles) as f64
+        (self.busy_nn + self.busy_vsa) as f64 / (self.pool_units as u64 * self.total_cycles) as f64
     }
 }
 
@@ -256,7 +233,7 @@ fn record_schedule(schedule: &Schedule) {
         .record_all(schedule.ops.iter().map(|op| op.end - op.start));
 }
 
-/// Options for [`run`].
+/// Options for [`run_pooled`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimOptions {
     /// SIMD unit width.
@@ -289,7 +266,7 @@ struct OpPlan {
 }
 
 /// One (graph, array geometry, mapping, options) flattened for the
-/// schedulers: an [`OpPlan`] per op position plus a CSR consumer table,
+/// scheduler: an [`OpPlan`] per op position plus a CSR consumer table,
 /// built once per call and replayed for every loop instance.
 struct SchedulePlan {
     ops: Vec<OpPlan>,
@@ -300,15 +277,15 @@ struct SchedulePlan {
 }
 
 impl SchedulePlan {
-    /// Costs every op once. `cap` bounds each array op's allocation: the
-    /// pool size for [`run_pooled`], unbounded for [`run`].
+    /// Costs every op once; each array op's allocation is capped at the
+    /// pool size.
     fn new(
         graph: &DataflowGraph,
         cfg: &ArrayConfig,
         mapping: &Mapping,
         options: &SimOptions,
-        cap: usize,
     ) -> Self {
+        let cap = cfg.n_subarrays();
         let trace = graph.trace();
         let (nn_nodes, vsa_nodes) = (trace.nn_nodes().len(), trace.vsa_nodes().len());
         assert_eq!(mapping.n_l.len(), nn_nodes, "NN mapping length");
@@ -366,85 +343,7 @@ impl SchedulePlan {
     }
 }
 
-/// Executes `graph` (all loop iterations) on the configured backend and
-/// returns the schedule.
-///
-/// # Panics
-///
-/// Panics if `mapping` lengths disagree with the graph's NN/VSA node
-/// counts (validate first with [`Mapping::validate`]).
-#[must_use]
-pub fn run(
-    graph: &DataflowGraph,
-    cfg: &ArrayConfig,
-    mapping: &Mapping,
-    options: &SimOptions,
-) -> Schedule {
-    let _span = telemetry::span!("sim.run");
-    let plan = SchedulePlan::new(graph, cfg, mapping, options, usize::MAX);
-    let trace = graph.trace();
-
-    // Dispatch lane per class; in sequential mode the VSA partition aliases
-    // the NN partition.
-    let lane = |r: Resource| {
-        if !mapping.parallel && r == Resource::VsaPartition {
-            Resource::NnPartition.index()
-        } else {
-            r.index()
-        }
-    };
-    let mut free_at = [0u64; 3];
-    let mut busy = [0u64; 3];
-    let mut end_of = vec![0u64; trace.ops().len()];
-    let mut scheduled = Vec::with_capacity(trace.loop_count() * trace.ops().len());
-    let mut makespan = 0u64;
-
-    for loop_idx in 0..trace.loop_count() {
-        for (p, op) in trace.ops().iter().enumerate() {
-            let cost = &plan.ops[p];
-            let lane = lane(cost.class);
-            let dep_ready = op
-                .inputs()
-                .iter()
-                .map(|d| end_of[d.index()])
-                .max()
-                .unwrap_or(0);
-            let res_ready = free_at[lane];
-            let start = dep_ready.max(res_ready);
-            let end = start + cost.latency;
-            end_of[p] = end;
-            free_at[lane] = end;
-            busy[lane] += cost.latency;
-            makespan = makespan.max(end);
-            scheduled.push(ScheduledOp {
-                loop_idx,
-                op: op.id(),
-                start,
-                end,
-                resource: cost.class,
-                dep_wait: dep_ready.saturating_sub(res_ready),
-                resource_wait: res_ready.saturating_sub(dep_ready),
-                transfer_stall: cost.stall,
-            });
-        }
-    }
-
-    let schedule = Schedule {
-        ops: scheduled,
-        total_cycles: makespan,
-        busy_nn: busy[0],
-        busy_vsa: busy[1],
-        busy_simd: busy[2],
-        pool_units: 0,
-        sequential: !mapping.parallel,
-        units: Vec::new(),
-        unit_offsets: Vec::new(),
-    };
-    record_schedule(&schedule);
-    schedule
-}
-
-/// Ready instances of the pooled scheduler, each queue a min-heap by
+/// Ready instances of the scheduler, each queue a min-heap by
 /// instance index: one for the SIMD unit, one per pool demand `0..=N`.
 struct ReadyQueues {
     simd: BinaryHeap<Reverse<usize>>,
@@ -472,12 +371,14 @@ impl ReadyQueues {
     }
 }
 
-/// Executes `graph` on the **pooled** AdArray model: the `N` sub-arrays
-/// form a single capacity pool, each array op claims its mapped
-/// allocation (`N_l[i]` / `N_v[j]`) for its duration and releases it on
-/// completion — runtime array folding as the backend actually performs
-/// it. SIMD ops serialize on the SIMD unit. Successive loop iterations
-/// of the *same* op serialize (its stationary weights/vectors occupy the
+/// Executes `graph` (all loop iterations) on the AdArray and returns the
+/// schedule. The `N` sub-arrays form a single capacity pool: each array
+/// op claims its mapped allocation (`N_l[i]` / `N_v[j]`, capped at `N`)
+/// for its duration and releases it on completion — runtime array
+/// folding as the backend actually performs it. A sequential mapping
+/// claims the whole array for every op, so array ops time-share. SIMD
+/// ops serialize on the SIMD unit. Successive loop iterations of the
+/// *same* op serialize (its stationary weights/vectors occupy the
 /// claimed sub-arrays), which is what bounds the loop-pipelining depth.
 ///
 /// This is the execution model behind the Fig. 6 ablation: per-node
@@ -496,7 +397,7 @@ pub fn run_pooled(
 ) -> Schedule {
     let _span = telemetry::span!("sim.run_pooled");
     let pool = cfg.n_subarrays();
-    let plan = SchedulePlan::new(graph, cfg, mapping, options, pool);
+    let plan = SchedulePlan::new(graph, cfg, mapping, options);
     let trace = graph.trace();
 
     // Event-driven list scheduling over (loop, op) instances, numbered
@@ -623,7 +524,6 @@ pub fn run_pooled(
         busy_vsa: busy[1],
         busy_simd: busy[2],
         pool_units: pool,
-        sequential: false,
         units,
         unit_offsets,
     };
@@ -687,7 +587,7 @@ mod tests {
     #[test]
     fn dependencies_are_respected() {
         let g = graph(1);
-        let s = run(
+        let s = run_pooled(
             &g,
             &cfg(),
             &Mapping::uniform(1, 1, 3, 1),
@@ -709,7 +609,7 @@ mod tests {
     #[test]
     fn resources_never_overlap() {
         let g = graph(4);
-        let s = run(
+        let s = run_pooled(
             &g,
             &cfg(),
             &Mapping::uniform(1, 1, 3, 1),
@@ -765,13 +665,13 @@ mod tests {
     #[test]
     fn pipelining_beats_serial_execution_when_parts_balance() {
         let g = overlap_friendly_graph(8);
-        let par = run(
+        let par = run_pooled(
             &g,
             &cfg(),
             &Mapping::uniform(1, 1, 1, 3),
             &SimOptions::default(),
         );
-        let seq = run(
+        let seq = run_pooled(
             &g,
             &cfg(),
             &Mapping::sequential(1, 1, 4),
@@ -791,13 +691,13 @@ mod tests {
         // overlap only hides the smaller VSA time — the case Algorithm 1's
         // sequential-mode check exists for.
         let g = graph(8);
-        let par = run(
+        let par = run_pooled(
             &g,
             &cfg(),
             &Mapping::uniform(1, 1, 3, 1),
             &SimOptions::default(),
         );
-        let seq = run(
+        let seq = run_pooled(
             &g,
             &cfg(),
             &Mapping::sequential(1, 1, 4),
@@ -819,7 +719,7 @@ mod tests {
             simd_lanes: 64,
             transfer: None,
         };
-        let s = run(&g, &cfg(), &m, &opts);
+        let s = run_pooled(&g, &cfg(), &m, &opts);
         let t = analytical::loop_timing(&g, &cfg(), &m, 64);
         // The schedule serializes the dependent chain, so it is at least
         // the max-partition bound and at most the serial sum.
@@ -835,8 +735,8 @@ mod tests {
         let g16 = graph(16);
         let m = Mapping::uniform(1, 1, 3, 1);
         let opts = SimOptions::default();
-        let c8 = run(&g8, &cfg(), &m, &opts).total_cycles();
-        let c16 = run(&g16, &cfg(), &m, &opts).total_cycles();
+        let c8 = run_pooled(&g8, &cfg(), &m, &opts).total_cycles();
+        let c16 = run_pooled(&g16, &cfg(), &m, &opts).total_cycles();
         let period = c16 - c8; // 8 extra loops
         let t = analytical::loop_timing(&g8, &cfg(), &m, 64);
         assert!(period <= 8 * (t.t_nn + t.t_vsa + t.t_simd));
@@ -928,16 +828,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_is_at_least_as_fast_as_partition_queues() {
-        let g = overlap_friendly_graph(8);
-        let m = Mapping::uniform(1, 1, 1, 3);
-        let opts = SimOptions::default();
-        let pooled = run_pooled(&g, &cfg(), &m, &opts).total_cycles();
-        let queued = run(&g, &cfg(), &m, &opts).total_cycles();
-        assert!(pooled <= queued, "pooled {pooled} !<= queued {queued}");
-    }
-
-    #[test]
     fn pooled_utilization_uses_pool_denominator() {
         let g = graph(4);
         let s = run_pooled(
@@ -962,15 +852,15 @@ mod tests {
             simd_lanes: 64,
             transfer: Some(TransferModel::new(0.25)), // 1 byte per 4 cycles
         };
-        let c_fast = run(&g, &cfg(), &m, &fast).total_cycles();
-        let c_slow = run(&g, &cfg(), &m, &slow).total_cycles();
+        let c_fast = run_pooled(&g, &cfg(), &m, &fast).total_cycles();
+        let c_slow = run_pooled(&g, &cfg(), &m, &slow).total_cycles();
         assert!(c_slow > c_fast, "{c_slow} !> {c_fast}");
     }
 
     #[test]
     fn utilization_and_seconds() {
         let g = graph(4);
-        let s = run(
+        let s = run_pooled(
             &g,
             &cfg(),
             &Mapping::uniform(1, 1, 3, 1),

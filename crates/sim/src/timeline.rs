@@ -6,11 +6,10 @@
 //!
 //! - [`Schedule::to_chrome_trace`]: a Chrome Trace Event Format document
 //!   (viewable in Perfetto / `chrome://tracing`) with one track per
-//!   resource — the NN/VSA partitions and SIMD unit for the
-//!   partition-queue scheduler, one track per sub-array for the pooled
-//!   scheduler — plus a counter track of per-class occupancy. Built on
-//!   the workspace's own [`JsonValue`] machinery: no new dependency, and
-//!   the strict parser can validate every emitted document.
+//!   sub-array and one for the SIMD unit, plus a counter track of
+//!   per-class occupancy. Built on the workspace's own [`JsonValue`]
+//!   machinery: no new dependency, and the strict parser can validate
+//!   every emitted document.
 //! - [`Schedule::critical_path`]: walks the scheduled DAG backwards from
 //!   the last-finishing op, at each hop following the constraint that
 //!   actually bound the op's start (a data dependency or a resource
@@ -62,10 +61,10 @@ pub enum BindKind {
     /// Started at cycle 0 (nothing before it on the path).
     Origin,
     /// Waited for a data dependency (or the previous loop instance of
-    /// the same op on the pooled backend) to finish.
+    /// the same op) to finish.
     Dependency,
-    /// Waited for its resource — partition queue, SIMD unit, or pool
-    /// capacity — to be released.
+    /// Waited for its resource — the SIMD unit or pool capacity — to be
+    /// released.
     Resource,
 }
 
@@ -191,17 +190,16 @@ pub fn kind_label(kind: &OpKind) -> &'static str {
 /// Trace event category per resource class (indexed by [`Resource`]).
 const RESOURCE_LABELS: [&str; 3] = ["nn", "vsa", "simd"];
 
-/// Track id layout: fixed lanes (NN, VSA, SIMD) for the partition-queue
-/// scheduler and the SIMD unit, `POOL_TID_BASE + u` for pooled sub-array
-/// `u`.
-const LANE_TIDS: [u64; 3] = [1, 2, 3];
+/// Track id layout: `SIMD_TID` for the SIMD unit, `POOL_TID_BASE + u`
+/// for sub-array `u`.
+const SIMD_TID: u64 = 3;
 const POOL_TID_BASE: u64 = 10;
 
 impl Schedule {
-    /// Per-op weight for occupancy accounting: claimed sub-arrays on the
-    /// pooled backend, one lane otherwise.
+    /// Per-op weight for occupancy accounting: claimed sub-arrays for an
+    /// array op, one lane for a SIMD op.
     fn occupancy_weight(&self, i: usize) -> u64 {
-        if self.pool_units() > 0 && self.ops()[i].resource != Resource::Simd {
+        if self.ops()[i].resource != Resource::Simd {
             self.claimed_units(i).len() as u64
         } else {
             1
@@ -254,10 +252,8 @@ impl Schedule {
 
     /// Windowed per-class occupancy over the makespan.
     ///
-    /// NN/VSA occupancy is normalized by the class capacity: claimed
-    /// sub-arrays over the pool for pooled schedules, busy fraction of
-    /// the partition lane otherwise. SIMD occupancy is the busy fraction
-    /// of the (single) SIMD unit.
+    /// NN/VSA occupancy is claimed sub-arrays over the pool. SIMD
+    /// occupancy is the busy fraction of the (single) SIMD unit.
     ///
     /// # Panics
     ///
@@ -269,7 +265,7 @@ impl Schedule {
         if total == 0 {
             return Vec::new();
         }
-        let pool = self.pool_units().max(1) as f64;
+        let pool = self.pool_units() as f64;
         let mut out: Vec<UtilizationWindow> = (0..windows)
             .map(|w| UtilizationWindow {
                 start: total * w as u64 / windows as u64,
@@ -281,7 +277,7 @@ impl Schedule {
             .collect();
         for (i, so) in self.ops().iter().enumerate() {
             let weight = self.occupancy_weight(i) as f64;
-            let capacity = if so.resource == Resource::Simd || self.pool_units() == 0 {
+            let capacity = if so.resource == Resource::Simd {
                 1.0
             } else {
                 pool
@@ -305,17 +301,16 @@ impl Schedule {
 
     /// Exports the schedule as a Chrome Trace Event Format document.
     ///
-    /// One duration (`"ph": "X"`) event per op instance — per *claimed
-    /// sub-array* on the pooled backend, so every track shows what that
-    /// physical unit was doing — with args carrying the op kind, loop
-    /// index, cycle count and the stall breakdown. A `"ph": "C"` counter
+    /// One duration (`"ph": "X"`) event per *claimed sub-array* of an
+    /// array op instance, so every track shows what that physical unit
+    /// was doing, and one per SIMD op — with args carrying the op kind,
+    /// loop index, cycle count and the stall breakdown. A `"ph": "C"` counter
     /// series tracks per-class occupancy at every change point. The
     /// document loads in Perfetto / `chrome://tracing` and round-trips
     /// through [`JsonValue::parse`].
     #[must_use]
     pub fn to_chrome_trace(&self, graph: &DataflowGraph) -> JsonValue {
         let trace = graph.trace();
-        let pooled = self.pool_units() > 0;
         let mut events: Vec<JsonValue> = Vec::new();
 
         // Track metadata.
@@ -340,20 +335,10 @@ impl Schedule {
                 )]),
             ),
         ]));
-        if pooled {
-            for u in 0..self.pool_units() {
-                events.push(meta(POOL_TID_BASE + u as u64, format!("subarray[{u}]")));
-            }
-        } else {
-            let (nn, vsa) = if self.is_sequential() {
-                ("array (sequential)", "VSA ops (time-shared on array)")
-            } else {
-                ("NN partition", "VSA partition")
-            };
-            events.push(meta(LANE_TIDS[0], nn.to_string()));
-            events.push(meta(LANE_TIDS[1], vsa.to_string()));
+        for u in 0..self.pool_units() {
+            events.push(meta(POOL_TID_BASE + u as u64, format!("subarray[{u}]")));
         }
-        events.push(meta(LANE_TIDS[2], "SIMD unit".to_string()));
+        events.push(meta(SIMD_TID, "SIMD unit".to_string()));
 
         // Duration events.
         let mut timed: Vec<(u64, u64, JsonValue)> = Vec::new();
@@ -377,13 +362,13 @@ impl Schedule {
                     ),
                 ),
             ]);
-            let tids: Vec<u64> = if pooled && so.resource != Resource::Simd {
+            let tids: Vec<u64> = if so.resource == Resource::Simd {
+                vec![SIMD_TID]
+            } else {
                 self.claimed_units(i)
                     .iter()
                     .map(|&u| POOL_TID_BASE + u64::from(u))
                     .collect()
-            } else {
-                vec![LANE_TIDS[so.resource.index()]]
             };
             for tid in tids {
                 timed.push((
@@ -451,10 +436,7 @@ impl Schedule {
                 "metadata",
                 JsonValue::object([
                     ("workload", JsonValue::Str(trace.name().to_string())),
-                    (
-                        "scheduler",
-                        JsonValue::Str(if pooled { "pooled" } else { "queues" }.into()),
-                    ),
+                    ("scheduler", JsonValue::Str("pooled".into())),
                     ("time_unit", JsonValue::Str("cycle".into())),
                     ("total_cycles", JsonValue::UInt(self.total_cycles())),
                     ("pool_units", JsonValue::UInt(self.pool_units() as u64)),
@@ -487,7 +469,6 @@ impl Schedule {
             return CriticalPathReport::default();
         }
         let trace = graph.trace();
-        let pooled = self.pool_units() > 0;
 
         // Schedule index of each (loop, op) instance, dense over the
         // schedule's own extent (`usize::MAX`: not scheduled). A later
@@ -528,13 +509,8 @@ impl Schedule {
             })
             .expect("non-empty schedule");
 
-        // The SIMD unit is its own group. Array classes share hardware on
-        // the pooled backend and in sequential (time-shared) mode;
-        // otherwise each partition is its own queue.
-        let same_group = |a: Resource, b: Resource| {
-            (a == Resource::Simd) == (b == Resource::Simd)
-                && (a == b || pooled || self.is_sequential())
-        };
+        // The SIMD unit is its own group; NN and VSA ops share the pool.
+        let same_group = |a: Resource, b: Resource| (a == Resource::Simd) == (b == Resource::Simd);
 
         let mut nodes = Vec::new();
         loop {
@@ -562,7 +538,7 @@ impl Schedule {
                     }
                 }
             }
-            if dep_pred.is_none() && pooled && so.loop_idx > 0 {
+            if dep_pred.is_none() && so.loop_idx > 0 {
                 // Stationary-operand serialization with the previous
                 // instance counts as a dependency.
                 if let Some(i) = find(so.loop_idx - 1, so.op.index()) {
@@ -618,14 +594,9 @@ pub fn bottleneck_report(schedule: &Schedule, graph: &DataflowGraph, top_n: usiz
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "schedule: {} ops, {} cycles, scheduler={}, array utilization {:.1}%",
+        "schedule: {} ops, {} cycles, scheduler=pooled, array utilization {:.1}%",
         schedule.ops().len(),
         total,
-        if schedule.pool_units() > 0 {
-            "pooled"
-        } else {
-            "queues"
-        },
         100.0 * schedule.array_utilization()
     );
     let _ = writeln!(

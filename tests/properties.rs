@@ -380,7 +380,7 @@ fn dse_and_schedule_invariants_hold() {
             .unwrap();
 
         // The schedule respects dependencies and resources.
-        let sched = schedule::run(
+        let sched = schedule::run_pooled(
             &graph,
             &result.config,
             &result.mapping,

@@ -1,13 +1,12 @@
-//! Golden digests of the cycle-level schedulers.
+//! Golden digests of the cycle-level scheduler.
 //!
 //! Every field a schedule exposes — each `ScheduledOp`, the claimed
 //! sub-arrays, busy cycles, the makespan and the critical path — is
 //! folded into one FNV-1a digest per case and compared against a pinned
-//! value. Both schedulers (`run` and `run_pooled`) are covered on the
-//! four workloads' compiled U250 designs at several loop multipliers and
-//! on seeded random graphs, and two Chrome-trace documents are pinned
-//! byte for byte. Any change to scheduling order, tie-breaking or stall
-//! attribution shows up here.
+//! value. `run_pooled` is covered on the four workloads' compiled U250
+//! designs at several loop multipliers and on seeded random graphs, and
+//! one Chrome-trace document is pinned byte for byte. Any change to
+//! scheduling order, tie-breaking or stall attribution shows up here.
 //!
 //! The pretty JSON writer is pinned the same way: the rendered Chrome
 //! trace of every `compile_designs` target (workload × device ×
@@ -19,7 +18,7 @@ use nsflow::arch::{ArrayConfig, Mapping, PrecisionConfig};
 use nsflow::core::{CompileError, Design, NsFlow};
 use nsflow::fpga::FpgaDevice;
 use nsflow::graph::DataflowGraph;
-use nsflow::sim::schedule::{run, run_pooled, Resource, Schedule, SimOptions};
+use nsflow::sim::schedule::{run_pooled, Resource, Schedule, SimOptions};
 use nsflow::sim::timeline::BindKind;
 use nsflow::telemetry::trace::{RequestEvent, ShedReason, TraceRecord, TraceSnapshot};
 use nsflow::telemetry::{HistogramSnapshot, SpanSnapshot, TelemetrySnapshot};
@@ -91,7 +90,8 @@ fn digest(schedule: &Schedule, graph: &DataflowGraph) -> u64 {
         h.u64(v);
     }
     h.u64(schedule.pool_units() as u64);
-    h.u64(u64::from(schedule.is_sequential()));
+    // Was the sequential flag, always 0 for this scheduler; kept so no pin moves.
+    h.u64(0);
     let path = schedule.critical_path(graph);
     h.u64(path.total_cycles);
     h.u64(path.nodes.len() as u64);
@@ -159,31 +159,19 @@ fn check(computed: &[(String, u64)], pinned: &[(&str, u64)]) {
     }
 }
 
-const WORKLOAD_DIGESTS: [(&str, u64); 24] = [
+const WORKLOAD_DIGESTS: [(&str, u64); 12] = [
     ("NVSA x1 pooled", 0x2957d944f36b80b2),
-    ("NVSA x1 queues", 0x6755d5f65a9e6be6),
     ("NVSA x8 pooled", 0x10f9af96d655bc14),
-    ("NVSA x8 queues", 0x80eee2cba688b898),
     ("NVSA x64 pooled", 0x6c915ca39f27abcc),
-    ("NVSA x64 queues", 0x7ab3c43a6d9ef4d1),
     ("MIMONet x1 pooled", 0x3701a9ff56b1bb48),
-    ("MIMONet x1 queues", 0x377d1a2ecad3660e),
     ("MIMONet x8 pooled", 0x582b06e40eafc4f8),
-    ("MIMONet x8 queues", 0xe26507add581e40b),
     ("MIMONet x64 pooled", 0x097d8c77bc2ca816),
-    ("MIMONet x64 queues", 0x6c663cd69c62e6bf),
     ("LVRF x1 pooled", 0xac5f753ec5910cda),
-    ("LVRF x1 queues", 0xb45b82cd72f60a58),
     ("LVRF x8 pooled", 0x7f5d03d4670c1650),
-    ("LVRF x8 queues", 0x9cef29692f84ac4a),
     ("LVRF x64 pooled", 0xb9ede252d5f94a69),
-    ("LVRF x64 queues", 0xff9dcd56c43d05ac),
     ("PrAE x1 pooled", 0x63667b883fc31d83),
-    ("PrAE x1 queues", 0xd6c7421f401bfc17),
     ("PrAE x8 pooled", 0x28191d3406cf77f7),
-    ("PrAE x8 queues", 0xc2907dc73649235d),
     ("PrAE x64 pooled", 0xfca1d69832e9538a),
-    ("PrAE x64 queues", 0xa846c9dd5831338f),
 ];
 
 #[test]
@@ -197,11 +185,6 @@ fn workload_schedules_match_pinned_digests() {
             computed.push((
                 format!("{name} x{multiplier} pooled"),
                 digest(&pooled, &graph),
-            ));
-            let queues = run(&graph, design.array(), design.mapping(), &options);
-            computed.push((
-                format!("{name} x{multiplier} queues"),
-                digest(&queues, &graph),
             ));
         }
     }
@@ -294,35 +277,22 @@ fn random_case(seed: u64) -> (DataflowGraph, ArrayConfig, Mapping, SimOptions) {
 
 const RANDOM_CASES: u64 = 48;
 
-const RANDOM_DIGESTS: [(&str, u64); 2] = [
-    ("random pooled", 0xa96f45c00a10ca35),
-    ("random queues", 0x96c300147c38cfff),
-];
+const RANDOM_DIGESTS: [(&str, u64); 1] = [("random pooled", 0xa96f45c00a10ca35)];
 
 #[test]
 fn random_graph_schedules_match_pinned_digests() {
-    let (mut pooled, mut queues) = (Fnv::new(), Fnv::new());
+    let mut pooled = Fnv::new();
     for seed in 0..RANDOM_CASES {
         let (graph, cfg, mapping, options) = random_case(seed);
         pooled.u64(digest(
             &run_pooled(&graph, &cfg, &mapping, &options),
             &graph,
         ));
-        queues.u64(digest(&run(&graph, &cfg, &mapping, &options), &graph));
     }
-    check(
-        &[
-            ("random pooled".to_string(), pooled.0),
-            ("random queues".to_string(), queues.0),
-        ],
-        &RANDOM_DIGESTS,
-    );
+    check(&[("random pooled".to_string(), pooled.0)], &RANDOM_DIGESTS);
 }
 
-const CHROME_TRACE_DIGESTS: [(&str, u64); 2] = [
-    ("LVRF x2 pooled", 0x9cdb7f9875869098),
-    ("LVRF x2 queues", 0x58ad76ea387a9be8),
-];
+const CHROME_TRACE_DIGESTS: [(&str, u64); 1] = [("LVRF x2 pooled", 0x9cdb7f9875869098)];
 
 #[test]
 fn chrome_traces_match_pinned_digests() {
@@ -330,14 +300,10 @@ fn chrome_traces_match_pinned_digests() {
     let design = NsFlow::new().compile(workload.trace).unwrap();
     let options = design_options(&design);
     let graph = batched(&design, 2);
-    let render = |s: &Schedule| fnv_text(&s.to_chrome_trace(&graph).render_compact());
     let pooled = run_pooled(&graph, design.array(), design.mapping(), &options);
-    let queues = run(&graph, design.array(), design.mapping(), &options);
+    let rendered = fnv_text(&pooled.to_chrome_trace(&graph).render_compact());
     check(
-        &[
-            ("LVRF x2 pooled".to_string(), render(&pooled)),
-            ("LVRF x2 queues".to_string(), render(&queues)),
-        ],
+        &[("LVRF x2 pooled".to_string(), rendered)],
         &CHROME_TRACE_DIGESTS,
     );
 }
