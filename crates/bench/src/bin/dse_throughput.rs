@@ -191,19 +191,17 @@ fn main() {
         "max_pes,points,mode,wall_s,points_per_sec,speedup",
         &rows,
     );
-    if nsflow_telemetry::enabled() {
-        let snapshot = nsflow_telemetry::TelemetrySnapshot::capture();
-        let hits = snapshot.counter("dse.cache_hits");
-        println!(
-            "[telemetry] points={} cache_hits={hits} tables_built={}",
-            snapshot.counter("dse.points_evaluated"),
-            snapshot.counter("dse.tables_built"),
-        );
-        assert!(
-            hits > 0,
-            "cycle-table memoizer recorded zero cache hits — the cached sweep is not caching"
-        );
-    }
+    let snapshot = nsflow_telemetry::TelemetrySnapshot::capture();
+    let hits = snapshot.counter("dse.cache_hits");
+    println!(
+        "[telemetry] points={} cache_hits={hits} tables_built={}",
+        snapshot.counter("dse.points_evaluated"),
+        snapshot.counter("dse.tables_built"),
+    );
+    assert!(
+        hits > 0,
+        "cycle-table memoizer recorded zero cache hits — the cached sweep is not caching"
+    );
     emit_json(&runs, quick);
 
     if !quick {

@@ -310,20 +310,18 @@ fn main() {
         "kernel,geometry,dim,mode,wall_s,speedup",
         &rows,
     );
-    if nsflow_telemetry::enabled() {
-        let snapshot = nsflow_telemetry::TelemetrySnapshot::capture();
-        let hits = snapshot.counter("vsa.spectral_cache_hits");
-        println!(
-            "[telemetry] spectral_cache_hits={hits} fft_forward={} fft_inverse={} resonator_iterations={}",
-            snapshot.counter("vsa.fft_forward"),
-            snapshot.counter("vsa.fft_inverse"),
-            snapshot.counter("vsa.resonator_iterations"),
-        );
-        assert!(
-            hits > 0,
-            "spectral engine recorded zero cache hits — the cached-spectra path is not running"
-        );
-    }
+    let snapshot = nsflow_telemetry::TelemetrySnapshot::capture();
+    let hits = snapshot.counter("vsa.spectral_cache_hits");
+    println!(
+        "[telemetry] spectral_cache_hits={hits} fft_forward={} fft_inverse={} resonator_iterations={}",
+        snapshot.counter("vsa.fft_forward"),
+        snapshot.counter("vsa.fft_inverse"),
+        snapshot.counter("vsa.resonator_iterations"),
+    );
+    assert!(
+        hits > 0,
+        "spectral engine recorded zero cache hits — the cached-spectra path is not running"
+    );
     emit_json(&runs, threads, quick);
 
     if !quick {

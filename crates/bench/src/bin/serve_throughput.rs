@@ -381,18 +381,16 @@ fn main() {
         &rows,
     );
 
-    if nsflow_telemetry::enabled() {
-        let snapshot = nsflow_telemetry::TelemetrySnapshot::capture();
-        assert!(
-            snapshot.counter("serve.shed") > 0,
-            "saturation scenarios recorded zero sheds — admission control is not running"
-        );
-        println!(
-            "[telemetry] submitted={} shed={}",
-            snapshot.counter("serve.submitted"),
-            snapshot.counter("serve.shed"),
-        );
-    }
+    let snapshot = nsflow_telemetry::TelemetrySnapshot::capture();
+    assert!(
+        snapshot.counter("serve.shed") > 0,
+        "saturation scenarios recorded zero sheds — admission control is not running"
+    );
+    println!(
+        "[telemetry] submitted={} shed={}",
+        snapshot.counter("serve.submitted"),
+        snapshot.counter("serve.shed"),
+    );
     emit_json(&scenarios, speedup, meets, quick);
 
     // The simulation is seed-deterministic, so this gate cannot flake:

@@ -61,8 +61,7 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) {
 /// Renders the current global telemetry snapshot as a `"telemetry": {…}`
 /// JSON object member (indented one level, no trailing comma or
 /// newline), ready to splice into the hand-built `BENCH_*.json`
-/// documents the bench binaries emit. Empty-but-valid when the
-/// `telemetry` feature is off.
+/// documents the bench binaries emit.
 #[must_use]
 pub fn telemetry_json_member() -> String {
     let mut out = String::from("  \"telemetry\": ");

@@ -46,9 +46,8 @@ pub use nsflow_tensor::rng;
 
 /// The workspace observability layer: metrics registry, span timers and
 /// deterministic [`telemetry::TelemetrySnapshot`] JSON snapshots.
-/// Recording is gated by the default-on `telemetry` cargo feature and
-/// compiles to no-ops when disabled. Physically hosted in
-/// `nsflow-telemetry`; re-exported here as the framework-level name.
+/// Physically hosted in `nsflow-telemetry`; re-exported here as the
+/// framework-level name.
 pub use nsflow_telemetry as telemetry;
 
 use nsflow_arch::memory::{MemoryPlan, TransferModel};
@@ -90,7 +89,6 @@ impl std::error::Error for CompileError {
 pub struct NsFlow {
     device: FpgaDevice,
     precision: PrecisionConfig,
-    dse_iter_max: usize,
     max_simd_lanes: usize,
     optimize_trace: bool,
 }
@@ -109,7 +107,6 @@ impl NsFlow {
         NsFlow {
             device: FpgaDevice::u250(),
             precision: PrecisionConfig::mixed(),
-            dse_iter_max: 16,
             max_simd_lanes: 512,
             optimize_trace: false,
         }
@@ -137,13 +134,6 @@ impl NsFlow {
         self
     }
 
-    /// Overrides the Phase-II iteration cap.
-    #[must_use]
-    pub fn with_iter_max(mut self, iter_max: usize) -> Self {
-        self.dse_iter_max = iter_max;
-        self
-    }
-
     /// Runs the frontend: trace → dataflow graph → two-phase DSE →
     /// memory/SIMD planning → resource check.
     ///
@@ -168,7 +158,6 @@ impl NsFlow {
         let provisional_lanes = 64usize;
         let dse_opts = DseOptions {
             max_pes: self.pe_budget(provisional_lanes)?,
-            iter_max: self.dse_iter_max,
             simd_lanes: provisional_lanes,
             ..DseOptions::default()
         };

@@ -71,7 +71,7 @@ impl SweepStats {
 /// registry (counters `dse.points_evaluated` / `dse.cache_hits`,
 /// histogram `dse.sweep_wall_us`). Tables built are
 /// counted directly in [`EvalEngine::build_table`] so ad-hoc engine use
-/// is visible too. No-op when the `telemetry` feature is disabled.
+/// is visible too.
 pub fn record_sweep_stats(stats: &SweepStats) {
     telemetry::counter!("dse.points_evaluated").add(stats.points_evaluated as u64);
     telemetry::counter!("dse.cache_hits").add(stats.cache_hits as u64);

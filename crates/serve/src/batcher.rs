@@ -14,6 +14,8 @@
 //!   *oldest* pending request has waited [`BatchPolicy::max_wait`]
 //!   ticks. An empty pending set never emits.
 
+use std::collections::TryReserveError;
+
 use crate::request::Request;
 
 /// Batch-formation policy.
@@ -69,19 +71,26 @@ pub struct Batcher {
 }
 
 impl Batcher {
-    /// Creates a batcher with the given policy.
+    /// Creates a batcher with the given policy, with room for one full
+    /// batch reserved up front.
+    ///
+    /// # Errors
+    ///
+    /// The reservation error when `policy.max_batch` requests cannot
+    /// be allocated.
     ///
     /// # Panics
     ///
     /// Panics if `policy.max_batch == 0`.
-    #[must_use]
-    pub fn new(policy: BatchPolicy) -> Self {
+    pub fn new(policy: BatchPolicy) -> Result<Self, TryReserveError> {
         assert!(policy.max_batch >= 1, "max_batch must be >= 1");
-        Batcher {
+        let mut pending = Vec::new();
+        pending.try_reserve_exact(policy.max_batch)?;
+        Ok(Batcher {
             policy,
-            pending: Vec::with_capacity(policy.max_batch),
+            pending,
             oldest_since: None,
-        }
+        })
     }
 
     /// The active policy.
@@ -191,7 +200,8 @@ mod tests {
         let mut b = Batcher::new(BatchPolicy {
             max_batch: 3,
             max_wait: 100,
-        });
+        })
+        .unwrap();
         assert!(b.offer(req(0, 0), 0).is_none());
         assert!(b.offer(req(1, 1), 1).is_none());
         let batch = b.offer(req(2, 2), 2).expect("size flush");
@@ -206,7 +216,8 @@ mod tests {
         let mut b = Batcher::new(BatchPolicy {
             max_batch: 8,
             max_wait: 10,
-        });
+        })
+        .unwrap();
         assert!(b.offer(req(0, 5), 5).is_none());
         assert_eq!(b.next_deadline(), Some(15));
         assert!(b.poll(14).is_none());
@@ -220,7 +231,8 @@ mod tests {
         let mut b = Batcher::new(BatchPolicy {
             max_batch: 8,
             max_wait: 1_000,
-        });
+        })
+        .unwrap();
         for i in 0..4 {
             assert!(b.offer(req(i, i), i).is_none());
         }
@@ -240,7 +252,8 @@ mod tests {
         let mut b = Batcher::new(BatchPolicy {
             max_batch: 8,
             max_wait: 10,
-        });
+        })
+        .unwrap();
         b.offer(req(0, 0), 0);
         b.offer(req(1, 9), 9);
         // Deadline comes from the oldest (t=0), not the newest.

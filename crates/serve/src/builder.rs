@@ -153,8 +153,9 @@ impl ServerBuilder {
     /// capacity / `max_batch` / workers, a retry policy allowing zero
     /// attempts, a default deadline shorter than one batch window,
     /// inverted degradation watermarks, an out-of-range degraded batch
-    /// bound, fault rates summing past 1000 permille, or a zero
-    /// breaker threshold.
+    /// bound, fault rates summing past 1000 permille, a zero breaker
+    /// threshold, or a queue, batch or trace capacity too large to
+    /// allocate.
     pub fn build(self) -> Result<Server, ConfigError> {
         if self.queue_capacity == 0 {
             return Err(ConfigError::ZeroQueueCapacity);
@@ -179,7 +180,7 @@ impl ServerBuilder {
                 });
             }
         }
-        Ok(Server::spawn(self))
+        Server::spawn(self)
     }
 }
 
@@ -254,6 +255,38 @@ mod tests {
             Some(ConfigError::FaultRateOutOfRange {
                 total_permille: 1200
             })
+        );
+    }
+
+    #[test]
+    fn build_rejects_capacities_too_large_to_allocate() {
+        let too_large = |field| {
+            Some(ConfigError::CapacityTooLarge {
+                field,
+                capacity: usize::MAX,
+            })
+        };
+        assert_eq!(
+            ServerBuilder::new()
+                .queue_capacity(usize::MAX)
+                .build()
+                .err(),
+            too_large("queue_capacity")
+        );
+        let policy = BatchPolicy {
+            max_batch: usize::MAX,
+            max_wait: 100,
+        };
+        assert_eq!(
+            ServerBuilder::new().batch(policy).build().err(),
+            too_large("max_batch")
+        );
+        assert_eq!(
+            ServerBuilder::new()
+                .trace_capacity(usize::MAX)
+                .build()
+                .err(),
+            too_large("trace_capacity")
         );
     }
 }

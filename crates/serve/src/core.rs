@@ -29,6 +29,7 @@ use nsflow_telemetry::trace::{
 use nsflow_telemetry::{counter, histogram};
 
 use crate::batcher::{Batch, BatchPolicy, Batcher};
+use crate::error::ConfigError;
 use crate::request::{AdmissionError, FailedRequest, Priority, Request, Response, NO_DEADLINE};
 use crate::robust::{
     BreakerPolicy, CircuitBreaker, DegradationPolicy, Fault, FaultPlan, LoadMonitor, RetryPolicy,
@@ -112,7 +113,7 @@ pub struct ServeReport {
     /// Flight-recorder snapshot: the last `trace_capacity` lifecycle
     /// events, exportable as a Chrome trace via
     /// [`TraceSnapshot::to_chrome_trace`]. Empty when tracing is
-    /// disabled (capacity 0 or `--no-default-features`).
+    /// disabled (capacity 0).
     pub trace: TraceSnapshot,
     /// Queue-wait / batch-wait / exec latency breakdown in ticks,
     /// derived from the traced lifecycles.
@@ -172,12 +173,16 @@ pub(crate) struct ServeCore {
 }
 
 impl ServeCore {
-    pub fn new(config: CoreConfig) -> Self {
-        ServeCore {
+    /// Fails when the flight-recorder ring cannot be allocated.
+    pub fn new(config: CoreConfig) -> Result<Self, ConfigError> {
+        let recorder = FlightRecorder::new(config.trace_capacity).map_err(
+            ConfigError::too_large("trace_capacity", config.trace_capacity),
+        )?;
+        Ok(ServeCore {
             policy: config.policy,
             retry: config.retry,
             faults: config.faults,
-            recorder: FlightRecorder::new(config.trace_capacity),
+            recorder,
             next_batch: AtomicU64::new(0),
             state: Mutex::new(State {
                 stats: ServeStats::default(),
@@ -186,7 +191,7 @@ impl ServeCore {
                 responses: Vec::new(),
                 failed: Vec::new(),
             }),
-        }
+        })
     }
 
     fn state(&self) -> MutexGuard<'_, State> {
@@ -523,9 +528,6 @@ mod tests {
 
     #[test]
     fn exec_start_is_recorded_before_the_batch_executes() {
-        if !nsflow_telemetry::enabled() {
-            return;
-        }
         let core = ServeCore::new(CoreConfig {
             policy: BatchPolicy::default(),
             retry: RetryPolicy::default(),
@@ -533,7 +535,8 @@ mod tests {
             breaker: BreakerPolicy::default(),
             faults: FaultPlan::default(),
             trace_capacity: 64,
-        });
+        })
+        .unwrap();
         let requests: Vec<Request> = (0..3)
             .map(|id| Request::new(id, WorkloadKind::Nvsa, id, 0))
             .collect();

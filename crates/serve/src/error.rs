@@ -9,6 +9,7 @@
 //! the threaded server, the virtual-time simulator and the CLI share
 //! one typed surface.
 
+use std::collections::TryReserveError;
 use std::fmt;
 
 use nsflow_telemetry::trace::ShedReason;
@@ -65,6 +66,25 @@ pub enum ConfigError {
     /// `BreakerPolicy::threshold == 0`: the breaker would trip before
     /// the first fault.
     ZeroBreakerThreshold,
+    /// A capacity whose up-front storage could not be allocated.
+    CapacityTooLarge {
+        /// The builder field (`queue_capacity`, `max_batch` or
+        /// `trace_capacity`).
+        field: &'static str,
+        /// The configured capacity.
+        capacity: usize,
+    },
+}
+
+impl ConfigError {
+    /// Maps a failed up-front reservation for `field` to
+    /// [`ConfigError::CapacityTooLarge`].
+    pub(crate) fn too_large(
+        field: &'static str,
+        capacity: usize,
+    ) -> impl FnOnce(TryReserveError) -> ConfigError {
+        move |_| ConfigError::CapacityTooLarge { field, capacity }
+    }
 }
 
 impl fmt::Display for ConfigError {
@@ -101,6 +121,9 @@ impl fmt::Display for ConfigError {
             ConfigError::FaultSpec(spec) => write!(f, "unparseable fault plan spec: {spec}"),
             ConfigError::ZeroBreakerThreshold => {
                 write!(f, "breaker threshold must be >= 1 (0 trips immediately)")
+            }
+            ConfigError::CapacityTooLarge { field, capacity } => {
+                write!(f, "{field} {capacity} is too large to allocate")
             }
         }
     }

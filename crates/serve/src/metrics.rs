@@ -15,9 +15,6 @@
 //! at shutdown captures the end-of-run state. Writes are atomic-ish:
 //! rendered to a temp file first, then renamed over the target, so a
 //! concurrent reader never sees a half-written exposition.
-//!
-//! Without the `telemetry` feature the snapshot is empty and the files
-//! render empty — the exporter itself stays inert but harmless.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -143,13 +140,8 @@ mod tests {
         let parsed = prom::parse(&prom_text).expect("own exposition parses");
         let json_text = std::fs::read_to_string(&json_path).expect("json file");
         let from_json = TelemetrySnapshot::from_json(&json_text).expect("own JSON parses");
-        if nsflow_telemetry::enabled() {
-            assert!(parsed.counter("metrics_test.requests") >= 3);
-            assert!(from_json.counter("metrics_test.requests") >= 3);
-        } else {
-            assert!(parsed.is_empty());
-            assert!(from_json.is_empty());
-        }
+        assert!(parsed.counter("metrics_test.requests") >= 3);
+        assert!(from_json.counter("metrics_test.requests") >= 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

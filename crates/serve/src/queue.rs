@@ -7,7 +7,7 @@
 //! to clients. Consumers block on [`BoundedQueue::pop_wait`] with a
 //! deadline so the batcher can wake exactly at its flush tick.
 
-use std::collections::VecDeque;
+use std::collections::{TryReserveError, VecDeque};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
@@ -39,22 +39,28 @@ pub struct BoundedQueue<T> {
 }
 
 impl<T> BoundedQueue<T> {
-    /// Creates a queue holding at most `capacity` items.
+    /// Creates a queue holding at most `capacity` items, with storage
+    /// for all of them reserved up front.
+    ///
+    /// # Errors
+    ///
+    /// The reservation error when `capacity` items cannot be allocated.
     ///
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub fn new(capacity: usize) -> Result<Self, TryReserveError> {
         assert!(capacity >= 1, "queue capacity must be >= 1");
-        BoundedQueue {
+        let mut items = VecDeque::new();
+        items.try_reserve_exact(capacity)?;
+        Ok(BoundedQueue {
             inner: Mutex::new(Inner {
-                items: VecDeque::with_capacity(capacity),
+                items,
                 closed: false,
             }),
             available: Condvar::new(),
             capacity,
-        }
+        })
     }
 
     /// Configured capacity.
@@ -139,12 +145,6 @@ impl<T> BoundedQueue<T> {
         self.inner.lock().expect("queue poisoned").closed = true;
         self.available.notify_all();
     }
-
-    /// True once closed.
-    #[must_use]
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().expect("queue poisoned").closed
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +153,7 @@ mod tests {
 
     #[test]
     fn sheds_at_capacity() {
-        let q = BoundedQueue::new(2);
+        let q = BoundedQueue::new(2).unwrap();
         assert_eq!(q.try_push(1), Ok(1));
         assert_eq!(q.try_push(2), Ok(2));
         assert_eq!(
@@ -166,7 +166,7 @@ mod tests {
 
     #[test]
     fn close_drains_then_signals_closed() {
-        let q = BoundedQueue::new(4);
+        let q = BoundedQueue::new(4).unwrap();
         q.try_push(7).unwrap();
         q.close();
         assert_eq!(q.try_push(8), Err(AdmissionError::ShuttingDown));
@@ -176,13 +176,13 @@ mod tests {
 
     #[test]
     fn pop_wait_times_out_when_empty() {
-        let q: BoundedQueue<i32> = BoundedQueue::new(1);
+        let q: BoundedQueue<i32> = BoundedQueue::new(1).unwrap();
         assert_eq!(q.pop_wait(Duration::from_millis(1)), Popped::TimedOut);
     }
 
     #[test]
     fn producers_on_many_threads_all_land() {
-        let q = std::sync::Arc::new(BoundedQueue::new(64));
+        let q = std::sync::Arc::new(BoundedQueue::new(64).unwrap());
         let handles: Vec<_> = (0..8)
             .map(|t| {
                 let q = std::sync::Arc::clone(&q);

@@ -393,12 +393,6 @@ impl LoadMonitor {
         self.degraded
     }
 
-    /// True while degraded mode is engaged.
-    #[must_use]
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
     /// The batch bound in effect: the policy's degraded bound while
     /// degraded, `normal` otherwise.
     #[must_use]

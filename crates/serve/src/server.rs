@@ -34,7 +34,7 @@ use crate::builder::ServerBuilder;
 use crate::clock::WallClock;
 use crate::core::{CoreConfig, Driver, ServeCore};
 pub use crate::core::{ServeReport, ServeStats};
-use crate::error::Error;
+use crate::error::{ConfigError, Error};
 use crate::executor::Executor;
 use crate::queue::{BoundedQueue, Popped};
 use crate::request::{AdmissionError, Request, SubmitOptions, WorkloadKind, NO_DEADLINE};
@@ -69,21 +69,29 @@ impl Server {
         ServerBuilder::new()
     }
 
-    /// Spawns the worker threads for an already-validated builder.
-    pub(crate) fn spawn(spec: ServerBuilder) -> Self {
+    /// Allocates the queue, batcher and flight recorder for an
+    /// already-validated builder, then spawns the worker threads.
+    pub(crate) fn spawn(spec: ServerBuilder) -> Result<Self, ConfigError> {
+        let queue = BoundedQueue::new(spec.queue_capacity).map_err(ConfigError::too_large(
+            "queue_capacity",
+            spec.queue_capacity,
+        ))?;
+        let batcher = Batcher::new(spec.policy)
+            .map_err(ConfigError::too_large("max_batch", spec.policy.max_batch))?;
+        let core = ServeCore::new(CoreConfig {
+            policy: spec.policy,
+            retry: spec.retry,
+            degradation: spec.degradation,
+            breaker: spec.breaker,
+            faults: spec.faults,
+            trace_capacity: spec.trace_capacity,
+        })?;
         let shared = Arc::new(Shared {
-            queue: BoundedQueue::new(spec.queue_capacity),
-            batcher: Mutex::new(Batcher::new(spec.policy)),
+            queue,
+            batcher: Mutex::new(batcher),
             executor: Executor::new(spec.executor),
             clock: WallClock::new(),
-            core: ServeCore::new(CoreConfig {
-                policy: spec.policy,
-                retry: spec.retry,
-                degradation: spec.degradation,
-                breaker: spec.breaker,
-                faults: spec.faults,
-                trace_capacity: spec.trace_capacity,
-            }),
+            core,
             deadline_default: spec.deadline_default,
             next_id: AtomicU64::new(0),
         });
@@ -96,7 +104,7 @@ impl Server {
                     .expect("spawn worker")
             })
             .collect();
-        Server { shared, workers }
+        Ok(Server { shared, workers })
     }
 
     /// Submits one inference request with default options (the

@@ -260,7 +260,8 @@ impl Driver for Lane<'_> {
 ///
 /// # Panics
 ///
-/// Panics on a zero-lane, zero-request or empty-mix configuration.
+/// Panics on a zero-lane, zero-request or empty-mix configuration, or
+/// on a `max_batch` or `trace_capacity` too large to allocate.
 #[must_use]
 pub fn run(config: &SimConfig, cost: &CostModel, executor: Option<&Executor>) -> SimReport {
     assert!(config.lanes >= 1, "need at least one lane");
@@ -294,8 +295,9 @@ pub fn run(config: &SimConfig, cost: &CostModel, executor: Option<&Executor>) ->
         breaker: config.breaker,
         faults: config.faults,
         trace_capacity: config.trace_capacity,
-    });
-    let mut batcher = Batcher::new(config.policy);
+    })
+    .expect("trace_capacity must be allocatable");
+    let mut batcher = Batcher::new(config.policy).expect("max_batch must be allocatable");
     let mut ready: VecDeque<(u64, Batch)> = VecDeque::new();
     let mut waiting_in_ready = 0usize;
     let mut lanes = vec![0u64; config.lanes];
@@ -614,10 +616,6 @@ mod tests {
         let cost = CostModel::synthetic(1_000, 200);
         let report = run(&quick_config(), &cost, None);
         let serve = &report.serve;
-        if !nsflow_telemetry::enabled() {
-            assert!(serve.trace.is_empty(), "tracing must be inert");
-            return;
-        }
         // 6 events per served request + 1 per shed, all retained.
         assert_eq!(
             serve.trace.len() as u64,

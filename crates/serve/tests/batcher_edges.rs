@@ -19,7 +19,8 @@ fn empty_batcher_never_flushes_on_deadline() {
     let mut b = Batcher::new(BatchPolicy {
         max_batch: 4,
         max_wait: 10,
-    });
+    })
+    .unwrap();
     // No pending requests: no deadline exists and polling far past any
     // conceivable deadline still yields nothing.
     assert_eq!(b.next_deadline(), None);
@@ -47,7 +48,8 @@ fn flush_after_close_drains_exactly_once() {
     let mut b = Batcher::new(BatchPolicy {
         max_batch: 8,
         max_wait: 1_000_000,
-    });
+    })
+    .unwrap();
     for id in 0..3 {
         assert!(b.offer(req(id), id).is_none());
     }
@@ -66,7 +68,8 @@ fn batch_exactly_at_capacity_flushes_once_without_deadline() {
     let mut b = Batcher::new(BatchPolicy {
         max_batch: 4,
         max_wait: 1_000_000,
-    });
+    })
+    .unwrap();
     assert!(b.offer(req(0), 0).is_none());
     assert!(b.offer(req(1), 0).is_none());
     assert!(b.offer(req(2), 0).is_none());
@@ -119,38 +122,32 @@ fn oversubmission_is_shed_not_queued() {
 
     // Telemetry satellite: the shed path increments the counter.
     let snapshot = TelemetrySnapshot::capture();
-    if nsflow_telemetry::enabled() {
-        assert!(
-            snapshot.counter("serve.shed") >= shed,
-            "serve.shed counter should record every shed request"
-        );
-        assert!(
-            snapshot.counter("serve.shed.queue_full") >= shed,
-            "every shed here is a queue-full shed"
-        );
-        assert!(snapshot.counter("serve.submitted") >= admitted);
-    }
+    assert!(
+        snapshot.counter("serve.shed") >= shed,
+        "serve.shed counter should record every shed request"
+    );
+    assert!(
+        snapshot.counter("serve.shed.queue_full") >= shed,
+        "every shed here is a queue-full shed"
+    );
+    assert!(snapshot.counter("serve.submitted") >= admitted);
 
     // Flight recorder satellite: shed requests leave a typed Shed event
     // carrying the shared reason enum.
-    if nsflow_telemetry::enabled() {
-        let shed_events = report
-            .trace
-            .records
-            .iter()
-            .filter(|r| {
-                matches!(
-                    r.event,
-                    nsflow_serve::RequestEvent::Shed {
-                        reason: nsflow_serve::ShedReason::QueueFull
-                    }
-                )
-            })
-            .count();
-        assert_eq!(shed_events as u64, shed, "one Shed event per shed request");
-    } else {
-        assert!(report.trace.is_empty());
-    }
+    let shed_events = report
+        .trace
+        .records
+        .iter()
+        .filter(|r| {
+            matches!(
+                r.event,
+                nsflow_serve::RequestEvent::Shed {
+                    reason: nsflow_serve::ShedReason::QueueFull
+                }
+            )
+        })
+        .count();
+    assert_eq!(shed_events as u64, shed, "one Shed event per shed request");
 }
 
 #[test]
@@ -185,7 +182,7 @@ fn shutdown_with_in_flight_requests_drains_them() {
 
 #[test]
 fn closed_queue_reports_shutting_down() {
-    let queue = nsflow_serve::queue::BoundedQueue::new(4);
+    let queue = nsflow_serve::queue::BoundedQueue::new(4).unwrap();
     queue.try_push(req(0)).expect("room");
     queue.close();
     assert_eq!(queue.try_push(req(1)), Err(AdmissionError::ShuttingDown));

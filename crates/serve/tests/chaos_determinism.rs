@@ -95,17 +95,15 @@ fn chaos_chrome_trace_is_bit_identical_across_reruns() {
         stats.submitted
     );
 
-    if nsflow_telemetry::enabled() {
-        assert!(
-            text_a.contains("\"faults\""),
-            "retried/failed lifecycles surface the dedicated faults track"
-        );
-        assert_eq!(
-            fnv1a(text_a.as_bytes()),
-            CHAOS_TRACE_FNV1A,
-            "the chaos run's Chrome trace changed"
-        );
-    }
+    assert!(
+        text_a.contains("\"faults\""),
+        "retried/failed lifecycles surface the dedicated faults track"
+    );
+    assert_eq!(
+        fnv1a(text_a.as_bytes()),
+        CHAOS_TRACE_FNV1A,
+        "the chaos run's Chrome trace changed"
+    );
 
     // Hand the rendered bytes to the CI chaos step for the
     // cross-process diff.

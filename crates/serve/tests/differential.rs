@@ -116,9 +116,7 @@ fn server_and_simlab_agree_on_one_script() {
     };
     assert_eq!(answers(&threaded), answers(&sim));
 
-    if nsflow_telemetry::enabled() {
-        assert_eq!(threaded.trace.dropped, 0);
-        assert_eq!(sim.trace.dropped, 0);
-        assert_eq!(lifecycles(&threaded.trace), lifecycles(&sim.trace));
-    }
+    assert_eq!(threaded.trace.dropped, 0);
+    assert_eq!(sim.trace.dropped, 0);
+    assert_eq!(lifecycles(&threaded.trace), lifecycles(&sim.trace));
 }

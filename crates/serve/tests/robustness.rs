@@ -86,11 +86,9 @@ fn certain_faults_exhaust_retries_and_report_failures() {
         assert_eq!(failure.attempts, 2, "budget fully consumed");
     }
 
-    if nsflow_telemetry::enabled() {
-        let snapshot = nsflow_telemetry::TelemetrySnapshot::capture();
-        assert!(snapshot.counter("serve.retries") >= stats.retries);
-        assert!(snapshot.counter("serve.faults_injected") >= stats.faults_injected);
-    }
+    let snapshot = nsflow_telemetry::TelemetrySnapshot::capture();
+    assert!(snapshot.counter("serve.retries") >= stats.retries);
+    assert!(snapshot.counter("serve.faults_injected") >= stats.faults_injected);
 }
 
 #[test]
@@ -272,15 +270,13 @@ fn expired_requests_are_dropped_before_execution() {
         report.stats.submitted,
         "every admitted request completes, fails or expires"
     );
-    if nsflow_telemetry::enabled() {
-        assert!(report.trace.records.iter().any(|r| r.trace_id == id
-            && matches!(
-                r.event,
-                nsflow_serve::RequestEvent::Shed {
-                    reason: ShedReason::DeadlineExceeded
-                }
-            )));
-    }
+    assert!(report.trace.records.iter().any(|r| r.trace_id == id
+        && matches!(
+            r.event,
+            nsflow_serve::RequestEvent::Shed {
+                reason: ShedReason::DeadlineExceeded
+            }
+        )));
 }
 
 #[test]

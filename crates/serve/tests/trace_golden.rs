@@ -50,10 +50,6 @@ fn sim_chrome_trace_is_bit_identical_across_reruns() {
     let text_b = b.trace.to_chrome_trace("golden", "cycle").render_pretty();
     assert_eq!(text_a, text_b, "export must be bit-identical");
 
-    if !nsflow_telemetry::enabled() {
-        assert!(a.trace.is_empty());
-        return;
-    }
     assert_eq!(
         fnv1a(text_a.as_bytes()),
         GOLDEN_TRACE_FNV1A,
@@ -105,9 +101,6 @@ fn sim_chrome_trace_is_bit_identical_across_reruns() {
 fn sim_event_chains_are_causally_ordered() {
     let cost = CostModel::synthetic(3_000, 1_500);
     let report = simlab::run(&golden_config(), &cost, None).serve;
-    if !nsflow_telemetry::enabled() {
-        return;
-    }
     use std::collections::BTreeMap;
     let mut by_request: BTreeMap<u64, Vec<(u64, &RequestEvent)>> = BTreeMap::new();
     for record in &report.trace.records {
@@ -152,9 +145,6 @@ fn ring_keeps_only_the_newest_lifecycles() {
     };
     let cost = CostModel::synthetic(3_000, 1_500);
     let report = simlab::run(&config, &cost, None).serve;
-    if !nsflow_telemetry::enabled() {
-        return;
-    }
     assert!(report.trace.len() as u64 <= 64);
     assert!(report.trace.dropped > 0, "volume exceeds capacity");
     let seqs: Vec<u64> = report.trace.records.iter().map(|r| r.seq).collect();
@@ -182,11 +172,6 @@ fn threaded_server_traces_real_lifecycles() {
     }
     let report = server.shutdown();
     assert_eq!(report.responses.len(), 10);
-    if !nsflow_telemetry::enabled() {
-        assert!(report.trace.is_empty());
-        assert_eq!(report.phases.exec.count, 0);
-        return;
-    }
     // 6 events per served request, none dropped at this capacity.
     assert_eq!(report.trace.len(), 60);
     assert_eq!(report.trace.dropped, 0);

@@ -219,7 +219,7 @@ impl Schedule {
 
 /// Publishes a finished schedule into the telemetry registry: per-class
 /// busy-cycle counters, the scheduled-op count, and a per-op latency
-/// histogram. No-op when the `telemetry` feature is disabled.
+/// histogram.
 fn record_schedule(schedule: &Schedule) {
     telemetry::counter!("sim.ops_scheduled").add(schedule.ops.len() as u64);
     telemetry::counter!("sim.cycles.nn").add(schedule.busy_nn);

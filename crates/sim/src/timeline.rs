@@ -33,6 +33,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use nsflow_graph::DataflowGraph;
+use nsflow_telemetry::trace::{process_name_event, thread_name_event};
 use nsflow_telemetry::JsonValue;
 use nsflow_trace::{OpId, OpKind};
 
@@ -314,31 +315,14 @@ impl Schedule {
         let mut events: Vec<JsonValue> = Vec::new();
 
         // Track metadata.
-        let meta = |tid: u64, name: String| {
-            JsonValue::object([
-                ("ph", JsonValue::Str("M".into())),
-                ("pid", JsonValue::UInt(0)),
-                ("tid", JsonValue::UInt(tid)),
-                ("name", JsonValue::Str("thread_name".into())),
-                ("args", JsonValue::object([("name", JsonValue::Str(name))])),
-            ])
-        };
-        events.push(JsonValue::object([
-            ("ph", JsonValue::Str("M".into())),
-            ("pid", JsonValue::UInt(0)),
-            ("name", JsonValue::Str("process_name".into())),
-            (
-                "args",
-                JsonValue::object([(
-                    "name",
-                    JsonValue::Str(format!("nsflow-sim: {}", trace.name())),
-                )]),
-            ),
-        ]));
+        events.push(process_name_event(format!("nsflow-sim: {}", trace.name())));
         for u in 0..self.pool_units() {
-            events.push(meta(POOL_TID_BASE + u as u64, format!("subarray[{u}]")));
+            events.push(thread_name_event(
+                POOL_TID_BASE + u as u64,
+                format!("subarray[{u}]"),
+            ));
         }
-        events.push(meta(SIMD_TID, "SIMD unit".to_string()));
+        events.push(thread_name_event(SIMD_TID, "SIMD unit".to_string()));
 
         // Duration events.
         let mut timed: Vec<(u64, u64, JsonValue)> = Vec::new();

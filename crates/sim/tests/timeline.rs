@@ -266,9 +266,6 @@ fn pooled_unit_assignment_is_consistent() {
 
 #[test]
 fn stall_counters_are_recorded() {
-    if !nsflow_telemetry::enabled() {
-        return;
-    }
     nsflow_telemetry::reset();
     let g = chain_graph(2);
     let _s = schedule::run_pooled(

@@ -32,21 +32,8 @@
 //!
 //! hot_loop();
 //! let snapshot = telemetry::TelemetrySnapshot::capture();
-//! if telemetry::enabled() {
-//!     assert_eq!(snapshot.counter("docs.iterations"), 32);
-//! }
+//! assert_eq!(snapshot.counter("docs.iterations"), 32);
 //! ```
-//!
-//! # Feature gating
-//!
-//! The `telemetry` cargo feature (default-on) gates all recording.
-//! When disabled, counters/gauges/histograms/spans are zero-sized
-//! no-ops, [`TelemetrySnapshot::capture`] returns an empty snapshot,
-//! and the macros still compile — callers never need `cfg` guards.
-//! The snapshot/JSON types themselves stay fully functional either
-//! way, so tooling (e.g. the bench gate) can parse snapshots produced
-//! by an instrumented binary even if it was itself built without the
-//! feature.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -70,11 +57,6 @@ pub use trace::{
     TraceSnapshot,
 };
 
-/// Whether this build records telemetry (the `telemetry` feature).
-pub const fn enabled() -> bool {
-    cfg!(feature = "telemetry")
-}
-
 /// Reset every metric in the global registry to zero.
 ///
 /// Metric names stay registered; cached handles stay valid. Bench
@@ -89,7 +71,6 @@ pub fn reset() {
 /// Expands to a `&'static Counter`; the name lookup happens once per
 /// call site (a `OnceLock`'d pointer), so hot loops only pay one
 /// relaxed atomic add per increment.
-#[cfg(feature = "telemetry")]
 #[macro_export]
 macro_rules! counter {
     ($name:expr) => {{
@@ -99,18 +80,7 @@ macro_rules! counter {
     }};
 }
 
-/// Global counter handle by name (no-op: `telemetry` feature is off).
-#[cfg(not(feature = "telemetry"))]
-#[macro_export]
-macro_rules! counter {
-    ($name:expr) => {{
-        let _ = $name;
-        $crate::Counter::noop()
-    }};
-}
-
 /// Global gauge handle by name, cached per call site.
-#[cfg(feature = "telemetry")]
 #[macro_export]
 macro_rules! gauge {
     ($name:expr) => {{
@@ -120,34 +90,13 @@ macro_rules! gauge {
     }};
 }
 
-/// Global gauge handle by name (no-op: `telemetry` feature is off).
-#[cfg(not(feature = "telemetry"))]
-#[macro_export]
-macro_rules! gauge {
-    ($name:expr) => {{
-        let _ = $name;
-        $crate::Gauge::noop()
-    }};
-}
-
 /// Global histogram handle by name, cached per call site.
-#[cfg(feature = "telemetry")]
 #[macro_export]
 macro_rules! histogram {
     ($name:expr) => {{
         static __NSFLOW_TELEMETRY_SITE: ::std::sync::OnceLock<&'static $crate::Histogram> =
             ::std::sync::OnceLock::new();
         *__NSFLOW_TELEMETRY_SITE.get_or_init(|| $crate::global().histogram($name))
-    }};
-}
-
-/// Global histogram handle by name (no-op: `telemetry` feature is off).
-#[cfg(not(feature = "telemetry"))]
-#[macro_export]
-macro_rules! histogram {
-    ($name:expr) => {{
-        let _ = $name;
-        $crate::Histogram::noop()
     }};
 }
 
@@ -178,13 +127,9 @@ mod tests {
             let _span = telemetry::span!("lib_test.span");
         }
         let snapshot = telemetry::TelemetrySnapshot::capture();
-        if telemetry::enabled() {
-            assert!(snapshot.counter("lib_test.count") >= 3);
-            assert_eq!(snapshot.gauges.get("lib_test.gauge"), Some(&7));
-            assert!(snapshot.histograms.get("lib_test.hist").unwrap().count >= 1);
-            assert!(snapshot.spans.get("lib_test.span").unwrap().count >= 1);
-        } else {
-            assert!(snapshot.is_empty());
-        }
+        assert!(snapshot.counter("lib_test.count") >= 3);
+        assert_eq!(snapshot.gauges.get("lib_test.gauge"), Some(&7));
+        assert!(snapshot.histograms.get("lib_test.hist").unwrap().count >= 1);
+        assert!(snapshot.spans.get("lib_test.span").unwrap().count >= 1);
     }
 }

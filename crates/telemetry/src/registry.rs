@@ -7,9 +7,11 @@
 //! leaked on first registration so call sites can cache the pointer
 //! (see the [`counter!`](crate::counter) macro) and skip the name
 //! lookup on every subsequent hit.
-//!
-//! With the `telemetry` cargo feature disabled, every type in this
-//! module is a zero-sized stand-in whose methods compile to nothing.
+
+use crate::snapshot::{HistogramSnapshot, SpanSnapshot, TelemetrySnapshot};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::RwLock;
 
 /// Number of histogram buckets: one for zero plus one per power of two
 /// up to `2^63` (values `v` land in bucket `64 - v.leading_zeros()`).
@@ -34,539 +36,350 @@ pub fn bucket_lower_bound(index: usize) -> u64 {
     }
 }
 
-#[cfg(feature = "telemetry")]
-pub use enabled::{Counter, Gauge, Histogram, Registry, SpanStat};
-
-#[cfg(not(feature = "telemetry"))]
-pub use disabled::{Counter, Gauge, Histogram, Registry, SpanStat};
-
 /// The process-wide registry used by the recording macros.
 pub fn global() -> &'static Registry {
     static GLOBAL: Registry = Registry::new();
     &GLOBAL
 }
 
-#[cfg(feature = "telemetry")]
-mod enabled {
-    use super::{bucket_index, BUCKETS};
-    use crate::snapshot::{HistogramSnapshot, SpanSnapshot, TelemetrySnapshot};
-    use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-    use std::sync::RwLock;
+/// Monotonically increasing event counter.
+#[derive(Debug, Default)]
+pub struct Counter {
+    value: AtomicU64,
+}
 
-    /// Monotonically increasing event counter.
-    #[derive(Debug, Default)]
-    pub struct Counter {
-        value: AtomicU64,
-    }
-
-    impl Counter {
-        /// New counter at zero.
-        pub const fn new() -> Self {
-            Self {
-                value: AtomicU64::new(0),
-            }
-        }
-
-        /// Add `n` to the counter.
-        #[inline]
-        pub fn add(&self, n: u64) {
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
-
-        /// Add one to the counter.
-        #[inline]
-        pub fn incr(&self) {
-            self.add(1);
-        }
-
-        /// Current value.
-        pub fn get(&self) -> u64 {
-            self.value.load(Ordering::Relaxed)
-        }
-
-        /// Detached no-op cell used by the feature-off macro expansion.
-        pub fn noop() -> &'static Counter {
-            static NOOP: Counter = Counter::new();
-            &NOOP
-        }
-
-        fn reset(&self) {
-            self.value.store(0, Ordering::Relaxed);
+impl Counter {
+    /// New counter at zero.
+    pub const fn new() -> Self {
+        Self {
+            value: AtomicU64::new(0),
         }
     }
 
-    /// Last-write-wins signed level (thread counts, queue depths, ...).
-    #[derive(Debug, Default)]
-    pub struct Gauge {
-        value: AtomicI64,
+    /// Add `n` to the counter.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    impl Gauge {
-        /// New gauge at zero.
-        pub const fn new() -> Self {
-            Self {
-                value: AtomicI64::new(0),
-            }
-        }
+    /// Add one to the counter.
+    #[inline]
+    pub fn incr(&self) {
+        self.add(1);
+    }
 
-        /// Overwrite the level.
-        #[inline]
-        pub fn set(&self, v: i64) {
-            self.value.store(v, Ordering::Relaxed);
-        }
+    /// Current value.
+    pub fn get(&self) -> u64 {
+        self.value.load(Ordering::Relaxed)
+    }
 
-        /// Shift the level by `delta`.
-        #[inline]
-        pub fn add(&self, delta: i64) {
-            self.value.fetch_add(delta, Ordering::Relaxed);
-        }
+    fn reset(&self) {
+        self.value.store(0, Ordering::Relaxed);
+    }
+}
 
-        /// Current level.
-        pub fn get(&self) -> i64 {
-            self.value.load(Ordering::Relaxed)
-        }
+/// Last-write-wins signed level (thread counts, queue depths, ...).
+#[derive(Debug, Default)]
+pub struct Gauge {
+    value: AtomicI64,
+}
 
-        /// Detached no-op cell used by the feature-off macro expansion.
-        pub fn noop() -> &'static Gauge {
-            static NOOP: Gauge = Gauge::new();
-            &NOOP
-        }
-
-        fn reset(&self) {
-            self.value.store(0, Ordering::Relaxed);
+impl Gauge {
+    /// New gauge at zero.
+    pub const fn new() -> Self {
+        Self {
+            value: AtomicI64::new(0),
         }
     }
 
-    /// Log2-bucketed histogram of `u64` samples.
-    ///
-    /// `sum` wraps on overflow (relaxed `fetch_add`); with nanosecond
-    /// samples that takes centuries of recorded time.
-    #[derive(Debug)]
-    pub struct Histogram {
-        count: AtomicU64,
-        sum: AtomicU64,
-        min: AtomicU64,
-        max: AtomicU64,
-        buckets: [AtomicU64; BUCKETS],
+    /// Overwrite the level.
+    #[inline]
+    pub fn set(&self, v: i64) {
+        self.value.store(v, Ordering::Relaxed);
     }
 
-    impl Histogram {
-        /// New empty histogram.
-        pub const fn new() -> Self {
-            Self {
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                min: AtomicU64::new(u64::MAX),
-                max: AtomicU64::new(0),
-                buckets: [const { AtomicU64::new(0) }; BUCKETS],
-            }
-        }
+    /// Shift the level by `delta`.
+    #[inline]
+    pub fn add(&self, delta: i64) {
+        self.value.fetch_add(delta, Ordering::Relaxed);
+    }
 
-        /// Record one sample.
-        #[inline]
-        pub fn record(&self, value: u64) {
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(value, Ordering::Relaxed);
-            self.min.fetch_min(value, Ordering::Relaxed);
-            self.max.fetch_max(value, Ordering::Relaxed);
-            self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        }
+    /// Current level.
+    pub fn get(&self) -> i64 {
+        self.value.load(Ordering::Relaxed)
+    }
 
-        /// Record every sample of `values`: fold them locally, then
-        /// publish with one atomic update per touched cell. The snapshot
-        /// equals that of one [`record`](Self::record) call per value.
-        pub fn record_all(&self, values: impl IntoIterator<Item = u64>) {
-            let (mut count, mut sum, mut min, mut max) = (0u64, 0u64, u64::MAX, 0u64);
-            let mut buckets = [0u64; BUCKETS];
-            for value in values {
-                count += 1;
-                sum = sum.wrapping_add(value);
-                min = min.min(value);
-                max = max.max(value);
-                buckets[bucket_index(value)] += 1;
-            }
-            if count == 0 {
-                return;
-            }
-            self.count.fetch_add(count, Ordering::Relaxed);
-            self.sum.fetch_add(sum, Ordering::Relaxed);
-            self.min.fetch_min(min, Ordering::Relaxed);
-            self.max.fetch_max(max, Ordering::Relaxed);
-            for (cell, n) in self.buckets.iter().zip(buckets) {
-                if n > 0 {
-                    cell.fetch_add(n, Ordering::Relaxed);
-                }
-            }
-        }
+    fn reset(&self) {
+        self.value.store(0, Ordering::Relaxed);
+    }
+}
 
-        /// Number of recorded samples.
-        pub fn count(&self) -> u64 {
-            self.count.load(Ordering::Relaxed)
-        }
+/// Log2-bucketed histogram of `u64` samples.
+///
+/// `sum` wraps on overflow (relaxed `fetch_add`); with nanosecond
+/// samples that takes centuries of recorded time.
+#[derive(Debug)]
+pub struct Histogram {
+    count: AtomicU64,
+    sum: AtomicU64,
+    min: AtomicU64,
+    max: AtomicU64,
+    buckets: [AtomicU64; BUCKETS],
+}
 
-        /// Detached no-op cell used by the feature-off macro expansion.
-        pub fn noop() -> &'static Histogram {
-            static NOOP: Histogram = Histogram::new();
-            &NOOP
+impl Histogram {
+    /// New empty histogram.
+    pub const fn new() -> Self {
+        Self {
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
+            buckets: [const { AtomicU64::new(0) }; BUCKETS],
         }
+    }
 
-        fn reset(&self) {
-            self.count.store(0, Ordering::Relaxed);
-            self.sum.store(0, Ordering::Relaxed);
-            self.min.store(u64::MAX, Ordering::Relaxed);
-            self.max.store(0, Ordering::Relaxed);
-            for bucket in &self.buckets {
-                bucket.store(0, Ordering::Relaxed);
-            }
+    /// Record one sample.
+    #[inline]
+    pub fn record(&self, value: u64) {
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
+        self.min.fetch_min(value, Ordering::Relaxed);
+        self.max.fetch_max(value, Ordering::Relaxed);
+        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record every sample of `values`: fold them locally, then
+    /// publish with one atomic update per touched cell. The snapshot
+    /// equals that of one [`record`](Self::record) call per value.
+    pub fn record_all(&self, values: impl IntoIterator<Item = u64>) {
+        let (mut count, mut sum, mut min, mut max) = (0u64, 0u64, u64::MAX, 0u64);
+        let mut buckets = [0u64; BUCKETS];
+        for value in values {
+            count += 1;
+            sum = sum.wrapping_add(value);
+            min = min.min(value);
+            max = max.max(value);
+            buckets[bucket_index(value)] += 1;
         }
-
-        pub(crate) fn snapshot(&self) -> HistogramSnapshot {
-            let count = self.count.load(Ordering::Relaxed);
-            let min = self.min.load(Ordering::Relaxed);
-            HistogramSnapshot {
-                count,
-                sum: self.sum.load(Ordering::Relaxed),
-                min: if count == 0 { 0 } else { min },
-                max: self.max.load(Ordering::Relaxed),
-                buckets: self
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, b)| {
-                        let n = b.load(Ordering::Relaxed);
-                        (n > 0).then_some((i as u8, n))
-                    })
-                    .collect(),
+        if count == 0 {
+            return;
+        }
+        self.count.fetch_add(count, Ordering::Relaxed);
+        self.sum.fetch_add(sum, Ordering::Relaxed);
+        self.min.fetch_min(min, Ordering::Relaxed);
+        self.max.fetch_max(max, Ordering::Relaxed);
+        for (cell, n) in self.buckets.iter().zip(buckets) {
+            if n > 0 {
+                cell.fetch_add(n, Ordering::Relaxed);
             }
         }
     }
 
-    impl Default for Histogram {
-        fn default() -> Self {
-            Self::new()
+    /// Number of recorded samples.
+    pub fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
+
+    fn reset(&self) {
+        self.count.store(0, Ordering::Relaxed);
+        self.sum.store(0, Ordering::Relaxed);
+        self.min.store(u64::MAX, Ordering::Relaxed);
+        self.max.store(0, Ordering::Relaxed);
+        for bucket in &self.buckets {
+            bucket.store(0, Ordering::Relaxed);
         }
     }
 
-    /// Aggregated timing for one span name.
-    #[derive(Debug, Default)]
-    pub struct SpanStat {
-        count: AtomicU64,
-        total_ns: AtomicU64,
-        max_ns: AtomicU64,
-    }
-
-    impl SpanStat {
-        /// New empty aggregate.
-        pub const fn new() -> Self {
-            Self {
-                count: AtomicU64::new(0),
-                total_ns: AtomicU64::new(0),
-                max_ns: AtomicU64::new(0),
-            }
-        }
-
-        /// Fold one completed span of `elapsed_ns` into the aggregate.
-        #[inline]
-        pub fn record(&self, elapsed_ns: u64) {
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.total_ns.fetch_add(elapsed_ns, Ordering::Relaxed);
-            self.max_ns.fetch_max(elapsed_ns, Ordering::Relaxed);
-        }
-
-        /// Number of completed spans.
-        pub fn count(&self) -> u64 {
-            self.count.load(Ordering::Relaxed)
-        }
-
-        fn reset(&self) {
-            self.count.store(0, Ordering::Relaxed);
-            self.total_ns.store(0, Ordering::Relaxed);
-            self.max_ns.store(0, Ordering::Relaxed);
-        }
-
-        pub(crate) fn snapshot(&self) -> SpanSnapshot {
-            SpanSnapshot {
-                count: self.count.load(Ordering::Relaxed),
-                total_ns: self.total_ns.load(Ordering::Relaxed),
-                max_ns: self.max_ns.load(Ordering::Relaxed),
-            }
-        }
-    }
-
-    /// Named collection of metrics.
-    ///
-    /// Metric cells are leaked on first registration so lookups hand out
-    /// `&'static` handles; a registry therefore never frees its cells
-    /// (bounded by the number of distinct metric names, which is small
-    /// and fixed per binary).
-    #[derive(Debug)]
-    pub struct Registry {
-        counters: RwLock<BTreeMap<String, &'static Counter>>,
-        gauges: RwLock<BTreeMap<String, &'static Gauge>>,
-        histograms: RwLock<BTreeMap<String, &'static Histogram>>,
-        spans: RwLock<BTreeMap<String, &'static SpanStat>>,
-    }
-
-    fn lookup<T: 'static>(
-        map: &RwLock<BTreeMap<String, &'static T>>,
-        name: &str,
-        make: impl FnOnce() -> T,
-    ) -> &'static T {
-        if let Some(&existing) = map.read().expect("telemetry lock").get(name) {
-            return existing;
-        }
-        let mut guard = map.write().expect("telemetry lock");
-        guard
-            .entry(name.to_string())
-            .or_insert_with(|| Box::leak(Box::new(make())))
-    }
-
-    impl Registry {
-        /// New empty registry.
-        pub const fn new() -> Self {
-            Self {
-                counters: RwLock::new(BTreeMap::new()),
-                gauges: RwLock::new(BTreeMap::new()),
-                histograms: RwLock::new(BTreeMap::new()),
-                spans: RwLock::new(BTreeMap::new()),
-            }
-        }
-
-        /// Counter handle for `name`, registering it on first use.
-        pub fn counter(&self, name: &str) -> &'static Counter {
-            lookup(&self.counters, name, Counter::new)
-        }
-
-        /// Gauge handle for `name`, registering it on first use.
-        pub fn gauge(&self, name: &str) -> &'static Gauge {
-            lookup(&self.gauges, name, Gauge::new)
-        }
-
-        /// Histogram handle for `name`, registering it on first use.
-        pub fn histogram(&self, name: &str) -> &'static Histogram {
-            lookup(&self.histograms, name, Histogram::new)
-        }
-
-        /// Span aggregate handle for `name`, registering it on first use.
-        pub fn span_stat(&self, name: &str) -> &'static SpanStat {
-            lookup(&self.spans, name, SpanStat::new)
-        }
-
-        /// Zero every registered metric (names stay registered).
-        pub fn reset(&self) {
-            for counter in self.counters.read().expect("telemetry lock").values() {
-                counter.reset();
-            }
-            for gauge in self.gauges.read().expect("telemetry lock").values() {
-                gauge.reset();
-            }
-            for histogram in self.histograms.read().expect("telemetry lock").values() {
-                histogram.reset();
-            }
-            for span in self.spans.read().expect("telemetry lock").values() {
-                span.reset();
-            }
-        }
-
-        /// Consistent point-in-time copy of every registered metric,
-        /// deterministically ordered by name.
-        pub fn snapshot(&self) -> TelemetrySnapshot {
-            TelemetrySnapshot {
-                counters: self
-                    .counters
-                    .read()
-                    .expect("telemetry lock")
-                    .iter()
-                    .map(|(name, c)| (name.clone(), c.get()))
-                    .collect(),
-                gauges: self
-                    .gauges
-                    .read()
-                    .expect("telemetry lock")
-                    .iter()
-                    .map(|(name, g)| (name.clone(), g.get()))
-                    .collect(),
-                histograms: self
-                    .histograms
-                    .read()
-                    .expect("telemetry lock")
-                    .iter()
-                    .map(|(name, h)| (name.clone(), h.snapshot()))
-                    .collect(),
-                spans: self
-                    .spans
-                    .read()
-                    .expect("telemetry lock")
-                    .iter()
-                    .map(|(name, s)| (name.clone(), s.snapshot()))
-                    .collect(),
-            }
-        }
-    }
-
-    impl Default for Registry {
-        fn default() -> Self {
-            Self::new()
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
+        let count = self.count.load(Ordering::Relaxed);
+        let min = self.min.load(Ordering::Relaxed);
+        HistogramSnapshot {
+            count,
+            sum: self.sum.load(Ordering::Relaxed),
+            min: if count == 0 { 0 } else { min },
+            max: self.max.load(Ordering::Relaxed),
+            buckets: self
+                .buckets
+                .iter()
+                .enumerate()
+                .filter_map(|(i, b)| {
+                    let n = b.load(Ordering::Relaxed);
+                    (n > 0).then_some((i as u8, n))
+                })
+                .collect(),
         }
     }
 }
 
-#[cfg(not(feature = "telemetry"))]
-mod disabled {
-    use crate::snapshot::TelemetrySnapshot;
+impl Default for Histogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
-    /// No-op counter (the `telemetry` feature is disabled).
-    #[derive(Debug, Default)]
-    pub struct Counter;
+/// Aggregated timing for one span name.
+#[derive(Debug, Default)]
+pub struct SpanStat {
+    count: AtomicU64,
+    total_ns: AtomicU64,
+    max_ns: AtomicU64,
+}
 
-    impl Counter {
-        /// New counter at zero.
-        pub const fn new() -> Self {
-            Self
-        }
-
-        /// No-op.
-        #[inline]
-        pub fn add(&self, _n: u64) {}
-
-        /// No-op.
-        #[inline]
-        pub fn incr(&self) {}
-
-        /// Always zero.
-        pub fn get(&self) -> u64 {
-            0
-        }
-
-        /// Shared no-op cell.
-        pub fn noop() -> &'static Counter {
-            static NOOP: Counter = Counter::new();
-            &NOOP
+impl SpanStat {
+    /// New empty aggregate.
+    pub const fn new() -> Self {
+        Self {
+            count: AtomicU64::new(0),
+            total_ns: AtomicU64::new(0),
+            max_ns: AtomicU64::new(0),
         }
     }
 
-    /// No-op gauge (the `telemetry` feature is disabled).
-    #[derive(Debug, Default)]
-    pub struct Gauge;
-
-    impl Gauge {
-        /// New gauge at zero.
-        pub const fn new() -> Self {
-            Self
-        }
-
-        /// No-op.
-        #[inline]
-        pub fn set(&self, _v: i64) {}
-
-        /// No-op.
-        #[inline]
-        pub fn add(&self, _delta: i64) {}
-
-        /// Always zero.
-        pub fn get(&self) -> i64 {
-            0
-        }
-
-        /// Shared no-op cell.
-        pub fn noop() -> &'static Gauge {
-            static NOOP: Gauge = Gauge::new();
-            &NOOP
-        }
+    /// Fold one completed span of `elapsed_ns` into the aggregate.
+    #[inline]
+    pub fn record(&self, elapsed_ns: u64) {
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.total_ns.fetch_add(elapsed_ns, Ordering::Relaxed);
+        self.max_ns.fetch_max(elapsed_ns, Ordering::Relaxed);
     }
 
-    /// No-op histogram (the `telemetry` feature is disabled).
-    #[derive(Debug, Default)]
-    pub struct Histogram;
-
-    impl Histogram {
-        /// New empty histogram.
-        pub const fn new() -> Self {
-            Self
-        }
-
-        /// No-op.
-        #[inline]
-        pub fn record(&self, _value: u64) {}
-
-        /// No-op; `values` is not iterated.
-        #[inline]
-        pub fn record_all(&self, _values: impl IntoIterator<Item = u64>) {}
-
-        /// Always zero.
-        pub fn count(&self) -> u64 {
-            0
-        }
-
-        /// Shared no-op cell.
-        pub fn noop() -> &'static Histogram {
-            static NOOP: Histogram = Histogram::new();
-            &NOOP
-        }
+    /// Number of completed spans.
+    pub fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
     }
 
-    /// No-op span aggregate (the `telemetry` feature is disabled).
-    #[derive(Debug, Default)]
-    pub struct SpanStat;
-
-    impl SpanStat {
-        /// New empty aggregate.
-        pub const fn new() -> Self {
-            Self
-        }
-
-        /// No-op.
-        #[inline]
-        pub fn record(&self, _elapsed_ns: u64) {}
-
-        /// Always zero.
-        pub fn count(&self) -> u64 {
-            0
-        }
+    fn reset(&self) {
+        self.count.store(0, Ordering::Relaxed);
+        self.total_ns.store(0, Ordering::Relaxed);
+        self.max_ns.store(0, Ordering::Relaxed);
     }
 
-    /// No-op registry (the `telemetry` feature is disabled).
-    #[derive(Debug, Default)]
-    pub struct Registry;
-
-    impl Registry {
-        /// New empty registry.
-        pub const fn new() -> Self {
-            Self
-        }
-
-        /// Shared no-op counter.
-        pub fn counter(&self, _name: &str) -> &'static Counter {
-            Counter::noop()
-        }
-
-        /// Shared no-op gauge.
-        pub fn gauge(&self, _name: &str) -> &'static Gauge {
-            Gauge::noop()
-        }
-
-        /// Shared no-op histogram.
-        pub fn histogram(&self, _name: &str) -> &'static Histogram {
-            Histogram::noop()
-        }
-
-        /// Shared no-op span aggregate.
-        pub fn span_stat(&self, _name: &str) -> &'static SpanStat {
-            static NOOP: SpanStat = SpanStat::new();
-            &NOOP
-        }
-
-        /// No-op.
-        pub fn reset(&self) {}
-
-        /// Always empty.
-        pub fn snapshot(&self) -> TelemetrySnapshot {
-            TelemetrySnapshot::default()
+    pub(crate) fn snapshot(&self) -> SpanSnapshot {
+        SpanSnapshot {
+            count: self.count.load(Ordering::Relaxed),
+            total_ns: self.total_ns.load(Ordering::Relaxed),
+            max_ns: self.max_ns.load(Ordering::Relaxed),
         }
     }
 }
 
+/// Named collection of metrics.
+///
+/// Metric cells are leaked on first registration so lookups hand out
+/// `&'static` handles; a registry therefore never frees its cells
+/// (bounded by the number of distinct metric names, which is small
+/// and fixed per binary).
+#[derive(Debug)]
+pub struct Registry {
+    counters: RwLock<BTreeMap<String, &'static Counter>>,
+    gauges: RwLock<BTreeMap<String, &'static Gauge>>,
+    histograms: RwLock<BTreeMap<String, &'static Histogram>>,
+    spans: RwLock<BTreeMap<String, &'static SpanStat>>,
+}
+
+fn lookup<T: 'static>(
+    map: &RwLock<BTreeMap<String, &'static T>>,
+    name: &str,
+    make: impl FnOnce() -> T,
+) -> &'static T {
+    if let Some(&existing) = map.read().expect("telemetry lock").get(name) {
+        return existing;
+    }
+    let mut guard = map.write().expect("telemetry lock");
+    guard
+        .entry(name.to_string())
+        .or_insert_with(|| Box::leak(Box::new(make())))
+}
+
+impl Registry {
+    /// New empty registry.
+    pub const fn new() -> Self {
+        Self {
+            counters: RwLock::new(BTreeMap::new()),
+            gauges: RwLock::new(BTreeMap::new()),
+            histograms: RwLock::new(BTreeMap::new()),
+            spans: RwLock::new(BTreeMap::new()),
+        }
+    }
+
+    /// Counter handle for `name`, registering it on first use.
+    pub fn counter(&self, name: &str) -> &'static Counter {
+        lookup(&self.counters, name, Counter::new)
+    }
+
+    /// Gauge handle for `name`, registering it on first use.
+    pub fn gauge(&self, name: &str) -> &'static Gauge {
+        lookup(&self.gauges, name, Gauge::new)
+    }
+
+    /// Histogram handle for `name`, registering it on first use.
+    pub fn histogram(&self, name: &str) -> &'static Histogram {
+        lookup(&self.histograms, name, Histogram::new)
+    }
+
+    /// Span aggregate handle for `name`, registering it on first use.
+    pub fn span_stat(&self, name: &str) -> &'static SpanStat {
+        lookup(&self.spans, name, SpanStat::new)
+    }
+
+    /// Zero every registered metric (names stay registered).
+    pub fn reset(&self) {
+        for counter in self.counters.read().expect("telemetry lock").values() {
+            counter.reset();
+        }
+        for gauge in self.gauges.read().expect("telemetry lock").values() {
+            gauge.reset();
+        }
+        for histogram in self.histograms.read().expect("telemetry lock").values() {
+            histogram.reset();
+        }
+        for span in self.spans.read().expect("telemetry lock").values() {
+            span.reset();
+        }
+    }
+
+    /// Consistent point-in-time copy of every registered metric,
+    /// deterministically ordered by name.
+    pub fn snapshot(&self) -> TelemetrySnapshot {
+        TelemetrySnapshot {
+            counters: self
+                .counters
+                .read()
+                .expect("telemetry lock")
+                .iter()
+                .map(|(name, c)| (name.clone(), c.get()))
+                .collect(),
+            gauges: self
+                .gauges
+                .read()
+                .expect("telemetry lock")
+                .iter()
+                .map(|(name, g)| (name.clone(), g.get()))
+                .collect(),
+            histograms: self
+                .histograms
+                .read()
+                .expect("telemetry lock")
+                .iter()
+                .map(|(name, h)| (name.clone(), h.snapshot()))
+                .collect(),
+            spans: self
+                .spans
+                .read()
+                .expect("telemetry lock")
+                .iter()
+                .map(|(name, s)| (name.clone(), s.snapshot()))
+                .collect(),
+        }
+    }
+}
+
+impl Default for Registry {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -596,7 +409,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn histogram_records_edges() {
         let h = Histogram::new();
@@ -611,7 +423,6 @@ mod tests {
         assert_eq!(snap.buckets, vec![(0, 1), (1, 1), (64, 1)]);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn record_all_matches_per_value_records() {
         let values = [7u64, 0, 1, 1, 300, u64::MAX, 64, 63, 1 << 40, 7];
@@ -629,7 +440,6 @@ mod tests {
         assert_eq!(untouched.snapshot(), Histogram::new().snapshot());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn empty_histogram_snapshot_has_zero_min() {
         let h = Histogram::new();
@@ -640,7 +450,6 @@ mod tests {
         assert!(snap.buckets.is_empty());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn registry_registers_resets_and_snapshots() {
         let registry = Registry::new();
@@ -662,16 +471,5 @@ mod tests {
         assert_eq!(snap.gauges.get("a.level"), Some(&0));
         assert_eq!(snap.histograms.get("a.lat").unwrap().count, 0);
         assert_eq!(snap.spans.get("a.span").unwrap().count, 0);
-    }
-
-    #[cfg(not(feature = "telemetry"))]
-    #[test]
-    fn disabled_registry_is_inert() {
-        let registry = Registry::new();
-        registry.counter("a.hits").add(3);
-        registry.histogram("a.lat").record(5);
-        registry.histogram("a.lat").record_all([1, 2, 3]);
-        assert_eq!(registry.counter("a.hits").get(), 0);
-        assert!(registry.snapshot().counters.is_empty());
     }
 }

@@ -7,85 +7,58 @@
 //! `"dse.explore.phase1"`. The nesting path is thread-local, and the
 //! guard is `!Send` so it cannot close on a different thread than it
 //! opened on.
-//!
-//! With the `telemetry` feature disabled, [`SpanGuard`] is a zero-sized
-//! no-op.
 
-#[cfg(feature = "telemetry")]
-pub use enabled::SpanGuard;
+use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::time::Instant;
 
-#[cfg(not(feature = "telemetry"))]
-pub use disabled::SpanGuard;
+thread_local! {
+    static PATH: RefCell<String> = const { RefCell::new(String::new()) };
+}
 
-#[cfg(feature = "telemetry")]
-mod enabled {
-    use std::cell::RefCell;
-    use std::marker::PhantomData;
-    use std::time::Instant;
+/// RAII guard timing one span; see the module docs.
+#[derive(Debug)]
+#[must_use = "a span guard records its timing when dropped"]
+pub struct SpanGuard {
+    prev_len: usize,
+    start: Instant,
+    // Keep the guard on the thread whose path stack it extended.
+    _not_send: PhantomData<*const ()>,
+}
 
-    thread_local! {
-        static PATH: RefCell<String> = const { RefCell::new(String::new()) };
-    }
-
-    /// RAII guard timing one span; see the module docs.
-    #[derive(Debug)]
-    #[must_use = "a span guard records its timing when dropped"]
-    pub struct SpanGuard {
-        prev_len: usize,
-        start: Instant,
-        // Keep the guard on the thread whose path stack it extended.
-        _not_send: PhantomData<*const ()>,
-    }
-
-    impl SpanGuard {
-        /// Open a span named `name`, nested under any live span on this
-        /// thread. Dotted names (`"dse.phase1"`) are the convention.
-        pub fn enter(name: &str) -> Self {
-            let prev_len = PATH.with(|path| {
-                let mut path = path.borrow_mut();
-                let prev_len = path.len();
-                if prev_len > 0 {
-                    path.push('.');
-                }
-                path.push_str(name);
-                prev_len
-            });
-            Self {
-                prev_len,
-                start: Instant::now(),
-                _not_send: PhantomData,
+impl SpanGuard {
+    /// Open a span named `name`, nested under any live span on this
+    /// thread. Dotted names (`"dse.phase1"`) are the convention.
+    pub fn enter(name: &str) -> Self {
+        let prev_len = PATH.with(|path| {
+            let mut path = path.borrow_mut();
+            let prev_len = path.len();
+            if prev_len > 0 {
+                path.push('.');
             }
-        }
-    }
-
-    impl Drop for SpanGuard {
-        fn drop(&mut self) {
-            let elapsed_ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            PATH.with(|path| {
-                let mut path = path.borrow_mut();
-                crate::global().span_stat(&path).record(elapsed_ns);
-                path.truncate(self.prev_len);
-            });
+            path.push_str(name);
+            prev_len
+        });
+        Self {
+            prev_len,
+            start: Instant::now(),
+            _not_send: PhantomData,
         }
     }
 }
 
-#[cfg(not(feature = "telemetry"))]
-mod disabled {
-    /// No-op span guard (the `telemetry` feature is disabled).
-    #[derive(Debug)]
-    #[must_use = "a span guard records its timing when dropped"]
-    pub struct SpanGuard;
-
-    impl SpanGuard {
-        /// No-op.
-        pub fn enter(_name: &str) -> Self {
-            Self
-        }
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        let elapsed_ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        PATH.with(|path| {
+            let mut path = path.borrow_mut();
+            crate::global().span_stat(&path).record(elapsed_ns);
+            path.truncate(self.prev_len);
+        });
     }
 }
 
-#[cfg(all(test, feature = "telemetry"))]
+#[cfg(test)]
 mod tests {
     use super::SpanGuard;
 

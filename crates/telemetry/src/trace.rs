@@ -26,12 +26,10 @@
 //!   sharded by global sequence number (round-robin), so concurrent
 //!   recorders contend on one relaxed atomic and a 1/`SHARDS` chance of
 //!   the same short mutex.
-//! - **Inert without the `telemetry` feature.** Recording compiles to a
-//!   no-op and snapshots are empty; the snapshot/exporter types stay
-//!   fully functional so tooling can still parse traces produced by an
-//!   instrumented binary.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, TryReserveError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use crate::json::JsonValue;
 
@@ -331,27 +329,10 @@ impl TraceSnapshot {
         let mut events: Vec<JsonValue> = Vec::new();
 
         // Track metadata.
-        events.push(JsonValue::object([
-            ("ph", JsonValue::Str("M".into())),
-            ("pid", JsonValue::UInt(0)),
-            ("name", JsonValue::Str("process_name".into())),
-            (
-                "args",
-                JsonValue::object([("name", JsonValue::Str(format!("nsflow-serve: {process}")))]),
-            ),
-        ]));
-        let meta = |tid: u64, name: String| {
-            JsonValue::object([
-                ("ph", JsonValue::Str("M".into())),
-                ("pid", JsonValue::UInt(0)),
-                ("tid", JsonValue::UInt(tid)),
-                ("name", JsonValue::Str("thread_name".into())),
-                ("args", JsonValue::object([("name", JsonValue::Str(name))])),
-            ])
-        };
-        events.push(meta(TID_ADMISSION, "admission".into()));
-        events.push(meta(TID_QUEUE_WAIT, "queue wait".into()));
-        events.push(meta(TID_BATCH_WAIT, "batch wait".into()));
+        events.push(process_name_event(format!("nsflow-serve: {process}")));
+        events.push(thread_name_event(TID_ADMISSION, "admission".into()));
+        events.push(thread_name_event(TID_QUEUE_WAIT, "queue wait".into()));
+        events.push(thread_name_event(TID_BATCH_WAIT, "batch wait".into()));
         let has_faults = self.records.iter().any(|r| {
             matches!(
                 r.event,
@@ -359,7 +340,7 @@ impl TraceSnapshot {
             )
         });
         if has_faults {
-            events.push(meta(TID_FAULTS, "faults".into()));
+            events.push(thread_name_event(TID_FAULTS, "faults".into()));
         }
         let mut workers: Vec<u32> = lifecycles
             .values()
@@ -368,7 +349,7 @@ impl TraceSnapshot {
         workers.sort_unstable();
         workers.dedup();
         for w in &workers {
-            events.push(meta(
+            events.push(thread_name_event(
                 WORKER_TID_BASE + u64::from(*w),
                 format!("worker[{w}]"),
             ));
@@ -591,6 +572,30 @@ impl TraceSnapshot {
     }
 }
 
+/// Chrome-trace metadata (`"ph": "M"`) event naming process 0.
+#[must_use]
+pub fn process_name_event(name: String) -> JsonValue {
+    JsonValue::object([
+        ("ph", JsonValue::Str("M".into())),
+        ("pid", JsonValue::UInt(0)),
+        ("name", JsonValue::Str("process_name".into())),
+        ("args", JsonValue::object([("name", JsonValue::Str(name))])),
+    ])
+}
+
+/// Chrome-trace metadata (`"ph": "M"`) event naming track `tid` of
+/// process 0.
+#[must_use]
+pub fn thread_name_event(tid: u64, name: String) -> JsonValue {
+    JsonValue::object([
+        ("ph", JsonValue::Str("M".into())),
+        ("pid", JsonValue::UInt(0)),
+        ("tid", JsonValue::UInt(tid)),
+        ("name", JsonValue::Str("thread_name".into())),
+        ("args", JsonValue::object([("name", JsonValue::Str(name))])),
+    ])
+}
+
 /// Track id layout for [`TraceSnapshot::to_chrome_trace`].
 const TID_ADMISSION: u64 = 1;
 const TID_QUEUE_WAIT: u64 = 2;
@@ -598,170 +603,124 @@ const TID_BATCH_WAIT: u64 = 3;
 const TID_FAULTS: u64 = 4;
 const WORKER_TID_BASE: u64 = 100;
 
-#[cfg(feature = "telemetry")]
-pub use enabled::FlightRecorder;
+/// Ring shards; records are assigned round-robin by sequence
+/// number, so the union of per-shard tails is exactly the global
+/// tail.
+const SHARDS: usize = 8;
 
-#[cfg(not(feature = "telemetry"))]
-pub use disabled::FlightRecorder;
+struct Shard {
+    /// Ring storage, allocated once at full shard capacity; `None`
+    /// marks a slot no record has reached yet.
+    records: Vec<Option<TraceRecord>>,
+}
 
-#[cfg(feature = "telemetry")]
-mod enabled {
-    use super::{RequestEvent, TraceRecord, TraceSnapshot};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
-
-    /// Ring shards; records are assigned round-robin by sequence
-    /// number, so the union of per-shard tails is exactly the global
-    /// tail.
-    const SHARDS: usize = 8;
-
-    struct Shard {
-        /// Ring storage, allocated once at full shard capacity; `None`
-        /// marks a slot no record has reached yet.
-        records: Vec<Option<TraceRecord>>,
-    }
-
-    /// Writes `record` into the slot its `seq` maps to in one shard's
-    /// ring, unless that slot already holds a newer record (a slower
-    /// thread can arrive with an older `seq` after the ring wrapped
-    /// past it; the older record is then the one dropped).
-    pub(super) fn place(ring: &mut [Option<TraceRecord>], record: TraceRecord) {
-        let slot = (record.seq as usize / SHARDS) % ring.len();
-        let cell = &mut ring[slot];
-        if cell.is_none_or(|held| held.seq < record.seq) {
-            *cell = Some(record);
-        }
-    }
-
-    /// Fixed-capacity flight recorder for request lifecycle events.
-    ///
-    /// See the [module docs](super) for the design; constructed with a
-    /// capacity rounded up to a multiple of the shard count (capacity 0
-    /// disables recording entirely).
-    pub struct FlightRecorder {
-        shards: Vec<Mutex<Shard>>,
-        shard_capacity: usize,
-        seq: AtomicU64,
-    }
-
-    impl std::fmt::Debug for FlightRecorder {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("FlightRecorder")
-                .field("capacity", &self.capacity())
-                .field("recorded", &self.recorded())
-                .finish()
-        }
-    }
-
-    impl FlightRecorder {
-        /// Creates a recorder retaining (at least) the last `capacity`
-        /// records; 0 disables recording.
-        #[must_use]
-        pub fn new(capacity: usize) -> Self {
-            let shard_capacity = capacity.div_ceil(SHARDS);
-            FlightRecorder {
-                shards: (0..SHARDS)
-                    .map(|_| {
-                        Mutex::new(Shard {
-                            records: vec![None; shard_capacity],
-                        })
-                    })
-                    .collect(),
-                shard_capacity,
-                seq: AtomicU64::new(0),
-            }
-        }
-
-        /// Effective retained capacity (requested, rounded up to a
-        /// shard multiple).
-        #[must_use]
-        pub fn capacity(&self) -> usize {
-            self.shard_capacity * SHARDS
-        }
-
-        /// Total records ever recorded (including overwritten ones).
-        #[must_use]
-        pub fn recorded(&self) -> u64 {
-            self.seq.load(Ordering::Relaxed)
-        }
-
-        /// Records one lifecycle event. Allocation-free: the record is
-        /// written into a preallocated ring slot.
-        pub fn record(&self, trace_id: u64, ts: u64, event: RequestEvent) {
-            if self.shard_capacity == 0 {
-                return;
-            }
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-            let record = TraceRecord {
-                seq,
-                trace_id,
-                ts,
-                event,
-            };
-            let shard = &self.shards[(seq as usize) % SHARDS];
-            place(
-                &mut shard.lock().expect("flight recorder poisoned").records,
-                record,
-            );
-        }
-
-        /// Copies out the retained records, oldest first, plus the
-        /// count of records the ring has already overwritten.
-        #[must_use]
-        pub fn snapshot(&self) -> TraceSnapshot {
-            let mut records: Vec<TraceRecord> = Vec::with_capacity(self.capacity());
-            for shard in &self.shards {
-                records.extend(
-                    shard
-                        .lock()
-                        .expect("flight recorder poisoned")
-                        .records
-                        .iter()
-                        .flatten(),
-                );
-            }
-            records.sort_unstable_by_key(|r| r.seq);
-            let dropped = self.recorded().saturating_sub(records.len() as u64);
-            TraceSnapshot { records, dropped }
-        }
+/// Writes `record` into the slot its `seq` maps to in one shard's
+/// ring, unless that slot already holds a newer record (a slower
+/// thread can arrive with an older `seq` after the ring wrapped
+/// past it; the older record is then the one dropped).
+fn place(ring: &mut [Option<TraceRecord>], record: TraceRecord) {
+    let slot = (record.seq as usize / SHARDS) % ring.len();
+    let cell = &mut ring[slot];
+    if cell.is_none_or(|held| held.seq < record.seq) {
+        *cell = Some(record);
     }
 }
 
-#[cfg(not(feature = "telemetry"))]
-mod disabled {
-    use super::{RequestEvent, TraceSnapshot};
+/// Fixed-capacity flight recorder for request lifecycle events.
+///
+/// See the [module docs](crate::trace) for the design; constructed with a
+/// capacity rounded up to a multiple of the shard count (capacity 0
+/// disables recording entirely).
+pub struct FlightRecorder {
+    shards: Vec<Mutex<Shard>>,
+    shard_capacity: usize,
+    seq: AtomicU64,
+}
 
-    /// No-op flight recorder (the `telemetry` feature is disabled).
-    #[derive(Debug)]
-    pub struct FlightRecorder;
+impl std::fmt::Debug for FlightRecorder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FlightRecorder")
+            .field("capacity", &self.capacity())
+            .field("recorded", &self.recorded())
+            .finish()
+    }
+}
 
-    impl FlightRecorder {
-        /// Creates a disabled recorder.
-        #[must_use]
-        pub fn new(_capacity: usize) -> Self {
-            FlightRecorder
+impl FlightRecorder {
+    /// Creates a recorder retaining (at least) the last `capacity`
+    /// records; 0 disables recording.
+    ///
+    /// # Errors
+    ///
+    /// The reservation error when the ring cannot be allocated.
+    pub fn new(capacity: usize) -> Result<Self, TryReserveError> {
+        let shard_capacity = capacity.div_ceil(SHARDS);
+        let shards = (0..SHARDS)
+            .map(|_| {
+                let mut records = Vec::new();
+                records.try_reserve_exact(shard_capacity)?;
+                records.resize(shard_capacity, None);
+                Ok(Mutex::new(Shard { records }))
+            })
+            .collect::<Result<_, TryReserveError>>()?;
+        Ok(FlightRecorder {
+            shards,
+            shard_capacity,
+            seq: AtomicU64::new(0),
+        })
+    }
+
+    /// Effective retained capacity (requested, rounded up to a
+    /// shard multiple).
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.shard_capacity * SHARDS
+    }
+
+    /// Total records ever recorded (including overwritten ones).
+    #[must_use]
+    pub fn recorded(&self) -> u64 {
+        self.seq.load(Ordering::Relaxed)
+    }
+
+    /// Records one lifecycle event. Allocation-free: the record is
+    /// written into a preallocated ring slot.
+    pub fn record(&self, trace_id: u64, ts: u64, event: RequestEvent) {
+        if self.shard_capacity == 0 {
+            return;
         }
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let record = TraceRecord {
+            seq,
+            trace_id,
+            ts,
+            event,
+        };
+        let shard = &self.shards[(seq as usize) % SHARDS];
+        place(
+            &mut shard.lock().expect("flight recorder poisoned").records,
+            record,
+        );
+    }
 
-        /// Always zero.
-        #[must_use]
-        pub fn capacity(&self) -> usize {
-            0
+    /// Copies out the retained records, oldest first, plus the
+    /// count of records the ring has already overwritten.
+    #[must_use]
+    pub fn snapshot(&self) -> TraceSnapshot {
+        let mut records: Vec<TraceRecord> = Vec::with_capacity(self.capacity());
+        for shard in &self.shards {
+            records.extend(
+                shard
+                    .lock()
+                    .expect("flight recorder poisoned")
+                    .records
+                    .iter()
+                    .flatten(),
+            );
         }
-
-        /// Always zero.
-        #[must_use]
-        pub fn recorded(&self) -> u64 {
-            0
-        }
-
-        /// No-op.
-        pub fn record(&self, _trace_id: u64, _ts: u64, _event: RequestEvent) {}
-
-        /// Always empty.
-        #[must_use]
-        pub fn snapshot(&self) -> TraceSnapshot {
-            TraceSnapshot::default()
-        }
+        records.sort_unstable_by_key(|r| r.seq);
+        let dropped = self.recorded().saturating_sub(records.len() as u64);
+        TraceSnapshot { records, dropped }
     }
 }
 
@@ -778,10 +737,9 @@ mod tests {
         rec.record(id, t0 + 40, RequestEvent::Responded);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn recorder_retains_everything_under_capacity() {
-        let rec = FlightRecorder::new(64);
+        let rec = FlightRecorder::new(64).unwrap();
         full_lifecycle(&rec, 0, 0, 0, 0);
         full_lifecycle(&rec, 1, 5, 0, 0);
         let snap = rec.snapshot();
@@ -792,10 +750,9 @@ mod tests {
         assert!(seqs.windows(2).all(|w| w[0] < w[1]));
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn ring_overwrites_oldest_and_reports_drops() {
-        let rec = FlightRecorder::new(16);
+        let rec = FlightRecorder::new(16).unwrap();
         assert_eq!(rec.capacity(), 16);
         for i in 0..100u64 {
             rec.record(i, i, RequestEvent::Admitted);
@@ -808,7 +765,6 @@ mod tests {
         assert_eq!(ids, (84..100).collect::<Vec<_>>());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn out_of_order_seqs_land_in_their_own_slots() {
         // Seqs 0, 16, 8 all map to shard 0 (of 8), slots 0, 2, 1. A
@@ -822,35 +778,24 @@ mod tests {
         };
         let mut ring = vec![None; 4];
         for seq in [0, 16, 8] {
-            enabled::place(&mut ring, record(seq));
+            place(&mut ring, record(seq));
         }
         let held: Vec<u64> = ring.iter().flatten().map(|r| r.seq).collect();
         assert_eq!(held, [0, 8, 16]);
         // Seq 40 wraps onto slot 1 and evicts seq 8; seq 8 arriving
         // again (late) must not evict the newer record.
-        enabled::place(&mut ring, record(40));
-        enabled::place(&mut ring, record(8));
+        place(&mut ring, record(40));
+        place(&mut ring, record(8));
         let held: Vec<u64> = ring.iter().flatten().map(|r| r.seq).collect();
         assert_eq!(held, [0, 40, 16]);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn zero_capacity_disables_recording() {
-        let rec = FlightRecorder::new(0);
+        let rec = FlightRecorder::new(0).unwrap();
         rec.record(1, 1, RequestEvent::Admitted);
         assert!(rec.snapshot().is_empty());
         assert_eq!(rec.capacity(), 0);
-    }
-
-    #[cfg(not(feature = "telemetry"))]
-    #[test]
-    fn disabled_recorder_is_inert() {
-        let rec = FlightRecorder::new(1024);
-        full_lifecycle(&rec, 0, 0, 0, 0);
-        assert!(rec.snapshot().is_empty());
-        assert_eq!(rec.capacity(), 0);
-        assert_eq!(rec.recorded(), 0);
     }
 
     #[test]

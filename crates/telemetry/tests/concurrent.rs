@@ -1,7 +1,5 @@
 //! Counters are lossless under concurrent increments from the shared
-//! `nsflow_core::par` thread pool (dev-dependency cycle: core is built
-//! without its `telemetry` feature here, which is fine — the counters
-//! under test live in this crate).
+//! `nsflow_core::par` thread pool.
 
 use nsflow_core::par::parallel_map;
 use nsflow_telemetry as telemetry;
@@ -25,11 +23,7 @@ fn concurrent_increments_are_lossless() {
     }
 
     let expected = 4 * ITEMS as u64 * PER_ITEM;
-    if telemetry::enabled() {
-        assert_eq!(counter.get() - before, expected);
-    } else {
-        assert_eq!(counter.get(), 0);
-    }
+    assert_eq!(counter.get() - before, expected);
 }
 
 #[test]
@@ -38,11 +32,9 @@ fn concurrent_histogram_recording_is_lossless() {
     let items: Vec<u64> = (0..4096).collect();
     let before = histogram.count();
     parallel_map(&items, 8, |&v| histogram.record(v));
-    if telemetry::enabled() {
-        assert_eq!(histogram.count() - before, items.len() as u64);
-        let snap = telemetry::TelemetrySnapshot::capture();
-        let h = snap.histograms.get("concurrent_test.samples").unwrap();
-        assert_eq!(h.buckets.iter().map(|(_, n)| n).sum::<u64>(), h.count);
-        assert_eq!(h.max, 4095);
-    }
+    assert_eq!(histogram.count() - before, items.len() as u64);
+    let snap = telemetry::TelemetrySnapshot::capture();
+    let h = snap.histograms.get("concurrent_test.samples").unwrap();
+    assert_eq!(h.buckets.iter().map(|(_, n)| n).sum::<u64>(), h.count);
+    assert_eq!(h.max, 4095);
 }

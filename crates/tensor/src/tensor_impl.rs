@@ -59,15 +59,6 @@ impl Tensor {
         }
     }
 
-    /// Creates a rank-1 tensor from a slice.
-    #[must_use]
-    pub fn from_slice(values: &[f32]) -> Self {
-        Tensor {
-            shape: Shape::vector(values.len()),
-            data: values.to_vec(),
-        }
-    }
-
     /// The tensor's shape.
     #[must_use]
     pub fn shape(&self) -> &Shape {
@@ -83,12 +74,6 @@ impl Tensor {
     /// Mutable view of the backing data (row-major).
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the tensor and returns the backing data.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Element at a multi-index.

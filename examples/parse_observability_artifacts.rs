@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .and_then(|m| m.get("time_unit"))
         .and_then(JsonValue::as_str)
         .ok_or("trace metadata has no time_unit")?;
-    if nsflow::telemetry::enabled() && events.is_empty() {
+    if events.is_empty() {
         return Err("trace has zero events — the flight recorder went dark".into());
     }
     println!(
@@ -54,17 +54,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let json_text = std::fs::read_to_string(&json_path)?;
     let from_json =
         TelemetrySnapshot::from_json(&json_text).map_err(|e| format!("{json_path}: {e}"))?;
-    if nsflow::telemetry::enabled() {
-        // The two exports come from the same process; the lifecycle
-        // counters must exist in both and agree on the submit volume.
-        for snapshot in [&from_prom, &from_json] {
-            if snapshot.counter("serve.submitted") == 0 {
-                return Err("serve.submitted missing from exported metrics".into());
-            }
+    // The two exports come from the same process; the lifecycle
+    // counters must exist in both and agree on the submit volume.
+    for snapshot in [&from_prom, &from_json] {
+        if snapshot.counter("serve.submitted") == 0 {
+            return Err("serve.submitted missing from exported metrics".into());
         }
-        if from_prom.counter("serve.submitted") != from_json.counter("serve.submitted") {
-            return Err("prom and JSON exports disagree on serve.submitted".into());
-        }
+    }
+    if from_prom.counter("serve.submitted") != from_json.counter("serve.submitted") {
+        return Err("prom and JSON exports disagree on serve.submitted".into());
     }
     println!("{json_path}: snapshot loads, exports agree");
     Ok(())

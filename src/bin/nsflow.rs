@@ -645,4 +645,12 @@ mod tests {
         let err = parse_serve_args(&s(&["--fault-plan", "error=700,spike=400:10"])).unwrap_err();
         assert!(err.contains("--fault-plan"), "{err}");
     }
+
+    #[test]
+    fn serve_refuses_a_queue_too_large_to_allocate() {
+        let args =
+            parse_serve_args(&s(&["--requests", "2", "--queue", "18446744073709551615"])).unwrap();
+        let err = serve(args).unwrap_err();
+        assert!(err.contains("queue_capacity"), "{err}");
+    }
 }
