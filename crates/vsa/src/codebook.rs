@@ -366,6 +366,34 @@ mod tests {
         assert!((sup.similarity(book.codeword(0)).unwrap() - 1.0).abs() < 1e-6);
     }
 
+    /// Pins the unitary generator bit for bit: an FNV-1a digest of every
+    /// codeword element at power-of-two and odd-factor block sizes.
+    #[test]
+    fn unitary_codewords_match_pinned_digests() {
+        const PINNED: [(usize, u64); 4] = [
+            (8, 0x9fc6_ec86_1076_45a4),
+            (32, 0x0d0a_776d_419d_3b75),
+            (64, 0x6eb3_9a32_dd21_45f9),
+            (100, 0x14c6_3363_1741_a91b),
+        ];
+        let mut moved = Vec::new();
+        for (dim, pinned) in PINNED {
+            let book = Codebook::random_unitary(3, 2, dim, &mut StdRng::seed_from_u64(dim as u64));
+            let digest = book
+                .codewords()
+                .iter()
+                .flat_map(|cw| cw.data())
+                .flat_map(|x| x.to_bits().to_le_bytes())
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+                });
+            if digest != pinned {
+                moved.push(format!("dim {dim}: {digest:#018x}"));
+            }
+        }
+        assert!(moved.is_empty(), "unitary codewords moved: {moved:?}");
+    }
+
     #[test]
     fn generation_is_deterministic_per_seed() {
         let a = Codebook::random_unitary(2, 1, 32, &mut StdRng::seed_from_u64(9));
