@@ -93,13 +93,14 @@ impl Codebook {
             count > 0 && n_blocks > 0 && block_dim > 0,
             "sizes must be nonzero"
         );
-        let codewords = (0..count)
-            .map(|_| {
-                let mut data = Vec::with_capacity(n_blocks * block_dim);
-                for _ in 0..n_blocks {
-                    data.extend(random_unitary_block(block_dim, rng));
-                }
-                BlockCode::from_vec(n_blocks, block_dim, data)
+        let phases: Vec<Vec<f64>> = (0..count * n_blocks)
+            .map(|_| random_phases(block_dim, rng))
+            .collect();
+        let data = unitary_blocks(&phases, block_dim);
+        let codewords = data
+            .chunks(n_blocks * block_dim)
+            .map(|cw| {
+                BlockCode::from_vec(n_blocks, block_dim, cw.to_vec())
                     .expect("generated data matches geometry")
             })
             .collect();
@@ -200,40 +201,46 @@ impl Codebook {
     }
 }
 
-/// One unitary block: inverse DFT of a conjugate-symmetric flat-magnitude
-/// spectrum with uniformly random phases (computed in `f64` for accuracy).
-fn random_unitary_block(dim: usize, rng: &mut StdRng) -> Vec<f32> {
-    use std::f64::consts::TAU;
-    // Random phases with conjugate symmetry so the time signal is real:
-    // theta[d-k] = -theta[k]; theta[0] (and theta[d/2] for even d) in {0, π}.
+/// Random phases of one unitary block, with conjugate symmetry so the
+/// time signal is real: `theta[d-k] = -theta[k]`; `theta[0]` (and
+/// `theta[d/2]` for even `d`) in `{0, π}`.
+fn random_phases(dim: usize, rng: &mut StdRng) -> Vec<f64> {
+    use std::f64::consts::{PI, TAU};
     let mut theta = vec![0.0f64; dim];
-    theta[0] = if rng.gen::<bool>() {
-        0.0
-    } else {
-        std::f64::consts::PI
-    };
+    theta[0] = if rng.gen::<bool>() { 0.0 } else { PI };
     if dim.is_multiple_of(2) {
-        theta[dim / 2] = if rng.gen::<bool>() {
-            0.0
-        } else {
-            std::f64::consts::PI
-        };
+        theta[dim / 2] = if rng.gen::<bool>() { 0.0 } else { PI };
     }
     for k in 1..dim.div_ceil(2) {
         let t: f64 = rng.gen_range(0.0..TAU);
         theta[k] = t;
         theta[dim - k] = -t;
     }
-    // x[n] = (1/d) Σ_k cos(θ_k + 2πkn/d)  (imaginary parts cancel).
-    (0..dim)
-        .map(|n| {
+    theta
+}
+
+/// Unitary blocks, laid out one after another: each is the inverse DFT of
+/// a flat-magnitude spectrum with the given phases (computed in `f64` for
+/// accuracy), `x[n] = (1/d) Σ_k cos(θ_k + 2πkn/d)` (imaginary parts
+/// cancel). Each row of angles `2πkn/d` is computed once and shared by
+/// every block.
+fn unitary_blocks(phases: &[Vec<f64>], dim: usize) -> Vec<f32> {
+    use std::f64::consts::TAU;
+    let mut data = vec![0.0f32; phases.len() * dim];
+    let mut angles = vec![0.0f64; dim];
+    for n in 0..dim {
+        for (k, angle) in angles.iter_mut().enumerate() {
+            *angle = TAU * (k as f64) * (n as f64) / (dim as f64);
+        }
+        for (block, theta) in phases.iter().enumerate() {
             let mut acc = 0.0f64;
-            for (k, &th) in theta.iter().enumerate() {
-                acc += (th + TAU * (k as f64) * (n as f64) / (dim as f64)).cos();
+            for (&th, &angle) in theta.iter().zip(&angles) {
+                acc += (th + angle).cos();
             }
-            (acc / dim as f64) as f32
-        })
-        .collect()
+            data[block * dim + n] = (acc / dim as f64) as f32;
+        }
+    }
+    data
 }
 
 #[cfg(test)]
