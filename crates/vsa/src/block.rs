@@ -1,5 +1,3 @@
-use nsflow_tensor::{Shape, Tensor};
-
 use crate::{ops, Result, VsaError};
 
 /// A block-code hypervector: `n_blocks` blocks of `block_dim` real elements.
@@ -196,16 +194,6 @@ impl BlockCode {
         }
     }
 
-    /// Converts to a `[n_blocks, block_dim]` tensor (copies).
-    #[must_use]
-    pub fn to_tensor(&self) -> Tensor {
-        Tensor::from_vec(
-            Shape::matrix(self.n_blocks, self.block_dim),
-            self.data.clone(),
-        )
-        .expect("geometry invariant guarantees matching volume")
-    }
-
     pub(crate) fn check_geometry(&self, other: &BlockCode) -> Result<()> {
         if self.n_blocks != other.n_blocks || self.block_dim != other.block_dim {
             return Err(VsaError::GeometryMismatch {
@@ -290,12 +278,5 @@ mod tests {
         let mut z = BlockCode::zeros(1, 3);
         z.normalize();
         assert_eq!(z.data(), &[0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn to_tensor_shape() {
-        let c = BlockCode::zeros(4, 256);
-        let t = c.to_tensor();
-        assert_eq!(t.shape().dims(), &[4, 256]);
     }
 }

@@ -29,6 +29,16 @@
 //!   feeds back into the next iteration is assembled directly from the
 //!   cached codeword spectra, so no forward FFT ever runs inside the
 //!   loop.
+//! - [`SpectralResonator::reconstruct`] and
+//!   [`SpectralResonator::unbind_others`] serve hard coordinate descent:
+//!   they return **exactly** the [`fft::bind_fast`] fold of the chosen
+//!   codewords, and [`fft::unbind_fast`] of a target by that fold, without
+//!   re-transforming operands. Bound codeword pairs are memoized (time
+//!   domain, filled on first use), every later bind reads a cached
+//!   codeword spectrum, and a [`SpectralTarget`] carries its spectrum
+//!   across the many unbinds of one panel. Each cached spectrum is the
+//!   very transform `bind_fast` would compute, and the complex products
+//!   multiply the same operands, so the outputs are bit-identical.
 //!
 //! # Equivalence with the reference resonator
 //!
@@ -63,12 +73,15 @@
 //! reference [`Resonator`], so the engine is total over every geometry
 //! the reference accepts.
 
+use std::borrow::Cow;
+use std::sync::OnceLock;
+
 use nsflow_nn::gemm;
 use nsflow_telemetry as telemetry;
 
 use crate::fft::{self, Complex, FftPlan};
 use crate::resonator::{Factorization, Resonator, ResonatorConfig};
-use crate::{ops, BlockCode, Codebook, Result};
+use crate::{ops, BlockCode, Codebook, Result, VsaError};
 
 /// A [`Codebook`] with precomputed spectral and matrix caches.
 ///
@@ -205,6 +218,15 @@ impl SpectralCodebook {
         Ok(ops::softmax(&logits))
     }
 
+    /// The cached blockwise spectrum of codeword `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics off the spectral path or if `index` is out of range.
+    fn spectrum(&self, index: usize) -> &[Complex] {
+        &self.spectra.as_ref().expect("spectral path")[index]
+    }
+
     /// Similarity scan against a raw query slice (no geometry to check:
     /// the engine's internal residuals are plain vectors).
     fn similarities_flat(&self, query: &[f32]) -> Vec<f32> {
@@ -234,6 +256,40 @@ fn spectrum_of(data: &[f32], n_blocks: usize, plan: &FftPlan) -> Vec<Complex> {
     spec
 }
 
+/// `bind_fast(acc, cw)` with `cw`'s blockwise spectrum taken from the
+/// cache: one forward and one inverse FFT per block.
+fn bind_cached(acc: &[f32], spectrum: &[Complex], plan: &FftPlan) -> Vec<f32> {
+    let bd = plan.len();
+    let mut out = Vec::with_capacity(acc.len());
+    for (block, spec) in acc.chunks(bd).zip(spectrum.chunks(bd)) {
+        let mut f = plan.forward_real(block);
+        for (x, y) in f.iter_mut().zip(spec) {
+            *x = x.mul(*y);
+        }
+        out.extend(plan.inverse_real(f));
+    }
+    out
+}
+
+/// A factorization target together with its blockwise spectrum, computed
+/// once by [`SpectralResonator::prepare`] and reused by every
+/// [`SpectralResonator::unbind_others`] call on it.
+#[derive(Debug, Clone)]
+pub struct SpectralTarget {
+    code: BlockCode,
+    /// Blockwise spectrum of `code`; present iff the engine that prepared
+    /// it is spectral.
+    spectrum: Option<Vec<Complex>>,
+}
+
+impl SpectralTarget {
+    /// The target code.
+    #[must_use]
+    pub fn code(&self) -> &BlockCode {
+        &self.code
+    }
+}
+
 /// Resonator network running on [`SpectralCodebook`] caches.
 ///
 /// Matches [`Resonator::factorize`] semantics (see the module docs for
@@ -259,6 +315,11 @@ fn spectrum_of(data: &[f32], n_blocks: usize, plan: &FftPlan) -> Vec<Complex> {
 pub struct SpectralResonator {
     reference: Resonator,
     books: Vec<SpectralCodebook>,
+    /// Bound codeword pairs, filled on first use:
+    /// `pairs[g1 * nf + g2][i * len(g2) + j]` holds exactly
+    /// `fft::bind_fast(cw[g1][i], cw[g2][j])` for factors `g1 < g2`. Empty
+    /// for every other factor pair and off the spectral path.
+    pairs: Vec<Vec<OnceLock<BlockCode>>>,
 }
 
 impl SpectralResonator {
@@ -269,9 +330,26 @@ impl SpectralResonator {
     /// Returns [`crate::VsaError::FactorGeometryMismatch`] under the same
     /// conditions as [`Resonator::new`].
     pub fn new(factors: Vec<Codebook>) -> Result<Self> {
-        let books = factors.iter().cloned().map(SpectralCodebook::new).collect();
+        let books: Vec<SpectralCodebook> =
+            factors.iter().cloned().map(SpectralCodebook::new).collect();
         let reference = Resonator::new(factors)?;
-        Ok(SpectralResonator { reference, books })
+        let nf = books.len();
+        let pairs = (0..nf * nf)
+            .map(|p| {
+                let (g1, g2) = (p / nf, p % nf);
+                let slots = if g1 < g2 && books[g1].is_spectral() {
+                    books[g1].len() * books[g2].len()
+                } else {
+                    0
+                };
+                (0..slots).map(|_| OnceLock::new()).collect()
+            })
+            .collect();
+        Ok(SpectralResonator {
+            reference,
+            books,
+            pairs,
+        })
     }
 
     /// The spectral factor codebooks.
@@ -294,15 +372,179 @@ impl SpectralResonator {
         self.books.iter().all(SpectralCodebook::is_spectral)
     }
 
-    /// Binds selected codewords back into a product — same as
-    /// [`Resonator::reconstruct`].
+    /// Block count and block dimension shared by every factor.
+    fn geometry(&self) -> (usize, usize) {
+        (self.books[0].n_blocks, self.books[0].block_dim)
+    }
+
+    /// Checks one codeword index per factor, each in range.
+    fn check_indices(&self, indices: &[usize]) -> Result<()> {
+        if indices.len() != self.books.len() {
+            return Err(VsaError::FactorGeometryMismatch(format!(
+                "expected {} indices, got {}",
+                self.books.len(),
+                indices.len()
+            )));
+        }
+        for (book, &index) in self.books.iter().zip(indices) {
+            if index >= book.len() {
+                return Err(VsaError::CodewordOutOfRange {
+                    index,
+                    len: book.len(),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// The memoized `bind_fast(cw[g1][i], cw[g2][j])` for `g1 < g2`,
+    /// bound from the cached spectra on first use.
+    fn pair(&self, (g1, i): (usize, usize), (g2, j): (usize, usize)) -> &BlockCode {
+        let slot = &self.pairs[g1 * self.books.len() + g2][i * self.books[g2].len() + j];
+        slot.get_or_init(|| {
+            let (nb, bd) = self.geometry();
+            let plan = fft::plan(bd);
+            let (a, b) = (self.books[g1].spectrum(i), self.books[g2].spectrum(j));
+            let mut data = Vec::with_capacity(nb * bd);
+            for (x, y) in a.chunks(bd).zip(b.chunks(bd)) {
+                data.extend(plan.inverse_real(x.iter().zip(y).map(|(x, y)| x.mul(*y)).collect()));
+            }
+            BlockCode::from_vec(nb, bd, data).expect("factors share geometry")
+        })
+    }
+
+    /// The `bind_fast` fold of the picked `(factor, index)` codewords, in
+    /// ascending factor order, on the spectral path: the first two come
+    /// from the pair memo and every later one binds through its cached
+    /// spectrum. `hits` counts the memo slots and spectra consumed.
+    fn chain(&self, picks: &[(usize, usize)], plan: &FftPlan, hits: &mut u64) -> Cow<'_, [f32]> {
+        match picks {
+            [] => unreachable!("a resonator has at least two factors"),
+            &[(g, i)] => Cow::Borrowed(self.books[g].book.codeword(i).data()),
+            &[first, second, ref rest @ ..] => {
+                let mut acc = Cow::Borrowed(self.pair(first, second).data());
+                *hits += 1;
+                for &(g, i) in rest {
+                    acc = Cow::Owned(bind_cached(&acc, self.books[g].spectrum(i), plan));
+                    *hits += 1;
+                }
+                acc
+            }
+        }
+    }
+
+    /// The same fold through [`fft::bind_fast`] itself, for geometries
+    /// off the spectral path.
+    fn bind_fold(&self, picks: &[(usize, usize)]) -> Result<BlockCode> {
+        let mut acc: Option<BlockCode> = None;
+        for &(g, i) in picks {
+            let cw = self.books[g].book.codeword(i);
+            acc = Some(match acc {
+                None => cw.clone(),
+                Some(prev) => fft::bind_fast(&prev, cw)?,
+            });
+        }
+        Ok(acc.expect("a resonator has at least two factors"))
+    }
+
+    /// Binds the selected codewords back into a product: exactly the
+    /// [`fft::bind_fast`] fold over the factors in order, served from the
+    /// pair memo and the cached codeword spectra.
     ///
     /// # Errors
     ///
-    /// Returns [`crate::VsaError::CodewordOutOfRange`] if an index
-    /// exceeds its codebook.
+    /// Returns [`crate::VsaError::FactorGeometryMismatch`] unless there is
+    /// one index per factor, and [`crate::VsaError::CodewordOutOfRange`]
+    /// if an index exceeds its codebook.
     pub fn reconstruct(&self, indices: &[usize]) -> Result<BlockCode> {
-        self.reference.reconstruct(indices)
+        self.check_indices(indices)?;
+        let picks: Vec<(usize, usize)> = indices.iter().copied().enumerate().collect();
+        if !self.is_spectral() {
+            return self.bind_fold(&picks);
+        }
+        let (nb, bd) = self.geometry();
+        let mut hits = 0;
+        let data = self.chain(&picks, &fft::plan(bd), &mut hits).into_owned();
+        telemetry::counter!("vsa.spectral_cache_hits").add(hits);
+        BlockCode::from_vec(nb, bd, data)
+    }
+
+    /// Computes `target`'s blockwise spectrum once for repeated
+    /// [`SpectralResonator::unbind_others`] calls.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::VsaError::GeometryMismatch`] if `target` disagrees
+    /// with the codebooks.
+    pub fn prepare(&self, target: BlockCode) -> Result<SpectralTarget> {
+        self.books[0].book.codeword(0).check_geometry(&target)?;
+        let (nb, bd) = self.geometry();
+        let spectrum = self
+            .is_spectral()
+            .then(|| spectrum_of(target.data(), nb, &fft::plan(bd)));
+        Ok(SpectralTarget {
+            code: target,
+            spectrum,
+        })
+    }
+
+    /// The residual of `target` with every factor but `skip` unbound:
+    /// exactly `fft::unbind_fast(target, fold)`, where `fold` is the
+    /// [`fft::bind_fast`] fold of the other factors' codewords at
+    /// `indices` — one hard coordinate-descent step before cleanup.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::VsaError::GeometryMismatch`] if `target` disagrees
+    /// with the codebooks, and the [`SpectralResonator::reconstruct`]
+    /// errors for `indices` or an out-of-range `skip`.
+    pub fn unbind_others(
+        &self,
+        target: &SpectralTarget,
+        indices: &[usize],
+        skip: usize,
+    ) -> Result<BlockCode> {
+        self.books[0]
+            .book
+            .codeword(0)
+            .check_geometry(&target.code)?;
+        self.check_indices(indices)?;
+        if skip >= indices.len() {
+            return Err(VsaError::FactorGeometryMismatch(format!(
+                "factor {skip} out of range for {} factors",
+                indices.len()
+            )));
+        }
+        let picks: Vec<(usize, usize)> = indices
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(g, _)| g != skip)
+            .collect();
+        let Some(t_spec) = &target.spectrum else {
+            return fft::unbind_fast(&target.code, &self.bind_fold(&picks)?);
+        };
+        let (nb, bd) = self.geometry();
+        let plan = fft::plan(bd);
+        // The target's spectrum is one cached transform consumed.
+        let mut hits = 1;
+        let others = match picks[..] {
+            [(g, i)] => {
+                hits += 1;
+                Cow::Borrowed(self.books[g].spectrum(i))
+            }
+            _ => Cow::Owned(spectrum_of(
+                &self.chain(&picks, &plan, &mut hits),
+                nb,
+                &plan,
+            )),
+        };
+        let mut data = Vec::with_capacity(nb * bd);
+        for (t, o) in t_spec.chunks(bd).zip(others.chunks(bd)) {
+            data.extend(plan.inverse_real(t.iter().zip(o).map(|(x, y)| x.mul(y.conj())).collect()));
+        }
+        telemetry::counter!("vsa.spectral_cache_hits").add(hits);
+        BlockCode::from_vec(nb, bd, data)
     }
 
     /// Iteratively factorizes `target` into one codeword per factor.
@@ -435,7 +677,9 @@ fn argmax_last(values: &[f32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nsflow_tensor::quant::QuantParams;
     use nsflow_tensor::rng::StdRng;
+    use nsflow_tensor::DType;
 
     fn unitary_books(counts: &[usize], nb: usize, bd: usize, seed: u64) -> Vec<Codebook> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -567,13 +811,111 @@ mod tests {
         assert!(book_engine.similarities(&wrong).is_err());
     }
 
+    /// Fake-quantizes every codeword block to INT4 with its own
+    /// symmetric scale, as the reasoner's symbolic datapath does.
+    fn int4(book: Codebook) -> Codebook {
+        let quantized = book
+            .codewords()
+            .iter()
+            .map(|cw| {
+                let mut q = cw.clone();
+                let bd = q.block_dim();
+                for block in q.data_mut().chunks_mut(bd) {
+                    let p = QuantParams::fit(block, DType::Int4).unwrap();
+                    for x in block.iter_mut() {
+                        *x = p.fake_quantize(*x);
+                    }
+                }
+                q
+            })
+            .collect();
+        Codebook::from_codewords(quantized).unwrap()
+    }
+
+    /// The `fft::bind_fast` fold of the picked `(factor, index)` codewords.
+    fn bind_fast_fold(
+        books: &[Codebook],
+        picks: impl Iterator<Item = (usize, usize)>,
+    ) -> BlockCode {
+        picks
+            .map(|(g, i)| books[g].codeword(i).clone())
+            .reduce(|acc, cw| fft::bind_fast(&acc, &cw).unwrap())
+            .unwrap()
+    }
+
+    fn bits(code: &BlockCode) -> Vec<u32> {
+        code.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The memoized chains reproduce the `bind_fast` fold and
+    /// `unbind_fast` of it bit for bit: 2, 3 and 4 factors, plain and
+    /// INT4-quantized codebooks, on spectral geometries and on the
+    /// fallback block sizes 24 (not a power of two) and 4 (below 8).
     #[test]
-    fn reconstruct_delegates_to_reference() {
+    fn memoized_chains_are_bit_identical_to_bind_fast() {
+        for (nb, bd) in [(4, 32), (2, 64), (2, 24), (3, 4)] {
+            for nf in 2..=4 {
+                for quantized in [false, true] {
+                    let seed = (bd * 10 + nf) as u64;
+                    let mut books = unitary_books(&vec![5; nf], nb, bd, seed);
+                    if quantized {
+                        books = books.into_iter().map(int4).collect();
+                    }
+                    let engine = SpectralResonator::new(books.clone()).unwrap();
+                    assert_eq!(engine.is_spectral(), fft::fast_path_applies(bd));
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut target = bind_fast_fold(&books, (0..nf).map(|g| (g, g % 5)));
+                    for x in target.data_mut() {
+                        *x += 0.05 * (rng.gen::<f32>() - 0.5);
+                    }
+                    let prepared = engine.prepare(target.clone()).unwrap();
+                    for _ in 0..6 {
+                        let indices: Vec<usize> = (0..nf).map(|_| rng.gen_range(0..5)).collect();
+                        let product = bind_fast_fold(&books, indices.iter().copied().enumerate());
+                        // First call fills the pair memo, second reads it.
+                        for _ in 0..2 {
+                            let rebuilt = engine.reconstruct(&indices).unwrap();
+                            assert_eq!(bits(&rebuilt), bits(&product), "{nb}x{bd}, {nf} factors");
+                        }
+                        for skip in 0..nf {
+                            let others = bind_fast_fold(
+                                &books,
+                                indices
+                                    .iter()
+                                    .copied()
+                                    .enumerate()
+                                    .filter(|&(g, _)| g != skip),
+                            );
+                            let expected = fft::unbind_fast(&target, &others).unwrap();
+                            let residual = engine.unbind_others(&prepared, &indices, skip).unwrap();
+                            assert_eq!(
+                                bits(&residual),
+                                bits(&expected),
+                                "{nb}x{bd}, {nf} factors, skip {skip}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chains_reject_bad_indices_and_geometry() {
         let books = unitary_books(&[4, 4], 2, 64, 30);
-        let target = books[0].codeword(3).bind(books[1].codeword(2)).unwrap();
         let engine = SpectralResonator::new(books).unwrap();
-        let rebuilt = engine.reconstruct(&[3, 2]).unwrap();
-        assert!(rebuilt.similarity(&target).unwrap() > 0.999);
         assert!(engine.reconstruct(&[3]).is_err());
+        assert!(matches!(
+            engine.reconstruct(&[3, 9]),
+            Err(VsaError::CodewordOutOfRange { index: 9, len: 4 })
+        ));
+        assert!(engine.prepare(BlockCode::zeros(1, 64)).is_err());
+        let target = engine
+            .prepare(engine.reconstruct(&[3, 2]).unwrap())
+            .unwrap();
+        assert!(engine.unbind_others(&target, &[3, 2], 2).is_err());
+        assert!(engine.unbind_others(&target, &[3, 4], 0).is_err());
+        let other = SpectralResonator::new(unitary_books(&[4, 4], 1, 64, 31)).unwrap();
+        assert!(other.unbind_others(&target, &[3, 2], 0).is_err());
     }
 }

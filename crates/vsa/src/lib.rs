@@ -14,7 +14,7 @@
 //! Contents:
 //!
 //! - [`BlockCode`]: a hypervector of `n_blocks × block_dim` elements,
-//! - [`ops`]: circular convolution/correlation, bundling, permutation,
+//! - [`ops`]: circular convolution/correlation, bundling, similarity,
 //! - [`Codebook`]: random item memories (bipolar and unitary) with cleanup,
 //! - [`fft`]: O(d·log d) convolution/correlation for software consumers,
 //! - [`engine`]: spectral-cached codebook + resonator kernels for the

@@ -1,6 +1,6 @@
 //! Core vector-symbolic kernels: circular convolution binding, circular
-//! correlation (inverse binding), bundling, permutation and similarity
-//! batched against a dictionary.
+//! correlation (inverse binding), bundling and similarity batched against
+//! a dictionary.
 //!
 //! The paper defines the key kernel (Sec. II-A):
 //!
@@ -139,21 +139,6 @@ where
         }
     }
     Ok(out)
-}
-
-/// Cyclically rotates every block by `shift` positions — the cheap
-/// "protect"/positional-tag operation VSAs use to encode sequence order.
-#[must_use]
-pub fn permute(code: &BlockCode, shift: usize) -> BlockCode {
-    let (nb, bd) = (code.n_blocks(), code.block_dim());
-    let mut out = BlockCode::zeros(nb, bd);
-    for blk in 0..nb {
-        let start = blk * bd;
-        for i in 0..bd {
-            out.data_mut()[start + (i + shift) % bd] = code.data()[start + i];
-        }
-    }
-    out
 }
 
 /// Normalized similarities of a query against each entry of a dictionary,
@@ -305,17 +290,6 @@ mod tests {
     fn bundle_empty_is_error() {
         let empty: [&BlockCode; 0] = [];
         assert_eq!(bundle(empty).unwrap_err(), VsaError::EmptyCodebook);
-    }
-
-    #[test]
-    fn permute_rotates_within_blocks() {
-        let a = code(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let p = permute(&a, 1);
-        assert_eq!(p.block(0).unwrap(), &[3.0, 1.0, 2.0]);
-        assert_eq!(p.block(1).unwrap(), &[6.0, 4.0, 5.0]);
-        // Full rotation is identity.
-        let p3 = permute(&a, 3);
-        assert_eq!(p3, a);
     }
 
     #[test]

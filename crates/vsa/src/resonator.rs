@@ -95,38 +95,6 @@ impl Resonator {
         &self.factors
     }
 
-    /// Binds the selected codewords back into a product (the resonator's
-    /// reconstruction of the target).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VsaError::CodewordOutOfRange`] if an index exceeds its
-    /// codebook.
-    pub fn reconstruct(&self, indices: &[usize]) -> Result<BlockCode> {
-        if indices.len() != self.factors.len() {
-            return Err(VsaError::FactorGeometryMismatch(format!(
-                "expected {} indices, got {}",
-                self.factors.len(),
-                indices.len()
-            )));
-        }
-        let mut acc: Option<BlockCode> = None;
-        for (book, &idx) in self.factors.iter().zip(indices) {
-            if idx >= book.len() {
-                return Err(VsaError::CodewordOutOfRange {
-                    index: idx,
-                    len: book.len(),
-                });
-            }
-            let cw = book.codeword(idx);
-            acc = Some(match acc {
-                None => cw.clone(),
-                Some(prev) => prev.bind(cw)?,
-            });
-        }
-        Ok(acc.expect("at least two factors"))
-    }
-
     /// Iteratively factorizes `target` into one codeword per factor.
     ///
     /// Each sweep refines every factor in turn: the other factors' current
@@ -207,20 +175,6 @@ fn argmax(values: &[f32]) -> usize {
         .unwrap_or(0)
 }
 
-/// Convenience: factorize a product of known factor count using fresh
-/// bipolar codebooks — used by tests and synthetic workload generators.
-///
-/// # Errors
-///
-/// Propagates [`Resonator::new`] and [`Resonator::factorize`] errors.
-pub fn factorize_product(
-    target: &BlockCode,
-    factors: Vec<Codebook>,
-    config: ResonatorConfig,
-) -> Result<Factorization> {
-    Resonator::new(factors)?.factorize(target, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,17 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn reconstruct_matches_target() {
-        let books = unitary_books(&[4, 4], 5);
-        let target = books[0].codeword(3).bind(books[1].codeword(2)).unwrap();
-        let res = Resonator::new(books).unwrap();
-        let rebuilt = res.reconstruct(&[3, 2]).unwrap();
-        assert!(rebuilt.similarity(&target).unwrap() > 0.999);
-        assert!(res.reconstruct(&[3]).is_err());
-        assert!(res.reconstruct(&[3, 9]).is_err());
-    }
-
-    #[test]
     fn factorization_tolerates_noise() {
         let books = unitary_books(&[6, 6], 6);
         let mut target = books[0].codeword(5).bind(books[1].codeword(1)).unwrap();
@@ -311,13 +254,5 @@ mod tests {
         let out = res.factorize(&target, cfg).unwrap();
         assert_eq!(out.iterations, 1);
         assert!(!out.converged);
-    }
-
-    #[test]
-    fn convenience_wrapper_works() {
-        let books = unitary_books(&[4, 4], 9);
-        let target = books[0].codeword(1).bind(books[1].codeword(3)).unwrap();
-        let out = factorize_product(&target, books, ResonatorConfig::default()).unwrap();
-        assert_eq!(out.indices, vec![1, 3]);
     }
 }
