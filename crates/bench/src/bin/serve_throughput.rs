@@ -1,16 +1,19 @@
-//! Serving throughput under open-loop load: dynamic batching + a
-//! multi-lane worker pool vs unbatched single-lane serving.
+//! Serving throughput under open-loop load: what dynamic batching buys
+//! with the lane count held fixed.
 //!
-//! Three scenarios run on the virtual-time serving simulator
-//! (`nsflow_serve::simlab`), with per-request cycle costs calibrated by
-//! compiling and running each workload on the cycle-level simulator:
+//! Every scenario runs on the virtual-time serving simulator
+//! (`nsflow_serve::simlab`). Batch costs come from the cycle-level
+//! scheduler: `CostModel::from_arch(8)` holds, per workload, the cycles
+//! `Deployment::run_batch(n)` takes for `n` = 1..=8.
 //!
-//! - **nvsa_unbatched** — batch size 1, one lane, NVSA-only, arrivals
-//!   well beyond capacity (the saturation baseline; sheds heavily).
-//! - **nvsa_batched** — batch size 8, four lanes, the same arrival
-//!   process. Weight streaming amortizes across each batch, so
-//!   sustained throughput must be ≥ [`SPEEDUP_TARGET`]× the unbatched
-//!   baseline.
+//! - **nvsa_unbatched** — batch size 1, four lanes, NVSA only, arrivals
+//!   beyond capacity (the saturation baseline; sheds).
+//! - **nvsa_batched** — batch size 8, the same four lanes and arrival
+//!   process. Its throughput over nvsa_unbatched's is
+//!   `batching_speedup_fixed_lanes`: with lanes fixed it measures only
+//!   what a batch amortizes. Next to it, `batching_speedup_model` =
+//!   8·c(1)/c(8) is the cost table's prediction of that ratio; the run
+//!   asserts the measured ratio lies within [`MODEL_BAND`] of it.
 //! - **mixed** — all four workloads round-robin at moderate load:
 //!   latency percentiles and the batch-size histogram under a healthy
 //!   queue.
@@ -25,7 +28,7 @@
 //! NVSA / MIMONet / LVRF / PrAE inference through the fast kernel
 //! paths), so the numbers describe a pipeline that really serves
 //! answers. All metrics are in cycles and bit-deterministic given the
-//! seeds: arrivals come from an inlined SplitMix64, never wall time.
+//! seeds: arrivals come from a seeded SplitMix64, never wall time.
 //!
 //! Results go to stdout, `target/experiments/serve_throughput.csv` and
 //! `BENCH_serve.json`. Pass `--quick` for the CI-sized run.
@@ -43,9 +46,13 @@ use nsflow_serve::request::{Priority, WorkloadKind};
 use nsflow_serve::robust::{BreakerPolicy, DegradationPolicy, FaultPlan, RetryPolicy};
 use nsflow_serve::simlab::{self, CostModel, SimConfig, SimReport};
 
-/// Sustained-throughput multiple the batched multi-lane configuration
-/// must reach over unbatched single-lane serving on NVSA.
-const SPEEDUP_TARGET: f64 = 4.0;
+/// Largest relative gap allowed between the measured fixed-lane
+/// batching ratio and the cost table's prediction of it.
+const MODEL_BAND: f64 = 0.10;
+
+/// Batch size of the batched scenarios, and the largest the cost table
+/// prices.
+const MAX_BATCH: usize = 8;
 
 /// Arrival seed; every metric in `BENCH_serve.json` derives from it.
 const SEED: u64 = 0x5e12_7e00;
@@ -200,14 +207,15 @@ fn scenario_json(s: &Scenario) -> String {
     json
 }
 
-fn emit_json(scenarios: &[Scenario], speedup: f64, meets: bool, quick: bool) {
+fn emit_json(scenarios: &[Scenario], measured: f64, model: f64, quick: bool) {
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"serve_throughput\",");
     let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"speedup_target\": {SPEEDUP_TARGET},");
-    let _ = writeln!(json, "  \"serve_speedup_batched\": {speedup:.3},");
-    let _ = writeln!(json, "  \"meets_target\": {meets},");
+    let _ = writeln!(json, "  \"batching_speedup_fixed_lanes\": {measured:.3},");
+    // The cost table's prediction of the ratio above: a model, not a
+    // measurement.
+    let _ = writeln!(json, "  \"batching_speedup_model\": {model:.3},");
     for s in scenarios {
         json.push_str(&scenario_json(s));
         json.push_str(",\n");
@@ -215,7 +223,7 @@ fn emit_json(scenarios: &[Scenario], speedup: f64, meets: bool, quick: bool) {
     json.push_str(&nsflow_bench::telemetry_json_member());
     json.push_str("\n}\n");
     std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    println!("[json] wrote BENCH_serve.json (speedup {speedup:.2}x, meets_target: {meets})");
+    println!("[json] wrote BENCH_serve.json");
 }
 
 fn main() {
@@ -223,24 +231,25 @@ fn main() {
     // Fresh counters so the embedded snapshot covers exactly this run.
     nsflow_telemetry::reset();
 
-    // Ground per-request cycle costs in the architecture: one compile +
-    // cycle-level run per workload. Built once and reused by every
-    // scenario.
-    let cost = CostModel::from_arch();
-
-    // Saturating arrival rate: 6× the unbatched single-lane capacity,
-    // so both NVSA scenarios are capacity-bound (throughput measures
-    // the pipeline, not the arrival process) and the shed path runs.
-    let nvsa_cost = cost.per_item(WorkloadKind::Nvsa);
-    let nvsa_stream = cost.weight_stream(WorkloadKind::Nvsa);
-    let service_unbatched = nvsa_cost + nvsa_stream;
-    let mean_interarrival = (service_unbatched / 6).max(1);
+    // Price every batch size of every workload with the cycle-level
+    // scheduler. Built once and reused by every scenario.
+    let cost = CostModel::from_arch(MAX_BATCH);
+    let nvsa = WorkloadKind::Nvsa;
+    let service_unbatched = cost.cycles(nvsa, 1);
+    let service_batched = cost.cycles(nvsa, MAX_BATCH);
+    let model = (MAX_BATCH as u64 * service_unbatched) as f64 / service_batched as f64;
     println!(
-        "serve throughput — NVSA {nvsa_cost} cycles/item + {nvsa_stream} weight-stream cycles/batch\n"
+        "serve throughput — NVSA {service_unbatched} cycles alone, {service_batched} cycles per batch of {MAX_BATCH}\n"
     );
 
+    // Saturating arrival rate: 1.5× the four-lane unbatched capacity, so
+    // both NVSA scenarios are capacity-bound (throughput measures the
+    // pipeline, not the arrival process) and the shed path runs.
+    let lanes = 4;
+    let mean_interarrival = (service_unbatched * 2 / (3 * lanes as u64)).max(1);
+
     // Long enough that ramp-up and end-of-run lane quantization fade
-    // below a few percent of makespan — the speedup assertion compares
+    // below a few percent of makespan — the model check compares
     // sustained rates, not transients.
     let requests = if quick { 1_024 } else { 4_096 };
     let executor = Executor::new(ExecutorConfig::default());
@@ -250,13 +259,13 @@ fn main() {
         SimConfig {
             requests,
             mean_interarrival,
-            kinds: vec![WorkloadKind::Nvsa],
+            kinds: vec![nvsa],
             queue_capacity: 32,
             policy: BatchPolicy {
                 max_batch: 1,
                 max_wait: 1,
             },
-            lanes: 1,
+            lanes,
             seed: SEED,
             trace_capacity: 4_096,
             ..SimConfig::default()
@@ -268,19 +277,21 @@ fn main() {
         "nvsa_batched",
         SimConfig {
             policy: BatchPolicy {
-                max_batch: 8,
+                max_batch: MAX_BATCH,
                 max_wait: mean_interarrival * 16,
             },
-            lanes: 4,
             ..unbatched.config.clone()
         },
         &cost,
         &executor,
     );
     // Moderate mixed load: arrivals at ~60% of the four-lane pipeline's
-    // aggregate per-item capacity, all four workloads round-robin.
-    let per_round: u64 = WorkloadKind::all().iter().map(|&k| cost.per_item(k)).sum();
-    let mixed_mean = (per_round / 4 / 4 * 10 / 6).max(1);
+    // unbatched capacity, all four workloads round-robin.
+    let per_round: u64 = WorkloadKind::all()
+        .into_iter()
+        .map(|k| cost.cycles(k, 1))
+        .sum();
+    let mixed_mean = (per_round / 4 / lanes as u64 * 10 / 6).max(1);
     let mixed = run_scenario(
         "mixed",
         SimConfig {
@@ -289,10 +300,10 @@ fn main() {
             kinds: WorkloadKind::all().to_vec(),
             queue_capacity: 64,
             policy: BatchPolicy {
-                max_batch: 8,
+                max_batch: MAX_BATCH,
                 max_wait: mixed_mean * 8,
             },
-            lanes: 4,
+            lanes,
             seed: SEED ^ 0xffff,
             trace_capacity: 4_096,
             ..SimConfig::default()
@@ -310,14 +321,14 @@ fn main() {
         SimConfig {
             requests,
             mean_interarrival,
-            kinds: vec![WorkloadKind::Nvsa],
+            kinds: vec![nvsa],
             priorities: vec![Priority::Normal, Priority::Low, Priority::High],
             queue_capacity: 32,
             policy: BatchPolicy {
-                max_batch: 8,
+                max_batch: MAX_BATCH,
                 max_wait: mean_interarrival * 16,
             },
-            lanes: 4,
+            lanes,
             seed: SEED ^ 0xc4a05,
             deadline: Some(service_unbatched * 8),
             retry: RetryPolicy {
@@ -352,9 +363,13 @@ fn main() {
         &executor,
     );
 
-    let speedup = batched.report.throughput_per_mcycle / unbatched.report.throughput_per_mcycle;
-    let meets = speedup >= SPEEDUP_TARGET;
-    println!("\nbatched vs unbatched NVSA throughput: {speedup:.2}x (target {SPEEDUP_TARGET}x)");
+    let measured = batched.report.throughput_per_mcycle / unbatched.report.throughput_per_mcycle;
+    let gap = measured / model - 1.0;
+    println!(
+        "\nbatched vs unbatched NVSA throughput at {lanes} lanes: {measured:.3}x measured, \
+         {model:.3}x predicted by the cost table (8·c(1)/c(8)), gap {:+.1}%",
+        gap * 100.0
+    );
 
     let scenarios = [unbatched, batched, mixed, chaos];
     let rows: Vec<String> = scenarios
@@ -391,12 +406,15 @@ fn main() {
         snapshot.counter("serve.submitted"),
         snapshot.counter("serve.shed"),
     );
-    emit_json(&scenarios, speedup, meets, quick);
+    emit_json(&scenarios, measured, model, quick);
 
-    // The simulation is seed-deterministic, so this gate cannot flake:
-    // it fails only when a code change genuinely erodes the batching win.
+    // The simulation is seed-deterministic, so this check cannot flake:
+    // it fails only when simlab's serving loop stops delivering what the
+    // cost table says a batch is worth.
     assert!(
-        meets,
-        "batched serving below {SPEEDUP_TARGET}x unbatched throughput (got {speedup:.2}x)"
+        gap.abs() <= MODEL_BAND,
+        "fixed-lane batching ratio {measured:.3}x is {:+.1}% off the cost table's {model:.3}x (band ±{:.0}%)",
+        gap * 100.0,
+        MODEL_BAND * 100.0
     );
 }

@@ -90,7 +90,6 @@ pub struct NsFlow {
     device: FpgaDevice,
     precision: PrecisionConfig,
     max_simd_lanes: usize,
-    optimize_trace: bool,
 }
 
 impl Default for NsFlow {
@@ -108,16 +107,7 @@ impl NsFlow {
             device: FpgaDevice::u250(),
             precision: PrecisionConfig::mixed(),
             max_simd_lanes: 512,
-            optimize_trace: false,
         }
-    }
-
-    /// Enables the frontend trace-optimization passes (dead-op
-    /// elimination + element-wise fusion) before dataflow generation.
-    #[must_use]
-    pub fn with_optimizations(mut self) -> Self {
-        self.optimize_trace = true;
-        self
     }
 
     /// Selects a different target device.
@@ -142,15 +132,6 @@ impl NsFlow {
     /// Returns [`CompileError::DeviceTooSmall`] if no feasible design fits
     /// the device.
     pub fn compile(&self, trace: ExecutionTrace) -> Result<Design, CompileError> {
-        let trace = if self.optimize_trace {
-            let (t, _) = nsflow_trace::passes::eliminate_dead_ops(&trace)
-                .expect("DCE preserves trace validity");
-            let (t, _) = nsflow_trace::passes::fuse_elementwise(&t)
-                .expect("fusion preserves trace validity");
-            t
-        } else {
-            trace
-        };
         let graph = DataflowGraph::from_trace(trace);
 
         // ① SIMD sizing needs an array-time target, which needs the DSE;
@@ -316,6 +297,8 @@ pub struct Deployment {
 pub struct BatchReport {
     /// Number of workload instances executed.
     pub tasks: usize,
+    /// Cycles for the whole batch ([`Schedule::total_cycles`]).
+    pub cycles: u64,
     /// Wall-clock seconds for the whole batch.
     pub total_seconds: f64,
     /// Sustained throughput, tasks per second.
@@ -375,6 +358,7 @@ impl Deployment {
         let seconds = schedule.seconds_at(self.freq_hz);
         BatchReport {
             tasks,
+            cycles: schedule.total_cycles(),
             total_seconds: seconds,
             throughput_per_s: tasks as f64 / seconds,
             latency_single: self.run().seconds,
@@ -546,71 +530,6 @@ mod tests {
                 result.map(|d| d.config.array)
             );
         }
-    }
-
-    #[test]
-    fn optimizations_shrink_the_trace_without_slowing_it() {
-        // A trace with a fusable elementwise chain and a dead diagnostic.
-        let mut b = TraceBuilder::new("opt");
-        let c = b.push(
-            "conv",
-            OpKind::Gemm {
-                m: 512,
-                n: 64,
-                k: 64,
-            },
-            Domain::Neural,
-            DType::Int8,
-            &[],
-        );
-        let r = b.push(
-            "relu",
-            OpKind::Elementwise {
-                elems: 4096,
-                func: nsflow_trace::EltFunc::Relu,
-            },
-            Domain::Neural,
-            DType::Int8,
-            &[c],
-        );
-        let bn = b.push(
-            "bn",
-            OpKind::Elementwise {
-                elems: 4096,
-                func: nsflow_trace::EltFunc::Affine,
-            },
-            Domain::Neural,
-            DType::Int8,
-            &[r],
-        );
-        let _dead = b.push(
-            "debug_sum",
-            OpKind::Reduce {
-                elems: 4096,
-                func: nsflow_trace::ReduceFunc::Sum,
-            },
-            Domain::Neural,
-            DType::Int8,
-            &[c],
-        );
-        let _v = b.push(
-            "bind",
-            OpKind::VsaConv { n_vec: 8, dim: 512 },
-            Domain::Symbolic,
-            DType::Int4,
-            &[bn],
-        );
-        let trace = b.finish(4).unwrap();
-
-        let plain = NsFlow::new().compile(trace.clone()).unwrap();
-        let optimized = NsFlow::new().with_optimizations().compile(trace).unwrap();
-        assert!(
-            optimized.graph.trace().ops().len() < plain.graph.trace().ops().len(),
-            "passes should shrink the op count"
-        );
-        let c_plain = plain.deploy().run().cycles;
-        let c_opt = optimized.deploy().run().cycles;
-        assert!(c_opt <= c_plain, "optimized {c_opt} !<= plain {c_plain}");
     }
 
     #[test]

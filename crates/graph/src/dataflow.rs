@@ -156,41 +156,10 @@ impl DataflowGraph {
             .sum()
     }
 
-    /// Maximum number of array-class ops that are simultaneously eligible
-    /// in any group — an upper bound on useful sub-array parallelism.
-    #[must_use]
-    pub fn max_group_array_parallelism(&self) -> usize {
-        self.groups
-            .iter()
-            .map(|g| {
-                let anchor_is_array = self.trace.op(g.anchor).kind().is_array_op() as usize;
-                anchor_is_array
-                    + g.attached
-                        .iter()
-                        .filter(|id| self.trace.op(**id).kind().is_array_op())
-                        .count()
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
     /// The memory-planning aggregates (step ⑤).
     #[must_use]
     pub fn memory_requirements(&self) -> MemoryRequirements {
         MemoryRequirements::from_trace(&self.trace)
-    }
-
-    /// Ids of the first and last NN (GEMM) node of one loop, if any —
-    /// the boundary the inter-loop pipelining rule uses ("the first NN
-    /// layer of loop 2 starts as soon as the last NN layer of loop 1
-    /// finishes").
-    #[must_use]
-    pub fn nn_span(&self) -> Option<(OpId, OpId)> {
-        let nn = self.trace.nn_nodes();
-        match (nn.first(), nn.last()) {
-            (Some(&f), Some(&l)) => Some((f, l)),
-            _ => None,
-        }
     }
 }
 
@@ -344,34 +313,5 @@ mod tests {
         let g = DataflowGraph::from_trace(b.finish(1).unwrap());
         assert_eq!(g.critical_path().len(), 1);
         assert_eq!(g.groups()[0].attached.len(), 1);
-    }
-
-    #[test]
-    fn array_parallelism_counts_array_ops_only() {
-        let g = diamond();
-        // Group at conv2 holds conv2 (array) + bind_side (array) = 2.
-        assert_eq!(g.max_group_array_parallelism(), 2);
-    }
-
-    #[test]
-    fn nn_span_finds_first_and_last_gemm() {
-        let g = diamond();
-        let (first, last) = g.nn_span().unwrap();
-        assert_eq!(g.trace().op(first).name(), "conv1");
-        assert_eq!(g.trace().op(last).name(), "conv2");
-    }
-
-    #[test]
-    fn nn_span_none_for_pure_symbolic() {
-        let mut b = TraceBuilder::new("symb");
-        b.push(
-            "bind",
-            OpKind::VsaConv { n_vec: 1, dim: 16 },
-            Domain::Symbolic,
-            DType::Int4,
-            &[],
-        );
-        let g = DataflowGraph::from_trace(b.finish(1).unwrap());
-        assert!(g.nn_span().is_none());
     }
 }

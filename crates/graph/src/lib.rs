@@ -43,7 +43,5 @@
 mod dataflow;
 mod memory;
 
-pub mod dot;
-
 pub use dataflow::{DataflowGraph, ParallelGroup};
 pub use memory::MemoryRequirements;

@@ -134,11 +134,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Non-blocking pop.
-    pub fn try_pop(&self) -> Option<T> {
-        self.inner.lock().expect("queue poisoned").items.pop_front()
-    }
-
     /// Rejects future producers and wakes all blocked consumers.
     /// Already-queued items remain poppable (drain semantics).
     pub fn close(&self) {
@@ -160,7 +155,7 @@ mod tests {
             q.try_push(3),
             Err(AdmissionError::QueueFull { capacity: 2 })
         );
-        assert_eq!(q.try_pop(), Some(1));
+        assert_eq!(q.pop_wait(Duration::ZERO), Popped::Item(1));
         assert_eq!(q.try_push(3), Ok(2));
     }
 
@@ -197,7 +192,7 @@ mod tests {
             h.join().unwrap();
         }
         let mut seen = Vec::new();
-        while let Some(v) = q.try_pop() {
+        while let Popped::Item(v) = q.pop_wait(Duration::ZERO) {
             seen.push(v);
         }
         seen.sort_unstable();

@@ -7,15 +7,16 @@
 //! and all bookkeeping) from a discrete-event simulation in the
 //! architecture's **cycle clock**: arrivals are an open-loop seeded
 //! Poisson-like process, execution costs come from a [`CostModel`]
-//! grounded in the cycle-level simulator, and every metric (latency
-//! percentiles, throughput, shed rate, batch-size histogram) is
-//! bit-reproducible given the seed.
+//! table, and every metric (latency percentiles, throughput, shed rate,
+//! batch-size histogram) is bit-reproducible given the seed.
 //!
-//! The cost model captures why batching wins on NSFlow: an inference
-//! batch streams each workload's NN weights from off-chip **once per
-//! batch** (the double-buffered `Mem_A/B/C` scheme), so the weight-
-//! streaming cycles amortize across the batch while per-item compute
-//! stays constant.
+//! [`CostModel::from_arch`] prices a batch of `n` instances of a kind
+//! with [`Deployment::run_batch(n)`](nsflow_core::Deployment::run_batch):
+//! the same `run_pooled` list scheduler, transfer model and
+//! double-buffered memory that produce every other cycle number in the
+//! workspace. A mixed batch costs the sum of its per-kind entries. What
+//! a batch amortizes is whatever that scheduler overlaps between
+//! instances, and nothing more.
 //!
 //! Because the simulator knows a request's execution cost up front,
 //! its deadline gate is cost-informed: a budget smaller than one
@@ -24,12 +25,12 @@
 //! attempt)`, so a chaos run is as bit-reproducible as a clean one.
 //!
 //! Interarrival draws come from the workspace's [`SplitMix64`], so the
-//! simulated timeline depends only on the seed — the committed
-//! `baselines/BENCH_serve.json` depends only on this file and the core.
+//! simulated timeline depends only on the seed and the cost table — the
+//! committed `baselines/BENCH_serve.json` depends only on this file, the
+//! serving core and the cycle-level scheduler.
 
 use std::collections::{BTreeMap, VecDeque};
 
-use nsflow_arch::memory::TransferModel;
 use nsflow_core::NsFlow;
 use nsflow_telemetry::trace::PhaseStats;
 use nsflow_tensor::rng::SplitMix64;
@@ -54,90 +55,77 @@ pub fn request_seed(run_seed: u64, id: u64) -> u64 {
     run_seed ^ id.wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
-/// Per-workload cycle costs for the virtual-time simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Batch sizes [`CostModel::synthetic`] prices: 1 through this.
+const SYNTHETIC_MAX_BATCH: usize = 64;
+
+/// Per-workload batch costs for the virtual-time simulation: one table
+/// per [`WorkloadKind`] of the cycles `n` instances cost as one batch,
+/// for `n` in `1..=max_batch`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CostModel {
-    /// Cycles one inference of each kind spends in compute
-    /// ([`WorkloadKind::index`] order).
-    per_item: [u64; 4],
-    /// Cycles to stream each kind's NN weights from off-chip — paid
-    /// once per batch per kind present (the batching amortization).
-    weight_stream: [u64; 4],
+    /// `cycles[kind.index()][n - 1]`: cycles one lane spends running `n`
+    /// instances of `kind` as one batch.
+    cycles: [Vec<u64>; 4],
 }
 
 impl CostModel {
-    /// Derives costs from the architecture: per-item cycles from
-    /// compiling and running each workload trace on the cycle-level
-    /// simulator (paper-default U250 target), weight-stream cycles from
-    /// the workload's NN parameter bytes over the default off-chip
-    /// bandwidth ([`TransferModel::default`], 64 B/cycle).
+    /// Prices batches of 1 through `max_batch` instances of each kind
+    /// with the cycle-level scheduler: each workload trace is compiled
+    /// for the paper-default U250 target and entry `n` is
+    /// [`Deployment::run_batch(n)`](nsflow_core::Deployment::run_batch)'s
+    /// cycle count.
     ///
-    /// This runs four full compiles (DSE included); call it once and
-    /// reuse.
+    /// This runs four full compiles (DSE included) and `4 · max_batch`
+    /// batched schedules; call it once and reuse.
     ///
     /// # Panics
     ///
-    /// Panics if a paper workload stops fitting the default device —
-    /// that would be a regression elsewhere in the workspace.
+    /// Panics if `max_batch == 0`, or if a paper workload stops fitting
+    /// the default device — that would be a regression elsewhere in the
+    /// workspace.
     #[must_use]
-    pub fn from_arch() -> Self {
-        let bandwidth = TransferModel::default().bytes_per_cycle;
-        let mut per_item = [0u64; 4];
-        let mut weight_stream = [0u64; 4];
-        for kind in WorkloadKind::all() {
+    pub fn from_arch(max_batch: usize) -> Self {
+        assert!(max_batch >= 1, "need at least one batch size");
+        let cycles = WorkloadKind::all().map(|kind| {
             let workload = traces::by_name(kind.name()).expect("kind names match traces");
-            let design = NsFlow::new()
+            let deployment = NsFlow::new()
                 .compile(workload.trace)
-                .expect("paper workloads fit the default device");
-            let report = design.deploy().run();
-            let i = kind.index();
-            per_item[i] = report.cycles.max(1);
-            // NN weights are stored at INT8 in these workloads: 1 B/param.
-            weight_stream[i] = ((workload.nn_params as f64 / bandwidth).ceil() as u64).max(1);
-        }
+                .expect("paper workloads fit the default device")
+                .deploy();
+            (1..=max_batch)
+                .map(|n| deployment.run_batch(n).cycles.max(1))
+                .collect()
+        });
+        CostModel { cycles }
+    }
+
+    /// A test fake with the same affine table for every kind: `n`
+    /// instances cost `per_batch + n · per_item` cycles, for `n` up to 64.
+    #[must_use]
+    pub fn synthetic(per_item: u64, per_batch: u64) -> Self {
+        let table: Vec<u64> = (1..=SYNTHETIC_MAX_BATCH as u64)
+            .map(|n| per_batch + n * per_item.max(1))
+            .collect();
         CostModel {
-            per_item,
-            weight_stream,
+            cycles: [(); 4].map(|()| table.clone()),
         }
     }
 
-    /// Uniform synthetic costs (unit tests).
+    /// The largest batch the table prices.
     #[must_use]
-    pub fn synthetic(per_item: u64, weight_stream: u64) -> Self {
-        CostModel {
-            per_item: [per_item.max(1); 4],
-            weight_stream: [weight_stream; 4],
-        }
+    pub fn max_batch(&self) -> usize {
+        self.cycles[0].len()
     }
 
-    /// Compute cycles for one inference of `kind`.
+    /// Cycles one lane spends running `n` instances of `kind` as one
+    /// batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= n <= self.max_batch()`.
     #[must_use]
-    pub fn per_item(&self, kind: WorkloadKind) -> u64 {
-        self.per_item[kind.index()]
-    }
-
-    /// Weight-streaming cycles for `kind` (per batch, not per item).
-    #[must_use]
-    pub fn weight_stream(&self, kind: WorkloadKind) -> u64 {
-        self.weight_stream[kind.index()]
-    }
-
-    /// Total cycles to execute `requests` as one batch on one lane:
-    /// each distinct kind's weights stream once, then items run
-    /// back-to-back.
-    #[must_use]
-    pub fn batch_cycles(&self, requests: &[Request]) -> u64 {
-        let mut kinds_seen = [false; 4];
-        let mut total = 0u64;
-        for request in requests {
-            let i = request.kind.index();
-            if !kinds_seen[i] {
-                kinds_seen[i] = true;
-                total += self.weight_stream[i];
-            }
-            total += self.per_item[i];
-        }
-        total.max(1)
+    pub fn cycles(&self, kind: WorkloadKind, n: usize) -> u64 {
+        self.cycles[kind.index()][n - 1]
     }
 }
 
@@ -245,7 +233,18 @@ impl Driver for Lane<'_> {
     }
 
     fn execute(&mut self, members: &[Request]) -> Vec<u64> {
-        self.wait(self.cost.batch_cycles(members));
+        // A mixed batch runs each kind's instances as one sub-batch.
+        let mut counts = [0usize; 4];
+        for request in members {
+            counts[request.kind.index()] += 1;
+        }
+        let cycles = WorkloadKind::all()
+            .into_iter()
+            .zip(counts)
+            .filter(|&(_, n)| n > 0)
+            .map(|(kind, n)| self.cost.cycles(kind, n))
+            .sum();
+        self.wait(cycles);
         members
             .iter()
             .map(|request| self.executor.map_or(0, |ex| ex.execute(request)))
@@ -260,14 +259,21 @@ impl Driver for Lane<'_> {
 ///
 /// # Panics
 ///
-/// Panics on a zero-lane, zero-request or empty-mix configuration, or
-/// on a `max_batch` or `trace_capacity` too large to allocate.
+/// Panics on a zero-lane, zero-request or empty-mix configuration, on a
+/// `max_batch` the cost table does not price, or on a `max_batch` or
+/// `trace_capacity` too large to allocate.
 #[must_use]
 pub fn run(config: &SimConfig, cost: &CostModel, executor: Option<&Executor>) -> SimReport {
     assert!(config.lanes >= 1, "need at least one lane");
     assert!(config.requests >= 1, "need at least one request");
     assert!(!config.kinds.is_empty(), "need at least one workload kind");
     assert!(!config.priorities.is_empty(), "need at least one priority");
+    assert!(
+        config.policy.max_batch <= cost.max_batch(),
+        "max_batch {} exceeds the cost table, which prices batches up to {}",
+        config.policy.max_batch,
+        cost.max_batch()
+    );
 
     // Open-loop arrival schedule.
     let mut rng = SplitMix64::new(config.seed);
@@ -358,7 +364,7 @@ pub fn run(config: &SimConfig, cost: &CostModel, executor: Option<&Executor>) ->
             let request = arrivals[next_arrival];
             next_arrival += 1;
             let full = batcher.pending() + waiting_in_ready >= config.queue_capacity;
-            let admitted = core.admit(&request, cost.per_item(request.kind), || {
+            let admitted = core.admit(&request, cost.cycles(request.kind, 1), || {
                 if full {
                     Err(AdmissionError::QueueFull {
                         capacity: config.queue_capacity,
@@ -578,37 +584,65 @@ mod tests {
     }
 
     #[test]
-    fn batching_amortizes_weight_streaming() {
-        // Saturating load: throughput is capacity-bound, so the batched
-        // multi-lane run must beat the unbatched single lane by more
-        // than the lane ratio (weight streaming amortizes 8x).
-        let cost = CostModel::synthetic(1_000, 2_000);
-        let base = SimConfig {
-            requests: 256,
-            mean_interarrival: 10,
-            kinds: vec![WorkloadKind::Nvsa],
-            queue_capacity: 32,
-            policy: BatchPolicy {
-                max_batch: 1,
-                max_wait: 1,
-            },
-            lanes: 1,
-            seed: 11,
-            trace_capacity: 0,
-            ..SimConfig::default()
+    fn from_arch_table_matches_the_scheduler() {
+        let cost = CostModel::from_arch(8);
+        assert_eq!(cost.max_batch(), 8);
+        for kind in WorkloadKind::all() {
+            let workload = traces::by_name(kind.name()).unwrap();
+            let deployment = NsFlow::new().compile(workload.trace).unwrap().deploy();
+            for n in 1..=8 {
+                assert_eq!(
+                    cost.cycles(kind, n),
+                    deployment.run_batch(n).cycles,
+                    "{kind:?} batch of {n}"
+                );
+            }
+            assert_eq!(cost.cycles(kind, 1), deployment.run().cycles, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn mixed_batch_costs_the_sum_of_its_per_kind_entries() {
+        // Distinct tables per kind, none affine, so a mix-up shows.
+        let cost = CostModel {
+            cycles: [
+                vec![100, 150, 190],
+                vec![1_000, 1_700, 2_300],
+                vec![7, 9, 11],
+                vec![40_000, 60_000, 70_000],
+            ],
         };
-        let batched = SimConfig {
-            policy: BatchPolicy {
-                max_batch: 8,
-                max_wait: 50,
-            },
-            lanes: 4,
-            ..base.clone()
+        let mut lane = Lane {
+            time: 5,
+            cost: &cost,
+            executor: None,
         };
-        let solo = run(&base, &cost, None);
-        let multi = run(&batched, &cost, None);
-        let speedup = multi.throughput_per_mcycle / solo.throughput_per_mcycle;
-        assert!(speedup >= 4.0, "speedup {speedup} should be >= 4x");
+        let members: Vec<Request> = [
+            WorkloadKind::Nvsa,
+            WorkloadKind::Lvrf,
+            WorkloadKind::Nvsa,
+            WorkloadKind::Prae,
+            WorkloadKind::Nvsa,
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(id, kind)| Request::new(id as u64, kind, 0, 0))
+        .collect();
+        assert_eq!(lane.execute(&members), vec![0; 5]);
+        assert_eq!(lane.time, 5 + 190 + 7 + 40_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "max_batch 65 exceeds the cost table")]
+    fn max_batch_beyond_the_cost_table_panics() {
+        let config = SimConfig {
+            policy: BatchPolicy {
+                max_batch: SYNTHETIC_MAX_BATCH + 1,
+                max_wait: 100,
+            },
+            ..quick_config()
+        };
+        let _ = run(&config, &CostModel::synthetic(1_000, 200), None);
     }
 
     #[test]

@@ -156,44 +156,6 @@ pub fn round_to_f16(value: f32) -> f32 {
     f16_bits_to_f32(f32_to_f16_bits(clamped))
 }
 
-/// Applies the precision `dtype` to a single value: identity for FP32,
-/// binary16 rounding for FP16, fitted fake quantization for integer formats
-/// (caller supplies `params` for those).
-///
-/// # Panics
-///
-/// Panics if `dtype` is an integer format and `params` is `None` — integer
-/// quantization is meaningless without a scale.
-#[must_use]
-pub fn apply_precision(value: f32, dtype: DType, params: Option<&QuantParams>) -> f32 {
-    match dtype {
-        DType::Fp32 => value,
-        DType::Fp16 => round_to_f16(value),
-        DType::Int8 | DType::Int4 => {
-            let p = params.expect("integer precision requires QuantParams");
-            assert_eq!(p.dtype(), dtype, "QuantParams dtype must match");
-            p.fake_quantize(value)
-        }
-    }
-}
-
-/// Applies the precision `dtype` to a slice, fitting integer parameters to
-/// the slice itself (per-tensor quantization).
-///
-/// # Errors
-///
-/// Propagates [`TensorError::InvalidQuantInput`] from parameter fitting.
-pub fn quantize_slice_to(values: &[f32], dtype: DType) -> Result<Vec<f32>> {
-    match dtype {
-        DType::Fp32 => Ok(values.to_vec()),
-        DType::Fp16 => Ok(values.iter().map(|&v| round_to_f16(v)).collect()),
-        DType::Int8 | DType::Int4 => {
-            let p = QuantParams::fit(values, dtype)?;
-            Ok(p.fake_quantize_slice(values))
-        }
-    }
-}
-
 fn f32_to_f16_bits(x: f32) -> u16 {
     let bits = x.to_bits();
     let sign = ((bits >> 16) & 0x8000) as u16;
@@ -367,32 +329,6 @@ mod tests {
     #[test]
     fn f16_nan_stays_nan() {
         assert!(round_to_f16(f32::NAN).is_nan());
-    }
-
-    #[test]
-    fn apply_precision_dispatch() {
-        assert_eq!(apply_precision(0.1, DType::Fp32, None), 0.1);
-        assert_eq!(apply_precision(1.0, DType::Fp16, None), 1.0);
-        let q = QuantParams::fit(&[1.0], DType::Int8).unwrap();
-        let v = apply_precision(0.5, DType::Int8, Some(&q));
-        assert!((v - 0.5).abs() <= q.max_rounding_error());
-    }
-
-    #[test]
-    #[should_panic(expected = "integer precision requires QuantParams")]
-    fn apply_precision_int_requires_params() {
-        let _ = apply_precision(0.5, DType::Int8, None);
-    }
-
-    #[test]
-    fn quantize_slice_to_matches_dtype() {
-        let values = vec![-0.7, 0.3, 0.9];
-        let f32_out = quantize_slice_to(&values, DType::Fp32).unwrap();
-        assert_eq!(f32_out, values);
-        let i4 = quantize_slice_to(&values, DType::Int4).unwrap();
-        for (o, v) in i4.iter().zip(&values) {
-            assert!((o - v).abs() <= 0.9 / 7.0 / 2.0 + 1e-6);
-        }
     }
 
     #[test]

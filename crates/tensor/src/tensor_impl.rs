@@ -97,24 +97,6 @@ impl Tensor {
         Ok(())
     }
 
-    /// Returns a tensor with the same data but a new shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if volumes differ.
-    pub fn reshape(&self, shape: Shape) -> Result<Self> {
-        if shape.volume() != self.data.len() {
-            return Err(TensorError::ShapeMismatch {
-                expected: shape.volume(),
-                actual: self.data.len(),
-            });
-        }
-        Ok(Tensor {
-            shape,
-            data: self.data.clone(),
-        })
-    }
-
     /// Element-wise addition.
     ///
     /// # Errors
@@ -168,19 +150,6 @@ impl Tensor {
     pub fn dot(&self, rhs: &Tensor) -> Result<f32> {
         self.check_same_shape(rhs)?;
         Ok(self.data.iter().zip(&rhs.data).map(|(a, b)| a * b).sum())
-    }
-
-    /// Cosine similarity with another tensor of identical shape.
-    ///
-    /// Returns 0.0 when either operand has zero norm.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IncompatibleShapes`] if shapes differ.
-    pub fn cosine_similarity(&self, rhs: &Tensor) -> Result<f32> {
-        let d = self.dot(rhs)?;
-        let denom = self.norm() * rhs.norm();
-        Ok(if denom == 0.0 { 0.0 } else { d / denom })
     }
 
     /// Bytes required to store this tensor at the given precision.
@@ -243,14 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn reshape_preserves_data() {
-        let x = t(vec![2, 3], (0..6).map(|i| i as f32).collect());
-        let y = x.reshape(Shape::new(vec![3, 2])).unwrap();
-        assert_eq!(y.data(), x.data());
-        assert!(x.reshape(Shape::vector(5)).is_err());
-    }
-
-    #[test]
     fn elementwise_ops() {
         let a = t(vec![3], vec![1.0, 2.0, 3.0]);
         let b = t(vec![3], vec![4.0, 5.0, 6.0]);
@@ -262,13 +223,9 @@ mod tests {
     }
 
     #[test]
-    fn norm_and_cosine() {
+    fn norm_is_euclidean() {
         let a = t(vec![2], vec![3.0, 4.0]);
         assert!((a.norm() - 5.0).abs() < 1e-6);
-        let b = a.scale(2.0);
-        assert!((a.cosine_similarity(&b).unwrap() - 1.0).abs() < 1e-6);
-        let zero = Tensor::zeros(Shape::vector(2));
-        assert_eq!(a.cosine_similarity(&zero).unwrap(), 0.0);
     }
 
     #[test]

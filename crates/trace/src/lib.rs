@@ -45,7 +45,6 @@ mod trace_impl;
 
 pub mod emitter;
 pub mod parser;
-pub mod passes;
 
 pub use builder::TraceBuilder;
 pub use error::TraceError;

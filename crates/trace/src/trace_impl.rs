@@ -1,5 +1,3 @@
-use nsflow_tensor::DType;
-
 use crate::{Domain, OpId, OpKind, Result, TraceError, TraceOp};
 
 /// A validated, topologically-ordered operator trace for **one loop
@@ -169,23 +167,13 @@ impl ExecutionTrace {
         }
         s as f64 / (n + s) as f64
     }
-
-    /// The widest precision any op in the trace uses — sizing information
-    /// for the compute units.
-    #[must_use]
-    pub fn widest_dtype(&self) -> DType {
-        self.ops
-            .iter()
-            .map(|op| op.dtype)
-            .max()
-            .unwrap_or(DType::Fp32)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{EltFunc, TraceBuilder};
+    use nsflow_tensor::DType;
 
     fn sample() -> ExecutionTrace {
         let mut b = TraceBuilder::new("sample");
@@ -251,12 +239,6 @@ mod tests {
         let f = t.symbolic_flop_fraction();
         assert!((0.0..=1.0).contains(&f));
         assert!(t.symbolic_memory_fraction() > 0.0);
-    }
-
-    #[test]
-    fn widest_dtype_is_max() {
-        let t = sample();
-        assert_eq!(t.widest_dtype(), DType::Int8);
     }
 
     #[test]

@@ -307,7 +307,7 @@ impl SpectralTarget {
 /// let f2 = Codebook::random_unitary(5, 4, 128, &mut rng);
 /// let target = f1.codeword(2).bind(f2.codeword(4))?;
 /// let res = SpectralResonator::new(vec![f1, f2])?;
-/// let out = res.factorize(&target, ResonatorConfig::default())?;
+/// let out = res.factorize(&res.prepare(target)?, ResonatorConfig::default())?;
 /// assert_eq!(out.indices, vec![2, 4]);
 /// # Ok::<(), nsflow_vsa::VsaError>(())
 /// ```
@@ -547,31 +547,42 @@ impl SpectralResonator {
         BlockCode::from_vec(nb, bd, data)
     }
 
-    /// Iteratively factorizes `target` into one codeword per factor.
+    /// Iteratively factorizes `target` into one codeword per factor,
+    /// reading its spectrum from the [`SpectralResonator::prepare`] cache.
     ///
-    /// Semantics match [`Resonator::factorize`]; see the module docs for
-    /// the documented numerical differences on the spectral path and the
-    /// fallback contract for unsupported geometries.
+    /// Semantics match [`Resonator::factorize`] on `target.code()`; see
+    /// the module docs for the documented numerical differences on the
+    /// spectral path and the fallback contract for unsupported
+    /// geometries.
     ///
     /// # Errors
     ///
     /// Propagates geometry errors if `target` disagrees with the
     /// codebooks.
-    pub fn factorize(&self, target: &BlockCode, config: ResonatorConfig) -> Result<Factorization> {
+    pub fn factorize(
+        &self,
+        target: &SpectralTarget,
+        config: ResonatorConfig,
+    ) -> Result<Factorization> {
         let _span = telemetry::span!("vsa.factorize");
-        if !self.is_spectral() {
+        let Some(t_spec) = target.spectrum.as_deref() else {
             telemetry::counter!("vsa.resonator_fallbacks").incr();
-            return self.reference.factorize(target, config);
-        }
+            return self.reference.factorize(&target.code, config);
+        };
         // Geometry check against factor 0 (all factors agree by
         // construction).
-        self.books[0].book.codeword(0).check_geometry(target)?;
+        self.books[0]
+            .book
+            .codeword(0)
+            .check_geometry(&target.code)?;
+
+        // The target's spectrum is one cached transform consumed.
+        telemetry::counter!("vsa.spectral_cache_hits").incr();
 
         let nf = self.books.len();
-        let (nb, bd) = (self.books[0].n_blocks, self.books[0].block_dim);
+        let (nb, bd) = self.geometry();
         let dim = nb * bd;
         let plan = fft::plan(bd);
-        let t_spec = spectrum_of(target.data(), nb, &plan);
 
         // Estimates live as spectra. Initialization is the uniform
         // codebook superposition — a plain sum of the cached spectra
@@ -724,7 +735,8 @@ mod tests {
         assert!(engine.is_spectral());
         let reference = Resonator::new(books).unwrap();
         let cfg = ResonatorConfig::default();
-        let fast = engine.factorize(&target, cfg).unwrap();
+        let prepared = engine.prepare(target.clone()).unwrap();
+        let fast = engine.factorize(&prepared, cfg).unwrap();
         let slow = reference.factorize(&target, cfg).unwrap();
         assert_eq!(fast.indices, slow.indices);
         assert_eq!(fast.converged, slow.converged);
@@ -742,7 +754,8 @@ mod tests {
         let engine = SpectralResonator::new(books.clone()).unwrap();
         let reference = Resonator::new(books).unwrap();
         let cfg = ResonatorConfig::default();
-        let fast = engine.factorize(&target, cfg).unwrap();
+        let prepared = engine.prepare(target.clone()).unwrap();
+        let fast = engine.factorize(&prepared, cfg).unwrap();
         let slow = reference.factorize(&target, cfg).unwrap();
         assert_eq!(fast.indices, slow.indices);
     }
@@ -753,8 +766,9 @@ mod tests {
         let target = books[0].codeword(1).bind(books[1].codeword(3)).unwrap();
         let engine = SpectralResonator::new(books.clone()).unwrap();
         assert!(!engine.is_spectral());
+        let prepared = engine.prepare(target.clone()).unwrap();
         let out = engine
-            .factorize(&target, ResonatorConfig::default())
+            .factorize(&prepared, ResonatorConfig::default())
             .unwrap();
         let slow = Resonator::new(books)
             .unwrap()
@@ -775,7 +789,7 @@ mod tests {
         }
         let engine = SpectralResonator::new(books).unwrap();
         let out = engine
-            .factorize(&target, ResonatorConfig::default())
+            .factorize(&engine.prepare(target).unwrap(), ResonatorConfig::default())
             .unwrap();
         assert_eq!(out.indices, vec![5, 1]);
     }
@@ -789,7 +803,9 @@ mod tests {
             max_iterations: 1,
             temperature: 0.08,
         };
-        let out = engine.factorize(&target, cfg).unwrap();
+        let out = engine
+            .factorize(&engine.prepare(target).unwrap(), cfg)
+            .unwrap();
         assert_eq!(out.iterations, 1);
         assert!(!out.converged);
     }
@@ -799,9 +815,7 @@ mod tests {
         let books = unitary_books(&[4, 4], 2, 32, 28);
         let engine = SpectralResonator::new(books).unwrap();
         let wrong = BlockCode::zeros(1, 64);
-        assert!(engine
-            .factorize(&wrong, ResonatorConfig::default())
-            .is_err());
+        assert!(engine.prepare(wrong.clone()).is_err());
         let book_engine = SpectralCodebook::new(Codebook::random_bipolar(
             3,
             2,

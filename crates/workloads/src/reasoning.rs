@@ -222,7 +222,7 @@ impl VsaReasoner {
             .expect("geometry fixed at construction");
         let mut indices = self
             .engine
-            .factorize(target.code(), self.config.resonator)
+            .factorize(&target, self.config.resonator)
             .expect("geometry fixed at construction")
             .indices;
         self.hard_descent(&target, &mut indices);

@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         let engine = SpectralResonator::new(books)?;
         let start = Instant::now();
-        let fast = engine.factorize(&target, cfg)?;
+        let fast = engine.factorize(&engine.prepare(target)?, cfg)?;
         let eng_s = start.elapsed().as_secs_f64();
 
         assert_eq!(
