@@ -50,13 +50,6 @@ impl MemoryPlan {
         }
     }
 
-    /// Capacity of `Mem_A` when its chunks are merged for non-parallel
-    /// phases.
-    #[must_use]
-    pub fn merged_mem_a(&self) -> usize {
-        self.mem_a1 + self.mem_a2
-    }
-
     /// Total BRAM-backed bytes (A1+A2+B+C, double-buffered).
     #[must_use]
     pub fn bram_bytes(&self) -> usize {
@@ -173,7 +166,6 @@ mod tests {
         assert_eq!(p.mem_b, 2000);
         assert_eq!(p.mem_c, 300);
         assert_eq!(p.cache, 2 * (1500 + 2000 + 300));
-        assert_eq!(p.merged_mem_a(), 1500);
     }
 
     #[test]

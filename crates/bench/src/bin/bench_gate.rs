@@ -4,8 +4,9 @@
 //! ```sh
 //! cargo run --release -p nsflow-bench --bin dse_throughput -- --quick
 //! cargo run --release -p nsflow-bench --bin kernels_throughput -- --quick
-//! cargo run --release -p nsflow-bench --bin bench_gate -- \
-//!     --baseline baselines/ --tolerance 0.5
+//! cargo run --release -p nsflow-bench --bin serve_throughput -- --quick
+//! cargo run --release -p nsflow-bench --bin simtrace -- all
+//! cargo run --release -p nsflow-bench --bin bench_gate -- --baseline baselines/
 //! ```
 //!
 //! Flags:
@@ -14,27 +15,25 @@
 //!   artifacts (default `baselines`).
 //! - `--current <dir>` — directory holding the freshly generated
 //!   artifacts (default `.`, where the bench binaries write).
-//! - `--tolerance <f>` — relative slack for throughput metrics; `0.5`
-//!   means a metric may drop to half its baseline before failing.
 //!
-//! Comparison semantics live in [`nsflow_bench::gate`].
+//! The gate has no tolerance knob: each metric in an artifact declares
+//! its own direction and bound, and [`nsflow_bench::gate`] judges it by
+//! the baseline's declaration.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use nsflow_bench::gate::{compare_dirs, DEFAULT_TOLERANCE};
+use nsflow_bench::gate::compare_dirs;
 
 struct Args {
     baseline: PathBuf,
     current: PathBuf,
-    tolerance: f64,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         baseline: PathBuf::from("baselines"),
         current: PathBuf::from("."),
-        tolerance: DEFAULT_TOLERANCE,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -42,18 +41,6 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--baseline" => args.baseline = PathBuf::from(value("--baseline")?),
             "--current" => args.current = PathBuf::from(value("--current")?),
-            "--tolerance" => {
-                let raw = value("--tolerance")?;
-                args.tolerance = raw
-                    .parse::<f64>()
-                    .map_err(|e| format!("--tolerance {raw}: {e}"))?;
-                if !(0.0..1.0).contains(&args.tolerance) {
-                    return Err(format!(
-                        "--tolerance must be in [0, 1), got {}",
-                        args.tolerance
-                    ));
-                }
-            }
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -69,12 +56,11 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "bench_gate: {} vs {} (tolerance {})\n",
+        "bench_gate: {} vs {}\n",
         args.baseline.display(),
-        args.current.display(),
-        args.tolerance
+        args.current.display()
     );
-    match compare_dirs(&args.baseline, &args.current, args.tolerance) {
+    match compare_dirs(&args.baseline, &args.current) {
         Ok(report) => {
             print!("{}", report.render_table());
             if report.passed() {

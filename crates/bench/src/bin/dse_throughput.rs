@@ -16,13 +16,13 @@
 //! cargo run --release -p nsflow-bench --bin dse_throughput
 //! ```
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use nsflow_bench::{fmt_seconds, write_csv};
+use nsflow_bench::{exact, fmt_seconds, wall_ratio, wall_time, write_artifact, write_csv};
 use nsflow_dse::exhaustive::{exhaustive_uniform, exhaustive_uniform_reference, ExhaustiveResult};
 use nsflow_dse::DseOptions;
 use nsflow_graph::DataflowGraph;
+use nsflow_telemetry::JsonValue;
 use nsflow_workloads::traces;
 
 /// The speedup the memoized sweep must reach over the serial seed at the
@@ -106,39 +106,37 @@ fn bench_budget(graph: &DataflowGraph, max_pes: usize) -> Run {
 }
 
 fn emit_json(runs: &[Run], quick: bool) {
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"dse_throughput\",");
-    let _ = writeln!(json, "  \"workload\": \"nvsa\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"speedup_target\": {SPEEDUP_TARGET},");
-    let _ = writeln!(json, "  \"runs\": [");
-    for (i, run) in runs.iter().enumerate() {
-        let serial_wall = run.modes[0].wall;
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"max_pes\": {},", run.max_pes);
-        let _ = writeln!(json, "      \"points\": {},", run.points);
-        for m in &run.modes {
-            let _ = writeln!(
-                json,
-                "      \"{}\": {{ \"wall_s\": {:.6}, \"points_per_sec\": {:.1}, \"speedup\": {:.2} }},",
-                m.name,
-                m.wall,
-                m.points_per_sec,
-                serial_wall / m.wall
-            );
-        }
-        let _ = writeln!(json, "      \"best_speedup\": {:.2}", best_speedup(run));
-        let _ = writeln!(json, "    }}{}", if i + 1 < runs.len() { "," } else { "" });
-    }
-    let _ = writeln!(json, "  ],");
-    let meets = runs
-        .last()
-        .is_some_and(|r| !quick && r.max_pes == 1 << 14 && best_speedup(r) >= SPEEDUP_TARGET);
-    let _ = writeln!(json, "  \"meets_target\": {meets},");
-    json.push_str(&nsflow_bench::telemetry_json_member());
-    json.push_str("\n}\n");
-    std::fs::write("BENCH_dse.json", &json).expect("write BENCH_dse.json");
-    println!("[json] wrote BENCH_dse.json (meets_target: {meets})");
+    let run_docs = runs
+        .iter()
+        .map(|run| {
+            let serial_wall = run.modes[0].wall;
+            let mut fields = vec![
+                ("max_pes", JsonValue::UInt(run.max_pes as u64)),
+                ("points", exact(JsonValue::UInt(run.points as u64), "count")),
+            ];
+            fields.extend(run.modes.iter().map(|m| {
+                let mode = JsonValue::object([
+                    ("wall_s", wall_time(m.wall, "s")),
+                    ("points_per_sec", wall_ratio(m.points_per_sec, "points/s")),
+                    ("speedup", wall_ratio(serial_wall / m.wall, "x")),
+                ]);
+                (m.name, mode)
+            }));
+            fields.push(("best_speedup", wall_ratio(best_speedup(run), "x")));
+            JsonValue::object(fields)
+        })
+        .collect();
+    let doc = JsonValue::object([
+        ("bench", JsonValue::Str("dse_throughput".into())),
+        ("workload", JsonValue::Str("nvsa".into())),
+        ("quick", JsonValue::Bool(quick)),
+        ("runs", JsonValue::Array(run_docs)),
+        (
+            "telemetry",
+            nsflow_telemetry::TelemetrySnapshot::capture().to_json_value(),
+        ),
+    ]);
+    write_artifact("BENCH_dse.json", &doc);
 }
 
 fn best_speedup(run: &Run) -> f64 {

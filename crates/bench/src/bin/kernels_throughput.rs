@@ -27,8 +27,9 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use nsflow_bench::{fmt_seconds, write_csv};
+use nsflow_bench::{fmt_seconds, wall_ratio, wall_time, write_artifact, write_csv};
 use nsflow_nn::gemm;
+use nsflow_telemetry::JsonValue;
 use nsflow_tensor::par::available_threads;
 use nsflow_tensor::rng::StdRng;
 use nsflow_vsa::engine::{SpectralCodebook, SpectralResonator};
@@ -227,48 +228,50 @@ fn bench_bind_cleanup(n_blocks: usize, block_dim: usize, seed: u64) -> Run {
     }
 }
 
-fn emit_json(runs: &[Run], threads: usize, quick: bool) {
-    let best_large = runs
-        .iter()
+/// Best spectral-resonator speedup at total dimension ≥ 1024.
+fn best_large_resonator(runs: &[Run]) -> f64 {
+    runs.iter()
         .filter(|r| r.kernel == "resonator" && r.dim >= 1024)
         .map(Run::speedup)
-        .fold(0.0, f64::max);
-    let meets = !quick && best_large >= SPEEDUP_TARGET;
+        .fold(0.0, f64::max)
+}
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"kernels_throughput\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"threads\": {threads},");
-    let _ = writeln!(json, "  \"speedup_target\": {SPEEDUP_TARGET},");
-    let _ = writeln!(json, "  \"runs\": [");
-    for (i, run) in runs.iter().enumerate() {
-        let reference = run.modes[0].wall;
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"kernel\": \"{}\",", run.kernel);
-        let _ = writeln!(json, "      \"geometry\": \"{}\",", run.geometry);
-        let _ = writeln!(json, "      \"dim\": {},", run.dim);
-        for m in &run.modes {
-            let _ = writeln!(
-                json,
-                "      \"{}\": {{ \"wall_s\": {:.9}, \"speedup\": {:.2} }},",
-                m.name,
-                m.wall,
-                reference / m.wall
-            );
-        }
-        let _ = writeln!(json, "      \"best_speedup\": {:.2}", run.speedup());
-        let _ = writeln!(json, "    }}{}", if i + 1 < runs.len() { "," } else { "" });
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(
-        json,
-        "  \"best_resonator_speedup_dim_ge_1024\": {best_large:.2},"
-    );
-    let _ = writeln!(json, "  \"meets_target\": {meets},");
-    json.push_str(&nsflow_bench::telemetry_json_member());
-    json.push_str("\n}\n");
-    std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");
-    println!("[json] wrote BENCH_kernels.json (meets_target: {meets})");
+fn emit_json(runs: &[Run], threads: usize, quick: bool) {
+    let run_docs = runs
+        .iter()
+        .map(|run| {
+            let reference = run.modes[0].wall;
+            let mut fields = vec![
+                ("kernel", JsonValue::Str(run.kernel.into())),
+                ("geometry", JsonValue::Str(run.geometry.clone())),
+                ("dim", JsonValue::UInt(run.dim as u64)),
+            ];
+            fields.extend(run.modes.iter().map(|m| {
+                let mode = JsonValue::object([
+                    ("wall_s", wall_time(m.wall, "s")),
+                    ("speedup", wall_ratio(reference / m.wall, "x")),
+                ]);
+                (m.name, mode)
+            }));
+            fields.push(("best_speedup", wall_ratio(run.speedup(), "x")));
+            JsonValue::object(fields)
+        })
+        .collect();
+    let doc = JsonValue::object([
+        ("bench", JsonValue::Str("kernels_throughput".into())),
+        ("quick", JsonValue::Bool(quick)),
+        ("threads", JsonValue::UInt(threads as u64)),
+        ("runs", JsonValue::Array(run_docs)),
+        (
+            "best_resonator_speedup_dim_ge_1024",
+            wall_ratio(best_large_resonator(runs), "x"),
+        ),
+        (
+            "telemetry",
+            nsflow_telemetry::TelemetrySnapshot::capture().to_json_value(),
+        ),
+    ]);
+    write_artifact("BENCH_kernels.json", &doc);
 }
 
 fn main() {
@@ -329,11 +332,7 @@ fn main() {
     emit_json(&runs, threads, quick);
 
     if !quick {
-        let best = runs
-            .iter()
-            .filter(|r| r.kernel == "resonator" && r.dim >= 1024)
-            .map(Run::speedup)
-            .fold(0.0, f64::max);
+        let best = best_large_resonator(&runs);
         assert!(
             best >= SPEEDUP_TARGET,
             "spectral resonator below {SPEEDUP_TARGET}x target (best {best:.2}x at d ≥ 1024)"

@@ -21,8 +21,8 @@
 //!   seeded fault injection (exec errors, latency spikes, lane stalls),
 //!   bounded retries with deterministic backoff, per-request deadlines,
 //!   watermark degradation and per-workload circuit breakers. Shed,
-//!   retry and failure rates land in `BENCH_serve.json` so `bench_gate`
-//!   bounds them.
+//!   retry and failure rates land in `BENCH_serve.json`, where
+//!   `bench_gate` holds them exact.
 //!
 //! Every dispatched request is also executed functionally (real
 //! NVSA / MIMONet / LVRF / PrAE inference through the fast kernel
@@ -37,14 +37,15 @@
 //! cargo run --release -p nsflow-bench --bin serve_throughput
 //! ```
 
-use std::fmt::Write as _;
+use std::borrow::Cow;
 
-use nsflow_bench::write_csv;
+use nsflow_bench::{exact, write_artifact, write_csv};
 use nsflow_serve::batcher::BatchPolicy;
 use nsflow_serve::executor::{Executor, ExecutorConfig};
 use nsflow_serve::request::{Priority, WorkloadKind};
 use nsflow_serve::robust::{BreakerPolicy, DegradationPolicy, FaultPlan, RetryPolicy};
 use nsflow_serve::simlab::{self, CostModel, SimConfig, SimReport};
+use nsflow_telemetry::JsonValue;
 
 /// Largest relative gap allowed between the measured fixed-lane
 /// batching ratio and the cost table's prediction of it.
@@ -116,114 +117,93 @@ fn run_scenario(
     }
 }
 
-fn scenario_json(s: &Scenario) -> String {
+/// A scenario's simlab figures. Every one is seed-deterministic, so
+/// every one is declared `exact`.
+fn scenario_json(s: &Scenario) -> JsonValue {
     let r = &s.report;
     let (stats, phases) = (&r.serve.stats, &r.serve.phases);
-    let mut json = String::new();
-    let _ = writeln!(json, "  \"{}\": {{", s.name);
-    let _ = writeln!(json, "    \"lanes\": {},", s.config.lanes);
-    let _ = writeln!(json, "    \"max_batch\": {},", s.config.policy.max_batch);
-    let _ = writeln!(json, "    \"requests\": {},", s.config.requests);
-    let _ = writeln!(json, "    \"completed\": {},", stats.completed);
-    let _ = writeln!(json, "    \"batches\": {},", stats.batches);
-    let _ = writeln!(json, "    \"makespan_cycles\": {},", r.makespan);
-    let _ = writeln!(
-        json,
-        "    \"throughput_per_mcycle\": {:.6},",
-        r.throughput_per_mcycle
-    );
-    let _ = writeln!(json, "    \"shed_rate\": {:.6},", r.shed_rate);
-    let _ = writeln!(json, "    \"latency_p50_cycles\": {},", r.latency.p50);
-    let _ = writeln!(json, "    \"latency_p95_cycles\": {},", r.latency.p95);
-    let _ = writeln!(json, "    \"latency_p99_cycles\": {},", r.latency.p99);
-    let _ = writeln!(json, "    \"latency_max_cycles\": {},", r.latency.max);
-    // Per-phase breakdown from the flight recorder; the key names place
-    // them in `bench_gate`'s BoundedAbove class (`wait` / `latency`).
-    let _ = writeln!(
-        json,
-        "    \"queue_wait_p50_cycles\": {},",
-        phases.queue_wait.p50
-    );
-    let _ = writeln!(
-        json,
-        "    \"queue_wait_p95_cycles\": {},",
-        phases.queue_wait.p95
-    );
-    let _ = writeln!(
-        json,
-        "    \"batch_wait_p50_cycles\": {},",
-        phases.batch_wait.p50
-    );
-    let _ = writeln!(
-        json,
-        "    \"batch_wait_p95_cycles\": {},",
-        phases.batch_wait.p95
-    );
-    let _ = writeln!(
-        json,
-        "    \"exec_latency_p50_cycles\": {},",
-        phases.exec.p50
-    );
-    let _ = writeln!(
-        json,
-        "    \"exec_latency_p95_cycles\": {},",
-        phases.exec.p95
-    );
-    // Robustness metrics: zero on the inert scenarios, live on
-    // nvsa_chaos. The key names place them in `bench_gate`'s
-    // BoundedAbove class — a regression that retries, faults or sheds
-    // *more* fails the gate, fewer is fine.
-    let _ = writeln!(json, "    \"retries\": {},", stats.retries);
-    let _ = writeln!(
-        json,
-        "    \"retry_rate\": {:.6},",
-        stats.retries as f64 / stats.submitted.max(1) as f64
-    );
-    let _ = writeln!(json, "    \"faults_injected\": {},", stats.faults_injected);
-    let _ = writeln!(
-        json,
-        "    \"fault_rate\": {:.6},",
-        stats.faults_injected as f64 / stats.batches.max(1) as f64
-    );
-    // Admitted requests dropped at the pre-exec deadline check.
-    let _ = writeln!(json, "    \"deadline_shed\": {},", stats.expired);
-    let _ = writeln!(json, "    \"failed\": {},", stats.failed);
-    let _ = writeln!(json, "    \"degraded_ticks\": {},", stats.degraded_ticks);
-    let _ = writeln!(json, "    \"breaker_trips\": {},", stats.breaker_trips);
-    // Total lifecycle events recorded (retained + overwritten): gated
-    // as a liveness signal — tracing must never silently go dark.
-    let _ = writeln!(
-        json,
-        "    \"trace_events\": {},",
-        r.serve.trace.len() as u64 + r.serve.trace.dropped
-    );
-    let hist: Vec<String> = r
+    let count = |v: u64| exact(JsonValue::UInt(v), "count");
+    let cycles = |v: u64| exact(JsonValue::UInt(v), "cycles");
+    let ratio = |v: f64| exact(JsonValue::Float(v), "ratio");
+    let hist = r
         .batch_hist
         .iter()
-        .map(|(size, count)| format!("\"{size}\": {count}"))
+        .map(|(size, n)| (Cow::Owned(size.to_string()), JsonValue::UInt(*n)))
         .collect();
-    let _ = writeln!(json, "    \"batch_hist\": {{ {} }}", hist.join(", "));
-    json.push_str("  }");
-    json
+    JsonValue::object([
+        ("lanes", JsonValue::UInt(s.config.lanes as u64)),
+        (
+            "max_batch",
+            JsonValue::UInt(s.config.policy.max_batch as u64),
+        ),
+        ("requests", JsonValue::UInt(s.config.requests as u64)),
+        ("completed", count(stats.completed)),
+        ("batches", count(stats.batches)),
+        ("makespan_cycles", cycles(r.makespan)),
+        (
+            "throughput_per_mcycle",
+            exact(JsonValue::Float(r.throughput_per_mcycle), "1/Mcycle"),
+        ),
+        ("shed_rate", ratio(r.shed_rate)),
+        ("latency_p50_cycles", cycles(r.latency.p50)),
+        ("latency_p95_cycles", cycles(r.latency.p95)),
+        ("latency_p99_cycles", cycles(r.latency.p99)),
+        ("latency_max_cycles", cycles(r.latency.max)),
+        // Per-phase breakdown from the flight recorder.
+        ("queue_wait_p50_cycles", cycles(phases.queue_wait.p50)),
+        ("queue_wait_p95_cycles", cycles(phases.queue_wait.p95)),
+        ("batch_wait_p50_cycles", cycles(phases.batch_wait.p50)),
+        ("batch_wait_p95_cycles", cycles(phases.batch_wait.p95)),
+        ("exec_latency_p50_cycles", cycles(phases.exec.p50)),
+        ("exec_latency_p95_cycles", cycles(phases.exec.p95)),
+        // Robustness figures: zero on the inert scenarios, live on
+        // nvsa_chaos.
+        ("retries", count(stats.retries)),
+        (
+            "retry_rate",
+            ratio(stats.retries as f64 / stats.submitted.max(1) as f64),
+        ),
+        ("faults_injected", count(stats.faults_injected)),
+        (
+            "fault_rate",
+            ratio(stats.faults_injected as f64 / stats.batches.max(1) as f64),
+        ),
+        // Admitted requests dropped at the pre-exec deadline check.
+        ("deadline_shed", count(stats.expired)),
+        ("failed", count(stats.failed)),
+        ("degraded_ticks", count(stats.degraded_ticks)),
+        ("breaker_trips", count(stats.breaker_trips)),
+        // Lifecycle events recorded, retained plus overwritten.
+        (
+            "trace_events",
+            count(r.serve.trace.len() as u64 + r.serve.trace.dropped),
+        ),
+        ("batch_hist", exact(JsonValue::Object(hist), "count")),
+    ])
 }
 
 fn emit_json(scenarios: &[Scenario], measured: f64, model: f64, quick: bool) {
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"serve_throughput\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"batching_speedup_fixed_lanes\": {measured:.3},");
-    // The cost table's prediction of the ratio above: a model, not a
-    // measurement.
-    let _ = writeln!(json, "  \"batching_speedup_model\": {model:.3},");
-    for s in scenarios {
-        json.push_str(&scenario_json(s));
-        json.push_str(",\n");
-    }
-    json.push_str(&nsflow_bench::telemetry_json_member());
-    json.push_str("\n}\n");
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    println!("[json] wrote BENCH_serve.json");
+    let mut fields = vec![
+        ("bench", JsonValue::Str("serve_throughput".into())),
+        ("quick", JsonValue::Bool(quick)),
+        ("seed", JsonValue::UInt(SEED)),
+        (
+            "batching_speedup_fixed_lanes",
+            exact(JsonValue::Float(measured), "x"),
+        ),
+        // The cost table's prediction of the ratio above: a model, not a
+        // measurement.
+        (
+            "batching_speedup_model",
+            exact(JsonValue::Float(model), "x"),
+        ),
+    ];
+    fields.extend(scenarios.iter().map(|s| (s.name, scenario_json(s))));
+    fields.push((
+        "telemetry",
+        nsflow_telemetry::TelemetrySnapshot::capture().to_json_value(),
+    ));
+    write_artifact("BENCH_serve.json", &JsonValue::object(fields));
 }
 
 fn main() {

@@ -18,20 +18,23 @@
 //! - `--top N`: rows in the top-ops table (default 8),
 //! - `--out DIR`: directory for `<workload>.trace.json` (default `.`).
 //!
-//! Also emits `BENCH_simtrace.json` (stall totals + attribution check)
-//! for the `bench_gate` regression gate, with the measured wall time per
-//! scheduler, critical-path, Chrome-trace build and `render_pretty` call
-//! averaged over the workloads' final schedules (informational:
-//! host-dependent).
+//! Also emits `BENCH_simtrace.json` for the `bench_gate` regression
+//! gate: per workload the simulated cycles, utilization, overlap, stall
+//! totals and critical path, all declared `exact`, plus the measured
+//! wall time per scheduler, critical-path, Chrome-trace build and
+//! `render_pretty` call averaged over the workloads' final schedules
+//! (informational: host-dependent). An invalid trace makes the run exit
+//! non-zero.
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use nsflow_arch::ArrayConfig;
 use nsflow_bench::simreport::{analyze, parse_config, WorkloadTimeline};
+use nsflow_bench::{exact, wall_time, write_artifact};
 use nsflow_sim::schedule::SimOptions;
+use nsflow_telemetry::JsonValue;
 use nsflow_workloads::traces;
 
 struct Args {
@@ -86,91 +89,66 @@ struct TraceWall {
     render: Duration,
 }
 
-fn emit_json(timelines: &[WorkloadTimeline], args: &Args, all_exact: bool, wall: &TraceWall) {
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"simtrace\",");
-    let _ = writeln!(
-        json,
-        "  \"config\": \"{}x{}x{}\",",
-        args.cfg.height(),
-        args.cfg.width(),
-        args.cfg.n_subarrays()
-    );
-    let _ = writeln!(json, "  \"scheduler\": \"pooled\",");
-    let _ = writeln!(json, "  \"workloads\": [");
+fn emit_json(timelines: &[WorkloadTimeline], args: &Args, wall: &TraceWall) {
     let (mut schedule_wall, mut path_wall) = (Duration::ZERO, Duration::ZERO);
-    for (i, t) in timelines.iter().enumerate() {
-        let stalls = t.schedule.stall_totals();
-        let started = Instant::now();
-        let path = t.schedule.critical_path(&t.graph);
-        path_wall += started.elapsed();
-        schedule_wall += t.schedule_wall;
-        let total = t.schedule.total_cycles();
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"name\": \"{}\",", t.name);
-        let _ = writeln!(json, "      \"ops\": {},", t.schedule.ops().len());
-        let _ = writeln!(json, "      \"total_cycles\": {total},");
-        let _ = writeln!(
-            json,
-            "      \"utilization\": {:.4},",
-            t.schedule.array_utilization()
-        );
-        let _ = writeln!(
-            json,
-            "      \"overlap_pct\": {:.2},",
-            100.0 * t.schedule.classes_overlap_cycles() as f64 / total.max(1) as f64
-        );
-        let _ = writeln!(json, "      \"stall_dep_wait\": {},", stalls.dep_wait);
-        let _ = writeln!(
-            json,
-            "      \"stall_resource_wait\": {},",
-            stalls.resource_wait
-        );
-        let _ = writeln!(json, "      \"stall_transfer\": {},", stalls.transfer_stall);
-        let _ = writeln!(json, "      \"critical_path_nodes\": {},", path.nodes.len());
-        let _ = writeln!(
-            json,
-            "      \"critical_path_cycles\": {}",
-            path.attributed_cycles()
-        );
-        let _ = writeln!(
-            json,
-            "    }}{}",
-            if i + 1 < timelines.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  ],");
+    let count = |v: usize| exact(JsonValue::UInt(v as u64), "count");
+    let cycles = |v: u64| exact(JsonValue::UInt(v), "cycles");
+    let workloads = timelines
+        .iter()
+        .map(|t| {
+            let stalls = t.schedule.stall_totals();
+            let started = Instant::now();
+            let path = t.schedule.critical_path(&t.graph);
+            path_wall += started.elapsed();
+            schedule_wall += t.schedule_wall;
+            let total = t.schedule.total_cycles();
+            let overlap = 100.0 * t.schedule.classes_overlap_cycles() as f64 / total.max(1) as f64;
+            JsonValue::object([
+                ("name", JsonValue::Str(t.name.into())),
+                ("ops", count(t.schedule.ops().len())),
+                ("total_cycles", cycles(total)),
+                (
+                    "utilization",
+                    exact(JsonValue::Float(t.schedule.array_utilization()), "ratio"),
+                ),
+                ("overlap_pct", exact(JsonValue::Float(overlap), "%")),
+                ("stall_dep_wait", cycles(stalls.dep_wait)),
+                ("stall_resource_wait", cycles(stalls.resource_wait)),
+                ("stall_transfer", cycles(stalls.transfer_stall)),
+                ("critical_path_nodes", count(path.nodes.len())),
+                ("critical_path_cycles", cycles(path.attributed_cycles())),
+            ])
+        })
+        .collect();
     let calls = timelines.len().max(1) as f64;
-    let _ = writeln!(
-        json,
-        "  \"threads\": {},",
-        nsflow_tensor::par::available_threads()
-    );
-    let _ = writeln!(
-        json,
-        "  \"schedule_us_per_call\": {:.1},",
-        schedule_wall.as_secs_f64() * 1e6 / calls
-    );
-    let _ = writeln!(
-        json,
-        "  \"critical_path_us_per_call\": {:.1},",
-        path_wall.as_secs_f64() * 1e6 / calls
-    );
-    let _ = writeln!(
-        json,
-        "  \"chrome_trace_us_per_call\": {:.1},",
-        wall.build.as_secs_f64() * 1e6 / calls
-    );
-    let _ = writeln!(
-        json,
-        "  \"render_us_per_call\": {:.1},",
-        wall.render.as_secs_f64() * 1e6 / calls
-    );
-    let _ = writeln!(json, "  \"meets_target\": {all_exact},");
-    json.push_str(&nsflow_bench::telemetry_json_member());
-    json.push_str("\n}\n");
-    std::fs::write("BENCH_simtrace.json", &json).expect("write BENCH_simtrace.json");
-    println!("[json] wrote BENCH_simtrace.json (meets_target: {all_exact})");
+    let per_call = |d: Duration| wall_time(d.as_secs_f64() * 1e6 / calls, "us");
+    let doc = JsonValue::object([
+        ("bench", JsonValue::Str("simtrace".into())),
+        (
+            "config",
+            JsonValue::Str(format!(
+                "{}x{}x{}",
+                args.cfg.height(),
+                args.cfg.width(),
+                args.cfg.n_subarrays()
+            )),
+        ),
+        ("scheduler", JsonValue::Str("pooled".into())),
+        ("workloads", JsonValue::Array(workloads)),
+        (
+            "threads",
+            JsonValue::UInt(nsflow_tensor::par::available_threads() as u64),
+        ),
+        ("schedule_us_per_call", per_call(schedule_wall)),
+        ("critical_path_us_per_call", per_call(path_wall)),
+        ("chrome_trace_us_per_call", per_call(wall.build)),
+        ("render_us_per_call", per_call(wall.render)),
+        (
+            "telemetry",
+            nsflow_telemetry::TelemetrySnapshot::capture().to_json_value(),
+        ),
+    ]);
+    write_artifact("BENCH_simtrace.json", &doc);
 }
 
 fn main() -> ExitCode {
@@ -221,7 +199,7 @@ fn main() -> ExitCode {
         timelines.push(t);
     }
 
-    emit_json(&timelines, &args, all_exact, &wall);
+    emit_json(&timelines, &args, &wall);
     if all_exact {
         ExitCode::SUCCESS
     } else {

@@ -1,49 +1,39 @@
 //! Performance-regression gate over `BENCH_*.json` artifacts.
 //!
-//! The bench binaries ([`dse_throughput`], [`kernels_throughput`]) emit
-//! machine-readable JSON with speedups, point counts, and an embedded
-//! telemetry snapshot. CI commits known-good copies under `baselines/`;
-//! the `bench_gate` binary re-runs the benches and calls into this
-//! module to compare fresh output against the baseline.
+//! The bench binaries write each measured number as a declared metric,
+//! `{"value", "unit", "better", "bound"}` (built by [`crate::metric`]).
+//! CI commits known-good copies under `baselines/`; the `bench_gate`
+//! binary compares fresh output against them through this module.
 //!
 //! # Comparison rules
 //!
-//! Fields are matched structurally (objects by key, arrays by index) and
-//! judged by name:
+//! Documents are matched structurally: objects by key, arrays by index.
+//! A declared metric is an object that carries `better`. It is judged
+//! by the baseline's declaration:
 //!
-//! - **`speedup` / `best_speedup` / `points_per_sec`** — throughput
-//!   metrics. Fail when `current < baseline · (1 − tolerance)`;
-//!   improvements never fail. The wide default tolerance (0.5) absorbs
-//!   noisy shared CI runners while still catching order-of-magnitude
-//!   regressions (a lost cache, an accidental serial fallback).
-//! - **`points`** — design-space sizes are deterministic; any drift is a
-//!   correctness bug, so they must match exactly.
-//! - **`meets_target`** — fails only on a `true → false` transition (a
-//!   baseline that never met the target cannot regress).
-//! - **`stall_*`** (any key containing `stall`) — bounded-above cycle
-//!   volumes from the scheduler's stall attribution. Fail when
-//!   `current > baseline · (1 + tolerance)`; reductions never fail.
-//! - **`*latency*` / `*shed*` / `*wait*`** — bounded-above serving
-//!   metrics (latency percentiles, shed rates, queue/batch wait
-//!   breakdowns). Fail when `current > baseline · (1 + tolerance)`.
-//! - **`*retr*` / `*fault*` / `*failed*` / `*degraded*` / `*breaker*`**
-//!   — robustness volumes from the chaos scenario (retry and fault
-//!   rates, failed requests, degraded ticks, breaker trips). Also
-//!   bounded above: a code change that retries, faults or degrades
-//!   *more* under the same seeded chaos gates; doing less never fails.
-//! - **`telemetry.counters.*`** — liveness, not magnitude: every counter
-//!   that was nonzero in the baseline must be nonzero in the current run
-//!   (a zero means an instrumented fast path silently stopped running).
-//! - **`trace_events`** — same liveness rule for the serve flight
-//!   recorder: a baseline that traced lifecycles must keep tracing.
-//! - **`wall_s`** and everything else — informational only; absolute
-//!   wall times are machine-dependent.
-//! - **`quick`** — a mode mismatch (quick baseline vs full current run)
-//!   downgrades every verdict to a warning-level note but is itself only
-//!   a warning.
+//! - `higher` fails when `current < baseline · (1 − bound)`;
+//! - `lower` fails when `current > baseline · (1 + bound)`;
+//! - `exact` fails on any difference (point counts, simulated cycles,
+//!   every simlab serving figure);
+//! - a `null` bound is informational (host-dependent wall times).
 //!
-//! [`dse_throughput`]: ../../dse_throughput/index.html
-//! [`kernels_throughput`]: ../../kernels_throughput/index.html
+//! If the current run declares a different `unit`, `better` or `bound`,
+//! the row fails: the baseline must be regenerated. A declaration is
+//! read from a file, so a malformed one (unknown `better`, negative or
+//! non-finite `bound`, missing `value`) fails with a row naming its path
+//! rather than panicking.
+//!
+//! Every undeclared leaf is a label (`bench`, `quick`, `threads`, a
+//! workload name). Equal labels are informational; a differing label
+//! warns. Three structural rules complete the set:
+//!
+//! - under `telemetry`, every counter nonzero in the baseline must stay
+//!   nonzero (a zero means an instrumented path silently stopped
+//!   running); the other telemetry leaves (gauges, histograms, spans)
+//!   are informational;
+//! - a field of the baseline missing from the current run fails;
+//! - arrays of different length warn (outside telemetry), and their
+//!   common prefix is compared.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -51,17 +41,16 @@ use std::path::Path;
 
 use nsflow_telemetry::JsonValue;
 
-/// Default relative tolerance for throughput metrics.
-pub const DEFAULT_TOLERANCE: f64 = 0.5;
+use crate::Better;
 
 /// Verdict for one compared field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
-    /// Within tolerance (or improved).
+    /// Within its declared bound (or improved).
     Pass,
     /// Recorded for the delta table but never gating (e.g. `wall_s`).
     Info,
-    /// Suspicious but not gating (mode mismatch, missing optional field).
+    /// Suspicious but not gating (a differing label, an array length).
     Warn,
     /// Regression — the gate exits non-zero.
     Fail,
@@ -82,7 +71,7 @@ impl Verdict {
 #[derive(Debug, Clone)]
 pub struct Delta {
     /// Dotted path of the field inside the document, prefixed with the
-    /// artifact name (e.g. `BENCH_dse.json:runs[0].parallel.speedup`).
+    /// artifact name (e.g. `BENCH_dse.json.runs[0].cached.speedup`).
     pub path: String,
     /// Baseline value, rendered.
     pub baseline: String,
@@ -172,67 +161,6 @@ impl GateReport {
     }
 }
 
-/// How a field name is judged.
-fn classify(key: &str) -> FieldClass {
-    if key == "points" {
-        FieldClass::Exact
-    } else if key == "speedup_target" {
-        // A configured constant, not a measurement.
-        FieldClass::Informational
-    } else if key.contains("speedup") || key == "points_per_sec" {
-        // speedup / best_speedup / best_resonator_speedup_dim_ge_1024 / …
-        FieldClass::Throughput
-    } else if key.contains("stall") {
-        // stall_transfer / stall_dep_wait / … — cycle volumes that must
-        // stay bounded: growth past baseline·(1+tolerance) gates.
-        FieldClass::BoundedAbove
-    } else if key.contains("latency") || key.contains("shed") || key.contains("wait") {
-        // latency_p50_cycles / shed_rate / queue_wait_p95_cycles / … —
-        // serving regressions push these up: growth past
-        // baseline·(1+tolerance) gates. (`stall_dep_wait` et al. are
-        // caught by the `stall` arm above.)
-        FieldClass::BoundedAbove
-    } else if key.contains("retr")
-        || key.contains("fault")
-        || key.contains("failed")
-        || key.contains("degraded")
-        || key.contains("breaker")
-    {
-        // retries / retry_rate / faults_injected / fault_rate / failed /
-        // degraded_ticks / breaker_trips — seeded-chaos robustness
-        // volumes: more retries, faults or trips than the baseline at
-        // the same seed means the runtime got less robust.
-        FieldClass::BoundedAbove
-    } else if key == "trace_events" {
-        // Flight-recorder liveness: a baseline that recorded lifecycle
-        // events must keep recording them (zero means tracing silently
-        // stopped); volume changes are expected and never gate.
-        FieldClass::Liveness
-    } else if key.contains("throughput") {
-        // throughput_per_mcycle / … — must not fall below
-        // baseline·(1−tolerance).
-        FieldClass::Throughput
-    } else if key == "meets_target" {
-        FieldClass::MeetsTarget
-    } else if key == "quick" {
-        FieldClass::Quick
-    } else {
-        FieldClass::Informational
-    }
-}
-
-enum FieldClass {
-    Exact,
-    Throughput,
-    BoundedAbove,
-    /// Nonzero in the baseline ⇒ must stay nonzero (same rule as
-    /// `telemetry.counters.*`); magnitude is never gated.
-    Liveness,
-    MeetsTarget,
-    Quick,
-    Informational,
-}
-
 fn render_value(v: &JsonValue) -> String {
     match v {
         JsonValue::Float(f) => format!("{f:.3}"),
@@ -253,15 +181,18 @@ fn change_pct(baseline: &JsonValue, current: &JsonValue) -> Option<f64> {
 ///
 /// `name` prefixes every row's path (normally the artifact filename).
 #[must_use]
-pub fn compare_documents(
-    name: &str,
-    baseline: &JsonValue,
-    current: &JsonValue,
-    tolerance: f64,
-) -> Vec<Delta> {
+pub fn compare_documents(name: &str, baseline: &JsonValue, current: &JsonValue) -> Vec<Delta> {
     let mut rows = Vec::new();
-    walk(name, baseline, current, tolerance, false, &mut rows);
+    walk(name, baseline, current, Scope::Labels, &mut rows);
     rows
+}
+
+/// How the undeclared leaves of a subtree are judged.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Scope {
+    Labels,
+    Telemetry,
+    Counters,
 }
 
 fn push(rows: &mut Vec<Delta>, path: &str, b: &JsonValue, c: &JsonValue, v: Verdict, note: &str) {
@@ -275,23 +206,32 @@ fn push(rows: &mut Vec<Delta>, path: &str, b: &JsonValue, c: &JsonValue, v: Verd
     });
 }
 
+fn is_declared(v: &JsonValue) -> bool {
+    v.get("better").is_some()
+}
+
 fn walk(
     path: &str,
     baseline: &JsonValue,
     current: &JsonValue,
-    tolerance: f64,
-    in_counters: bool,
+    scope: Scope,
     rows: &mut Vec<Delta>,
 ) {
+    if is_declared(baseline) || is_declared(current) {
+        judge(path, baseline, current, rows);
+        return;
+    }
     match (baseline, current) {
         (JsonValue::Object(b_fields), JsonValue::Object(_)) => {
             for (key, b_val) in b_fields {
                 let child = format!("{path}.{key}");
+                let scope = match (scope, key.as_ref()) {
+                    (Scope::Labels, "telemetry") => Scope::Telemetry,
+                    (Scope::Telemetry, "counters") => Scope::Counters,
+                    _ => scope,
+                };
                 match current.get(key) {
-                    Some(c_val) => {
-                        let counters = in_counters || key == "counters";
-                        walk(&child, b_val, c_val, tolerance, counters, rows);
-                    }
+                    Some(c_val) => walk(&child, b_val, c_val, scope, rows),
                     None => push(
                         rows,
                         &child,
@@ -305,20 +245,20 @@ fn walk(
         }
         (JsonValue::Array(b_items), JsonValue::Array(c_items)) => {
             if b_items.len() != c_items.len() {
-                push(
-                    rows,
-                    path,
-                    baseline,
-                    current,
-                    Verdict::Warn,
-                    "array length differs; comparing the common prefix",
-                );
+                // Histogram bucket lists vary run to run.
+                let verdict = if scope == Scope::Telemetry {
+                    Verdict::Info
+                } else {
+                    Verdict::Warn
+                };
+                let note = "array length differs; comparing the common prefix";
+                push(rows, path, baseline, current, verdict, note);
             }
             for (i, (b, c)) in b_items.iter().zip(c_items).enumerate() {
-                walk(&format!("{path}[{i}]"), b, c, tolerance, in_counters, rows);
+                walk(&format!("{path}[{i}]"), b, c, scope, rows);
             }
         }
-        _ => leaf(path, baseline, current, tolerance, in_counters, rows),
+        _ => leaf(path, baseline, current, scope, rows),
     }
 }
 
@@ -326,141 +266,119 @@ fn leaf(
     path: &str,
     baseline: &JsonValue,
     current: &JsonValue,
-    tolerance: f64,
-    in_counters: bool,
+    scope: Scope,
     rows: &mut Vec<Delta>,
 ) {
-    let key = path.rsplit('.').next().unwrap_or(path);
-    if in_counters {
-        // Telemetry counter liveness: nonzero in the baseline means the
-        // instrumented path must still be exercised.
-        let b = baseline.as_u64().unwrap_or(0);
-        let c = current.as_u64().unwrap_or(0);
-        if b > 0 && c == 0 {
-            push(
-                rows,
-                path,
-                baseline,
-                current,
-                Verdict::Fail,
-                "counter went silent (instrumented path no longer runs)",
-            );
-        } else {
-            push(rows, path, baseline, current, Verdict::Pass, "");
+    let (verdict, note) = match scope {
+        Scope::Counters => {
+            let silent = baseline.as_u64().unwrap_or(0) > 0 && current.as_u64().unwrap_or(0) == 0;
+            if silent {
+                (
+                    Verdict::Fail,
+                    "counter went silent (instrumented path no longer runs)",
+                )
+            } else {
+                (Verdict::Pass, "")
+            }
         }
-        return;
+        Scope::Telemetry => (Verdict::Info, ""),
+        Scope::Labels if baseline == current => (Verdict::Info, ""),
+        Scope::Labels => (Verdict::Warn, "label differs from the baseline"),
+    };
+    push(rows, path, baseline, current, verdict, note);
+}
+
+/// One side's metric declaration, validated.
+struct Declaration<'a> {
+    value: &'a JsonValue,
+    unit: &'a str,
+    better: Better,
+    bound: Option<f64>,
+}
+
+impl<'a> Declaration<'a> {
+    fn read(v: &'a JsonValue) -> Result<Self, String> {
+        let value = v.get("value").ok_or("no `value`")?;
+        let unit = v
+            .get("unit")
+            .and_then(JsonValue::as_str)
+            .ok_or("no string `unit`")?;
+        let better = v.get("better").unwrap_or(&JsonValue::Null);
+        let better = better
+            .as_str()
+            .and_then(Better::parse)
+            .ok_or_else(|| format!("unknown `better` {}", better.render_compact()))?;
+        let bound = match v.get("bound").ok_or("no `bound`")? {
+            JsonValue::Null => None,
+            b => match b.as_f64() {
+                Some(x) if x.is_finite() && x >= 0.0 => Some(x),
+                _ => {
+                    return Err(format!(
+                        "`bound` {} is not a finite number ≥ 0",
+                        b.render_compact()
+                    ))
+                }
+            },
+        };
+        Ok(Declaration {
+            value,
+            unit,
+            better,
+            bound,
+        })
     }
-    match classify(key) {
-        FieldClass::Exact => {
-            if baseline == current {
-                push(rows, path, baseline, current, Verdict::Pass, "");
-            } else {
-                push(
-                    rows,
-                    path,
-                    baseline,
-                    current,
-                    Verdict::Fail,
-                    "deterministic field changed",
-                );
-            }
+}
+
+/// Judges one declared metric by the baseline's declaration.
+fn judge(path: &str, baseline: &JsonValue, current: &JsonValue, rows: &mut Vec<Delta>) {
+    let (b, c) = match (Declaration::read(baseline), Declaration::read(current)) {
+        (Ok(b), Ok(c)) => (b, c),
+        (Err(e), _) => {
+            let note = format!("invalid baseline declaration: {e}");
+            return push(rows, path, baseline, current, Verdict::Fail, &note);
         }
-        FieldClass::Throughput => match (baseline.as_f64(), current.as_f64()) {
-            (Some(b), Some(c)) => {
-                let floor = b * (1.0 - tolerance);
-                if c < floor {
-                    push(
-                        rows,
-                        path,
-                        baseline,
-                        current,
-                        Verdict::Fail,
-                        &format!("below tolerance floor {floor:.3}"),
-                    );
-                } else {
-                    push(rows, path, baseline, current, Verdict::Pass, "");
-                }
-            }
-            _ => push(
-                rows,
-                path,
-                baseline,
-                current,
-                Verdict::Warn,
-                "non-numeric throughput field",
-            ),
-        },
-        FieldClass::BoundedAbove => match (baseline.as_f64(), current.as_f64()) {
-            (Some(b), Some(c)) => {
-                let ceiling = b * (1.0 + tolerance);
-                if c > ceiling {
-                    push(
-                        rows,
-                        path,
-                        baseline,
-                        current,
-                        Verdict::Fail,
-                        &format!("above tolerance ceiling {ceiling:.3}"),
-                    );
-                } else {
-                    push(rows, path, baseline, current, Verdict::Pass, "");
-                }
-            }
-            _ => push(
-                rows,
-                path,
-                baseline,
-                current,
-                Verdict::Warn,
-                "non-numeric bounded field",
-            ),
-        },
-        FieldClass::Liveness => {
-            let b = baseline.as_u64().unwrap_or(0);
-            let c = current.as_u64().unwrap_or(0);
-            if b > 0 && c == 0 {
-                push(
-                    rows,
-                    path,
-                    baseline,
-                    current,
-                    Verdict::Fail,
-                    "went silent (was live in the baseline)",
-                );
-            } else {
-                push(rows, path, baseline, current, Verdict::Pass, "");
-            }
+        (_, Err(e)) => {
+            let note = format!("invalid current declaration: {e}");
+            return push(rows, path, baseline, current, Verdict::Fail, &note);
         }
-        FieldClass::MeetsTarget => {
-            let regressed = baseline.as_bool() == Some(true) && current.as_bool() == Some(false);
-            if regressed {
-                push(
-                    rows,
-                    path,
-                    baseline,
-                    current,
-                    Verdict::Fail,
-                    "speedup target no longer met",
-                );
-            } else {
-                push(rows, path, baseline, current, Verdict::Pass, "");
-            }
-        }
-        FieldClass::Quick => {
-            if baseline == current {
-                push(rows, path, baseline, current, Verdict::Pass, "");
-            } else {
-                push(
-                    rows,
-                    path,
-                    baseline,
-                    current,
-                    Verdict::Warn,
-                    "quick-mode mismatch between baseline and current",
-                );
-            }
-        }
-        FieldClass::Informational => push(rows, path, baseline, current, Verdict::Info, ""),
+    };
+    let (verdict, note) = if (b.unit, b.better, b.bound) != (c.unit, c.better, c.bound) {
+        (
+            Verdict::Fail,
+            "declaration changed; regenerate the baseline".to_string(),
+        )
+    } else if let Some(bound) = b.bound {
+        judge_value(b.value, c.value, b.better, bound)
+    } else {
+        (Verdict::Info, String::new())
+    };
+    push(rows, path, b.value, c.value, verdict, &note);
+}
+
+fn judge_value(b: &JsonValue, c: &JsonValue, better: Better, bound: f64) -> (Verdict, String) {
+    let pass = (Verdict::Pass, String::new());
+    if better == Better::Exact {
+        return if b == c {
+            pass
+        } else {
+            (Verdict::Fail, "deterministic value changed".to_string())
+        };
+    }
+    let (Some(b), Some(c)) = (b.as_f64(), c.as_f64()) else {
+        return (Verdict::Fail, "non-numeric value".to_string());
+    };
+    if better == Better::Higher && c < b * (1.0 - bound) {
+        (
+            Verdict::Fail,
+            format!("below floor {:.3}", b * (1.0 - bound)),
+        )
+    } else if better == Better::Lower && c > b * (1.0 + bound) {
+        (
+            Verdict::Fail,
+            format!("above ceiling {:.3}", b * (1.0 + bound)),
+        )
+    } else {
+        pass
     }
 }
 
@@ -474,11 +392,7 @@ fn leaf(
 /// to parse — all of which mean the gate cannot render a verdict at all
 /// (distinct from a comparison failure, which is reported in the
 /// [`GateReport`]).
-pub fn compare_dirs(
-    baseline_dir: &Path,
-    current_dir: &Path,
-    tolerance: f64,
-) -> Result<GateReport, String> {
+pub fn compare_dirs(baseline_dir: &Path, current_dir: &Path) -> Result<GateReport, String> {
     let mut names: Vec<String> = fs::read_dir(baseline_dir)
         .map_err(|e| format!("read {}: {e}", baseline_dir.display()))?
         .filter_map(|entry| {
@@ -506,9 +420,7 @@ pub fn compare_dirs(
             JsonValue::parse(&b_text).map_err(|e| format!("parse {}: {e}", b_path.display()))?;
         let c_doc =
             JsonValue::parse(&c_text).map_err(|e| format!("parse {}: {e}", c_path.display()))?;
-        report
-            .rows
-            .extend(compare_documents(name, &b_doc, &c_doc, tolerance));
+        report.rows.extend(compare_documents(name, &b_doc, &c_doc));
     }
     Ok(report)
 }
@@ -516,280 +428,187 @@ pub fn compare_dirs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{exact, metric};
 
-    fn doc(speedup: f64, points: u64, meets: bool, counter: u64) -> JsonValue {
-        JsonValue::parse(&format!(
-            r#"{{
-                "bench": "t", "quick": true, "points": {points},
-                "parallel": {{ "wall_s": 0.5, "speedup": {speedup} }},
-                "meets_target": {meets},
-                "telemetry": {{ "counters": {{ "dse.cache_hits": {counter} }} }}
-            }}"#
-        ))
-        .unwrap()
+    fn doc(field: JsonValue) -> JsonValue {
+        JsonValue::object([("bench", JsonValue::Str("t".into())), ("m", field)])
+    }
+
+    fn higher(v: f64) -> JsonValue {
+        metric(JsonValue::Float(v), "x", Better::Higher, Some(0.5))
+    }
+
+    fn lower(v: u64) -> JsonValue {
+        metric(JsonValue::UInt(v), "cycles", Better::Lower, Some(0.5))
+    }
+
+    /// The verdict of the single row `compare_documents` gives field `m`.
+    fn verdict(base: JsonValue, cur: JsonValue) -> Verdict {
+        let rows = compare_documents("b", &doc(base), &doc(cur));
+        let row = rows.iter().find(|r| r.path == "b.m").expect("row for b.m");
+        row.verdict
     }
 
     #[test]
-    fn identical_documents_pass() {
-        let d = doc(4.0, 100, true, 7);
-        let rows = compare_documents("b.json", &d, &d, 0.5);
-        assert!(rows.iter().all(|r| r.verdict != Verdict::Fail));
+    fn higher_passes_at_its_floor_and_fails_just_below() {
+        assert_eq!(verdict(higher(4.0), higher(2.0)), Verdict::Pass);
+        assert_eq!(verdict(higher(4.0), higher(1.99)), Verdict::Fail);
+        assert_eq!(verdict(higher(4.0), higher(400.0)), Verdict::Pass);
     }
 
     #[test]
-    fn speedup_regression_fails_and_improvement_passes() {
-        let base = doc(4.0, 100, true, 7);
-        let slow = doc(1.0, 100, true, 7);
-        let rows = compare_documents("b.json", &base, &slow, 0.5);
-        assert!(rows
-            .iter()
-            .any(|r| r.verdict == Verdict::Fail && r.path.ends_with("speedup")));
-        let fast = doc(9.0, 100, true, 7);
-        let rows = compare_documents("b.json", &base, &fast, 0.5);
-        assert!(rows.iter().all(|r| r.verdict != Verdict::Fail));
+    fn lower_passes_at_its_ceiling_and_fails_just_above() {
+        assert_eq!(verdict(lower(1000), lower(1500)), Verdict::Pass);
+        assert_eq!(verdict(lower(1000), lower(1501)), Verdict::Fail);
+        assert_eq!(verdict(lower(1000), lower(0)), Verdict::Pass);
     }
 
     #[test]
-    fn boundary_sits_exactly_on_the_tolerance_floor() {
-        let base = doc(4.0, 100, true, 7);
-        // Exactly baseline·(1−tol) is allowed; strictly below fails.
-        let at_floor = doc(2.0, 100, true, 7);
-        assert!(compare_documents("b", &base, &at_floor, 0.5)
-            .iter()
-            .all(|r| r.verdict != Verdict::Fail));
-        let below = doc(1.99, 100, true, 7);
-        assert!(compare_documents("b", &base, &below, 0.5)
-            .iter()
-            .any(|r| r.verdict == Verdict::Fail));
+    fn exact_fails_on_drift_in_either_direction() {
+        let cycles = |v: u64| exact(JsonValue::UInt(v), "cycles");
+        assert_eq!(verdict(cycles(100), cycles(100)), Verdict::Pass);
+        assert_eq!(verdict(cycles(100), cycles(101)), Verdict::Fail);
+        assert_eq!(verdict(cycles(100), cycles(99)), Verdict::Fail);
+        // Any JSON value can be exact, e.g. a histogram object.
+        let hist = |n: u64| exact(JsonValue::object([("8", JsonValue::UInt(n))]), "count");
+        assert_eq!(verdict(hist(92), hist(92)), Verdict::Pass);
+        assert_eq!(verdict(hist(92), hist(91)), Verdict::Fail);
     }
 
     #[test]
-    fn point_count_drift_fails() {
-        let rows = compare_documents("b", &doc(4.0, 100, true, 7), &doc(4.0, 101, true, 7), 0.5);
-        assert!(rows
-            .iter()
-            .any(|r| r.verdict == Verdict::Fail && r.path.ends_with("points")));
+    fn null_bound_is_info() {
+        let wall = |v: f64| metric(JsonValue::Float(v), "s", Better::Lower, None);
+        assert_eq!(verdict(wall(0.001), wall(1000.0)), Verdict::Info);
+        assert_eq!(verdict(wall(1000.0), wall(0.001)), Verdict::Info);
     }
 
     #[test]
-    fn silent_counter_fails_but_zero_baseline_does_not() {
-        let rows = compare_documents("b", &doc(4.0, 100, true, 7), &doc(4.0, 100, true, 0), 0.5);
-        assert!(rows
-            .iter()
-            .any(|r| r.verdict == Verdict::Fail && r.path.contains("counters")));
-        let rows = compare_documents("b", &doc(4.0, 100, true, 0), &doc(4.0, 100, true, 0), 0.5);
-        assert!(rows.iter().all(|r| r.verdict != Verdict::Fail));
-    }
-
-    #[test]
-    fn stall_growth_fails_and_reduction_passes() {
-        let doc_with_stall = |stall: u64| {
-            JsonValue::parse(&format!(
-                r#"{{ "workloads": [ {{ "name": "NVSA", "stall_transfer": {stall} }} ] }}"#
-            ))
-            .unwrap()
-        };
-        let base = doc_with_stall(1000);
-        // 1000·(1+0.5) = 1500 is the ceiling: at it passes, above fails.
-        let at_ceiling = doc_with_stall(1500);
-        assert!(compare_documents("b", &base, &at_ceiling, 0.5)
-            .iter()
-            .all(|r| r.verdict != Verdict::Fail));
-        let above = doc_with_stall(1501);
-        assert!(compare_documents("b", &base, &above, 0.5)
-            .iter()
-            .any(|r| r.verdict == Verdict::Fail && r.path.ends_with("stall_transfer")));
-        let reduced = doc_with_stall(0);
-        assert!(compare_documents("b", &base, &reduced, 0.5)
-            .iter()
-            .all(|r| r.verdict != Verdict::Fail));
-    }
-
-    #[test]
-    fn stall_counters_inside_telemetry_keep_liveness_semantics() {
-        // `telemetry.counters.sim.stall_*` go through the counter rule
-        // (liveness), not the bounded-above rule: growth there is fine.
-        let doc_with_counter = |v: u64| {
-            JsonValue::parse(&format!(
-                r#"{{ "telemetry": {{ "counters": {{ "sim.stall_transfer": {v} }} }} }}"#
-            ))
-            .unwrap()
-        };
-        let rows = compare_documents("b", &doc_with_counter(10), &doc_with_counter(10_000), 0.5);
-        assert!(rows.iter().all(|r| r.verdict != Verdict::Fail));
-        let rows = compare_documents("b", &doc_with_counter(10), &doc_with_counter(0), 0.5);
-        assert!(rows.iter().any(|r| r.verdict == Verdict::Fail));
-    }
-
-    #[test]
-    fn meets_target_only_fails_on_true_to_false() {
-        let rows = compare_documents("b", &doc(4.0, 100, true, 7), &doc(4.0, 100, false, 7), 0.5);
-        assert!(rows
-            .iter()
-            .any(|r| r.verdict == Verdict::Fail && r.path.ends_with("meets_target")));
-        let rows = compare_documents("b", &doc(4.0, 100, false, 7), &doc(4.0, 100, false, 7), 0.5);
-        assert!(rows.iter().all(|r| r.verdict != Verdict::Fail));
-    }
-
-    #[test]
-    fn missing_field_fails_and_wall_time_is_informational() {
-        let base = doc(4.0, 100, true, 7);
-        let mut trimmed = base.clone();
-        if let JsonValue::Object(fields) = &mut trimmed {
-            fields.retain(|(k, _)| k != "parallel");
-        }
-        let rows = compare_documents("b", &base, &trimmed, 0.5);
-        assert!(rows
-            .iter()
-            .any(|r| r.verdict == Verdict::Fail && r.note.contains("missing")));
-
-        // wall_s regressions never gate.
-        let slow_wall = JsonValue::parse(&base.render_compact().replace("0.5", "500.0")).unwrap();
-        let rows = compare_documents("b", &base, &slow_wall, 0.5);
-        assert!(rows
-            .iter()
-            .all(|r| !(r.verdict == Verdict::Fail && r.path.ends_with("wall_s"))));
-    }
-
-    #[test]
-    fn latency_and_shed_gate_above_throughput_gates_below() {
-        let serve_doc = |p99: u64, shed: f64, tput: f64| {
-            JsonValue::parse(&format!(
-                r#"{{ "nvsa_batched": {{
-                    "latency_p99_cycles": {p99},
-                    "shed_rate": {shed},
-                    "throughput_per_mcycle": {tput}
-                }} }}"#
-            ))
-            .unwrap()
-        };
-        let base = serve_doc(1000, 0.10, 8.0);
-
-        // Latency growth past the ceiling fails; reduction passes.
-        let rows = compare_documents("b", &base, &serve_doc(1501, 0.10, 8.0), 0.5);
-        assert!(rows
-            .iter()
-            .any(|r| r.verdict == Verdict::Fail && r.path.ends_with("latency_p99_cycles")));
-        let rows = compare_documents("b", &base, &serve_doc(100, 0.10, 8.0), 0.5);
-        assert!(rows.iter().all(|r| r.verdict != Verdict::Fail));
-
-        // Shed-rate growth past the ceiling fails; shedding less passes.
-        let rows = compare_documents("b", &base, &serve_doc(1000, 0.16, 8.0), 0.5);
-        assert!(rows
-            .iter()
-            .any(|r| r.verdict == Verdict::Fail && r.path.ends_with("shed_rate")));
-        let rows = compare_documents("b", &base, &serve_doc(1000, 0.0, 8.0), 0.5);
-        assert!(rows.iter().all(|r| r.verdict != Verdict::Fail));
-
-        // Throughput is gated from below, like speedups.
-        let rows = compare_documents("b", &base, &serve_doc(1000, 0.10, 3.9), 0.5);
-        assert!(rows
-            .iter()
-            .any(|r| r.verdict == Verdict::Fail && r.path.ends_with("throughput_per_mcycle")));
-        let rows = compare_documents("b", &base, &serve_doc(1000, 0.10, 80.0), 0.5);
-        assert!(rows.iter().all(|r| r.verdict != Verdict::Fail));
-    }
-
-    #[test]
-    fn trace_events_gate_on_liveness_not_volume() {
-        let serve_doc = |events: u64| {
-            JsonValue::parse(&format!(
-                r#"{{ "nvsa_batched": {{ "trace_events": {events} }} }}"#
-            ))
-            .unwrap()
-        };
-        // Volume changes (either direction) never gate.
-        let rows = compare_documents("b", &serve_doc(3000), &serve_doc(90_000), 0.5);
-        assert!(rows.iter().all(|r| r.verdict != Verdict::Fail));
-        let rows = compare_documents("b", &serve_doc(3000), &serve_doc(5), 0.5);
-        assert!(rows.iter().all(|r| r.verdict != Verdict::Fail));
-        // Going silent fails; a dead baseline cannot regress.
-        let rows = compare_documents("b", &serve_doc(3000), &serve_doc(0), 0.5);
-        assert!(rows
-            .iter()
-            .any(|r| r.verdict == Verdict::Fail && r.path.ends_with("trace_events")));
-        let rows = compare_documents("b", &serve_doc(0), &serve_doc(0), 0.5);
-        assert!(rows.iter().all(|r| r.verdict != Verdict::Fail));
-    }
-
-    #[test]
-    fn chaos_robustness_fields_are_bounded_above() {
-        let chaos_doc = |retry_rate: f64, failed: u64, trips: u64| {
-            JsonValue::parse(&format!(
-                r#"{{ "nvsa_chaos": {{
-                    "retry_rate": {retry_rate},
-                    "failed": {failed},
-                    "breaker_trips": {trips}
-                }} }}"#
-            ))
-            .unwrap()
-        };
-        let base = chaos_doc(0.20, 40, 4);
-        // Retrying/failing/tripping more than the ceiling fails.
-        let rows = compare_documents("b", &base, &chaos_doc(0.31, 40, 4), 0.5);
-        assert!(rows
-            .iter()
-            .any(|r| r.verdict == Verdict::Fail && r.path.ends_with("retry_rate")));
-        let rows = compare_documents("b", &base, &chaos_doc(0.20, 61, 4), 0.5);
-        assert!(rows
-            .iter()
-            .any(|r| r.verdict == Verdict::Fail && r.path.ends_with("failed")));
-        let rows = compare_documents("b", &base, &chaos_doc(0.20, 40, 7), 0.5);
-        assert!(rows
-            .iter()
-            .any(|r| r.verdict == Verdict::Fail && r.path.ends_with("breaker_trips")));
-        // A more robust run (fewer of each) always passes.
-        let rows = compare_documents("b", &base, &chaos_doc(0.0, 0, 0), 0.5);
-        assert!(rows.iter().all(|r| r.verdict != Verdict::Fail));
-    }
-
-    #[test]
-    fn phase_wait_fields_are_bounded_above() {
-        let serve_doc = |wait: u64| {
-            JsonValue::parse(&format!(
-                r#"{{ "mixed": {{ "queue_wait_p95_cycles": {wait} }} }}"#
-            ))
-            .unwrap()
-        };
-        let base = serve_doc(1000);
-        let rows = compare_documents("b", &base, &serve_doc(1501), 0.5);
-        assert!(rows
-            .iter()
-            .any(|r| r.verdict == Verdict::Fail && r.path.ends_with("queue_wait_p95_cycles")));
-        let rows = compare_documents("b", &base, &serve_doc(10), 0.5);
-        assert!(rows.iter().all(|r| r.verdict != Verdict::Fail));
-    }
-
-    #[test]
-    fn simtrace_timing_fields_are_informational() {
-        let timing = |us: f64, threads: u64| {
-            JsonValue::parse(&format!(
-                r#"{{ "threads": {threads}, "schedule_us_per_call": {us},
-                    "critical_path_us_per_call": {us},
-                    "chrome_trace_us_per_call": {us}, "render_us_per_call": {us} }}"#
-            ))
-            .unwrap()
-        };
-        for (base, cur) in [
-            (timing(10.0, 1), timing(900.0, 4)),
-            (timing(900.0, 4), timing(1.0, 1)),
+    fn changed_declaration_fails() {
+        let base = higher(4.0);
+        for changed in [
+            metric(JsonValue::Float(4.0), "points/s", Better::Higher, Some(0.5)),
+            metric(JsonValue::Float(4.0), "x", Better::Lower, Some(0.5)),
+            metric(JsonValue::Float(4.0), "x", Better::Higher, Some(0.25)),
+            metric(JsonValue::Float(4.0), "x", Better::Higher, None),
+            JsonValue::Float(4.0),
         ] {
-            let rows = compare_documents("BENCH_simtrace.json", &base, &cur, 0.5);
-            assert_eq!(rows.len(), 5);
-            assert!(rows.iter().all(|r| r.verdict == Verdict::Info), "{rows:?}");
+            assert_eq!(
+                verdict(base.clone(), changed.clone()),
+                Verdict::Fail,
+                "{changed:?}"
+            );
+            assert_eq!(
+                verdict(changed.clone(), base.clone()),
+                Verdict::Fail,
+                "{changed:?}"
+            );
+        }
+        let rows = compare_documents("b", &doc(base), &doc(lower(4)));
+        assert!(rows[1].note.contains("regenerate the baseline"), "{rows:?}");
+    }
+
+    #[test]
+    fn differing_label_warns() {
+        let label = |quick: bool| doc(JsonValue::Bool(quick));
+        let rows = compare_documents("b", &label(true), &label(true));
+        assert!(rows.iter().all(|r| r.verdict == Verdict::Info), "{rows:?}");
+        let rows = compare_documents("b", &label(true), &label(false));
+        assert_eq!(rows[1].verdict, Verdict::Warn, "{rows:?}");
+        let report = GateReport { rows };
+        assert!(report.passed());
+        assert_eq!(report.warnings(), 1);
+    }
+
+    #[test]
+    fn silent_counter_fails() {
+        let telemetry = |hits: u64, span_ns: u64| {
+            JsonValue::object([(
+                "telemetry",
+                JsonValue::object([
+                    (
+                        "counters",
+                        JsonValue::object([("dse.cache_hits", JsonValue::UInt(hits))]),
+                    ),
+                    (
+                        "spans",
+                        JsonValue::object([("total_ns", JsonValue::UInt(span_ns))]),
+                    ),
+                ]),
+            )])
+        };
+        let fails = |b, c| {
+            compare_documents("b", &b, &c)
+                .iter()
+                .filter(|r| r.verdict == Verdict::Fail)
+                .count()
+        };
+        assert_eq!(fails(telemetry(7, 10), telemetry(0, 10)), 1);
+        // Volume changes, a dead baseline and span timings never gate.
+        assert_eq!(fails(telemetry(7, 10), telemetry(9000, 99_999)), 0);
+        assert_eq!(fails(telemetry(0, 10), telemetry(0, 1)), 0);
+        let rows = compare_documents("b", &telemetry(7, 10), &telemetry(7, 20));
+        assert_eq!(rows[1].verdict, Verdict::Info, "{rows:?}");
+    }
+
+    #[test]
+    fn missing_field_fails() {
+        let base = doc(higher(4.0));
+        let trimmed = JsonValue::object([("bench", JsonValue::Str("t".into()))]);
+        let rows = compare_documents("b", &base, &trimmed);
+        assert_eq!(rows[1].path, "b.m");
+        assert_eq!(rows[1].verdict, Verdict::Fail);
+        assert!(rows[1].note.contains("missing"));
+    }
+
+    #[test]
+    fn array_length_mismatch_warns() {
+        let runs = |n: usize| JsonValue::Array(vec![exact(JsonValue::UInt(5), "count"); n]);
+        let rows = compare_documents("b", &doc(runs(2)), &doc(runs(1)));
+        assert_eq!(rows[1].verdict, Verdict::Warn, "{rows:?}");
+        assert_eq!(
+            rows.iter().filter(|r| r.verdict == Verdict::Pass).count(),
+            1
+        );
+    }
+
+    #[test]
+    fn malformed_declarations_fail_naming_the_path() {
+        let good = r#"{"value": 4.0, "unit": "x", "better": "higher", "bound": 0.5}"#;
+        for bad in [
+            r#"{"value": 4.0, "unit": "x", "better": "sideways", "bound": 0.5}"#,
+            r#"{"value": 4.0, "unit": "x", "better": 1, "bound": 0.5}"#,
+            r#"{"value": 4.0, "unit": "x", "better": "higher", "bound": -0.5}"#,
+            r#"{"value": 4.0, "unit": "x", "better": "higher", "bound": 1e999}"#,
+            r#"{"value": 4.0, "unit": "x", "better": "higher", "bound": "wide"}"#,
+            r#"{"value": 4.0, "unit": "x", "better": "higher"}"#,
+            r#"{"unit": "x", "better": "higher", "bound": 0.5}"#,
+            r#"{"value": 4.0, "better": "higher", "bound": 0.5}"#,
+            r#"{"value": "fast", "unit": "x", "better": "higher", "bound": 0.5}"#,
+        ] {
+            let parse = |m: &str| JsonValue::parse(&format!(r#"{{"runs": [{{"m": {m}}}]}}"#));
+            let (good_doc, bad_doc) = (parse(good).unwrap(), parse(bad).unwrap());
+            for (b, c) in [
+                (&good_doc, &bad_doc),
+                (&bad_doc, &good_doc),
+                (&bad_doc, &bad_doc),
+            ] {
+                let rows = compare_documents("b", b, c);
+                assert_eq!(rows.len(), 1, "{rows:?}");
+                assert_eq!(rows[0].path, "b.runs[0].m");
+                assert_eq!(rows[0].verdict, Verdict::Fail, "{bad}: {rows:?}");
+            }
         }
     }
 
     #[test]
     fn report_table_renders_and_counts() {
-        let base = doc(4.0, 100, true, 7);
-        let bad = doc(0.5, 100, true, 7);
         let report = GateReport {
-            rows: compare_documents("b.json", &base, &bad, 0.5),
+            rows: compare_documents("b.json", &doc(higher(4.0)), &doc(higher(0.5))),
         };
         assert!(!report.passed());
         let table = report.render_table();
         assert!(table.contains("FAIL"));
+        assert!(table.contains("below floor 2.000"));
         assert!(table.contains("failure(s)"));
     }
 }

@@ -15,7 +15,9 @@
 //! | `scalability_150x` | abstract — 150× symbolic scale-up |
 //!
 //! Every binary prints the series to stdout and writes a CSV under
-//! `target/experiments/`.
+//! `target/experiments/`. The `*_throughput` binaries and `simtrace`
+//! also write a `BENCH_*.json` whose every measured number is a
+//! declared [`metric`], which [`gate`] judges by its declaration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,6 +28,8 @@ pub mod simreport;
 
 use std::fs;
 use std::path::PathBuf;
+
+use nsflow_telemetry::JsonValue;
 
 /// Directory experiment CSVs are written to (created on demand).
 ///
@@ -58,17 +62,95 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) {
     println!("\n[csv] wrote {}", path.display());
 }
 
-/// Renders the current global telemetry snapshot as a `"telemetry": {…}`
-/// JSON object member (indented one level, no trailing comma or
-/// newline), ready to splice into the hand-built `BENCH_*.json`
-/// documents the bench binaries emit.
+/// Relative bound of every wall-clock ratio (speedups, points/s): the
+/// gate fails one that drops below half its baseline. Wide enough for
+/// noisy shared CI runners, tight enough to catch an order-of-magnitude
+/// regression (a lost cache, an accidental serial fallback).
+pub const WALL_CLOCK_BOUND: f64 = 0.5;
+
+/// The direction in which a declared metric may move without failing
+/// the gate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Better {
+    /// May rise freely; fails below `baseline · (1 − bound)`.
+    Higher,
+    /// May fall freely; fails above `baseline · (1 + bound)`.
+    Lower,
+    /// Deterministic: any difference fails.
+    Exact,
+}
+
+impl Better {
+    /// The declaration's JSON spelling.
+    #[must_use]
+    pub(crate) fn as_str(self) -> &'static str {
+        match self {
+            Better::Higher => "higher",
+            Better::Lower => "lower",
+            Better::Exact => "exact",
+        }
+    }
+
+    /// Parses a declaration's JSON spelling.
+    #[must_use]
+    pub(crate) fn parse(s: &str) -> Option<Better> {
+        match s {
+            "higher" => Some(Better::Higher),
+            "lower" => Some(Better::Lower),
+            "exact" => Some(Better::Exact),
+            _ => None,
+        }
+    }
+}
+
+/// A declared metric, `{"value", "unit", "better", "bound"}`: the value
+/// together with how [`gate`] judges it. `bound` is the relative slack
+/// of a `higher`/`lower` metric (`0` for `exact`); `None` renders as
+/// `null` and makes the metric informational.
 #[must_use]
-pub fn telemetry_json_member() -> String {
-    let mut out = String::from("  \"telemetry\": ");
-    nsflow_telemetry::TelemetrySnapshot::capture()
-        .to_json_value()
-        .write_pretty(&mut out, 1);
-    out
+pub fn metric(value: JsonValue, unit: &str, better: Better, bound: Option<f64>) -> JsonValue {
+    JsonValue::object([
+        ("value", value),
+        ("unit", JsonValue::Str(unit.to_string())),
+        ("better", JsonValue::Str(better.as_str().to_string())),
+        ("bound", bound.map_or(JsonValue::Null, JsonValue::Float)),
+    ])
+}
+
+/// A deterministic metric: any change fails the gate.
+#[must_use]
+pub fn exact(value: JsonValue, unit: &str) -> JsonValue {
+    metric(value, unit, Better::Exact, Some(0.0))
+}
+
+/// A wall-clock speedup or rate (points/s) that must not fall below its
+/// baseline by more than [`WALL_CLOCK_BOUND`].
+#[must_use]
+pub fn wall_ratio(value: f64, unit: &str) -> JsonValue {
+    metric(
+        JsonValue::Float(value),
+        unit,
+        Better::Higher,
+        Some(WALL_CLOCK_BOUND),
+    )
+}
+
+/// A host-dependent wall time: recorded, never gated.
+#[must_use]
+pub fn wall_time(value: f64, unit: &str) -> JsonValue {
+    metric(JsonValue::Float(value), unit, Better::Lower, None)
+}
+
+/// Writes a `BENCH_*.json` document into the working directory.
+///
+/// # Panics
+///
+/// Panics on I/O failure, like [`write_csv`].
+pub fn write_artifact(name: &str, doc: &JsonValue) {
+    let mut text = doc.render_pretty();
+    text.push('\n');
+    fs::write(name, text).unwrap_or_else(|e| panic!("write {name}: {e}"));
+    println!("[json] wrote {name}");
 }
 
 /// Formats a seconds value with an adaptive unit.

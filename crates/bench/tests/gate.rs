@@ -6,7 +6,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use nsflow_bench::gate::{compare_dirs, Verdict};
+use nsflow_bench::gate::{compare_dirs, compare_documents, Verdict};
+use nsflow_bench::{exact, wall_ratio, wall_time};
+use nsflow_telemetry::JsonValue;
 
 /// The committed baseline directory at the workspace root.
 fn baselines_dir() -> PathBuf {
@@ -21,58 +23,66 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn run_gate(baseline: &Path, current: &Path, tolerance: &str) -> std::process::Output {
+fn run_gate(baseline: &Path, current: &Path, extra: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_bench_gate"))
         .args([
             "--baseline",
             baseline.to_str().unwrap(),
             "--current",
             current.to_str().unwrap(),
-            "--tolerance",
-            tolerance,
         ])
+        .args(extra)
         .output()
         .expect("spawn bench_gate")
 }
 
-const BASELINE_DOC: &str = r#"{
-  "bench": "dse_throughput",
-  "quick": true,
-  "runs": [
-    {
-      "points": 6277,
-      "cached": { "wall_s": 0.0002, "points_per_sec": 30000000.0, "speedup": 40.0 },
-      "best_speedup": 40.0
-    }
-  ],
-  "meets_target": true,
-  "telemetry": { "counters": { "dse.cache_hits": 2506068 } }
+/// A `BENCH_dse.json`-shaped document with declared metrics.
+fn dse_doc(speedup: f64, points: u64, hits: u64) -> String {
+    JsonValue::object([
+        ("bench", JsonValue::Str("dse_throughput".into())),
+        ("quick", JsonValue::Bool(true)),
+        (
+            "runs",
+            JsonValue::Array(vec![JsonValue::object([
+                ("points", exact(JsonValue::UInt(points), "count")),
+                (
+                    "cached",
+                    JsonValue::object([
+                        ("wall_s", wall_time(0.0002, "s")),
+                        ("speedup", wall_ratio(speedup, "x")),
+                    ]),
+                ),
+                ("best_speedup", wall_ratio(speedup, "x")),
+            ])]),
+        ),
+        (
+            "telemetry",
+            JsonValue::object([(
+                "counters",
+                JsonValue::object([("dse.cache_hits", JsonValue::UInt(hits))]),
+            )]),
+        ),
+    ])
+    .render_pretty()
 }
-"#;
 
-fn regressed(speedup: f64, points: u64, meets: bool, hits: u64) -> String {
-    format!(
-        r#"{{
-  "bench": "dse_throughput",
-  "quick": true,
-  "runs": [
-    {{
-      "points": {points},
-      "cached": {{ "wall_s": 0.002, "points_per_sec": 3000000.0, "speedup": {speedup} }},
-      "best_speedup": {speedup}
-    }}
-  ],
-  "meets_target": {meets},
-  "telemetry": {{ "counters": {{ "dse.cache_hits": {hits} }} }}
-}}
-"#
+/// Writes `base` and `cur` as `BENCH_dse.json` into two scratch
+/// directories and runs the gate binary over them.
+fn gate_dse(tag: &str, base: &str, cur: &str) -> (bool, String) {
+    let (b, c) = (scratch(&format!("{tag}_b")), scratch(&format!("{tag}_c")));
+    fs::write(b.join("BENCH_dse.json"), base).unwrap();
+    fs::write(c.join("BENCH_dse.json"), cur).unwrap();
+    let out = run_gate(&b, &c, &[]);
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
     )
 }
 
 #[test]
 fn gate_passes_on_committed_baselines() {
     let baselines = baselines_dir();
-    let out = run_gate(&baselines, &baselines, "0.5");
+    let out = run_gate(&baselines, &baselines, &[]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
@@ -85,76 +95,102 @@ fn gate_passes_on_committed_baselines() {
 }
 
 #[test]
-fn gate_exits_nonzero_on_synthetic_regression() {
-    let base = scratch("base");
-    let cur = scratch("cur");
-    fs::write(base.join("BENCH_dse.json"), BASELINE_DOC).unwrap();
-    // Speedup collapses 40x → 4x: far below the 0.5 tolerance floor.
-    fs::write(cur.join("BENCH_dse.json"), regressed(4.0, 6277, true, 999)).unwrap();
+fn gate_exits_nonzero_on_synthetic_regressions() {
+    let base = dse_doc(40.0, 6277, 2_506_068);
+    let (ok, stdout) = gate_dse("same", &base, &dse_doc(40.0, 6277, 999));
+    assert!(ok, "counter volume change gated:\n{stdout}");
 
-    let out = run_gate(&base, &cur, "0.5");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        !out.status.success(),
-        "gate passed a 10x speedup regression:\n{stdout}"
-    );
-    assert!(
-        stdout.contains("gate: FAIL"),
-        "unexpected output:\n{stdout}"
-    );
-    assert!(stdout.contains("below tolerance floor"));
+    // Speedup collapses 40x → 4x: far below the declared floor.
+    let (ok, stdout) = gate_dse("speedup", &base, &dse_doc(4.0, 6277, 999));
+    assert!(!ok, "gate passed a 10x speedup regression:\n{stdout}");
+    assert!(stdout.contains("gate: FAIL") && stdout.contains("below floor"));
+
+    let (ok, stdout) = gate_dse("points", &base, &dse_doc(40.0, 6278, 999));
+    assert!(!ok, "gate ignored a design-space drift:\n{stdout}");
+    assert!(stdout.contains("deterministic value changed"));
+
+    let (ok, stdout) = gate_dse("counter", &base, &dse_doc(40.0, 6277, 0));
+    assert!(!ok, "gate ignored a silent counter:\n{stdout}");
+    assert!(stdout.contains("counter went silent"));
+}
+
+/// Bumps the `value` of the declared metric at `path` (object keys and
+/// array indices) by one.
+fn bump(doc: &mut JsonValue, path: &[&str]) {
+    let mut node = doc;
+    for step in path {
+        node = match node {
+            JsonValue::Object(fields) => {
+                &mut fields.iter_mut().find(|(k, _)| k == step).expect(step).1
+            }
+            JsonValue::Array(items) => &mut items[step.parse::<usize>().unwrap()],
+            other => panic!("cannot step into {other:?}"),
+        };
+    }
+    let JsonValue::Object(fields) = node else {
+        panic!("{path:?} is not a declared metric")
+    };
+    let value = &mut fields.iter_mut().find(|(k, _)| k == "value").unwrap().1;
+    *value = JsonValue::UInt(value.as_u64().expect("integer metric") + 1);
 }
 
 #[test]
-fn gate_exits_nonzero_when_a_counter_goes_silent() {
-    let base = scratch("cbase");
-    let cur = scratch("ccur");
-    fs::write(base.join("BENCH_dse.json"), BASELINE_DOC).unwrap();
-    fs::write(cur.join("BENCH_dse.json"), regressed(40.0, 6277, true, 0)).unwrap();
-    let out = run_gate(&base, &cur, "0.5");
-    assert!(!out.status.success(), "gate ignored a silent counter");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("counter went silent"));
+fn one_unit_drift_in_committed_deterministic_fields_fails() {
+    for (file, path) in [
+        (
+            "BENCH_simtrace.json",
+            &["workloads", "0", "total_cycles"][..],
+        ),
+        ("BENCH_simtrace.json", &["workloads", "2", "stall_dep_wait"]),
+        ("BENCH_simtrace.json", &["workloads", "3", "stall_transfer"]),
+        ("BENCH_serve.json", &["nvsa_batched", "latency_p99_cycles"]),
+        ("BENCH_serve.json", &["nvsa_chaos", "retries"]),
+        ("BENCH_dse.json", &["runs", "0", "points"]),
+    ] {
+        let text = fs::read_to_string(baselines_dir().join(file)).unwrap();
+        let base = JsonValue::parse(&text).unwrap();
+        let mut drifted = base.clone();
+        bump(&mut drifted, path);
+        let fails: Vec<_> = compare_documents(file, &base, &drifted)
+            .into_iter()
+            .filter(|d| d.verdict == Verdict::Fail)
+            .collect();
+        assert_eq!(fails.len(), 1, "{file} {path:?}: {fails:?}");
+        assert!(fails[0].path.ends_with(path.last().unwrap()));
+    }
 }
 
 #[test]
-fn gate_exits_nonzero_on_point_count_drift() {
-    let base = scratch("pbase");
-    let cur = scratch("pcur");
-    fs::write(base.join("BENCH_dse.json"), BASELINE_DOC).unwrap();
-    fs::write(cur.join("BENCH_dse.json"), regressed(40.0, 9999, true, 999)).unwrap();
-    let out = run_gate(&base, &cur, "0.5");
-    assert!(!out.status.success(), "gate ignored a design-space drift");
-}
-
-#[test]
-fn gate_rejects_missing_current_artifact_and_bad_flags() {
+fn gate_rejects_missing_current_artifact_and_unknown_flags() {
     let base = scratch("mbase");
     let cur = scratch("mcur");
-    fs::write(base.join("BENCH_dse.json"), BASELINE_DOC).unwrap();
+    fs::write(base.join("BENCH_dse.json"), dse_doc(40.0, 6277, 1)).unwrap();
     // No current artifact at all → the gate cannot render a verdict.
-    let out = run_gate(&base, &cur, "0.5");
+    let out = run_gate(&base, &cur, &[]);
     assert!(!out.status.success());
 
-    let out = run_gate(&base, &base, "1.5");
-    assert!(!out.status.success(), "tolerance ≥ 1 must be rejected");
+    // Bounds are declared per metric; there is no global tolerance.
+    let out = run_gate(&base, &base, &["--slack", "0.5"]);
+    assert!(!out.status.success(), "an unknown flag must be rejected");
 }
 
 #[test]
 fn library_comparison_agrees_with_the_binary() {
     let base = scratch("lbase");
     let cur = scratch("lcur");
-    fs::write(base.join("BENCH_dse.json"), BASELINE_DOC).unwrap();
-    fs::write(cur.join("BENCH_dse.json"), regressed(4.0, 6277, false, 0)).unwrap();
-    let report = compare_dirs(&base, &cur, 0.5).expect("comparable dirs");
+    fs::write(base.join("BENCH_dse.json"), dse_doc(40.0, 6277, 7)).unwrap();
+    fs::write(cur.join("BENCH_dse.json"), dse_doc(4.0, 6000, 0)).unwrap();
+    let report = compare_dirs(&base, &cur).expect("comparable dirs");
     assert!(!report.passed());
-    // All three regression kinds surface: throughput, target, liveness.
+    // All three regression kinds surface: wall-clock ratio, exact
+    // value, counter liveness.
     let fails: Vec<&str> = report
         .rows
         .iter()
         .filter(|d| d.verdict == Verdict::Fail)
         .map(|d| d.path.as_str())
         .collect();
-    assert!(fails.iter().any(|p| p.ends_with("speedup")));
-    assert!(fails.iter().any(|p| p.ends_with("meets_target")));
+    assert!(fails.iter().any(|p| p.ends_with("cached.speedup")));
+    assert!(fails.iter().any(|p| p.ends_with("points")));
     assert!(fails.iter().any(|p| p.contains("counters")));
 }

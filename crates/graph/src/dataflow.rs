@@ -141,12 +141,6 @@ impl DataflowGraph {
         &self.groups
     }
 
-    /// Whether an op lies on the critical path.
-    #[must_use]
-    pub fn is_critical(&self, id: OpId) -> bool {
-        self.critical_path.contains(&id)
-    }
-
     /// Total arithmetic work (MACs) on the critical path.
     #[must_use]
     pub fn critical_path_macs(&self) -> u64 {

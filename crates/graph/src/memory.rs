@@ -59,15 +59,6 @@ impl MemoryRequirements {
     pub fn cache_bytes(&self) -> usize {
         2 * (self.merged_mem_a_bytes() + self.max_nn_input_bytes + self.max_output_bytes)
     }
-
-    /// Total on-chip bytes the plan asks for (double-buffered blocks plus
-    /// cache).
-    #[must_use]
-    pub fn total_on_chip_bytes(&self) -> usize {
-        // Mem_A, Mem_B, Mem_C are double-buffered (×2) plus the cache.
-        2 * (self.merged_mem_a_bytes() + self.max_nn_input_bytes + self.max_output_bytes)
-            + self.cache_bytes()
-    }
 }
 
 #[cfg(test)]
@@ -144,6 +135,5 @@ mod tests {
     fn totals_accumulate() {
         let req = MemoryRequirements::from_trace(&trace());
         assert!(req.total_bytes_per_loop > req.max_nn_input_bytes);
-        assert!(req.total_on_chip_bytes() > req.cache_bytes());
     }
 }

@@ -151,32 +151,6 @@ impl Model {
             })
             .sum()
     }
-
-    /// Largest single-layer weight footprint at the given precision — the
-    /// quantity the paper's memory planner uses for `Mem_A1`
-    /// (`max(filter size in R_l)`, Sec. V-C).
-    #[must_use]
-    pub fn max_layer_weight_bytes(&self, dtype: DType) -> usize {
-        self.layers
-            .iter()
-            .enumerate()
-            .map(|(i, l)| {
-                l.weight_bytes(&self.layer_shapes[i], dtype)
-                    .expect("shapes validated")
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Largest activation (layer input or output) element count.
-    #[must_use]
-    pub fn max_activation_elems(&self) -> usize {
-        self.layer_shapes
-            .iter()
-            .map(Shape::volume)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -265,19 +239,5 @@ mod tests {
             m.total_weight_bytes(DType::Fp32),
             4 * m.total_params() as usize
         );
-    }
-
-    #[test]
-    fn max_layer_weight_is_max_not_sum() {
-        let m = tiny();
-        let per_layer_max = m.max_layer_weight_bytes(DType::Fp32);
-        assert!(per_layer_max < m.total_weight_bytes(DType::Fp32));
-        assert_eq!(per_layer_max, 4 * (64 * 10 + 10));
-    }
-
-    #[test]
-    fn max_activation_covers_input() {
-        let m = tiny();
-        assert_eq!(m.max_activation_elems(), 4 * 8 * 8); // conv1 output
     }
 }

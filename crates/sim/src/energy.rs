@@ -97,12 +97,6 @@ pub fn fpga_watts(resources: &DesignResources, freq_hz: f64) -> f64 {
     5.0 + scale * (dsp + lut + ff + bram + uram + lutram)
 }
 
-/// Energy per inference in joules for an NSFlow deployment.
-#[must_use]
-pub fn fpga_energy_joules(resources: &DesignResources, freq_hz: f64, seconds: f64) -> f64 {
-    fpga_watts(resources, freq_hz) * seconds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,13 +131,6 @@ mod tests {
     fn device_energy_is_power_times_time() {
         let e = DevicePower::rtx_2080_ti().energy_joules(0.1);
         assert!((e - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fpga_energy_consistent_with_watts() {
-        let r = res();
-        let w = fpga_watts(&r, 272.0e6);
-        assert!((fpga_energy_joules(&r, 272.0e6, 2.0) - 2.0 * w).abs() < 1e-9);
     }
 
     #[test]

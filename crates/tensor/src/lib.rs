@@ -26,7 +26,7 @@
 //!
 //! let t = Tensor::from_vec(Shape::new(vec![2, 3]), vec![0.5, -1.0, 2.0, 0.0, 1.5, -0.25])?;
 //! let q = QuantParams::fit(t.data(), DType::Int8)?;
-//! let deq = q.fake_quantize_slice(t.data());
+//! let deq: Vec<f32> = t.data().iter().map(|&v| q.fake_quantize(v)).collect();
 //! assert_eq!(deq.len(), 6);
 //! # Ok::<(), nsflow_tensor::TensorError>(())
 //! ```

@@ -119,12 +119,6 @@ impl QuantParams {
         self.dequantize(self.quantize(value))
     }
 
-    /// Quantize→dequantize round trip over a slice.
-    #[must_use]
-    pub fn fake_quantize_slice(&self, values: &[f32]) -> Vec<f32> {
-        values.iter().map(|&v| self.fake_quantize(v)).collect()
-    }
-
     /// Worst-case absolute rounding error (half a quantization step).
     #[must_use]
     pub fn max_rounding_error(&self) -> f32 {

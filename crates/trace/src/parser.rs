@@ -129,7 +129,7 @@ pub fn parse_trace(
             Domain::Neural
         };
 
-        let (kind, domain) = classify(&parsed, registry, inherited, lineno)?;
+        let (kind, domain) = kind_and_domain(&parsed, registry, inherited, lineno)?;
         let dtype = match domain {
             Domain::Neural => precision.neural,
             Domain::Symbolic => precision.symbolic,
@@ -273,7 +273,7 @@ fn parse_ref(s: &str, lineno: usize) -> Result<ParsedRef> {
     })
 }
 
-fn classify(
+fn kind_and_domain(
     p: &ParsedLine,
     registry: &ModuleRegistry,
     inherited: Domain,
