@@ -1,7 +1,7 @@
-//! VSA/NN kernel-engine throughput: reference kernels vs the
+//! VSA kernel-engine throughput: reference kernels vs the
 //! spectral-cached engine.
 //!
-//! Three kernel families are measured, each against its reference oracle
+//! Two kernel families are measured, each against its reference oracle
 //! with an equivalence assertion (the engine's whole contract is "same
 //! answer, less time"):
 //!
@@ -10,8 +10,6 @@
 //!   [`SpectralResonator::factorize`] (cached spectra, one inverse FFT
 //!   per update) on three-factor unitary codebooks at growing dimension.
 //!   Recovered indices must match exactly.
-//! - **gemm**: the reference `matmul` vs the blocked `matmul_fast`,
-//!   bit-identical by construction.
 //! - **bind/cleanup**: direct blockwise convolution vs the FFT fast
 //!   path, and the reference codebook similarity scan vs the
 //!   precomputed-matrix scan (bit-identical).
@@ -28,7 +26,6 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use nsflow_bench::{fmt_seconds, wall_ratio, wall_time, write_artifact, write_csv};
-use nsflow_nn::gemm;
 use nsflow_telemetry::JsonValue;
 use nsflow_tensor::par::available_threads;
 use nsflow_tensor::rng::StdRng;
@@ -160,33 +157,6 @@ fn bench_resonator(n_blocks: usize, block_dim: usize, seed: u64) -> Run {
     }
 }
 
-/// Square GEMM: reference vs blocked.
-fn bench_gemm(size: usize, seed: u64) -> Run {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let a: Vec<f32> = (0..size * size).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    let b: Vec<f32> = (0..size * size).map(|_| rng.gen_range(-1.0..1.0)).collect();
-
-    let (ref_wall, expected) = time_mode(|| gemm::matmul(&a, &b, size, size, size));
-    let (blocked_wall, blocked) = time_mode(|| gemm::matmul_fast(&a, &b, size, size, size));
-    assert_eq!(blocked, expected, "blocked GEMM not bit-identical");
-
-    Run {
-        kernel: "gemm",
-        geometry: format!("{size}^3"),
-        dim: size,
-        modes: vec![
-            Mode {
-                name: "reference",
-                wall: ref_wall,
-            },
-            Mode {
-                name: "blocked",
-                wall: blocked_wall,
-            },
-        ],
-    }
-}
-
 /// Blockwise binding plus a codebook similarity scan: the direct kernels
 /// vs the FFT fast path and the precomputed-matrix scan.
 fn bench_bind_cleanup(n_blocks: usize, block_dim: usize, seed: u64) -> Run {
@@ -288,7 +258,6 @@ fn main() {
     if !quick {
         runs.push(bench_resonator(1, 1024, 102));
         runs.push(bench_resonator(1, 2048, 103));
-        runs.push(bench_gemm(192, 104));
         runs.push(bench_bind_cleanup(4, 1024, 105));
     }
     for run in &runs {

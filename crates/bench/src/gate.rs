@@ -161,9 +161,14 @@ impl GateReport {
     }
 }
 
+/// Renders a value for the delta table. Arrays and objects (histogram
+/// buckets, an `exact` histogram) are summarised by their size, so one
+/// long value cannot widen every row of the table.
 fn render_value(v: &JsonValue) -> String {
     match v {
         JsonValue::Float(f) => format!("{f:.3}"),
+        JsonValue::Array(items) => format!("[{} items]", items.len()),
+        JsonValue::Object(fields) => format!("{{{} fields}}", fields.len()),
         other => other.render_compact(),
     }
 }
@@ -610,5 +615,22 @@ mod tests {
         assert!(table.contains("FAIL"));
         assert!(table.contains("below floor 2.000"));
         assert!(table.contains("failure(s)"));
+    }
+
+    #[test]
+    fn long_arrays_do_not_widen_the_table() {
+        // Histogram-style `[bucket, count]` pairs.
+        let buckets = |n: u64| {
+            let pair =
+                |i: u64| JsonValue::Array(vec![JsonValue::UInt(i), JsonValue::UInt(i * 997)]);
+            doc(JsonValue::Array((0..n).map(pair).collect()))
+        };
+        let report = GateReport {
+            rows: compare_documents("b", &buckets(40), &buckets(39)),
+        };
+        let table = report.render_table();
+        assert!(table.contains("[40 items]"), "{table}");
+        let widest = table.lines().map(|l| l.chars().count()).max().unwrap();
+        assert!(widest <= 120, "row {widest} characters wide:\n{table}");
     }
 }

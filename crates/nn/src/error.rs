@@ -1,6 +1,6 @@
 use std::fmt;
 
-/// Error type for neural-network shape algebra and execution.
+/// Error type for neural-network shape algebra.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum NnError {

@@ -1,27 +1,11 @@
-//! Dense GEMM kernels: the reference oracles and the blocked engine.
+//! Dense GEMM kernels.
 //!
-//! [`matmul`]/[`matvec`] are the reference kernels — the arithmetic the
-//! AdArray performs in NN mode; the functional executor lowers
-//! convolutions onto GEMM via im2col, and the architecture tests
-//! cross-check the systolic microsimulator's outputs against them. They
-//! are kept verbatim as the cross-check oracles for the fast path.
-//!
-//! [`matmul_fast`] is the engine kernel: cache-tiled over the reduction
-//! dimension (one `K_TILE × n` panel of `B` stays hot across the rows of
-//! `A`). Each output element is accumulated in the same `p = 0..k` order
-//! as the reference, so it is **bit-identical** to the oracle — the
-//! property the seeded tests in `crates/nn/tests/gemm_equivalence.rs` pin
-//! down.
+//! [`matmul`]/[`matvec`] are the arithmetic the AdArray performs in NN
+//! mode. The architecture tests cross-check the systolic microsimulator's
+//! outputs against [`matmul`]; [`matvec`] runs the spectral codebook's
+//! similarity scans.
 
 use nsflow_telemetry as telemetry;
-
-/// Reduction-dimension tile of the blocked kernel: `K_TILE` rows of `B`
-/// (a `K_TILE × n` panel) are streamed against every row of `A` before
-/// moving on, which keeps the panel in cache across the rows.
-/// Tiling the reduction loop does not change the per-element accumulation
-/// order — tiles are visited in ascending `p` order and partial sums land
-/// directly in `C` — so blocking preserves bit-exactness.
-const K_TILE: usize = 256;
 
 /// `C = A·B` for row-major `A (m×k)`, `B (k×n)`, producing row-major
 /// `C (m×n)`.
@@ -74,45 +58,6 @@ pub fn matvec(a: &[f32], x: &[f32], m: usize, k: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Blocked `C = A·B` — bit-identical to [`matmul`].
-///
-/// The reduction dimension is tiled by `K_TILE` so the active `B` panel
-/// stays cached across the rows of `A`. Every `C[i][j]` receives its
-/// `a[i][p]·b[p][j]` contributions in the same ascending-`p` order as the
-/// reference (including the reference's skip of zero `a` entries).
-///
-/// # Panics
-///
-/// Panics if slice lengths disagree with the given dimensions.
-#[must_use]
-pub fn matmul_fast(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    assert_eq!(a.len(), m * k, "A must be m×k");
-    assert_eq!(b.len(), k * n, "B must be k×n");
-    telemetry::counter!("nn.gemm_fast_calls").incr();
-    telemetry::counter!("nn.flops_fast").add(2 * (m as u64) * (k as u64) * (n as u64));
-    let mut c = vec![0.0f32; m * n];
-    if m == 0 || n == 0 {
-        return c;
-    }
-    for p0 in (0..k).step_by(K_TILE) {
-        let p1 = (p0 + K_TILE).min(k);
-        for (i, c_row) in c.chunks_exact_mut(n).enumerate() {
-            let ai = i * k;
-            for p in p0..p1 {
-                let aip = a[ai + p];
-                if aip == 0.0 {
-                    continue;
-                }
-                let b_row = &b[p * n..(p + 1) * n];
-                for (cv, bv) in c_row.iter_mut().zip(b_row) {
-                    *cv += aip * bv;
-                }
-            }
-        }
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,6 +89,18 @@ mod tests {
         let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
         let x = [7.0, 8.0, 9.0];
         assert_eq!(matvec(&a, &x, 2, 3), matmul(&a, &x, 2, 3, 1));
+    }
+
+    #[test]
+    fn degenerate_dimensions_are_exact() {
+        // m = 0 and n = 0: empty output.
+        assert_eq!(matmul(&[], &[1.0, 2.0], 0, 1, 2), Vec::<f32>::new());
+        assert_eq!(matmul(&[1.0, 2.0], &[], 2, 1, 0), Vec::<f32>::new());
+        // k = 0: all-zero m×n output (no accumulation happens).
+        assert_eq!(matmul(&[], &[], 3, 0, 2), vec![0.0; 6]);
+        // matvec with m = 0 and k = 0.
+        assert_eq!(matvec(&[], &[1.0], 0, 1), Vec::<f32>::new());
+        assert_eq!(matvec(&[], &[], 2, 0), vec![0.0; 2]);
     }
 
     #[test]

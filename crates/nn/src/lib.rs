@@ -11,9 +11,10 @@
 //!   triples the paper's analytical runtime model (eq. (1)) consumes,
 //! - [`Model`]: sequential layer graphs plus ready-made builders
 //!   ([`models::resnet18`], [`models::small_cnn`], …),
-//! - [`exec`]: a functional executor (im2col + GEMM convolution, linear,
-//!   pooling, batch-norm, ReLU) used to validate the shape algebra and to
-//!   drive quantized-accuracy experiments end to end.
+//! - [`gemm`]: the dense `matmul`/`matvec` kernels the AdArray performs
+//!   in NN mode.
+//!
+//! The cycle model prices the NN half from these shapes.
 //!
 //! # Examples
 //!
@@ -31,7 +32,6 @@ mod error;
 mod layer;
 mod model;
 
-pub mod exec;
 pub mod gemm;
 pub mod models;
 

@@ -29,7 +29,6 @@ use crate::{GemmDims, LayerSpec, NnError, Result};
 #[derive(Debug, Clone, PartialEq)]
 pub struct Model {
     name: String,
-    input_shape: Shape,
     layers: Vec<LayerSpec>,
     /// `layer_shapes[i]` is the *input* shape of layer `i`;
     /// `layer_shapes[len]` is the model output shape.
@@ -53,7 +52,7 @@ impl Model {
             return Err(NnError::EmptyModel);
         }
         let mut layer_shapes = Vec::with_capacity(layers.len() + 1);
-        let mut cur = input_shape.clone();
+        let mut cur = input_shape;
         for layer in &layers {
             layer_shapes.push(cur.clone());
             cur = layer.output_shape(&cur)?;
@@ -61,7 +60,6 @@ impl Model {
         layer_shapes.push(cur);
         Ok(Model {
             name: name.into(),
-            input_shape,
             layers,
             layer_shapes,
         })
@@ -71,12 +69,6 @@ impl Model {
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Declared input shape.
-    #[must_use]
-    pub fn input_shape(&self) -> &Shape {
-        &self.input_shape
     }
 
     /// Output shape after the final layer.

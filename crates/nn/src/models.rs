@@ -206,7 +206,7 @@ mod tests {
     fn mimonet_batch_carries_superposition() {
         let m = mimonet_backbone(64, 4);
         assert_eq!(m.output_shape().dims(), &[4, 512]);
-        assert_eq!(m.input_shape().dims()[0], 4);
+        assert_eq!(m.layer_input_shape(0).dims()[0], 4);
     }
 
     #[test]

@@ -125,14 +125,6 @@ impl JsonValue {
         }
     }
 
-    /// Borrow as a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Borrow as a string slice.
     pub fn as_str(&self) -> Option<&str> {
         match self {

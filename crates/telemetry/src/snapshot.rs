@@ -215,11 +215,6 @@ impl TelemetrySnapshot {
         self.to_json_value().render_pretty()
     }
 
-    /// Render as compact deterministic JSON.
-    pub fn to_json_compact(&self) -> String {
-        self.to_json_value().render_compact()
-    }
-
     /// Parse a snapshot back from JSON text.
     pub fn from_json(text: &str) -> Result<Self, JsonError> {
         Self::from_json_value(&JsonValue::parse(text)?)
@@ -355,7 +350,7 @@ mod tests {
             snapshot
         );
         assert_eq!(
-            TelemetrySnapshot::from_json(&snapshot.to_json_compact()).unwrap(),
+            TelemetrySnapshot::from_json(&snapshot.to_json_value().render_compact()).unwrap(),
             snapshot
         );
     }
@@ -365,7 +360,7 @@ mod tests {
         let snapshot = sample();
         assert_eq!(snapshot.to_json(), snapshot.to_json(), "stable bytes");
         // Sections appear in fixed order, metric names sorted.
-        let compact = snapshot.to_json_compact();
+        let compact = snapshot.to_json_value().render_compact();
         let counters_at = compact.find("\"counters\"").unwrap();
         let gauges_at = compact.find("\"gauges\"").unwrap();
         let histograms_at = compact.find("\"histograms\"").unwrap();

@@ -179,7 +179,10 @@ const JSON_CHARS: [char; 20] = [
 fn snapshots_round_trip_through_both_json_writers() {
     for seed in 0..CASES {
         let snapshot = snapshot(&mut StdRng::seed_from_u64(seed));
-        for text in [snapshot.to_json_compact(), snapshot.to_json()] {
+        for text in [
+            snapshot.to_json_value().render_compact(),
+            snapshot.to_json(),
+        ] {
             assert_eq!(
                 TelemetrySnapshot::from_json(&text).unwrap(),
                 snapshot,
@@ -206,7 +209,7 @@ fn json_documents_round_trip_through_parser() {
 fn mutated_json_never_panics_the_parser() {
     for seed in 0..CASES {
         let rng = &mut StdRng::seed_from_u64(seed);
-        let text = snapshot(rng).to_json_compact();
+        let text = snapshot(rng).to_json_value().render_compact();
         let mutated = mutate(rng, &text, &JSON_CHARS);
         // Ok or a JsonError — reaching the next line is the property.
         let _ = JsonValue::parse(&mutated);

@@ -1,57 +1,19 @@
 use std::fmt;
 
-/// Error type for tensor construction and numeric conversions.
+/// Error type for numeric conversions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TensorError {
-    /// The provided data length does not match the product of the shape
-    /// dimensions.
-    ShapeMismatch {
-        /// Number of elements implied by the shape.
-        expected: usize,
-        /// Number of elements actually provided.
-        actual: usize,
-    },
-    /// A shape with zero dimensions (or a zero-sized axis where that is not
-    /// meaningful) was supplied.
-    EmptyShape,
-    /// An index was out of bounds for the tensor's shape.
-    IndexOutOfBounds {
-        /// The offending flat or per-axis index.
-        index: usize,
-        /// The bound that was violated.
-        bound: usize,
-    },
     /// Quantization parameters could not be fitted (e.g. empty or non-finite
     /// input).
     InvalidQuantInput(String),
-    /// Two tensors that must agree in shape for an operation did not.
-    IncompatibleShapes {
-        /// Left-hand shape rendered as text.
-        lhs: String,
-        /// Right-hand shape rendered as text.
-        rhs: String,
-    },
 }
 
 impl fmt::Display for TensorError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TensorError::ShapeMismatch { expected, actual } => {
-                write!(
-                    f,
-                    "data length {actual} does not match shape volume {expected}"
-                )
-            }
-            TensorError::EmptyShape => write!(f, "shape must have at least one dimension"),
-            TensorError::IndexOutOfBounds { index, bound } => {
-                write!(f, "index {index} out of bounds for size {bound}")
-            }
             TensorError::InvalidQuantInput(msg) => {
                 write!(f, "invalid quantization input: {msg}")
-            }
-            TensorError::IncompatibleShapes { lhs, rhs } => {
-                write!(f, "incompatible shapes {lhs} and {rhs}")
             }
         }
     }
@@ -65,28 +27,12 @@ mod tests {
 
     #[test]
     fn display_is_lowercase_without_trailing_punctuation() {
-        let msgs = [
-            TensorError::ShapeMismatch {
-                expected: 4,
-                actual: 3,
-            }
-            .to_string(),
-            TensorError::EmptyShape.to_string(),
-            TensorError::IndexOutOfBounds { index: 9, bound: 4 }.to_string(),
-            TensorError::InvalidQuantInput("empty".into()).to_string(),
-            TensorError::IncompatibleShapes {
-                lhs: "[2]".into(),
-                rhs: "[3]".into(),
-            }
-            .to_string(),
-        ];
-        for m in msgs {
-            assert!(!m.ends_with('.'), "no trailing period: {m}");
-            assert!(
-                m.chars().next().is_some_and(|c| c.is_lowercase()),
-                "lowercase start: {m}"
-            );
-        }
+        let m = TensorError::InvalidQuantInput("empty".into()).to_string();
+        assert!(!m.ends_with('.'), "no trailing period: {m}");
+        assert!(
+            m.chars().next().is_some_and(|c| c.is_lowercase()),
+            "lowercase start: {m}"
+        );
     }
 
     #[test]

@@ -1,7 +1,5 @@
 use std::fmt;
 
-use crate::TensorError;
-
 /// Row-major tensor shape.
 ///
 /// # Examples
@@ -9,7 +7,7 @@ use crate::TensorError;
 /// ```
 /// use nsflow_tensor::Shape;
 /// let s = Shape::new(vec![16, 64, 160, 160]);
-/// assert_eq!(s.rank(), 4);
+/// assert_eq!(s.dims().len(), 4);
 /// assert_eq!(s.volume(), 16 * 64 * 160 * 160);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -24,85 +22,16 @@ impl Shape {
         Shape { dims }
     }
 
-    /// Creates a rank-1 shape.
-    #[must_use]
-    pub fn vector(len: usize) -> Self {
-        Shape { dims: vec![len] }
-    }
-
-    /// Creates a rank-2 shape `[rows, cols]`.
-    #[must_use]
-    pub fn matrix(rows: usize, cols: usize) -> Self {
-        Shape {
-            dims: vec![rows, cols],
-        }
-    }
-
-    /// Number of axes.
-    #[must_use]
-    pub fn rank(&self) -> usize {
-        self.dims.len()
-    }
-
     /// Dimensions as a slice.
     #[must_use]
     pub fn dims(&self) -> &[usize] {
         &self.dims
     }
 
-    /// Size of axis `axis`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] if `axis >= rank()`.
-    pub fn dim(&self, axis: usize) -> Result<usize, TensorError> {
-        self.dims
-            .get(axis)
-            .copied()
-            .ok_or(TensorError::IndexOutOfBounds {
-                index: axis,
-                bound: self.dims.len(),
-            })
-    }
-
     /// Total number of elements (product of dimensions; 1 for rank 0).
     #[must_use]
     pub fn volume(&self) -> usize {
         self.dims.iter().product()
-    }
-
-    /// Row-major strides (elements, not bytes).
-    #[must_use]
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.dims.len()];
-        for i in (0..self.dims.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.dims[i + 1];
-        }
-        strides
-    }
-
-    /// Flattens a multi-index to a row-major flat offset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] if the index rank differs
-    /// from the shape rank or any coordinate exceeds its axis.
-    pub fn flatten_index(&self, index: &[usize]) -> Result<usize, TensorError> {
-        if index.len() != self.dims.len() {
-            return Err(TensorError::IndexOutOfBounds {
-                index: index.len(),
-                bound: self.dims.len(),
-            });
-        }
-        let strides = self.strides();
-        let mut flat = 0usize;
-        for ((&i, &d), &s) in index.iter().zip(&self.dims).zip(&strides) {
-            if i >= d {
-                return Err(TensorError::IndexOutOfBounds { index: i, bound: d });
-            }
-            flat += i * s;
-        }
-        Ok(flat)
     }
 }
 
@@ -119,18 +48,6 @@ impl fmt::Display for Shape {
     }
 }
 
-impl From<Vec<usize>> for Shape {
-    fn from(dims: Vec<usize>) -> Self {
-        Shape::new(dims)
-    }
-}
-
-impl From<&[usize]> for Shape {
-    fn from(dims: &[usize]) -> Self {
-        Shape::new(dims.to_vec())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,58 +55,20 @@ mod tests {
     #[test]
     fn volume_and_rank() {
         let s = Shape::new(vec![1, 4, 256]);
-        assert_eq!(s.rank(), 3);
+        assert_eq!(s.dims().len(), 3);
         assert_eq!(s.volume(), 1024);
     }
 
     #[test]
     fn scalar_shape_has_volume_one() {
         let s = Shape::new(vec![]);
-        assert_eq!(s.rank(), 0);
+        assert!(s.dims().is_empty());
         assert_eq!(s.volume(), 1);
-    }
-
-    #[test]
-    fn strides_row_major() {
-        let s = Shape::new(vec![2, 3, 4]);
-        assert_eq!(s.strides(), vec![12, 4, 1]);
-    }
-
-    #[test]
-    fn flatten_index_round_trip() {
-        let s = Shape::new(vec![2, 3, 4]);
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..2 {
-            for j in 0..3 {
-                for k in 0..4 {
-                    let flat = s.flatten_index(&[i, j, k]).unwrap();
-                    assert!(flat < s.volume());
-                    assert!(seen.insert(flat), "flat offsets must be unique");
-                }
-            }
-        }
-        assert_eq!(seen.len(), s.volume());
-    }
-
-    #[test]
-    fn flatten_index_rejects_out_of_bounds() {
-        let s = Shape::new(vec![2, 3]);
-        assert!(s.flatten_index(&[2, 0]).is_err());
-        assert!(s.flatten_index(&[0]).is_err());
-        assert!(s.flatten_index(&[0, 0, 0]).is_err());
     }
 
     #[test]
     fn display_renders_brackets() {
         assert_eq!(Shape::new(vec![7, 4, 256]).to_string(), "[7, 4, 256]");
         assert_eq!(Shape::new(vec![]).to_string(), "[]");
-    }
-
-    #[test]
-    fn conversions() {
-        let s: Shape = vec![2, 2].into();
-        assert_eq!(s, Shape::matrix(2, 2));
-        let s2: Shape = (&[5usize][..]).into();
-        assert_eq!(s2, Shape::vector(5));
     }
 }
