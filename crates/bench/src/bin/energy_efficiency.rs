@@ -13,7 +13,7 @@
 use nsflow_bench::write_csv;
 use nsflow_core::NsFlow;
 use nsflow_sim::devices::{Device, DeviceModel, DpuLike, TpuLikeArray};
-use nsflow_sim::energy::{fpga_watts, DevicePower};
+use nsflow_sim::energy::fpga_watts;
 use nsflow_workloads::traces;
 
 fn main() {
@@ -44,26 +44,24 @@ fn main() {
             workload.name, report.seconds
         ));
 
-        let baselines: Vec<(Box<dyn DeviceModel>, DevicePower)> = vec![
-            (Box::new(Device::jetson_tx2()), DevicePower::jetson_tx2()),
-            (Box::new(Device::xavier_nx()), DevicePower::xavier_nx()),
-            (Box::new(Device::rtx_2080_ti()), DevicePower::rtx_2080_ti()),
-            (Box::new(Device::coral_tpu()), DevicePower::coral_tpu()),
-            (
-                Box::new(TpuLikeArray::new_128x128()),
-                DevicePower::tpu_like(),
-            ),
-            (Box::new(DpuLike::new_b4096()), DevicePower::dpu_like()),
+        let baselines: Vec<Box<dyn DeviceModel>> = vec![
+            Box::new(Device::jetson_tx2()),
+            Box::new(Device::xavier_nx()),
+            Box::new(Device::rtx_2080_ti()),
+            Box::new(Device::coral_tpu()),
+            Box::new(TpuLikeArray::new_128x128()),
+            Box::new(DpuLike::new_b4096()),
         ];
         let mut best_ratio = f64::INFINITY;
-        for (device, power) in &baselines {
+        for device in &baselines {
             let seconds = device.run(&workload.trace).total_seconds();
-            let energy = power.energy_joules(seconds);
+            let watts = device.board_watts();
+            let energy = watts * seconds;
             println!(
                 "{:<10} {:>14} {:>10.1} W {:>12.2} ms {:>12.3} J   ({:.0}× NSFlow)",
                 "",
                 device.name().chars().take(14).collect::<String>(),
-                power.watts,
+                watts,
                 seconds * 1e3,
                 energy,
                 energy / ns_energy
@@ -73,7 +71,7 @@ fn main() {
                 "{},{},{:.2},{seconds},{energy:.5}",
                 workload.name,
                 device.name(),
-                power.watts
+                watts
             ));
         }
         println!(

@@ -11,7 +11,7 @@
 
 use nsflow_bench::{fmt_seconds, write_csv};
 use nsflow_sim::devices::{Device, DeviceModel};
-use nsflow_sim::roofline::{workload_points, Roof};
+use nsflow_sim::roofline::workload_points;
 use nsflow_workloads::traces;
 
 fn main() {
@@ -101,13 +101,13 @@ fn main() {
     // ── Fig. 1c: roofline of the RTX 2080 Ti ───────────────────────────
     println!(
         "\nFig. 1c — RTX 2080 Ti roofline (ridge at {:.1} FLOP/B):",
-        Roof::rtx_2080_ti().ridge_intensity()
+        Device::rtx_2080_ti().roof().ridge_intensity()
     );
     println!(
         "{:<22} {:>16} {:>18} {:>10}",
         "kernel class", "intensity", "attainable", "bound"
     );
-    let roof = Roof::rtx_2080_ti();
+    let roof = Device::rtx_2080_ti().roof();
     let mut rows_c = Vec::new();
     for w in &workloads {
         for p in workload_points(&w.trace, &roof) {

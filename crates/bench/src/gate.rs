@@ -30,10 +30,11 @@
 //! - under `telemetry`, every counter nonzero in the baseline must stay
 //!   nonzero (a zero means an instrumented path silently stopped
 //!   running); the other telemetry leaves (gauges, histograms, spans)
-//!   are informational;
+//!   are informational, and a telemetry array (a histogram's bucket
+//!   list) is one informational row;
 //! - a field of the baseline missing from the current run fails;
-//! - arrays of different length warn (outside telemetry), and their
-//!   common prefix is compared.
+//! - arrays of different length warn, and their common prefix is
+//!   compared.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -248,16 +249,15 @@ fn walk(
                 }
             }
         }
+        // Telemetry arrays (histogram bucket lists) vary run to run and
+        // never gate: one row each.
+        (JsonValue::Array(_), JsonValue::Array(_)) if scope == Scope::Telemetry => {
+            push(rows, path, baseline, current, Verdict::Info, "");
+        }
         (JsonValue::Array(b_items), JsonValue::Array(c_items)) => {
             if b_items.len() != c_items.len() {
-                // Histogram bucket lists vary run to run.
-                let verdict = if scope == Scope::Telemetry {
-                    Verdict::Info
-                } else {
-                    Verdict::Warn
-                };
                 let note = "array length differs; comparing the common prefix";
-                push(rows, path, baseline, current, verdict, note);
+                push(rows, path, baseline, current, Verdict::Warn, note);
             }
             for (i, (b, c)) in b_items.iter().zip(c_items).enumerate() {
                 walk(&format!("{path}[{i}]"), b, c, scope, rows);
@@ -632,5 +632,28 @@ mod tests {
         assert!(table.contains("[40 items]"), "{table}");
         let widest = table.lines().map(|l| l.chars().count()).max().unwrap();
         assert!(widest <= 120, "row {widest} characters wide:\n{table}");
+    }
+
+    #[test]
+    fn a_telemetry_histogram_is_one_row() {
+        let hist = |n: u64| {
+            let buckets =
+                (0..20).map(|i| JsonValue::Array(vec![JsonValue::UInt(i), JsonValue::UInt(n)]));
+            JsonValue::object([(
+                "telemetry",
+                JsonValue::object([(
+                    "histograms",
+                    JsonValue::object([(
+                        "serve.exec_us",
+                        JsonValue::object([("buckets", JsonValue::Array(buckets.collect()))]),
+                    )]),
+                )]),
+            )])
+        };
+        let rows = compare_documents("b", &hist(3), &hist(0));
+        assert_eq!(rows.len(), 1, "{rows:?}");
+        assert_eq!(rows[0].path, "b.telemetry.histograms.serve.exec_us.buckets");
+        assert_eq!(rows[0].verdict, Verdict::Info);
+        assert_eq!(rows[0].current, "[20 items]");
     }
 }

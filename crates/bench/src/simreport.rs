@@ -7,7 +7,8 @@ use std::time::{Duration, Instant};
 
 use nsflow_arch::ArrayConfig;
 use nsflow_graph::DataflowGraph;
-use nsflow_sim::roofline::{workload_points, Bound, Roof};
+use nsflow_sim::devices::Device;
+use nsflow_sim::roofline::{workload_points, Bound};
 use nsflow_sim::schedule::{self, Schedule, SimOptions};
 use nsflow_sim::timeline::bottleneck_report;
 use nsflow_telemetry::JsonValue;
@@ -82,10 +83,10 @@ impl WorkloadTimeline {
             .get("traceEvents")
             .and_then(JsonValue::as_array)
             .ok_or("missing traceEvents array")?;
-        let has_duration = events.iter().any(|e| {
-            e.get("ph").and_then(JsonValue::as_str) == Some("X")
-                && e.get("dur").and_then(JsonValue::as_u64).is_some()
-        });
+        // Only duration (`X`) events carry a `dur`.
+        let has_duration = events
+            .iter()
+            .any(|e| e.get("dur").and_then(JsonValue::as_u64).is_some());
         if !has_duration {
             return Err("no duration (ph=X) events in trace".into());
         }
@@ -105,7 +106,7 @@ impl WorkloadTimeline {
     #[must_use]
     pub fn report(&self, top_n: usize) -> String {
         let mut out = bottleneck_report(&self.schedule, &self.graph, top_n);
-        let roof = Roof::rtx_2080_ti();
+        let roof = Device::rtx_2080_ti().roof();
         out.push_str("roofline (RTX 2080 Ti roof, per phase):\n");
         for p in workload_points(self.graph.trace(), &roof) {
             out.push_str(&format!(

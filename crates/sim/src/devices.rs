@@ -21,6 +21,8 @@
 use nsflow_arch::{analytical, ArrayConfig};
 use nsflow_trace::{Domain, ExecutionTrace, OpKind};
 
+use crate::roofline::Roof;
+
 /// Per-domain, per-device latency report, in seconds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceReport {
@@ -58,6 +60,9 @@ pub trait DeviceModel {
     /// Executes the whole workload (all loop iterations) and reports the
     /// per-domain latency split.
     fn run(&self, trace: &ExecutionTrace) -> DeviceReport;
+    /// Nominal board power in watts (the paper's Sec. II-B figures
+    /// where it quotes one).
+    fn board_watts(&self) -> f64;
 }
 
 /// Memory elements an op touches on a *commodity* device (GPU/CPU/TPU
@@ -94,6 +99,8 @@ pub struct Device {
     op_overhead: f64,
     /// Bytes per element at the device's native execution precision.
     native_bytes: f64,
+    /// Nominal board power in watts.
+    watts: f64,
 }
 
 impl Device {
@@ -101,8 +108,8 @@ impl Device {
     ///
     /// # Panics
     ///
-    /// Panics if any throughput, bandwidth or efficiency parameter is not
-    /// positive (overhead may be zero).
+    /// Panics if any throughput, bandwidth, efficiency or power parameter
+    /// is not positive (overhead may be zero).
     #[allow(clippy::too_many_arguments)]
     #[must_use]
     pub fn new(
@@ -114,6 +121,7 @@ impl Device {
         sym_bw_eff: f64,
         op_overhead: f64,
         native_bytes: f64,
+        watts: f64,
     ) -> Self {
         assert!(
             peak_ops > 0.0 && mem_bw > 0.0,
@@ -123,7 +131,7 @@ impl Device {
             nn_eff > 0.0 && sym_compute_eff > 0.0 && sym_bw_eff > 0.0,
             "efficiencies must be positive"
         );
-        assert!(op_overhead >= 0.0 && native_bytes > 0.0);
+        assert!(op_overhead >= 0.0 && native_bytes > 0.0 && watts > 0.0);
         Device {
             name: name.into(),
             peak_ops,
@@ -133,25 +141,49 @@ impl Device {
             sym_bw_eff,
             op_overhead,
             native_bytes,
+            watts,
         }
     }
 
     /// NVIDIA Jetson TX2 (15 W edge SoC): 1.33 TFLOPS FP16, 59.7 GB/s.
     #[must_use]
     pub fn jetson_tx2() -> Self {
-        Device::new("Jetson TX2", 1.33e12, 59.7e9, 0.40, 0.04, 0.19, 6.0e-5, 2.0)
+        Device::new(
+            "Jetson TX2",
+            1.33e12,
+            59.7e9,
+            0.40,
+            0.04,
+            0.19,
+            6.0e-5,
+            2.0,
+            15.0,
+        )
     }
 
     /// NVIDIA Xavier NX (20 W edge SoC): ~6 TFLOPS FP16, 51.2 GB/s.
     #[must_use]
     pub fn xavier_nx() -> Self {
-        Device::new("Xavier NX", 6.0e12, 51.2e9, 0.45, 0.04, 0.40, 5.0e-5, 2.0)
+        Device::new(
+            "Xavier NX",
+            6.0e12,
+            51.2e9,
+            0.45,
+            0.04,
+            0.40,
+            5.0e-5,
+            2.0,
+            20.0,
+        )
     }
 
-    /// Intel Xeon server CPU: ~2 TFLOPS AVX-512 multicore, 100 GB/s.
+    /// Intel Xeon server CPU (150 W package): ~2 TFLOPS AVX-512
+    /// multicore, 100 GB/s.
     #[must_use]
     pub fn xeon_cpu() -> Self {
-        Device::new("Xeon CPU", 2.0e12, 100.0e9, 0.50, 0.10, 0.50, 5.0e-6, 4.0)
+        Device::new(
+            "Xeon CPU", 2.0e12, 100.0e9, 0.50, 0.10, 0.50, 5.0e-6, 4.0, 150.0,
+        )
     }
 
     /// NVIDIA RTX 2080 Ti (250 W): 13.4 TFLOPS FP32, 616 GB/s.
@@ -166,13 +198,33 @@ impl Device {
             0.15,
             2.0e-5,
             4.0,
+            250.0,
         )
     }
 
     /// Google Coral edge TPU (4 W): 4 TOPS INT8, host-fed.
     #[must_use]
     pub fn coral_tpu() -> Self {
-        Device::new("Coral TPU", 4.0e12, 4.0e9, 0.50, 0.015, 0.08, 1.0e-4, 1.0)
+        Device::new(
+            "Coral TPU",
+            4.0e12,
+            4.0e9,
+            0.50,
+            0.015,
+            0.08,
+            1.0e-4,
+            1.0,
+            4.0,
+        )
+    }
+
+    /// The device's roofline: its peak throughput and bandwidth.
+    #[must_use]
+    pub fn roof(&self) -> Roof {
+        Roof {
+            peak_flops: self.peak_ops,
+            peak_bw: self.mem_bw,
+        }
     }
 
     fn op_seconds(&self, kind: &OpKind, domain: Domain) -> f64 {
@@ -210,6 +262,10 @@ impl DeviceModel for Device {
             symbolic_seconds: symbolic * loops,
         }
     }
+
+    fn board_watts(&self) -> f64 {
+        self.watts
+    }
 }
 
 /// TPU-like weight-stationary systolic array (128×128) without the
@@ -230,10 +286,12 @@ pub struct TpuLikeArray {
     symbolic_dispatch_s: f64,
     /// SIMD-ish vector unit width for element-wise tails.
     vector_lanes: usize,
+    /// Accelerator-card power in watts.
+    watts: f64,
 }
 
 impl TpuLikeArray {
-    /// The paper's baseline: a 128×128 array at 700 MHz.
+    /// The paper's baseline: a 128×128 array at 700 MHz on a 75 W card.
     #[must_use]
     pub fn new_128x128() -> Self {
         TpuLikeArray {
@@ -243,6 +301,7 @@ impl TpuLikeArray {
             circulant_bytes_per_cycle: 30.0,
             symbolic_dispatch_s: 1.0e-5,
             vector_lanes: 128,
+            watts: 75.0,
         }
     }
 
@@ -288,6 +347,10 @@ impl DeviceModel for TpuLikeArray {
             symbolic_seconds: symbolic as f64 / self.freq_hz * loops,
         }
     }
+
+    fn board_watts(&self) -> f64 {
+        self.watts
+    }
 }
 
 /// Xilinx-DPU-like fixed-function INT8 CNN engine with host-CPU fallback
@@ -305,10 +368,13 @@ pub struct DpuLike {
     host_bw: f64,
     /// Per-kernel dispatch overhead on the host path.
     host_overhead: f64,
+    /// Power of the DPU on its host card, in watts.
+    watts: f64,
 }
 
 impl DpuLike {
-    /// DPUCZDX8G-class engine: 4096 MACs/cycle at 300 MHz, ARM host.
+    /// DPUCZDX8G-class engine: 4096 MACs/cycle at 300 MHz, ARM host,
+    /// 40 W.
     #[must_use]
     pub fn new_b4096() -> Self {
         DpuLike {
@@ -319,6 +385,7 @@ impl DpuLike {
             host_flops: 500.0e9,
             host_bw: 115.0e9,
             host_overhead: 2.0e-5,
+            watts: 40.0,
         }
     }
 }
@@ -357,6 +424,10 @@ impl DeviceModel for DpuLike {
             neural_seconds: neural * loops,
             symbolic_seconds: symbolic * loops,
         }
+    }
+
+    fn board_watts(&self) -> f64 {
+        self.watts
     }
 }
 
@@ -503,5 +574,13 @@ mod tests {
         assert_eq!(Device::coral_tpu().name(), "Coral TPU");
         assert_eq!(TpuLikeArray::new_128x128().name(), "TPU-like 128×128 SA");
         assert_eq!(DpuLike::new_b4096().name(), "Xilinx DPU (B4096)");
+    }
+
+    #[test]
+    fn board_power_matches_paper_figures() {
+        assert_eq!(Device::coral_tpu().board_watts(), 4.0);
+        assert_eq!(Device::jetson_tx2().board_watts(), 15.0);
+        assert_eq!(Device::xavier_nx().board_watts(), 20.0);
+        assert_eq!(Device::rtx_2080_ti().board_watts(), 250.0);
     }
 }

@@ -1,70 +1,15 @@
 //! Energy modeling — an extension beyond the paper's latency results.
 //!
 //! The paper characterizes its baselines by board power (Coral 4 W, TX2
-//! 15 W, NX 20 W, RTX 2080 Ti 250 W) but reports only runtime. This module
-//! adds the natural follow-up: energy per inference, with the NSFlow
-//! design's power estimated from its FPGA resource usage (a standard
-//! component-wise dynamic-power model at the 272 MHz template clock).
+//! 15 W, NX 20 W, RTX 2080 Ti 250 W) but reports only runtime. Each
+//! baseline model carries its power
+//! ([`DeviceModel::board_watts`](crate::devices::DeviceModel::board_watts));
+//! this module adds the natural follow-up, energy per inference, with
+//! the NSFlow design's power estimated from its FPGA resource usage (a
+//! standard component-wise dynamic-power model at the 272 MHz template
+//! clock).
 
 use nsflow_fpga::resources::DesignResources;
-
-/// Nominal board power of each baseline device, in watts (the figures the
-/// paper quotes in Sec. II-B).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DevicePower {
-    /// Board/device power in watts.
-    pub watts: f64,
-}
-
-impl DevicePower {
-    /// Google Coral edge TPU: 4 W.
-    #[must_use]
-    pub fn coral_tpu() -> Self {
-        DevicePower { watts: 4.0 }
-    }
-
-    /// Jetson TX2: 15 W.
-    #[must_use]
-    pub fn jetson_tx2() -> Self {
-        DevicePower { watts: 15.0 }
-    }
-
-    /// Xavier NX: 20 W.
-    #[must_use]
-    pub fn xavier_nx() -> Self {
-        DevicePower { watts: 20.0 }
-    }
-
-    /// RTX 2080 Ti: 250 W.
-    #[must_use]
-    pub fn rtx_2080_ti() -> Self {
-        DevicePower { watts: 250.0 }
-    }
-
-    /// Xeon server CPU (package): 150 W.
-    #[must_use]
-    pub fn xeon_cpu() -> Self {
-        DevicePower { watts: 150.0 }
-    }
-
-    /// TPU-like accelerator card: 75 W.
-    #[must_use]
-    pub fn tpu_like() -> Self {
-        DevicePower { watts: 75.0 }
-    }
-
-    /// Xilinx DPU on its host card: 40 W.
-    #[must_use]
-    pub fn dpu_like() -> Self {
-        DevicePower { watts: 40.0 }
-    }
-
-    /// Energy for a run of `seconds`, in joules.
-    #[must_use]
-    pub fn energy_joules(&self, seconds: f64) -> f64 {
-        self.watts * seconds
-    }
-}
 
 /// Component-wise dynamic-power estimate of an NSFlow design at the given
 /// clock, plus static power.
@@ -125,19 +70,5 @@ mod tests {
         assert!(half < full);
         // Static floor keeps the ratio above the pure clock ratio.
         assert!(half > full / 2.0);
-    }
-
-    #[test]
-    fn device_energy_is_power_times_time() {
-        let e = DevicePower::rtx_2080_ti().energy_joules(0.1);
-        assert!((e - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn wattage_catalog_matches_paper_figures() {
-        assert_eq!(DevicePower::coral_tpu().watts, 4.0);
-        assert_eq!(DevicePower::jetson_tx2().watts, 15.0);
-        assert_eq!(DevicePower::xavier_nx().watts, 20.0);
-        assert_eq!(DevicePower::rtx_2080_ti().watts, 250.0);
     }
 }

@@ -17,15 +17,6 @@ pub struct Roof {
 }
 
 impl Roof {
-    /// The RTX 2080 Ti roof used in Fig. 1c.
-    #[must_use]
-    pub fn rtx_2080_ti() -> Self {
-        Roof {
-            peak_flops: 13.4e12,
-            peak_bw: 616.0e9,
-        }
-    }
-
     /// Intensity at which the compute and bandwidth roofs meet
     /// (the ridge point), in FLOPs/byte.
     #[must_use]
@@ -126,6 +117,7 @@ fn domain_totals(trace: &ExecutionTrace, domain: Domain) -> (u64, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::devices::Device;
     use nsflow_tensor::DType;
     use nsflow_trace::{OpKind, TraceBuilder};
 
@@ -159,7 +151,7 @@ mod tests {
 
     #[test]
     fn ridge_point_is_ratio() {
-        let r = Roof::rtx_2080_ti();
+        let r = Device::rtx_2080_ti().roof();
         assert!((r.ridge_intensity() - 13.4e12 / 616.0e9).abs() < 1e-6);
     }
 
@@ -175,7 +167,7 @@ mod tests {
 
     #[test]
     fn symbolic_is_memory_bound_neural_is_compute_bound() {
-        let points = workload_points(&trace(), &Roof::rtx_2080_ti());
+        let points = workload_points(&trace(), &Device::rtx_2080_ti().roof());
         assert_eq!(points.len(), 2);
         let neural = &points[0];
         let symbolic = &points[1];
@@ -199,7 +191,7 @@ mod tests {
             &[],
         );
         let t = b.finish(1).unwrap();
-        let points = workload_points(&t, &Roof::rtx_2080_ti());
+        let points = workload_points(&t, &Device::rtx_2080_ti().roof());
         assert_eq!(points.len(), 1);
     }
 }

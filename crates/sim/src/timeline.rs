@@ -7,9 +7,9 @@
 //! - [`Schedule::to_chrome_trace`]: a Chrome Trace Event Format document
 //!   (viewable in Perfetto / `chrome://tracing`) with one track per
 //!   sub-array and one for the SIMD unit, plus a counter track of
-//!   per-class occupancy. Built on the workspace's own [`JsonValue`]
-//!   machinery: no new dependency, and the strict parser can validate
-//!   every emitted document.
+//!   per-class occupancy. Built with the workspace's one Chrome-trace
+//!   writer, [`ChromeTrace`]: no new dependency, and the strict
+//!   [`JsonValue`] parser can validate every emitted document.
 //! - [`Schedule::critical_path`]: walks the scheduled DAG backwards from
 //!   the last-finishing op, at each hop following the constraint that
 //!   actually bound the op's start (a data dependency or a resource
@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use nsflow_graph::DataflowGraph;
-use nsflow_telemetry::trace::{process_name_event, thread_name_event};
+use nsflow_telemetry::chrome::{step_levels, ChromeTrace};
 use nsflow_telemetry::JsonValue;
 use nsflow_trace::{OpId, OpKind};
 
@@ -219,35 +219,35 @@ impl Schedule {
         t
     }
 
+    /// `(cycle, class, ±weight)` occupancy changes: each op adds its
+    /// [`occupancy_weight`](Self::occupancy_weight) to its class at its
+    /// start and removes it at its end.
+    fn occupancy_deltas(&self) -> Vec<(u64, usize, i64)> {
+        let mut deltas = Vec::with_capacity(self.ops().len() * 2);
+        for (i, so) in self.ops().iter().enumerate() {
+            let w = self.occupancy_weight(i) as i64;
+            deltas.push((so.start, so.resource.index(), w));
+            deltas.push((so.end, so.resource.index(), -w));
+        }
+        deltas
+    }
+
     /// Cycles during which at least two of the NN/VSA/SIMD classes had
     /// an op in flight — the overlap the step-③ pipelined schedule
     /// exists to create.
     #[must_use]
     pub fn classes_overlap_cycles(&self) -> u64 {
-        // Event sweep over per-class active-op counts.
-        let mut events: Vec<(u64, usize, i64)> = Vec::with_capacity(self.ops().len() * 2);
-        for so in self.ops() {
-            events.push((so.start, so.resource.index(), 1));
-            events.push((so.end, so.resource.index(), -1));
-        }
-        events.sort_unstable();
-        let mut active = [0i64; 3];
-        let mut overlap = 0u64;
-        let mut i = 0;
-        while i < events.len() {
-            let t = events[i].0;
-            // Duration until the next distinct event time, counted under
-            // the state *after* applying all events at `t`.
-            while i < events.len() && events[i].0 == t {
-                active[events[i].1] += events[i].2;
-                i += 1;
-            }
-            if let Some(&(next, _, _)) = events.get(i) {
-                if active.iter().filter(|&&a| a > 0).count() >= 2 {
-                    overlap += next - t;
-                }
-            }
-        }
+        // Every op weighs at least one unit, so a class is active
+        // exactly while its occupancy level is positive. Each level
+        // holds until the next change point.
+        let (overlap, _, _) = step_levels::<3>(&mut self.occupancy_deltas()).fold(
+            (0, 0, false),
+            |(overlap, since, overlapping), (t, level)| {
+                let gained = if overlapping { t - since } else { 0 };
+                let active = level.iter().filter(|&&l| l > 0).count();
+                (overlap + gained, t, active >= 2)
+            },
+        );
         overlap
     }
 
@@ -302,32 +302,26 @@ impl Schedule {
 
     /// Exports the schedule as a Chrome Trace Event Format document.
     ///
-    /// One duration (`"ph": "X"`) event per *claimed sub-array* of an
-    /// array op instance, so every track shows what that physical unit
-    /// was doing, and one per SIMD op — with args carrying the op kind,
-    /// loop index, cycle count and the stall breakdown. A `"ph": "C"` counter
+    /// One duration (`X`) event per *claimed sub-array* of an array op
+    /// instance, so every track shows what that physical unit was
+    /// doing, and one per SIMD op — with args carrying the op kind,
+    /// loop index, cycle count and the stall breakdown. A counter (`C`)
     /// series tracks per-class occupancy at every change point. The
     /// document loads in Perfetto / `chrome://tracing` and round-trips
     /// through [`JsonValue::parse`].
     #[must_use]
     pub fn to_chrome_trace(&self, graph: &DataflowGraph) -> JsonValue {
         let trace = graph.trace();
-        let mut events: Vec<JsonValue> = Vec::new();
-
-        // Track metadata.
-        events.push(process_name_event(format!("nsflow-sim: {}", trace.name())));
+        let mut chrome = ChromeTrace::new(format!("nsflow-sim: {}", trace.name()));
         for u in 0..self.pool_units() {
-            events.push(thread_name_event(
-                POOL_TID_BASE + u as u64,
-                format!("subarray[{u}]"),
-            ));
+            chrome.track(POOL_TID_BASE + u as u64, format!("subarray[{u}]"));
         }
-        events.push(thread_name_event(SIMD_TID, "SIMD unit".to_string()));
+        chrome.track(SIMD_TID, "SIMD unit");
 
-        // Duration events.
-        let mut timed: Vec<(u64, u64, JsonValue)> = Vec::new();
+        // One slice per claimed track, sorted by track id at equal start.
         for (i, so) in self.ops().iter().enumerate() {
             let op = trace.op(so.op);
+            let units = self.claimed_units(i);
             let args = JsonValue::object([
                 ("loop", JsonValue::UInt(so.loop_idx as u64)),
                 ("op", JsonValue::UInt(so.op.index() as u64)),
@@ -339,105 +333,45 @@ impl Schedule {
                 (
                     "subarrays",
                     JsonValue::Array(
-                        self.claimed_units(i)
+                        units
                             .iter()
                             .map(|&u| JsonValue::UInt(u64::from(u)))
                             .collect(),
                     ),
                 ),
             ]);
-            let tids: Vec<u64> = if so.resource == Resource::Simd {
-                vec![SIMD_TID]
-            } else {
-                self.claimed_units(i)
+            let tids: Vec<u64> = match so.resource {
+                Resource::Simd => vec![SIMD_TID],
+                _ => units
                     .iter()
                     .map(|&u| POOL_TID_BASE + u64::from(u))
-                    .collect()
+                    .collect(),
             };
+            let cat = RESOURCE_LABELS[so.resource.index()];
             for tid in tids {
-                timed.push((
-                    so.start,
-                    tid,
-                    JsonValue::object([
-                        ("ph", JsonValue::Str("X".into())),
-                        ("pid", JsonValue::UInt(0)),
-                        ("tid", JsonValue::UInt(tid)),
-                        ("name", JsonValue::Str(op.name().to_string())),
-                        (
-                            "cat",
-                            JsonValue::Str(RESOURCE_LABELS[so.resource.index()].into()),
-                        ),
-                        ("ts", JsonValue::UInt(so.start)),
-                        ("dur", JsonValue::UInt(so.end - so.start)),
-                        ("args", args.clone()),
-                    ]),
-                ));
+                chrome.slice(tid, tid, op.name(), cat, so.start..so.end, args.clone());
             }
         }
-
-        // Per-class occupancy counter series at every change point.
-        let mut deltas: Vec<(u64, usize, i64)> = Vec::new();
-        for (i, so) in self.ops().iter().enumerate() {
-            let w = self.occupancy_weight(i) as i64;
-            deltas.push((so.start, so.resource.index(), w));
-            deltas.push((so.end, so.resource.index(), -w));
-        }
-        deltas.sort_unstable();
-        let mut level = [0i64; 3];
-        let mut i = 0;
-        while i < deltas.len() {
-            let t = deltas[i].0;
-            while i < deltas.len() && deltas[i].0 == t {
-                level[deltas[i].1] += deltas[i].2;
-                i += 1;
-            }
-            timed.push((
-                t,
-                u64::MAX, // counters sort after duration events at the same ts
-                JsonValue::object([
-                    ("ph", JsonValue::Str("C".into())),
-                    ("pid", JsonValue::UInt(0)),
-                    ("name", JsonValue::Str("occupancy".into())),
-                    ("ts", JsonValue::UInt(t)),
-                    (
-                        "args",
-                        JsonValue::object([
-                            ("nn", JsonValue::UInt(level[0].max(0) as u64)),
-                            ("vsa", JsonValue::UInt(level[1].max(0) as u64)),
-                            ("simd", JsonValue::UInt(level[2].max(0) as u64)),
-                        ]),
-                    ),
-                ]),
-            ));
-        }
-        timed.sort_by_key(|a| (a.0, a.1));
-        events.extend(timed.into_iter().map(|(_, _, e)| e));
+        chrome.counter("occupancy", RESOURCE_LABELS, self.occupancy_deltas());
 
         let stalls = self.stall_totals();
-        JsonValue::object([
-            ("displayTimeUnit", JsonValue::Str("ms".into())),
+        chrome.finish(JsonValue::object([
+            ("workload", JsonValue::Str(trace.name().to_string())),
+            ("scheduler", JsonValue::Str("pooled".into())),
+            ("time_unit", JsonValue::Str("cycle".into())),
+            ("total_cycles", JsonValue::UInt(self.total_cycles())),
+            ("pool_units", JsonValue::UInt(self.pool_units() as u64)),
+            ("loops", JsonValue::UInt(trace.loop_count() as u64)),
+            ("stall_dep_wait_cycles", JsonValue::UInt(stalls.dep_wait)),
             (
-                "metadata",
-                JsonValue::object([
-                    ("workload", JsonValue::Str(trace.name().to_string())),
-                    ("scheduler", JsonValue::Str("pooled".into())),
-                    ("time_unit", JsonValue::Str("cycle".into())),
-                    ("total_cycles", JsonValue::UInt(self.total_cycles())),
-                    ("pool_units", JsonValue::UInt(self.pool_units() as u64)),
-                    ("loops", JsonValue::UInt(trace.loop_count() as u64)),
-                    ("stall_dep_wait_cycles", JsonValue::UInt(stalls.dep_wait)),
-                    (
-                        "stall_resource_wait_cycles",
-                        JsonValue::UInt(stalls.resource_wait),
-                    ),
-                    (
-                        "stall_transfer_cycles",
-                        JsonValue::UInt(stalls.transfer_stall),
-                    ),
-                ]),
+                "stall_resource_wait_cycles",
+                JsonValue::UInt(stalls.resource_wait),
             ),
-            ("traceEvents", JsonValue::Array(events)),
-        ])
+            (
+                "stall_transfer_cycles",
+                JsonValue::UInt(stalls.transfer_stall),
+            ),
+        ]))
     }
 
     /// Extracts the critical path: starting from the last-finishing op,

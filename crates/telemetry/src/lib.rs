@@ -14,7 +14,8 @@
 //!   `BENCH_*.json` diff cleanly and can be compared by the CI
 //!   regression gate;
 //! - a dependency-free JSON document model ([`JsonValue`]) with a
-//!   strict parser and compact/pretty writers.
+//!   strict parser and compact/pretty writers, and the one Chrome Trace
+//!   Event Format writer built on it ([`ChromeTrace`]).
 //!
 //! # Recording
 //!
@@ -38,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod chrome;
 pub mod json;
 pub mod prom;
 mod registry;
@@ -45,6 +47,7 @@ mod snapshot;
 mod span;
 pub mod trace;
 
+pub use chrome::ChromeTrace;
 pub use json::{JsonError, JsonValue};
 pub use registry::{
     bucket_index, bucket_lower_bound, global, Counter, Gauge, Histogram, Registry, SpanStat,

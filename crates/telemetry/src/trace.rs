@@ -31,6 +31,7 @@ use std::collections::{BTreeMap, TryReserveError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::chrome::ChromeTrace;
 use crate::json::JsonValue;
 
 /// Why a request was refused at admission.
@@ -326,13 +327,10 @@ impl TraceSnapshot {
     #[must_use]
     pub fn to_chrome_trace(&self, process: &str, time_unit: &str) -> JsonValue {
         let lifecycles = self.lifecycles();
-        let mut events: Vec<JsonValue> = Vec::new();
-
-        // Track metadata.
-        events.push(process_name_event(format!("nsflow-serve: {process}")));
-        events.push(thread_name_event(TID_ADMISSION, "admission".into()));
-        events.push(thread_name_event(TID_QUEUE_WAIT, "queue wait".into()));
-        events.push(thread_name_event(TID_BATCH_WAIT, "batch wait".into()));
+        let mut trace = ChromeTrace::new(format!("nsflow-serve: {process}"));
+        trace.track(TID_ADMISSION, "admission");
+        trace.track(TID_QUEUE_WAIT, "queue wait");
+        trace.track(TID_BATCH_WAIT, "batch wait");
         let has_faults = self.records.iter().any(|r| {
             matches!(
                 r.event,
@@ -340,7 +338,7 @@ impl TraceSnapshot {
             )
         });
         if has_faults {
-            events.push(thread_name_event(TID_FAULTS, "faults".into()));
+            trace.track(TID_FAULTS, "faults");
         }
         let mut workers: Vec<u32> = lifecycles
             .values()
@@ -349,79 +347,30 @@ impl TraceSnapshot {
         workers.sort_unstable();
         workers.dedup();
         for w in &workers {
-            events.push(thread_name_event(
-                WORKER_TID_BASE + u64::from(*w),
-                format!("worker[{w}]"),
-            ));
+            trace.track(WORKER_TID_BASE + u64::from(*w), format!("worker[{w}]"));
         }
 
-        // (sort ts, tiebreak, event) triples so output order is stable.
-        let mut timed: Vec<(u64, u64, JsonValue)> = Vec::new();
-
-        for (id, life) in &lifecycles {
+        // Request rows sort by request id at equal ts.
+        for (&id, life) in &lifecycles {
             if let Some(ts) = life.admitted {
-                timed.push((
-                    ts,
-                    *id,
-                    JsonValue::object([
-                        ("ph", JsonValue::Str("i".into())),
-                        ("pid", JsonValue::UInt(0)),
-                        ("tid", JsonValue::UInt(TID_ADMISSION)),
-                        ("name", JsonValue::Str(format!("admit req {id}"))),
-                        ("cat", JsonValue::Str("admission".into())),
-                        ("ts", JsonValue::UInt(ts)),
-                        ("s", JsonValue::Str("t".into())),
-                    ]),
-                ));
+                let name = format!("admit req {id}");
+                trace.instant(id, TID_ADMISSION, name, "admission", ts, None);
             }
             if let Some((ts, reason)) = life.shed {
-                timed.push((
-                    ts,
-                    *id,
-                    JsonValue::object([
-                        ("ph", JsonValue::Str("i".into())),
-                        ("pid", JsonValue::UInt(0)),
-                        ("tid", JsonValue::UInt(TID_ADMISSION)),
-                        ("name", JsonValue::Str(format!("shed req {id}"))),
-                        ("cat", JsonValue::Str("shed".into())),
-                        ("ts", JsonValue::UInt(ts)),
-                        ("s", JsonValue::Str("t".into())),
-                        (
-                            "args",
-                            JsonValue::object([("reason", JsonValue::Str(reason.name().into()))]),
-                        ),
-                    ]),
-                ));
+                let args = JsonValue::object([("reason", JsonValue::Str(reason.name().into()))]);
+                let name = format!("shed req {id}");
+                trace.instant(id, TID_ADMISSION, name, "shed", ts, Some(args));
             }
-            let phase_slice = |tid: u64, cat: &'static str, start: u64, end: u64, batch_id: u64| {
-                JsonValue::object([
-                    ("ph", JsonValue::Str("X".into())),
-                    ("pid", JsonValue::UInt(0)),
-                    ("tid", JsonValue::UInt(tid)),
-                    ("name", JsonValue::Str(format!("req {id}"))),
-                    ("cat", JsonValue::Str(cat.into())),
-                    ("ts", JsonValue::UInt(start)),
-                    ("dur", JsonValue::UInt(end.saturating_sub(start))),
-                    (
-                        "args",
-                        JsonValue::object([("batch", JsonValue::UInt(batch_id))]),
-                    ),
-                ])
+            let mut phase = |tid, cat, span, batch_id| {
+                let args = JsonValue::object([("batch", JsonValue::UInt(batch_id))]);
+                trace.slice(id, tid, format!("req {id}"), cat, span, args);
             };
             if let (Some(enq), Some((formed, batch_id, _))) = (life.enqueued, life.formed) {
-                timed.push((
-                    enq,
-                    *id,
-                    phase_slice(TID_QUEUE_WAIT, "queue_wait", enq, formed, batch_id),
-                ));
+                phase(TID_QUEUE_WAIT, "queue_wait", enq..formed, batch_id);
             }
             if let (Some((formed, batch_id, _)), Some((start, _))) = (life.formed, life.exec_start)
             {
-                timed.push((
-                    formed,
-                    *id,
-                    phase_slice(TID_BATCH_WAIT, "batch_wait", formed, start, batch_id),
-                ));
+                phase(TID_BATCH_WAIT, "batch_wait", formed..start, batch_id);
             }
         }
 
@@ -430,38 +379,14 @@ impl TraceSnapshot {
         // can retry more than once, so the per-request lifecycle
         // aggregation above cannot carry every timestamp).
         for r in &self.records {
-            let (name, cat, arg_key, arg_val) = match r.event {
-                RequestEvent::Retried { attempt } => (
-                    format!("retry req {}", r.trace_id),
-                    "retry",
-                    "attempt",
-                    u64::from(attempt),
-                ),
-                RequestEvent::Failed { attempts } => (
-                    format!("fail req {}", r.trace_id),
-                    "fail",
-                    "attempts",
-                    u64::from(attempts),
-                ),
+            let (cat, arg_key, arg_val) = match r.event {
+                RequestEvent::Retried { attempt } => ("retry", "attempt", attempt),
+                RequestEvent::Failed { attempts } => ("fail", "attempts", attempts),
                 _ => continue,
             };
-            timed.push((
-                r.ts,
-                r.trace_id,
-                JsonValue::object([
-                    ("ph", JsonValue::Str("i".into())),
-                    ("pid", JsonValue::UInt(0)),
-                    ("tid", JsonValue::UInt(TID_FAULTS)),
-                    ("name", JsonValue::Str(name)),
-                    ("cat", JsonValue::Str(cat.into())),
-                    ("ts", JsonValue::UInt(r.ts)),
-                    ("s", JsonValue::Str("t".into())),
-                    (
-                        "args",
-                        JsonValue::object([(arg_key, JsonValue::UInt(arg_val))]),
-                    ),
-                ]),
-            ));
+            let args = JsonValue::object([(arg_key, JsonValue::UInt(u64::from(arg_val)))]);
+            let name = format!("{cat} req {}", r.trace_id);
+            trace.instant(r.trace_id, TID_FAULTS, name, cat, r.ts, Some(args));
         }
 
         // One execution slice per batch on the executing worker's track.
@@ -491,109 +416,36 @@ impl TraceSnapshot {
             agg.end = agg.end.max(end);
             agg.requests += 1;
         }
-        for (batch_id, agg) in &batches {
-            let tid = WORKER_TID_BASE + u64::from(agg.worker);
-            timed.push((
-                agg.start,
+        for (&batch_id, agg) in &batches {
+            let args = JsonValue::object([
+                ("batch", JsonValue::UInt(batch_id)),
+                ("size", JsonValue::UInt(u64::from(agg.size))),
+                ("traced_requests", JsonValue::UInt(agg.requests)),
+            ]);
+            trace.slice(
                 u64::MAX - 1, // batch slices sort after request rows at the same ts
-                JsonValue::object([
-                    ("ph", JsonValue::Str("X".into())),
-                    ("pid", JsonValue::UInt(0)),
-                    ("tid", JsonValue::UInt(tid)),
-                    (
-                        "name",
-                        JsonValue::Str(format!("batch {batch_id} (n={})", agg.size)),
-                    ),
-                    ("cat", JsonValue::Str("exec".into())),
-                    ("ts", JsonValue::UInt(agg.start)),
-                    ("dur", JsonValue::UInt(agg.end.saturating_sub(agg.start))),
-                    (
-                        "args",
-                        JsonValue::object([
-                            ("batch", JsonValue::UInt(*batch_id)),
-                            ("size", JsonValue::UInt(u64::from(agg.size))),
-                            ("traced_requests", JsonValue::UInt(agg.requests)),
-                        ]),
-                    ),
-                ]),
-            ));
+                WORKER_TID_BASE + u64::from(agg.worker),
+                format!("batch {batch_id} (n={})", agg.size),
+                "exec",
+                agg.start..agg.end,
+                args,
+            );
         }
 
-        // Requests sitting between Enqueued and BatchFormed, as a
-        // counter series at every change point.
-        let mut deltas: Vec<(u64, i64)> = Vec::new();
-        for life in lifecycles.values() {
-            if let (Some(enq), Some((formed, _, _))) = (life.enqueued, life.formed) {
-                deltas.push((enq, 1));
-                deltas.push((formed, -1));
-            }
-        }
-        deltas.sort_unstable();
-        let mut level = 0i64;
-        let mut i = 0;
-        while i < deltas.len() {
-            let t = deltas[i].0;
-            while i < deltas.len() && deltas[i].0 == t {
-                level += deltas[i].1;
-                i += 1;
-            }
-            timed.push((
-                t,
-                u64::MAX, // counters sort after duration events at the same ts
-                JsonValue::object([
-                    ("ph", JsonValue::Str("C".into())),
-                    ("pid", JsonValue::UInt(0)),
-                    ("name", JsonValue::Str("waiting_requests".into())),
-                    ("ts", JsonValue::UInt(t)),
-                    (
-                        "args",
-                        JsonValue::object([("waiting", JsonValue::UInt(level.max(0) as u64))]),
-                    ),
-                ]),
-            ));
-        }
+        // Requests sitting between Enqueued and BatchFormed.
+        let waiting = lifecycles.values().filter_map(|life| {
+            let (enq, (formed, _, _)) = (life.enqueued?, life.formed?);
+            Some([(enq, 0, 1), (formed, 0, -1)])
+        });
+        trace.counter("waiting_requests", ["waiting"], waiting.flatten().collect());
 
-        timed.sort_by_key(|&(ts, tiebreak, _)| (ts, tiebreak));
-        events.extend(timed.into_iter().map(|(_, _, e)| e));
-
-        JsonValue::object([
-            ("displayTimeUnit", JsonValue::Str("ms".into())),
-            (
-                "metadata",
-                JsonValue::object([
-                    ("source", JsonValue::Str(format!("nsflow-serve: {process}"))),
-                    ("time_unit", JsonValue::Str(time_unit.to_string())),
-                    ("events", JsonValue::UInt(self.records.len() as u64)),
-                    ("dropped", JsonValue::UInt(self.dropped)),
-                ]),
-            ),
-            ("traceEvents", JsonValue::Array(events)),
-        ])
+        trace.finish(JsonValue::object([
+            ("source", JsonValue::Str(format!("nsflow-serve: {process}"))),
+            ("time_unit", JsonValue::Str(time_unit.to_string())),
+            ("events", JsonValue::UInt(self.records.len() as u64)),
+            ("dropped", JsonValue::UInt(self.dropped)),
+        ]))
     }
-}
-
-/// Chrome-trace metadata (`"ph": "M"`) event naming process 0.
-#[must_use]
-pub fn process_name_event(name: String) -> JsonValue {
-    JsonValue::object([
-        ("ph", JsonValue::Str("M".into())),
-        ("pid", JsonValue::UInt(0)),
-        ("name", JsonValue::Str("process_name".into())),
-        ("args", JsonValue::object([("name", JsonValue::Str(name))])),
-    ])
-}
-
-/// Chrome-trace metadata (`"ph": "M"`) event naming track `tid` of
-/// process 0.
-#[must_use]
-pub fn thread_name_event(tid: u64, name: String) -> JsonValue {
-    JsonValue::object([
-        ("ph", JsonValue::Str("M".into())),
-        ("pid", JsonValue::UInt(0)),
-        ("tid", JsonValue::UInt(tid)),
-        ("name", JsonValue::Str("thread_name".into())),
-        ("args", JsonValue::object([("name", JsonValue::Str(name))])),
-    ])
 }
 
 /// Track id layout for [`TraceSnapshot::to_chrome_trace`].

@@ -227,6 +227,50 @@ impl RpmTask {
     }
 }
 
+/// Infers one attribute's row rule from the two complete rows of
+/// `grid` (`grid[r][c][attribute]`, the `[2][2]` cell unread) and
+/// predicts the hidden panel's value: constant, then progression, then
+/// distribute-three, else the bottom row's middle value (so the
+/// pipeline stays total). `values` is the attribute's value count.
+#[must_use]
+pub fn predict_attribute(grid: &[[Vec<usize>; 3]; 3], attribute: usize, values: usize) -> usize {
+    let v = values;
+    let row = |r: usize, c: usize| grid[r][c][attribute];
+
+    // Constant: both complete rows are constant.
+    if row(0, 0) == row(0, 1)
+        && row(0, 1) == row(0, 2)
+        && row(1, 0) == row(1, 1)
+        && row(1, 1) == row(1, 2)
+    {
+        return row(2, 0);
+    }
+    // Progression: consistent step within and across the two rows.
+    let step0 = (row(0, 1) + v - row(0, 0)) % v;
+    if step0 != 0
+        && (row(0, 2) + v - row(0, 1)) % v == step0
+        && (row(1, 1) + v - row(1, 0)) % v == step0
+        && (row(1, 2) + v - row(1, 1)) % v == step0
+    {
+        return (row(2, 1) + step0) % v;
+    }
+    // Distribute-three: rows share a value triple.
+    let mut t0 = [row(0, 0), row(0, 1), row(0, 2)];
+    let mut t1 = [row(1, 0), row(1, 1), row(1, 2)];
+    t0.sort_unstable();
+    t1.sort_unstable();
+    if t0 == t1 && t0[0] != t0[1] && t0[1] != t0[2] {
+        // The missing element of the triple in row 2.
+        for &cand in &t0 {
+            if cand != row(2, 0) && cand != row(2, 1) {
+                return cand;
+            }
+        }
+    }
+    // Fallback: copy the neighbour.
+    row(2, 1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,5 +374,20 @@ mod tests {
         let a = generate(&TaskParams::default(), &mut StdRng::seed_from_u64(5));
         let b = generate(&TaskParams::default(), &mut StdRng::seed_from_u64(5));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn rule_prediction_constant_progression_distribute() {
+        // Hand-built decoded grid: attr0 constant 5, attr1 progression +1
+        // from 2, attr2 distribute-three {1,4,6}.
+        let mk = |a0: usize, a1: usize, a2: usize| vec![a0, a1, a2];
+        let d: [[Vec<usize>; 3]; 3] = [
+            [mk(5, 2, 1), mk(5, 3, 4), mk(5, 4, 6)],
+            [mk(5, 4, 4), mk(5, 5, 6), mk(5, 6, 1)],
+            [mk(5, 6, 6), mk(5, 7, 1), vec![0, 0, 0]],
+        ];
+        assert_eq!(predict_attribute(&d, 0, 8), 5);
+        assert_eq!(predict_attribute(&d, 1, 8), 0); // (7+1) mod 8
+        assert_eq!(predict_attribute(&d, 2, 8), 4); // missing from {1,4,6}
     }
 }

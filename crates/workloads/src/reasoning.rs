@@ -30,7 +30,7 @@ use nsflow_vsa::fft;
 use nsflow_vsa::resonator::ResonatorConfig;
 use nsflow_vsa::{BlockCode, Codebook};
 
-use crate::raven::RpmTask;
+use crate::raven::{predict_attribute, RpmTask};
 
 /// Precision and geometry configuration of the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -406,11 +406,7 @@ impl VsaReasoner {
         assert_eq!(task.values, self.values, "value count mismatch");
 
         // ① Perceive and ② factorize the eight context panels.
-        let mut decoded = [
-            [vec![], vec![], vec![]],
-            [vec![], vec![], vec![]],
-            [vec![], vec![], vec![]],
-        ];
+        let mut decoded: [[Vec<usize>; 3]; 3] = Default::default();
         for (r, row) in task.grid.iter().enumerate() {
             for (c, cell) in row.iter().enumerate() {
                 if r == 2 && c == 2 {
@@ -423,7 +419,7 @@ impl VsaReasoner {
 
         // ③ Infer the rule per attribute and predict the hidden panel.
         let predicted: Vec<usize> = (0..task.attributes)
-            .map(|a| self.predict_attribute(&decoded, a))
+            .map(|a| predict_attribute(&decoded, a, self.values))
             .collect();
 
         // ④ Score candidates against the predicted panel's encoding.
@@ -447,45 +443,6 @@ impl VsaReasoner {
             candidate_sims: sims,
         }
     }
-
-    /// Rule inference for one attribute from the decoded context.
-    fn predict_attribute(&self, d: &[[Vec<usize>; 3]; 3], a: usize) -> usize {
-        let v = self.values;
-        let row = |r: usize, c: usize| d[r][c][a];
-
-        // Constant: both complete rows are constant.
-        if row(0, 0) == row(0, 1)
-            && row(0, 1) == row(0, 2)
-            && row(1, 0) == row(1, 1)
-            && row(1, 1) == row(1, 2)
-        {
-            return row(2, 0);
-        }
-        // Progression: consistent step within and across the two rows.
-        let step0 = (row(0, 1) + v - row(0, 0)) % v;
-        if step0 != 0
-            && (row(0, 2) + v - row(0, 1)) % v == step0
-            && (row(1, 1) + v - row(1, 0)) % v == step0
-            && (row(1, 2) + v - row(1, 1)) % v == step0
-        {
-            return (row(2, 1) + step0) % v;
-        }
-        // Distribute-three: rows share a value triple.
-        let mut t0 = [row(0, 0), row(0, 1), row(0, 2)];
-        let mut t1 = [row(1, 0), row(1, 1), row(1, 2)];
-        t0.sort_unstable();
-        t1.sort_unstable();
-        if t0 == t1 && t0[0] != t0[1] && t0[1] != t0[2] {
-            // The missing element of the triple in row 2.
-            for &cand in &t0 {
-                if cand != row(2, 0) && cand != row(2, 1) {
-                    return cand;
-                }
-            }
-        }
-        // Fallback: copy the neighbour (keeps the pipeline total).
-        row(2, 1)
-    }
 }
 
 fn quantize_codebook(book: &Codebook, dtype: DType) -> Codebook {
@@ -505,7 +462,7 @@ fn quantize_codebook(book: &Codebook, dtype: DType) -> Codebook {
 /// symmetric scale, matching the per-block scale registers of the NSFlow
 /// datapath (block boundaries are hardware tile boundaries, so per-block
 /// scaling is free).
-fn quantize_code(code: &mut BlockCode, dtype: DType) {
+pub(crate) fn quantize_code(code: &mut BlockCode, dtype: DType) {
     match dtype {
         DType::Fp32 => {}
         DType::Fp16 => {
@@ -543,7 +500,7 @@ fn quant_step(code: &BlockCode, dtype: DType) -> f32 {
 }
 
 /// Cheap approximately-normal draw (sum of uniforms).
-fn gaussianish(rng: &mut StdRng) -> f32 {
+pub(crate) fn gaussianish(rng: &mut StdRng) -> f32 {
     (0..6).map(|_| rng.gen::<f32>()).sum::<f32>() * 2.0 - 6.0
 }
 
@@ -658,31 +615,6 @@ mod tests {
             acc_int4 <= acc_fp32 + 1,
             "INT4 {acc_int4} vs FP32 {acc_fp32}"
         );
-    }
-
-    #[test]
-    fn rule_prediction_constant_progression_distribute() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let r = VsaReasoner::new(
-            3,
-            8,
-            PipelineConfig {
-                noise_std: 0.0,
-                ..small_config()
-            },
-            &mut rng,
-        );
-        // Hand-built decoded grid: attr0 constant 5, attr1 progression +1
-        // from 2, attr2 distribute-three {1,4,6}.
-        let mk = |a0: usize, a1: usize, a2: usize| vec![a0, a1, a2];
-        let d: [[Vec<usize>; 3]; 3] = [
-            [mk(5, 2, 1), mk(5, 3, 4), mk(5, 4, 6)],
-            [mk(5, 4, 4), mk(5, 5, 6), mk(5, 6, 1)],
-            [mk(5, 6, 6), mk(5, 7, 1), vec![0, 0, 0]],
-        ];
-        assert_eq!(r.predict_attribute(&d, 0), 5);
-        assert_eq!(r.predict_attribute(&d, 1), 0); // (7+1) mod 8
-        assert_eq!(r.predict_attribute(&d, 2), 4); // missing from {1,4,6}
     }
 
     #[test]

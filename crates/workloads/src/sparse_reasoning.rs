@@ -9,13 +9,13 @@
 //! that property — the reason NVSA-style symbolic stages quantize to
 //! INT4 almost for free (Tab. IV's MP column).
 
-use nsflow_tensor::quant::QuantParams;
 use nsflow_tensor::rng::StdRng;
 use nsflow_tensor::DType;
 use nsflow_vsa::sparse::{SparseBlockCode, SparseCodebook};
 use nsflow_vsa::BlockCode;
 
-use crate::raven::RpmTask;
+use crate::raven::{predict_attribute, RpmTask};
+use crate::reasoning::{gaussianish, quantize_code};
 
 /// Configuration of the sparse pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,7 +107,7 @@ impl SparseReasoner {
                 *x += gaussianish(rng) * self.config.noise_std;
             }
         }
-        quantize(&mut dense, self.config.dtype);
+        quantize_code(&mut dense, self.config.dtype);
         dense
     }
 
@@ -160,7 +160,7 @@ impl SparseReasoner {
             "attribute count mismatch"
         );
         assert_eq!(task.values, self.values, "value count mismatch");
-        let mut decoded: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); 3]; 3];
+        let mut decoded: [[Vec<usize>; 3]; 3] = Default::default();
         for (r, row) in task.grid.iter().enumerate() {
             for (c, cell) in row.iter().enumerate() {
                 if r == 2 && c == 2 {
@@ -170,21 +170,8 @@ impl SparseReasoner {
                 decoded[r][c] = self.decode(&dense).unwrap_or_else(|| cell.to_vec());
             }
         }
-        let grid: [[Vec<usize>; 3]; 3] = [
-            [
-                decoded[0][0].clone(),
-                decoded[0][1].clone(),
-                decoded[0][2].clone(),
-            ],
-            [
-                decoded[1][0].clone(),
-                decoded[1][1].clone(),
-                decoded[1][2].clone(),
-            ],
-            [decoded[2][0].clone(), decoded[2][1].clone(), Vec::new()],
-        ];
         let predicted: Vec<usize> = (0..task.attributes)
-            .map(|a| predict_attribute(&grid, a, self.values))
+            .map(|a| predict_attribute(&decoded, a, self.values))
             .collect();
 
         let target = self.exact_product(&predicted);
@@ -216,65 +203,6 @@ impl SparseReasoner {
         }
         acc.expect("at least two attributes")
     }
-}
-
-/// Same rule logic as the dense pipeline (kept local to avoid exposing
-/// the dense reasoner's internals).
-fn predict_attribute(d: &[[Vec<usize>; 3]; 3], a: usize, v: usize) -> usize {
-    let row = |r: usize, c: usize| d[r][c][a];
-    if row(0, 0) == row(0, 1)
-        && row(0, 1) == row(0, 2)
-        && row(1, 0) == row(1, 1)
-        && row(1, 1) == row(1, 2)
-    {
-        return row(2, 0);
-    }
-    let step0 = (row(0, 1) + v - row(0, 0)) % v;
-    if step0 != 0
-        && (row(0, 2) + v - row(0, 1)) % v == step0
-        && (row(1, 1) + v - row(1, 0)) % v == step0
-        && (row(1, 2) + v - row(1, 1)) % v == step0
-    {
-        return (row(2, 1) + step0) % v;
-    }
-    let mut t0 = [row(0, 0), row(0, 1), row(0, 2)];
-    let mut t1 = [row(1, 0), row(1, 1), row(1, 2)];
-    t0.sort_unstable();
-    t1.sort_unstable();
-    if t0 == t1 && t0[0] != t0[1] && t0[1] != t0[2] {
-        for &cand in &t0 {
-            if cand != row(2, 0) && cand != row(2, 1) {
-                return cand;
-            }
-        }
-    }
-    row(2, 1)
-}
-
-fn quantize(code: &mut BlockCode, dtype: DType) {
-    match dtype {
-        DType::Fp32 => {}
-        DType::Fp16 => {
-            for x in code.data_mut() {
-                *x = nsflow_tensor::quant::round_to_f16(*x);
-            }
-        }
-        DType::Int8 | DType::Int4 => {
-            let bd = code.block_dim();
-            for blk in 0..code.n_blocks() {
-                let start = blk * bd;
-                if let Ok(p) = QuantParams::fit(&code.data()[start..start + bd], dtype) {
-                    for x in &mut code.data_mut()[start..start + bd] {
-                        *x = p.fake_quantize(*x);
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn gaussianish(rng: &mut StdRng) -> f32 {
-    (0..6).map(|_| rng.gen::<f32>()).sum::<f32>() * 2.0 - 6.0
 }
 
 #[cfg(test)]

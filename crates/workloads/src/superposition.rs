@@ -9,10 +9,11 @@
 //! and precision — the MIMONet-side counterpart of the Tab. IV study
 //! ("similar results are observed in MIMONet/LVRF on CVR/SVRT datasets").
 
-use nsflow_tensor::quant::QuantParams;
 use nsflow_tensor::rng::StdRng;
 use nsflow_tensor::DType;
 use nsflow_vsa::{ops, BlockCode, Codebook};
+
+use crate::reasoning::quantize_code;
 
 /// Configuration of a capacity measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,7 +102,7 @@ pub fn measure_capacity(
             .collect();
         let mut bundle = ops::bundle(bound.iter()).expect("non-empty");
         bundle.normalize();
-        quantize(&mut bundle, config.dtype);
+        quantize_code(&mut bundle, config.dtype);
 
         // Retrieve each slot.
         for (slot, &item) in chosen.iter().enumerate() {
@@ -116,28 +117,6 @@ pub fn measure_capacity(
         superposition,
         retrieval_accuracy: correct as f64 / total.max(1) as f64,
         trials,
-    }
-}
-
-fn quantize(code: &mut BlockCode, dtype: DType) {
-    match dtype {
-        DType::Fp32 => {}
-        DType::Fp16 => {
-            for x in code.data_mut() {
-                *x = nsflow_tensor::quant::round_to_f16(*x);
-            }
-        }
-        DType::Int8 | DType::Int4 => {
-            let bd = code.block_dim();
-            for blk in 0..code.n_blocks() {
-                let start = blk * bd;
-                if let Ok(p) = QuantParams::fit(&code.data()[start..start + bd], dtype) {
-                    for x in &mut code.data_mut()[start..start + bd] {
-                        *x = p.fake_quantize(*x);
-                    }
-                }
-            }
-        }
     }
 }
 

@@ -292,6 +292,41 @@ fn random_graph_schedules_match_pinned_digests() {
     check(&[("random pooled".to_string(), pooled.0)], &RANDOM_DIGESTS);
 }
 
+/// Cycles in which at least two of NN/VSA/SIMD have an op in flight,
+/// counted one cycle at a time: the oracle for `classes_overlap_cycles`.
+fn overlap_per_cycle(schedule: &Schedule) -> u64 {
+    let mut active = vec![0u8; schedule.total_cycles() as usize];
+    for so in schedule.ops() {
+        for classes in &mut active[so.start as usize..so.end as usize] {
+            *classes |= 1 << resource_code(so.resource);
+        }
+    }
+    active.iter().filter(|c| c.count_ones() >= 2).count() as u64
+}
+
+#[test]
+fn classes_overlap_matches_a_per_cycle_count() {
+    let workloads = designs().into_iter().map(|(name, design)| {
+        let options = design_options(&design);
+        let s = run_pooled(&design.graph, design.array(), design.mapping(), &options);
+        (name.to_string(), s)
+    });
+    let random = (0..RANDOM_CASES).map(|seed| {
+        let (graph, cfg, mapping, options) = random_case(seed);
+        (
+            format!("random {seed}"),
+            run_pooled(&graph, &cfg, &mapping, &options),
+        )
+    });
+    let mut overlapping = 0;
+    for (case, schedule) in workloads.chain(random) {
+        let overlap = schedule.classes_overlap_cycles();
+        assert_eq!(overlap, overlap_per_cycle(&schedule), "{case}");
+        overlapping += usize::from(overlap > 0);
+    }
+    assert!(overlapping > 4, "only {overlapping} cases overlap at all");
+}
+
 const CHROME_TRACE_DIGESTS: [(&str, u64); 1] = [("LVRF x2 pooled", 0x9cdb7f9875869098)];
 
 #[test]
