@@ -4,8 +4,8 @@
 //! the two dataflows the paper describes — the **passing-register circular
 //! convolution stream** (Fig. 3(b)) and the **weight-stationary GEMM** —
 //! element by element, and its outputs and cycle counts are cross-checked
-//! in tests against the functional kernels (`nsflow-vsa`, `nsflow-nn`) and
-//! the analytical model (eqs. (1), (3)/(4)).
+//! in tests against the functional kernels (`nsflow_vsa::{ops, gemm}`)
+//! and the analytical model (eqs. (1), (3)/(4)).
 //!
 //! ## Circular-convolution column
 //!
@@ -377,9 +377,8 @@ mod tests {
     use super::*;
     use crate::analytical;
     use crate::ArrayConfig;
-    use nsflow_nn::gemm;
     use nsflow_tensor::rng::StdRng;
-    use nsflow_vsa::ops;
+    use nsflow_vsa::{gemm, ops};
 
     fn randvec(n: usize, rng: &mut StdRng) -> Vec<f32> {
         (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect()

@@ -69,13 +69,6 @@ impl ArrayConfig {
     pub fn total_pes(&self) -> usize {
         self.height * self.width * self.n_subarrays
     }
-
-    /// Aspect ratio `H/W` as a float — Phase I prunes configurations to
-    /// `1/4 ≤ H/W ≤ 16` (Tab. II).
-    #[must_use]
-    pub fn aspect_ratio(&self) -> f64 {
-        self.height as f64 / self.width as f64
-    }
 }
 
 impl fmt::Display for ArrayConfig {
@@ -262,7 +255,6 @@ mod tests {
         assert!(ArrayConfig::new(32, 16, 0).is_err());
         let c = ArrayConfig::new(32, 16, 16).unwrap();
         assert_eq!(c.total_pes(), 8192);
-        assert_eq!(c.aspect_ratio(), 2.0);
         assert_eq!(c.to_string(), "32×16×16");
     }
 

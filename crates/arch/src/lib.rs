@@ -21,8 +21,8 @@
 //!   eqs. (1)–(5),
 //! - [`adarray::microsim`]: a register-level cycle simulator of the PE
 //!   grid (the reproduction's stand-in for RTL verification) that also
-//!   checks *functional* outputs against `nsflow-vsa`/`nsflow-nn`
-//!   reference kernels.
+//!   checks *functional* outputs against the `nsflow-vsa` reference
+//!   kernels.
 //!
 //! # Examples
 //!

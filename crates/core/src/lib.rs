@@ -31,25 +31,6 @@
 
 use std::fmt;
 
-/// The request-level fan-out utility ([`par::parallel_map`],
-/// [`par::KernelOptions`]) the serving executor runs a batch's requests
-/// on. Physically hosted in
-/// `nsflow-tensor` (the dependency-free base crate) so every kernel crate
-/// can reach it; re-exported here as the framework-level name.
-pub use nsflow_tensor::par;
-
-/// The workspace's one seeded random-number generator
-/// ([`rng::StdRng`], [`rng::SplitMix64`], [`rng::mix64`]). Hosted in
-/// `nsflow-tensor` next to [`par`]; re-exported here as the
-/// framework-level name.
-pub use nsflow_tensor::rng;
-
-/// The workspace observability layer: metrics registry, span timers and
-/// deterministic [`telemetry::TelemetrySnapshot`] JSON snapshots.
-/// Physically hosted in `nsflow-telemetry`; re-exported here as the
-/// framework-level name.
-pub use nsflow_telemetry as telemetry;
-
 use nsflow_arch::memory::{MemoryPlan, TransferModel};
 use nsflow_arch::{analytical, simd, ArrayConfig, Mapping, PrecisionConfig};
 use nsflow_dse::{explore, DseOptions, DseResult};

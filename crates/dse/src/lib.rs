@@ -246,7 +246,7 @@ mod tests {
     fn explore_respects_aspect_bounds() {
         let g = nvsa_like(8);
         let r = explore(&g, &DseOptions::default());
-        let ar = r.config.aspect_ratio();
+        let ar = r.config.height() as f64 / r.config.width() as f64;
         assert!((0.25..=16.0).contains(&ar), "aspect {ar}");
     }
 

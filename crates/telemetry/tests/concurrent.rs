@@ -1,8 +1,8 @@
 //! Counters are lossless under concurrent increments from the shared
-//! `nsflow_core::par` thread pool.
+//! `nsflow_tensor::par` thread pool.
 
-use nsflow_core::par::parallel_map;
 use nsflow_telemetry as telemetry;
+use nsflow_tensor::par::parallel_map;
 
 #[test]
 fn concurrent_increments_are_lossless() {

@@ -5,10 +5,10 @@
 //! with `Ok` or an error, never a panic. Each property runs over seeds
 //! `0..CASES`; a failure names its seed.
 
-use nsflow_core::rng::StdRng;
 use nsflow_telemetry::{
     prom, HistogramSnapshot, JsonValue, SpanSnapshot, TelemetrySnapshot, BUCKETS,
 };
+use nsflow_tensor::rng::StdRng;
 use std::collections::BTreeMap;
 
 /// Cases per property.

@@ -1,14 +1,11 @@
 //! # nsflow-tensor
 //!
-//! Shared shape and mixed-precision numerics substrate for the NSFlow
-//! reproduction.
+//! Shared mixed-precision numerics substrate for the NSFlow reproduction.
 //!
 //! The NSFlow hardware template supports mixed precision "ranging from
 //! FP16/8 to INT8/4 in different components of the workload" (paper
 //! Sec. IV-D). This crate provides:
 //!
-//! - [`Shape`]: the row-major tensor shape the `nsflow-nn` layer algebra
-//!   derives GEMM dimensions and footprints from,
 //! - [`DType`]: the precision lattice (FP32, FP16, INT8, INT4) with exact
 //!   bit/byte accounting used for memory-footprint results (paper Tab. IV),
 //! - [`quant`]: symmetric fixed-point quantization and software FP16
@@ -36,7 +33,6 @@
 
 mod dtype;
 mod error;
-mod shape;
 
 pub mod par;
 pub mod quant;
@@ -44,7 +40,6 @@ pub mod rng;
 
 pub use dtype::DType;
 pub use error::TensorError;
-pub use shape::Shape;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, TensorError>;

@@ -15,7 +15,7 @@
 //!   spectra (for spectral-domain superposition), a flat row-major
 //!   codeword matrix, and the per-codeword norms. Cleanup, similarity
 //!   scans, and softmax projections become one matvec over the matrix
-//!   ([`nsflow_nn::gemm::matvec`]) plus a scale — and are
+//!   ([`crate::gemm::matvec`]) plus a scale — and are
 //!   **bit-identical** to the reference `Codebook` methods, because the
 //!   matvec folds each row in the same left-to-right order as
 //!   [`BlockCode::similarity`].
@@ -76,10 +76,10 @@
 use std::borrow::Cow;
 use std::sync::OnceLock;
 
-use nsflow_nn::gemm;
 use nsflow_telemetry as telemetry;
 
 use crate::fft::{self, Complex, FftPlan};
+use crate::gemm;
 use crate::resonator::{Factorization, Resonator, ResonatorConfig};
 use crate::{ops, BlockCode, Codebook, Result, VsaError};
 

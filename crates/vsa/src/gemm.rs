@@ -4,6 +4,10 @@
 //! mode. The architecture tests cross-check the systolic microsimulator's
 //! outputs against [`matmul`]; [`matvec`] runs the spectral codebook's
 //! similarity scans.
+//!
+//! Both count into the `nn.gemm_reference_calls` and `nn.flops_reference`
+//! counters, named for the NN mode they model; the benchmark reports and
+//! the committed bench baselines key on those names.
 
 use nsflow_telemetry as telemetry;
 

@@ -17,6 +17,8 @@
 //! - [`ops`]: circular convolution/correlation, bundling, similarity,
 //! - [`Codebook`]: random item memories (bipolar and unitary) with cleanup,
 //! - [`fft`]: O(d·log d) convolution/correlation for software consumers,
+//! - [`gemm`]: the dense `matmul`/`matvec` kernels the AdArray performs in
+//!   NN mode,
 //! - [`engine`]: spectral-cached codebook + resonator kernels for the
 //!   functional workload path,
 //! - [`sparse`]: sparse block codes (the one-hot-per-block family NVSA
@@ -48,6 +50,7 @@ mod error;
 
 pub mod engine;
 pub mod fft;
+pub mod gemm;
 pub mod ops;
 pub mod resonator;
 pub mod sparse;

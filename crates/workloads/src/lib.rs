@@ -31,6 +31,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod nn;
+
 pub mod accuracy;
 pub mod raven;
 pub mod reasoning;

@@ -3,18 +3,20 @@
 //!
 //! Each builder reproduces the workload's operator mix at the level the
 //! NSFlow frontend consumes: CNN backbones expand into per-layer GEMM +
-//! SIMD ops (shapes from `nsflow-nn`), symbolic stages into blockwise
-//! circular-convolution, similarity and reduction kernels with NVSA-style
-//! block-code geometry (`[4, 256]`-class codes, Listing 1). One **loop**
-//! is one candidate evaluation; RPM-style workloads run 8 loops.
+//! SIMD ops (shapes from the crate's `nn` layer algebra), symbolic stages
+//! into blockwise circular-convolution, similarity and reduction kernels
+//! with NVSA-style block-code geometry (`[4, 256]`-class codes,
+//! Listing 1). One **loop** is one candidate evaluation; RPM-style
+//! workloads run 8 loops.
 //!
 //! Proportions follow the paper's characterization: NVSA's symbolic ops
 //! are ~19% of FLOPs (yet dominate runtime on GPU-class devices);
 //! MIMONet is NN-heavier; LVRF/PrAE are symbolic-heavier.
 
-use nsflow_nn::{models, LayerKind, Model};
 use nsflow_tensor::DType;
 use nsflow_trace::{Domain, EltFunc, ExecutionTrace, OpId, OpKind, ReduceFunc, TraceBuilder};
+
+use crate::nn::{models, LayerKind, Model};
 
 /// A workload: its trace plus the model-size facts the Tab. IV memory row
 /// needs.

@@ -8,9 +8,8 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`tensor`] | `nsflow-tensor` | dense tensors, mixed-precision numerics |
-//! | [`vsa`] | `nsflow-vsa` | block codes, circular-convolution binding, resonators |
-//! | [`nn`] | `nsflow-nn` | CNN layer/shape algebra + functional executor |
+//! | [`tensor`] | `nsflow-tensor` | mixed-precision numerics, seeded RNG, batch fan-out |
+//! | [`vsa`] | `nsflow-vsa` | block codes, circular-convolution binding, resonators, GEMM kernels |
 //! | [`trace`] | `nsflow-trace` | execution-trace IR + FX-style parser |
 //! | [`graph`] | `nsflow-graph` | dataflow-graph generation (critical path, parallelism, memory) |
 //! | [`arch`] | `nsflow-arch` | AdArray + SIMD + memory hardware template, analytical models, microsim |
@@ -45,7 +44,6 @@ pub use nsflow_core as core;
 pub use nsflow_dse as dse;
 pub use nsflow_fpga as fpga;
 pub use nsflow_graph as graph;
-pub use nsflow_nn as nn;
 pub use nsflow_serve as serve;
 pub use nsflow_sim as sim;
 pub use nsflow_telemetry as telemetry;

@@ -7,12 +7,12 @@ use nsflow::arch::adarray::microsim;
 use nsflow::arch::{analytical, ArrayConfig};
 use nsflow::dse::{explore, DseOptions};
 use nsflow::graph::DataflowGraph;
-use nsflow::nn::gemm;
 use nsflow::sim::schedule::{self, SimOptions};
 use nsflow::tensor::quant::QuantParams;
 use nsflow::tensor::rng::StdRng;
 use nsflow::tensor::DType;
 use nsflow::trace::{Domain, OpKind, TraceBuilder};
+use nsflow::vsa::gemm;
 use nsflow::vsa::ops;
 
 /// Cases per property.
