@@ -383,6 +383,8 @@ impl ServeCore {
             }
             histogram!("serve.exec_ticks").record(exec);
             tally.batches += 1;
+            let batch_size =
+                u32::try_from(members.len()).expect("a batch holds fewer than 2^32 requests");
             let responses: Vec<Response> = members
                 .iter()
                 .zip(answers)
@@ -390,14 +392,7 @@ impl ServeCore {
                     for event in [RequestEvent::ExecEnd { worker }, RequestEvent::Responded] {
                         self.emit(&mut tally, request.id, done, event);
                     }
-                    let response = Response {
-                        id: request.id,
-                        kind: request.kind,
-                        answer,
-                        arrival: request.arrival,
-                        completed: done,
-                        batch_size: members.len(),
-                    };
+                    let response = Response::new(request, answer, batch_size, done);
                     histogram!("serve.latency_ticks").record(response.latency());
                     response
                 })

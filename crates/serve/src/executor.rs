@@ -8,15 +8,20 @@
 //! | nvsa    | [`VsaReasoner`] over a RAVEN-like task                  |
 //! | prae    | [`VsaReasoner`] over a PGM-difficulty task              |
 //! | lvrf    | [`SparseReasoner`] (sparse block codes)                 |
-//! | mimonet | [`superposition::measure_capacity`] retrieval           |
+//! | mimonet | [`SuperpositionMemory::measure`] retrieval              |
 //!
 //! **Determinism contract:** every random draw a request needs — task
-//! generation, perception noise — comes from an RNG seeded with the
-//! request's own `seed` (salted per kind). The reasoners' codebooks are
-//! built once from fixed seeds. An answer therefore depends *only* on
-//! `(kind, seed)` — never on batch composition, worker count, or
-//! arrival order — which is what the determinism tests and the
-//! single-thread CI cell assert.
+//! generation, perception noise, MIMONet's chosen items — comes from an
+//! RNG seeded with the request's own `seed` (salted per kind). The
+//! reasoners' codebooks and MIMONet's item and key memories are built
+//! once from fixed seeds; MIMONet's on first use, since a server that
+//! never sees a MIMONet request need not pay for them. An answer
+//! therefore depends *only* on `(kind, seed)` — never on batch
+//! composition, worker count, arrival order, or which request built the
+//! memory — which is what the determinism tests and the single-thread
+//! CI cell assert.
+
+use std::sync::OnceLock;
 
 use nsflow_tensor::par::KernelOptions;
 use nsflow_tensor::rng::StdRng;
@@ -24,7 +29,7 @@ use nsflow_workloads::raven;
 use nsflow_workloads::reasoning::VsaReasoner;
 use nsflow_workloads::sparse_reasoning::{SparsePipelineConfig, SparseReasoner};
 use nsflow_workloads::suites::Suite;
-use nsflow_workloads::superposition::{self, CapacityConfig};
+use nsflow_workloads::superposition::{CapacityConfig, SuperpositionMemory};
 
 use crate::request::{Request, WorkloadKind};
 
@@ -33,6 +38,7 @@ use crate::request::{Request, WorkloadKind};
 const NVSA_CODEBOOK_SEED: u64 = 0x6e76_7361; // "nvsa"
 const PRAE_CODEBOOK_SEED: u64 = 0x7072_6165; // "prae"
 const LVRF_CODEBOOK_SEED: u64 = 0x6c76_7266; // "lvrf"
+const MIMONET_CODEBOOK_SEED: u64 = 0x6d69_6d6f; // "mimo"
 
 /// Per-kind salt so the same client seed yields independent streams on
 /// different workloads.
@@ -58,7 +64,8 @@ pub struct ExecutorConfig {
     /// accuracy harness (64) — latency matters more than reproducing
     /// Tab. IV margins here.
     pub block_dim: usize,
-    /// MIMONet superposition width per request.
+    /// MIMONet superposition width per request (also the number of keys
+    /// in MIMONet's memory).
     pub superposition: usize,
     /// MIMONet retrieval trials per request.
     pub trials: usize,
@@ -93,7 +100,8 @@ pub struct Executor {
     nvsa: VsaReasoner,
     prae: VsaReasoner,
     lvrf: SparseReasoner,
-    mimonet: CapacityConfig,
+    /// Built by the first MIMONet request, from [`MIMONET_CODEBOOK_SEED`].
+    mimonet: OnceLock<SuperpositionMemory>,
     config: ExecutorConfig,
 }
 
@@ -137,18 +145,28 @@ impl Executor {
             &mut StdRng::seed_from_u64(LVRF_CODEBOOK_SEED),
         );
 
-        let mimonet = CapacityConfig {
-            block_dim: config.block_dim,
-            ..CapacityConfig::default()
-        };
-
         Executor {
             nvsa,
             prae,
             lvrf,
-            mimonet,
+            mimonet: OnceLock::new(),
             config,
         }
+    }
+
+    /// MIMONet's item and key memories, built on first use.
+    fn mimonet(&self) -> &SuperpositionMemory {
+        self.mimonet.get_or_init(|| {
+            let config = CapacityConfig {
+                block_dim: self.config.block_dim,
+                ..CapacityConfig::default()
+            };
+            SuperpositionMemory::new(
+                config,
+                self.config.superposition,
+                &mut StdRng::seed_from_u64(MIMONET_CODEBOOK_SEED),
+            )
+        })
     }
 
     /// The configuration the executor was built with.
@@ -177,12 +195,9 @@ impl Executor {
                 self.lvrf.solve(&task, &mut rng) as u64
             }
             WorkloadKind::Mimonet => {
-                let report = superposition::measure_capacity(
-                    &self.mimonet,
-                    self.config.superposition,
-                    self.config.trials,
-                    &mut rng,
-                );
+                let report =
+                    self.mimonet()
+                        .measure(self.config.superposition, self.config.trials, &mut rng);
                 (report.retrieval_accuracy * 1000.0).round() as u64
             }
         }

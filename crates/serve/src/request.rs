@@ -180,6 +180,11 @@ pub struct SubmitOptions {
 }
 
 /// A completed inference.
+///
+/// The serving core keeps every response until shutdown, so a response
+/// holds only what a client reads back, in 32 bytes; the admission and
+/// completion ticks of each request are in the flight recorder
+/// (its `Admitted` and `Responded` events).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
     /// Id of the originating [`Request`].
@@ -190,19 +195,29 @@ pub struct Response {
     /// the RPM workloads (NVSA/LVRF/PrAE), and the retrieval-accuracy
     /// permille (0..=1000) for MIMONet.
     pub answer: u64,
-    /// Tick the request was admitted.
-    pub arrival: u64,
-    /// Tick the batch containing the request completed.
-    pub completed: u64,
     /// Size of the batch the request was executed in.
-    pub batch_size: usize,
+    pub batch_size: u32,
+    /// Ticks from admission until the request's batch completed.
+    latency: u64,
 }
 
 impl Response {
+    /// The response to `request`, answered `answer` by a batch of
+    /// `batch_size` that completed at tick `completed`.
+    pub(crate) fn new(request: &Request, answer: u64, batch_size: u32, completed: u64) -> Self {
+        Response {
+            id: request.id,
+            kind: request.kind,
+            answer,
+            batch_size,
+            latency: completed.saturating_sub(request.arrival),
+        }
+    }
+
     /// Queue + batching + execution latency in ticks.
     #[must_use]
     pub fn latency(&self) -> u64 {
-        self.completed.saturating_sub(self.arrival)
+        self.latency
     }
 }
 
@@ -349,15 +364,14 @@ mod tests {
     }
 
     #[test]
+    fn retained_response_is_thirty_two_bytes() {
+        // The serving core keeps every response until shutdown.
+        assert_eq!(std::mem::size_of::<Response>(), 32);
+    }
+
+    #[test]
     fn latency_saturates() {
-        let r = Response {
-            id: 0,
-            kind: WorkloadKind::Nvsa,
-            answer: 0,
-            arrival: 10,
-            completed: 4,
-            batch_size: 1,
-        };
+        let r = Response::new(&Request::new(0, WorkloadKind::Nvsa, 0, 10), 0, 1, 4);
         assert_eq!(r.latency(), 0);
     }
 }

@@ -384,16 +384,18 @@ pub fn run(config: &SimConfig, cost: &CostModel, executor: Option<&Executor>) ->
 
     let serve = core.report();
     let latency = PhaseStats::from_samples(serve.responses.iter().map(|r| r.latency()).collect());
+    // Request `i` is `arrivals[i]`, so its completion tick is its arrival
+    // plus its latency.
     let makespan = serve
         .responses
         .iter()
-        .map(|r| r.completed)
+        .map(|r| arrivals[r.id as usize].arrival + r.latency())
         .max()
         .unwrap_or(0);
     // An executed batch of size n answers n requests.
     let mut batch_hist: BTreeMap<usize, u64> = BTreeMap::new();
     for response in &serve.responses {
-        *batch_hist.entry(response.batch_size).or_insert(0) += 1;
+        *batch_hist.entry(response.batch_size as usize).or_insert(0) += 1;
     }
     for (size, count) in &mut batch_hist {
         *count /= *size as u64;

@@ -44,7 +44,6 @@ fn serves_every_workload_kind_end_to_end() {
         assert_eq!(response.id, *id);
         assert_eq!(response.kind, *kind);
         assert!(response.batch_size >= 1 && response.batch_size <= 4);
-        assert!(response.completed >= response.arrival);
         let reference = direct.execute(&Request::new(*id, *kind, *seed, 0));
         assert_eq!(
             response.answer, reference,
@@ -110,7 +109,7 @@ fn stats_snapshot_is_monotonic() {
     assert!(report.stats.completed >= mid.completed);
     assert_eq!(report.stats.completed, 6);
     // Batch-size bookkeeping: per-response sizes sum to the total.
-    let size_sum: usize = report.responses.iter().map(|r| r.batch_size).sum::<usize>();
+    let size_sum: usize = report.responses.iter().map(|r| r.batch_size as usize).sum();
     assert!(size_sum >= report.responses.len());
 }
 

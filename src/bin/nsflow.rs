@@ -305,7 +305,7 @@ fn serve(args: ServeArgs) -> Result<(), String> {
             latency.p50, latency.p95, latency.p99, latency.max
         );
     }
-    let mut hist: std::collections::BTreeMap<usize, u64> = std::collections::BTreeMap::new();
+    let mut hist: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
     for r in &report.responses {
         *hist.entry(r.batch_size).or_insert(0) += 1;
     }
