@@ -64,8 +64,8 @@ pub struct ExecutorConfig {
     /// accuracy harness (64) — latency matters more than reproducing
     /// Tab. IV margins here.
     pub block_dim: usize,
-    /// MIMONet superposition width per request (also the number of keys
-    /// in MIMONet's memory).
+    /// MIMONet superposition width per request (the width MIMONet's
+    /// memory is built at).
     pub superposition: usize,
     /// MIMONet retrieval trials per request.
     pub trials: usize,
@@ -195,9 +195,7 @@ impl Executor {
                 self.lvrf.solve(&task, &mut rng) as u64
             }
             WorkloadKind::Mimonet => {
-                let report =
-                    self.mimonet()
-                        .measure(self.config.superposition, self.config.trials, &mut rng);
+                let report = self.mimonet().measure(self.config.trials, &mut rng);
                 (report.retrieval_accuracy * 1000.0).round() as u64
             }
         }

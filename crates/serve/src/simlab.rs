@@ -384,12 +384,16 @@ pub fn run(config: &SimConfig, cost: &CostModel, executor: Option<&Executor>) ->
 
     let serve = core.report();
     let latency = PhaseStats::from_samples(serve.responses.iter().map(|r| r.latency()).collect());
-    // Request `i` is `arrivals[i]`, so its completion tick is its arrival
-    // plus its latency.
+    // Request `i` is `arrivals[i]` (ids are generated as indices above),
+    // so its completion tick is its arrival plus its latency.
     let makespan = serve
         .responses
         .iter()
-        .map(|r| arrivals[r.id as usize].arrival + r.latency())
+        .map(|r| {
+            let request = &arrivals[r.id as usize];
+            debug_assert_eq!(request.id, r.id, "request ids are arrival indices");
+            request.arrival + r.latency()
+        })
         .max()
         .unwrap_or(0);
     // An executed batch of size n answers n requests.

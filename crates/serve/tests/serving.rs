@@ -3,6 +3,7 @@
 //! the report is complete and consistent.
 
 use nsflow_serve::prelude::*;
+use nsflow_serve::RequestEvent;
 
 #[test]
 fn serves_every_workload_kind_end_to_end() {
@@ -44,6 +45,26 @@ fn serves_every_workload_kind_end_to_end() {
         assert_eq!(response.id, *id);
         assert_eq!(response.kind, *kind);
         assert!(response.batch_size >= 1 && response.batch_size <= 4);
+        // The flight recorder holds the admission and completion ticks:
+        // a request completes at or after its admission, and its latency
+        // is the gap between the two.
+        let tick = |event: RequestEvent| {
+            let mut ticks = report
+                .trace
+                .records
+                .iter()
+                .filter(|r| r.trace_id == *id && r.event == event)
+                .map(|r| r.ts);
+            let ts = ticks.next().expect("event recorded");
+            assert_eq!(ticks.next(), None, "request {id}: one {event:?} event");
+            ts
+        };
+        let (admitted, responded) = (tick(RequestEvent::Admitted), tick(RequestEvent::Responded));
+        assert!(
+            responded >= admitted,
+            "request {id}: responded at {responded}, admitted at {admitted}"
+        );
+        assert_eq!(response.latency(), responded - admitted, "request {id}");
         let reference = direct.execute(&Request::new(*id, *kind, *seed, 0));
         assert_eq!(
             response.answer, reference,

@@ -11,11 +11,11 @@
 //!
 //! The item and key codebooks are a [`SuperpositionMemory`], built once;
 //! [`SuperpositionMemory::measure`] streams only the per-query work
-//! (bind, bundle, quantize, unbind, cleanup) through the FFT fast path,
-//! the way the accelerator keeps codebooks resident on chip. The serving
-//! executor holds one memory for every MIMONet request; the
-//! `superposition_capacity` experiment draws a fresh one per cell through
-//! [`measure_capacity`]. Both run the same loop.
+//! (bind, bundle, quantize, unbind, cleanup), binding and unbinding
+//! through the FFT fast path, the way the accelerator keeps codebooks
+//! resident on chip. The serving executor holds one memory for every
+//! MIMONet request; the `superposition_capacity` experiment draws a fresh
+//! one per cell through [`measure_capacity`]. Both run the same loop.
 
 use nsflow_tensor::rng::StdRng;
 use nsflow_tensor::DType;
@@ -60,77 +60,70 @@ pub struct CapacityReport {
     pub trials: usize,
 }
 
-/// MIMONet's item and key memories, built once and shared by every
-/// retrieval run that follows.
+/// MIMONet's item and key memories at one superposition width, built
+/// once and shared by every retrieval run that follows.
 ///
 /// Building the memory pays the O(d²) unitary-codeword synthesis once;
 /// [`Self::measure`] runs only the per-query work. Binds and unbinds go
 /// through [`fft::bind_fast`]/[`fft::unbind_fast`], and cleanup is the
-/// item codebook's matvec ([`SpectralCodebook::cleanup`], bit-identical
-/// to [`Codebook::cleanup`]). Shared by reference, one memory serves any
-/// number of threads.
+/// item codebook's matvec against precomputed norms
+/// ([`SpectralCodebook::cleanup`], bit-identical to [`Codebook::cleanup`]
+/// and cheaper: `Codebook::cleanup` recomputes both norms per codeword).
+/// Shared by reference, one memory serves any number of threads.
 #[derive(Debug, Clone)]
 pub struct SuperpositionMemory {
     /// Precision the superposed vector is quantized to.
     dtype: DType,
+    /// Items bundled per trial, one per key.
+    width: usize,
     items: SpectralCodebook,
     keys: Codebook,
 }
 
 impl SuperpositionMemory {
     /// Draws the item codebook (`config.items` unitary codewords), then
-    /// the key codebook (`max_width.max(2)` unitary codewords, one per
+    /// the key codebook (`width.max(2)` unitary codewords, one per
     /// superposition slot), from `rng`.
     ///
     /// # Panics
     ///
-    /// Panics if `max_width == 0` or any size in `config` is zero.
+    /// Panics if `width == 0`, `width > config.items`, or any size in
+    /// `config` is zero.
     #[must_use]
-    pub fn new(config: CapacityConfig, max_width: usize, rng: &mut StdRng) -> Self {
-        assert!(max_width > 0, "superposition width must be positive");
+    pub fn new(config: CapacityConfig, width: usize, rng: &mut StdRng) -> Self {
+        assert!(width > 0, "superposition width must be positive");
+        assert!(
+            width <= config.items,
+            "cannot superpose more distinct items than the codebook holds"
+        );
         let items = Codebook::random_unitary(config.items, config.n_blocks, config.block_dim, rng);
-        let keys =
-            Codebook::random_unitary(max_width.max(2), config.n_blocks, config.block_dim, rng);
+        let keys = Codebook::random_unitary(width.max(2), config.n_blocks, config.block_dim, rng);
         SuperpositionMemory {
             dtype: config.dtype,
+            width,
             items: SpectralCodebook::new(items),
             keys,
         }
     }
 
-    /// Measures per-item retrieval accuracy at superposition width
-    /// `superposition` over `trials` random bundles drawn from `rng`.
+    /// Measures per-item retrieval accuracy over `trials` random bundles
+    /// drawn from `rng`.
     ///
-    /// Each trial draws `superposition` distinct items, binds each to the
-    /// key of its slot, bundles the bound pairs, quantizes the bundle at
+    /// Each trial draws `width` distinct items, binds each to the key of
+    /// its slot, bundles the bound pairs, quantizes the bundle at
     /// `config.dtype`, then unbinds with each key and recalls through the
     /// item codebook. A retrieval counts as correct when cleanup returns
     /// the original item.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `superposition == 0`, `superposition > config.items`, or
-    /// `superposition` exceeds the key codebook.
     #[must_use]
-    pub fn measure(&self, superposition: usize, trials: usize, rng: &mut StdRng) -> CapacityReport {
+    pub fn measure(&self, trials: usize, rng: &mut StdRng) -> CapacityReport {
         let n_items = self.items.len();
-        assert!(superposition > 0, "superposition width must be positive");
-        assert!(
-            superposition <= n_items,
-            "cannot superpose more distinct items than the codebook holds"
-        );
-        assert!(
-            superposition <= self.keys.len(),
-            "superposition width exceeds the key codebook"
-        );
         let items = self.items.book();
-
         let mut correct = 0usize;
         let mut total = 0usize;
         for _ in 0..trials {
             // Draw distinct item indices.
-            let mut chosen: Vec<usize> = Vec::with_capacity(superposition);
-            while chosen.len() < superposition {
+            let mut chosen: Vec<usize> = Vec::with_capacity(self.width);
+            while chosen.len() < self.width {
                 let c = rng.gen_range(0..n_items);
                 if !chosen.contains(&c) {
                     chosen.push(c);
@@ -160,7 +153,7 @@ impl SuperpositionMemory {
             }
         }
         CapacityReport {
-            superposition,
+            superposition: self.width,
             retrieval_accuracy: correct as f64 / total.max(1) as f64,
             trials,
         }
@@ -181,7 +174,7 @@ pub fn measure_capacity(
     trials: usize,
     rng: &mut StdRng,
 ) -> CapacityReport {
-    SuperpositionMemory::new(*config, superposition, rng).measure(superposition, trials, rng)
+    SuperpositionMemory::new(*config, superposition, rng).measure(trials, rng)
 }
 
 #[cfg(test)]
@@ -223,23 +216,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn one_memory_serves_every_width_up_to_its_keys() {
-        let memory = SuperpositionMemory::new(CapacityConfig::default(), 8, &mut rng());
-        for width in 1..=8 {
-            let r = memory.measure(width, 4, &mut rng());
-            assert_eq!(r.superposition, width);
-        }
-        assert_eq!(memory.measure(1, 10, &mut rng()).retrieval_accuracy, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the key codebook")]
-    fn width_beyond_keys_rejected() {
-        let memory = SuperpositionMemory::new(CapacityConfig::default(), 4, &mut rng());
-        let _ = memory.measure(5, 1, &mut rng());
     }
 
     #[test]
