@@ -914,6 +914,68 @@ mod tests {
         }
     }
 
+    /// The cached codeword spectra, bit for bit, at every radix-2 block
+    /// length from 8 to 4096, on seeded uniform codewords and on their
+    /// INT4 fake-quantized copies: one FNV-1a digest per case over each
+    /// element's real and imaginary parts in order.
+    #[test]
+    fn codebook_spectra_are_pinned() {
+        let mut got = Vec::new();
+        for bd in (3..=12).map(|p| 1usize << p) {
+            for quantized in [false, true] {
+                let mut rng = StdRng::seed_from_u64(bd as u64);
+                let codewords = (0..3)
+                    .map(|_| {
+                        let data = (0..2 * bd).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                        BlockCode::from_vec(2, bd, data).unwrap()
+                    })
+                    .collect();
+                let mut book = Codebook::from_codewords(codewords).unwrap();
+                if quantized {
+                    book = int4(book);
+                }
+                let engine = SpectralCodebook::new(book);
+                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+                for i in 0..engine.len() {
+                    for c in engine.spectrum(i) {
+                        for bits in [c.re.to_bits(), c.im.to_bits()] {
+                            for b in bits.to_le_bytes() {
+                                h ^= u64::from(b);
+                                h = h.wrapping_mul(0x0100_0000_01b3);
+                            }
+                        }
+                    }
+                }
+                got.push(h);
+            }
+        }
+        let hex: Vec<String> = got.iter().map(|d| format!("0x{d:016x}")).collect();
+        assert_eq!(got, SPECTRA_DIGESTS, "digests now: [{}]", hex.join(", "));
+    }
+
+    const SPECTRA_DIGESTS: [u64; 20] = [
+        0xd4ff_01fe_49a0_f58f,
+        0xf8ba_2cca_555a_44a8,
+        0xb5de_83ba_208c_ece1,
+        0x5399_7625_2be7_b274,
+        0xc1ca_5f34_0e46_3426,
+        0x4970_89d1_4056_dfee,
+        0xc24d_ab20_f683_87bd,
+        0x54a8_e636_3b33_ee25,
+        0x9d48_b802_2c6e_91b8,
+        0x4d07_f8f8_a75a_3d98,
+        0x7115_df34_b60c_aad7,
+        0xb9ea_7ea1_de7d_a59f,
+        0x6f15_7c52_1291_3bc9,
+        0xbc3c_a606_e03a_6380,
+        0x1881_5e43_d68f_f179,
+        0xf9db_5c1a_1f54_31a9,
+        0xe790_2213_1428_e0b1,
+        0x37f3_166b_69fd_1334,
+        0x3498_52e2_eb95_2ee2,
+        0x0817_1bdc_2a8e_984c,
+    ];
+
     #[test]
     fn chains_reject_bad_indices_and_geometry() {
         let books = unitary_books(&[4, 4], 2, 64, 30);
