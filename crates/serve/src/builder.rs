@@ -154,7 +154,9 @@ impl ServerBuilder {
     /// attempts, a default deadline shorter than one batch window,
     /// inverted degradation watermarks, an out-of-range degraded batch
     /// bound, fault rates summing past 1000 permille, a zero breaker
-    /// threshold, or a queue, batch or trace capacity too large to
+    /// threshold, an executor `block_dim` of 0 or a `superposition`
+    /// outside `1..=16` (MIMONet's item count), a `max_batch` above
+    /// `u16::MAX`, or a queue, batch or trace capacity too large to
     /// allocate.
     pub fn build(self) -> Result<Server, ConfigError> {
         if self.queue_capacity == 0 {
@@ -163,9 +165,16 @@ impl ServerBuilder {
         if self.policy.max_batch == 0 {
             return Err(ConfigError::ZeroMaxBatch);
         }
+        if self.policy.max_batch > usize::from(u16::MAX) {
+            return Err(ConfigError::CapacityTooLarge {
+                field: "max_batch",
+                capacity: self.policy.max_batch,
+            });
+        }
         if self.workers == 0 {
             return Err(ConfigError::ZeroWorkers);
         }
+        self.executor.validate()?;
         self.retry.validate()?;
         self.faults.validate()?;
         self.breaker.validate()?;
@@ -187,6 +196,7 @@ impl ServerBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::WorkloadKind;
 
     #[test]
     fn build_rejects_degenerate_configurations() {
@@ -256,6 +266,62 @@ mod tests {
                 total_permille: 1200
             })
         );
+    }
+
+    #[test]
+    fn build_rejects_executor_configs_a_workload_cannot_run() {
+        let with = |executor| ServerBuilder::new().executor(executor).build().err();
+        let superposition = |superposition| ExecutorConfig {
+            superposition,
+            ..ExecutorConfig::serial()
+        };
+        for width in [0, 17] {
+            assert_eq!(
+                with(superposition(width)),
+                Some(ConfigError::SuperpositionOutOfRange {
+                    superposition: width,
+                    items: 16
+                })
+            );
+        }
+        assert_eq!(
+            with(ExecutorConfig {
+                block_dim: 0,
+                ..ExecutorConfig::serial()
+            }),
+            Some(ConfigError::ZeroBlockDim)
+        );
+
+        // The widest valid superposition still serves.
+        let server = ServerBuilder::new()
+            .executor(superposition(16))
+            .build()
+            .expect("superposition 16 fits MIMONet's 16 items");
+        server.submit(WorkloadKind::Mimonet, 7).expect("admitted");
+        let report = server.shutdown();
+        assert_eq!(report.responses.len(), 1);
+        assert!(report.responses[0].answer <= 1000);
+    }
+
+    #[test]
+    fn build_caps_max_batch_at_the_response_batch_field() {
+        let policy = |max_batch| BatchPolicy {
+            max_batch,
+            max_wait: 100,
+        };
+        let too_wide = usize::from(u16::MAX) + 1;
+        assert_eq!(
+            ServerBuilder::new().batch(policy(too_wide)).build().err(),
+            Some(ConfigError::CapacityTooLarge {
+                field: "max_batch",
+                capacity: too_wide
+            })
+        );
+        let server = ServerBuilder::new()
+            .batch(policy(usize::from(u16::MAX)))
+            .build()
+            .expect("u16::MAX fits a response's batch size");
+        assert_eq!(server.shutdown().stats.submitted, 0);
     }
 
     #[test]

@@ -118,6 +118,10 @@ pub struct ServeReport {
     /// Queue-wait / batch-wait / exec latency breakdown in ticks,
     /// derived from the traced lifecycles.
     pub phases: PhaseBreakdown,
+    /// Tick at which the last batch that answered requests completed (0
+    /// when none did). Unlike a response's arrival plus its latency, it
+    /// never saturates.
+    pub last_completion: u64,
 }
 
 /// What a runtime supplies to [`ServeCore::run_batch`].
@@ -150,6 +154,8 @@ struct State {
     breakers: [CircuitBreaker; 4],
     responses: Vec<Response>,
     failed: Vec<FailedRequest>,
+    /// See [`ServeReport::last_completion`].
+    last_completion: u64,
 }
 
 impl State {
@@ -190,6 +196,7 @@ impl ServeCore {
                 breakers: std::array::from_fn(|_| CircuitBreaker::new(config.breaker)),
                 responses: Vec::new(),
                 failed: Vec::new(),
+                last_completion: 0,
             }),
         })
     }
@@ -383,8 +390,8 @@ impl ServeCore {
             }
             histogram!("serve.exec_ticks").record(exec);
             tally.batches += 1;
-            let batch_size =
-                u32::try_from(members.len()).expect("a batch holds fewer than 2^32 requests");
+            let batch_size = u16::try_from(members.len())
+                .expect("max_batch is at most u16::MAX (checked when the server is built)");
             let responses: Vec<Response> = members
                 .iter()
                 .zip(answers)
@@ -392,9 +399,8 @@ impl ServeCore {
                     for event in [RequestEvent::ExecEnd { worker }, RequestEvent::Responded] {
                         self.emit(&mut tally, request.id, done, event);
                     }
-                    let response = Response::new(request, answer, batch_size, done);
-                    histogram!("serve.latency_ticks").record(response.latency());
-                    response
+                    histogram!("serve.latency_ticks").record(done.saturating_sub(request.arrival));
+                    Response::new(request, answer, batch_size, done)
                 })
                 .collect();
             let mut state = self.state();
@@ -406,6 +412,7 @@ impl ServeCore {
             }
             state.stats.absorb(&tally);
             state.responses.extend(responses);
+            state.last_completion = state.last_completion.max(done);
             return;
         }
     }
@@ -454,13 +461,14 @@ impl ServeCore {
 
     /// Takes the results gathered so far into a report.
     pub fn report(&self) -> ServeReport {
-        let (mut responses, mut failed, stats) = {
+        let (mut responses, mut failed, stats, last_completion) = {
             let mut state = self.state();
             let stats = state.stats();
             (
                 std::mem::take(&mut state.responses),
                 std::mem::take(&mut state.failed),
                 stats,
+                state.last_completion,
             )
         };
         // Ids are unique, so the in-place unstable sort gives the stable
@@ -475,6 +483,7 @@ impl ServeCore {
             stats,
             trace,
             phases,
+            last_completion,
         }
     }
 }

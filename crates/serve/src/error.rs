@@ -66,7 +66,21 @@ pub enum ConfigError {
     /// `BreakerPolicy::threshold == 0`: the breaker would trip before
     /// the first fault.
     ZeroBreakerThreshold,
-    /// A capacity whose up-front storage could not be allocated.
+    /// `ExecutorConfig::block_dim == 0`: every workload code would be
+    /// empty.
+    ZeroBlockDim,
+    /// `ExecutorConfig::superposition` is 0 or exceeds the items in
+    /// MIMONet's item memory, which a request bundles distinct items
+    /// from.
+    SuperpositionOutOfRange {
+        /// Configured superposition width.
+        superposition: usize,
+        /// Items in MIMONet's item memory.
+        items: usize,
+    },
+    /// A capacity the server cannot hold: up-front storage that could
+    /// not be allocated, or a `max_batch` above `u16::MAX` (a response
+    /// records its batch size in 16 bits).
     CapacityTooLarge {
         /// The builder field (`queue_capacity`, `max_batch` or
         /// `trace_capacity`).
@@ -122,8 +136,22 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroBreakerThreshold => {
                 write!(f, "breaker threshold must be >= 1 (0 trips immediately)")
             }
+            ConfigError::ZeroBlockDim => {
+                write!(
+                    f,
+                    "executor block_dim must be >= 1 (0 leaves every code empty)"
+                )
+            }
+            ConfigError::SuperpositionOutOfRange {
+                superposition,
+                items,
+            } => write!(
+                f,
+                "executor superposition {superposition} must be in 1..={items} \
+                 (MIMONet bundles distinct items from its {items}-item memory)"
+            ),
             ConfigError::CapacityTooLarge { field, capacity } => {
-                write!(f, "{field} {capacity} is too large to allocate")
+                write!(f, "{field} {capacity} is too large for the server to hold")
             }
         }
     }

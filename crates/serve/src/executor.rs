@@ -31,6 +31,7 @@ use nsflow_workloads::sparse_reasoning::{SparsePipelineConfig, SparseReasoner};
 use nsflow_workloads::suites::Suite;
 use nsflow_workloads::superposition::{CapacityConfig, SuperpositionMemory};
 
+use crate::error::ConfigError;
 use crate::request::{Request, WorkloadKind};
 
 /// Fixed codebook seeds: answers must not depend on which server
@@ -89,6 +90,31 @@ impl ExecutorConfig {
         ExecutorConfig {
             kernels: KernelOptions::serial(),
             ..ExecutorConfig::default()
+        }
+    }
+
+    /// Checks the bounds the workloads need before any request runs: a
+    /// nonzero `block_dim`, and a `superposition` width MIMONet's item
+    /// memory can fill with distinct items.
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
+        if self.block_dim == 0 {
+            return Err(ConfigError::ZeroBlockDim);
+        }
+        let items = self.mimonet_memory().items;
+        if self.superposition == 0 || self.superposition > items {
+            return Err(ConfigError::SuperpositionOutOfRange {
+                superposition: self.superposition,
+                items,
+            });
+        }
+        Ok(())
+    }
+
+    /// The geometry of MIMONet's item and key memories.
+    fn mimonet_memory(&self) -> CapacityConfig {
+        CapacityConfig {
+            block_dim: self.block_dim,
+            ..CapacityConfig::default()
         }
     }
 }
@@ -157,12 +183,8 @@ impl Executor {
     /// MIMONet's item and key memories, built on first use.
     fn mimonet(&self) -> &SuperpositionMemory {
         self.mimonet.get_or_init(|| {
-            let config = CapacityConfig {
-                block_dim: self.config.block_dim,
-                ..CapacityConfig::default()
-            };
             SuperpositionMemory::new(
-                config,
+                self.config.mimonet_memory(),
                 self.config.superposition,
                 &mut StdRng::seed_from_u64(MIMONET_CODEBOOK_SEED),
             )

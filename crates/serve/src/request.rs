@@ -182,9 +182,11 @@ pub struct SubmitOptions {
 /// A completed inference.
 ///
 /// The serving core keeps every response until shutdown, so a response
-/// holds only what a client reads back, in 32 bytes; the admission and
-/// completion ticks of each request are in the flight recorder
-/// (its `Admitted` and `Responded` events).
+/// holds only what a client reads back, in 24 bytes: the batch size in
+/// 16 bits (the builder caps `max_batch` at `u16::MAX`) and the latency
+/// in 32, saturating. The exact admission and completion ticks of each
+/// request are in the flight recorder (its `Admitted` and `Responded`
+/// events).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
     /// Id of the originating [`Request`].
@@ -196,28 +198,37 @@ pub struct Response {
     /// permille (0..=1000) for MIMONet.
     pub answer: u64,
     /// Size of the batch the request was executed in.
-    pub batch_size: u32,
-    /// Ticks from admission until the request's batch completed.
-    latency: u64,
+    batch_size: u16,
+    /// Ticks from admission until the request's batch completed,
+    /// saturated at `u32::MAX`.
+    latency: u32,
 }
 
 impl Response {
     /// The response to `request`, answered `answer` by a batch of
     /// `batch_size` that completed at tick `completed`.
-    pub(crate) fn new(request: &Request, answer: u64, batch_size: u32, completed: u64) -> Self {
+    pub(crate) fn new(request: &Request, answer: u64, batch_size: u16, completed: u64) -> Self {
+        let latency = completed.saturating_sub(request.arrival);
         Response {
             id: request.id,
             kind: request.kind,
             answer,
             batch_size,
-            latency: completed.saturating_sub(request.arrival),
+            latency: u32::try_from(latency).unwrap_or(u32::MAX),
         }
     }
 
-    /// Queue + batching + execution latency in ticks.
+    /// Size of the batch the request was executed in.
+    #[must_use]
+    pub fn batch_size(&self) -> usize {
+        usize::from(self.batch_size)
+    }
+
+    /// Queue + batching + execution latency in ticks, saturated at
+    /// `u32::MAX` (over an hour of wall microseconds).
     #[must_use]
     pub fn latency(&self) -> u64 {
-        self.latency
+        u64::from(self.latency)
     }
 }
 
@@ -364,14 +375,23 @@ mod tests {
     }
 
     #[test]
-    fn retained_response_is_thirty_two_bytes() {
+    fn retained_response_is_twenty_four_bytes() {
         // The serving core keeps every response until shutdown.
-        assert_eq!(std::mem::size_of::<Response>(), 32);
+        assert_eq!(std::mem::size_of::<Response>(), 24);
     }
 
     #[test]
     fn latency_saturates() {
         let r = Response::new(&Request::new(0, WorkloadKind::Nvsa, 0, 10), 0, 1, 4);
         assert_eq!(r.latency(), 0);
+        // At and past 2^32 ticks the latency saturates instead of
+        // wrapping.
+        let late =
+            |completed| Response::new(&Request::new(0, WorkloadKind::Nvsa, 0, 10), 0, 1, completed);
+        let max = u64::from(u32::MAX);
+        assert_eq!(late(10 + max).latency(), max);
+        assert_eq!(late(10 + max + 1).latency(), max);
+        assert_eq!(late(u64::MAX).latency(), max);
+        assert_eq!(late(10 + max - 1).latency(), max - 1);
     }
 }

@@ -202,7 +202,8 @@ pub struct SimReport {
     /// What the serving core recorded, in cycles. Response answers are
     /// 0 unless an executor was supplied.
     pub serve: ServeReport,
-    /// Cycle the last batch completed.
+    /// Cycle the last batch that answered requests completed
+    /// ([`ServeReport::last_completion`]).
     pub makespan: u64,
     /// Latency distribution of completed requests (all-zero when
     /// nothing completed).
@@ -384,22 +385,11 @@ pub fn run(config: &SimConfig, cost: &CostModel, executor: Option<&Executor>) ->
 
     let serve = core.report();
     let latency = PhaseStats::from_samples(serve.responses.iter().map(|r| r.latency()).collect());
-    // Request `i` is `arrivals[i]` (ids are generated as indices above),
-    // so its completion tick is its arrival plus its latency.
-    let makespan = serve
-        .responses
-        .iter()
-        .map(|r| {
-            let request = &arrivals[r.id as usize];
-            debug_assert_eq!(request.id, r.id, "request ids are arrival indices");
-            request.arrival + r.latency()
-        })
-        .max()
-        .unwrap_or(0);
+    let makespan = serve.last_completion;
     // An executed batch of size n answers n requests.
     let mut batch_hist: BTreeMap<usize, u64> = BTreeMap::new();
     for response in &serve.responses {
-        *batch_hist.entry(response.batch_size as usize).or_insert(0) += 1;
+        *batch_hist.entry(response.batch_size()).or_insert(0) += 1;
     }
     for (size, count) in &mut batch_hist {
         *count /= *size as u64;
@@ -551,6 +541,22 @@ mod tests {
         assert_eq!(report.serve.stats.completed, 0);
         assert_eq!(report.latency.max, 0);
         assert_eq!(report.throughput_per_mcycle, 0.0);
+    }
+
+    #[test]
+    fn makespan_outlives_saturated_latencies() {
+        // One batch of 2^33 cycles: every latency saturates at u32::MAX,
+        // while the makespan is the batch's exact completion cycle.
+        let config = SimConfig {
+            requests: 1,
+            ..quick_config()
+        };
+        let cost = CostModel::synthetic(1 << 33, 0);
+        let report = run(&config, &cost, None);
+        let arrival = report.serve.trace.records[0].ts;
+        assert_eq!(report.serve.stats.completed, 1);
+        assert_eq!(report.latency.max, u64::from(u32::MAX));
+        assert_eq!(report.makespan, arrival + config.policy.max_wait + (1 << 33));
     }
 
     #[test]

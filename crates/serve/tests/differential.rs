@@ -111,7 +111,7 @@ fn server_and_simlab_agree_on_one_script() {
         report
             .responses
             .iter()
-            .map(|r| (r.id, r.answer, r.batch_size))
+            .map(|r| (r.id, r.answer, r.batch_size()))
             .collect::<Vec<_>>()
     };
     assert_eq!(answers(&threaded), answers(&sim));

@@ -44,7 +44,7 @@ fn serves_every_workload_kind_end_to_end() {
     for (response, (id, kind, seed)) in report.responses.iter().zip(&expected) {
         assert_eq!(response.id, *id);
         assert_eq!(response.kind, *kind);
-        assert!(response.batch_size >= 1 && response.batch_size <= 4);
+        assert!(response.batch_size() >= 1 && response.batch_size() <= 4);
         // The flight recorder holds the admission and completion ticks:
         // a request completes at or after its admission, and its latency
         // is the gap between the two.
@@ -104,7 +104,7 @@ fn deadline_flush_serves_partial_batches() {
     let report = server.shutdown();
     assert_eq!(report.responses.len(), 3);
     for response in &report.responses {
-        assert!(response.batch_size <= 3, "partial batch expected");
+        assert!(response.batch_size() <= 3, "partial batch expected");
     }
 }
 
@@ -130,7 +130,7 @@ fn stats_snapshot_is_monotonic() {
     assert!(report.stats.completed >= mid.completed);
     assert_eq!(report.stats.completed, 6);
     // Batch-size bookkeeping: per-response sizes sum to the total.
-    let size_sum: usize = report.responses.iter().map(|r| r.batch_size as usize).sum();
+    let size_sum: usize = report.responses.iter().map(|r| r.batch_size()).sum();
     assert!(size_sum >= report.responses.len());
 }
 

@@ -12,13 +12,15 @@
 //! This module is the fast path:
 //!
 //! - [`SpectralCodebook`] precomputes, **once**, the per-codeword block
-//!   spectra (for spectral-domain superposition), a flat row-major
+//!   spectra (for spectral-domain superposition), a column-major
 //!   codeword matrix, and the per-codeword norms. Cleanup, similarity
 //!   scans, and softmax projections become one matvec over the matrix
 //!   ([`crate::gemm::matvec`]) plus a scale — and are
 //!   **bit-identical** to the reference `Codebook` methods, because the
-//!   matvec folds each row in the same left-to-right order as
-//!   [`BlockCode::similarity`].
+//!   matvec folds each codeword's products in the same left-to-right
+//!   order as [`BlockCode::similarity`]. Column-major storage lets it
+//!   run all those folds side by side, one matrix column per query
+//!   element.
 //! - [`SpectralResonator`] runs the resonator's refinement loop entirely
 //!   in the spectral domain. Factor estimates are kept as cached spectra;
 //!   binding the "other" estimates is a pointwise spectral product, and
@@ -39,6 +41,10 @@
 //!   across the many unbinds of one panel. Each cached spectrum is the
 //!   very transform `bind_fast` would compute, and the complex products
 //!   multiply the same operands, so the outputs are bit-identical.
+//!
+//! Every transform here runs over a whole code at once through the
+//! split-complex kernel of [`crate::fft`], into buffers the call owns
+//! (the factorization loop reuses its residual buffers across sweeps).
 //!
 //! # Equivalence with the reference resonator
 //!
@@ -78,7 +84,7 @@ use std::sync::OnceLock;
 
 use nsflow_telemetry as telemetry;
 
-use crate::fft::{self, Complex, FftPlan};
+use crate::fft::{self, FftPlan, Spectrum};
 use crate::gemm;
 use crate::resonator::{Factorization, Resonator, ResonatorConfig};
 use crate::{ops, BlockCode, Codebook, Result, VsaError};
@@ -106,14 +112,15 @@ pub struct SpectralCodebook {
     n_blocks: usize,
     block_dim: usize,
     dim: usize,
-    /// Row-major `len × dim` matrix of codeword data.
-    flat: Vec<f32>,
+    /// Column-major `dim × len` matrix of codeword data: element `k` of
+    /// codeword `i` is at `k * len + i`.
+    columns: Vec<f32>,
     /// Per-codeword L2 norms, computed with the same f32 fold as
     /// [`BlockCode::similarity`] so quotients are bit-identical.
     norms: Vec<f32>,
     /// Per-codeword blockwise spectra (block FFTs concatenated), present
     /// iff the block dimension admits the radix-2 fast path.
-    spectra: Option<Vec<Vec<Complex>>>,
+    spectra: Option<Vec<Spectrum>>,
 }
 
 impl SpectralCodebook {
@@ -123,17 +130,20 @@ impl SpectralCodebook {
         let first = book.codeword(0);
         let (n_blocks, block_dim) = (first.n_blocks(), first.block_dim());
         let dim = n_blocks * block_dim;
-        let mut flat = Vec::with_capacity(book.len() * dim);
-        let mut norms = Vec::with_capacity(book.len());
-        for cw in book.codewords() {
-            flat.extend_from_slice(cw.data());
+        let len = book.len();
+        let mut columns = vec![0.0; dim * len];
+        let mut norms = Vec::with_capacity(len);
+        for (i, cw) in book.codewords().iter().enumerate() {
+            for (slot, &x) in columns[i..].iter_mut().step_by(len).zip(cw.data()) {
+                *slot = x;
+            }
             norms.push(cw.data().iter().map(|x| x * x).sum::<f32>().sqrt());
         }
         let spectra = fft::fast_path_applies(block_dim).then(|| {
             let plan = fft::plan(block_dim);
             book.codewords()
                 .iter()
-                .map(|cw| spectrum_of(cw.data(), n_blocks, &plan))
+                .map(|cw| spectrum_of(cw.data(), &plan))
                 .collect()
         });
         SpectralCodebook {
@@ -141,7 +151,7 @@ impl SpectralCodebook {
             n_blocks,
             block_dim,
             dim,
-            flat,
+            columns,
             norms,
             spectra,
         }
@@ -223,7 +233,7 @@ impl SpectralCodebook {
     /// # Panics
     ///
     /// Panics off the spectral path or if `index` is out of range.
-    fn spectrum(&self, index: usize) -> &[Complex] {
+    fn spectrum(&self, index: usize) -> &Spectrum {
         &self.spectra.as_ref().expect("spectral path")[index]
     }
 
@@ -231,7 +241,7 @@ impl SpectralCodebook {
     /// the engine's internal residuals are plain vectors).
     fn similarities_flat(&self, query: &[f32]) -> Vec<f32> {
         debug_assert_eq!(query.len(), self.dim);
-        let dots = gemm::matvec(&self.flat, query, self.book.len(), self.dim);
+        let dots = gemm::matvec(&self.columns, query, self.book.len(), self.dim);
         let qn: f32 = query.iter().map(|x| x * x).sum::<f32>().sqrt();
         dots.into_iter()
             .zip(&self.norms)
@@ -247,28 +257,26 @@ impl SpectralCodebook {
 }
 
 /// Blockwise forward spectrum of a block-code data slice.
-fn spectrum_of(data: &[f32], n_blocks: usize, plan: &FftPlan) -> Vec<Complex> {
-    let bd = plan.len();
-    let mut spec = Vec::with_capacity(n_blocks * bd);
-    for blk in 0..n_blocks {
-        spec.extend(plan.forward_real(&data[blk * bd..(blk + 1) * bd]));
-    }
+fn spectrum_of(data: &[f32], plan: &FftPlan) -> Spectrum {
+    let mut spec = Spectrum::zeros(data.len());
+    plan.forward(data, &mut spec);
     spec
+}
+
+/// The time-domain code of `spec`'s blockwise inverse transform; `spec`
+/// is used up as scratch.
+fn inverse_of(mut spec: Spectrum, plan: &FftPlan) -> Vec<f32> {
+    let mut out = vec![0.0; spec.re.len()];
+    plan.inverse(&mut spec, &mut out);
+    out
 }
 
 /// `bind_fast(acc, cw)` with `cw`'s blockwise spectrum taken from the
 /// cache: one forward and one inverse FFT per block.
-fn bind_cached(acc: &[f32], spectrum: &[Complex], plan: &FftPlan) -> Vec<f32> {
-    let bd = plan.len();
-    let mut out = Vec::with_capacity(acc.len());
-    for (block, spec) in acc.chunks(bd).zip(spectrum.chunks(bd)) {
-        let mut f = plan.forward_real(block);
-        for (x, y) in f.iter_mut().zip(spec) {
-            *x = x.mul(*y);
-        }
-        out.extend(plan.inverse_real(f));
-    }
-    out
+fn bind_cached(acc: &[f32], spectrum: &Spectrum, plan: &FftPlan) -> Vec<f32> {
+    let mut product = spectrum_of(acc, plan);
+    product.mul(spectrum);
+    inverse_of(product, plan)
 }
 
 /// A factorization target together with its blockwise spectrum, computed
@@ -279,7 +287,7 @@ pub struct SpectralTarget {
     code: BlockCode,
     /// Blockwise spectrum of `code`; present iff the engine that prepared
     /// it is spectral.
-    spectrum: Option<Vec<Complex>>,
+    spectrum: Option<Spectrum>,
 }
 
 impl SpectralTarget {
@@ -403,13 +411,10 @@ impl SpectralResonator {
         let slot = &self.pairs[g1 * self.books.len() + g2][i * self.books[g2].len() + j];
         slot.get_or_init(|| {
             let (nb, bd) = self.geometry();
-            let plan = fft::plan(bd);
-            let (a, b) = (self.books[g1].spectrum(i), self.books[g2].spectrum(j));
-            let mut data = Vec::with_capacity(nb * bd);
-            for (x, y) in a.chunks(bd).zip(b.chunks(bd)) {
-                data.extend(plan.inverse_real(x.iter().zip(y).map(|(x, y)| x.mul(*y)).collect()));
-            }
-            BlockCode::from_vec(nb, bd, data).expect("factors share geometry")
+            let mut product = self.books[g1].spectrum(i).clone();
+            product.mul(self.books[g2].spectrum(j));
+            BlockCode::from_vec(nb, bd, inverse_of(product, &fft::plan(bd)))
+                .expect("factors share geometry")
         })
     }
 
@@ -478,10 +483,10 @@ impl SpectralResonator {
     /// with the codebooks.
     pub fn prepare(&self, target: BlockCode) -> Result<SpectralTarget> {
         self.books[0].book.codeword(0).check_geometry(&target)?;
-        let (nb, bd) = self.geometry();
+        let bd = self.geometry().1;
         let spectrum = self
             .is_spectral()
-            .then(|| spectrum_of(target.data(), nb, &fft::plan(bd)));
+            .then(|| spectrum_of(target.data(), &fft::plan(bd)));
         Ok(SpectralTarget {
             code: target,
             spectrum,
@@ -533,18 +538,12 @@ impl SpectralResonator {
                 hits += 1;
                 Cow::Borrowed(self.books[g].spectrum(i))
             }
-            _ => Cow::Owned(spectrum_of(
-                &self.chain(&picks, &plan, &mut hits),
-                nb,
-                &plan,
-            )),
+            _ => Cow::Owned(spectrum_of(&self.chain(&picks, &plan, &mut hits), &plan)),
         };
-        let mut data = Vec::with_capacity(nb * bd);
-        for (t, o) in t_spec.chunks(bd).zip(others.chunks(bd)) {
-            data.extend(plan.inverse_real(t.iter().zip(o).map(|(x, y)| x.mul(y.conj())).collect()));
-        }
+        let mut product = t_spec.clone();
+        product.mul_conj(&others);
         telemetry::counter!("vsa.spectral_cache_hits").add(hits);
-        BlockCode::from_vec(nb, bd, data)
+        BlockCode::from_vec(nb, bd, inverse_of(product, &plan))
     }
 
     /// Iteratively factorizes `target` into one codeword per factor,
@@ -565,7 +564,7 @@ impl SpectralResonator {
         config: ResonatorConfig,
     ) -> Result<Factorization> {
         let _span = telemetry::span!("vsa.factorize");
-        let Some(t_spec) = target.spectrum.as_deref() else {
+        let Some(t_spec) = &target.spectrum else {
             telemetry::counter!("vsa.resonator_fallbacks").incr();
             return self.reference.factorize(&target.code, config);
         };
@@ -587,7 +586,7 @@ impl SpectralResonator {
         // Estimates live as spectra. Initialization is the uniform
         // codebook superposition — a plain sum of the cached spectra
         // (normalization skipped; see module docs).
-        let mut est_spec: Vec<Vec<Complex>> = self
+        let mut est_spec: Vec<Spectrum> = self
             .books
             .iter()
             .map(|book| {
@@ -595,11 +594,9 @@ impl SpectralResonator {
                 // Every cached spectrum consumed here replaces a forward
                 // FFT the reference path would have to run.
                 telemetry::counter!("vsa.spectral_cache_hits").add(spectra.len() as u64);
-                let mut acc = vec![Complex::ZERO; dim];
+                let mut acc = Spectrum::zeros(dim);
                 for spec in spectra {
-                    for (a, s) in acc.iter_mut().zip(spec) {
-                        *a = a.add(*s);
-                    }
+                    acc.add_scaled(spec, 1.0);
                 }
                 acc
             })
@@ -607,7 +604,8 @@ impl SpectralResonator {
 
         let mut indices: Vec<usize> = vec![0; nf];
         let mut iterations = 0usize;
-        let mut residual_spec = vec![Complex::ZERO; dim];
+        let mut others = Spectrum::zeros(dim);
+        let mut residual_spec = Spectrum::zeros(dim);
         let mut residual = vec![0.0f32; dim];
 
         for _sweep in 0..config.max_iterations {
@@ -615,23 +613,19 @@ impl SpectralResonator {
             let mut changed = false;
             for f in 0..nf {
                 // residual = target ⊘ (⊛ other estimates): pointwise
-                // product of the other spectra, conjugated against the
-                // target spectrum.
-                for (i, slot) in residual_spec.iter_mut().enumerate() {
-                    let mut others = Complex { re: 1.0, im: 0.0 };
-                    for (g, est) in est_spec.iter().enumerate() {
-                        if g != f {
-                            others = others.mul(est[i]);
-                        }
+                // product of the other spectra, starting from 1,
+                // conjugated against the target spectrum.
+                others.fill(1.0, 0.0);
+                for (g, est) in est_spec.iter().enumerate() {
+                    if g != f {
+                        others.mul(est);
                     }
-                    *slot = t_spec[i].mul(others.conj());
                 }
+                residual_spec.clone_from(t_spec);
+                residual_spec.mul_conj(&others);
                 // One inverse FFT per factor update: the residual must
                 // come back to the time domain for the codebook scan.
-                for blk in 0..nb {
-                    let time = plan.inverse_real(residual_spec[blk * bd..(blk + 1) * bd].to_vec());
-                    residual[blk * bd..(blk + 1) * bd].copy_from_slice(&time);
-                }
+                plan.inverse(&mut residual_spec, &mut residual);
                 let book = &self.books[f];
                 let sims = book.similarities_flat(&residual);
                 let t = config.temperature.max(f32::MIN_POSITIVE);
@@ -643,12 +637,9 @@ impl SpectralResonator {
                 let spectra = book.spectra.as_ref().expect("spectral path checked above");
                 telemetry::counter!("vsa.spectral_cache_hits").add(spectra.len() as u64);
                 let acc = &mut est_spec[f];
-                acc.fill(Complex::ZERO);
+                acc.fill(0.0, 0.0);
                 for (&p, spec) in probs.iter().zip(spectra) {
-                    let w = f64::from(p);
-                    for (a, s) in acc.iter_mut().zip(spec) {
-                        *a = a.add(s.scale(w));
-                    }
+                    acc.add_scaled(spec, f64::from(p));
                 }
                 let best = argmax_last(&probs);
                 if best != indices[f] {
@@ -937,8 +928,9 @@ mod tests {
                 let engine = SpectralCodebook::new(book);
                 let mut h: u64 = 0xcbf2_9ce4_8422_2325;
                 for i in 0..engine.len() {
-                    for c in engine.spectrum(i) {
-                        for bits in [c.re.to_bits(), c.im.to_bits()] {
+                    let spec = engine.spectrum(i);
+                    for (re, im) in spec.re.iter().zip(&spec.im) {
+                        for bits in [re.to_bits(), im.to_bits()] {
                             for b in bits.to_le_bytes() {
                                 h ^= u64::from(b);
                                 h = h.wrapping_mul(0x0100_0000_01b3);

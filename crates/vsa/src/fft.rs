@@ -16,6 +16,24 @@
 //! cached per transform length in a thread-local table, so blockwise
 //! binds and resonator sweeps reuse one table per block length.
 //!
+//! # Split-complex layout
+//!
+//! A spectrum is two planes of `f64`, the real parts and the imaginary
+//! parts, and so are the plan's twiddles, with a second imaginary table,
+//! negated, for the inverse transform. Each butterfly stage then streams
+//! through whole runs of each plane with no bounds checks, which the
+//! compiler vectorizes. The arithmetic is that of the interleaved
+//! `(re, im)` kernel this layout replaced: every output element sees the
+//! same floating-point operations on the same operands in the same
+//! order, so every transform is bit-identical to it (negating a twiddle
+//! is exact, so the inverse multiplies by exactly the conjugate). The
+//! crate's `kernel_pins` tests pin the outputs bit for bit.
+//!
+//! A call transforms a whole block code at once, into buffers the caller
+//! owns: one plan lookup and one pair of planes per code rather than per
+//! block, and one bump of each counter per call. `vsa.fft_forward` and
+//! `vsa.fft_inverse` still count one transform per block.
+//!
 //! # Fallback contract
 //!
 //! [`circular_convolve_fast`] and [`circular_correlate_fast`] are **total
@@ -37,66 +55,88 @@ use nsflow_telemetry as telemetry;
 
 use crate::{ops, BlockCode, Result};
 
-/// Complex number as a bare `(re, im)` pair — enough for an in-crate FFT
-/// without growing the dependency set.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Complex {
-    pub(crate) re: f64,
-    pub(crate) im: f64,
+/// The blockwise spectrum of a code in split-complex layout: bin `i` of
+/// the concatenated block transforms is `re[i] + i·im[i]`.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Spectrum {
+    pub(crate) re: Vec<f64>,
+    pub(crate) im: Vec<f64>,
 }
 
-impl Complex {
-    pub(crate) const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
-
-    pub(crate) fn mul(self, other: Complex) -> Complex {
-        Complex {
-            re: self.re * other.re - self.im * other.im,
-            im: self.re * other.im + self.im * other.re,
+impl Spectrum {
+    /// `len` zero bins.
+    pub(crate) fn zeros(len: usize) -> Self {
+        Spectrum {
+            re: vec![0.0; len],
+            im: vec![0.0; len],
         }
     }
 
-    pub(crate) fn add(self, other: Complex) -> Complex {
-        Complex {
-            re: self.re + other.re,
-            im: self.im + other.im,
+    /// Sets every bin to `re + i·im`.
+    pub(crate) fn fill(&mut self, re: f64, im: f64) {
+        self.re.fill(re);
+        self.im.fill(im);
+    }
+
+    /// `self ← self · other`, bin by bin.
+    pub(crate) fn mul(&mut self, other: &Spectrum) {
+        for (((xr, xi), &yr), &yi) in self
+            .re
+            .iter_mut()
+            .zip(&mut self.im)
+            .zip(&other.re)
+            .zip(&other.im)
+        {
+            let (ar, ai) = (*xr, *xi);
+            *xr = ar * yr - ai * yi;
+            *xi = ar * yi + ai * yr;
         }
     }
 
-    fn sub(self, other: Complex) -> Complex {
-        Complex {
-            re: self.re - other.re,
-            im: self.im - other.im,
+    /// `self ← self · conj(other)`, bin by bin.
+    pub(crate) fn mul_conj(&mut self, other: &Spectrum) {
+        for (((xr, xi), &yr), &yi) in self
+            .re
+            .iter_mut()
+            .zip(&mut self.im)
+            .zip(&other.re)
+            .zip(&other.im)
+        {
+            let (ar, ai, yi) = (*xr, *xi, -yi);
+            *xr = ar * yr - ai * yi;
+            *xi = ar * yi + ai * yr;
         }
     }
 
-    pub(crate) fn conj(self) -> Complex {
-        Complex {
-            re: self.re,
-            im: -self.im,
+    /// `self ← self + w · other`, bin by bin.
+    pub(crate) fn add_scaled(&mut self, other: &Spectrum, w: f64) {
+        for (x, &y) in self.re.iter_mut().zip(&other.re) {
+            *x += y * w;
         }
-    }
-
-    pub(crate) fn scale(self, s: f64) -> Complex {
-        Complex {
-            re: self.re * s,
-            im: self.im * s,
+        for (x, &y) in self.im.iter_mut().zip(&other.im) {
+            *x += y * w;
         }
     }
 }
 
 /// A radix-2 Cooley–Tukey plan for one power-of-two length: the
-/// bit-reversal permutation and the per-stage forward twiddle tables
-/// (`w_k = exp(−i·2πk/len)`, each entry computed directly from its angle).
-/// The inverse transform conjugates the same tables, so one table serves
-/// both directions.
+/// bit-reversal swaps and the per-stage twiddle tables
+/// (`w_k = exp(−i·2πk/len)`, each entry computed directly from its angle)
+/// in split layout.
 #[derive(Debug, Clone)]
 pub(crate) struct FftPlan {
     n: usize,
-    /// `rev[i]` = bit-reversed index of `i`.
-    rev: Vec<usize>,
-    /// Concatenated per-stage tables: stage with butterfly span `len`
-    /// contributes `len/2` entries; stages ordered `len = 2, 4, …, n`.
-    twiddles: Vec<Complex>,
+    /// The pairs `(i, j)`, `i < j`, where `j` is `i` bit-reversed: the
+    /// swaps that put a block into bit-reversed order.
+    swaps: Vec<(usize, usize)>,
+    /// Real parts of the twiddles, stages concatenated: the stage with
+    /// butterfly span `len` contributes `len/2` entries, starting at
+    /// `len/2 − 1`; stages ordered `len = 2, 4, …, n`.
+    tw_re: Vec<f64>,
+    /// Imaginary parts of the forward twiddles.
+    tw_im: Vec<f64>,
+    /// `tw_im` negated: the inverse transform's conjugated twiddles.
+    tw_im_inv: Vec<f64>,
 }
 
 impl FftPlan {
@@ -110,108 +150,133 @@ impl FftPlan {
             n.is_power_of_two(),
             "fft length must be a power of two, got {n}"
         );
-        let mut rev = vec![0usize; n];
+        let mut swaps = Vec::new();
         let mut j = 0usize;
-        for slot in rev.iter_mut().skip(1) {
+        for i in 1..n {
             let mut bit = n >> 1;
             while j & bit != 0 {
                 j ^= bit;
                 bit >>= 1;
             }
             j |= bit;
-            *slot = j;
+            if i < j {
+                swaps.push((i, j));
+            }
         }
         // Σ_{len=2,4,…,n} len/2 = n − 1 twiddles.
-        let mut twiddles = Vec::with_capacity(n.saturating_sub(1));
+        let mut tw_re = Vec::with_capacity(n - 1);
+        let mut tw_im = Vec::with_capacity(n - 1);
         let mut len = 2usize;
         while len <= n {
             let step = -std::f64::consts::TAU / len as f64;
             for k in 0..len / 2 {
                 let ang = step * k as f64;
-                twiddles.push(Complex {
-                    re: ang.cos(),
-                    im: ang.sin(),
-                });
+                tw_re.push(ang.cos());
+                tw_im.push(ang.sin());
             }
             len <<= 1;
         }
-        FftPlan { n, rev, twiddles }
+        let tw_im_inv = tw_im.iter().map(|w| -w).collect();
+        FftPlan {
+            n,
+            swaps,
+            tw_re,
+            tw_im,
+            tw_im_inv,
+        }
     }
 
-    /// Transform length this plan serves.
-    pub(crate) fn len(&self) -> usize {
-        self.n
+    /// The decimation-in-time butterflies over one block already in
+    /// bit-reversed order, stage by stage, with `tw_im` the forward or the
+    /// conjugated imaginary table.
+    fn butterflies(&self, re: &mut [f64], im: &mut [f64], tw_im: &[f64]) {
+        let mut half = 1usize;
+        while half < self.n {
+            let stage = half - 1..2 * half - 1;
+            let (wr, wi) = (&self.tw_re[stage.clone()], &tw_im[stage]);
+            // Spans known at compile time let the short stages unroll and
+            // vectorize across butterfly groups.
+            match half {
+                1 => stage_butterflies(re, im, &wr[..1], &wi[..1]),
+                2 => stage_butterflies(re, im, &wr[..2], &wi[..2]),
+                4 => stage_butterflies(re, im, &wr[..4], &wi[..4]),
+                _ => stage_butterflies(re, im, wr, wi),
+            }
+            half <<= 1;
+        }
     }
 
-    fn process(&self, data: &mut [Complex], inverse: bool) {
+    /// Forward transform of every `n`-point block of the real signal `x`
+    /// into `spec`, which holds `x.len()` bins.
+    pub(crate) fn forward(&self, x: &[f32], spec: &mut Spectrum) {
         let n = self.n;
-        debug_assert_eq!(data.len(), n, "data length must match the plan");
-        if n <= 1 {
-            return;
+        debug_assert_eq!(spec.re.len(), x.len(), "spectrum length must match");
+        telemetry::counter!("vsa.fft_forward").add((x.len() / n) as u64);
+        for ((x, re), im) in x
+            .chunks_exact(n)
+            .zip(spec.re.chunks_exact_mut(n))
+            .zip(spec.im.chunks_exact_mut(n))
+        {
+            for (r, &v) in re.iter_mut().zip(x) {
+                *r = f64::from(v);
+            }
+            im.fill(0.0);
+            for &(i, j) in &self.swaps {
+                re.swap(i, j);
+            }
+            self.butterflies(re, im, &self.tw_im);
         }
-        for i in 1..n {
-            let j = self.rev[i];
-            if i < j {
-                data.swap(i, j);
+    }
+
+    /// Inverse transform (with the `1/n` scaling) of every block of
+    /// `spec`, writing the real parts to `out` (the signals here are real
+    /// by construction; imaginary residue is rounding noise). `spec` is
+    /// left holding the unscaled transforms.
+    pub(crate) fn inverse(&self, spec: &mut Spectrum, out: &mut [f32]) {
+        let n = self.n;
+        debug_assert_eq!(spec.re.len(), out.len(), "spectrum length must match");
+        telemetry::counter!("vsa.fft_inverse").add((out.len() / n) as u64);
+        let inv_n = 1.0 / n as f64;
+        for ((out, re), im) in out
+            .chunks_exact_mut(n)
+            .zip(spec.re.chunks_exact_mut(n))
+            .zip(spec.im.chunks_exact_mut(n))
+        {
+            for &(i, j) in &self.swaps {
+                re.swap(i, j);
+                im.swap(i, j);
+            }
+            self.butterflies(re, im, &self.tw_im_inv);
+            for (o, &r) in out.iter_mut().zip(&*re) {
+                *o = (r * inv_n) as f32;
             }
         }
-        let mut len = 2usize;
-        let mut stage_base = 0usize;
-        while len <= n {
-            let half = len / 2;
-            let stage = &self.twiddles[stage_base..stage_base + half];
-            for chunk in data.chunks_mut(len) {
-                for (k, &tw) in stage.iter().enumerate() {
-                    let w = if inverse { tw.conj() } else { tw };
-                    let u = chunk[k];
-                    let v = chunk[k + half].mul(w);
-                    chunk[k] = u.add(v);
-                    chunk[k + half] = u.sub(v);
-                }
-            }
-            stage_base += half;
-            len <<= 1;
+    }
+}
+
+/// One radix-2 stage over a block: every group of `2·half` points, `half
+/// = wr.len()`, gets the butterflies `u, v ← u + w·v, u − w·v` with
+/// `w = wr[k] + i·wi[k]`, `u` at offset `k` and `v` at `k + half`.
+#[inline(always)]
+fn stage_butterflies(re: &mut [f64], im: &mut [f64], wr: &[f64], wi: &[f64]) {
+    let half = wr.len();
+    for (re, im) in re
+        .chunks_exact_mut(2 * half)
+        .zip(im.chunks_exact_mut(2 * half))
+    {
+        let (ur, vr) = re.split_at_mut(half);
+        let (ui, vi) = im.split_at_mut(half);
+        for (((((ur, ui), vr), vi), &wr), &wi) in
+            ur.iter_mut().zip(ui).zip(vr).zip(vi).zip(wr).zip(wi)
+        {
+            let (xr, xi) = (*vr, *vi);
+            let (tr, ti) = (xr * wr - xi * wi, xr * wi + xi * wr);
+            let (ar, ai) = (*ur, *ui);
+            *ur = ar + tr;
+            *ui = ai + ti;
+            *vr = ar - tr;
+            *vi = ai - ti;
         }
-        if inverse {
-            let inv_n = 1.0 / n as f64;
-            for x in data.iter_mut() {
-                x.re *= inv_n;
-                x.im *= inv_n;
-            }
-        }
-    }
-
-    /// In-place forward transform.
-    pub(crate) fn forward(&self, data: &mut [Complex]) {
-        self.process(data, false);
-    }
-
-    /// In-place inverse transform (includes the `1/n` scaling).
-    pub(crate) fn inverse(&self, data: &mut [Complex]) {
-        self.process(data, true);
-    }
-
-    /// Forward transform of a real signal.
-    pub(crate) fn forward_real(&self, x: &[f32]) -> Vec<Complex> {
-        debug_assert_eq!(x.len(), self.n);
-        telemetry::counter!("vsa.fft_forward").incr();
-        let mut data: Vec<Complex> = x
-            .iter()
-            .map(|&v| Complex {
-                re: f64::from(v),
-                im: 0.0,
-            })
-            .collect();
-        self.forward(&mut data);
-        data
-    }
-
-    /// Inverse transform returning only the real parts (the signals here
-    /// are real by construction; imaginary residue is rounding noise).
-    pub(crate) fn inverse_real(&self, mut data: Vec<Complex>) -> Vec<f32> {
-        telemetry::counter!("vsa.fft_inverse").incr();
-        self.inverse(&mut data);
-        data.into_iter().map(|c| c.re as f32).collect()
     }
 }
 
@@ -246,6 +311,22 @@ pub fn fast_path_applies(n: usize) -> bool {
     n.is_power_of_two() && n >= 8
 }
 
+/// `IFFT(FFT(a) ∘ FFT(b))` blockwise over `n`-point blocks, where `∘` is
+/// [`Spectrum::mul`] (convolution) or [`Spectrum::mul_conj`]
+/// (correlation). Counts one fast kernel call per block.
+fn spectral(a: &[f32], b: &[f32], n: usize, product: fn(&mut Spectrum, &Spectrum)) -> Vec<f32> {
+    telemetry::counter!("vsa.kernel_fast").add((a.len() / n) as u64);
+    let plan = plan(n);
+    let mut fa = Spectrum::zeros(a.len());
+    let mut fb = Spectrum::zeros(b.len());
+    plan.forward(a, &mut fa);
+    plan.forward(b, &mut fb);
+    product(&mut fa, &fb);
+    let mut out = vec![0.0; a.len()];
+    plan.inverse(&mut fa, &mut out);
+    out
+}
+
 /// Circular convolution via the convolution theorem; falls back to the
 /// direct O(d²) kernel — bit-identical to [`ops::circular_convolve`] —
 /// when [`fast_path_applies`] is false (non-power-of-two `n`, or `n < 8`).
@@ -261,14 +342,7 @@ pub fn circular_convolve_fast(a: &[f32], b: &[f32]) -> Vec<f32> {
         telemetry::counter!("vsa.kernel_fallbacks").incr();
         return ops::circular_convolve(a, b);
     }
-    telemetry::counter!("vsa.kernel_fast").incr();
-    let plan = plan(n);
-    let mut fa = plan.forward_real(a);
-    let fb = plan.forward_real(b);
-    for (x, y) in fa.iter_mut().zip(&fb) {
-        *x = x.mul(*y);
-    }
-    plan.inverse_real(fa)
+    spectral(a, b, n, Spectrum::mul)
 }
 
 /// Circular correlation via the spectrum (`FFT(a)·conj(FFT(b))`); exact
@@ -287,18 +361,12 @@ pub fn circular_correlate_fast(a: &[f32], b: &[f32]) -> Vec<f32> {
         telemetry::counter!("vsa.kernel_fallbacks").incr();
         return ops::circular_correlate(a, b);
     }
-    telemetry::counter!("vsa.kernel_fast").incr();
-    let plan = plan(n);
-    let mut fa = plan.forward_real(a);
-    let fb = plan.forward_real(b);
-    for (x, y) in fa.iter_mut().zip(&fb) {
-        *x = x.mul(y.conj());
-    }
-    plan.inverse_real(fa)
+    spectral(a, b, n, Spectrum::mul_conj)
 }
 
 /// Blockwise binding through the fast path — drop-in accelerated
-/// equivalent of [`crate::ops::bind`].
+/// equivalent of [`crate::ops::bind`], which it runs when
+/// [`fast_path_applies`] is false for the block dimension.
 ///
 /// # Errors
 ///
@@ -306,19 +374,16 @@ pub fn circular_correlate_fast(a: &[f32], b: &[f32]) -> Vec<f32> {
 pub fn bind_fast(a: &BlockCode, b: &BlockCode) -> Result<BlockCode> {
     a.check_geometry(b)?;
     let (nb, bd) = (a.n_blocks(), a.block_dim());
-    let mut data = Vec::with_capacity(nb * bd);
-    for blk in 0..nb {
-        let start = blk * bd;
-        data.extend(circular_convolve_fast(
-            &a.data()[start..start + bd],
-            &b.data()[start..start + bd],
-        ));
+    if !fast_path_applies(bd) {
+        telemetry::counter!("vsa.kernel_fallbacks").add(nb as u64);
+        return ops::bind(a, b);
     }
-    BlockCode::from_vec(nb, bd, data)
+    BlockCode::from_vec(nb, bd, spectral(a.data(), b.data(), bd, Spectrum::mul))
 }
 
 /// Blockwise inverse binding through the fast path — drop-in accelerated
-/// equivalent of [`crate::ops::unbind`].
+/// equivalent of [`crate::ops::unbind`], which it runs when
+/// [`fast_path_applies`] is false for the block dimension.
 ///
 /// # Errors
 ///
@@ -326,15 +391,15 @@ pub fn bind_fast(a: &BlockCode, b: &BlockCode) -> Result<BlockCode> {
 pub fn unbind_fast(bound: &BlockCode, b: &BlockCode) -> Result<BlockCode> {
     bound.check_geometry(b)?;
     let (nb, bd) = (bound.n_blocks(), bound.block_dim());
-    let mut data = Vec::with_capacity(nb * bd);
-    for blk in 0..nb {
-        let start = blk * bd;
-        data.extend(circular_correlate_fast(
-            &bound.data()[start..start + bd],
-            &b.data()[start..start + bd],
-        ));
+    if !fast_path_applies(bd) {
+        telemetry::counter!("vsa.kernel_fallbacks").add(nb as u64);
+        return ops::unbind(bound, b);
     }
-    BlockCode::from_vec(nb, bd, data)
+    BlockCode::from_vec(
+        nb,
+        bd,
+        spectral(bound.data(), b.data(), bd, Spectrum::mul_conj),
+    )
 }
 
 #[cfg(test)]
@@ -488,6 +553,6 @@ mod tests {
         let p1 = plan(64);
         let p2 = plan(64);
         assert!(Rc::ptr_eq(&p1, &p2));
-        assert_eq!(p1.len(), 64);
+        assert_eq!(p1.n, 64);
     }
 }

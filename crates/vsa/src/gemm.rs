@@ -3,7 +3,11 @@
 //! [`matmul`]/[`matvec`] are the arithmetic the AdArray performs in NN
 //! mode. The architecture tests cross-check the systolic microsimulator's
 //! outputs against [`matmul`]; [`matvec`] runs the spectral codebook's
-//! similarity scans.
+//! similarity scans. It takes its matrix column-major, so it advances
+//! every row's dot product at once, one column per element of `x`, while
+//! each row still adds its products in order from the first: the same
+//! sums, bit for bit, as a row-by-row `Iterator::sum`, without one long
+//! serial chain of adds per row.
 //!
 //! Both count into the `nn.gemm_reference_calls` and `nn.flops_reference`
 //! counters, named for the NN mode they model; the benchmark reports and
@@ -40,7 +44,12 @@ pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     c
 }
 
-/// `y = A·x` for row-major `A (m×k)` and vector `x (k)`.
+/// `y = A·x` for `A (m×k)` stored column-major (`A[i][p]` at
+/// `a[p * m + i]`) and vector `x (k)`.
+///
+/// `y[i]` is bit-identical to
+/// `A[i].iter().zip(x).map(|(a, x)| a * x).sum::<f32>()`: the same
+/// products, added left to right from the same starting value.
 ///
 /// # Panics
 ///
@@ -51,15 +60,15 @@ pub fn matvec(a: &[f32], x: &[f32], m: usize, k: usize) -> Vec<f32> {
     assert_eq!(x.len(), k, "x must have length k");
     telemetry::counter!("nn.gemm_reference_calls").incr();
     telemetry::counter!("nn.flops_reference").add(2 * (m as u64) * (k as u64));
-    (0..m)
-        .map(|i| {
-            a[i * k..(i + 1) * k]
-                .iter()
-                .zip(x)
-                .map(|(av, xv)| av * xv)
-                .sum()
-        })
-        .collect()
+    let mut y = vec![std::iter::empty::<f32>().sum::<f32>(); m];
+    if m > 0 {
+        for (column, &xp) in a.chunks_exact(m).zip(x) {
+            for (yi, &ap) in y.iter_mut().zip(column) {
+                *yi += ap * xp;
+            }
+        }
+    }
+    y
 }
 
 #[cfg(test)]
@@ -91,8 +100,9 @@ mod tests {
     #[test]
     fn matvec_matches_matmul() {
         let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let a_columns = [1.0, 4.0, 2.0, 5.0, 3.0, 6.0];
         let x = [7.0, 8.0, 9.0];
-        assert_eq!(matvec(&a, &x, 2, 3), matmul(&a, &x, 2, 3, 1));
+        assert_eq!(matvec(&a_columns, &x, 2, 3), matmul(&a, &x, 2, 3, 1));
     }
 
     #[test]

@@ -305,9 +305,9 @@ fn serve(args: ServeArgs) -> Result<(), String> {
             latency.p50, latency.p95, latency.p99, latency.max
         );
     }
-    let mut hist: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
+    let mut hist: std::collections::BTreeMap<usize, u64> = std::collections::BTreeMap::new();
     for r in &report.responses {
-        *hist.entry(r.batch_size).or_insert(0) += 1;
+        *hist.entry(r.batch_size()).or_insert(0) += 1;
     }
     for (size, count) in hist {
         println!("batch size {size:>3}: {count} request(s)");
