@@ -121,7 +121,7 @@ pub struct ServeReport {
     /// Tick at which the last batch that answered requests completed (0
     /// when none did). Unlike a response's arrival plus its latency, it
     /// never saturates.
-    pub last_completion: u64,
+    pub(crate) last_completion: u64,
 }
 
 /// What a runtime supplies to [`ServeCore::run_batch`].

@@ -202,8 +202,8 @@ pub struct SimReport {
     /// What the serving core recorded, in cycles. Response answers are
     /// 0 unless an executor was supplied.
     pub serve: ServeReport,
-    /// Cycle the last batch that answered requests completed
-    /// ([`ServeReport::last_completion`]).
+    /// Cycle the last batch that answered requests completed, exact
+    /// even where the responses' latencies saturate.
     pub makespan: u64,
     /// Latency distribution of completed requests (all-zero when
     /// nothing completed).
@@ -556,7 +556,10 @@ mod tests {
         let arrival = report.serve.trace.records[0].ts;
         assert_eq!(report.serve.stats.completed, 1);
         assert_eq!(report.latency.max, u64::from(u32::MAX));
-        assert_eq!(report.makespan, arrival + config.policy.max_wait + (1 << 33));
+        assert_eq!(
+            report.makespan,
+            arrival + config.policy.max_wait + (1 << 33)
+        );
     }
 
     #[test]

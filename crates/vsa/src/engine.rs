@@ -596,6 +596,7 @@ impl SpectralResonator {
                 telemetry::counter!("vsa.spectral_cache_hits").add(spectra.len() as u64);
                 let mut acc = Spectrum::zeros(dim);
                 for spec in spectra {
+                    // Scaling by 1.0 is exact: this is the plain sum.
                     acc.add_scaled(spec, 1.0);
                 }
                 acc

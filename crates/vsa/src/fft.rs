@@ -22,12 +22,12 @@
 //! parts, and so are the plan's twiddles, with a second imaginary table,
 //! negated, for the inverse transform. Each butterfly stage then streams
 //! through whole runs of each plane with no bounds checks, which the
-//! compiler vectorizes. The arithmetic is that of the interleaved
-//! `(re, im)` kernel this layout replaced: every output element sees the
-//! same floating-point operations on the same operands in the same
-//! order, so every transform is bit-identical to it (negating a twiddle
-//! is exact, so the inverse multiplies by exactly the conjugate). The
-//! crate's `kernel_pins` tests pin the outputs bit for bit.
+//! compiler vectorizes. Only the layout is split: every output element
+//! sees the same floating-point operations on the same operands in the
+//! same order as in an interleaved `(re, im)` radix-2 kernel, so the
+//! transforms are bit-identical to one (negating a twiddle is exact, so
+//! the inverse multiplies by exactly the conjugate). The crate's
+//! `kernel_pins` tests pin the outputs bit for bit.
 //!
 //! A call transforms a whole block code at once, into buffers the caller
 //! owns: one plan lookup and one pair of planes per code rather than per
