@@ -3,11 +3,12 @@
 //! [`matmul`]/[`matvec`] are the arithmetic the AdArray performs in NN
 //! mode. The architecture tests cross-check the systolic microsimulator's
 //! outputs against [`matmul`]; [`matvec`] runs the spectral codebook's
-//! similarity scans. It takes its matrix column-major, so it advances
-//! every row's dot product at once, one column per element of `x`, while
-//! each row still adds its products in order from the first: the same
-//! sums, bit for bit, as a row-by-row `Iterator::sum`, without one long
-//! serial chain of adds per row.
+//! similarity scans. It takes its matrix column-major, so it advances a
+//! tile of eight rows' dot products at once, one column per element of
+//! `x`, with the eight sums held in registers, while each row still adds
+//! its products in order from the first: the same sums, bit for bit, as
+//! a row-by-row `Iterator::sum`, without one long serial chain of adds
+//! per row.
 //!
 //! Both count into the `nn.gemm_reference_calls` and `nn.flops_reference`
 //! counters, named for the NN mode they model; the benchmark reports and
@@ -60,16 +61,34 @@ pub fn matvec(a: &[f32], x: &[f32], m: usize, k: usize) -> Vec<f32> {
     assert_eq!(x.len(), k, "x must have length k");
     telemetry::counter!("nn.gemm_reference_calls").incr();
     telemetry::counter!("nn.flops_reference").add(2 * (m as u64) * (k as u64));
-    let mut y = vec![std::iter::empty::<f32>().sum::<f32>(); m];
-    if m > 0 {
+    let seed = std::iter::empty::<f32>().sum::<f32>();
+    let mut y = vec![seed; m];
+    // Rows go in tiles of `ROW_TILE` whose sums stay in registers for the
+    // whole pass over the columns; a short last tile reads its rows
+    // through a zero-padded copy and keeps only its own lanes.
+    for (tile, first) in y.chunks_mut(ROW_TILE).zip((0..).step_by(ROW_TILE)) {
+        let mut acc = [seed; ROW_TILE];
         for (column, &xp) in a.chunks_exact(m).zip(x) {
-            for (yi, &ap) in y.iter_mut().zip(column) {
-                *yi += ap * xp;
+            let rows = &column[first..first + tile.len()];
+            let mut padded = [0.0; ROW_TILE];
+            let rows: &[f32; ROW_TILE] = match rows.try_into() {
+                Ok(full) => full,
+                Err(_) => {
+                    padded[..rows.len()].copy_from_slice(rows);
+                    &padded
+                }
+            };
+            for (sum, &ap) in acc.iter_mut().zip(rows) {
+                *sum += ap * xp;
             }
         }
+        tile.copy_from_slice(&acc[..tile.len()]);
     }
     y
 }
+
+/// Rows [`matvec`] accumulates at once.
+const ROW_TILE: usize = 8;
 
 #[cfg(test)]
 mod tests {
@@ -103,6 +122,34 @@ mod tests {
         let a_columns = [1.0, 4.0, 2.0, 5.0, 3.0, 6.0];
         let x = [7.0, 8.0, 9.0];
         assert_eq!(matvec(&a_columns, &x, 2, 3), matmul(&a, &x, 2, 3, 1));
+    }
+
+    /// Every row, in full tiles and short last tiles alike, is bit for
+    /// bit the left-to-right `Iterator::sum` of its products, signed
+    /// zeros included.
+    #[test]
+    fn matvec_rows_are_bit_identical_to_row_sums() {
+        let mut rng = nsflow_tensor::rng::StdRng::seed_from_u64(9);
+        for m in [1usize, 3, 8, 9, 16, 21] {
+            let k = 37;
+            let mut rows: Vec<Vec<f32>> = (0..m)
+                .map(|_| (0..k).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
+                .collect();
+            rows[0] = vec![-0.0; k];
+            let x: Vec<f32> = (0..k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            let columns: Vec<f32> = (0..k)
+                .flat_map(|p| rows.iter().map(move |r| r[p]))
+                .collect();
+            let expected: Vec<u32> = rows
+                .iter()
+                .map(|r| r.iter().zip(&x).map(|(a, b)| a * b).sum::<f32>().to_bits())
+                .collect();
+            let got: Vec<u32> = matvec(&columns, &x, m, k)
+                .iter()
+                .map(|y| y.to_bits())
+                .collect();
+            assert_eq!(got, expected, "m = {m}");
+        }
     }
 
     #[test]
