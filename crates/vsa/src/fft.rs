@@ -57,7 +57,7 @@ use crate::{ops, BlockCode, Result};
 
 /// The blockwise spectrum of a code in split-complex layout: bin `i` of
 /// the concatenated block transforms is `re[i] + i·im[i]`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub(crate) struct Spectrum {
     pub(crate) re: Vec<f64>,
     pub(crate) im: Vec<f64>,

@@ -63,32 +63,34 @@ pub fn matvec(a: &[f32], x: &[f32], m: usize, k: usize) -> Vec<f32> {
     telemetry::counter!("nn.flops_reference").add(2 * (m as u64) * (k as u64));
     let seed = std::iter::empty::<f32>().sum::<f32>();
     let mut y = vec![seed; m];
-    // Rows go in tiles of `ROW_TILE` whose sums stay in registers for the
-    // whole pass over the columns; a short last tile reads its rows
-    // through a zero-padded copy and keeps only its own lanes.
     for (tile, first) in y.chunks_mut(ROW_TILE).zip((0..).step_by(ROW_TILE)) {
-        let mut acc = [seed; ROW_TILE];
-        for (column, &xp) in a.chunks_exact(m).zip(x) {
-            let rows = &column[first..first + tile.len()];
-            let mut padded = [0.0; ROW_TILE];
-            let rows: &[f32; ROW_TILE] = match rows.try_into() {
-                Ok(full) => full,
-                Err(_) => {
-                    padded[..rows.len()].copy_from_slice(rows);
-                    &padded
-                }
-            };
-            for (sum, &ap) in acc.iter_mut().zip(rows) {
-                *sum += ap * xp;
-            }
+        if tile.len() == ROW_TILE {
+            // A full tile's sums live in a fixed-size local the compiler
+            // keeps in registers for the whole pass over the columns.
+            let mut sums = [seed; ROW_TILE];
+            accumulate(&mut sums, a, x, m, first);
+            tile.copy_from_slice(&sums);
+        } else {
+            accumulate(tile, a, x, m, first);
         }
-        tile.copy_from_slice(&acc[..tile.len()]);
     }
     y
 }
 
 /// Rows [`matvec`] accumulates at once.
 const ROW_TILE: usize = 8;
+
+/// `sums[i] += A[first + i][p] · x[p]` for `p = 0, 1, …`, in that order,
+/// over the column-major `a` of `rows` rows.
+#[inline(always)]
+fn accumulate(sums: &mut [f32], a: &[f32], x: &[f32], rows: usize, first: usize) {
+    let width = sums.len();
+    for (column, &xp) in a.chunks_exact(rows).zip(x) {
+        for (sum, &ap) in sums.iter_mut().zip(&column[first..first + width]) {
+            *sum += ap * xp;
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
