@@ -21,7 +21,7 @@ use nsflow::graph::DataflowGraph;
 use nsflow::sim::schedule::{run_pooled, Resource, Schedule, SimOptions};
 use nsflow::sim::timeline::BindKind;
 use nsflow::telemetry::trace::{RequestEvent, ShedReason, TraceRecord, TraceSnapshot};
-use nsflow::telemetry::{HistogramSnapshot, SpanSnapshot, TelemetrySnapshot};
+use nsflow::telemetry::{HistogramSnapshot, JsonValue, SpanSnapshot, TelemetrySnapshot};
 use nsflow::tensor::rng::StdRng;
 use nsflow::tensor::DType;
 use nsflow::trace::{Domain, EltFunc, OpKind, ReduceFunc, TraceBuilder};
@@ -513,4 +513,43 @@ fn pretty_telemetry_documents_match_pinned_digests() {
         ],
         &PRETTY_DOCUMENT_DIGESTS,
     );
+}
+
+/// Panics unless parsing `text` and rendering it again gives `text`.
+fn assert_canonical(case: &str, text: &str) {
+    let parsed = JsonValue::parse(text).unwrap_or_else(|e| panic!("{case}: {e}"));
+    assert!(
+        parsed.render_pretty() == text,
+        "{case}: not in canonical form"
+    );
+}
+
+/// The Chrome-trace writer renders events straight to text; its output
+/// must be exactly what the JSON writer makes of the parsed document.
+#[test]
+fn chrome_traces_are_in_canonical_pretty_form() {
+    for workload in traces::all() {
+        let design = NsFlow::new().compile(workload.trace).unwrap();
+        let options = design_options(&design);
+        let schedule = run_pooled(&design.graph, design.array(), design.mapping(), &options);
+        let text = schedule.to_chrome_trace(&design.graph).render_pretty();
+        assert_canonical(&format!("{} U250", workload.name), &text);
+    }
+    for seed in 0..RANDOM_CASES {
+        let (graph, cfg, mapping, options) = random_case(seed);
+        let text = run_pooled(&graph, &cfg, &mapping, &options)
+            .to_chrome_trace(&graph)
+            .render_pretty();
+        assert_canonical(&format!("random seed {seed}"), &text);
+    }
+    let serving = sample_serving_trace()
+        .to_chrome_trace("golden \"serve\" é\u{1}", "tick")
+        .render_pretty();
+    for cat in ["\"shed\"", "\"retry\"", "\"fail\""] {
+        assert!(
+            serving.contains(cat),
+            "the serving trace has no {cat} event"
+        );
+    }
+    assert_canonical("serving trace", &serving);
 }
