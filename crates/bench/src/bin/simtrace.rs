@@ -23,8 +23,9 @@
 //! totals and critical path, all declared `exact`, plus the measured
 //! wall time per scheduler, critical-path, Chrome-trace build and
 //! `render_pretty` call averaged over the workloads' final schedules
-//! (informational: host-dependent). An invalid trace makes the run exit
-//! non-zero.
+//! (informational: host-dependent). The build renders every event to
+//! text; `render_pretty` only writes the sorted events into the
+//! envelope. An invalid trace makes the run exit non-zero.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -85,7 +86,9 @@ fn parse_args() -> Result<Args, String> {
 /// Wall time spent building and rendering the workloads' Chrome traces.
 #[derive(Default)]
 struct TraceWall {
+    /// `to_chrome_trace`: every event rendered to text, then sorted.
     build: Duration,
+    /// `render_pretty`: the sorted events written into the envelope.
     render: Duration,
 }
 

@@ -11,7 +11,7 @@ use nsflow_sim::devices::Device;
 use nsflow_sim::roofline::{workload_points, Bound};
 use nsflow_sim::schedule::{self, Schedule, SimOptions};
 use nsflow_sim::timeline::bottleneck_report;
-use nsflow_telemetry::JsonValue;
+use nsflow_telemetry::{ChromeDocument, JsonValue};
 use nsflow_workloads::traces::Workload;
 
 use crate::mapping;
@@ -66,7 +66,7 @@ pub fn analyze(workload: Workload, cfg: &ArrayConfig, opts: &SimOptions) -> Work
 impl WorkloadTimeline {
     /// The Chrome Trace Event Format document for this schedule.
     #[must_use]
-    pub fn chrome_trace(&self) -> JsonValue {
+    pub fn chrome_trace(&self) -> ChromeDocument {
         self.schedule.to_chrome_trace(&self.graph)
     }
 

@@ -8,8 +8,10 @@
 //!   (viewable in Perfetto / `chrome://tracing`) with one track per
 //!   sub-array and one for the SIMD unit, plus a counter track of
 //!   per-class occupancy. Built with the workspace's one Chrome-trace
-//!   writer, [`ChromeTrace`]: no new dependency, and the strict
-//!   [`JsonValue`] parser can validate every emitted document.
+//!   writer, [`ChromeTrace`], which renders each op's event straight to
+//!   text once, whatever the number of sub-arrays it claims: no
+//!   [`JsonValue`] tree of the trace is built, and the strict parser
+//!   can validate every emitted document.
 //! - [`Schedule::critical_path`]: walks the scheduled DAG backwards from
 //!   the last-finishing op, at each hop following the constraint that
 //!   actually bound the op's start (a data dependency or a resource
@@ -33,7 +35,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use nsflow_graph::DataflowGraph;
-use nsflow_telemetry::chrome::{step_levels, ChromeTrace};
+use nsflow_telemetry::chrome::{step_levels, ChromeDocument, ChromeTrace};
 use nsflow_telemetry::JsonValue;
 use nsflow_trace::{OpId, OpKind};
 
@@ -305,12 +307,14 @@ impl Schedule {
     /// One duration (`X`) event per *claimed sub-array* of an array op
     /// instance, so every track shows what that physical unit was
     /// doing, and one per SIMD op — with args carrying the op kind,
-    /// loop index, cycle count and the stall breakdown. A counter (`C`)
-    /// series tracks per-class occupancy at every change point. The
-    /// document loads in Perfetto / `chrome://tracing` and round-trips
-    /// through [`JsonValue::parse`].
+    /// loop index, cycle count and the stall breakdown. An op's event
+    /// is rendered once and copied to each of its tracks. A counter
+    /// (`C`) series tracks per-class occupancy at every change point.
+    /// The rendered document loads in Perfetto / `chrome://tracing`;
+    /// callers that inspect its events parse it with
+    /// [`JsonValue::parse`].
     #[must_use]
-    pub fn to_chrome_trace(&self, graph: &DataflowGraph) -> JsonValue {
+    pub fn to_chrome_trace(&self, graph: &DataflowGraph) -> ChromeDocument {
         let trace = graph.trace();
         let mut chrome = ChromeTrace::new(format!("nsflow-sim: {}", trace.name()));
         for u in 0..self.pool_units() {
@@ -348,9 +352,8 @@ impl Schedule {
                     .collect(),
             };
             let cat = RESOURCE_LABELS[so.resource.index()];
-            for tid in tids {
-                chrome.slice(tid, tid, op.name(), cat, so.start..so.end, args.clone());
-            }
+            let tracks = tids.into_iter().map(|tid| (tid, tid));
+            chrome.slice(tracks, op.name(), cat, so.start..so.end, args);
         }
         chrome.counter("occupancy", RESOURCE_LABELS, self.occupancy_deltas());
 

@@ -61,11 +61,12 @@ fn cfg() -> ArrayConfig {
 fn assert_timeline_invariants(g: &DataflowGraph, s: &Schedule) {
     let total = s.total_cycles();
 
-    // Chrome trace: strict-parse round-trip through both renderers.
-    let doc = s.to_chrome_trace(g);
-    let compact = doc.render_compact();
-    assert_eq!(JsonValue::parse(&compact).unwrap(), doc);
-    assert_eq!(JsonValue::parse(&doc.render_pretty()).unwrap(), doc);
+    // Chrome trace: strict-parses, is in canonical pretty form, and
+    // round-trips through the compact renderer.
+    let text = s.to_chrome_trace(g).render_pretty();
+    let doc = JsonValue::parse(&text).unwrap();
+    assert_eq!(doc.render_pretty(), text);
+    assert_eq!(JsonValue::parse(&doc.render_compact()).unwrap(), doc);
     let events = doc
         .get("traceEvents")
         .and_then(JsonValue::as_array)

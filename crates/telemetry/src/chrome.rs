@@ -8,6 +8,15 @@
 //! timeline are both built with it. [`step_levels`] is the change-point
 //! sweep behind every counter series.
 //!
+//! It is a text builder: each event is rendered through
+//! [`JsonValue::write_pretty`] at its depth in the document the moment
+//! it is added, and kept as a fragment of one text arena with its sort
+//! key. A slice that covers several tracks renders its shared body once
+//! and copies it per track. [`ChromeTrace::finish`] sorts the fragments
+//! and [`ChromeDocument::render_pretty`] writes the envelope around them
+//! in one pass, at exact capacity: the same bytes as rendering the
+//! whole document as one [`JsonValue`] tree, with no tree built.
+//!
 //! Every event belongs to process 0. Timed events are written sorted
 //! stably by `(ts, order)`, where `order` is the caller's explicit
 //! tiebreak; counter events take `u64::MAX`, so at equal `ts` they
@@ -21,55 +30,94 @@ use crate::json::JsonValue;
 /// Sort key of every counter event: after any other event at its `ts`.
 const COUNTER_ORDER: u64 = u64::MAX;
 
+/// Pretty-printing depth of an event: an item of the envelope's
+/// `traceEvents` array.
+const EVENT_LEVEL: usize = 2;
+
+/// The key a slice body is split at to put each track's id in.
+const TID_FIELD: &str = "\"tid\": ";
+
+/// One rendered event: its bytes in the arena and its sort key.
+#[derive(Debug, Clone)]
+struct Fragment {
+    /// `(ts, order)`; `None` for a track (`M`) event, which sorts
+    /// before every timed event.
+    key: Option<(u64, u64)>,
+    /// The event's text in the arena.
+    text: Range<usize>,
+}
+
 /// A Chrome Trace Event Format document under construction.
 #[derive(Debug, Clone)]
 pub struct ChromeTrace {
-    /// `M` events, in call order.
-    tracks: Vec<JsonValue>,
-    /// Timed events with their `(ts, order)` sort key.
-    timed: Vec<(u64, u64, JsonValue)>,
+    /// Every event's pretty text, back to back, in call order.
+    arena: String,
+    /// The events, in call order.
+    fragments: Vec<Fragment>,
+    /// A slice's shared body, rendered once per [`slice`](Self::slice)
+    /// call; reused across calls.
+    body: String,
 }
 
 impl ChromeTrace {
     /// Starts a document whose process 0 is named `process`.
     #[must_use]
     pub fn new(process: impl Into<String>) -> Self {
-        let tracks = vec![JsonValue::object([
-            ("ph", JsonValue::Str("M".into())),
-            ("pid", JsonValue::UInt(0)),
-            ("name", JsonValue::Str("process_name".into())),
-            (
-                "args",
-                JsonValue::object([("name", JsonValue::Str(process.into()))]),
-            ),
-        ])];
-        ChromeTrace {
-            tracks,
-            timed: Vec::new(),
-        }
+        let mut trace = ChromeTrace {
+            arena: String::new(),
+            fragments: Vec::new(),
+            body: String::new(),
+        };
+        trace.push(
+            None,
+            &JsonValue::object([
+                ("ph", JsonValue::Str("M".into())),
+                ("pid", JsonValue::UInt(0)),
+                ("name", JsonValue::Str("process_name".into())),
+                (
+                    "args",
+                    JsonValue::object([("name", JsonValue::Str(process.into()))]),
+                ),
+            ]),
+        );
+        trace
+    }
+
+    /// Renders `event` into the arena under `key`.
+    fn push(&mut self, key: Option<(u64, u64)>, event: &JsonValue) {
+        let start = self.arena.len();
+        event.write_pretty(&mut self.arena, EVENT_LEVEL);
+        self.fragments.push(Fragment {
+            key,
+            text: start..self.arena.len(),
+        });
     }
 
     /// Names track (thread) `tid`. Tracks are listed in call order,
     /// before every timed event.
     pub fn track(&mut self, tid: u64, name: impl Into<String>) {
-        self.tracks.push(JsonValue::object([
-            ("ph", JsonValue::Str("M".into())),
-            ("pid", JsonValue::UInt(0)),
-            ("tid", JsonValue::UInt(tid)),
-            ("name", JsonValue::Str("thread_name".into())),
-            (
-                "args",
-                JsonValue::object([("name", JsonValue::Str(name.into()))]),
-            ),
-        ]));
+        self.push(
+            None,
+            &JsonValue::object([
+                ("ph", JsonValue::Str("M".into())),
+                ("pid", JsonValue::UInt(0)),
+                ("tid", JsonValue::UInt(tid)),
+                ("name", JsonValue::Str("thread_name".into())),
+                (
+                    "args",
+                    JsonValue::object([("name", JsonValue::Str(name.into()))]),
+                ),
+            ]),
+        );
     }
 
-    /// Adds a duration (`X`) event covering `span` on track `tid`,
-    /// sorted by `(span.start, order)`.
+    /// Adds one duration (`X`) event covering `span` per `(order, tid)`
+    /// in `tracks`: the same event on track `tid`, sorted by
+    /// `(span.start, order)`. The shared body is rendered once; the
+    /// result is the same as one call per track.
     pub fn slice(
         &mut self,
-        order: u64,
-        tid: u64,
+        tracks: impl IntoIterator<Item = (u64, u64)>,
         name: impl Into<String>,
         cat: &str,
         span: Range<u64>,
@@ -78,14 +126,30 @@ impl ChromeTrace {
         let event = JsonValue::object([
             ("ph", JsonValue::Str("X".into())),
             ("pid", JsonValue::UInt(0)),
-            ("tid", JsonValue::UInt(tid)),
+            // A one-digit placeholder, replaced per track below.
+            ("tid", JsonValue::UInt(0)),
             ("name", JsonValue::Str(name.into())),
             ("cat", JsonValue::Str(cat.into())),
             ("ts", JsonValue::UInt(span.start)),
             ("dur", JsonValue::UInt(span.end.saturating_sub(span.start))),
             ("args", args),
         ]);
-        self.timed.push((span.start, order, event));
+        self.body.clear();
+        event.write_pretty(&mut self.body, EVENT_LEVEL);
+        // `ph` and `pid` come first and hold fixed values, so the first
+        // `"tid": ` is the key's.
+        let tid_at = self.body.find(TID_FIELD).expect("a slice has a tid") + TID_FIELD.len();
+        let (head, tail) = (&self.body[..tid_at], &self.body[tid_at + 1..]);
+        for (order, tid) in tracks {
+            let start = self.arena.len();
+            self.arena.push_str(head);
+            JsonValue::UInt(tid).write_compact(&mut self.arena);
+            self.arena.push_str(tail);
+            self.fragments.push(Fragment {
+                key: Some((span.start, order)),
+                text: start..self.arena.len(),
+            });
+        }
     }
 
     /// Adds a thread-scoped instant (`i`) event at `ts` on track `tid`,
@@ -110,7 +174,7 @@ impl ChromeTrace {
             ("s", JsonValue::Str("t".into())),
         ];
         fields.extend(args.map(|args| ("args", args)));
-        self.timed.push((ts, order, JsonValue::object(fields)));
+        self.push(Some((ts, order)), &JsonValue::object(fields));
     }
 
     /// Adds the counter (`C`) series `name`: one event per change point
@@ -135,25 +199,83 @@ impl ChromeTrace {
                 ("ts", JsonValue::UInt(ts)),
                 ("args", JsonValue::object(args)),
             ]);
-            self.timed.push((ts, COUNTER_ORDER, event));
+            self.push(Some((ts, COUNTER_ORDER)), &event);
         }
     }
 
     /// Finishes the document: the track events, then the timed events
     /// sorted stably by `(ts, order)`, wrapped with `metadata`.
     #[must_use]
-    pub fn finish(self, metadata: JsonValue) -> JsonValue {
+    pub fn finish(self, metadata: JsonValue) -> ChromeDocument {
         let ChromeTrace {
-            tracks: mut events,
-            mut timed,
+            arena,
+            mut fragments,
+            ..
         } = self;
-        timed.sort_by_key(|&(ts, order, _)| (ts, order));
-        events.extend(timed.into_iter().map(|(_, _, event)| event));
+        fragments.sort_by_key(|f| f.key);
+        // The envelope with two empty objects for events: the writer's
+        // own text before, between and after the events.
+        let mut envelope = String::new();
         JsonValue::object([
             ("displayTimeUnit", JsonValue::Str("ms".into())),
             ("metadata", metadata),
-            ("traceEvents", JsonValue::Array(events)),
+            (
+                "traceEvents",
+                JsonValue::Array(vec![JsonValue::object([]), JsonValue::object([])]),
+            ),
         ])
+        .write_pretty(&mut envelope, 0);
+        // `traceEvents` is the last key, so its items are the last `{}`s.
+        let second = envelope.rfind("{}").expect("a placeholder event");
+        let first = envelope[..second].rfind("{}").expect("a placeholder event");
+        ChromeDocument {
+            envelope,
+            placeholders: [first, second],
+            arena,
+            fragments,
+        }
+    }
+}
+
+/// A finished Chrome Trace Event Format document: its events rendered
+/// and sorted, ready to be written out by
+/// [`render_pretty`](Self::render_pretty).
+#[derive(Debug, Clone)]
+pub struct ChromeDocument {
+    /// The envelope rendered with two placeholder events, `{}`.
+    envelope: String,
+    /// Byte offsets of the two placeholders in `envelope`.
+    placeholders: [usize; 2],
+    /// The events' text, in call order.
+    arena: String,
+    /// The events, in document order. Never empty: every document names
+    /// its process.
+    fragments: Vec<Fragment>,
+}
+
+impl ChromeDocument {
+    /// The document with two-space indentation: byte for byte what
+    /// [`JsonValue::render_pretty`] gives for the same document built as
+    /// one tree. Written in one pass into a buffer of exactly its length.
+    #[must_use]
+    pub fn render_pretty(&self) -> String {
+        let [first, second] = self.placeholders;
+        let head = &self.envelope[..first];
+        let separator = &self.envelope[first + "{}".len()..second];
+        let tail = &self.envelope[second + "{}".len()..];
+        let events: usize = self.fragments.iter().map(|f| f.text.len()).sum();
+        let len = head.len() + events + (self.fragments.len() - 1) * separator.len() + tail.len();
+        let mut out = String::with_capacity(len);
+        out.push_str(head);
+        for (i, fragment) in self.fragments.iter().enumerate() {
+            if i > 0 {
+                out.push_str(separator);
+            }
+            out.push_str(&self.arena[fragment.text.clone()]);
+        }
+        out.push_str(tail);
+        debug_assert_eq!(out.len(), len);
+        out
     }
 }
 
@@ -181,10 +303,17 @@ pub fn step_levels<const N: usize>(
 mod tests {
     use super::*;
 
-    fn events(doc: &JsonValue) -> &[JsonValue] {
-        doc.get("traceEvents")
+    /// Renders `doc`, checks the text is in canonical form (parsing and
+    /// re-rendering it gives the same bytes) and returns its events.
+    fn events(doc: &ChromeDocument) -> Vec<JsonValue> {
+        let text = doc.render_pretty();
+        let parsed = JsonValue::parse(&text).unwrap();
+        assert_eq!(parsed.render_pretty(), text);
+        parsed
+            .get("traceEvents")
             .and_then(JsonValue::as_array)
             .unwrap()
+            .to_vec()
     }
 
     fn ph(event: &JsonValue) -> &str {
@@ -199,9 +328,9 @@ mod tests {
             ["a", "b"],
             vec![(5, 0, 1), (2, 1, 3), (5, 0, 1), (5, 1, -3), (5, 0, -1)],
         );
-        let doc = trace.finish(JsonValue::object([]));
-        let counters: Vec<&JsonValue> = events(&doc).iter().filter(|e| ph(e) == "C").collect();
-        assert_eq!(counters.len(), 2, "{doc:?}");
+        let events = events(&trace.finish(JsonValue::object([])));
+        let counters: Vec<&JsonValue> = events.iter().filter(|e| ph(e) == "C").collect();
+        assert_eq!(counters.len(), 2, "{events:?}");
         let at_5 = counters[1];
         assert_eq!(at_5.get("ts").and_then(JsonValue::as_u64), Some(5));
         let args = at_5.get("args").unwrap();
@@ -215,12 +344,11 @@ mod tests {
         trace.track(1, "lane");
         // The counter is added first; the sort must still put it last.
         trace.counter("load", ["a"], vec![(7, 0, 1), (9, 0, -1)]);
-        trace.slice(u64::MAX - 1, 1, "op", "nn", 7..9, JsonValue::object([]));
-        let doc = trace.finish(JsonValue::object([]));
-        let phases: Vec<&str> = events(&doc).iter().map(ph).collect();
+        trace.slice([(u64::MAX - 1, 1)], "op", "nn", 7..9, JsonValue::object([]));
+        let events = events(&trace.finish(JsonValue::object([])));
+        let phases: Vec<&str> = events.iter().map(ph).collect();
         assert_eq!(phases, ["M", "M", "X", "C", "C"]);
-        let slice = &events(&doc)[2];
-        assert_eq!(slice.get("dur").and_then(JsonValue::as_u64), Some(2));
+        assert_eq!(events[2].get("dur").and_then(JsonValue::as_u64), Some(2));
     }
 
     #[test]
@@ -228,13 +356,47 @@ mod tests {
         let mut trace = ChromeTrace::new("t");
         trace.instant(0, 1, "bare", "x", 3, None);
         trace.instant(1, 1, "with", "x", 3, Some(JsonValue::object([])));
-        let doc = trace.finish(JsonValue::object([]));
-        let instants = &events(&doc)[1..];
+        let events = events(&trace.finish(JsonValue::object([])));
+        let instants = &events[1..];
         assert_eq!(instants[0].get("args"), None);
         assert!(instants[1].get("args").is_some());
         assert_eq!(
             instants[0].render_compact(),
             r#"{"ph":"i","pid":0,"tid":1,"name":"bare","cat":"x","ts":3,"s":"t"}"#
         );
+    }
+
+    #[test]
+    fn a_multi_track_slice_renders_as_one_slice_per_track() {
+        let args = || JsonValue::object([("units", JsonValue::Array(vec![JsonValue::UInt(3)]))]);
+        let tracks = [(12, 12), (3, 1_000_003), (12, 7)];
+        let build = |per_track: bool| {
+            let mut trace = ChromeTrace::new("t");
+            trace.slice([(5, 9)], "first", "a", 4..6, args());
+            if per_track {
+                for track in tracks {
+                    trace.slice([track], "op \"q\"", "nn", 4..10, args());
+                }
+            } else {
+                trace.slice(tracks, "op \"q\"", "nn", 4..10, args());
+            }
+            trace.slice([(0, 1)], "after", "b", 4..5, args());
+            trace.finish(JsonValue::object([("k", JsonValue::UInt(1))]))
+        };
+        let one_call = build(false);
+        assert_eq!(one_call.render_pretty(), build(true).render_pretty());
+        let tids: Vec<u64> = events(&one_call)
+            .iter()
+            .filter_map(|e| e.get("tid").and_then(JsonValue::as_u64))
+            .collect();
+        assert_eq!(tids, [1, 1_000_003, 9, 12, 7]);
+    }
+
+    #[test]
+    fn a_document_of_only_its_process_track_is_canonical() {
+        let doc = ChromeTrace::new("only").finish(JsonValue::object([]));
+        let events = events(&doc);
+        assert_eq!(events.len(), 1);
+        assert_eq!(ph(&events[0]), "M");
     }
 }

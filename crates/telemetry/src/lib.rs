@@ -47,7 +47,7 @@ mod snapshot;
 mod span;
 pub mod trace;
 
-pub use chrome::ChromeTrace;
+pub use chrome::{ChromeDocument, ChromeTrace};
 pub use json::{JsonError, JsonValue};
 pub use registry::{
     bucket_index, bucket_lower_bound, global, Counter, Gauge, Histogram, Registry, SpanStat,

@@ -1,6 +1,7 @@
 //! Per-request lifecycle tracing: typed events, a bounded
 //! flight-recorder ring buffer, and a Chrome Trace Event Format
-//! exporter.
+//! exporter that renders a snapshot straight to text through the one
+//! Chrome-trace writer, [`ChromeTrace`].
 //!
 //! Aggregate metrics (the [`crate::Registry`]) answer *how much*; this
 //! module answers *what happened to request N*. Every serving request
@@ -31,7 +32,7 @@ use std::collections::{BTreeMap, TryReserveError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::chrome::ChromeTrace;
+use crate::chrome::{ChromeDocument, ChromeTrace};
 use crate::json::JsonValue;
 
 /// Why a request was refused at admission.
@@ -322,10 +323,12 @@ impl TraceSnapshot {
     ///   `BatchFormed`.
     ///
     /// Ticks are written into `ts`/`dur` unscaled; `metadata.time_unit`
-    /// records the unit (`"tick"`). The output is deterministic: the
+    /// records the unit (`"tick"`). Each event is rendered to text as
+    /// it is added ([`ChromeTrace`]), so callers that inspect events
+    /// parse the rendered document. The output is deterministic: the
     /// same snapshot always renders to the same bytes.
     #[must_use]
-    pub fn to_chrome_trace(&self, process: &str, time_unit: &str) -> JsonValue {
+    pub fn to_chrome_trace(&self, process: &str, time_unit: &str) -> ChromeDocument {
         let lifecycles = self.lifecycles();
         let mut trace = ChromeTrace::new(format!("nsflow-serve: {process}"));
         trace.track(TID_ADMISSION, "admission");
@@ -363,7 +366,7 @@ impl TraceSnapshot {
             }
             let mut phase = |tid, cat, span, batch_id| {
                 let args = JsonValue::object([("batch", JsonValue::UInt(batch_id))]);
-                trace.slice(id, tid, format!("req {id}"), cat, span, args);
+                trace.slice([(id, tid)], format!("req {id}"), cat, span, args);
             };
             if let (Some(enq), Some((formed, batch_id, _))) = (life.enqueued, life.formed) {
                 phase(TID_QUEUE_WAIT, "queue_wait", enq..formed, batch_id);
@@ -423,8 +426,8 @@ impl TraceSnapshot {
                 ("traced_requests", JsonValue::UInt(agg.requests)),
             ]);
             trace.slice(
-                u64::MAX - 1, // batch slices sort after request rows at the same ts
-                WORKER_TID_BASE + u64::from(agg.worker),
+                // Batch slices sort after request rows at the same ts.
+                [(u64::MAX - 1, WORKER_TID_BASE + u64::from(agg.worker))],
                 format!("batch {batch_id} (n={})", agg.size),
                 "exec",
                 agg.start..agg.end,
@@ -773,8 +776,7 @@ mod tests {
             dropped: 0,
         };
 
-        let doc = snap.to_chrome_trace("test", "tick");
-        let text = doc.render_pretty();
+        let text = snap.to_chrome_trace("test", "tick").render_pretty();
         // Deterministic bytes and strict-parse round trip.
         assert_eq!(text, snap.to_chrome_trace("test", "tick").render_pretty());
         let parsed = JsonValue::parse(&text).expect("emitted trace must strict-parse");

@@ -329,8 +329,10 @@ fn serve(args: ServeArgs) -> Result<(), String> {
     }
 
     if let Some(path) = &args.trace_out {
-        let doc = report.trace.to_chrome_trace("nsflow serve", "microsecond");
-        let text = doc.render_pretty();
+        let text = report
+            .trace
+            .to_chrome_trace("nsflow serve", "microsecond")
+            .render_pretty();
         // Guard our own output: the exported document must strict-parse
         // with the in-repo JSON parser before we hand it to Perfetto.
         nsflow::telemetry::JsonValue::parse(&text)

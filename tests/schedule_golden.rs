@@ -5,8 +5,9 @@
 //! folded into one FNV-1a digest per case and compared against a pinned
 //! value. `run_pooled` is covered on the four workloads' compiled U250
 //! designs at several loop multipliers and on seeded random graphs, and
-//! one Chrome-trace document is pinned byte for byte. Any change to
-//! scheduling order, tie-breaking or stall attribution shows up here.
+//! one Chrome-trace document is pinned byte for byte (its compact
+//! re-rendering). Any change to scheduling order, tie-breaking or stall
+//! attribution shows up here.
 //!
 //! The pretty JSON writer is pinned the same way: the rendered Chrome
 //! trace of every `compile_designs` target (workload × device ×
@@ -336,7 +337,8 @@ fn chrome_traces_match_pinned_digests() {
     let options = design_options(&design);
     let graph = batched(&design, 2);
     let pooled = run_pooled(&graph, design.array(), design.mapping(), &options);
-    let rendered = fnv_text(&pooled.to_chrome_trace(&graph).render_compact());
+    let text = pooled.to_chrome_trace(&graph).render_pretty();
+    let rendered = fnv_text(&JsonValue::parse(&text).unwrap().render_compact());
     check(
         &[("LVRF x2 pooled".to_string(), rendered)],
         &CHROME_TRACE_DIGESTS,
