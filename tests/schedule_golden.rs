@@ -20,7 +20,7 @@ use nsflow::core::{CompileError, Design, NsFlow};
 use nsflow::fpga::FpgaDevice;
 use nsflow::graph::DataflowGraph;
 use nsflow::sim::schedule::{run_pooled, Resource, Schedule, SimOptions};
-use nsflow::sim::timeline::BindKind;
+use nsflow::sim::timeline::{BindKind, CriticalNode, CriticalPathReport};
 use nsflow::telemetry::trace::{RequestEvent, ShedReason, TraceRecord, TraceSnapshot};
 use nsflow::telemetry::{HistogramSnapshot, JsonValue, SpanSnapshot, TelemetrySnapshot};
 use nsflow::tensor::rng::StdRng;
@@ -554,4 +554,238 @@ fn chrome_traces_are_in_canonical_pretty_form() {
         );
     }
     assert_canonical("serving trace", &serving);
+}
+
+/// Which rule bound a critical-path node's start in the reference walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rule {
+    /// Started at cycle 0.
+    Origin,
+    /// The first input, in `inputs()` order, that ended at the start.
+    Input,
+    /// The op's previous loop instance ended at the start.
+    PreviousInstance,
+    /// The first completion at the start in the op's resource group.
+    SameGroup,
+    /// The first completion at the start in any group.
+    AnyGroup,
+}
+
+/// The critical path by the definition: from the last finisher (ties
+/// toward the smallest `(loop, op)` instance), step to the completion
+/// that bound each start, trying the rules in [`Rule`] order. Inputs
+/// and previous instances are looked up by instance, and "ended at `t`"
+/// is a binary search in every op sorted by `(end, loop, op)`. Also
+/// returns the rule that bound each node.
+fn reference_critical_path(
+    schedule: &Schedule,
+    graph: &DataflowGraph,
+) -> (CriticalPathReport, Vec<Rule>) {
+    let ops = schedule.ops();
+    if ops.is_empty() {
+        return (CriticalPathReport::default(), Vec::new());
+    }
+    let trace = graph.trace();
+    let n_ops = trace.ops().len();
+    let instance = |i: usize| ops[i].loop_idx * n_ops + ops[i].op.index();
+    let mut by_inst = vec![usize::MAX; trace.loop_count() * n_ops];
+    for i in 0..ops.len() {
+        by_inst[instance(i)] = i;
+    }
+    let ended = |loop_idx: usize, op: usize, t: u64| {
+        let i = by_inst[loop_idx * n_ops + op];
+        (ops[i].end == t).then_some(i)
+    };
+    let mut by_end: Vec<(u64, usize, usize)> = (0..ops.len())
+        .map(|i| (ops[i].end, instance(i), i))
+        .collect();
+    by_end.sort_unstable();
+    let ended_at = |t: u64| {
+        let lo = by_end.partition_point(|e| e.0 < t);
+        by_end[lo..]
+            .iter()
+            .take_while(move |e| e.0 == t)
+            .map(|e| e.2)
+    };
+    let is_simd = |i: usize| ops[i].resource == Resource::Simd;
+
+    let mut cur = (0..ops.len())
+        .max_by_key(|&i| (ops[i].end, std::cmp::Reverse(instance(i))))
+        .unwrap();
+    let (mut nodes, mut rules) = (Vec::new(), Vec::new());
+    loop {
+        let so = ops[cur];
+        let (rule, pred) = if so.start == 0 {
+            (Rule::Origin, None)
+        } else if let Some(i) =
+            (trace.op(so.op).inputs().iter()).find_map(|d| ended(so.loop_idx, d.index(), so.start))
+        {
+            (Rule::Input, Some(i))
+        } else if let Some(i) = (so.loop_idx > 0)
+            .then(|| ended(so.loop_idx - 1, so.op.index(), so.start))
+            .flatten()
+        {
+            (Rule::PreviousInstance, Some(i))
+        } else if let Some(i) = ended_at(so.start).find(|&i| is_simd(i) == is_simd(cur)) {
+            (Rule::SameGroup, Some(i))
+        } else {
+            let i = ended_at(so.start).next();
+            assert!(i.is_some(), "no completion at cycle {}", so.start);
+            (Rule::AnyGroup, i)
+        };
+        let bound = match rule {
+            Rule::Origin => BindKind::Origin,
+            Rule::Input | Rule::PreviousInstance => BindKind::Dependency,
+            Rule::SameGroup | Rule::AnyGroup => BindKind::Resource,
+        };
+        nodes.push(CriticalNode {
+            index: cur,
+            loop_idx: so.loop_idx,
+            op: so.op,
+            resource: so.resource,
+            cycles: so.end - so.start,
+            transfer_stall: so.transfer_stall,
+            bound,
+        });
+        rules.push(rule);
+        match pred {
+            Some(i) => cur = i,
+            None => break,
+        }
+    }
+    nodes.reverse();
+    rules.reverse();
+    let report = CriticalPathReport {
+        nodes,
+        total_cycles: schedule.total_cycles(),
+    };
+    (report, rules)
+}
+
+/// Panics unless `critical_path` equals the reference walk node for
+/// node; returns the reference's rules.
+fn assert_matches_reference(case: &str, schedule: &Schedule, graph: &DataflowGraph) -> Vec<Rule> {
+    let (expected, rules) = reference_critical_path(schedule, graph);
+    assert_eq!(schedule.critical_path(graph), expected, "{case}");
+    assert_eq!(
+        expected.attributed_cycles(),
+        schedule.total_cycles(),
+        "{case}"
+    );
+    rules
+}
+
+#[test]
+fn critical_paths_match_the_reference_walk() {
+    for (name, design) in designs() {
+        let options = design_options(&design);
+        for multiplier in [1, 8, 64] {
+            let graph = batched(&design, multiplier);
+            let schedule = run_pooled(&graph, design.array(), design.mapping(), &options);
+            assert_matches_reference(&format!("{name} x{multiplier}"), &schedule, &graph);
+        }
+    }
+    for seed in 0..RANDOM_CASES {
+        let (graph, cfg, mapping, options) = random_case(seed);
+        let schedule = run_pooled(&graph, &cfg, &mapping, &options);
+        assert_matches_reference(&format!("random seed {seed}"), &schedule, &graph);
+    }
+}
+
+/// Four completions tie at cycle 60 and two more at cycle 90, so each
+/// rule must win against the ones after it. Pool ops are 8-row GEMMs on
+/// one 8×8 sub-array (`22 + m` cycles); SIMD ops are one-lane `Relu`s
+/// (one cycle per element).
+///
+/// | op | group | cycles | inputs | loop 0  | loop 1   |
+/// |----|-------|--------|--------|---------|----------|
+/// | a  | pool  | 30     |        | 0..30   | 30..60   |
+/// | b  | pool  | 30     |        | 0..30   | 30..60   |
+/// | d  | pool  | 45     |        | 0..45   | 45..90   |
+/// | x  | SIMD  | 30     | b, a   | 30..60  | 60..90   |
+/// | w  | SIMD  | 30     |        | 0..30   | 90..120  |
+///
+/// The path runs backwards from `w1`, the last finisher:
+/// - `w1` waited for the SIMD unit since 30; at 90 the pool's `d1`
+///   retires before `x1`, and the same-group `x1` binds;
+/// - `x1` starts at 60, where its inputs `b1` and `a1`, its previous
+///   instance `x0` and ops of both groups end; `x0` retires first, `a1`
+///   before `b1`, and the first input in `inputs()` order, `b1`, binds;
+/// - `b1` has no inputs; at 30 `a0` retires before `b0`, and its
+///   previous instance `b0` binds;
+/// - `b0` starts at 0.
+///
+/// The any-group rule never binds in a schedule `run_pooled` makes: a
+/// start after cycle 0 follows either a dependency or a release of its
+/// own group at that cycle.
+fn tie_case() -> (DataflowGraph, ArrayConfig, Mapping, SimOptions) {
+    let mut b = TraceBuilder::new("ties");
+    let gemm = |m| OpKind::Gemm { m, n: 8, k: 8 };
+    let relu = OpKind::Elementwise {
+        elems: 30,
+        func: EltFunc::Relu,
+    };
+    let a = b.push("a", gemm(8), Domain::Neural, DType::Int8, &[]);
+    let b_op = b.push("b", gemm(8), Domain::Neural, DType::Int8, &[]);
+    b.push("d", gemm(23), Domain::Neural, DType::Int8, &[]);
+    b.push("x", relu, Domain::Neural, DType::Int8, &[b_op, a]);
+    b.push("w", relu, Domain::Neural, DType::Int8, &[]);
+    let graph = DataflowGraph::from_trace(b.finish(2).unwrap());
+    let mapping = Mapping {
+        n_l: vec![1; 3],
+        n_v: Vec::new(),
+        parallel: true,
+    };
+    let options = SimOptions {
+        simd_lanes: 1,
+        transfer: None,
+    };
+    (graph, ArrayConfig::new(8, 8, 3).unwrap(), mapping, options)
+}
+
+#[test]
+fn every_tie_break_rule_binds_on_the_hand_built_path() {
+    let (graph, cfg, mapping, options) = tie_case();
+    let schedule = run_pooled(&graph, &cfg, &mapping, &options);
+    let trace = graph.trace();
+    let mut table: Vec<(&str, usize, u64, u64)> = (schedule.ops().iter())
+        .map(|so| (trace.op(so.op).name(), so.loop_idx, so.start, so.end))
+        .collect();
+    table.sort_unstable();
+    assert_eq!(
+        table,
+        [
+            ("a", 0, 0, 30),
+            ("a", 1, 30, 60),
+            ("b", 0, 0, 30),
+            ("b", 1, 30, 60),
+            ("d", 0, 0, 45),
+            ("d", 1, 45, 90),
+            ("w", 0, 0, 30),
+            ("w", 1, 90, 120),
+            ("x", 0, 30, 60),
+            ("x", 1, 60, 90),
+        ]
+    );
+    let rules = assert_matches_reference("ties", &schedule, &graph);
+    let path = schedule.critical_path(&graph);
+    let nodes: Vec<(&str, usize, u64)> = (path.nodes.iter())
+        .map(|n| {
+            let so = schedule.ops()[n.index];
+            (trace.op(n.op).name(), n.loop_idx, so.start)
+        })
+        .collect();
+    assert_eq!(
+        nodes,
+        [("b", 0, 0), ("b", 1, 30), ("x", 1, 60), ("w", 1, 90)]
+    );
+    assert_eq!(
+        rules,
+        [
+            Rule::Origin,
+            Rule::PreviousInstance,
+            Rule::Input,
+            Rule::SameGroup
+        ]
+    );
 }
