@@ -109,10 +109,16 @@ pub struct Schedule {
     /// `ops` order: op `i` claimed `units[unit_offsets[i]..unit_offsets[i + 1]]`.
     units: Vec<u16>,
     unit_offsets: Vec<usize>,
+    /// Index into `ops` of the completion that bound op `i`'s start
+    /// (`u32::MAX` for a start at cycle 0); see [`run_pooled`].
+    pub(crate) bound_by: Vec<u32>,
+    /// Index into `ops` of the first op retired at the makespan.
+    pub(crate) last_finisher: u32,
 }
 
 impl Schedule {
-    /// All scheduled op instances in issue order.
+    /// All scheduled op instances in issue order, which is strictly
+    /// ascending `(start, loop_idx, op)`.
     #[must_use]
     pub fn ops(&self) -> &[ScheduledOp] {
         &self.ops
@@ -170,9 +176,7 @@ impl Schedule {
         let width = 48usize;
         let span = self.total_cycles.max(1) as f64;
         let cell = |cycle: u64| ((cycle as f64 / span) * width as f64) as usize;
-        let mut ops = self.ops.clone();
-        ops.sort_by_key(|so| (so.start, so.loop_idx, so.op.index()));
-        for so in &ops {
+        for so in &self.ops {
             let name = graph.trace().op(so.op).name();
             let lane = match so.resource {
                 Resource::NnPartition => "NN  ",
@@ -385,9 +389,22 @@ impl ReadyQueues {
 /// allocations genuinely compete for the pool, so the Phase-II mapping
 /// refinement has real effect.
 ///
+/// Every start after cycle 0 directly follows the retirement of the
+/// completions at that cycle, in `(end, instance)` order. The scheduler
+/// records which of them bound each start, trying in turn:
+/// 1. the first input, in `inputs()` order, that ended then;
+/// 2. the op's previous loop instance, if it ended then;
+/// 3. the first retirement of the op's resource group (the SIMD unit or
+///    the pool);
+/// 4. the first retirement of the other group.
+///
+/// It also notes the first op retired at the makespan, where
+/// [`Schedule::critical_path`] starts following those bindings.
+///
 /// # Panics
 ///
-/// Panics if `mapping` lengths disagree with the graph's node counts.
+/// Panics if `mapping` lengths disagree with the graph's node counts,
+/// or if the graph has `u32::MAX` or more op instances.
 #[must_use]
 pub fn run_pooled(
     graph: &DataflowGraph,
@@ -407,6 +424,7 @@ pub fn run_pooled(
     // `(l, consumers(p))` and `(l + 1, p)`.
     let n_ops = trace.ops().len();
     let total = trace.loop_count() * n_ops;
+    assert!(total < u32::MAX as usize, "too many op instances");
     let mut deps_left: Vec<usize> = (0..total)
         .map(|i| plan.ops[i % n_ops].inputs + usize::from(i >= n_ops))
         .collect();
@@ -421,7 +439,7 @@ pub fn run_pooled(
     let mut free = pool;
     let mut simd_free = true;
     let mut now = 0u64;
-    let mut scheduled = Vec::with_capacity(total);
+    let mut scheduled: Vec<ScheduledOp> = Vec::with_capacity(total);
     let (mut units, mut unit_offsets) = (Vec::new(), vec![0]);
     let mut busy = [0u64; 3];
     let mut makespan = 0u64;
@@ -432,6 +450,13 @@ pub fn run_pooled(
     let mut unit_free = vec![0u64; pool];
     let mut simd_prev_end = 0u64;
     let mut starts = Vec::new();
+    // Binding state: the schedule index of every started instance, what
+    // bound each start, and the first retirement of each group (pool,
+    // SIMD) at `now`.
+    let mut index_of = vec![u32::MAX; total];
+    let mut bound_by = Vec::with_capacity(total);
+    let mut first_retired = [u32::MAX; 2];
+    let mut last_finisher = u32::MAX;
 
     loop {
         // Start every ready instance that fits, in instance order.
@@ -451,6 +476,23 @@ pub fn run_pooled(
             let p = inst % n_ops;
             let cost = &plan.ops[p];
             let end = now + cost.latency;
+            let group = usize::from(cost.class == Resource::Simd);
+            bound_by.push(if now == 0 {
+                u32::MAX
+            } else if ready_at[inst] == now {
+                // A dependency ended now: the first such input, else the
+                // previous instance.
+                let ended_now = |&i: &u32| scheduled[i as usize].end == now;
+                let inputs = trace.ops()[p].inputs().iter();
+                let base = inst - p;
+                (inputs.map(|d| index_of[base + d.index()]).find(ended_now))
+                    .unwrap_or_else(|| index_of[inst - n_ops])
+            } else if first_retired[group] != u32::MAX {
+                first_retired[group]
+            } else {
+                first_retired[group ^ 1]
+            });
+            index_of[inst] = scheduled.len() as u32;
             // Claim concrete resources and note how long the last-needed
             // one had been sitting idle — that idle window before the
             // instance became ready is dependency-imposed.
@@ -491,16 +533,22 @@ pub fn run_pooled(
         // Advance to the next completion and retire everything ending
         // then. Every start of this pass ends after `now`, so `now`
         // strictly increases and passes are already in start order.
-        let Some(&Reverse((next, _))) = running.peek() else {
+        let Some(&Reverse((next, first))) = running.peek() else {
             break;
         };
         now = next;
+        last_finisher = index_of[first];
+        first_retired = [u32::MAX; 2];
         while let Some(&Reverse((t, inst))) = running.peek() {
             if t != now {
                 break;
             }
             running.pop();
             let p = inst % n_ops;
+            let group = usize::from(plan.ops[p].class == Resource::Simd);
+            if first_retired[group] == u32::MAX {
+                first_retired[group] = index_of[inst];
+            }
             free += plan.ops[p].demand;
             simd_free |= plan.ops[p].class == Resource::Simd;
             let base = inst - p;
@@ -526,6 +574,8 @@ pub fn run_pooled(
         pool_units: pool,
         units,
         unit_offsets,
+        bound_by,
+        last_finisher,
     };
     record_schedule(&schedule);
     schedule
@@ -771,6 +821,19 @@ mod tests {
             })
             .collect();
         assert!(starts.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn ops_are_in_strict_start_loop_op_order() {
+        for (loops, mapping) in [
+            (1, Mapping::uniform(1, 1, 3, 1)),
+            (6, Mapping::uniform(1, 1, 2, 2)),
+            (8, Mapping::sequential(1, 1, 4)),
+        ] {
+            let s = run_pooled(&graph(loops), &cfg(), &mapping, &SimOptions::default());
+            let key = |so: &ScheduledOp| (so.start, so.loop_idx, so.op.index());
+            assert!(s.ops().windows(2).all(|w| key(&w[0]) < key(&w[1])));
+        }
     }
 
     #[test]

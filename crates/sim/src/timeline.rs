@@ -16,10 +16,10 @@
 //!   the last-finishing op, at each hop following the constraint that
 //!   actually bound the op's start (a data dependency or a resource
 //!   release). The resulting chain tiles `[0, total_cycles)` exactly, so
-//!   attributed cycles sum to the makespan. Instances map to schedule
-//!   indices through a dense table sized from the schedule, and "who
-//!   ended at `t`" is a binary search in one end-sorted array: `O(n log n)`
-//!   over `n` scheduled ops, with no hashing.
+//!   attributed cycles sum to the makespan. The scheduler records each
+//!   op's binding completion as it starts the op, so the walk only
+//!   follows that chain and classifies each hop from the graph: `O(path)`
+//!   with no sort, search or hashing.
 //! - [`Schedule::utilization_timeline`]: windowed per-class occupancy
 //!   series, and [`Schedule::classes_overlap_cycles`] — how long at
 //!   least two of NN/VSA/SIMD were simultaneously active (the step-③
@@ -379,9 +379,10 @@ impl Schedule {
 
     /// Extracts the critical path: starting from the last-finishing op,
     /// repeatedly steps to the op whose completion dictated the current
-    /// op's start — the data dependency that finished exactly at `start`
-    /// if one exists, otherwise the op whose completion released the
-    /// resource. The chain tiles `[0, total_cycles)`, so
+    /// op's start, as [`run_pooled`](crate::schedule::run_pooled)
+    /// recorded it — the data dependency that finished exactly at
+    /// `start` if one exists, otherwise the op whose completion released
+    /// the resource. The chain tiles `[0, total_cycles)`, so
     /// [`CriticalPathReport::attributed_cycles`] equals the makespan.
     #[must_use]
     pub fn critical_path(&self, graph: &DataflowGraph) -> CriticalPathReport {
@@ -390,101 +391,35 @@ impl Schedule {
             return CriticalPathReport::default();
         }
         let trace = graph.trace();
-
-        // Schedule index of each (loop, op) instance, dense over the
-        // schedule's own extent (`usize::MAX`: not scheduled). A later
-        // duplicate of an instance overwrites an earlier one.
-        let n_ops = ops.iter().map(|so| so.op.index()).max().unwrap_or(0) + 1;
-        let loops = ops.iter().map(|so| so.loop_idx).max().unwrap_or(0) + 1;
-        let mut by_inst = vec![usize::MAX; loops * n_ops];
-        for (i, so) in ops.iter().enumerate() {
-            by_inst[so.loop_idx * n_ops + so.op.index()] = i;
-        }
-        let find = |loop_idx: usize, op: usize| {
-            let i = *by_inst.get(loop_idx * n_ops + op).filter(|_| op < n_ops)?;
-            (i != usize::MAX).then_some(i)
-        };
-        // Completions by end time; candidates inside one end time in
-        // (loop, op) order, then schedule order.
-        let mut by_end: Vec<(u64, usize, usize)> = ops
-            .iter()
-            .enumerate()
-            .map(|(i, so)| (so.end, so.loop_idx * n_ops + so.op.index(), i))
-            .collect();
-        by_end.sort_unstable();
-        let ended_at = |t: u64| {
-            let lo = by_end.partition_point(|e| e.0 < t);
-            by_end[lo..]
-                .iter()
-                .take_while(move |e| e.0 == t)
-                .map(|e| e.2)
-        };
-
-        // Last-finishing op; ties broken toward the smallest instance.
-        let mut cur = (0..ops.len())
-            .max_by_key(|&i| {
-                (
-                    ops[i].end,
-                    std::cmp::Reverse((ops[i].loop_idx, ops[i].op.index())),
-                )
-            })
-            .expect("non-empty schedule");
-
-        // The SIMD unit is its own group; NN and VSA ops share the pool.
-        let same_group = |a: Resource, b: Resource| (a == Resource::Simd) == (b == Resource::Simd);
-
-        let mut nodes = Vec::new();
-        loop {
-            let so = ops[cur];
-            let mut node = CriticalNode {
-                index: cur,
-                loop_idx: so.loop_idx,
-                op: so.op,
-                resource: so.resource,
-                cycles: so.end - so.start,
-                transfer_stall: so.transfer_stall,
-                bound: BindKind::Origin,
-            };
-            if so.start == 0 {
-                nodes.push(node);
-                break;
-            }
-            // Dependency instances that finished exactly at our start.
-            let mut dep_pred = None;
-            for d in trace.op(so.op).inputs() {
-                if let Some(i) = find(so.loop_idx, d.index()) {
-                    if ops[i].end == so.start {
-                        dep_pred = Some(i);
-                        break;
+        let pred = |i: usize| (ops[i].start > 0).then(|| self.bound_by[i] as usize);
+        let mut nodes: Vec<CriticalNode> =
+            std::iter::successors(Some(self.last_finisher as usize), |&i| pred(i))
+                .map(|i| {
+                    let so = ops[i];
+                    // An intra-loop input or the previous instance of the
+                    // same op is a dependency; any other binding released
+                    // a resource.
+                    let bound = pred(i).map_or(BindKind::Origin, |p| {
+                        let p = &ops[p];
+                        let input =
+                            p.loop_idx == so.loop_idx && trace.op(so.op).inputs().contains(&p.op);
+                        if input || (p.op == so.op && p.loop_idx + 1 == so.loop_idx) {
+                            BindKind::Dependency
+                        } else {
+                            BindKind::Resource
+                        }
+                    });
+                    CriticalNode {
+                        index: i,
+                        loop_idx: so.loop_idx,
+                        op: so.op,
+                        resource: so.resource,
+                        cycles: so.end - so.start,
+                        transfer_stall: so.transfer_stall,
+                        bound,
                     }
-                }
-            }
-            if dep_pred.is_none() && so.loop_idx > 0 {
-                // Stationary-operand serialization with the previous
-                // instance counts as a dependency.
-                if let Some(i) = find(so.loop_idx - 1, so.op.index()) {
-                    if ops[i].end == so.start {
-                        dep_pred = Some(i);
-                    }
-                }
-            }
-            let pred = if let Some(i) = dep_pred {
-                node.bound = BindKind::Dependency;
-                Some(i)
-            } else {
-                // The resource release that unblocked us: prefer an op of
-                // the same resource group, fall back to any completion.
-                node.bound = BindKind::Resource;
-                ended_at(so.start)
-                    .find(|&i| i != cur && same_group(ops[i].resource, so.resource))
-                    .or_else(|| ended_at(so.start).find(|&i| i != cur))
-            };
-            nodes.push(node);
-            match pred {
-                Some(i) => cur = i,
-                None => break, // no completion at our start: attribution ends here
-            }
-        }
+                })
+                .collect();
         nodes.reverse();
         CriticalPathReport {
             nodes,

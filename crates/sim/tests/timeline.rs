@@ -98,6 +98,10 @@ fn assert_timeline_invariants(g: &DataflowGraph, s: &Schedule) {
     // Overlap can never exceed the makespan.
     assert!(s.classes_overlap_cycles() <= total);
 
+    // Ops are in strict (start, loop, op) order.
+    let key = |i: usize| (s.ops()[i].start, s.ops()[i].loop_idx, s.ops()[i].op.index());
+    assert!((1..s.ops().len()).all(|i| key(i - 1) < key(i)));
+
     // Per-op stall attribution: transfer stalls sit inside the
     // occupancy; pre-start waits fit before the start.
     for so in s.ops() {
