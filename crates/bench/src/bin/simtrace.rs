@@ -22,19 +22,22 @@
 //! gate: per workload the simulated cycles, utilization, overlap, stall
 //! totals and critical path, all declared `exact`, plus the measured
 //! wall time per scheduler, critical-path, Chrome-trace build and
-//! `render_pretty` call averaged over the workloads' final schedules
-//! (informational: host-dependent). The build renders every event to
-//! text; `render_pretty` only writes the sorted events into the
-//! envelope. An invalid trace makes the run exit non-zero.
+//! `render_pretty` call (informational: host-dependent). Each is the
+//! median of [`REPS`] warm calls on a workload's final schedule,
+//! averaged over the workloads, so first-touch page faults of a fresh
+//! process do not count. The build renders every event to text;
+//! `render_pretty` only writes the sorted events into the envelope. An
+//! invalid trace makes the run exit non-zero.
 
+use std::hint::black_box;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use nsflow_arch::ArrayConfig;
 use nsflow_bench::simreport::{analyze, parse_config, WorkloadTimeline};
 use nsflow_bench::{exact, wall_time, write_artifact};
-use nsflow_sim::schedule::SimOptions;
+use nsflow_sim::schedule::{run_pooled, SimOptions};
 use nsflow_telemetry::JsonValue;
 use nsflow_workloads::traces;
 
@@ -83,27 +86,45 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// Wall time spent building and rendering the workloads' Chrome traces.
-#[derive(Default)]
-struct TraceWall {
-    /// `to_chrome_trace`: every event rendered to text, then sorted.
-    build: Duration,
-    /// `render_pretty`: the sorted events written into the envelope.
-    render: Duration,
+/// Warm calls timed per workload for each `*_us_per_call` median.
+const REPS: usize = 9;
+
+/// Median wall time of [`REPS`] calls of `f`, in microseconds.
+fn median_us<T>(mut f: impl FnMut() -> T) -> f64 {
+    let mut samples: Vec<f64> = (0..REPS)
+        .map(|_| {
+            let started = Instant::now();
+            black_box(f());
+            started.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[REPS / 2]
 }
 
-fn emit_json(timelines: &[WorkloadTimeline], args: &Args, wall: &TraceWall) {
-    let (mut schedule_wall, mut path_wall) = (Duration::ZERO, Duration::ZERO);
+fn emit_json(timelines: &[WorkloadTimeline], args: &Args) {
+    // Snapshot before the timed calls, which record telemetry too.
+    let telemetry = nsflow_telemetry::TelemetrySnapshot::capture().to_json_value();
+    let opts = SimOptions::default();
+    // Summed medians: scheduler, critical path, trace build, render.
+    let mut wall = [0.0; 4];
     let count = |v: usize| exact(JsonValue::UInt(v as u64), "count");
     let cycles = |v: u64| exact(JsonValue::UInt(v), "cycles");
     let workloads = timelines
         .iter()
         .map(|t| {
+            let chrome = t.chrome_trace();
+            let medians = [
+                median_us(|| run_pooled(&t.graph, &args.cfg, &t.mapping, &opts)),
+                median_us(|| t.schedule.critical_path(&t.graph)),
+                median_us(|| t.chrome_trace()),
+                median_us(|| chrome.render_pretty()),
+            ];
+            for (sum, m) in wall.iter_mut().zip(medians) {
+                *sum += m;
+            }
             let stalls = t.schedule.stall_totals();
-            let started = Instant::now();
             let path = t.schedule.critical_path(&t.graph);
-            path_wall += started.elapsed();
-            schedule_wall += t.schedule_wall;
             let total = t.schedule.total_cycles();
             let overlap = 100.0 * t.schedule.classes_overlap_cycles() as f64 / total.max(1) as f64;
             JsonValue::object([
@@ -123,8 +144,7 @@ fn emit_json(timelines: &[WorkloadTimeline], args: &Args, wall: &TraceWall) {
             ])
         })
         .collect();
-    let calls = timelines.len().max(1) as f64;
-    let per_call = |d: Duration| wall_time(d.as_secs_f64() * 1e6 / calls, "us");
+    let per_call = |sum: f64| wall_time(sum / timelines.len().max(1) as f64, "us");
     let doc = JsonValue::object([
         ("bench", JsonValue::Str("simtrace".into())),
         (
@@ -142,14 +162,11 @@ fn emit_json(timelines: &[WorkloadTimeline], args: &Args, wall: &TraceWall) {
             "threads",
             JsonValue::UInt(nsflow_tensor::par::available_threads() as u64),
         ),
-        ("schedule_us_per_call", per_call(schedule_wall)),
-        ("critical_path_us_per_call", per_call(path_wall)),
-        ("chrome_trace_us_per_call", per_call(wall.build)),
-        ("render_us_per_call", per_call(wall.render)),
-        (
-            "telemetry",
-            nsflow_telemetry::TelemetrySnapshot::capture().to_json_value(),
-        ),
+        ("schedule_us_per_call", per_call(wall[0])),
+        ("critical_path_us_per_call", per_call(wall[1])),
+        ("chrome_trace_us_per_call", per_call(wall[2])),
+        ("render_us_per_call", per_call(wall[3])),
+        ("telemetry", telemetry),
     ]);
     write_artifact("BENCH_simtrace.json", &doc);
 }
@@ -171,7 +188,6 @@ fn main() -> ExitCode {
 
     let mut timelines = Vec::new();
     let mut all_exact = true;
-    let mut wall = TraceWall::default();
     for name in &args.workloads {
         let Some(workload) = traces::by_name(name) else {
             eprintln!("simtrace: unknown workload `{name}` (want nvsa|mimonet|lvrf|prae|all)");
@@ -180,12 +196,7 @@ fn main() -> ExitCode {
         let opts = SimOptions::default();
         let t = analyze(workload, &args.cfg, &opts);
 
-        let started = Instant::now();
-        let chrome = t.chrome_trace();
-        wall.build += started.elapsed();
-        let started = Instant::now();
-        let rendered = chrome.render_pretty();
-        wall.render += started.elapsed();
+        let rendered = t.chrome_trace().render_pretty();
         if let Err(e) = t.validate_trace(&rendered) {
             eprintln!("simtrace: {name}: invalid trace: {e}");
             all_exact = false;
@@ -202,7 +213,7 @@ fn main() -> ExitCode {
         timelines.push(t);
     }
 
-    emit_json(&timelines, &args, &wall);
+    emit_json(&timelines, &args);
     if all_exact {
         ExitCode::SUCCESS
     } else {

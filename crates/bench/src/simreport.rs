@@ -3,9 +3,7 @@
 //! and the scheduler, then package the schedule's observability artifacts
 //! (Chrome trace JSON, bottleneck report, roofline phase bounds).
 
-use std::time::{Duration, Instant};
-
-use nsflow_arch::ArrayConfig;
+use nsflow_arch::{ArrayConfig, Mapping};
 use nsflow_graph::DataflowGraph;
 use nsflow_sim::devices::Device;
 use nsflow_sim::roofline::{workload_points, Bound};
@@ -16,18 +14,18 @@ use nsflow_workloads::traces::Workload;
 
 use crate::mapping;
 
-/// A workload scheduled for timeline inspection: the graph it ran as
-/// and the resulting schedule.
+/// A workload scheduled for timeline inspection: the graph it ran as,
+/// the mapping it ran with and the resulting schedule.
 #[derive(Debug, Clone)]
 pub struct WorkloadTimeline {
     /// Workload display name.
     pub name: &'static str,
     /// The dataflow graph the scheduler consumed.
     pub graph: DataflowGraph,
+    /// The two-phase mapping the schedule ran with.
+    pub mapping: Mapping,
     /// The schedule with per-op stall attribution.
     pub schedule: Schedule,
-    /// Wall time of the scheduler call that produced `schedule`.
-    pub schedule_wall: Duration,
 }
 
 /// Parses an `HxWxN` array-config argument (e.g. `32x32x8`).
@@ -52,14 +50,12 @@ pub fn analyze(workload: Workload, cfg: &ArrayConfig, opts: &SimOptions) -> Work
     let name = workload.name;
     let graph = DataflowGraph::from_trace(workload.trace);
     let mapping = mapping::two_phase_mapping(&graph, cfg, opts);
-    let started = Instant::now();
     let schedule = schedule::run_pooled(&graph, cfg, &mapping, opts);
-    let schedule_wall = started.elapsed();
     WorkloadTimeline {
         name,
         graph,
+        mapping,
         schedule,
-        schedule_wall,
     }
 }
 
