@@ -389,17 +389,13 @@ impl ReadyQueues {
 /// allocations genuinely compete for the pool, so the Phase-II mapping
 /// refinement has real effect.
 ///
-/// Every start after cycle 0 directly follows the retirement of the
-/// completions at that cycle, in `(end, instance)` order. The scheduler
-/// records which of them bound each start, trying in turn:
-/// 1. the first input, in `inputs()` order, that ended then;
-/// 2. the op's previous loop instance, if it ended then;
-/// 3. the first retirement of the op's resource group (the SIMD unit or
-///    the pool);
-/// 4. the first retirement of the other group.
-///
-/// It also notes the first op retired at the makespan, where
-/// [`Schedule::critical_path`] starts following those bindings.
+/// Every start after cycle 0 directly follows the retirement, in
+/// `(end, instance)` order, of the completions at that cycle. The
+/// scheduler records which one bound each start: the first input (in
+/// `inputs()` order) that ended then, else the op's previous instance,
+/// else the first retirement of the op's resource group (SIMD unit or
+/// pool), else of the other group. [`Schedule::critical_path`] follows
+/// these bindings from the first op retired at the makespan.
 ///
 /// # Panics
 ///

@@ -31,7 +31,6 @@
 //! unscaled (one microsecond per cycle in the viewer's display; the
 //! `metadata` object records the unit).
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use nsflow_graph::DataflowGraph;
@@ -141,14 +140,14 @@ impl CriticalPathReport {
     /// heaviest first; ties broken by op index for determinism.
     #[must_use]
     pub fn top_ops(&self, graph: &DataflowGraph, n: usize) -> Vec<(String, u64, usize)> {
-        let mut per_op: HashMap<usize, (u64, usize)> = HashMap::new();
+        let mut per_op = vec![(0u64, 0usize); graph.trace().ops().len()];
         for node in &self.nodes {
-            let e = per_op.entry(node.op.index()).or_insert((0, 0));
+            let e = &mut per_op[node.op.index()];
             e.0 += node.cycles;
             e.1 += 1;
         }
-        let mut rows: Vec<(usize, u64, usize)> = per_op
-            .into_iter()
+        let mut rows: Vec<(usize, u64, usize)> = (per_op.into_iter().enumerate())
+            .filter(|&(_, (_, count))| count > 0)
             .map(|(op, (cycles, count))| (op, cycles, count))
             .collect();
         rows.sort_by_key(|&(op, cycles, _)| (std::cmp::Reverse(cycles), op));
@@ -386,40 +385,36 @@ impl Schedule {
     /// [`CriticalPathReport::attributed_cycles`] equals the makespan.
     #[must_use]
     pub fn critical_path(&self, graph: &DataflowGraph) -> CriticalPathReport {
-        let ops = self.ops();
-        if ops.is_empty() {
-            return CriticalPathReport::default();
-        }
-        let trace = graph.trace();
+        let (ops, trace) = (self.ops(), graph.trace());
         let pred = |i: usize| (ops[i].start > 0).then(|| self.bound_by[i] as usize);
-        let mut nodes: Vec<CriticalNode> =
-            std::iter::successors(Some(self.last_finisher as usize), |&i| pred(i))
-                .map(|i| {
-                    let so = ops[i];
-                    // An intra-loop input or the previous instance of the
-                    // same op is a dependency; any other binding released
-                    // a resource.
-                    let bound = pred(i).map_or(BindKind::Origin, |p| {
-                        let p = &ops[p];
-                        let input =
-                            p.loop_idx == so.loop_idx && trace.op(so.op).inputs().contains(&p.op);
-                        if input || (p.op == so.op && p.loop_idx + 1 == so.loop_idx) {
-                            BindKind::Dependency
-                        } else {
-                            BindKind::Resource
-                        }
-                    });
-                    CriticalNode {
-                        index: i,
-                        loop_idx: so.loop_idx,
-                        op: so.op,
-                        resource: so.resource,
-                        cycles: so.end - so.start,
-                        transfer_stall: so.transfer_stall,
-                        bound,
+        let last = (!ops.is_empty()).then_some(self.last_finisher as usize);
+        let mut nodes: Vec<CriticalNode> = std::iter::successors(last, |&i| pred(i))
+            .map(|i| {
+                let so = ops[i];
+                // An intra-loop input or the previous instance of the
+                // same op is a dependency; any other binding released
+                // a resource.
+                let bound = pred(i).map_or(BindKind::Origin, |p| {
+                    let p = &ops[p];
+                    let input =
+                        p.loop_idx == so.loop_idx && trace.op(so.op).inputs().contains(&p.op);
+                    if input || (p.op == so.op && p.loop_idx + 1 == so.loop_idx) {
+                        BindKind::Dependency
+                    } else {
+                        BindKind::Resource
                     }
-                })
-                .collect();
+                });
+                CriticalNode {
+                    index: i,
+                    loop_idx: so.loop_idx,
+                    op: so.op,
+                    resource: so.resource,
+                    cycles: so.end - so.start,
+                    transfer_stall: so.transfer_stall,
+                    bound,
+                }
+            })
+            .collect();
         nodes.reverse();
         CriticalPathReport {
             nodes,
