@@ -541,12 +541,12 @@ pub fn run_pooled(
             }
             running.pop();
             let p = inst % n_ops;
-            let group = usize::from(plan.ops[p].class == Resource::Simd);
-            if first_retired[group] == u32::MAX {
-                first_retired[group] = index_of[inst];
+            let simd = plan.ops[p].class == Resource::Simd;
+            if first_retired[usize::from(simd)] == u32::MAX {
+                first_retired[usize::from(simd)] = index_of[inst];
             }
             free += plan.ops[p].demand;
-            simd_free |= plan.ops[p].class == Resource::Simd;
+            simd_free |= simd;
             let base = inst - p;
             let next_loop = (inst + n_ops < total).then_some(inst + n_ops);
             let dependents = plan.consumers(p).iter().map(|&c| base + c);
