@@ -13,6 +13,7 @@
 //! trace of every `compile_designs` target (workload × device ×
 //! precision, pooled schedule), one telemetry snapshot and one serving
 //! trace are each folded into a digest of their `render_pretty` bytes.
+//! The Gantt text is pinned on the same designs.
 
 use nsflow::arch::memory::TransferModel;
 use nsflow::arch::{ArrayConfig, Mapping, PrecisionConfig};
@@ -363,11 +364,10 @@ const PRETTY_DESIGN_DIGESTS: [(&str, u64); 14] = [
 ];
 
 /// Every `compile_designs` target (the four workloads × {U250, ZCU104}
-/// × {mixed, int8}) that fits its device, scheduled by `run_pooled` and
-/// rendered as a pretty Chrome trace.
-#[test]
-fn pretty_chrome_traces_of_compiled_designs_match_pinned_digests() {
-    let mut computed = Vec::new();
+/// × {mixed, int8}) that fits its device, labelled and scheduled by
+/// `run_pooled`.
+fn compiled_targets() -> Vec<(String, DataflowGraph, Schedule)> {
+    let mut targets = Vec::new();
     for workload in traces::all() {
         for (board, device) in [
             ("U250", FpgaDevice::u250()),
@@ -392,15 +392,78 @@ fn pretty_chrome_traces_of_compiled_designs_match_pinned_digests() {
                     design.mapping(),
                     &design_options(&design),
                 );
-                let text = schedule.to_chrome_trace(&design.graph).render_pretty();
-                computed.push((
-                    format!("{} {board} {label}", workload.name),
-                    fnv_text(&text),
-                ));
+                let case = format!("{} {board} {label}", workload.name);
+                targets.push((case, design.graph, schedule));
             }
         }
     }
+    targets
+}
+
+/// Every `compile_designs` target rendered as a pretty Chrome trace.
+#[test]
+fn pretty_chrome_traces_of_compiled_designs_match_pinned_digests() {
+    let computed: Vec<(String, u64)> = compiled_targets()
+        .into_iter()
+        .map(|(case, graph, schedule)| {
+            let text = schedule.to_chrome_trace(&graph).render_pretty();
+            (case, fnv_text(&text))
+        })
+        .collect();
     check(&computed, &PRETTY_DESIGN_DIGESTS);
+}
+
+const GANTT_DIGESTS: [(&str, u64); 30] = [
+    ("NVSA x1", 0xd96b6adfe2755365),
+    ("NVSA x3", 0x0b031c52bd48a18c),
+    ("NVSA x8", 0x49dd06bb1e186aed),
+    ("NVSA x17", 0x50f6560214f165f1),
+    ("MIMONet x1", 0x05240e8a944578d5),
+    ("MIMONet x3", 0xd2c5e0f8a82e8fef),
+    ("MIMONet x8", 0x245af57389e1dce0),
+    ("MIMONet x17", 0xd81c4f9af374f410),
+    ("LVRF x1", 0xb504fc71301ad4d0),
+    ("LVRF x3", 0x66719e9fd5eabac6),
+    ("LVRF x8", 0xf89d77effd6d4810),
+    ("LVRF x17", 0x85b46f93dee38c45),
+    ("PrAE x1", 0xaaaf00520ddc621f),
+    ("PrAE x3", 0xe28e372c8cdca936),
+    ("PrAE x8", 0x9fdeaf0613b98bfc),
+    ("PrAE x17", 0x7bf52a44d5a9e778),
+    ("NVSA U250 mixed", 0xd96b6adfe2755365),
+    ("NVSA U250 int8", 0xd96b6adfe2755365),
+    ("MIMONet U250 mixed", 0x05240e8a944578d5),
+    ("MIMONet U250 int8", 0x05240e8a944578d5),
+    ("MIMONet ZCU104 mixed", 0x583a2ce52bef6f94),
+    ("MIMONet ZCU104 int8", 0x0c242096eb91bc73),
+    ("LVRF U250 mixed", 0xb504fc71301ad4d0),
+    ("LVRF U250 int8", 0xb504fc71301ad4d0),
+    ("LVRF ZCU104 mixed", 0x037d33096c47c51b),
+    ("LVRF ZCU104 int8", 0x7a0638ae6db8e06a),
+    ("PrAE U250 mixed", 0xaaaf00520ddc621f),
+    ("PrAE U250 int8", 0xaaaf00520ddc621f),
+    ("PrAE ZCU104 mixed", 0xf5fc7b6af0aea517),
+    ("PrAE ZCU104 int8", 0x0de59859f58fd172),
+];
+
+/// The Gantt text of the four U250 designs at ×1/×3/×8/×17 and of every
+/// `compile_designs` target.
+#[test]
+fn gantt_texts_match_pinned_digests() {
+    let mut computed = Vec::new();
+    for (name, design) in designs() {
+        let options = design_options(&design);
+        for multiplier in [1, 3, 8, 17] {
+            let graph = batched(&design, multiplier);
+            let schedule = run_pooled(&graph, design.array(), design.mapping(), &options);
+            let text = schedule.to_gantt_text(&graph);
+            computed.push((format!("{name} x{multiplier}"), fnv_text(&text)));
+        }
+    }
+    for (case, graph, schedule) in compiled_targets() {
+        computed.push((case, fnv_text(&schedule.to_gantt_text(&graph))));
+    }
+    check(&computed, &GANTT_DIGESTS);
 }
 
 /// A snapshot with every section, a bucket list too long to inline,
