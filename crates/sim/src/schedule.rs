@@ -34,6 +34,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt::Write as _;
 
 use nsflow_arch::memory::TransferModel;
 use nsflow_arch::{analytical, simd, ArrayConfig, Mapping};
@@ -172,38 +173,38 @@ impl Schedule {
     /// gap (dependency + resource wait).
     #[must_use]
     pub fn to_gantt_text(&self, graph: &DataflowGraph) -> String {
-        let mut lines = String::new();
-        let width = 48usize;
+        const WIDTH: usize = 48;
+        const LANES: [&str; 3] = ["NN  ", "VSA ", "SIMD"];
+        let trace = graph.trace();
+        // A line is 82 bytes of lane, bar, frame, spacing and two cycle
+        // columns padded to ten digits, then the loop index and the op
+        // name; 88 leaves room for the loop index and wider cycles.
+        let names: usize = self.ops.iter().map(|so| trace.op(so.op).name().len()).sum();
+        let mut lines = String::with_capacity(self.ops.len() * 88 + names);
         let span = self.total_cycles.max(1) as f64;
-        let cell = |cycle: u64| ((cycle as f64 / span) * width as f64) as usize;
+        let cell = |cycle: u64| ((cycle as f64 / span) * WIDTH as f64) as usize;
+        let mut bar = [b' '; WIDTH];
         for so in &self.ops {
-            let name = graph.trace().op(so.op).name();
-            let lane = match so.resource {
-                Resource::NnPartition => "NN  ",
-                Resource::VsaPartition => "VSA ",
-                Resource::Simd => "SIMD",
-            };
             let a = cell(so.start);
-            let b = cell(so.end).max(a + 1).min(width);
-            let mut bar = vec![b' '; width];
+            let b = cell(so.end).max(a + 1).min(WIDTH);
             // Pre-start stall gap (dependency + resource wait).
             let wait = cell(so.start - (so.dep_wait + so.resource_wait).min(so.start)).min(a);
-            for c in bar.iter_mut().take(a).skip(wait) {
-                *c = b'.';
-            }
             // Occupancy: transfer stall head, then compute.
             let stall_end = cell(so.start + so.transfer_stall).clamp(a, b);
-            for (i, c) in bar.iter_mut().enumerate().take(b).skip(a) {
-                *c = if i < stall_end { b'~' } else { b'#' };
-            }
-            lines.push_str(&format!(
-                "{lane} |{}| {:>10}..{:<10} L{} {}\n",
-                String::from_utf8_lossy(&bar),
+            bar.fill(b' ');
+            bar[wait..a].fill(b'.');
+            bar[a..stall_end].fill(b'~');
+            bar[stall_end..b].fill(b'#');
+            let _ = writeln!(
+                lines,
+                "{} |{}| {:>10}..{:<10} L{} {}",
+                LANES[so.resource.index()],
+                std::str::from_utf8(&bar).expect("an ASCII bar"),
                 so.start,
                 so.end,
                 so.loop_idx,
-                name
-            ));
+                trace.op(so.op).name()
+            );
         }
         lines
     }

@@ -307,8 +307,9 @@ impl Schedule {
     /// instance, so every track shows what that physical unit was
     /// doing, and one per SIMD op — with args carrying the op kind,
     /// loop index, cycle count and the stall breakdown. An op's event
-    /// is rendered once and copied to each of its tracks. A counter
-    /// (`C`) series tracks per-class occupancy at every change point.
+    /// is rendered once and written out per track when the document is
+    /// rendered. A counter (`C`) series tracks per-class occupancy at
+    /// every change point.
     /// The rendered document loads in Perfetto / `chrome://tracing`;
     /// callers that inspect its events parse it with
     /// [`JsonValue::parse`].
@@ -343,15 +344,11 @@ impl Schedule {
                     ),
                 ),
             ]);
-            let tids: Vec<u64> = match so.resource {
-                Resource::Simd => vec![SIMD_TID],
-                _ => units
-                    .iter()
-                    .map(|&u| POOL_TID_BASE + u64::from(u))
-                    .collect(),
-            };
+            // A SIMD op claims no sub-array.
+            let simd = (so.resource == Resource::Simd).then_some(SIMD_TID);
+            let pool = units.iter().map(|&u| POOL_TID_BASE + u64::from(u));
+            let tracks = simd.into_iter().chain(pool).map(|tid| (tid, tid));
             let cat = RESOURCE_LABELS[so.resource.index()];
-            let tracks = tids.into_iter().map(|tid| (tid, tid));
             chrome.slice(tracks, op.name(), cat, so.start..so.end, args);
         }
         chrome.counter("occupancy", RESOURCE_LABELS, self.occupancy_deltas());

@@ -11,11 +11,16 @@
 //! It is a text builder: each event is rendered through
 //! [`JsonValue::write_pretty`] at its depth in the document the moment
 //! it is added, and kept as a fragment of one text arena with its sort
-//! key. A slice that covers several tracks renders its shared body once
-//! and copies it per track. [`ChromeTrace::finish`] sorts the fragments
-//! and [`ChromeDocument::render_pretty`] writes the envelope around them
-//! in one pass, at exact capacity: the same bytes as rendering the
-//! whole document as one [`JsonValue`] tree, with no tree built.
+//! key. A slice that covers several tracks renders its shared body into
+//! the arena once; each track's fragment points at that body and
+//! carries its own `tid`. A counter series renders its event once with
+//! placeholder values and writes each change point by filling in `ts`
+//! and the levels. [`ChromeTrace::finish`] sorts the fragments and
+//! [`ChromeDocument::render_pretty`] writes the envelope around them in
+//! one pass, at exact capacity, splicing each slice's `tid` into its
+//! body as it goes: the per-track copies are made there, straight into
+//! the output. The bytes are the same as rendering the whole document
+//! as one [`JsonValue`] tree, with no tree built.
 //!
 //! Every event belongs to process 0. Timed events are written sorted
 //! stably by `(ts, order)`, where `order` is the caller's explicit
@@ -25,7 +30,7 @@
 
 use std::ops::Range;
 
-use crate::json::JsonValue;
+use crate::json::{decimal_len, write_u64, JsonValue};
 
 /// Sort key of every counter event: after any other event at its `ts`.
 const COUNTER_ORDER: u64 = u64::MAX;
@@ -43,8 +48,34 @@ struct Fragment {
     /// `(ts, order)`; `None` for a track (`M`) event, which sorts
     /// before every timed event.
     key: Option<(u64, u64)>,
-    /// The event's text in the arena.
+    /// The event's text in the arena: for a slice, the body shared by
+    /// every track it covers.
     text: Range<usize>,
+    /// A slice's track: the arena offset of the body's one-digit `tid`
+    /// placeholder, and the `tid` written in its place.
+    tid: Option<(usize, u64)>,
+}
+
+impl Fragment {
+    /// Length of the event as written out.
+    fn len(&self) -> usize {
+        match self.tid {
+            Some((_, tid)) => self.text.len() - 1 + decimal_len(tid),
+            None => self.text.len(),
+        }
+    }
+
+    /// Appends the event to `out`, with its `tid` spliced in.
+    fn write(&self, arena: &str, out: &mut String) {
+        match self.tid {
+            Some((at, tid)) => {
+                out.push_str(&arena[self.text.start..at]);
+                write_u64(out, tid);
+                out.push_str(&arena[at + 1..self.text.end]);
+            }
+            None => out.push_str(&arena[self.text.clone()]),
+        }
+    }
 }
 
 /// A Chrome Trace Event Format document under construction.
@@ -54,9 +85,6 @@ pub struct ChromeTrace {
     arena: String,
     /// The events, in call order.
     fragments: Vec<Fragment>,
-    /// A slice's shared body, rendered once per [`slice`](Self::slice)
-    /// call; reused across calls.
-    body: String,
 }
 
 impl ChromeTrace {
@@ -66,7 +94,6 @@ impl ChromeTrace {
         let mut trace = ChromeTrace {
             arena: String::new(),
             fragments: Vec::new(),
-            body: String::new(),
         };
         trace.push(
             None,
@@ -90,6 +117,7 @@ impl ChromeTrace {
         self.fragments.push(Fragment {
             key,
             text: start..self.arena.len(),
+            tid: None,
         });
     }
 
@@ -113,7 +141,8 @@ impl ChromeTrace {
 
     /// Adds one duration (`X`) event covering `span` per `(order, tid)`
     /// in `tracks`: the same event on track `tid`, sorted by
-    /// `(span.start, order)`. The shared body is rendered once; the
+    /// `(span.start, order)`. The shared body is rendered once and
+    /// written out per track by [`ChromeDocument::render_pretty`]; the
     /// result is the same as one call per track.
     pub fn slice(
         &mut self,
@@ -126,7 +155,7 @@ impl ChromeTrace {
         let event = JsonValue::object([
             ("ph", JsonValue::Str("X".into())),
             ("pid", JsonValue::UInt(0)),
-            // A one-digit placeholder, replaced per track below.
+            // A one-digit placeholder, replaced per track at render.
             ("tid", JsonValue::UInt(0)),
             ("name", JsonValue::Str(name.into())),
             ("cat", JsonValue::Str(cat.into())),
@@ -134,22 +163,22 @@ impl ChromeTrace {
             ("dur", JsonValue::UInt(span.end.saturating_sub(span.start))),
             ("args", args),
         ]);
-        self.body.clear();
-        event.write_pretty(&mut self.body, EVENT_LEVEL);
+        let start = self.arena.len();
+        event.write_pretty(&mut self.arena, EVENT_LEVEL);
         // `ph` and `pid` come first and hold fixed values, so the first
         // `"tid": ` is the key's.
-        let tid_at = self.body.find(TID_FIELD).expect("a slice has a tid") + TID_FIELD.len();
-        let (head, tail) = (&self.body[..tid_at], &self.body[tid_at + 1..]);
-        for (order, tid) in tracks {
-            let start = self.arena.len();
-            self.arena.push_str(head);
-            JsonValue::UInt(tid).write_compact(&mut self.arena);
-            self.arena.push_str(tail);
-            self.fragments.push(Fragment {
+        let tid_at = start
+            + self.arena[start..]
+                .find(TID_FIELD)
+                .expect("a slice has a tid")
+            + TID_FIELD.len();
+        let text = start..self.arena.len();
+        self.fragments
+            .extend(tracks.into_iter().map(|(order, tid)| Fragment {
                 key: Some((span.start, order)),
-                text: start..self.arena.len(),
-            });
-        }
+                text: text.clone(),
+                tid: Some((tid_at, tid)),
+            }));
     }
 
     /// Adds a thread-scoped instant (`i`) event at `ts` on track `tid`,
@@ -181,25 +210,52 @@ impl ChromeTrace {
     /// of `deltas`, whose `(ts, series, delta)` entries index `series`.
     /// Each event carries every series' level after all the changes at
     /// its `ts` (negative levels clamp to 0).
+    ///
+    /// The event is rendered once with `ts` and every level set to 0;
+    /// each change point copies that text with its own values filled in.
     pub fn counter<const N: usize>(
         &mut self,
         name: &str,
         series: [&'static str; N],
         mut deltas: Vec<(u64, usize, i64)>,
     ) {
-        for (ts, level) in step_levels::<N>(&mut deltas) {
-            let args = series
-                .iter()
-                .zip(level)
-                .map(|(&key, l)| (key, JsonValue::UInt(l.max(0) as u64)));
-            let event = JsonValue::object([
+        let template = |value| {
+            let mut text = String::new();
+            JsonValue::object([
                 ("ph", JsonValue::Str("C".into())),
                 ("pid", JsonValue::UInt(0)),
                 ("name", JsonValue::Str(name.into())),
-                ("ts", JsonValue::UInt(ts)),
-                ("args", JsonValue::object(args)),
-            ]);
-            self.push(Some((ts, COUNTER_ORDER)), &event);
+                ("ts", JsonValue::UInt(value)),
+                (
+                    "args",
+                    JsonValue::object(series.map(|key| (key, JsonValue::UInt(value)))),
+                ),
+            ])
+            .write_pretty(&mut text, EVENT_LEVEL);
+            text
+        };
+        // Rendered with every value 0 and again with every value 1, the
+        // event differs exactly at its `ts` and level digits.
+        let zeros = template(0);
+        let holes: Vec<usize> = (zeros.bytes().zip(template(1).bytes()).enumerate())
+            .filter_map(|(i, (zero, one))| (zero != one).then_some(i))
+            .collect();
+        debug_assert_eq!(holes.len(), N + 1);
+        for (ts, level) in step_levels::<N>(&mut deltas) {
+            let start = self.arena.len();
+            let values = std::iter::once(ts).chain(level.map(|l| l.max(0) as u64));
+            let mut from = 0;
+            for (&hole, value) in holes.iter().zip(values) {
+                self.arena.push_str(&zeros[from..hole]);
+                write_u64(&mut self.arena, value);
+                from = hole + 1;
+            }
+            self.arena.push_str(&zeros[from..]);
+            self.fragments.push(Fragment {
+                key: Some((ts, COUNTER_ORDER)),
+                text: start..self.arena.len(),
+                tid: None,
+            });
         }
     }
 
@@ -246,7 +302,8 @@ pub struct ChromeDocument {
     envelope: String,
     /// Byte offsets of the two placeholders in `envelope`.
     placeholders: [usize; 2],
-    /// The events' text, in call order.
+    /// The events' text, in call order; a slice's body once for all
+    /// its tracks.
     arena: String,
     /// The events, in document order. Never empty: every document names
     /// its process.
@@ -263,7 +320,7 @@ impl ChromeDocument {
         let head = &self.envelope[..first];
         let separator = &self.envelope[first + "{}".len()..second];
         let tail = &self.envelope[second + "{}".len()..];
-        let events: usize = self.fragments.iter().map(|f| f.text.len()).sum();
+        let events: usize = self.fragments.iter().map(Fragment::len).sum();
         let len = head.len() + events + (self.fragments.len() - 1) * separator.len() + tail.len();
         let mut out = String::with_capacity(len);
         out.push_str(head);
@@ -271,7 +328,7 @@ impl ChromeDocument {
             if i > 0 {
                 out.push_str(separator);
             }
-            out.push_str(&self.arena[fragment.text.clone()]);
+            fragment.write(&self.arena, &mut out);
         }
         out.push_str(tail);
         debug_assert_eq!(out.len(), len);
@@ -390,6 +447,54 @@ mod tests {
             .filter_map(|e| e.get("tid").and_then(JsonValue::as_u64))
             .collect();
         assert_eq!(tids, [1, 1_000_003, 9, 12, 7]);
+    }
+
+    #[test]
+    fn a_counter_renders_like_one_event_per_change_point() {
+        // `a` grows 9 → 10, `b` clamps from -4 to 0 and jumps to
+        // 1 000 003, and `ts` runs from one digit to twenty.
+        let deltas = vec![
+            (0, 0, 9),
+            (5, 1, -4),
+            (9, 0, 1),
+            (10, 1, 1_000_007),
+            (10, 0, -10),
+            (1_000_003, 1, -1_000_003),
+            (u64::MAX, 0, 1),
+        ];
+        let (name, series) = ("load 0 \"q\"", ["a0", "1"]);
+        let mut filled = ChromeTrace::new("t");
+        filled.counter(name, series, deltas.clone());
+        let mut per_point = ChromeTrace::new("t");
+        for (ts, level) in step_levels::<2>(&mut deltas.clone()) {
+            let args = (series.into_iter().zip(level))
+                .map(|(key, l)| (key, JsonValue::UInt(l.max(0) as u64)));
+            let event = JsonValue::object([
+                ("ph", JsonValue::Str("C".into())),
+                ("pid", JsonValue::UInt(0)),
+                ("name", JsonValue::Str(name.into())),
+                ("ts", JsonValue::UInt(ts)),
+                ("args", JsonValue::object(args)),
+            ]);
+            per_point.push(Some((ts, COUNTER_ORDER)), &event);
+        }
+        let filled = filled.finish(JsonValue::object([]));
+        assert_eq!(
+            filled.render_pretty(),
+            per_point.finish(JsonValue::object([])).render_pretty()
+        );
+        let levels: Vec<(u64, u64)> = events(&filled)[1..]
+            .iter()
+            .map(|e| {
+                let args = e.get("args").unwrap();
+                let level = |key| args.get(key).and_then(JsonValue::as_u64).unwrap();
+                (level("a0"), level("1"))
+            })
+            .collect();
+        assert_eq!(
+            levels,
+            [(9, 0), (9, 0), (10, 0), (0, 1_000_003), (0, 0), (1, 0)]
+        );
     }
 
     #[test]

@@ -289,10 +289,16 @@ impl JsonValue {
     }
 }
 
+/// Appends `level` steps of two-space indentation.
 fn push_indent(out: &mut String, level: usize) {
-    for _ in 0..level {
-        out.push_str("  ");
+    // 32 levels; deeper indentation takes several copies.
+    const SPACES: &str = "                                                                ";
+    let mut width = 2 * level;
+    while width > SPACES.len() {
+        out.push_str(SPACES);
+        width -= SPACES.len();
     }
+    out.push_str(&SPACES[..width]);
 }
 
 fn write_float(out: &mut String, v: f64) {
@@ -314,8 +320,11 @@ fn write_float(out: &mut String, v: f64) {
     };
 }
 
-/// Appends the decimal digits of `v`.
-fn write_u64(out: &mut String, mut v: u64) {
+/// Appends the decimal digits of `v`, formatted on the stack.
+///
+/// The digits are pushed one by one: copying them as one `&str` first
+/// validates them as UTF-8, which measured slower than the pushes.
+pub(crate) fn write_u64(out: &mut String, mut v: u64) {
     let mut digits = [0u8; 20];
     let mut start = digits.len();
     loop {
@@ -329,6 +338,11 @@ fn write_u64(out: &mut String, mut v: u64) {
     for &d in &digits[start..] {
         out.push(char::from(d));
     }
+}
+
+/// The number of decimal digits [`write_u64`] writes for `v`.
+pub(crate) fn decimal_len(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |log| log as usize + 1)
 }
 
 /// Append `s` to `out` as a quoted, escaped JSON string.
@@ -849,6 +863,46 @@ mod tests {
         assert_eq!(v.render_compact(), format!("{{{escaped}:{escaped}}}"));
         assert_eq!(v.render_pretty(), format!("{{\n  {escaped}: {escaped}\n}}"));
         assert_eq!(JsonValue::parse(&v.render_pretty()).unwrap(), v);
+    }
+
+    #[test]
+    fn integer_and_indent_writers_match_plain_references() {
+        let mut values = vec![0, 9, 10, 99, 100, 1_000_003, u64::MAX / 10, u64::MAX];
+        values.extend((0..20).map(|p| 10u64.pow(p)));
+        values.extend((1..20).map(|p| 10u64.pow(p) - 1));
+        for v in values {
+            let mut out = String::from("x");
+            write_u64(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
+            assert_eq!(decimal_len(v), v.to_string().len(), "{v}");
+        }
+        for v in [i64::MIN, i64::MIN + 1, -10, -9, -1, 0, 9, 10, i64::MAX] {
+            assert_eq!(JsonValue::Int(v).render_compact(), v.to_string());
+        }
+        for level in 0..100 {
+            let mut out = String::from("x");
+            push_indent(&mut out, level);
+            assert_eq!(out, format!("x{}", "  ".repeat(level)), "level {level}");
+        }
+        // 40 nested objects indent their innermost key 80 spaces, deeper
+        // than one copy of the static run.
+        let mut nested = JsonValue::UInt(7);
+        for _ in 0..40 {
+            nested = JsonValue::object([("k", nested)]);
+        }
+        let mut expected = String::new();
+        for depth in 0..40 {
+            expected.push_str("{\n");
+            expected.push_str(&"  ".repeat(depth + 1));
+            expected.push_str("\"k\": ");
+        }
+        expected.push('7');
+        for depth in (0..40).rev() {
+            expected.push('\n');
+            expected.push_str(&"  ".repeat(depth));
+            expected.push('}');
+        }
+        assert_eq!(nested.render_pretty(), expected);
     }
 
     #[test]
