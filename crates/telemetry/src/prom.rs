@@ -21,7 +21,7 @@
 //!   index>"}` series that keep the exposition lossless;
 //! - **spans** as three gauges: `_count`, `_total_ns`, `_max_ns`.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use crate::snapshot::{HistogramSnapshot, SpanSnapshot, TelemetrySnapshot};
 
@@ -90,6 +90,38 @@ pub fn render(snapshot: &TelemetrySnapshot) -> String {
     out
 }
 
+/// Error produced by [`parse`]: the first malformed line or incomplete
+/// family, with its 1-based line number.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PromError {
+    line: usize,
+    message: String,
+}
+
+impl PromError {
+    /// The 1-based line the error was found on. An incomplete family is
+    /// reported on the line that follows it: the next family comment,
+    /// or one past the last line.
+    #[must_use]
+    pub fn line(&self) -> usize {
+        self.line
+    }
+
+    /// Human-readable description of the failure.
+    #[must_use]
+    pub fn message(&self) -> &str {
+        &self.message
+    }
+}
+
+impl fmt::Display for PromError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "line {}: {}", self.line, self.message)
+    }
+}
+
+impl std::error::Error for PromError {}
+
 /// The family the parser is currently accumulating samples for.
 enum Family {
     Counter(String),
@@ -124,9 +156,9 @@ struct SpanParts {
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed line or incomplete
-/// family.
-pub fn parse(text: &str) -> Result<TelemetrySnapshot, String> {
+/// A [`PromError`] naming the first malformed line or incomplete family
+/// and its line number.
+pub fn parse(text: &str) -> Result<TelemetrySnapshot, PromError> {
     let mut snapshot = TelemetrySnapshot::default();
     let mut family: Option<Family> = None;
     for (lineno, raw) in text.lines().enumerate() {
@@ -134,7 +166,10 @@ pub fn parse(text: &str) -> Result<TelemetrySnapshot, String> {
         if line.is_empty() {
             continue;
         }
-        let err = |msg: &str| format!("line {}: {msg}: {line}", lineno + 1);
+        let err = |msg: &str| PromError {
+            line: lineno + 1,
+            message: format!("{msg}: {line}"),
+        };
         if let Some(rest) = line.strip_prefix("# nsflow ") {
             commit(&mut snapshot, family.take(), lineno)?;
             let (kind, name) = rest
@@ -222,12 +257,13 @@ fn commit(
     snapshot: &mut TelemetrySnapshot,
     family: Option<Family>,
     lineno: usize,
-) -> Result<(), String> {
+) -> Result<(), PromError> {
     match family {
         Some(Family::Histogram(name, parts)) => {
             let complete = |field: Option<u64>, what: &str| {
-                field.ok_or_else(|| {
-                    format!("line {}: histogram \"{name}\" missing {what}", lineno + 1)
+                field.ok_or_else(|| PromError {
+                    line: lineno + 1,
+                    message: format!("histogram \"{name}\" missing {what}"),
                 })
             };
             let h = HistogramSnapshot {
@@ -241,7 +277,10 @@ fn commit(
         }
         Some(Family::Span(name, parts)) => {
             let complete = |field: Option<u64>, what: &str| {
-                field.ok_or_else(|| format!("line {}: span \"{name}\" missing {what}", lineno + 1))
+                field.ok_or_else(|| PromError {
+                    line: lineno + 1,
+                    message: format!("span \"{name}\" missing {what}"),
+                })
             };
             let s = SpanSnapshot {
                 count: complete(parts.count, "_count")?,
@@ -347,6 +386,24 @@ mod tests {
             "incomplete span"
         );
         assert!(parse("## weird\n").is_err(), "unexpected comment");
+    }
+
+    #[test]
+    fn errors_name_their_line() {
+        let err = parse("# nsflow counter \"x\"\nnsflow_x 1\nnsflow_x notanumber\n").unwrap_err();
+        assert_eq!(err.line(), 3);
+        assert_eq!(err.message(), "bad counter value: nsflow_x notanumber");
+        assert_eq!(
+            err.to_string(),
+            "line 3: bad counter value: nsflow_x notanumber"
+        );
+        // An incomplete family is reported where the next one begins.
+        let err = parse("# nsflow span \"s\"\nnsflow_span_s_count 1\n# nsflow counter \"x\"\n")
+            .unwrap_err();
+        assert_eq!(
+            (err.line(), err.message()),
+            (3, "span \"s\" missing _total_ns")
+        );
     }
 
     #[test]

@@ -266,7 +266,11 @@ fn mutated_prometheus_text_never_panics_the_parser() {
             }
         }
         let mutated = mutate(rng, &lines.join("\n"), &PROM_CHARS);
-        // Ok or an error message — reaching the next line is the property.
-        let _ = prom::parse(&mutated);
+        // Ok or an error on a line of the text, or one past its end for
+        // a family cut short by it.
+        if let Err(err) = prom::parse(&mutated) {
+            let lines = mutated.lines().count();
+            assert!((1..=lines + 1).contains(&err.line()), "seed {seed}: {err}");
+        }
     }
 }
