@@ -27,6 +27,11 @@ use crate::executor::ExecutorConfig;
 use crate::robust::{BreakerPolicy, DegradationPolicy, FaultPlan, RetryPolicy};
 use crate::server::Server;
 
+/// Most worker threads a server may be configured with. Each worker is
+/// one OS thread started by [`ServerBuilder::build`], so the bound
+/// keeps a mistyped count from starting threads until the OS refuses.
+pub const MAX_WORKERS: usize = 256;
+
 /// Chainable configuration for [`Server::builder`].
 ///
 /// Defaults: queue capacity 64, the default [`BatchPolicy`], 2 workers,
@@ -86,7 +91,7 @@ impl ServerBuilder {
         self
     }
 
-    /// Worker threads executing batches.
+    /// Worker threads executing batches, `1..=`[`MAX_WORKERS`].
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -150,14 +155,16 @@ impl ServerBuilder {
     /// # Errors
     ///
     /// A [`ConfigError`] naming the violated bound: zero queue
-    /// capacity / `max_batch` / workers, a retry policy allowing zero
+    /// capacity / `max_batch` / workers, more than [`MAX_WORKERS`]
+    /// workers, a retry policy allowing zero
     /// attempts, a default deadline shorter than one batch window,
     /// inverted degradation watermarks, an out-of-range degraded batch
     /// bound, fault rates summing past 1000 permille, a zero breaker
     /// threshold, an executor `block_dim` of 0 or a `superposition`
     /// outside `1..=16` (MIMONet's item count), a `max_batch` above
     /// `u16::MAX`, or a queue, batch or trace capacity too large to
-    /// allocate.
+    /// allocate. [`ConfigError::WorkerSpawn`] when the OS refuses a
+    /// worker thread; the workers already started are joined first.
     pub fn build(self) -> Result<Server, ConfigError> {
         if self.queue_capacity == 0 {
             return Err(ConfigError::ZeroQueueCapacity);
@@ -173,6 +180,12 @@ impl ServerBuilder {
         }
         if self.workers == 0 {
             return Err(ConfigError::ZeroWorkers);
+        }
+        if self.workers > MAX_WORKERS {
+            return Err(ConfigError::TooManyWorkers {
+                workers: self.workers,
+                max: MAX_WORKERS,
+            });
         }
         self.executor.validate()?;
         self.retry.validate()?;
@@ -218,6 +231,15 @@ mod tests {
             ServerBuilder::new().workers(0).build().err(),
             Some(ConfigError::ZeroWorkers)
         );
+        for workers in [MAX_WORKERS + 1, usize::MAX] {
+            assert_eq!(
+                ServerBuilder::new().workers(workers).build().err(),
+                Some(ConfigError::TooManyWorkers {
+                    workers,
+                    max: MAX_WORKERS
+                })
+            );
+        }
         assert_eq!(
             ServerBuilder::new()
                 .retry(RetryPolicy {

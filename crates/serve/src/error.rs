@@ -28,6 +28,22 @@ pub enum ConfigError {
     ZeroMaxBatch,
     /// `workers == 0`: no thread would ever drain the queue.
     ZeroWorkers,
+    /// More workers than [`MAX_WORKERS`](crate::builder::MAX_WORKERS):
+    /// each is an OS thread, started before the server returns.
+    TooManyWorkers {
+        /// Configured worker count.
+        workers: usize,
+        /// The bound it exceeds.
+        max: usize,
+    },
+    /// The OS refused to start worker thread `worker`. The workers
+    /// already started were stopped and joined before this returned.
+    WorkerSpawn {
+        /// Index of the worker that did not start.
+        worker: usize,
+        /// The OS error.
+        reason: String,
+    },
     /// `RetryPolicy::max_attempts == 0`: every request would fail
     /// before its first execution.
     ZeroRetryAttempts,
@@ -109,6 +125,13 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroMaxBatch => write!(f, "max_batch must be >= 1 (0 never batches)"),
             ConfigError::ZeroWorkers => write!(f, "workers must be >= 1 (0 never executes)"),
+            ConfigError::TooManyWorkers { workers, max } => write!(
+                f,
+                "workers {workers} exceeds the maximum of {max} (one OS thread each)"
+            ),
+            ConfigError::WorkerSpawn { worker, reason } => {
+                write!(f, "could not start worker thread {worker}: {reason}")
+            }
             ConfigError::ZeroRetryAttempts => {
                 write!(f, "retry max_attempts must be >= 1 (0 never executes)")
             }

@@ -70,7 +70,9 @@ impl Server {
     }
 
     /// Allocates the queue, batcher and flight recorder for an
-    /// already-validated builder, then spawns the worker threads.
+    /// already-validated builder, then spawns the worker threads. If
+    /// the OS refuses one, closes the queue and joins the workers
+    /// already started before returning the error.
     pub(crate) fn spawn(spec: ServerBuilder) -> Result<Self, ConfigError> {
         let queue = BoundedQueue::new(spec.queue_capacity).map_err(ConfigError::too_large(
             "queue_capacity",
@@ -95,15 +97,28 @@ impl Server {
             deadline_default: spec.deadline_default,
             next_id: AtomicU64::new(0),
         });
-        let workers = (0..spec.workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("nsflow-serve-{i}"))
-                    .spawn(move || worker_loop(&shared, i as u32))
-                    .expect("spawn worker")
-            })
-            .collect();
+        let mut workers = Vec::with_capacity(spec.workers);
+        for i in 0..spec.workers {
+            let worker = Arc::clone(&shared);
+            let spawned = std::thread::Builder::new()
+                .name(format!("nsflow-serve-{i}"))
+                .spawn(move || worker_loop(&worker, i as u32));
+            match spawned {
+                Ok(handle) => workers.push(handle),
+                Err(err) => {
+                    // Nothing was admitted: the started workers find the
+                    // queue closed and empty, and return.
+                    shared.queue.close();
+                    for handle in workers {
+                        handle.join().expect("worker panicked");
+                    }
+                    return Err(ConfigError::WorkerSpawn {
+                        worker: i,
+                        reason: err.to_string(),
+                    });
+                }
+            }
+        }
         Ok(Server { shared, workers })
     }
 

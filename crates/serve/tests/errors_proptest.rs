@@ -410,7 +410,7 @@ fn zero_breaker_threshold_never_builds() {
 
 #[test]
 fn config_errors_always_render() {
-    for variant in 0..=8 {
+    for variant in 0..=10 {
         let err = match variant {
             0 => ConfigError::ZeroQueueCapacity,
             1 => ConfigError::ZeroMaxBatch,
@@ -427,6 +427,14 @@ fn config_errors_always_render() {
             },
             7 => ConfigError::FaultRateOutOfRange {
                 total_permille: 1_234,
+            },
+            8 => ConfigError::TooManyWorkers {
+                workers: 1_000,
+                max: 256,
+            },
+            9 => ConfigError::WorkerSpawn {
+                worker: 3,
+                reason: "resource temporarily unavailable".into(),
             },
             _ => ConfigError::ZeroBreakerThreshold,
         };

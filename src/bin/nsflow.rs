@@ -19,7 +19,7 @@
 //!
 //! - `--requests N`                    requests to submit (default 32)
 //! - `--mix nvsa,mimonet,...`          workload mix, round-robin (default all four)
-//! - `--workers N`                     worker threads (default 4)
+//! - `--workers N`                     worker threads, at most 256 (default 4)
 //! - `--batch N`                       max batch size (default 8)
 //! - `--max-wait-us N`                 batcher flush deadline in µs (default 2000)
 //! - `--queue N`                       admission-queue capacity (default 64)
@@ -654,5 +654,13 @@ mod tests {
             parse_serve_args(&s(&["--requests", "2", "--queue", "18446744073709551615"])).unwrap();
         let err = serve(args).unwrap_err();
         assert!(err.contains("queue_capacity"), "{err}");
+    }
+
+    #[test]
+    fn serve_refuses_more_workers_than_the_bound() {
+        // Rejected by validation, before any thread starts.
+        let args = parse_serve_args(&s(&["--requests", "2", "--workers", "100000"])).unwrap();
+        let err = serve(args).unwrap_err();
+        assert!(err.contains("workers 100000"), "{err}");
     }
 }
