@@ -27,7 +27,7 @@ pub mod mapping;
 pub mod simreport;
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use nsflow_telemetry::JsonValue;
 
@@ -50,7 +50,11 @@ pub fn experiment_dir() -> PathBuf {
 /// Panics on I/O failure — experiment artifacts must not be silently
 /// dropped.
 pub fn write_csv(name: &str, header: &str, rows: &[String]) {
-    let path = experiment_dir().join(name);
+    write_csv_at(&experiment_dir().join(name), header, rows);
+}
+
+/// Writes `header` and `rows` as a CSV file at `path`.
+fn write_csv_at(path: &Path, header: &str, rows: &[String]) {
     let mut text = String::with_capacity(rows.len() * 32 + header.len() + 1);
     text.push_str(header);
     text.push('\n');
@@ -58,7 +62,7 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) {
         text.push_str(row);
         text.push('\n');
     }
-    fs::write(&path, text).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    fs::write(path, text).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     println!("\n[csv] wrote {}", path.display());
 }
 
@@ -176,10 +180,16 @@ mod tests {
         assert_eq!(fmt_seconds(42.0e-6), "42.0 µs");
     }
 
+    /// Writes under the system's temporary directory, so a test run
+    /// leaves nothing in the checkout.
     #[test]
     fn csv_round_trip() {
-        write_csv("test_artifact.csv", "a,b", &["1,2".to_string()]);
-        let text = std::fs::read_to_string(experiment_dir().join("test_artifact.csv")).unwrap();
+        let dir = std::env::temp_dir().join(format!("nsflow-bench-csv-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("test_artifact.csv");
+        write_csv_at(&path, "a,b", &["1,2".to_string()]);
+        let text = fs::read_to_string(&path).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
         assert_eq!(text, "a,b\n1,2\n");
     }
 }
