@@ -8,10 +8,10 @@
 //!   (viewable in Perfetto / `chrome://tracing`) with one track per
 //!   sub-array and one for the SIMD unit, plus a counter track of
 //!   per-class occupancy. Built with the workspace's one Chrome-trace
-//!   writer, [`ChromeTrace`], which renders each op's event straight to
-//!   text once, whatever the number of sub-arrays it claims: no
-//!   [`JsonValue`] tree of the trace is built, and the strict parser
-//!   can validate every emitted document.
+//!   writer, [`ChromeTrace`], which fills each op's event into its
+//!   resource class's slice template once, whatever the number of
+//!   sub-arrays it claims: no [`JsonValue`] is built per op, and the
+//!   strict parser can validate every emitted document.
 //! - [`Schedule::critical_path`]: walks the scheduled DAG backwards from
 //!   the last-finishing op, at each hop following the constraint that
 //!   actually bound the op's start (a data dependency or a resource
@@ -34,7 +34,7 @@
 use std::fmt::Write as _;
 
 use nsflow_graph::DataflowGraph;
-use nsflow_telemetry::chrome::{step_levels, ChromeDocument, ChromeTrace};
+use nsflow_telemetry::chrome::{step_levels, Arg, ChromeDocument, ChromeTrace};
 use nsflow_telemetry::JsonValue;
 use nsflow_trace::{OpId, OpKind};
 
@@ -306,10 +306,11 @@ impl Schedule {
     /// One duration (`X`) event per *claimed sub-array* of an array op
     /// instance, so every track shows what that physical unit was
     /// doing, and one per SIMD op — with args carrying the op kind,
-    /// loop index, cycle count and the stall breakdown. An op's event
-    /// is rendered once and written out per track when the document is
-    /// rendered. A counter (`C`) series tracks per-class occupancy at
-    /// every change point.
+    /// loop index, cycle count and the stall breakdown. Each op's event
+    /// is filled into its resource class's slice template once, with no
+    /// [`JsonValue`] built per op, and written out per track when the
+    /// document is rendered. A counter (`C`) series tracks per-class
+    /// occupancy at every change point.
     /// The rendered document loads in Perfetto / `chrome://tracing`;
     /// callers that inspect its events parse it with
     /// [`JsonValue::parse`].
@@ -323,33 +324,28 @@ impl Schedule {
         chrome.track(SIMD_TID, "SIMD unit");
 
         // One slice per claimed track, sorted by track id at equal start.
+        let mut subarrays = Vec::new();
         for (i, so) in self.ops().iter().enumerate() {
             let op = trace.op(so.op);
             let units = self.claimed_units(i);
-            let args = JsonValue::object([
-                ("loop", JsonValue::UInt(so.loop_idx as u64)),
-                ("op", JsonValue::UInt(so.op.index() as u64)),
-                ("kind", JsonValue::Str(kind_label(op.kind()).into())),
-                ("cycles", JsonValue::UInt(so.end - so.start)),
-                ("dep_wait", JsonValue::UInt(so.dep_wait)),
-                ("resource_wait", JsonValue::UInt(so.resource_wait)),
-                ("transfer_stall", JsonValue::UInt(so.transfer_stall)),
-                (
-                    "subarrays",
-                    JsonValue::Array(
-                        units
-                            .iter()
-                            .map(|&u| JsonValue::UInt(u64::from(u)))
-                            .collect(),
-                    ),
-                ),
-            ]);
+            subarrays.clear();
+            subarrays.extend(units.iter().map(|&u| u64::from(u)));
             // A SIMD op claims no sub-array.
             let simd = (so.resource == Resource::Simd).then_some(SIMD_TID);
             let pool = units.iter().map(|&u| POOL_TID_BASE + u64::from(u));
             let tracks = simd.into_iter().chain(pool).map(|tid| (tid, tid));
+            let args = [
+                ("loop", Arg::UInt(so.loop_idx as u64)),
+                ("op", Arg::UInt(so.op.index() as u64)),
+                ("kind", Arg::Str(kind_label(op.kind()))),
+                ("cycles", Arg::UInt(so.end - so.start)),
+                ("dep_wait", Arg::UInt(so.dep_wait)),
+                ("resource_wait", Arg::UInt(so.resource_wait)),
+                ("transfer_stall", Arg::UInt(so.transfer_stall)),
+                ("subarrays", Arg::UInts(&subarrays)),
+            ];
             let cat = RESOURCE_LABELS[so.resource.index()];
-            chrome.slice(tracks, op.name(), cat, so.start..so.end, args);
+            chrome.slice(tracks, op.name(), cat, so.start..so.end, &args);
         }
         chrome.counter("occupancy", RESOURCE_LABELS, self.occupancy_deltas());
 

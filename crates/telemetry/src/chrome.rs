@@ -8,19 +8,20 @@
 //! timeline are both built with it. [`step_levels`] is the change-point
 //! sweep behind every counter series.
 //!
-//! It is a text builder: each event is rendered through
-//! [`JsonValue::write_pretty`] at its depth in the document the moment
-//! it is added, and kept as a fragment of one text arena with its sort
-//! key. A slice that covers several tracks renders its shared body into
-//! the arena once; each track's fragment points at that body and
-//! carries its own `tid`. A counter series renders its event once with
-//! placeholder values and writes each change point by filling in `ts`
-//! and the levels. [`ChromeTrace::finish`] sorts the fragments and
-//! [`ChromeDocument::render_pretty`] writes the envelope around them in
-//! one pass, at exact capacity, splicing each slice's `tid` into its
-//! body as it goes: the per-track copies are made there, straight into
-//! the output. The bytes are the same as rendering the whole document
-//! as one [`JsonValue`] tree, with no tree built.
+//! It is a text builder: each event is rendered to text the moment it
+//! is added, as a fragment of one text arena with its sort key. Track
+//! and instant events go through [`JsonValue::write_pretty`] at their
+//! depth in the document. Slices and counters are filled in from
+//! templates: each slice shape (category plus argument keys) and each
+//! counter series is rendered once by the same writer with a
+//! placeholder in every hole, and each event copies that text with its
+//! own values in the holes, so no [`JsonValue`] is built per event. A
+//! slice that covers several tracks writes its body once; each track's
+//! fragment points at it with its own `tid`.
+//! [`ChromeTrace::finish`] sorts the fragments and
+//! [`ChromeDocument::render_pretty`] writes them into the envelope in one
+//! pass, at exact capacity, splicing in each slice's `tid`. The bytes are
+//! the same as rendering the whole document as one [`JsonValue`] tree.
 //!
 //! Every event belongs to process 0. Timed events are written sorted
 //! stably by `(ts, order)`, where `order` is the caller's explicit
@@ -30,7 +31,7 @@
 
 use std::ops::Range;
 
-use crate::json::{decimal_len, write_u64, JsonValue};
+use crate::json::{decimal_len, escape_into, write_pretty_uints, write_u64, JsonValue};
 
 /// Sort key of every counter event: after any other event at its `ts`.
 const COUNTER_ORDER: u64 = u64::MAX;
@@ -39,8 +40,60 @@ const COUNTER_ORDER: u64 = u64::MAX;
 /// `traceEvents` array.
 const EVENT_LEVEL: usize = 2;
 
-/// The key a slice body is split at to put each track's id in.
-const TID_FIELD: &str = "\"tid\": ";
+/// An event rendered once with a one-digit placeholder in each hole.
+#[derive(Debug, Clone)]
+struct Template {
+    /// The rendered event.
+    text: String,
+    /// Byte offsets of the placeholders in `text`, in order.
+    holes: Vec<usize>,
+}
+
+impl Template {
+    /// Renders `event(0)` and `event(1)` at [`EVENT_LEVEL`]: they differ
+    /// exactly at the holes, the fields set to the given value. The
+    /// bytes around a value do not depend on it, so a hole can take a
+    /// value of any type.
+    fn new(event: impl Fn(u64) -> JsonValue) -> Self {
+        let render = |value| {
+            let mut text = String::new();
+            event(value).write_pretty(&mut text, EVENT_LEVEL);
+            text
+        };
+        let text = render(0);
+        let holes = (text.bytes().zip(render(1).bytes()).enumerate())
+            .filter_map(|(i, (zero, one))| (zero != one).then_some(i))
+            .collect();
+        Template { text, holes }
+    }
+
+    /// Appends the event to `out` with `values` in its holes, in order.
+    fn fill<'a>(&self, out: &mut String, values: impl IntoIterator<Item = Arg<'a>>) {
+        let mut from = 0;
+        for (&hole, value) in self.holes.iter().zip(values) {
+            out.push_str(&self.text[from..hole]);
+            match value {
+                Arg::UInt(v) => write_u64(out, v),
+                Arg::Str(s) => escape_into(out, s),
+                // An array is an entry of a slice's `args`.
+                Arg::UInts(items) => write_pretty_uints(out, items, EVENT_LEVEL + 2),
+            }
+            from = hole + 1;
+        }
+        out.push_str(&self.text[from..]);
+    }
+}
+
+/// The value of one slice argument.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arg<'a> {
+    /// A non-negative integer.
+    UInt(u64),
+    /// A string.
+    Str(&'a str),
+    /// An array of non-negative integers.
+    UInts(&'a [u64]),
+}
 
 /// One rendered event: its bytes in the arena and its sort key.
 #[derive(Debug, Clone)]
@@ -85,6 +138,8 @@ pub struct ChromeTrace {
     arena: String,
     /// The events, in call order.
     fragments: Vec<Fragment>,
+    /// Each slice shape's category, argument keys and template.
+    shapes: Vec<(String, Vec<&'static str>, Template)>,
 }
 
 impl ChromeTrace {
@@ -94,20 +149,24 @@ impl ChromeTrace {
         let mut trace = ChromeTrace {
             arena: String::new(),
             fragments: Vec::new(),
+            shapes: Vec::new(),
         };
-        trace.push(
-            None,
-            &JsonValue::object([
-                ("ph", JsonValue::Str("M".into())),
-                ("pid", JsonValue::UInt(0)),
-                ("name", JsonValue::Str("process_name".into())),
-                (
-                    "args",
-                    JsonValue::object([("name", JsonValue::Str(process.into()))]),
-                ),
-            ]),
-        );
+        trace.metadata(None, "process_name", process.into());
         trace
+    }
+
+    /// Adds the `M` event `name` with `args.name` set to `value`, on
+    /// track `tid` if given.
+    fn metadata(&mut self, tid: Option<u64>, name: &str, value: String) {
+        let head = [
+            ("ph", JsonValue::Str("M".into())),
+            ("pid", JsonValue::UInt(0)),
+        ];
+        let tid = tid.map(|tid| ("tid", JsonValue::UInt(tid)));
+        let args = JsonValue::object([("name", JsonValue::Str(value))]);
+        let tail = [("name", JsonValue::Str(name.into())), ("args", args)];
+        let event = JsonValue::object(head.into_iter().chain(tid).chain(tail));
+        self.push(None, &event);
     }
 
     /// Renders `event` into the arena under `key`.
@@ -124,55 +183,55 @@ impl ChromeTrace {
     /// Names track (thread) `tid`. Tracks are listed in call order,
     /// before every timed event.
     pub fn track(&mut self, tid: u64, name: impl Into<String>) {
-        self.push(
-            None,
-            &JsonValue::object([
-                ("ph", JsonValue::Str("M".into())),
-                ("pid", JsonValue::UInt(0)),
-                ("tid", JsonValue::UInt(tid)),
-                ("name", JsonValue::Str("thread_name".into())),
-                (
-                    "args",
-                    JsonValue::object([("name", JsonValue::Str(name.into()))]),
-                ),
-            ]),
-        );
+        self.metadata(Some(tid), "thread_name", name.into());
     }
 
     /// Adds one duration (`X`) event covering `span` per `(order, tid)`
     /// in `tracks`: the same event on track `tid`, sorted by
-    /// `(span.start, order)`. The shared body is rendered once and
-    /// written out per track by [`ChromeDocument::render_pretty`]; the
-    /// result is the same as one call per track.
+    /// `(span.start, order)`. The first slice of each shape (`cat` and
+    /// the keys of `args`) renders the event once with a placeholder in
+    /// every hole; each slice of that shape fills a copy with its values.
+    /// The shared body is written into the arena once and written out per
+    /// track by [`ChromeDocument::render_pretty`]; the result is the same
+    /// as one call per track.
     pub fn slice(
         &mut self,
         tracks: impl IntoIterator<Item = (u64, u64)>,
-        name: impl Into<String>,
+        name: &str,
         cat: &str,
         span: Range<u64>,
-        args: JsonValue,
+        args: &[(&'static str, Arg<'_>)],
     ) {
-        let event = JsonValue::object([
-            ("ph", JsonValue::Str("X".into())),
-            ("pid", JsonValue::UInt(0)),
-            // A one-digit placeholder, replaced per track at render.
-            ("tid", JsonValue::UInt(0)),
-            ("name", JsonValue::Str(name.into())),
-            ("cat", JsonValue::Str(cat.into())),
-            ("ts", JsonValue::UInt(span.start)),
-            ("dur", JsonValue::UInt(span.end.saturating_sub(span.start))),
-            ("args", args),
-        ]);
+        let keys = || args.iter().map(|&(key, _)| key);
+        let known =
+            (self.shapes.iter()).position(|(c, k, _)| c == cat && k.iter().copied().eq(keys()));
+        let shape = known.unwrap_or_else(|| {
+            let template = Template::new(|value| {
+                JsonValue::object([
+                    ("ph", JsonValue::Str("X".into())),
+                    ("pid", JsonValue::UInt(0)),
+                    ("tid", JsonValue::UInt(value)),
+                    ("name", JsonValue::UInt(value)),
+                    ("cat", JsonValue::Str(cat.into())),
+                    ("ts", JsonValue::UInt(value)),
+                    ("dur", JsonValue::UInt(value)),
+                    (
+                        "args",
+                        JsonValue::object(keys().map(|key| (key, JsonValue::UInt(value)))),
+                    ),
+                ])
+            });
+            self.shapes.push((cat.into(), keys().collect(), template));
+            self.shapes.len() - 1
+        });
+        let template = &self.shapes[shape].2;
         let start = self.arena.len();
-        event.write_pretty(&mut self.arena, EVENT_LEVEL);
-        // `ph` and `pid` come first and hold fixed values, so the first
-        // `"tid": ` is the key's.
-        let tid_at = start
-            + self.arena[start..]
-                .find(TID_FIELD)
-                .expect("a slice has a tid")
-            + TID_FIELD.len();
-        let text = start..self.arena.len();
+        // `tid` gets a one-digit placeholder, replaced per track at
+        // render; nothing before it varies.
+        let [tid, ts, dur] = [0, span.start, span.end.saturating_sub(span.start)].map(Arg::UInt);
+        let values = [tid, Arg::Str(name), ts, dur].into_iter();
+        template.fill(&mut self.arena, values.chain(args.iter().map(|&(_, v)| v)));
+        let (text, tid_at) = (start..self.arena.len(), start + template.holes[0]);
         self.fragments
             .extend(tracks.into_iter().map(|(order, tid)| Fragment {
                 key: Some((span.start, order)),
@@ -211,16 +270,16 @@ impl ChromeTrace {
     /// Each event carries every series' level after all the changes at
     /// its `ts` (negative levels clamp to 0).
     ///
-    /// The event is rendered once with `ts` and every level set to 0;
-    /// each change point copies that text with its own values filled in.
+    /// The event is rendered once with placeholders for `ts` and the
+    /// levels; each change point copies that text with its own values
+    /// filled in.
     pub fn counter<const N: usize>(
         &mut self,
         name: &str,
         series: [&'static str; N],
         mut deltas: Vec<(u64, usize, i64)>,
     ) {
-        let template = |value| {
-            let mut text = String::new();
+        let template = Template::new(|value| {
             JsonValue::object([
                 ("ph", JsonValue::Str("C".into())),
                 ("pid", JsonValue::UInt(0)),
@@ -231,26 +290,12 @@ impl ChromeTrace {
                     JsonValue::object(series.map(|key| (key, JsonValue::UInt(value)))),
                 ),
             ])
-            .write_pretty(&mut text, EVENT_LEVEL);
-            text
-        };
-        // Rendered with every value 0 and again with every value 1, the
-        // event differs exactly at its `ts` and level digits.
-        let zeros = template(0);
-        let holes: Vec<usize> = (zeros.bytes().zip(template(1).bytes()).enumerate())
-            .filter_map(|(i, (zero, one))| (zero != one).then_some(i))
-            .collect();
-        debug_assert_eq!(holes.len(), N + 1);
+        });
+        debug_assert_eq!(template.holes.len(), N + 1);
         for (ts, level) in step_levels::<N>(&mut deltas) {
             let start = self.arena.len();
             let values = std::iter::once(ts).chain(level.map(|l| l.max(0) as u64));
-            let mut from = 0;
-            for (&hole, value) in holes.iter().zip(values) {
-                self.arena.push_str(&zeros[from..hole]);
-                write_u64(&mut self.arena, value);
-                from = hole + 1;
-            }
-            self.arena.push_str(&zeros[from..]);
+            template.fill(&mut self.arena, values.map(Arg::UInt));
             self.fragments.push(Fragment {
                 key: Some((ts, COUNTER_ORDER)),
                 text: start..self.arena.len(),
@@ -264,11 +309,18 @@ impl ChromeTrace {
     #[must_use]
     pub fn finish(self, metadata: JsonValue) -> ChromeDocument {
         let ChromeTrace {
-            arena,
-            mut fragments,
-            ..
+            arena, fragments, ..
         } = self;
-        fragments.sort_by_key(|f| f.key);
+        // A stable sort of the indices by key, done as a stable sort by
+        // `ts` and then one of each run of equal `ts`: callers add events
+        // close to `ts` order, so the first meets long sorted runs and
+        // the second short ones. The fragments do not move.
+        let ts = |&i: &usize| fragments[i].key.map(|(ts, _)| ts);
+        let mut order: Vec<usize> = (0..fragments.len()).collect();
+        order.sort_by_key(ts);
+        for run in order.chunk_by_mut(|a, b| ts(a) == ts(b)) {
+            run.sort_by_key(|&i| fragments[i].key);
+        }
         // The envelope with two empty objects for events: the writer's
         // own text before, between and after the events.
         let mut envelope = String::new();
@@ -289,6 +341,7 @@ impl ChromeTrace {
             placeholders: [first, second],
             arena,
             fragments,
+            order,
         }
     }
 }
@@ -305,9 +358,11 @@ pub struct ChromeDocument {
     /// The events' text, in call order; a slice's body once for all
     /// its tracks.
     arena: String,
-    /// The events, in document order. Never empty: every document names
-    /// its process.
+    /// The events, in call order. Never empty: every document names its
+    /// process.
     fragments: Vec<Fragment>,
+    /// The indices of `fragments`, in document order.
+    order: Vec<usize>,
 }
 
 impl ChromeDocument {
@@ -324,11 +379,11 @@ impl ChromeDocument {
         let len = head.len() + events + (self.fragments.len() - 1) * separator.len() + tail.len();
         let mut out = String::with_capacity(len);
         out.push_str(head);
-        for (i, fragment) in self.fragments.iter().enumerate() {
+        for (i, &fragment) in self.order.iter().enumerate() {
             if i > 0 {
                 out.push_str(separator);
             }
-            fragment.write(&self.arena, &mut out);
+            self.fragments[fragment].write(&self.arena, &mut out);
         }
         out.push_str(tail);
         debug_assert_eq!(out.len(), len);
@@ -401,7 +456,7 @@ mod tests {
         trace.track(1, "lane");
         // The counter is added first; the sort must still put it last.
         trace.counter("load", ["a"], vec![(7, 0, 1), (9, 0, -1)]);
-        trace.slice([(u64::MAX - 1, 1)], "op", "nn", 7..9, JsonValue::object([]));
+        trace.slice([(u64::MAX - 1, 1)], "op", "nn", 7..9, &[]);
         let events = events(&trace.finish(JsonValue::object([])));
         let phases: Vec<&str> = events.iter().map(ph).collect();
         assert_eq!(phases, ["M", "M", "X", "C", "C"]);
@@ -425,19 +480,20 @@ mod tests {
 
     #[test]
     fn a_multi_track_slice_renders_as_one_slice_per_track() {
-        let args = || JsonValue::object([("units", JsonValue::Array(vec![JsonValue::UInt(3)]))]);
+        let units = [3];
+        let args = [("units", Arg::UInts(&units))];
         let tracks = [(12, 12), (3, 1_000_003), (12, 7)];
         let build = |per_track: bool| {
             let mut trace = ChromeTrace::new("t");
-            trace.slice([(5, 9)], "first", "a", 4..6, args());
+            trace.slice([(5, 9)], "first", "a", 4..6, &args);
             if per_track {
                 for track in tracks {
-                    trace.slice([track], "op \"q\"", "nn", 4..10, args());
+                    trace.slice([track], "op \"q\"", "nn", 4..10, &args);
                 }
             } else {
-                trace.slice(tracks, "op \"q\"", "nn", 4..10, args());
+                trace.slice(tracks, "op \"q\"", "nn", 4..10, &args);
             }
-            trace.slice([(0, 1)], "after", "b", 4..5, args());
+            trace.slice([(0, 1)], "after", "b", 4..5, &args);
             trace.finish(JsonValue::object([("k", JsonValue::UInt(1))]))
         };
         let one_call = build(false);
@@ -447,6 +503,169 @@ mod tests {
             .filter_map(|e| e.get("tid").and_then(JsonValue::as_u64))
             .collect();
         assert_eq!(tids, [1, 1_000_003, 9, 12, 7]);
+    }
+
+    /// One slice call.
+    struct Slice<'a> {
+        tracks: Vec<(u64, u64)>,
+        name: &'a str,
+        cat: &'a str,
+        span: Range<u64>,
+        args: Vec<(&'static str, Arg<'a>)>,
+    }
+
+    fn tree_arg(arg: Arg<'_>) -> JsonValue {
+        match arg {
+            Arg::UInt(v) => JsonValue::UInt(v),
+            Arg::Str(s) => JsonValue::Str(s.into()),
+            Arg::UInts(items) => {
+                JsonValue::Array(items.iter().map(|&v| JsonValue::UInt(v)).collect())
+            }
+        }
+    }
+
+    /// Renders `slices` through the templates and, as the reference, the
+    /// same document as one [`JsonValue`] tree through
+    /// [`JsonValue::render_pretty`]; the bytes must agree.
+    fn assert_renders_like_a_tree(slices: &[Slice<'_>]) {
+        let mut trace = ChromeTrace::new("t");
+        let mut tree = Vec::new();
+        for Slice {
+            tracks,
+            name,
+            cat,
+            span,
+            args,
+        } in slices
+        {
+            trace.slice(tracks.clone(), name, cat, span.clone(), args);
+            for &(order, tid) in tracks {
+                let args = args.iter().map(|&(key, value)| (key, tree_arg(value)));
+                let event = JsonValue::object([
+                    ("ph", JsonValue::Str("X".into())),
+                    ("pid", JsonValue::UInt(0)),
+                    ("tid", JsonValue::UInt(tid)),
+                    ("name", JsonValue::Str(name.to_string())),
+                    ("cat", JsonValue::Str(cat.to_string())),
+                    ("ts", JsonValue::UInt(span.start)),
+                    ("dur", JsonValue::UInt(span.end.saturating_sub(span.start))),
+                    ("args", JsonValue::object(args)),
+                ]);
+                tree.push(((span.start, order), event));
+            }
+        }
+        tree.sort_by_key(|&(key, _)| key);
+        let process = JsonValue::object([
+            ("ph", JsonValue::Str("M".into())),
+            ("pid", JsonValue::UInt(0)),
+            ("name", JsonValue::Str("process_name".into())),
+            (
+                "args",
+                JsonValue::object([("name", JsonValue::Str("t".into()))]),
+            ),
+        ]);
+        let events = std::iter::once(process).chain(tree.into_iter().map(|(_, e)| e));
+        let expected = JsonValue::object([
+            ("displayTimeUnit", JsonValue::Str("ms".into())),
+            ("metadata", JsonValue::object([])),
+            ("traceEvents", JsonValue::Array(events.collect())),
+        ]);
+        let doc = trace.finish(JsonValue::object([]));
+        assert_eq!(doc.render_pretty(), expected.render_pretty());
+    }
+
+    #[test]
+    fn slice_names_and_strings_are_escaped_like_the_tree() {
+        let names = [
+            "op \"q\"",
+            "back\\slash",
+            "ctl \u{1}\u{1f}\n\t\r",
+            "ünï → 😀",
+            "",
+        ];
+        let slices: Vec<Slice> = (0..)
+            .zip(names)
+            .map(|(i, name)| Slice {
+                tracks: vec![(i, 10 + i)],
+                name,
+                cat: "nn \"cat\"",
+                span: i..i + 3,
+                args: vec![("kind", Arg::Str(name)), ("subarrays", Arg::UInts(&[]))],
+            })
+            .collect();
+        assert_renders_like_a_tree(&slices);
+    }
+
+    #[test]
+    fn slice_numbers_of_every_width_fill_like_the_tree() {
+        // Every width from 1 to 20 digits, u64::MAX last.
+        let values: Vec<u64> = (0..20)
+            .flat_map(|d| [10u64.pow(d), 10u64.pow(d).saturating_mul(10) - 1])
+            .chain([u64::MAX])
+            .collect();
+        let slices: Vec<Slice> = (values.iter().zip(values.iter().rev()))
+            .map(|(&v, &w)| Slice {
+                tracks: vec![(w, v), (v, w)],
+                name: "op",
+                cat: "vsa",
+                span: v..v.saturating_add(w),
+                args: vec![("loop", Arg::UInt(v)), ("op", Arg::UInt(w))],
+            })
+            .collect();
+        assert_renders_like_a_tree(&slices);
+    }
+
+    #[test]
+    fn slice_lists_go_inline_up_to_72_bytes_like_the_tree() {
+        let list = |ones: usize, tens: usize| -> Vec<u64> {
+            (std::iter::repeat_n(1, ones).chain(std::iter::repeat_n(10, tens))).collect()
+        };
+        let (at_limit, over) = (list(34, 1), list(33, 2));
+        assert_eq!(tree_arg(Arg::UInts(&at_limit)).render_compact().len(), 72);
+        assert_eq!(tree_arg(Arg::UInts(&over)).render_compact().len(), 73);
+        let (long, wide): (Vec<u64>, _) = ((0..64).collect(), [u64::MAX]);
+        let lists: [&[u64]; 6] = [&[], &[7], &at_limit, &over, &long, &wide];
+        let slices: Vec<Slice> = (0..)
+            .zip(lists)
+            .map(|(i, units)| Slice {
+                tracks: units.iter().map(|&u| (u, u)).take(3).collect(),
+                name: "list",
+                cat: "simd",
+                span: i..i + 1,
+                args: vec![("kind", Arg::Str("gemm")), ("subarrays", Arg::UInts(units))],
+            })
+            .collect();
+        assert_renders_like_a_tree(&slices);
+    }
+
+    #[test]
+    fn serving_slice_shapes_render_like_the_tree() {
+        let phase = |cat, order, span| Slice {
+            tracks: vec![(order, 2)],
+            name: "req 7",
+            cat,
+            span,
+            args: vec![("batch", Arg::UInt(3))],
+        };
+        let slices = [
+            phase("queue_wait", 7, 0..5),
+            phase("batch_wait", 7, 5..9),
+            phase("queue_wait", 8, 0..9),
+            // The same category with other keys is another shape.
+            phase("exec", 9, 0..9),
+            Slice {
+                tracks: vec![(u64::MAX - 1, 101)],
+                name: "batch 3 (n=4)",
+                cat: "exec",
+                span: 9..30,
+                args: vec![
+                    ("batch", Arg::UInt(3)),
+                    ("size", Arg::UInt(4)),
+                    ("traced_requests", Arg::UInt(2)),
+                ],
+            },
+        ];
+        assert_renders_like_a_tree(&slices);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::collections::{BTreeMap, TryReserveError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::chrome::{ChromeDocument, ChromeTrace};
+use crate::chrome::{Arg, ChromeDocument, ChromeTrace};
 use crate::json::JsonValue;
 
 /// Why a request was refused at admission.
@@ -364,9 +364,10 @@ impl TraceSnapshot {
                 let name = format!("shed req {id}");
                 trace.instant(id, TID_ADMISSION, name, "shed", ts, Some(args));
             }
+            let name = format!("req {id}");
             let mut phase = |tid, cat, span, batch_id| {
-                let args = JsonValue::object([("batch", JsonValue::UInt(batch_id))]);
-                trace.slice([(id, tid)], format!("req {id}"), cat, span, args);
+                let args = [("batch", Arg::UInt(batch_id))];
+                trace.slice([(id, tid)], &name, cat, span, &args);
             };
             if let (Some(enq), Some((formed, batch_id, _))) = (life.enqueued, life.formed) {
                 phase(TID_QUEUE_WAIT, "queue_wait", enq..formed, batch_id);
@@ -420,18 +421,18 @@ impl TraceSnapshot {
             agg.requests += 1;
         }
         for (&batch_id, agg) in &batches {
-            let args = JsonValue::object([
-                ("batch", JsonValue::UInt(batch_id)),
-                ("size", JsonValue::UInt(u64::from(agg.size))),
-                ("traced_requests", JsonValue::UInt(agg.requests)),
-            ]);
+            let args = [
+                ("batch", Arg::UInt(batch_id)),
+                ("size", Arg::UInt(u64::from(agg.size))),
+                ("traced_requests", Arg::UInt(agg.requests)),
+            ];
             trace.slice(
                 // Batch slices sort after request rows at the same ts.
                 [(u64::MAX - 1, WORKER_TID_BASE + u64::from(agg.worker))],
-                format!("batch {batch_id} (n={})", agg.size),
+                &format!("batch {batch_id} (n={})", agg.size),
                 "exec",
                 agg.start..agg.end,
-                args,
+                &args,
             );
         }
 

@@ -519,23 +519,61 @@ mod tests {
         v.iter().map(|x| x.to_string()).collect()
     }
 
+    /// A `compile` invocation that sets every option.
+    const COMPILE_ARGS: [&str; 12] = [
+        "--trace",
+        "t.txt",
+        "--registry",
+        "conv1=147,conv2=576",
+        "--loops",
+        "8",
+        "--device",
+        "zcu104",
+        "--precision",
+        "int8",
+        "--out",
+        "outdir",
+    ];
+
+    /// A `serve` invocation that sets every option.
+    const SERVE_ARGS: [&str; 32] = [
+        "--requests",
+        "100",
+        "--mix",
+        "nvsa,lvrf",
+        "--workers",
+        "2",
+        "--batch",
+        "4",
+        "--max-wait-us",
+        "500",
+        "--queue",
+        "16",
+        "--pace-us",
+        "10",
+        "--seed",
+        "7",
+        "--deadline-ms",
+        "250",
+        "--retries",
+        "2",
+        "--fault-plan",
+        "seed=9,error=50,spike=100:25000,stall=10:100000",
+        "--trace-capacity",
+        "256",
+        "--trace-out",
+        "serve.trace.json",
+        "--metrics-out",
+        "metrics.prom",
+        "--metrics-json",
+        "metrics.json",
+        "--metrics-every-ms",
+        "50",
+    ];
+
     #[test]
     fn compile_args_parse_fully() {
-        let a = parse_compile_args(&s(&[
-            "--trace",
-            "t.txt",
-            "--registry",
-            "conv1=147,conv2=576",
-            "--loops",
-            "8",
-            "--device",
-            "zcu104",
-            "--precision",
-            "int8",
-            "--out",
-            "outdir",
-        ]))
-        .unwrap();
+        let a = parse_compile_args(&s(&COMPILE_ARGS)).unwrap();
         assert_eq!(a.trace_path, PathBuf::from("t.txt"));
         assert_eq!(a.registry.k_for("conv1"), Some(147));
         assert_eq!(a.registry.k_for("conv2"), Some(576));
@@ -567,41 +605,7 @@ mod tests {
 
     #[test]
     fn serve_args_parse_fully() {
-        let a = parse_serve_args(&s(&[
-            "--requests",
-            "100",
-            "--mix",
-            "nvsa,lvrf",
-            "--workers",
-            "2",
-            "--batch",
-            "4",
-            "--max-wait-us",
-            "500",
-            "--queue",
-            "16",
-            "--pace-us",
-            "10",
-            "--seed",
-            "7",
-            "--deadline-ms",
-            "250",
-            "--retries",
-            "2",
-            "--fault-plan",
-            "seed=9,error=50,spike=100:25000,stall=10:100000",
-            "--trace-capacity",
-            "256",
-            "--trace-out",
-            "serve.trace.json",
-            "--metrics-out",
-            "metrics.prom",
-            "--metrics-json",
-            "metrics.json",
-            "--metrics-every-ms",
-            "50",
-        ]))
-        .unwrap();
+        let a = parse_serve_args(&s(&SERVE_ARGS)).unwrap();
         assert_eq!(a.requests, 100);
         assert_eq!(a.mix, vec![WorkloadKind::Nvsa, WorkloadKind::Lvrf]);
         assert_eq!(a.workers, 2);
@@ -662,5 +666,38 @@ mod tests {
         let args = parse_serve_args(&s(&["--requests", "2", "--workers", "100000"])).unwrap();
         let err = serve(args).unwrap_err();
         assert!(err.contains("workers 100000"), "{err}");
+    }
+
+    #[test]
+    fn mutated_arguments_never_panic_the_parsers() {
+        use nsflow::tensor::rng::StdRng;
+        const VALUES: [&str; 5] = ["", "-1", "0", "18446744073709551616", "ünï→"];
+        for seed in 0..512 {
+            let rng = &mut StdRng::seed_from_u64(seed);
+            for valid in [&SERVE_ARGS[..], &COMPILE_ARGS[..]] {
+                let mut args = s(valid);
+                for _ in 0..rng.gen_range(1..=4) {
+                    let at = rng.gen_range(0..args.len());
+                    match rng.gen_range(0..4) {
+                        0 => {
+                            args.remove(at);
+                        }
+                        1 => {
+                            let copy = args[at].clone();
+                            args.insert(at, copy);
+                        }
+                        2 => {
+                            let other = rng.gen_range(0..args.len());
+                            args.swap(at, other);
+                        }
+                        _ => args[at] = VALUES[rng.gen_range(0..VALUES.len())].to_string(),
+                    }
+                }
+                // Ok or an Err message: reaching the next line is the
+                // property.
+                let _ = parse_serve_args(&args);
+                let _ = parse_compile_args(&args);
+            }
+        }
     }
 }

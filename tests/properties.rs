@@ -5,7 +5,9 @@
 
 use nsflow::arch::adarray::microsim;
 use nsflow::arch::{analytical, ArrayConfig};
+use nsflow::core::NsFlow;
 use nsflow::dse::{explore, DseOptions};
+use nsflow::fpga::FpgaDevice;
 use nsflow::graph::DataflowGraph;
 use nsflow::sim::schedule::{self, SimOptions};
 use nsflow::tensor::quant::QuantParams;
@@ -314,13 +316,23 @@ fn mutated_trace_text_never_panics_the_parser() {
             }
         }
         // Ok or a TraceError — reaching the next line is the property.
-        let _ = parse_trace(
+        let Ok(trace) = parse_trace(
             &lines.join("\n"),
             name,
             registry,
             Default::default(),
             *loops,
-        );
+        ) else {
+            continue;
+        };
+        // A mutant that parses compiles to a design or a typed error on
+        // both boards, and every design runs.
+        for device in [FpgaDevice::u250(), FpgaDevice::zcu104()] {
+            let flow = NsFlow::new().with_device(device);
+            if let Ok(design) = flow.compile(trace.clone()) {
+                let _ = design.deploy().run();
+            }
+        }
     }
 }
 
