@@ -309,17 +309,18 @@ impl ChromeTrace {
     #[must_use]
     pub fn finish(self, metadata: JsonValue) -> ChromeDocument {
         let ChromeTrace {
-            arena, fragments, ..
+            arena,
+            mut fragments,
+            ..
         } = self;
-        // A stable sort of the indices by key, done as a stable sort by
-        // `ts` and then one of each run of equal `ts`: callers add events
-        // close to `ts` order, so the first meets long sorted runs and
-        // the second short ones. The fragments do not move.
-        let ts = |&i: &usize| fragments[i].key.map(|(ts, _)| ts);
-        let mut order: Vec<usize> = (0..fragments.len()).collect();
-        order.sort_by_key(ts);
-        for run in order.chunk_by_mut(|a, b| ts(a) == ts(b)) {
-            run.sort_by_key(|&i| fragments[i].key);
+        // A stable sort by key, done as a stable sort by `ts` and then
+        // one of each run of equal `ts`: callers add events close to `ts`
+        // order, so the first meets long sorted runs and the second short
+        // ones.
+        let ts = |f: &Fragment| f.key.map(|(ts, _)| ts);
+        fragments.sort_by_key(ts);
+        for run in fragments.chunk_by_mut(|a, b| ts(a) == ts(b)) {
+            run.sort_by_key(|f| f.key);
         }
         // The envelope with two empty objects for events: the writer's
         // own text before, between and after the events.
@@ -341,7 +342,6 @@ impl ChromeTrace {
             placeholders: [first, second],
             arena,
             fragments,
-            order,
         }
     }
 }
@@ -358,11 +358,9 @@ pub struct ChromeDocument {
     /// The events' text, in call order; a slice's body once for all
     /// its tracks.
     arena: String,
-    /// The events, in call order. Never empty: every document names its
-    /// process.
+    /// The events, in document order. Never empty: every document names
+    /// its process.
     fragments: Vec<Fragment>,
-    /// The indices of `fragments`, in document order.
-    order: Vec<usize>,
 }
 
 impl ChromeDocument {
@@ -379,11 +377,11 @@ impl ChromeDocument {
         let len = head.len() + events + (self.fragments.len() - 1) * separator.len() + tail.len();
         let mut out = String::with_capacity(len);
         out.push_str(head);
-        for (i, &fragment) in self.order.iter().enumerate() {
+        for (i, fragment) in self.fragments.iter().enumerate() {
             if i > 0 {
                 out.push_str(separator);
             }
-            self.fragments[fragment].write(&self.arena, &mut out);
+            fragment.write(&self.arena, &mut out);
         }
         out.push_str(tail);
         debug_assert_eq!(out.len(), len);
