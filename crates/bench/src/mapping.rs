@@ -109,7 +109,7 @@ pub fn two_phase_mapping(graph: &DataflowGraph, cfg: &ArrayConfig, opts: &SimOpt
         simd_lanes: opts.simd_lanes,
         ..DseOptions::default()
     };
-    let (alg1, _) = phase2(graph, cfg, &static_mapping, &dse_opts);
+    let alg1 = phase2(graph, cfg, &static_mapping, &dse_opts).mapping;
     let seed = if scheduled_cycles(graph, cfg, &alg1, opts) <= p1_cycles {
         alg1
     } else {

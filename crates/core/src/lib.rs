@@ -250,27 +250,18 @@ impl Design {
         nsflow_fpga::rtl::emit_rtl(&self.config)
     }
 
-    /// Instantiates the deployment (the bitstream-on-device analog).
+    /// Instantiates the deployment (the bitstream-on-device analog): a
+    /// view of this design, which it borrows.
     #[must_use]
-    pub fn deploy(&self) -> Deployment {
-        Deployment {
-            graph: self.graph.clone(),
-            array: self.config.array,
-            mapping: self.dse.mapping.clone(),
-            simd_lanes: self.config.simd_lanes,
-            freq_hz: self.config.freq_hz,
-        }
+    pub fn deploy(&self) -> Deployment<'_> {
+        Deployment { design: self }
     }
 }
 
 /// A deployed design ready to execute workloads.
-#[derive(Debug, Clone)]
-pub struct Deployment {
-    graph: DataflowGraph,
-    array: ArrayConfig,
-    mapping: Mapping,
-    simd_lanes: usize,
-    freq_hz: f64,
+#[derive(Debug, Clone, Copy)]
+pub struct Deployment<'a> {
+    design: &'a Design,
 }
 
 /// Outcome of a batched throughput run.
@@ -297,14 +288,11 @@ pub struct RunReport {
     pub array_utilization: f64,
 }
 
-impl Deployment {
+impl Deployment<'_> {
     /// Executes the full workload on the cycle-level scheduler.
     #[must_use]
     pub fn run(&self) -> RunReport {
-        self.run_with(&SimOptions {
-            simd_lanes: self.simd_lanes,
-            transfer: Some(TransferModel::default()),
-        })
+        self.run_with(&self.sim_options())
     }
 
     /// Executes `tasks` back-to-back workload instances and reports
@@ -318,23 +306,12 @@ impl Deployment {
     #[must_use]
     pub fn run_batch(&self, tasks: usize) -> BatchReport {
         assert!(tasks > 0, "need at least one task");
-        let total_loops = self.graph.trace().loop_count() * tasks;
-        let batched = self
-            .graph
-            .trace()
-            .with_loop_count(total_loops)
-            .expect("nonzero loop count");
+        let trace = self.design.graph.trace();
+        let batched = trace.with_loop_count(trace.loop_count() * tasks);
+        let batched = batched.expect("nonzero loop count");
         let graph = DataflowGraph::from_trace(batched);
-        let schedule = schedule::run_pooled(
-            &graph,
-            &self.array,
-            &self.mapping,
-            &SimOptions {
-                simd_lanes: self.simd_lanes,
-                transfer: Some(TransferModel::default()),
-            },
-        );
-        let seconds = schedule.seconds_at(self.freq_hz);
+        let schedule = self.schedule(&graph, &self.sim_options());
+        let seconds = schedule.seconds_at(self.freq_hz());
         BatchReport {
             tasks,
             cycles: schedule.total_cycles(),
@@ -350,22 +327,33 @@ impl Deployment {
     /// allocation — runtime array folding as the backend performs it.
     #[must_use]
     pub fn run_with(&self, options: &SimOptions) -> RunReport {
-        let schedule = schedule::run_pooled(&self.graph, &self.array, &self.mapping, options);
-        self.report_from(&schedule)
+        let schedule = self.schedule(&self.design.graph, options);
+        RunReport {
+            cycles: schedule.total_cycles(),
+            seconds: schedule.seconds_at(self.freq_hz()),
+            array_utilization: schedule.array_utilization(),
+        }
     }
 
     /// The deployment clock, Hz.
     #[must_use]
     pub fn freq_hz(&self) -> f64 {
-        self.freq_hz
+        self.design.config.freq_hz
     }
 
-    fn report_from(&self, schedule: &Schedule) -> RunReport {
-        RunReport {
-            cycles: schedule.total_cycles(),
-            seconds: schedule.seconds_at(self.freq_hz),
-            array_utilization: schedule.array_utilization(),
+    /// The design's SIMD width with the default transfer model.
+    fn sim_options(&self) -> SimOptions {
+        SimOptions {
+            simd_lanes: self.design.config.simd_lanes,
+            transfer: Some(TransferModel::default()),
         }
+    }
+
+    /// `graph` on the pooled scheduler with the design's array and
+    /// mapping.
+    fn schedule(&self, graph: &DataflowGraph, options: &SimOptions) -> Schedule {
+        let Design { config, dse, .. } = self.design;
+        schedule::run_pooled(graph, &config.array, &dse.mapping, options)
     }
 }
 
@@ -506,6 +494,53 @@ mod tests {
                 matches!(result, Err(CompileError::DeviceTooSmall(_))),
                 "{precision:?}: {:?}",
                 result.map(|d| d.config.array)
+            );
+        }
+    }
+
+    #[test]
+    fn an_over_wide_simd_op_leaves_no_pe_budget_on_zcu104() {
+        // A small GEMM hides almost no SIMD time, so the element-wise op
+        // needs every lane up to the 512-lane cap. Next to 512 lanes
+        // not one PE fits on the ZCU104: the PE budget itself must be the
+        // error, not a DSE panic.
+        let mut b = TraceBuilder::new("wide-simd");
+        let gemm = OpKind::Gemm {
+            m: 64,
+            n: 64,
+            k: 64,
+        };
+        let c = b.push("gemm", gemm, Domain::Neural, DType::Int8, &[]);
+        let wide = OpKind::Elementwise {
+            elems: 1 << 24,
+            func: nsflow_trace::EltFunc::Relu,
+        };
+        b.push("relu", wide, Domain::Neural, DType::Int8, &[c]);
+        let trace = b.finish(1).unwrap();
+        // Even 16 384 cycles of array time, over ten times what this
+        // GEMM takes, leave the op needing the cap.
+        assert_eq!(simd::minimal_lanes(&[wide], 16_384, 512), 512);
+        let device = FpgaDevice::zcu104();
+        for precision in [
+            PrecisionConfig::mixed(),
+            PrecisionConfig::uniform(DType::Int8),
+        ] {
+            // The provisional 64-lane budget is not the one that fails.
+            assert!(max_pes_for(&device, &precision, 64) > 0);
+            assert_eq!(max_pes_for(&device, &precision, 512), 0);
+            let result = NsFlow::new()
+                .with_device(device.clone())
+                .with_precision(precision)
+                .compile(trace.clone());
+            let no_pe = FpgaError::ResourceOverflow {
+                resource: "PE".to_string(),
+                required: 1,
+                available: 0,
+            };
+            assert_eq!(
+                result.map(|d| d.config.array).unwrap_err(),
+                CompileError::DeviceTooSmall(no_pe),
+                "{precision:?}"
             );
         }
     }

@@ -57,7 +57,7 @@ pub mod space;
 
 pub use eval::{CycleTable, EvalEngine, SweepStats};
 pub use phase1::{phase1, phase1_reference, Phase1Result};
-pub use phase2::{phase2, phase2_with_stats, vsa_span_of_layer, Phase2Outcome};
+pub use phase2::{phase2, vsa_span_of_layer, Phase2Outcome};
 
 use nsflow_arch::{analytical, ArrayConfig, Mapping};
 use nsflow_graph::DataflowGraph;
@@ -162,36 +162,25 @@ pub fn explore(graph: &DataflowGraph, options: &DseOptions) -> DseResult {
     );
     let p1 = phase1(graph, options);
     let p1_loop = p1.timing.t_loop;
-    let p2 = phase2_with_stats(graph, &p1.config, &p1.mapping, options);
+    let p2 = phase2(graph, &p1.config, &p1.mapping, options);
     let mut stats = p1.stats;
     stats.absorb(&p2.stats);
     let timing = analytical::loop_timing(graph, &p1.config, &p2.mapping, options.simd_lanes);
     // Keep whichever mapping is actually better (Phase II never regresses).
-    if timing.t_loop <= p1_loop {
-        let gain = if p1_loop == 0 {
-            0.0
-        } else {
-            (p1_loop - timing.t_loop) as f64 / p1_loop as f64
-        };
-        DseResult {
-            config: p1.config,
-            mapping: p2.mapping,
-            timing,
-            phase1_points: p1.points_evaluated,
-            phase2_sweeps: p2.sweeps,
-            phase2_gain: gain,
-            stats,
-        }
+    let (mapping, timing, phase2_gain) = if timing.t_loop <= p1_loop {
+        let gain = (p1_loop - timing.t_loop) as f64 / p1_loop.max(1) as f64;
+        (p2.mapping, timing, gain)
     } else {
-        DseResult {
-            config: p1.config,
-            mapping: p1.mapping,
-            timing: p1.timing,
-            phase1_points: p1.points_evaluated,
-            phase2_sweeps: p2.sweeps,
-            phase2_gain: 0.0,
-            stats,
-        }
+        (p1.mapping, p1.timing, 0.0)
+    };
+    DseResult {
+        config: p1.config,
+        mapping,
+        timing,
+        phase1_points: p1.points_evaluated,
+        phase2_sweeps: p2.sweeps,
+        phase2_gain,
+        stats,
     }
 }
 

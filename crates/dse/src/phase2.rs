@@ -65,24 +65,12 @@ pub struct Phase2Outcome {
     pub stats: SweepStats,
 }
 
-/// Runs Phase II, returning the refined mapping and the number of sweeps
-/// executed. Sequential Phase-I results are returned unchanged — there is
-/// no partition to refine.
+/// Runs Phase II, returning the refined mapping, the number of sweeps
+/// executed and the evaluation counters (what [`crate::explore`] threads
+/// into [`crate::DseResult`]). Sequential Phase-I results are returned
+/// unchanged — there is no partition to refine.
 #[must_use]
 pub fn phase2(
-    graph: &DataflowGraph,
-    config: &ArrayConfig,
-    start: &Mapping,
-    options: &DseOptions,
-) -> (Mapping, usize) {
-    let out = phase2_with_stats(graph, config, start, options);
-    (out.mapping, out.sweeps)
-}
-
-/// [`phase2`] with the evaluation counters exposed (what [`crate::explore`]
-/// threads into [`crate::DseResult`]).
-#[must_use]
-pub fn phase2_with_stats(
     graph: &DataflowGraph,
     config: &ArrayConfig,
     start: &Mapping,
@@ -282,7 +270,11 @@ mod tests {
         let opts = DseOptions::default();
         let start = Mapping::uniform(2, 2, 4, 4);
         let start_time = analytical::loop_timing(&g, &cfg, &start, opts.simd_lanes).t_loop;
-        let (refined, sweeps) = phase2(&g, &cfg, &start, &opts);
+        let Phase2Outcome {
+            mapping: refined,
+            sweeps,
+            ..
+        } = phase2(&g, &cfg, &start, &opts);
         let refined_time = analytical::loop_timing(&g, &cfg, &refined, opts.simd_lanes).t_loop;
         assert!(refined_time <= start_time, "{refined_time} > {start_time}");
         assert!(sweeps >= 1);
@@ -296,7 +288,7 @@ mod tests {
         let opts = DseOptions::default();
         let start = Mapping::uniform(2, 2, 4, 4);
         let start_time = analytical::loop_timing(&g, &cfg, &start, opts.simd_lanes).t_loop;
-        let (refined, _) = phase2(&g, &cfg, &start, &opts);
+        let refined = phase2(&g, &cfg, &start, &opts).mapping;
         let refined_time = analytical::loop_timing(&g, &cfg, &refined, opts.simd_lanes).t_loop;
         assert!(
             refined_time < start_time,
@@ -309,9 +301,9 @@ mod tests {
         let g = lopsided_graph();
         let cfg = ArrayConfig::new(16, 16, 8).unwrap();
         let start = Mapping::sequential(2, 2, 8);
-        let (out, sweeps) = phase2(&g, &cfg, &start, &DseOptions::default());
-        assert_eq!(out, start);
-        assert_eq!(sweeps, 0);
+        let out = phase2(&g, &cfg, &start, &DseOptions::default());
+        assert_eq!(out.mapping, start);
+        assert_eq!(out.sweeps, 0);
     }
 
     #[test]
@@ -319,7 +311,7 @@ mod tests {
         let g = lopsided_graph();
         let cfg = ArrayConfig::new(8, 8, 4).unwrap();
         let start = Mapping::uniform(2, 2, 2, 2);
-        let (out, _) = phase2(&g, &cfg, &start, &DseOptions::default());
+        let out = phase2(&g, &cfg, &start, &DseOptions::default()).mapping;
         assert!(out.n_l.iter().all(|&x| x >= 1));
         assert!(out.n_v.iter().all(|&x| x >= 1));
     }
@@ -330,7 +322,7 @@ mod tests {
         let cfg = ArrayConfig::new(16, 16, 8).unwrap();
         let opts = DseOptions::default();
         let start = Mapping::uniform(2, 2, 4, 4);
-        let out = phase2_with_stats(&g, &cfg, &start, &opts);
+        let out = phase2(&g, &cfg, &start, &opts);
         assert_eq!(out.stats.tables_built, 1);
         assert!(out.stats.points_evaluated > 0);
         let start_t = analytical::loop_timing(&g, &cfg, &start, opts.simd_lanes).t_loop;

@@ -88,10 +88,10 @@ impl CostModel {
         assert!(max_batch >= 1, "need at least one batch size");
         let cycles = WorkloadKind::all().map(|kind| {
             let workload = traces::by_name(kind.name()).expect("kind names match traces");
-            let deployment = NsFlow::new()
+            let design = NsFlow::new()
                 .compile(workload.trace)
-                .expect("paper workloads fit the default device")
-                .deploy();
+                .expect("paper workloads fit the default device");
+            let deployment = design.deploy();
             (1..=max_batch)
                 .map(|n| deployment.run_batch(n).cycles.max(1))
                 .collect()
@@ -604,7 +604,8 @@ mod tests {
         assert_eq!(cost.max_batch(), 8);
         for kind in WorkloadKind::all() {
             let workload = traces::by_name(kind.name()).unwrap();
-            let deployment = NsFlow::new().compile(workload.trace).unwrap().deploy();
+            let design = NsFlow::new().compile(workload.trace).unwrap();
+            let deployment = design.deploy();
             for n in 1..=8 {
                 assert_eq!(
                     cost.cycles(kind, n),

@@ -317,9 +317,9 @@ impl Schedule {
     #[must_use]
     pub fn to_chrome_trace(&self, graph: &DataflowGraph) -> ChromeDocument {
         let trace = graph.trace();
-        let mut chrome = ChromeTrace::new(format!("nsflow-sim: {}", trace.name()));
+        let mut chrome = ChromeTrace::new(&format!("nsflow-sim: {}", trace.name()));
         for u in 0..self.pool_units() {
-            chrome.track(POOL_TID_BASE + u as u64, format!("subarray[{u}]"));
+            chrome.track(POOL_TID_BASE + u as u64, &format!("subarray[{u}]"));
         }
         chrome.track(SIMD_TID, "SIMD unit");
 

@@ -9,18 +9,20 @@
 //! sweep behind every counter series.
 //!
 //! It is a text builder: each event is rendered to text the moment it
-//! is added, as a fragment of one text arena with its sort key. Track
-//! and instant events go through [`JsonValue::write_pretty`] at their
-//! depth in the document. Slices and counters are filled in from
-//! templates: each slice shape (category plus argument keys) and each
-//! counter series is rendered once by the same writer with a
-//! placeholder in every hole, and each event copies that text with its
-//! own values in the holes, so no [`JsonValue`] is built per event. A
-//! slice that covers several tracks writes its body once; each track's
+//! is added, as a fragment of one text arena with its sort key, and no
+//! [`JsonValue`] is built per event. Every event is filled in from the
+//! template of its shape: its phase, its category, its argument keys
+//! and whether it has `args` at all. The first event of a shape renders
+//! the template by [`JsonValue::write_pretty`] at its depth in the
+//! document, with a placeholder in every hole (`tid`, `name`, `ts`,
+//! `dur` and the values of `args`, those of them the phase has); each
+//! event copies that text with its own values in the holes. An event's
+//! `tid` is spliced in only when the document is written, so a slice
+//! that covers several tracks writes its body once and each track's
 //! fragment points at it with its own `tid`.
 //! [`ChromeTrace::finish`] sorts the fragments and
 //! [`ChromeDocument::render_pretty`] writes them into the envelope in one
-//! pass, at exact capacity, splicing in each slice's `tid`. The bytes are
+//! pass, at exact capacity, splicing in each event's `tid`. The bytes are
 //! the same as rendering the whole document as one [`JsonValue`] tree.
 //!
 //! Every event belongs to process 0. Timed events are written sorted
@@ -75,7 +77,7 @@ impl Template {
             match value {
                 Arg::UInt(v) => write_u64(out, v),
                 Arg::Str(s) => escape_into(out, s),
-                // An array is an entry of a slice's `args`.
+                // An array is an entry of `args`.
                 Arg::UInts(items) => write_pretty_uints(out, items, EVENT_LEVEL + 2),
             }
             from = hole + 1;
@@ -84,7 +86,7 @@ impl Template {
     }
 }
 
-/// The value of one slice argument.
+/// The value of one event argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Arg<'a> {
     /// A non-negative integer.
@@ -104,8 +106,8 @@ struct Fragment {
     /// The event's text in the arena: for a slice, the body shared by
     /// every track it covers.
     text: Range<usize>,
-    /// A slice's track: the arena offset of the body's one-digit `tid`
-    /// placeholder, and the `tid` written in its place.
+    /// The event's track, if it has one: the arena offset of the body's
+    /// one-digit `tid` placeholder, and the `tid` written in its place.
     tid: Option<(usize, u64)>,
 }
 
@@ -131,6 +133,21 @@ impl Fragment {
     }
 }
 
+/// The fields shared by every event of one shape, and its template.
+#[derive(Debug, Clone)]
+struct Shape {
+    /// The phase: `M`, `X`, `i` or `C`.
+    ph: &'static str,
+    /// Whether the events name a track: all but the process's `M` event
+    /// and counters do.
+    tid: bool,
+    /// The category, which only `X` and `i` events have.
+    cat: Option<String>,
+    /// The keys of `args`, in order; `None` for events without `args`.
+    keys: Option<Vec<&'static str>>,
+    template: Template,
+}
+
 /// A Chrome Trace Event Format document under construction.
 #[derive(Debug, Clone)]
 pub struct ChromeTrace {
@@ -138,62 +155,103 @@ pub struct ChromeTrace {
     arena: String,
     /// The events, in call order.
     fragments: Vec<Fragment>,
-    /// Each slice shape's category, argument keys and template.
-    shapes: Vec<(String, Vec<&'static str>, Template)>,
+    /// Every shape met so far, in first-use order.
+    shapes: Vec<Shape>,
 }
 
 impl ChromeTrace {
     /// Starts a document whose process 0 is named `process`.
     #[must_use]
-    pub fn new(process: impl Into<String>) -> Self {
+    pub fn new(process: &str) -> Self {
         let mut trace = ChromeTrace {
             arena: String::new(),
             fragments: Vec::new(),
             shapes: Vec::new(),
         };
-        trace.metadata(None, "process_name", process.into());
+        let shape = trace.shape("M", false, None, Some(["name"].into_iter()));
+        let values = [Arg::Str("process_name"), Arg::Str(process)];
+        trace.add(shape, values, [(None, None)]);
         trace
     }
 
-    /// Adds the `M` event `name` with `args.name` set to `value`, on
-    /// track `tid` if given.
-    fn metadata(&mut self, tid: Option<u64>, name: &str, value: String) {
-        let head = [
-            ("ph", JsonValue::Str("M".into())),
-            ("pid", JsonValue::UInt(0)),
-        ];
-        let tid = tid.map(|tid| ("tid", JsonValue::UInt(tid)));
-        let args = JsonValue::object([("name", JsonValue::Str(value))]);
-        let tail = [("name", JsonValue::Str(name.into())), ("args", args)];
-        let event = JsonValue::object(head.into_iter().chain(tid).chain(tail));
-        self.push(None, &event);
+    /// The index of the shape with these fields, its template rendered
+    /// on first use. `keys` are those of `args`, `None` for no `args`.
+    /// The holes are, in order: `tid` if `tid`, `name`, `ts` but for an
+    /// `M` event, `dur` for an `X` event, and the value of each key.
+    fn shape<K>(&mut self, ph: &'static str, tid: bool, cat: Option<&str>, keys: Option<K>) -> usize
+    where
+        K: Iterator<Item = &'static str> + Clone,
+    {
+        let args = keys.is_some();
+        let keys = || keys.clone().into_iter().flatten();
+        let known = self.shapes.iter().position(|s| {
+            (s.ph, s.tid, s.cat.as_deref(), s.keys.is_some()) == (ph, tid, cat, args)
+                && s.keys.iter().flatten().copied().eq(keys())
+        });
+        known.unwrap_or_else(|| {
+            let template = Template::new(|value| {
+                let hole = || JsonValue::UInt(value);
+                let text = |s: &str| JsonValue::Str(s.into());
+                let mut fields = vec![("ph", text(ph)), ("pid", JsonValue::UInt(0))];
+                fields.extend(tid.then(|| ("tid", hole())));
+                fields.push(("name", hole()));
+                fields.extend(cat.map(|cat| ("cat", text(cat))));
+                fields.extend((ph != "M").then(|| ("ts", hole())));
+                fields.extend((ph == "X").then(|| ("dur", hole())));
+                fields.extend((ph == "i").then(|| ("s", text("t"))));
+                let entries = || keys().map(|key| (key, hole()));
+                fields.extend(args.then(|| ("args", JsonValue::object(entries()))));
+                JsonValue::object(fields)
+            });
+            self.shapes.push(Shape {
+                ph,
+                tid,
+                cat: cat.map(Into::into),
+                keys: args.then(|| keys().collect()),
+                template,
+            });
+            self.shapes.len() - 1
+        })
     }
 
-    /// Renders `event` into the arena under `key`.
-    fn push(&mut self, key: Option<(u64, u64)>, event: &JsonValue) {
+    /// Writes one event of `shape` into the arena, with `values` in its
+    /// holes after `tid`, and lists it once per `(key, tid)` in `at`;
+    /// each `tid` is `Some` exactly when the shape has one.
+    fn add<'a>(
+        &mut self,
+        shape: usize,
+        values: impl IntoIterator<Item = Arg<'a>>,
+        at: impl IntoIterator<Item = (Option<(u64, u64)>, Option<u64>)>,
+    ) {
+        let Shape { tid, template, .. } = &self.shapes[shape];
         let start = self.arena.len();
-        event.write_pretty(&mut self.arena, EVENT_LEVEL);
-        self.fragments.push(Fragment {
-            key,
-            text: start..self.arena.len(),
-            tid: None,
-        });
+        // `tid` gets a one-digit placeholder, replaced per track at
+        // render; nothing before it varies.
+        let tid = tid.then_some(Arg::UInt(0));
+        template.fill(&mut self.arena, tid.into_iter().chain(values));
+        let (text, tid_at) = (start..self.arena.len(), start + template.holes[0]);
+        self.fragments
+            .extend(at.into_iter().map(|(key, tid)| Fragment {
+                key,
+                text: text.clone(),
+                tid: tid.map(|tid| (tid_at, tid)),
+            }));
     }
 
     /// Names track (thread) `tid`. Tracks are listed in call order,
     /// before every timed event.
-    pub fn track(&mut self, tid: u64, name: impl Into<String>) {
-        self.metadata(Some(tid), "thread_name", name.into());
+    pub fn track(&mut self, tid: u64, name: &str) {
+        let shape = self.shape("M", true, None, Some(["name"].into_iter()));
+        let values = [Arg::Str("thread_name"), Arg::Str(name)];
+        self.add(shape, values, [(None, Some(tid))]);
     }
 
     /// Adds one duration (`X`) event covering `span` per `(order, tid)`
     /// in `tracks`: the same event on track `tid`, sorted by
-    /// `(span.start, order)`. The first slice of each shape (`cat` and
-    /// the keys of `args`) renders the event once with a placeholder in
-    /// every hole; each slice of that shape fills a copy with its values.
-    /// The shared body is written into the arena once and written out per
-    /// track by [`ChromeDocument::render_pretty`]; the result is the same
-    /// as one call per track.
+    /// `(span.start, order)`. The shared body is written into the arena
+    /// once and written out per track by
+    /// [`ChromeDocument::render_pretty`]; the result is the same as one
+    /// call per track.
     pub fn slice(
         &mut self,
         tracks: impl IntoIterator<Item = (u64, u64)>,
@@ -202,42 +260,11 @@ impl ChromeTrace {
         span: Range<u64>,
         args: &[(&'static str, Arg<'_>)],
     ) {
-        let keys = || args.iter().map(|&(key, _)| key);
-        let known =
-            (self.shapes.iter()).position(|(c, k, _)| c == cat && k.iter().copied().eq(keys()));
-        let shape = known.unwrap_or_else(|| {
-            let template = Template::new(|value| {
-                JsonValue::object([
-                    ("ph", JsonValue::Str("X".into())),
-                    ("pid", JsonValue::UInt(0)),
-                    ("tid", JsonValue::UInt(value)),
-                    ("name", JsonValue::UInt(value)),
-                    ("cat", JsonValue::Str(cat.into())),
-                    ("ts", JsonValue::UInt(value)),
-                    ("dur", JsonValue::UInt(value)),
-                    (
-                        "args",
-                        JsonValue::object(keys().map(|key| (key, JsonValue::UInt(value)))),
-                    ),
-                ])
-            });
-            self.shapes.push((cat.into(), keys().collect(), template));
-            self.shapes.len() - 1
-        });
-        let template = &self.shapes[shape].2;
-        let start = self.arena.len();
-        // `tid` gets a one-digit placeholder, replaced per track at
-        // render; nothing before it varies.
-        let [tid, ts, dur] = [0, span.start, span.end.saturating_sub(span.start)].map(Arg::UInt);
-        let values = [tid, Arg::Str(name), ts, dur].into_iter();
-        template.fill(&mut self.arena, values.chain(args.iter().map(|&(_, v)| v)));
-        let (text, tid_at) = (start..self.arena.len(), start + template.holes[0]);
-        self.fragments
-            .extend(tracks.into_iter().map(|(order, tid)| Fragment {
-                key: Some((span.start, order)),
-                text: text.clone(),
-                tid: Some((tid_at, tid)),
-            }));
+        let shape = self.shape("X", true, Some(cat), Some(args.iter().map(|&(key, _)| key)));
+        let [ts, dur] = [span.start, span.end.saturating_sub(span.start)].map(Arg::UInt);
+        let values = [Arg::Str(name), ts, dur].into_iter();
+        let at = (tracks.into_iter()).map(|(order, tid)| (Some((span.start, order)), Some(tid)));
+        self.add(shape, values.chain(args.iter().map(|&(_, v)| v)), at);
     }
 
     /// Adds a thread-scoped instant (`i`) event at `ts` on track `tid`,
@@ -247,60 +274,33 @@ impl ChromeTrace {
         &mut self,
         order: u64,
         tid: u64,
-        name: impl Into<String>,
+        name: &str,
         cat: &str,
         ts: u64,
-        args: Option<JsonValue>,
+        args: Option<&[(&'static str, Arg<'_>)]>,
     ) {
-        let mut fields = vec![
-            ("ph", JsonValue::Str("i".into())),
-            ("pid", JsonValue::UInt(0)),
-            ("tid", JsonValue::UInt(tid)),
-            ("name", JsonValue::Str(name.into())),
-            ("cat", JsonValue::Str(cat.into())),
-            ("ts", JsonValue::UInt(ts)),
-            ("s", JsonValue::Str("t".into())),
-        ];
-        fields.extend(args.map(|args| ("args", args)));
-        self.push(Some((ts, order)), &JsonValue::object(fields));
+        let keys = args.map(|args| args.iter().map(|&(key, _)| key));
+        let shape = self.shape("i", true, Some(cat), keys);
+        let values = [Arg::Str(name), Arg::UInt(ts)].into_iter();
+        let args = args.into_iter().flatten().map(|&(_, v)| v);
+        self.add(shape, values.chain(args), [(Some((ts, order)), Some(tid))]);
     }
 
     /// Adds the counter (`C`) series `name`: one event per change point
     /// of `deltas`, whose `(ts, series, delta)` entries index `series`.
     /// Each event carries every series' level after all the changes at
     /// its `ts` (negative levels clamp to 0).
-    ///
-    /// The event is rendered once with placeholders for `ts` and the
-    /// levels; each change point copies that text with its own values
-    /// filled in.
     pub fn counter<const N: usize>(
         &mut self,
         name: &str,
         series: [&'static str; N],
         mut deltas: Vec<(u64, usize, i64)>,
     ) {
-        let template = Template::new(|value| {
-            JsonValue::object([
-                ("ph", JsonValue::Str("C".into())),
-                ("pid", JsonValue::UInt(0)),
-                ("name", JsonValue::Str(name.into())),
-                ("ts", JsonValue::UInt(value)),
-                (
-                    "args",
-                    JsonValue::object(series.map(|key| (key, JsonValue::UInt(value)))),
-                ),
-            ])
-        });
-        debug_assert_eq!(template.holes.len(), N + 1);
+        let shape = self.shape("C", false, None, Some(series.into_iter()));
         for (ts, level) in step_levels::<N>(&mut deltas) {
-            let start = self.arena.len();
-            let values = std::iter::once(ts).chain(level.map(|l| l.max(0) as u64));
-            template.fill(&mut self.arena, values.map(Arg::UInt));
-            self.fragments.push(Fragment {
-                key: Some((ts, COUNTER_ORDER)),
-                text: start..self.arena.len(),
-                tid: None,
-            });
+            let levels = level.map(|l| Arg::UInt(l.max(0) as u64));
+            let values = [Arg::Str(name), Arg::UInt(ts)].into_iter().chain(levels);
+            self.add(shape, values, [(Some((ts, COUNTER_ORDER)), None)]);
         }
     }
 
@@ -465,7 +465,7 @@ mod tests {
     fn an_instant_without_args_has_no_args_key() {
         let mut trace = ChromeTrace::new("t");
         trace.instant(0, 1, "bare", "x", 3, None);
-        trace.instant(1, 1, "with", "x", 3, Some(JsonValue::object([])));
+        trace.instant(1, 1, "with", "x", 3, Some(&[]));
         let events = events(&trace.finish(JsonValue::object([])));
         let instants = &events[1..];
         assert_eq!(instants[0].get("args"), None);
@@ -503,13 +503,25 @@ mod tests {
         assert_eq!(tids, [1, 1_000_003, 9, 12, 7]);
     }
 
-    /// One slice call.
-    struct Slice<'a> {
-        tracks: Vec<(u64, u64)>,
-        name: &'a str,
-        cat: &'a str,
-        span: Range<u64>,
-        args: Vec<(&'static str, Arg<'a>)>,
+    /// One call on a [`ChromeTrace`].
+    enum Call<'a> {
+        Track(u64, &'a str),
+        Slice {
+            tracks: Vec<(u64, u64)>,
+            name: &'a str,
+            cat: &'a str,
+            span: Range<u64>,
+            args: Vec<(&'static str, Arg<'a>)>,
+        },
+        /// An `instant` call's arguments, in order.
+        Instant(
+            u64,
+            u64,
+            &'a str,
+            &'a str,
+            u64,
+            Option<Vec<(&'static str, Arg<'a>)>>,
+        ),
     }
 
     fn tree_arg(arg: Arg<'_>) -> JsonValue {
@@ -522,54 +534,92 @@ mod tests {
         }
     }
 
-    /// Renders `slices` through the templates and, as the reference, the
-    /// same document as one [`JsonValue`] tree through
-    /// [`JsonValue::render_pretty`]; the bytes must agree.
-    fn assert_renders_like_a_tree(slices: &[Slice<'_>]) {
-        let mut trace = ChromeTrace::new("t");
-        let mut tree = Vec::new();
-        for Slice {
-            tracks,
-            name,
-            cat,
-            span,
-            args,
-        } in slices
-        {
-            trace.slice(tracks.clone(), name, cat, span.clone(), args);
-            for &(order, tid) in tracks {
-                let args = args.iter().map(|&(key, value)| (key, tree_arg(value)));
-                let event = JsonValue::object([
-                    ("ph", JsonValue::Str("X".into())),
-                    ("pid", JsonValue::UInt(0)),
-                    ("tid", JsonValue::UInt(tid)),
-                    ("name", JsonValue::Str(name.to_string())),
-                    ("cat", JsonValue::Str(cat.to_string())),
-                    ("ts", JsonValue::UInt(span.start)),
-                    ("dur", JsonValue::UInt(span.end.saturating_sub(span.start))),
-                    ("args", JsonValue::object(args)),
-                ]);
-                tree.push(((span.start, order), event));
-            }
-        }
-        tree.sort_by_key(|&(key, _)| key);
+    fn text(s: &str) -> JsonValue {
+        JsonValue::Str(s.into())
+    }
+
+    fn tree_args(args: &[(&'static str, Arg<'_>)]) -> JsonValue {
+        JsonValue::object(args.iter().map(|&(key, value)| (key, tree_arg(value))))
+    }
+
+    /// The reference rendering: process `t`'s `M` event and `events`,
+    /// sorted stably by key, as one [`JsonValue`] tree through
+    /// [`JsonValue::render_pretty`].
+    fn tree_document(mut events: Vec<(Option<(u64, u64)>, JsonValue)>) -> String {
+        events.sort_by_key(|&(key, _)| key);
         let process = JsonValue::object([
-            ("ph", JsonValue::Str("M".into())),
+            ("ph", text("M")),
             ("pid", JsonValue::UInt(0)),
-            ("name", JsonValue::Str("process_name".into())),
-            (
-                "args",
-                JsonValue::object([("name", JsonValue::Str("t".into()))]),
-            ),
+            ("name", text("process_name")),
+            ("args", JsonValue::object([("name", text("t"))])),
         ]);
-        let events = std::iter::once(process).chain(tree.into_iter().map(|(_, e)| e));
-        let expected = JsonValue::object([
-            ("displayTimeUnit", JsonValue::Str("ms".into())),
+        let events = std::iter::once(process).chain(events.into_iter().map(|(_, e)| e));
+        JsonValue::object([
+            ("displayTimeUnit", text("ms")),
             ("metadata", JsonValue::object([])),
             ("traceEvents", JsonValue::Array(events.collect())),
-        ]);
+        ])
+        .render_pretty()
+    }
+
+    /// Renders `calls` through the templates and, as the reference, the
+    /// same document as one [`JsonValue`] tree; the bytes must agree.
+    fn assert_renders_like_a_tree(calls: &[Call<'_>]) {
+        let mut trace = ChromeTrace::new("t");
+        let mut tree = Vec::new();
+        for call in calls {
+            match call {
+                &Call::Track(tid, name) => {
+                    trace.track(tid, name);
+                    let event = JsonValue::object([
+                        ("ph", text("M")),
+                        ("pid", JsonValue::UInt(0)),
+                        ("tid", JsonValue::UInt(tid)),
+                        ("name", text("thread_name")),
+                        ("args", JsonValue::object([("name", text(name))])),
+                    ]);
+                    tree.push((None, event));
+                }
+                Call::Slice {
+                    tracks,
+                    name,
+                    cat,
+                    span,
+                    args,
+                } => {
+                    trace.slice(tracks.clone(), name, cat, span.clone(), args);
+                    for &(order, tid) in tracks {
+                        let event = JsonValue::object([
+                            ("ph", text("X")),
+                            ("pid", JsonValue::UInt(0)),
+                            ("tid", JsonValue::UInt(tid)),
+                            ("name", text(name)),
+                            ("cat", text(cat)),
+                            ("ts", JsonValue::UInt(span.start)),
+                            ("dur", JsonValue::UInt(span.end.saturating_sub(span.start))),
+                            ("args", tree_args(args)),
+                        ]);
+                        tree.push((Some((span.start, order)), event));
+                    }
+                }
+                Call::Instant(order, tid, name, cat, ts, args) => {
+                    trace.instant(*order, *tid, name, cat, *ts, args.as_deref());
+                    let mut fields = vec![
+                        ("ph", text("i")),
+                        ("pid", JsonValue::UInt(0)),
+                        ("tid", JsonValue::UInt(*tid)),
+                        ("name", text(name)),
+                        ("cat", text(cat)),
+                        ("ts", JsonValue::UInt(*ts)),
+                        ("s", text("t")),
+                    ];
+                    fields.extend(args.as_deref().map(|args| ("args", tree_args(args))));
+                    tree.push((Some((*ts, *order)), JsonValue::object(fields)));
+                }
+            }
+        }
         let doc = trace.finish(JsonValue::object([]));
-        assert_eq!(doc.render_pretty(), expected.render_pretty());
+        assert_eq!(doc.render_pretty(), tree_document(tree));
     }
 
     #[test]
@@ -581,9 +631,9 @@ mod tests {
             "ünï → 😀",
             "",
         ];
-        let slices: Vec<Slice> = (0..)
+        let slices: Vec<Call> = (0..)
             .zip(names)
-            .map(|(i, name)| Slice {
+            .map(|(i, name)| Call::Slice {
                 tracks: vec![(i, 10 + i)],
                 name,
                 cat: "nn \"cat\"",
@@ -601,8 +651,8 @@ mod tests {
             .flat_map(|d| [10u64.pow(d), 10u64.pow(d).saturating_mul(10) - 1])
             .chain([u64::MAX])
             .collect();
-        let slices: Vec<Slice> = (values.iter().zip(values.iter().rev()))
-            .map(|(&v, &w)| Slice {
+        let slices: Vec<Call> = (values.iter().zip(values.iter().rev()))
+            .map(|(&v, &w)| Call::Slice {
                 tracks: vec![(w, v), (v, w)],
                 name: "op",
                 cat: "vsa",
@@ -623,9 +673,9 @@ mod tests {
         assert_eq!(tree_arg(Arg::UInts(&over)).render_compact().len(), 73);
         let (long, wide): (Vec<u64>, _) = ((0..64).collect(), [u64::MAX]);
         let lists: [&[u64]; 6] = [&[], &[7], &at_limit, &over, &long, &wide];
-        let slices: Vec<Slice> = (0..)
+        let slices: Vec<Call> = (0..)
             .zip(lists)
-            .map(|(i, units)| Slice {
+            .map(|(i, units)| Call::Slice {
                 tracks: units.iter().map(|&u| (u, u)).take(3).collect(),
                 name: "list",
                 cat: "simd",
@@ -638,7 +688,7 @@ mod tests {
 
     #[test]
     fn serving_slice_shapes_render_like_the_tree() {
-        let phase = |cat, order, span| Slice {
+        let phase = |cat, order, span| Call::Slice {
             tracks: vec![(order, 2)],
             name: "req 7",
             cat,
@@ -651,7 +701,7 @@ mod tests {
             phase("queue_wait", 8, 0..9),
             // The same category with other keys is another shape.
             phase("exec", 9, 0..9),
-            Slice {
+            Call::Slice {
                 tracks: vec![(u64::MAX - 1, 101)],
                 name: "batch 3 (n=4)",
                 cat: "exec",
@@ -667,10 +717,43 @@ mod tests {
     }
 
     #[test]
+    fn tracks_and_instants_render_like_the_tree() {
+        let units = [1, 20, 300];
+        let shed = vec![("reason", Arg::Str("full"))];
+        let retry = vec![("attempt", Arg::UInt(1))];
+        let fail = vec![
+            ("attempts", Arg::UInt(1_000_003)),
+            ("units", Arg::UInts(&units)),
+            ("none", Arg::UInts(&[])),
+        ];
+        let calls = [
+            Call::Track(1, "admission"),
+            Call::Track(u64::MAX, "worker[\"q\"] ü\n"),
+            Call::Instant(0, 1, "admit req 0", "admission", 9, None),
+            Call::Slice {
+                tracks: vec![(0, 2)],
+                name: "req 0",
+                cat: "queue_wait",
+                span: 9..12,
+                args: vec![("batch", Arg::UInt(3))],
+            },
+            // The same category with and without `args` is two shapes.
+            Call::Instant(1, 1, "shed req 1", "admission", 9, Some(shed)),
+            Call::Instant(2, 0, "", "admission", 0, None),
+            Call::Track(0, ""),
+            Call::Instant(u64::MAX, 3, "retry \"q\"", "retry", u64::MAX, Some(retry)),
+            Call::Instant(3, 1_000_003, "fail req 3", "fail", 10, Some(fail)),
+            Call::Instant(4, 3, "empty args", "fail", 10, Some(vec![])),
+            Call::Instant(5, 3, "no args", "fail", 10, None),
+        ];
+        assert_renders_like_a_tree(&calls);
+    }
+
+    #[test]
     fn a_counter_renders_like_one_event_per_change_point() {
         // `a` grows 9 → 10, `b` clamps from -4 to 0 and jumps to
         // 1 000 003, and `ts` runs from one digit to twenty.
-        let deltas = vec![
+        let mut deltas = vec![
             (0, 0, 9),
             (5, 1, -4),
             (9, 0, 1),
@@ -682,26 +765,27 @@ mod tests {
         let (name, series) = ("load 0 \"q\"", ["a0", "1"]);
         let mut filled = ChromeTrace::new("t");
         filled.counter(name, series, deltas.clone());
-        let mut per_point = ChromeTrace::new("t");
-        for (ts, level) in step_levels::<2>(&mut deltas.clone()) {
+        // Another series of the same keys shares the shape, not the name.
+        filled.counter("other", series, vec![(4, 1, 2)]);
+        let mut per_point = Vec::new();
+        let points = step_levels::<2>(&mut deltas).map(|(ts, level)| (name, ts, level));
+        for (name, ts, level) in points.chain([("other", 4, [0, 2])]) {
             let args = (series.into_iter().zip(level))
                 .map(|(key, l)| (key, JsonValue::UInt(l.max(0) as u64)));
             let event = JsonValue::object([
-                ("ph", JsonValue::Str("C".into())),
+                ("ph", text("C")),
                 ("pid", JsonValue::UInt(0)),
-                ("name", JsonValue::Str(name.into())),
+                ("name", text(name)),
                 ("ts", JsonValue::UInt(ts)),
                 ("args", JsonValue::object(args)),
             ]);
-            per_point.push(Some((ts, COUNTER_ORDER)), &event);
+            per_point.push((Some((ts, COUNTER_ORDER)), event));
         }
         let filled = filled.finish(JsonValue::object([]));
-        assert_eq!(
-            filled.render_pretty(),
-            per_point.finish(JsonValue::object([])).render_pretty()
-        );
+        assert_eq!(filled.render_pretty(), tree_document(per_point));
         let levels: Vec<(u64, u64)> = events(&filled)[1..]
             .iter()
+            .filter(|e| e.get("name").and_then(JsonValue::as_str) == Some(name))
             .map(|e| {
                 let args = e.get("args").unwrap();
                 let level = |key| args.get(key).and_then(JsonValue::as_u64).unwrap();

@@ -330,7 +330,7 @@ impl TraceSnapshot {
     #[must_use]
     pub fn to_chrome_trace(&self, process: &str, time_unit: &str) -> ChromeDocument {
         let lifecycles = self.lifecycles();
-        let mut trace = ChromeTrace::new(format!("nsflow-serve: {process}"));
+        let mut trace = ChromeTrace::new(&format!("nsflow-serve: {process}"));
         trace.track(TID_ADMISSION, "admission");
         trace.track(TID_QUEUE_WAIT, "queue wait");
         trace.track(TID_BATCH_WAIT, "batch wait");
@@ -350,19 +350,19 @@ impl TraceSnapshot {
         workers.sort_unstable();
         workers.dedup();
         for w in &workers {
-            trace.track(WORKER_TID_BASE + u64::from(*w), format!("worker[{w}]"));
+            trace.track(WORKER_TID_BASE + u64::from(*w), &format!("worker[{w}]"));
         }
 
         // Request rows sort by request id at equal ts.
         for (&id, life) in &lifecycles {
             if let Some(ts) = life.admitted {
                 let name = format!("admit req {id}");
-                trace.instant(id, TID_ADMISSION, name, "admission", ts, None);
+                trace.instant(id, TID_ADMISSION, &name, "admission", ts, None);
             }
             if let Some((ts, reason)) = life.shed {
-                let args = JsonValue::object([("reason", JsonValue::Str(reason.name().into()))]);
+                let args = [("reason", Arg::Str(reason.name()))];
                 let name = format!("shed req {id}");
-                trace.instant(id, TID_ADMISSION, name, "shed", ts, Some(args));
+                trace.instant(id, TID_ADMISSION, &name, "shed", ts, Some(&args));
             }
             let name = format!("req {id}");
             let mut phase = |tid, cat, span, batch_id| {
@@ -388,9 +388,9 @@ impl TraceSnapshot {
                 RequestEvent::Failed { attempts } => ("fail", "attempts", attempts),
                 _ => continue,
             };
-            let args = JsonValue::object([(arg_key, JsonValue::UInt(u64::from(arg_val)))]);
+            let args = [(arg_key, Arg::UInt(u64::from(arg_val)))];
             let name = format!("{cat} req {}", r.trace_id);
-            trace.instant(r.trace_id, TID_FAULTS, name, cat, r.ts, Some(args));
+            trace.instant(r.trace_id, TID_FAULTS, &name, cat, r.ts, Some(&args));
         }
 
         // One execution slice per batch on the executing worker's track.
