@@ -51,7 +51,7 @@ pub fn emit_rtl(config: &DesignConfig) -> String {
 /// register and vertical port that enable circular-convolution streaming
 /// (paper Fig. 3(b)).
 #[must_use]
-pub fn emit_pe(config: &DesignConfig) -> String {
+fn emit_pe(config: &DesignConfig) -> String {
     let nn_w = config.precision.neural.bits();
     let sy_w = config.precision.symbolic.bits();
     let acc_w = 2 * nn_w.max(sy_w) + 8; // product + accumulation guard bits
@@ -94,7 +94,7 @@ pub fn emit_pe(config: &DesignConfig) -> String {
 /// One H×W sub-array with the fold select that merges it with its
 /// neighbour for NN mode or isolates its columns for VSA streams.
 #[must_use]
-pub fn emit_subarray(config: &DesignConfig) -> String {
+fn emit_subarray(config: &DesignConfig) -> String {
     let h = config.array.height();
     let w = config.array.width();
     format!(
@@ -123,7 +123,7 @@ pub fn emit_subarray(config: &DesignConfig) -> String {
 
 /// The custom SIMD unit: `lanes` compact ALUs plus a reduction tree.
 #[must_use]
-pub fn emit_simd(config: &DesignConfig) -> String {
+fn emit_simd(config: &DesignConfig) -> String {
     let lanes = config.simd_lanes;
     let depth = usize::BITS - (lanes.max(1) - 1).leading_zeros();
     format!(
@@ -145,7 +145,7 @@ pub fn emit_simd(config: &DesignConfig) -> String {
 /// The re-organizable memory: double-buffered Mem_A1/A2/B/C with the
 /// runtime merge switch, plus the URAM cache.
 #[must_use]
-pub fn emit_memory(config: &DesignConfig) -> String {
+fn emit_memory(config: &DesignConfig) -> String {
     let m = &config.memory;
     format!(
         "module nsflow_memory #(\n\
@@ -169,7 +169,7 @@ pub fn emit_memory(config: &DesignConfig) -> String {
 /// Top level: N sub-arrays, the SIMD unit, the memory system and the
 /// fold/schedule controller driven by the host configuration registers.
 #[must_use]
-pub fn emit_top(config: &DesignConfig) -> String {
+fn emit_top(config: &DesignConfig) -> String {
     let n = config.array.n_subarrays();
     let (nl, nv) = config.default_partition;
     format!(

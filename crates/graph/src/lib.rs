@@ -3,22 +3,19 @@
 //! Dataflow-graph generation — step ② of the paper's Design Architecture
 //! Generator (Sec. V-B).
 //!
-//! Starting from an [`ExecutionTrace`], the generator:
+//! A [`DataflowGraph`] wraps an [`ExecutionTrace`] with what the
+//! two-phase DSE and the scheduler read of it:
 //!
-//! 1. **identifies the critical path** of one loop iteration (longest
-//!    dependency chain, weighted by arithmetic work) with a DFS-based
-//!    longest-path pass,
-//! 2. **identifies inner-loop parallelism** with a BFS depth pass,
-//!    attaching off-critical-path nodes to the critical-path node at their
-//!    depth (their earliest execution point),
-//! 3. **identifies inter-loop parallelism**: the next loop's first NN layer
-//!    may start as soon as the array's NN partition is free, overlapping
-//!    with the previous loop's symbolic tail,
-//! 4. annotates each node with the *size parameters* its runtime function
-//!    needs (the architecture crate evaluates eqs. (1)–(5) against them),
-//! 5. computes per-node **memory costs** and the aggregate quantities the
-//!    memory planner uses (`max filter size in R_l` → `Mem_A1`,
-//!    `max node size in R_v` → `Mem_A2`, …).
+//! 1. each op's **dependency depth** (longest hop count from a source);
+//!    Phase II of the DSE groups the VSA nodes that overlap each NN layer
+//!    by it, the inner-loop parallelism of the paper's step ②,
+//! 2. the aggregate **memory costs** the memory planner uses
+//!    (`max filter size in R_l` → `Mem_A1`, `max node size in R_v` →
+//!    `Mem_A2`, …), see [`MemoryRequirements`].
+//!
+//! The critical path that reports attribute a makespan to is walked on
+//! the scheduled DAG by `nsflow-sim` (`Schedule::critical_path`), and the
+//! inter-loop pipelining rule lives in `nsflow-arch`'s analytical model.
 //!
 //! # Examples
 //!
@@ -29,9 +26,9 @@
 //!
 //! let mut b = TraceBuilder::new("w");
 //! let a = b.push("conv", OpKind::Gemm { m: 64, n: 8, k: 9 }, Domain::Neural, DType::Int8, &[]);
-//! let _v = b.push("bind", OpKind::VsaConv { n_vec: 2, dim: 64 }, Domain::Symbolic, DType::Int4, &[a]);
+//! let v = b.push("bind", OpKind::VsaConv { n_vec: 2, dim: 64 }, Domain::Symbolic, DType::Int4, &[a]);
 //! let g = DataflowGraph::from_trace(b.finish(4)?);
-//! assert_eq!(g.critical_path().len(), 2);
+//! assert_eq!((g.depth(a), g.depth(v)), (0, 1));
 //! # Ok::<(), nsflow_trace::TraceError>(())
 //! ```
 //!
@@ -43,5 +40,5 @@
 mod dataflow;
 mod memory;
 
-pub use dataflow::{DataflowGraph, ParallelGroup};
+pub use dataflow::DataflowGraph;
 pub use memory::MemoryRequirements;

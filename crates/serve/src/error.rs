@@ -1,20 +1,14 @@
-//! Unified error vocabulary for the serving runtime.
+//! Configuration errors of the serving runtime.
 //!
-//! The builder-era API funnels every failure through two enums:
-//! [`ConfigError`] for invalid builder configurations (caught at
-//! [`build`](crate::builder::ServerBuilder::build) time, before any
-//! thread spawns) and [`Error`] for per-request failures (admission
-//! refusals, missed deadlines, exhausted retry budgets). Both convert
-//! losslessly from the narrower types the runtime uses internally, so
-//! the threaded server, the virtual-time simulator and the CLI share
-//! one typed surface.
+//! [`ConfigError`] names an invalid builder configuration, caught at
+//! [`build`](crate::builder::ServerBuilder::build) time before any
+//! thread spawns. A refused request is an
+//! [`AdmissionError`](crate::request::AdmissionError), which both
+//! [`Server::submit`](crate::server::Server::submit) and
+//! [`Server::submit_with`](crate::server::Server::submit_with) return.
 
 use std::collections::TryReserveError;
 use std::fmt;
-
-use nsflow_telemetry::trace::ShedReason;
-
-use crate::request::AdmissionError;
 
 /// A builder configuration the server refuses to start with.
 ///
@@ -182,112 +176,9 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Any failure the serving API can hand back for a single request.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Error {
-    /// Admission control refused the request (queue full, draining,
-    /// breaker open, load shed, or infeasible deadline).
-    Admission(AdmissionError),
-    /// The server configuration was invalid (builder-time only).
-    Config(ConfigError),
-    /// The request's deadline passed before it could be served.
-    Deadline {
-        /// The absolute deadline tick the request carried.
-        deadline: u64,
-        /// The tick at which the deadline was found to be missed.
-        now: u64,
-    },
-    /// The request's batch kept faulting and the retry budget ran out.
-    Exhausted {
-        /// Execution attempts made before giving up.
-        attempts: u32,
-    },
-}
-
-impl Error {
-    /// The [`ShedReason`] this error maps onto in trace events and
-    /// `serve.shed.*` counters, when it corresponds to a shed at all
-    /// (`Config` does not — it never reaches admission).
-    #[must_use]
-    pub fn shed_reason(&self) -> Option<ShedReason> {
-        match self {
-            Error::Admission(err) => Some(err.shed_reason()),
-            Error::Config(_) => None,
-            Error::Deadline { .. } => Some(ShedReason::DeadlineExceeded),
-            // An exhausted retry budget is a failure, not a shed: the
-            // request was admitted and executed (unsuccessfully).
-            Error::Exhausted { .. } => None,
-        }
-    }
-}
-
-impl From<AdmissionError> for Error {
-    fn from(err: AdmissionError) -> Self {
-        Error::Admission(err)
-    }
-}
-
-impl From<ConfigError> for Error {
-    fn from(err: ConfigError) -> Self {
-        Error::Config(err)
-    }
-}
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Error::Admission(err) => write!(f, "admission refused: {err}"),
-            Error::Config(err) => write!(f, "invalid configuration: {err}"),
-            Error::Deadline { deadline, now } => {
-                write!(f, "deadline {deadline} missed at tick {now}")
-            }
-            Error::Exhausted { attempts } => {
-                write!(f, "retry budget exhausted after {attempts} attempts")
-            }
-        }
-    }
-}
-
-impl std::error::Error for Error {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Error::Admission(err) => Some(err),
-            Error::Config(err) => Some(err),
-            Error::Deadline { .. } | Error::Exhausted { .. } => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn admission_errors_convert_and_keep_their_shed_reason() {
-        let err: Error = AdmissionError::QueueFull { capacity: 8 }.into();
-        assert_eq!(err.shed_reason(), Some(ShedReason::QueueFull));
-        let err: Error = AdmissionError::ShuttingDown.into();
-        assert_eq!(err.shed_reason(), Some(ShedReason::Shutdown));
-    }
-
-    #[test]
-    fn deadline_maps_to_deadline_exceeded() {
-        let err = Error::Deadline {
-            deadline: 10,
-            now: 12,
-        };
-        assert_eq!(err.shed_reason(), Some(ShedReason::DeadlineExceeded));
-        assert!(err.to_string().contains("10"));
-    }
-
-    #[test]
-    fn config_and_exhausted_are_not_sheds() {
-        assert_eq!(
-            Error::Config(ConfigError::ZeroQueueCapacity).shed_reason(),
-            None
-        );
-        assert_eq!(Error::Exhausted { attempts: 3 }.shed_reason(), None);
-    }
 
     #[test]
     fn config_errors_render_their_bounds() {

@@ -80,7 +80,7 @@ pub mod simlab;
 pub use crate::core::{ServeReport, ServeStats};
 pub use batcher::{Batch, BatchPolicy, Batcher};
 pub use builder::ServerBuilder;
-pub use error::{ConfigError, Error};
+pub use error::ConfigError;
 pub use executor::{Executor, ExecutorConfig};
 pub use metrics::MetricsExporter;
 pub use request::{

@@ -28,7 +28,7 @@
 pub use crate::batcher::{Batch, BatchPolicy};
 pub use crate::builder::ServerBuilder;
 pub use crate::core::{ServeReport, ServeStats};
-pub use crate::error::{ConfigError, Error};
+pub use crate::error::ConfigError;
 pub use crate::executor::{Executor, ExecutorConfig};
 pub use crate::request::{
     AdmissionError, FailedRequest, Priority, Request, Response, SubmitOptions, WorkloadKind,

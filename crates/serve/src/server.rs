@@ -34,7 +34,7 @@ use crate::builder::ServerBuilder;
 use crate::clock::WallClock;
 use crate::core::{CoreConfig, Driver, ServeCore};
 pub use crate::core::{ServeReport, ServeStats};
-use crate::error::{ConfigError, Error};
+use crate::error::ConfigError;
 use crate::executor::Executor;
 use crate::queue::{BoundedQueue, Popped};
 use crate::request::{AdmissionError, Request, SubmitOptions, WorkloadKind, NO_DEADLINE};
@@ -132,7 +132,7 @@ impl Server {
     /// Any [`AdmissionError`]: queue full, draining, infeasible
     /// deadline, load shed, or an open circuit breaker.
     pub fn submit(&self, kind: WorkloadKind, seed: u64) -> Result<u64, AdmissionError> {
-        self.submit_inner(kind, seed, SubmitOptions::default())
+        self.submit_with(kind, seed, SubmitOptions::default())
     }
 
     /// Submits one inference request with explicit per-request options
@@ -140,24 +140,10 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`Error::Deadline`] when the requested deadline is infeasible
-    /// at admission, [`Error::Admission`] for every other refusal.
+    /// The same [`AdmissionError`]s as [`Server::submit`];
+    /// [`AdmissionError::DeadlineInfeasible`] when the requested
+    /// deadline is already due at admission.
     pub fn submit_with(
-        &self,
-        kind: WorkloadKind,
-        seed: u64,
-        options: SubmitOptions,
-    ) -> Result<u64, Error> {
-        self.submit_inner(kind, seed, options)
-            .map_err(|err| match err {
-                AdmissionError::DeadlineInfeasible { deadline, now } => {
-                    Error::Deadline { deadline, now }
-                }
-                other => Error::Admission(other),
-            })
-    }
-
-    fn submit_inner(
         &self,
         kind: WorkloadKind,
         seed: u64,

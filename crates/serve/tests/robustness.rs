@@ -215,10 +215,10 @@ fn zero_budget_deadline_is_refused_as_error_deadline() {
         },
     );
     match result {
-        Err(Error::Deadline { deadline, now }) => {
+        Err(AdmissionError::DeadlineInfeasible { deadline, now }) => {
             assert_eq!(deadline, now, "zero budget: deadline == admission tick");
         }
-        other => panic!("expected Error::Deadline, got {other:?}"),
+        other => panic!("expected AdmissionError::DeadlineInfeasible, got {other:?}"),
     }
     let report = server.shutdown();
     assert_eq!(report.stats.submitted, 0);
@@ -324,7 +324,7 @@ fn degraded_server_sheds_low_priority_only() {
     );
     assert_eq!(
         low,
-        Err(Error::Admission(AdmissionError::LoadShed)),
+        Err(AdmissionError::LoadShed),
         "a degraded server sheds low-priority work"
     );
     let high = server.submit_with(

@@ -17,10 +17,11 @@ fn main() {
     let nn = graph.trace().nn_nodes().len();
     let vsa = graph.trace().vsa_nodes().len();
     println!("NVSA dataflow graph: {nn} NN nodes, {vsa} VSA nodes per loop");
+    let (nn_macs, vsa_macs) = graph.trace().macs_by_domain();
     println!(
-        "critical path: {} nodes, {:.1} GMACs",
-        graph.critical_path().len(),
-        graph.critical_path_macs() as f64 / 1e9
+        "work per loop: {:.3} GMACs neural, {:.3} GMACs symbolic",
+        nn_macs as f64 / 1e9,
+        vsa_macs as f64 / 1e9
     );
 
     // ── Design-space accounting (Tab. II) ───────────────────────────────

@@ -44,8 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("fault plan: {faults}");
 
     // ── 2. Per-request options via submit_with ──────────────────────────
-    // The old two-arg submit still works and inherits the defaults;
-    // submit_with carries a deadline, a priority and a retry override.
+    // submit_with carries a deadline, a priority and a retry override;
+    // it refuses with the same AdmissionError as the two-arg submit.
     for i in 0..24u64 {
         let kind = WorkloadKind::all()[i as usize % 4];
         let result = server.submit_with(

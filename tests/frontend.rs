@@ -24,16 +24,30 @@ fn listing1_flows_through_graph_generation() {
     )
     .unwrap();
     let graph = DataflowGraph::from_trace(trace);
-    assert!(!graph.critical_path().is_empty());
-    // Every op lands in exactly one parallel group.
-    let mut seen = std::collections::HashSet::new();
-    for g in graph.groups() {
-        assert!(seen.insert(g.anchor));
-        for id in &g.attached {
-            assert!(seen.insert(*id));
-        }
-    }
-    assert_eq!(seen.len(), graph.trace().ops().len());
+    // Hand-derived from Listing 1: `%bn1`, `%maxpool_1` and the `%vec_*`
+    // operands are not ops of the snapshot, so the first four ops are
+    // sources; `mul_1` waits on `match_prob_1` (depth 1) and the
+    // `match_prob_multi_batched_1 → sum_1 → clamp_1` chain (depth 3).
+    let depths: Vec<(&str, usize)> = graph
+        .trace()
+        .ops()
+        .iter()
+        .map(|op| (op.name(), graph.depth(op.id())))
+        .collect();
+    assert_eq!(
+        depths,
+        [
+            ("relu_1", 0),
+            ("conv2_1", 0),
+            ("inv_binding_circular_1", 0),
+            ("inv_binding_circular_2", 0),
+            ("match_prob_1", 1),
+            ("match_prob_multi_batched_1", 1),
+            ("sum_1", 2),
+            ("clamp_1", 3),
+            ("mul_1", 4),
+        ]
+    );
 }
 
 #[test]
@@ -54,65 +68,6 @@ fn listing1_memory_plan_is_consistent() {
         req.cache_bytes(),
         2 * (req.merged_mem_a_bytes() + req.max_nn_input_bytes + req.max_output_bytes)
     );
-}
-
-#[test]
-fn critical_path_is_really_the_longest_weighted_path() {
-    // Exhaustively enumerate all paths of a small diamond DAG and compare.
-    let mut b = TraceBuilder::new("diamond");
-    let s = b.push(
-        "s",
-        OpKind::Gemm {
-            m: 10,
-            n: 10,
-            k: 10,
-        },
-        Domain::Neural,
-        DType::Int8,
-        &[],
-    );
-    let heavy = b.push(
-        "heavy",
-        OpKind::Gemm {
-            m: 100,
-            n: 100,
-            k: 100,
-        },
-        Domain::Neural,
-        DType::Int8,
-        &[s],
-    );
-    let light = b.push(
-        "light",
-        OpKind::VsaConv { n_vec: 1, dim: 16 },
-        Domain::Symbolic,
-        DType::Int4,
-        &[s],
-    );
-    let _t = b.push(
-        "t",
-        OpKind::Similarity { n_vec: 2, dim: 64 },
-        Domain::Symbolic,
-        DType::Int4,
-        &[heavy, light],
-    );
-    let graph = DataflowGraph::from_trace(b.finish(1).unwrap());
-
-    // All source→sink paths: s→heavy→t and s→light→t.
-    let weight = |name: &str| {
-        graph
-            .trace()
-            .ops()
-            .iter()
-            .find(|o| o.name() == name)
-            .unwrap()
-            .kind()
-            .macs()
-    };
-    let heavy_path = weight("s") + weight("heavy") + weight("t");
-    let light_path = weight("s") + weight("light") + weight("t");
-    assert!(heavy_path > light_path);
-    assert_eq!(graph.critical_path_macs(), heavy_path);
 }
 
 #[test]
