@@ -19,10 +19,9 @@
 //!   queue.
 //! - **nvsa_chaos** — the full robustness layer under saturating load:
 //!   seeded fault injection (exec errors, latency spikes, lane stalls),
-//!   bounded retries with deterministic backoff, per-request deadlines,
-//!   watermark degradation and per-workload circuit breakers. Shed,
-//!   retry and failure rates land in `BENCH_serve.json`, where
-//!   `bench_gate` holds them exact.
+//!   bounded retries with deterministic backoff, per-request deadlines
+//!   and watermark degradation. Shed, retry and failure rates land in
+//!   `BENCH_serve.json`, where `bench_gate` holds them exact.
 //!
 //! Every dispatched request is also executed functionally (real
 //! NVSA / MIMONet / LVRF / PrAE inference through the fast kernel
@@ -43,7 +42,7 @@ use nsflow_bench::{exact, write_artifact, write_csv};
 use nsflow_serve::batcher::BatchPolicy;
 use nsflow_serve::executor::{Executor, ExecutorConfig};
 use nsflow_serve::request::{Priority, WorkloadKind};
-use nsflow_serve::robust::{BreakerPolicy, DegradationPolicy, FaultPlan, RetryPolicy};
+use nsflow_serve::robust::{DegradationPolicy, FaultPlan, RetryPolicy};
 use nsflow_serve::simlab::{self, CostModel, SimConfig, SimReport};
 use nsflow_telemetry::JsonValue;
 
@@ -92,22 +91,17 @@ fn run_scenario(
         phases.exec.p50,
         phases.exec.p95,
     );
-    let chaos_active = stats.faults_injected
-        + stats.retries
-        + stats.failed
-        + stats.expired
-        + stats.degraded_ticks
-        + stats.breaker_trips;
+    let chaos_active =
+        stats.faults_injected + stats.retries + stats.failed + stats.expired + stats.degraded_ticks;
     if chaos_active > 0 {
         println!(
-            "{:<16}   chaos: faults {} retries {} failed {} expired {} degraded-ticks {} breaker-trips {}",
+            "{:<16}   chaos: faults {} retries {} failed {} expired {} degraded-ticks {}",
             "",
             stats.faults_injected,
             stats.retries,
             stats.failed,
             stats.expired,
             stats.degraded_ticks,
-            stats.breaker_trips,
         );
     }
     Scenario {
@@ -172,7 +166,6 @@ fn scenario_json(s: &Scenario) -> JsonValue {
         ("deadline_shed", count(stats.expired)),
         ("failed", count(stats.failed)),
         ("degraded_ticks", count(stats.degraded_ticks)),
-        ("breaker_trips", count(stats.breaker_trips)),
         // Lifecycle events recorded, retained plus overwritten.
         (
             "trace_events",
@@ -325,10 +318,6 @@ fn main() {
                 shed_low_priority: true,
                 min_dwell: mean_interarrival * 32,
             }),
-            breaker: BreakerPolicy {
-                threshold: 3,
-                cooldown: service_unbatched * 4,
-            },
             faults: FaultPlan {
                 seed: SEED,
                 error_permille: 150,

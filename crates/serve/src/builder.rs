@@ -24,7 +24,7 @@
 use crate::batcher::BatchPolicy;
 use crate::error::ConfigError;
 use crate::executor::ExecutorConfig;
-use crate::robust::{BreakerPolicy, DegradationPolicy, FaultPlan, RetryPolicy};
+use crate::robust::{DegradationPolicy, FaultPlan, RetryPolicy};
 use crate::server::Server;
 
 /// Most worker threads a server may be configured with. Each worker is
@@ -37,8 +37,7 @@ pub const MAX_WORKERS: usize = 256;
 /// Defaults: queue capacity 64, the default [`BatchPolicy`], 2 workers,
 /// the default [`ExecutorConfig`], a 4096-event flight recorder, and
 /// every robustness policy inert: no default deadline, one
-/// execution attempt, no fault injection, no degradation, and a
-/// circuit breaker that never sees a failure.
+/// execution attempt, no fault injection and no degradation.
 #[derive(Debug, Clone)]
 pub struct ServerBuilder {
     pub(crate) queue_capacity: usize,
@@ -49,7 +48,6 @@ pub struct ServerBuilder {
     pub(crate) deadline_default: Option<u64>,
     pub(crate) retry: RetryPolicy,
     pub(crate) degradation: Option<DegradationPolicy>,
-    pub(crate) breaker: BreakerPolicy,
     pub(crate) faults: FaultPlan,
 }
 
@@ -64,7 +62,6 @@ impl Default for ServerBuilder {
             deadline_default: None,
             retry: RetryPolicy::default(),
             degradation: None,
-            breaker: BreakerPolicy::default(),
             faults: FaultPlan::default(),
         }
     }
@@ -136,13 +133,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Per-workload circuit-breaker tuning.
-    #[must_use]
-    pub fn breaker(mut self, breaker: BreakerPolicy) -> Self {
-        self.breaker = breaker;
-        self
-    }
-
     /// Fault-injection plan (inert unless set).
     #[must_use]
     pub fn faults(mut self, faults: FaultPlan) -> Self {
@@ -159,9 +149,9 @@ impl ServerBuilder {
     /// workers, a retry policy allowing zero
     /// attempts, a default deadline shorter than one batch window,
     /// inverted degradation watermarks, an out-of-range degraded batch
-    /// bound, fault rates summing past 1000 permille, a zero breaker
-    /// threshold, an executor `block_dim` of 0 or a `superposition`
-    /// outside `1..=16` (MIMONet's item count), a `max_batch` above
+    /// bound, fault rates summing past 1000 permille, an executor
+    /// `block_dim` of 0 or a `superposition` outside `1..=16`
+    /// (MIMONet's item count), a `max_batch` above
     /// `u16::MAX`, or a queue, batch or trace capacity too large to
     /// allocate. [`ConfigError::WorkerSpawn`] when the OS refuses a
     /// worker thread; the workers already started are joined first.
@@ -190,7 +180,6 @@ impl ServerBuilder {
         self.executor.validate()?;
         self.retry.validate()?;
         self.faults.validate()?;
-        self.breaker.validate()?;
         if let Some(degradation) = &self.degradation {
             degradation.validate(self.policy.max_batch)?;
         }

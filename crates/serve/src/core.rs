@@ -4,7 +4,7 @@
 //! answer, once, without reading a clock: the admission gates
 //! (`ServeCore::admit`), batch formation (`ServeCore::form`), the
 //! attempt loop — expiry drops, [`FaultPlan`] rolls, retry or failure
-//! with backoff, breaker and load-monitor accounting, completion —
+//! with backoff, load-monitor accounting, completion —
 //! (`ServeCore::run_batch`), the degradation update
 //! (`ServeCore::degrade`), and one event sink that writes the flight
 //! recorder, the run's [`ServeStats`] and the `serve.*` telemetry.
@@ -31,9 +31,7 @@ use nsflow_telemetry::{counter, histogram};
 use crate::batcher::{Batch, BatchPolicy, Batcher};
 use crate::error::ConfigError;
 use crate::request::{AdmissionError, FailedRequest, Priority, Request, Response, NO_DEADLINE};
-use crate::robust::{
-    BreakerPolicy, CircuitBreaker, DegradationPolicy, Fault, FaultPlan, LoadMonitor, RetryPolicy,
-};
+use crate::robust::{DegradationPolicy, Fault, FaultPlan, LoadMonitor, RetryPolicy};
 
 /// Counters accumulated over a run.
 ///
@@ -44,7 +42,7 @@ pub struct ServeStats {
     /// Requests admitted to the queue.
     pub submitted: u64,
     /// Requests refused at admission (queue full, infeasible deadline,
-    /// load shed, open breaker — not shutdown refusals).
+    /// load shed — not shutdown refusals).
     pub shed: u64,
     /// Requests executed to completion.
     pub completed: u64,
@@ -64,8 +62,6 @@ pub struct ServeStats {
     pub failed: u64,
     /// Degradation-monitor updates evaluated while degraded.
     pub degraded_ticks: u64,
-    /// Circuit-breaker trips across all workload kinds.
-    pub breaker_trips: u64,
 }
 
 impl ServeStats {
@@ -85,8 +81,8 @@ impl ServeStats {
         }
     }
 
-    /// Adds an attempt's tally. `degraded_ticks` and `breaker_trips`
-    /// are read from the monitor and breakers instead.
+    /// Adds an attempt's tally. `degraded_ticks` is read from the
+    /// monitor instead.
     fn absorb(&mut self, tally: &ServeStats) {
         self.submitted += tally.submitted;
         self.shed += tally.shed;
@@ -140,7 +136,6 @@ pub(crate) struct CoreConfig {
     pub policy: BatchPolicy,
     pub retry: RetryPolicy,
     pub degradation: Option<DegradationPolicy>,
-    pub breaker: BreakerPolicy,
     pub faults: FaultPlan,
     pub trace_capacity: usize,
 }
@@ -150,8 +145,6 @@ struct State {
     stats: ServeStats,
     /// Present when a degradation policy was configured.
     monitor: Option<LoadMonitor>,
-    /// One breaker per workload kind, [`WorkloadKind::index`](crate::request::WorkloadKind::index)-ordered.
-    breakers: [CircuitBreaker; 4],
     responses: Vec<Response>,
     failed: Vec<FailedRequest>,
     /// See [`ServeReport::last_completion`].
@@ -162,7 +155,6 @@ impl State {
     fn stats(&self) -> ServeStats {
         ServeStats {
             degraded_ticks: self.monitor.as_ref().map_or(0, LoadMonitor::degraded_ticks),
-            breaker_trips: self.breakers.iter().map(CircuitBreaker::trips).sum(),
             ..self.stats
         }
     }
@@ -193,7 +185,6 @@ impl ServeCore {
             state: Mutex::new(State {
                 stats: ServeStats::default(),
                 monitor: config.degradation.map(LoadMonitor::new),
-                breakers: std::array::from_fn(|_| CircuitBreaker::new(config.breaker)),
                 responses: Vec::new(),
                 failed: Vec::new(),
                 last_completion: 0,
@@ -212,9 +203,9 @@ impl ServeCore {
 
     /// Admits `request` at its arrival tick, or sheds it. The gates run
     /// cheapest first: a deadline that passes before `min_cost` ticks of
-    /// execution could finish, an open breaker for the workload, a
-    /// degraded core shedding low-priority work, then `enqueue` — the
-    /// runtime's capacity check, which queues the request on success.
+    /// execution could finish, a degraded core shedding low-priority
+    /// work, then `enqueue` — the runtime's capacity check, which queues
+    /// the request on success.
     ///
     /// # Errors
     ///
@@ -233,8 +224,6 @@ impl ServeCore {
             let mut state = self.state();
             let verdict = if infeasible {
                 Err(AdmissionError::DeadlineInfeasible { deadline, now })
-            } else if !state.breakers[request.kind.index()].admits(now) {
-                Err(AdmissionError::CircuitOpen { kind: request.kind })
             } else if request.priority == Priority::Low
                 && state
                     .monitor
@@ -333,7 +322,6 @@ impl ServeCore {
                 // Fail fast: nothing executed. Members with budget left
                 // retry after a deterministic backoff; the rest fail.
                 let now = driver.now();
-                let kinds = kinds_in(&members);
                 let mut failed = Vec::new();
                 members.retain(|request| {
                     let retry = request.attempts_allowed > attempt;
@@ -352,9 +340,6 @@ impl ServeCore {
                 });
                 {
                     let mut state = self.state();
-                    for kind in kinds {
-                        state.breakers[kind].record_failure(now);
-                    }
                     state.stats.absorb(&tally);
                     state.failed.extend(failed);
                 }
@@ -407,9 +392,6 @@ impl ServeCore {
             if let Some(monitor) = state.monitor.as_mut() {
                 monitor.observe_exec(exec);
             }
-            for kind in kinds_in(&members) {
-                state.breakers[kind].record_success();
-            }
             state.stats.absorb(&tally);
             state.responses.extend(responses);
             state.last_completion = state.last_completion.max(done);
@@ -443,7 +425,6 @@ impl ServeCore {
                     counter!("serve.shed.deadline_exceeded").incr();
                 }
                 ShedReason::LoadShed => counter!("serve.shed.load_shed").incr(),
-                ShedReason::CircuitOpen => counter!("serve.shed.circuit_open").incr(),
             },
             _ => {}
         }
@@ -488,15 +469,6 @@ impl ServeCore {
     }
 }
 
-/// Indices of the workload kinds present in `members`, each once.
-fn kinds_in(members: &[Request]) -> impl Iterator<Item = usize> {
-    let mut seen = [false; 4];
-    for request in members {
-        seen[request.kind.index()] = true;
-    }
-    (0..4).filter(move |&i| seen[i])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,7 +510,6 @@ mod tests {
             policy: BatchPolicy::default(),
             retry: RetryPolicy::default(),
             degradation: None,
-            breaker: BreakerPolicy::default(),
             faults: FaultPlan::default(),
             trace_capacity: 64,
         })

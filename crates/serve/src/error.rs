@@ -73,9 +73,6 @@ pub enum ConfigError {
     },
     /// A textual fault-plan spec (`--fault-plan`) did not parse.
     FaultSpec(String),
-    /// `BreakerPolicy::threshold == 0`: the breaker would trip before
-    /// the first fault.
-    ZeroBreakerThreshold,
     /// `ExecutorConfig::block_dim == 0`: every workload code would be
     /// empty.
     ZeroBlockDim,
@@ -150,9 +147,6 @@ impl fmt::Display for ConfigError {
                 "fault plan rates sum to {total_permille} permille, exceeding 1000"
             ),
             ConfigError::FaultSpec(spec) => write!(f, "unparseable fault plan spec: {spec}"),
-            ConfigError::ZeroBreakerThreshold => {
-                write!(f, "breaker threshold must be >= 1 (0 trips immediately)")
-            }
             ConfigError::ZeroBlockDim => {
                 write!(
                     f,

@@ -11,17 +11,16 @@
 //! carry an optional robustness layer ([`robust`]): per-request
 //! **deadlines** enforced at admission and again before execution,
 //! bounded **retries** with deterministic backoff, seeded
-//! **fault injection** for chaos testing, graceful **degradation**
-//! (watermark-driven batch shrinking and low-priority shedding) and
-//! per-workload **circuit breakers**. Every policy defaults to inert:
-//! an unconfigured server behaves exactly like the pre-robustness
-//! runtime.
+//! **fault injection** for chaos testing and graceful **degradation**
+//! (watermark-driven batch shrinking and low-priority shedding). Every
+//! policy defaults to inert: an unconfigured server behaves exactly like
+//! the pre-robustness runtime.
 //!
 //! One serving core ([`core`]) owns the request lifecycle: the
 //! admission gates, batch formation, the attempt loop (deadline drops,
-//! fault rolls, retries, breaker and monitor accounting) and the one
-//! bookkeeping sink that feeds the flight recorder, [`ServeStats`] and
-//! the `serve.*` telemetry. Two drivers run it:
+//! fault rolls, retries, monitor accounting) and the one bookkeeping
+//! sink that feeds the flight recorder, [`ServeStats`] and the `serve.*`
+//! telemetry. Two drivers run it:
 //!
 //! - [`server::Server`] — real threads; a tick is a wall microsecond;
 //!   waiting is a sleep and execution is real inference; graceful
@@ -87,10 +86,7 @@ pub use request::{
     AdmissionError, FailedRequest, Priority, Request, Response, SubmitOptions, WorkloadKind,
     NO_DEADLINE,
 };
-pub use robust::{
-    BreakerPolicy, BreakerState, CircuitBreaker, DegradationPolicy, Fault, FaultPlan, LoadMonitor,
-    RetryPolicy,
-};
+pub use robust::{DegradationPolicy, Fault, FaultPlan, RetryPolicy};
 pub use server::Server;
 // Lifecycle-tracing vocabulary shared with `nsflow-telemetry`: the
 // serving core records these typed events and shed reasons.

@@ -34,8 +34,6 @@ pub use crate::request::{
     AdmissionError, FailedRequest, Priority, Request, Response, SubmitOptions, WorkloadKind,
     NO_DEADLINE,
 };
-pub use crate::robust::{
-    BreakerPolicy, BreakerState, DegradationPolicy, Fault, FaultPlan, RetryPolicy,
-};
+pub use crate::robust::{DegradationPolicy, Fault, FaultPlan, RetryPolicy};
 pub use crate::server::Server;
 pub use nsflow_telemetry::trace::ShedReason;

@@ -34,8 +34,7 @@ impl WorkloadKind {
         ]
     }
 
-    /// Index into [`WorkloadKind::all`]-ordered tables (cost models,
-    /// per-kind circuit breakers).
+    /// Index into [`WorkloadKind::all`]-ordered tables (cost models).
     #[must_use]
     pub const fn index(self) -> usize {
         match self {
@@ -266,11 +265,6 @@ pub enum AdmissionError {
     },
     /// The degradation policy is shedding low-priority work.
     LoadShed,
-    /// The workload's circuit breaker is open after repeated faults.
-    CircuitOpen {
-        /// The refused workload.
-        kind: WorkloadKind,
-    },
 }
 
 impl AdmissionError {
@@ -286,7 +280,6 @@ impl AdmissionError {
             AdmissionError::ShuttingDown => ShedReason::Shutdown,
             AdmissionError::DeadlineInfeasible { .. } => ShedReason::DeadlineExceeded,
             AdmissionError::LoadShed => ShedReason::LoadShed,
-            AdmissionError::CircuitOpen { .. } => ShedReason::CircuitOpen,
         }
     }
 }
@@ -304,9 +297,6 @@ impl fmt::Display for AdmissionError {
             ),
             AdmissionError::LoadShed => {
                 write!(f, "degraded: low-priority request shed")
-            }
-            AdmissionError::CircuitOpen { kind } => {
-                write!(f, "circuit breaker open for workload {kind}")
             }
         }
     }
@@ -353,13 +343,6 @@ mod tests {
             ShedReason::DeadlineExceeded
         );
         assert_eq!(AdmissionError::LoadShed.shed_reason(), ShedReason::LoadShed);
-        assert_eq!(
-            AdmissionError::CircuitOpen {
-                kind: WorkloadKind::Nvsa
-            }
-            .shed_reason(),
-            ShedReason::CircuitOpen
-        );
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Robustness policies: bounded retries with deterministic backoff,
-//! seeded fault injection, load-watermark degradation and per-workload
-//! circuit breaking.
+//! seeded fault injection and load-watermark degradation.
 //!
 //! Everything in this module is a **clock-agnostic, allocation-light
 //! state machine** in the same spirit as [`crate::batcher`]: callers
@@ -12,9 +11,11 @@
 //! `(batch id, attempt)`, so the same seed replays the same faults in
 //! either driver.
 //!
-//! All four policies default to **inert**: a server built without
-//! explicit robustness configuration behaves byte-for-byte like the
-//! pre-robustness runtime.
+//! All three policies are **inert** unless configured: the default
+//! [`RetryPolicy`] executes once, the default [`FaultPlan`] injects
+//! nothing, and degradation acts only when a [`DegradationPolicy`] is
+//! set. A server built without explicit robustness configuration
+//! behaves byte-for-byte like the pre-robustness runtime.
 
 use std::fmt;
 
@@ -313,7 +314,7 @@ const EXEC_WINDOW: usize = 32;
 /// Tracks load against a [`DegradationPolicy`] and drives the
 /// degraded/normal transitions with hysteresis.
 #[derive(Debug, Clone)]
-pub struct LoadMonitor {
+pub(crate) struct LoadMonitor {
     policy: DegradationPolicy,
     degraded: bool,
     /// Tick at which load last *became* calm (watermark + latency both
@@ -323,7 +324,6 @@ pub struct LoadMonitor {
     exec_len: usize,
     exec_next: usize,
     degraded_ticks: u64,
-    transitions: u64,
 }
 
 impl LoadMonitor {
@@ -338,14 +338,7 @@ impl LoadMonitor {
             exec_len: 0,
             exec_next: 0,
             degraded_ticks: 0,
-            transitions: 0,
         }
-    }
-
-    /// The governed policy.
-    #[must_use]
-    pub fn policy(&self) -> DegradationPolicy {
-        self.policy
     }
 
     /// Feeds one batch execution latency sample (ticks).
@@ -373,7 +366,6 @@ impl LoadMonitor {
             if overloaded {
                 self.degraded = true;
                 self.calm_since = None;
-                self.transitions += 1;
             }
         } else {
             let calm = queue_depth <= self.policy.low_watermark && !latency_hot;
@@ -415,150 +407,6 @@ impl LoadMonitor {
     #[must_use]
     pub fn degraded_ticks(&self) -> u64 {
         self.degraded_ticks
-    }
-
-    /// Normal → degraded transitions so far.
-    #[must_use]
-    pub fn transitions(&self) -> u64 {
-        self.transitions
-    }
-}
-
-/// Circuit-breaker tuning for one workload kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerPolicy {
-    /// Consecutive failures that trip the breaker open.
-    pub threshold: u32,
-    /// Ticks the breaker stays open before probing (half-open).
-    pub cooldown: u64,
-}
-
-impl Default for BreakerPolicy {
-    fn default() -> Self {
-        BreakerPolicy {
-            threshold: 3,
-            cooldown: 50_000,
-        }
-    }
-}
-
-impl BreakerPolicy {
-    /// Checks the policy's invariants.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError::ZeroBreakerThreshold`] when `threshold == 0`.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.threshold == 0 {
-            return Err(ConfigError::ZeroBreakerThreshold);
-        }
-        Ok(())
-    }
-}
-
-/// Circuit-breaker state (the classic three-state machine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Healthy: admitting normally, counting consecutive failures.
-    Closed,
-    /// Tripped: refusing the workload until the cooldown expires.
-    Open {
-        /// Tick at which the breaker transitions to half-open.
-        until: u64,
-    },
-    /// Probing: one batch is allowed through; success closes the
-    /// breaker, failure re-opens it.
-    HalfOpen,
-}
-
-/// Per-workload circuit breaker.
-///
-/// ```text
-///            threshold consecutive failures
-///   Closed ─────────────────────────────────▶ Open{until}
-///     ▲  ▲                                       │
-///     │  └────────── success ──┐                 │ cooldown elapses
-///     │                        │                 ▼
-///     └── success ──────── HalfOpen ◀────────────┘
-///                              │
-///                              └── failure ──▶ Open{until} (re-trip)
-/// ```
-#[derive(Debug, Clone)]
-pub struct CircuitBreaker {
-    policy: BreakerPolicy,
-    state: BreakerState,
-    consecutive_failures: u32,
-    trips: u64,
-}
-
-impl CircuitBreaker {
-    /// New breaker, starting closed.
-    #[must_use]
-    pub fn new(policy: BreakerPolicy) -> Self {
-        CircuitBreaker {
-            policy,
-            state: BreakerState::Closed,
-            consecutive_failures: 0,
-            trips: 0,
-        }
-    }
-
-    /// Current state.
-    #[must_use]
-    pub fn state(&self) -> BreakerState {
-        self.state
-    }
-
-    /// Whether a request of this workload may be admitted at tick
-    /// `now`. An open breaker whose cooldown has expired transitions to
-    /// half-open and admits one probe.
-    pub fn admits(&mut self, now: u64) -> bool {
-        match self.state {
-            BreakerState::Closed | BreakerState::HalfOpen => true,
-            BreakerState::Open { until } => {
-                if now >= until {
-                    self.state = BreakerState::HalfOpen;
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    /// Records a successful batch execution for this workload.
-    pub fn record_success(&mut self) {
-        self.consecutive_failures = 0;
-        self.state = BreakerState::Closed;
-    }
-
-    /// Records a failed (faulted, retries exhausted) batch execution at
-    /// tick `now`.
-    pub fn record_failure(&mut self, now: u64) {
-        match self.state {
-            BreakerState::HalfOpen => self.trip(now),
-            BreakerState::Open { .. } => {}
-            BreakerState::Closed => {
-                self.consecutive_failures += 1;
-                if self.consecutive_failures >= self.policy.threshold {
-                    self.trip(now);
-                }
-            }
-        }
-    }
-
-    /// Times the breaker has tripped open.
-    #[must_use]
-    pub fn trips(&self) -> u64 {
-        self.trips
-    }
-
-    fn trip(&mut self, now: u64) {
-        self.state = BreakerState::Open {
-            until: now.saturating_add(self.policy.cooldown),
-        };
-        self.consecutive_failures = 0;
-        self.trips += 1;
     }
 }
 
@@ -679,7 +527,6 @@ mod tests {
         assert!(!monitor.update(200, 1), "calm for >= 100 ticks");
         assert_eq!(monitor.effective_max_batch(8), 8);
         assert!(monitor.degraded_ticks() > 0);
-        assert_eq!(monitor.transitions(), 1);
     }
 
     #[test]
@@ -722,38 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn breaker_walks_the_state_machine() {
-        let mut breaker = CircuitBreaker::new(BreakerPolicy {
-            threshold: 2,
-            cooldown: 100,
-        });
-        assert_eq!(breaker.state(), BreakerState::Closed);
-        assert!(breaker.admits(0));
-        breaker.record_failure(10);
-        assert_eq!(breaker.state(), BreakerState::Closed, "below threshold");
-        breaker.record_failure(20);
-        assert_eq!(breaker.state(), BreakerState::Open { until: 120 });
-        assert!(!breaker.admits(50), "open refuses");
-        assert!(breaker.admits(120), "cooldown elapsed: probe admitted");
-        assert_eq!(breaker.state(), BreakerState::HalfOpen);
-        breaker.record_failure(130);
-        assert_eq!(
-            breaker.state(),
-            BreakerState::Open { until: 230 },
-            "half-open failure re-trips"
-        );
-        assert!(breaker.admits(230));
-        breaker.record_success();
-        assert_eq!(breaker.state(), BreakerState::Closed);
-        assert_eq!(breaker.trips(), 2);
-        // A success resets the consecutive-failure count.
-        breaker.record_failure(300);
-        breaker.record_success();
-        breaker.record_failure(310);
-        assert_eq!(breaker.state(), BreakerState::Closed);
-    }
-
-    #[test]
     fn policy_validation_rejects_degenerate_bounds() {
         assert_eq!(
             RetryPolicy {
@@ -763,16 +578,7 @@ mod tests {
             .validate(),
             Err(ConfigError::ZeroRetryAttempts)
         );
-        assert_eq!(
-            BreakerPolicy {
-                threshold: 0,
-                cooldown: 1
-            }
-            .validate(),
-            Err(ConfigError::ZeroBreakerThreshold)
-        );
         assert!(RetryPolicy::default().validate().is_ok());
-        assert!(BreakerPolicy::default().validate().is_ok());
         assert!(FaultPlan::default().validate().is_ok());
     }
 }

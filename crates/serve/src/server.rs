@@ -8,7 +8,7 @@
 //! executes the batch through the shared [`Executor`].
 //!
 //! The request lifecycle itself — admission gates, the attempt loop
-//! with deadlines, fault injection, retries and circuit breaking, and
+//! with deadlines, fault injection and retries, and
 //! all bookkeeping — is the [`ServeCore`](crate::core) that
 //! [`crate::simlab`] drives too. This module is only its threaded
 //! driver: ticks are wall microseconds ([`WallClock`]), waiting is
@@ -84,7 +84,6 @@ impl Server {
             policy: spec.policy,
             retry: spec.retry,
             degradation: spec.degradation,
-            breaker: spec.breaker,
             faults: spec.faults,
             trace_capacity: spec.trace_capacity,
         })?;
@@ -130,7 +129,7 @@ impl Server {
     /// # Errors
     ///
     /// Any [`AdmissionError`]: queue full, draining, infeasible
-    /// deadline, load shed, or an open circuit breaker.
+    /// deadline, or load shed.
     pub fn submit(&self, kind: WorkloadKind, seed: u64) -> Result<u64, AdmissionError> {
         self.submit_with(kind, seed, SubmitOptions::default())
     }

@@ -8,7 +8,7 @@
 
 use nsflow_serve::batcher::BatchPolicy;
 use nsflow_serve::request::{Priority, WorkloadKind};
-use nsflow_serve::robust::{BreakerPolicy, DegradationPolicy, FaultPlan, RetryPolicy};
+use nsflow_serve::robust::{DegradationPolicy, FaultPlan, RetryPolicy};
 use nsflow_serve::simlab::{self, CostModel, SimConfig};
 
 /// FNV-1a digest of the chaos run's rendered Chrome trace, pinned so a
@@ -23,7 +23,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// A saturating mixed-priority run where every robustness policy is
 /// live: deadlines, retries, all three fault kinds and degradation all
-/// fire at these rates. The breaker never trips.
+/// fire at these rates.
 fn chaos_config() -> SimConfig {
     SimConfig {
         requests: 160,
@@ -52,10 +52,6 @@ fn chaos_config() -> SimConfig {
             shed_low_priority: true,
             min_dwell: 1_000,
         }),
-        breaker: BreakerPolicy {
-            threshold: u32::MAX,
-            cooldown: 5_000,
-        },
         faults: FaultPlan {
             seed: 0xbad_cafe,
             error_permille: 250,
@@ -123,7 +119,6 @@ fn fault_free_runs_have_no_faults_track() {
         deadline: None,
         retry: RetryPolicy::default(),
         degradation: None,
-        breaker: BreakerPolicy::default(),
         faults: FaultPlan::default(),
         ..chaos_config()
     };

@@ -5,9 +5,9 @@
 //! The script is chosen so that wall-clock timing cannot matter: every
 //! batch is size-flushed (the request count is a multiple of
 //! `max_batch` and the flush window is far longer than the run), faults
-//! delay by zero ticks, the breaker never trips and nothing has a
-//! deadline. What remains — batch ids, fault rolls per `(batch,
-//! attempt)`, retries, failures and answers — is identical.
+//! delay by zero ticks and nothing has a deadline. What remains —
+//! batch ids, fault rolls per `(batch, attempt)`, retries, failures and
+//! answers — is identical.
 
 use std::collections::BTreeMap;
 
@@ -28,11 +28,6 @@ const RETRY: RetryPolicy = RetryPolicy {
     backoff_base: 10,
     backoff_cap: 40,
     jitter_seed: 3,
-};
-/// Never trips: breaker timing would depend on the clock.
-const BREAKER: BreakerPolicy = BreakerPolicy {
-    threshold: u32::MAX,
-    cooldown: 1,
 };
 /// Every fault kind fires; spikes and stalls last zero ticks.
 const FAULTS: FaultPlan = FaultPlan {
@@ -71,7 +66,6 @@ fn server_and_simlab_agree_on_one_script() {
             lanes: 1,
             seed: SEED,
             retry: RETRY,
-            breaker: BREAKER,
             faults: FAULTS,
             trace_capacity: 16 * REQUESTS,
             ..SimConfig::default()
@@ -88,7 +82,6 @@ fn server_and_simlab_agree_on_one_script() {
         .executor(executor)
         .trace_capacity(16 * REQUESTS)
         .retry(RETRY)
-        .breaker(BREAKER)
         .faults(FAULTS)
         .build()
         .expect("valid configuration");

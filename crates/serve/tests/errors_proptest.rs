@@ -9,8 +9,7 @@
 
 use nsflow_serve::batcher::BatchPolicy;
 use nsflow_serve::{
-    AdmissionError, BreakerPolicy, ConfigError, DegradationPolicy, FaultPlan, RetryPolicy, Server,
-    ShedReason, WorkloadKind,
+    AdmissionError, ConfigError, DegradationPolicy, FaultPlan, RetryPolicy, Server, ShedReason,
 };
 use nsflow_tensor::rng::StdRng;
 
@@ -26,7 +25,7 @@ fn shed_reason_names_round_trip() {
 }
 
 fn admission_error(rng: &mut StdRng) -> AdmissionError {
-    match rng.gen_range(0..5) {
+    match rng.gen_range(0..4) {
         0 => AdmissionError::QueueFull {
             capacity: rng.next_u64() as usize,
         },
@@ -35,10 +34,7 @@ fn admission_error(rng: &mut StdRng) -> AdmissionError {
             deadline: rng.next_u64(),
             now: rng.next_u64(),
         },
-        3 => AdmissionError::LoadShed,
-        _ => AdmissionError::CircuitOpen {
-            kind: WorkloadKind::all()[rng.gen_range(0..4)],
-        },
+        _ => AdmissionError::LoadShed,
     }
 }
 
@@ -52,7 +48,6 @@ fn admission_errors_render_their_numbers() {
             AdmissionError::DeadlineInfeasible { deadline, now } => {
                 vec![deadline.to_string(), now.to_string()]
             }
-            AdmissionError::CircuitOpen { kind } => vec![kind.name().to_string()],
             AdmissionError::ShuttingDown | AdmissionError::LoadShed => Vec::new(),
         };
         assert!(!msg.is_empty(), "seed {seed}");
@@ -366,26 +361,8 @@ fn degenerate_degradation_never_builds() {
 }
 
 #[test]
-fn zero_breaker_threshold_never_builds() {
-    for seed in 0..CASES {
-        let cooldown = StdRng::seed_from_u64(seed).next_u64();
-        let result = Server::builder()
-            .breaker(BreakerPolicy {
-                threshold: 0,
-                cooldown,
-            })
-            .build();
-        assert_eq!(
-            result.err(),
-            Some(ConfigError::ZeroBreakerThreshold),
-            "seed {seed}"
-        );
-    }
-}
-
-#[test]
 fn config_errors_always_render() {
-    for variant in 0..=10 {
+    for variant in 0..=9 {
         let err = match variant {
             0 => ConfigError::ZeroQueueCapacity,
             1 => ConfigError::ZeroMaxBatch,
@@ -407,11 +384,10 @@ fn config_errors_always_render() {
                 workers: 1_000,
                 max: 256,
             },
-            9 => ConfigError::WorkerSpawn {
+            _ => ConfigError::WorkerSpawn {
                 worker: 3,
                 reason: "resource temporarily unavailable".into(),
             },
-            _ => ConfigError::ZeroBreakerThreshold,
         };
         assert!(!err.to_string().is_empty());
     }

@@ -52,20 +52,17 @@ pub enum ShedReason {
     /// The degradation policy was shedding low-priority work under
     /// load.
     LoadShed,
-    /// The workload's circuit breaker was open after repeated faults.
-    CircuitOpen,
 }
 
 impl ShedReason {
     /// Every reason, in a fixed order.
     #[must_use]
-    pub const fn all() -> [ShedReason; 5] {
+    pub const fn all() -> [ShedReason; 4] {
         [
             ShedReason::QueueFull,
             ShedReason::Shutdown,
             ShedReason::DeadlineExceeded,
             ShedReason::LoadShed,
-            ShedReason::CircuitOpen,
         ]
     }
 
@@ -78,7 +75,6 @@ impl ShedReason {
             ShedReason::Shutdown => "shutdown",
             ShedReason::DeadlineExceeded => "deadline_exceeded",
             ShedReason::LoadShed => "load_shed",
-            ShedReason::CircuitOpen => "circuit_open",
         }
     }
 
@@ -819,7 +815,6 @@ mod tests {
         assert_eq!(ShedReason::Shutdown.name(), "shutdown");
         assert_eq!(ShedReason::DeadlineExceeded.name(), "deadline_exceeded");
         assert_eq!(ShedReason::LoadShed.name(), "load_shed");
-        assert_eq!(ShedReason::CircuitOpen.name(), "circuit_open");
         assert_eq!(
             RequestEvent::Shed {
                 reason: ShedReason::Shutdown

@@ -35,10 +35,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             low_watermark: 8,
             ..DegradationPolicy::default()
         })
-        .breaker(BreakerPolicy {
-            threshold: 3,
-            cooldown: 50_000,
-        })
         .faults(faults)
         .build()?;
     println!("fault plan: {faults}");
@@ -63,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         match result {
             Ok(_) => {}
-            // Typed shedding: overload, tripped breakers and expired
+            // Typed shedding: overload, load shedding and infeasible
             // deadlines each carry their reason.
             Err(err) => println!("  shed {kind}: {err}"),
         }
@@ -71,13 +67,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report = server.shutdown();
     let stats = report.stats;
     println!(
-        "threaded: submitted {} completed {} failed {} retries {} faults {} breaker-trips {}",
-        stats.submitted,
-        stats.completed,
-        stats.failed,
-        stats.retries,
-        stats.faults_injected,
-        stats.breaker_trips
+        "threaded: submitted {} completed {} failed {} retries {} faults {}",
+        stats.submitted, stats.completed, stats.failed, stats.retries, stats.faults_injected
     );
     for failure in &report.failed {
         println!(

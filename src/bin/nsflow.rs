@@ -260,8 +260,8 @@ fn serve(args: ServeArgs) -> Result<(), String> {
         match server.submit(kind, seed) {
             Ok(_) => {}
             Err(AdmissionError::ShuttingDown) => return Err("server shut down early".into()),
-            // Overload, tripped breakers and infeasible deadlines are
-            // expected under burst/chaos submission; the shed count is
+            // Overload and infeasible deadlines are expected under
+            // burst/chaos submission; the shed count is
             // reported from the server's own stats below.
             Err(_) => {}
         }
@@ -285,17 +285,15 @@ fn serve(args: ServeArgs) -> Result<(), String> {
         + stats.faults_injected
         + stats.failed
         + stats.deadline_shed
-        + stats.degraded_ticks
-        + stats.breaker_trips;
+        + stats.degraded_ticks;
     if chaos_active > 0 {
         println!(
-            "chaos: retries {}  faults {}  failed {}  deadline-shed {}  degraded-ticks {}  breaker-trips {}",
+            "chaos: retries {}  faults {}  failed {}  deadline-shed {}  degraded-ticks {}",
             stats.retries,
             stats.faults_injected,
             stats.failed,
             stats.deadline_shed,
-            stats.degraded_ticks,
-            stats.breaker_trips
+            stats.degraded_ticks
         );
     }
     let latency = PhaseStats::from_samples(report.responses.iter().map(|r| r.latency()).collect());
