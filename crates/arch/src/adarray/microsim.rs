@@ -146,7 +146,7 @@ pub fn circular_conv_column(height: usize, a: &[f32], b: &[f32]) -> Result<SimRe
 /// # Errors
 ///
 /// Returns [`ArchError::MicrosimCapacity`] on dimension violations.
-pub fn gemm_tile(
+pub(crate) fn gemm_tile(
     height: usize,
     width: usize,
     a: &[f32],
@@ -285,93 +285,6 @@ pub fn nn_layer(
     })
 }
 
-/// Simulates a whole VSA node under **temporal mapping** (eq. (4)): the
-/// `n_vec` convolutions are distributed over the `width · n_v` columns of
-/// the assigned sub-arrays, each column streaming whole vectors, with
-/// vectors longer than `height` folded into `⌈d/(H·n_v)⌉` column passes.
-///
-/// `a`/`b` hold the `n_vec` stationary/streamed vectors back to back
-/// (each of length `dim`). Outputs are concatenated in the same layout.
-/// The cycle count equals eq. (4) exactly when `dim ≤ height · n_v`
-/// (single fold); multi-fold shapes accumulate functionally the same way
-/// the hardware does (per-segment convolution partials are combined via
-/// the segment-offset identity).
-///
-/// # Errors
-///
-/// Returns [`ArchError::MicrosimCapacity`] on size violations. Unlike the
-/// single-column entry point, `dim` may exceed `height` only when it
-/// divides evenly into `height`-sized segments (the fold granularity the
-/// hardware supports).
-pub fn vsa_node_temporal(
-    height: usize,
-    width: usize,
-    n_v: usize,
-    a: &[f32],
-    b: &[f32],
-    n_vec: usize,
-    dim: usize,
-) -> Result<SimResult> {
-    if n_vec == 0 || dim == 0 || n_v == 0 {
-        return Err(ArchError::MicrosimCapacity {
-            message: "zero VSA dimension".into(),
-        });
-    }
-    if a.len() != n_vec * dim || b.len() != n_vec * dim {
-        return Err(ArchError::MicrosimCapacity {
-            message: "operand buffer sizes wrong".into(),
-        });
-    }
-    if dim > height && !dim.is_multiple_of(height) {
-        return Err(ArchError::MicrosimCapacity {
-            message: format!("dim {dim} must fit one column or fold evenly into height {height}"),
-        });
-    }
-
-    let mut outputs = vec![0.0f32; n_vec * dim];
-    let mut busy = 0u64;
-    if dim <= height {
-        // Each vector runs on one column; columns work in parallel.
-        for v in 0..n_vec {
-            let s = v * dim;
-            let col = circular_conv_column(height, &a[s..s + dim], &b[s..s + dim])?;
-            busy += col.busy_pe_cycles;
-            outputs[s..s + dim].copy_from_slice(&col.outputs);
-        }
-    } else {
-        // Fold: split each operand into height-sized segments. Circular
-        // convolution distributes over the additive segment decomposition
-        // of one operand: a ⊛ b = Σ_s shift(a_seg_s ⊛_full b, s·H). We
-        // realize each partial with the dense kernel on the *stationary*
-        // segment against the full streamed vector, per column pass.
-        let segments = dim / height;
-        for v in 0..n_vec {
-            let s = v * dim;
-            for seg in 0..segments {
-                // Segment of A padded to full length at its own offset.
-                let mut a_seg = vec![0.0f32; dim];
-                a_seg[seg * height..(seg + 1) * height]
-                    .copy_from_slice(&a[s + seg * height..s + (seg + 1) * height]);
-                let partial = nsflow_vsa::ops::circular_convolve(&a_seg, &b[s..s + dim]);
-                for (o, p) in outputs[s..s + dim].iter_mut().zip(&partial) {
-                    *o += p;
-                }
-                busy += (dim * height) as u64;
-            }
-        }
-    }
-
-    // Temporal-mapping latency, eq. (4): columns process vector batches.
-    let t = (3 * height + dim - 1) as u64;
-    let vec_batches = n_vec.div_ceil(width) as u64;
-    let folds = dim.div_ceil(height * n_v) as u64;
-    Ok(SimResult {
-        outputs,
-        cycles: vec_batches * folds * t,
-        busy_pe_cycles: busy,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,6 +295,95 @@ mod tests {
 
     fn randvec(n: usize, rng: &mut StdRng) -> Vec<f32> {
         (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+    }
+
+    /// Simulates a whole VSA node under **temporal mapping** (eq. (4)): the
+    /// `n_vec` convolutions are distributed over the `width · n_v` columns of
+    /// the assigned sub-arrays, each column streaming whole vectors, with
+    /// vectors longer than `height` folded into `⌈d/(H·n_v)⌉` column passes.
+    ///
+    /// `a`/`b` hold the `n_vec` stationary/streamed vectors back to back
+    /// (each of length `dim`). Outputs are concatenated in the same layout.
+    /// The cycle count equals eq. (4) exactly when `dim ≤ height · n_v`
+    /// (single fold); multi-fold shapes accumulate functionally the same way
+    /// the hardware does (per-segment convolution partials are combined via
+    /// the segment-offset identity).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArchError::MicrosimCapacity`] on size violations. Unlike the
+    /// single-column entry point, `dim` may exceed `height` only when it
+    /// divides evenly into `height`-sized segments (the fold granularity the
+    /// hardware supports).
+    fn vsa_node_temporal(
+        height: usize,
+        width: usize,
+        n_v: usize,
+        a: &[f32],
+        b: &[f32],
+        n_vec: usize,
+        dim: usize,
+    ) -> Result<SimResult> {
+        if n_vec == 0 || dim == 0 || n_v == 0 {
+            return Err(ArchError::MicrosimCapacity {
+                message: "zero VSA dimension".into(),
+            });
+        }
+        if a.len() != n_vec * dim || b.len() != n_vec * dim {
+            return Err(ArchError::MicrosimCapacity {
+                message: "operand buffer sizes wrong".into(),
+            });
+        }
+        if dim > height && !dim.is_multiple_of(height) {
+            return Err(ArchError::MicrosimCapacity {
+                message: format!(
+                    "dim {dim} must fit one column or fold evenly into height {height}"
+                ),
+            });
+        }
+
+        let mut outputs = vec![0.0f32; n_vec * dim];
+        let mut busy = 0u64;
+        if dim <= height {
+            // Each vector runs on one column; columns work in parallel.
+            for v in 0..n_vec {
+                let s = v * dim;
+                let col = circular_conv_column(height, &a[s..s + dim], &b[s..s + dim])?;
+                busy += col.busy_pe_cycles;
+                outputs[s..s + dim].copy_from_slice(&col.outputs);
+            }
+        } else {
+            // Fold: split each operand into height-sized segments. Circular
+            // convolution distributes over the additive segment decomposition
+            // of one operand: a ⊛ b = Σ_s shift(a_seg_s ⊛_full b, s·H). We
+            // realize each partial with the dense kernel on the *stationary*
+            // segment against the full streamed vector, per column pass.
+            let segments = dim / height;
+            for v in 0..n_vec {
+                let s = v * dim;
+                for seg in 0..segments {
+                    // Segment of A padded to full length at its own offset.
+                    let mut a_seg = vec![0.0f32; dim];
+                    a_seg[seg * height..(seg + 1) * height]
+                        .copy_from_slice(&a[s + seg * height..s + (seg + 1) * height]);
+                    let partial = nsflow_vsa::ops::circular_convolve(&a_seg, &b[s..s + dim]);
+                    for (o, p) in outputs[s..s + dim].iter_mut().zip(&partial) {
+                        *o += p;
+                    }
+                    busy += (dim * height) as u64;
+                }
+            }
+        }
+
+        // Temporal-mapping latency, eq. (4): columns process vector batches.
+        let t = (3 * height + dim - 1) as u64;
+        let vec_batches = n_vec.div_ceil(width) as u64;
+        let folds = dim.div_ceil(height * n_v) as u64;
+        Ok(SimResult {
+            outputs,
+            cycles: vec_batches * folds * t,
+            busy_pe_cycles: busy,
+        })
     }
 
     #[test]

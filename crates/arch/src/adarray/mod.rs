@@ -14,29 +14,17 @@
 
 pub mod microsim;
 
-use std::fmt;
-
 use crate::{ArchError, ArrayConfig, Result};
 
 /// The role a sub-array currently plays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SubArrayRole {
+pub(crate) enum SubArrayRole {
     /// Part of the merged NN region.
     Nn,
     /// Running vector-symbolic column streams.
     Vsa,
     /// Powered but unassigned.
     Idle,
-}
-
-impl fmt::Display for SubArrayRole {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SubArrayRole::Nn => f.write_str("NN"),
-            SubArrayRole::Vsa => f.write_str("VSA"),
-            SubArrayRole::Idle => f.write_str("idle"),
-        }
-    }
 }
 
 /// A folded AdArray instance.
@@ -49,7 +37,7 @@ impl fmt::Display for SubArrayRole {
 /// let cfg = ArrayConfig::new(32, 16, 16)?;
 /// let mut array = AdArray::new(cfg);
 /// array.fold(14, 2)?; // the paper's NVSA default partition 14:2
-/// assert_eq!(array.nn_pes(), 14 * 32 * 16);
+/// assert_eq!(array.utilization(), 1.0);
 /// # Ok::<(), nsflow_arch::ArchError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,12 +58,6 @@ impl AdArray {
     #[must_use]
     pub fn config(&self) -> &ArrayConfig {
         &self.config
-    }
-
-    /// Current per-sub-array roles.
-    #[must_use]
-    pub fn roles(&self) -> &[SubArrayRole] {
-        &self.roles
     }
 
     /// Folds the array: the first `n_nn` sub-arrays merge into the NN
@@ -108,7 +90,7 @@ impl AdArray {
 
     /// Number of sub-arrays in the NN region.
     #[must_use]
-    pub fn nn_subarrays(&self) -> usize {
+    pub(crate) fn nn_subarrays(&self) -> usize {
         self.roles
             .iter()
             .filter(|r| **r == SubArrayRole::Nn)
@@ -117,7 +99,7 @@ impl AdArray {
 
     /// Number of sub-arrays running VSA streams.
     #[must_use]
-    pub fn vsa_subarrays(&self) -> usize {
+    pub(crate) fn vsa_subarrays(&self) -> usize {
         self.roles
             .iter()
             .filter(|r| **r == SubArrayRole::Vsa)
@@ -126,13 +108,13 @@ impl AdArray {
 
     /// PEs in the NN region.
     #[must_use]
-    pub fn nn_pes(&self) -> usize {
+    pub(crate) fn nn_pes(&self) -> usize {
         self.nn_subarrays() * self.config.height() * self.config.width()
     }
 
     /// PEs running VSA streams.
     #[must_use]
-    pub fn vsa_pes(&self) -> usize {
+    pub(crate) fn vsa_pes(&self) -> usize {
         self.vsa_subarrays() * self.config.height() * self.config.width()
     }
 
@@ -140,21 +122,6 @@ impl AdArray {
     #[must_use]
     pub fn utilization(&self) -> f64 {
         (self.nn_pes() + self.vsa_pes()) as f64 / self.config.total_pes() as f64
-    }
-
-    /// Compute utilization of the NN region for a GEMM of `(m, n, k)`:
-    /// the fraction of PE-cycles doing useful MACs given the tiling of
-    /// eq. (1). 1.0 means every PE is busy every streamed cycle.
-    #[must_use]
-    pub fn nn_compute_utilization(&self, m: usize, n: usize, k: usize) -> f64 {
-        let region = self.nn_subarrays();
-        if region == 0 || m == 0 || n == 0 || k == 0 {
-            return 0.0;
-        }
-        let cycles = crate::analytical::nn_layer_cycles(&self.config, region, m, n, k);
-        let useful = (m as u64) * (n as u64) * (k as u64);
-        let pe_cycles = cycles * (self.nn_pes() as u64);
-        (useful as f64 / pe_cycles as f64).min(1.0)
     }
 }
 
@@ -178,15 +145,6 @@ mod tests {
     fn fold_assigns_roles_in_order() {
         let mut a = array();
         a.fold(2, 1).unwrap();
-        assert_eq!(
-            a.roles(),
-            &[
-                SubArrayRole::Nn,
-                SubArrayRole::Nn,
-                SubArrayRole::Vsa,
-                SubArrayRole::Idle
-            ]
-        );
         assert_eq!(a.nn_pes(), 2 * 32);
         assert_eq!(a.vsa_pes(), 32);
         assert!((a.utilization() - 0.75).abs() < 1e-9);
@@ -211,28 +169,5 @@ mod tests {
         a.fold(1, 3).unwrap();
         assert_eq!(a.nn_subarrays(), 1);
         assert_eq!(a.vsa_subarrays(), 3);
-    }
-
-    #[test]
-    fn compute_utilization_perfect_for_matched_dims() {
-        // m huge, n = region·H, k = W: every PE busy nearly every cycle.
-        let mut a = array();
-        a.fold(4, 0).unwrap();
-        let u = a.nn_compute_utilization(100_000, 4 * 8, 4);
-        assert!(u > 0.95, "utilization {u}");
-    }
-
-    #[test]
-    fn compute_utilization_poor_for_tiny_gemm() {
-        let mut a = array();
-        a.fold(4, 0).unwrap();
-        let u = a.nn_compute_utilization(1, 1, 1);
-        assert!(u < 0.01, "utilization {u}");
-    }
-
-    #[test]
-    fn compute_utilization_zero_without_nn_region() {
-        let a = array();
-        assert_eq!(a.nn_compute_utilization(10, 10, 10), 0.0);
     }
 }

@@ -1,5 +1,5 @@
 //! The paper's analytical runtime model, eqs. (1)–(5), plus trace-level
-//! aggregation and the inter-loop pipelining rule.
+//! aggregation into per-loop timings.
 //!
 //! All results are **cycles** on the AdArray clock; the FPGA crate converts
 //! them to wall-clock time at the deployment frequency (272 MHz on U250).
@@ -193,27 +193,6 @@ pub fn loop_timing(
     }
 }
 
-/// Total workload cycles across all loop iterations with the inter-loop
-/// pipelining rule (Sec. V-B step ③): in parallel mode, loop `i+1`'s NN
-/// phase starts as soon as loop `i`'s NN partition is free, so the
-/// steady-state period is `t_loop` with an NN prologue and VSA epilogue;
-/// sequentially the loops simply concatenate.
-#[must_use]
-pub fn workload_cycles(timing: &LoopTiming, loop_count: usize) -> u64 {
-    debug_assert!(loop_count > 0);
-    let l = loop_count as u64;
-    if timing.parallel && loop_count > 1 {
-        // Prologue: the first loop's NN phase cannot overlap anything.
-        // Steady state: one t_loop per iteration. Epilogue: the last
-        // loop's VSA tail beyond the overlapped window is already inside
-        // its own t_loop, so total = t_nn + L·t_loop − overlap of first
-        // NN. A simple, consistent pipeline bound:
-        timing.t_nn + l * timing.t_loop.max(1) - timing.t_nn.min(timing.t_loop)
-    } else {
-        l * timing.t_loop.max(1)
-    }
-}
-
 const fn div_ceil(a: u64, b: u64) -> u64 {
     a.div_ceil(b)
 }
@@ -340,102 +319,15 @@ mod tests {
     }
 
     #[test]
-    fn workload_cycles_pipeline_beats_serial_concat() {
-        let g = small_graph();
-        let c = cfg(16, 16, 4);
-        let par = loop_timing(&g, &c, &Mapping::uniform(1, 1, 3, 1), 64);
-        let piped = workload_cycles(&par, 8);
-        let serial_concat = 8 * (par.t_nn + par.t_vsa);
-        assert!(piped < serial_concat, "{piped} !< {serial_concat}");
-    }
-
-    #[test]
-    fn workload_cycles_single_loop_is_loop_time() {
-        let g = small_graph();
-        let c = cfg(16, 16, 4);
-        let t = loop_timing(&g, &c, &Mapping::uniform(1, 1, 3, 1), 64);
-        assert_eq!(workload_cycles(&t, 1), t.t_loop);
-    }
-
-    #[test]
-    fn workload_cycles_single_loop_sequential_is_loop_time() {
-        // loop_count = 1 takes the non-pipelined branch in both modes.
-        let g = small_graph();
-        let c = cfg(16, 16, 4);
-        let t = loop_timing(&g, &c, &Mapping::sequential(1, 1, 4), 64);
-        assert_eq!(workload_cycles(&t, 1), t.t_loop);
-    }
-
-    #[test]
-    fn model_timings_never_trip_the_prologue_guard() {
+    fn parallel_loop_time_bounds_the_nn_phase() {
         // For any timing produced by `loop_timing`, parallel t_loop is the
-        // max over phases, so t_nn ≤ t_loop and the pipeline bound
-        // simplifies to exactly L·t_loop — the prologue term cancels.
+        // max over phases, so t_nn ≤ t_loop.
         let g = small_graph();
         let c = cfg(16, 16, 4);
         for nl in 1..4 {
             let t = loop_timing(&g, &c, &Mapping::uniform(1, 1, nl, 4 - nl), 64);
             assert!(t.t_nn <= t.t_loop, "t_nn must be bounded by t_loop");
-            assert_eq!(workload_cycles(&t, 8), 8 * t.t_loop);
         }
-    }
-
-    #[test]
-    fn prologue_guard_caps_hand_made_timings() {
-        // A hand-constructed timing with t_nn > t_loop (impossible from
-        // `loop_timing`, which takes the max) must not underflow: the
-        // `min(t_nn, t_loop)` guard clamps the overlapped prologue.
-        let t = LoopTiming {
-            t_nn: 100,
-            t_vsa: 5,
-            t_simd: 0,
-            t_loop: 10,
-            parallel: true,
-        };
-        assert_eq!(workload_cycles(&t, 4), 100 + 4 * 10 - 10);
-    }
-
-    #[test]
-    fn sequential_and_parallel_converge_when_simd_dominates() {
-        // Crossover: once t_simd exceeds t_nn + t_vsa, both modes bottom
-        // out at L·t_simd and the mode choice stops mattering.
-        let par = LoopTiming {
-            t_nn: 10,
-            t_vsa: 20,
-            t_simd: 500,
-            t_loop: 500,
-            parallel: true,
-        };
-        let seq = LoopTiming {
-            t_nn: 10,
-            t_vsa: 20,
-            t_simd: 500,
-            t_loop: 500,
-            parallel: false,
-        };
-        assert_eq!(workload_cycles(&par, 6), workload_cycles(&seq, 6));
-    }
-
-    #[test]
-    fn parallel_pipelining_beats_sequential_above_crossover() {
-        // Crossover the other way: with array phases dominating, the
-        // pipelined parallel schedule strictly beats sequential
-        // concatenation of the same phase times.
-        let par = LoopTiming {
-            t_nn: 100,
-            t_vsa: 80,
-            t_simd: 1,
-            t_loop: 100,
-            parallel: true,
-        };
-        let seq = LoopTiming {
-            t_nn: 100,
-            t_vsa: 80,
-            t_simd: 1,
-            t_loop: 180,
-            parallel: false,
-        };
-        assert!(workload_cycles(&par, 8) < workload_cycles(&seq, 8));
     }
 
     #[test]

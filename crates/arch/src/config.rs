@@ -101,10 +101,13 @@ impl fmt::Display for VsaMapping {
 /// each VSA node (`N_v[j]`) of one dataflow loop.
 ///
 /// Invariants: every entry is at least 1 and at most `N`
-/// ([`Mapping::validate`]); for any node pair active *concurrently*,
-/// `N_l[i] + N_v[j] ≤ N` ([`Mapping::validate_concurrency`] — the pairs
-/// come from the dataflow graph's layer spans, since partitions are
-/// reconfigured between nodes at runtime).
+/// ([`Mapping::validate`]); in parallel mode, for any node pair active
+/// *concurrently*, `N_l[i] + N_v[j] ≤ N`. `validate` cannot check the
+/// pair bound, because the pairs come from the dataflow graph's layer
+/// spans (partitions are reconfigured between nodes at runtime). The DSE
+/// enforces it: Phase I emits uniform splits with `N̄_l + N̄_v = N`, and
+/// Phase II (`nsflow_dse::phase2`) checks each move it makes against the
+/// moved layer and every VSA node in that layer's span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mapping {
     /// Sub-arrays per NN node (length = `|R_l|`).
@@ -143,8 +146,10 @@ impl Mapping {
     ///
     /// Returns [`ArchError::MappingLengthMismatch`] on wrong vector
     /// lengths, [`ArchError::ZeroDimension`] if any assignment is zero,
-    /// and [`ArchError::SubArrayOverflow`] if a concurrent NN+VSA pair
-    /// exceeds `N` (parallel mode) or any single assignment exceeds `N`.
+    /// and [`ArchError::SubArrayOverflow`] if any single assignment
+    /// exceeds `N`. Concurrent NN+VSA pairs are not checked here; see
+    /// the [`Mapping`] invariants for where `N_l[i] + N_v[j] ≤ N` is
+    /// enforced.
     pub fn validate(&self, config: &ArrayConfig, nn_nodes: usize, vsa_nodes: usize) -> Result<()> {
         if self.n_l.len() != nn_nodes {
             return Err(ArchError::MappingLengthMismatch {
@@ -168,38 +173,6 @@ impl Mapping {
             if a > n {
                 return Err(ArchError::SubArrayOverflow {
                     requested: a,
-                    available: n,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Checks that a set of *concurrent* node pairs fits the array: for
-    /// every `(layer i, vsa j)` pair active at the same time,
-    /// `N_l[i] + N_v[j] ≤ N`. The pairs come from the dataflow graph's
-    /// layer spans (partitions are time-varying, so only concurrently
-    /// active nodes compete for sub-arrays).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchError::SubArrayOverflow`] for the first violating
-    /// pair.
-    pub fn validate_concurrency(
-        &self,
-        config: &ArrayConfig,
-        concurrent_pairs: &[(usize, usize)],
-    ) -> Result<()> {
-        if !self.parallel {
-            return Ok(());
-        }
-        let n = config.n_subarrays();
-        for &(i, j) in concurrent_pairs {
-            let need =
-                self.n_l.get(i).copied().unwrap_or(0) + self.n_v.get(j).copied().unwrap_or(0);
-            if need > n {
-                return Err(ArchError::SubArrayOverflow {
-                    requested: need,
                     available: n,
                 });
             }
@@ -273,22 +246,6 @@ mod tests {
             m.validate(&cfg, 4, 2),
             Err(ArchError::MappingLengthMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn concurrent_pairs_cannot_oversubscribe() {
-        let cfg = ArrayConfig::new(8, 8, 4).unwrap();
-        let m = Mapping::uniform(1, 1, 3, 2); // 3 + 2 > 4 if concurrent
-                                              // Basic validation passes — each assignment individually fits…
-        assert!(m.validate(&cfg, 1, 1).is_ok());
-        // …but declaring the pair concurrent exposes the overflow.
-        assert!(matches!(
-            m.validate_concurrency(&cfg, &[(0, 0)]),
-            Err(ArchError::SubArrayOverflow { .. })
-        ));
-        // Sequential mappings never contend.
-        let seq = Mapping::sequential(1, 1, 4);
-        assert!(seq.validate_concurrency(&cfg, &[(0, 0)]).is_ok());
     }
 
     #[test]

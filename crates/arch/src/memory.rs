@@ -116,7 +116,7 @@ impl TransferModel {
 
     /// Raw cycles to move `bytes` off-chip ↔ on-chip.
     #[must_use]
-    pub fn transfer_cycles(&self, bytes: usize) -> u64 {
+    pub(crate) fn transfer_cycles(&self, bytes: usize) -> u64 {
         (bytes as f64 / self.bytes_per_cycle).ceil() as u64
     }
 

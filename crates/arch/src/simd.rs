@@ -13,7 +13,7 @@ use nsflow_trace::{EltFunc, OpKind, ReduceFunc};
 /// Cheap integer ops are single-cycle; transcendentals and softmax use the
 /// multi-cycle exp/log path of the compact lane logic.
 #[must_use]
-pub fn elt_func_cost(func: EltFunc) -> u64 {
+pub(crate) fn elt_func_cost(func: EltFunc) -> u64 {
     match func {
         EltFunc::Relu | EltFunc::Add | EltFunc::Clamp | EltFunc::PoolMax => 1,
         EltFunc::Mul | EltFunc::Affine => 1,
@@ -28,7 +28,7 @@ pub fn elt_func_cost(func: EltFunc) -> u64 {
 
 /// Reduction-tree depth for a given lane count.
 #[must_use]
-pub fn tree_depth(lanes: usize) -> u64 {
+pub(crate) fn tree_depth(lanes: usize) -> u64 {
     debug_assert!(lanes > 0);
     (usize::BITS - (lanes.max(1) - 1).leading_zeros()) as u64
 }

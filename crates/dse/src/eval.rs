@@ -72,7 +72,7 @@ impl SweepStats {
 /// histogram `dse.sweep_wall_us`). Tables built are
 /// counted directly in [`EvalEngine::build_table`] so ad-hoc engine use
 /// is visible too.
-pub fn record_sweep_stats(stats: &SweepStats) {
+pub(crate) fn record_sweep_stats(stats: &SweepStats) {
     telemetry::counter!("dse.points_evaluated").add(stats.points_evaluated as u64);
     telemetry::counter!("dse.cache_hits").add(stats.cache_hits as u64);
     telemetry::histogram!("dse.sweep_wall_us")
@@ -83,9 +83,7 @@ pub fn record_sweep_stats(stats: &SweepStats) {
 /// sub-array assignment `1..=a_max`, plus per-assignment totals so the
 /// uniform-split sweep is O(1) per point.
 #[derive(Debug, Clone)]
-pub struct CycleTable {
-    height: usize,
-    width: usize,
+pub(crate) struct CycleTable {
     a_max: usize,
     /// `nn_node[i * a_max + (a-1)]` = eq. (1) cycles of NN node `i` on
     /// `a` sub-arrays.
@@ -103,25 +101,13 @@ pub struct CycleTable {
 }
 
 impl CycleTable {
-    /// Sub-array geometry this table was built for.
-    #[must_use]
-    pub fn geometry(&self) -> (usize, usize) {
-        (self.height, self.width)
-    }
-
-    /// Largest assignment count tabulated.
-    #[must_use]
-    pub fn a_max(&self) -> usize {
-        self.a_max
-    }
-
     /// Eq. (1) cycles of NN node `i` under `a` sub-arrays (table lookup).
     ///
     /// # Panics
     ///
-    /// Panics if `a` is 0 or exceeds [`CycleTable::a_max`].
+    /// Panics if `a` is 0 or exceeds the tabulated `a_max`.
     #[must_use]
-    pub fn nn_node_cycles(&self, i: usize, a: usize) -> u64 {
+    pub(crate) fn nn_node_cycles(&self, i: usize, a: usize) -> u64 {
         assert!(
             a >= 1 && a <= self.a_max,
             "assignment {a} outside 1..={}",
@@ -134,7 +120,7 @@ impl CycleTable {
     ///
     /// # Panics
     ///
-    /// Panics if `a` is 0 or exceeds [`CycleTable::a_max`].
+    /// Panics if `a` is 0 or exceeds the tabulated `a_max`.
     #[must_use]
     pub fn vsa_node_cycles(&self, j: usize, a: usize) -> (u64, u64) {
         assert!(
@@ -149,7 +135,7 @@ impl CycleTable {
     /// Timing of a uniform parallel split (`N̄_l = nl`, `N̄_v = nv`) — two
     /// table lookups, no trace walk.
     #[must_use]
-    pub fn uniform_timing(&self, nl: usize, nv: usize) -> LoopTiming {
+    pub(crate) fn uniform_timing(&self, nl: usize, nv: usize) -> LoopTiming {
         let t_nn = self.nn_total[nl - 1];
         let t_vsa = self.vsa_spat_total[nv - 1].min(self.vsa_temp_total[nv - 1]);
         LoopTiming {
@@ -164,7 +150,7 @@ impl CycleTable {
     /// Timing of sequential (whole-array, time-shared) mode on `n`
     /// sub-arrays — two table lookups.
     #[must_use]
-    pub fn sequential_timing(&self, n: usize) -> LoopTiming {
+    pub(crate) fn sequential_timing(&self, n: usize) -> LoopTiming {
         let t_nn = self.nn_total[n - 1];
         let t_vsa = self.vsa_spat_total[n - 1].min(self.vsa_temp_total[n - 1]);
         LoopTiming {
@@ -183,9 +169,9 @@ impl CycleTable {
     /// # Panics
     ///
     /// Panics if the mapping's lengths do not match the tabulated node
-    /// counts or any assignment exceeds [`CycleTable::a_max`].
+    /// counts or any assignment exceeds the tabulated `a_max`.
     #[must_use]
-    pub fn mapping_timing(&self, mapping: &Mapping) -> LoopTiming {
+    pub(crate) fn mapping_timing(&self, mapping: &Mapping) -> LoopTiming {
         debug_assert_eq!(
             mapping.n_l.len() * self.a_max,
             self.nn_node.len(),
@@ -227,7 +213,7 @@ impl CycleTable {
 /// and the mapping-independent SIMD term, and builds [`CycleTable`]s for
 /// the geometries a sweep visits.
 #[derive(Debug)]
-pub struct EvalEngine {
+pub(crate) struct EvalEngine {
     /// `(m, n, k)` of each NN node, in `nn_nodes()` order (`None` for a
     /// node that never runs on the array).
     nn_dims: Vec<Option<(usize, usize, usize)>>,
@@ -264,24 +250,6 @@ impl EvalEngine {
         }
     }
 
-    /// NN array-node count of the cached graph.
-    #[must_use]
-    pub fn nn_count(&self) -> usize {
-        self.nn_dims.len()
-    }
-
-    /// VSA array-node count of the cached graph.
-    #[must_use]
-    pub fn vsa_count(&self) -> usize {
-        self.vsa_dims.len()
-    }
-
-    /// The mapping-independent SIMD term (computed once at construction).
-    #[must_use]
-    pub fn t_simd(&self) -> u64 {
-        self.t_simd
-    }
-
     /// Builds the cycle table for an `(H, W)` geometry covering
     /// assignments `1..=a_max`. Cost: one eq-(1)/(3)/(4) evaluation per
     /// node per assignment — after which every design point of this
@@ -291,7 +259,7 @@ impl EvalEngine {
     ///
     /// Panics if `height`, `width` or `a_max` is zero.
     #[must_use]
-    pub fn build_table(&self, height: usize, width: usize, a_max: usize) -> CycleTable {
+    pub(crate) fn build_table(&self, height: usize, width: usize, a_max: usize) -> CycleTable {
         assert!(a_max >= 1, "a_max must be at least 1");
         telemetry::counter!("dse.tables_built").incr();
         let cfg = ArrayConfig::new(height, width, 1).expect("nonzero geometry");
@@ -326,8 +294,6 @@ impl EvalEngine {
             }
         }
         CycleTable {
-            height,
-            width,
             a_max,
             nn_node,
             vsa_spat_node,
@@ -464,10 +430,10 @@ mod tests {
     fn t_simd_is_mapping_independent_and_cached() {
         let g = mixed_graph();
         let engine = EvalEngine::new(&g, 64);
-        assert_eq!(engine.t_simd(), analytical::simd_loop_cycles(&g, 64));
+        assert_eq!(engine.t_simd, analytical::simd_loop_cycles(&g, 64));
         let table = engine.build_table(16, 16, 4);
-        assert_eq!(table.uniform_timing(1, 3).t_simd, engine.t_simd());
-        assert_eq!(table.sequential_timing(4).t_simd, engine.t_simd());
+        assert_eq!(table.uniform_timing(1, 3).t_simd, engine.t_simd);
+        assert_eq!(table.sequential_timing(4).t_simd, engine.t_simd);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! [`explore`] runs both phases; [`space`] reproduces the Tab. II
 //! design-space accounting.
 //!
-//! All search paths evaluate candidates through the shared
-//! [`EvalEngine`]: per-`(H, W)` cycle tables turn the inner `N̄_l` sweep
+//! All search paths evaluate candidates through one shared evaluation
+//! engine: per-`(H, W)` cycle tables turn the inner `N̄_l` sweep
 //! into O(1) lookups, and the mapping-independent SIMD term is computed
 //! once ([`SweepStats`] records points, cache hits and wall time).
 //! Serial trace-walking references ([`phase1_reference`],
@@ -55,9 +55,9 @@ mod phase2;
 pub mod exhaustive;
 pub mod space;
 
-pub use eval::{CycleTable, EvalEngine, SweepStats};
+pub use eval::SweepStats;
 pub use phase1::{phase1, phase1_reference, Phase1Result};
-pub use phase2::{phase2, vsa_span_of_layer, Phase2Outcome};
+pub use phase2::{phase2, Phase2Outcome};
 
 use nsflow_arch::{analytical, ArrayConfig, Mapping};
 use nsflow_graph::DataflowGraph;
@@ -67,11 +67,11 @@ use nsflow_graph::DataflowGraph;
 /// # Invariants
 ///
 /// `heights` and `widths` are treated as candidate **sets**: every sweep
-/// first sorts them ascending and drops duplicates and zero entries
-/// ([`DseOptions::normalized_dims`]), so duplicated entries neither
-/// inflate `points_evaluated` nor change the search outcome, and the
-/// enumeration order (heights outer, widths inner, both ascending) is
-/// well defined regardless of how the lists were written.
+/// first sorts them ascending and drops duplicates and zero entries, so
+/// duplicated entries neither inflate `points_evaluated` nor change the
+/// search outcome, and the enumeration order (heights outer, widths
+/// inner, both ascending) is well defined regardless of how the lists
+/// were written.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DseOptions {
     /// Maximum PE budget `M` (FPGA resource bound); the paper uses
@@ -112,7 +112,7 @@ impl DseOptions {
     /// The candidate dimension lists as sweeps actually consume them:
     /// sorted ascending, deduplicated, zero entries dropped.
     #[must_use]
-    pub fn normalized_dims(&self) -> (Vec<usize>, Vec<usize>) {
+    pub(crate) fn normalized_dims(&self) -> (Vec<usize>, Vec<usize>) {
         let norm = |dims: &[usize]| {
             let mut v: Vec<usize> = dims.iter().copied().filter(|&d| d > 0).collect();
             v.sort_unstable();
@@ -265,8 +265,7 @@ mod tests {
             .expect("returned mapping must be valid");
     }
 
-    #[test]
-    fn symbolic_heavy_workload_gets_more_vsa_subarrays() {
+    fn symbolic_heavy() -> DataflowGraph {
         let mut b = TraceBuilder::new("symbolic-heavy");
         let c = b.push(
             "conv",
@@ -292,7 +291,12 @@ mod tests {
                 &[prev],
             );
         }
-        let g = DataflowGraph::from_trace(b.finish(8).unwrap());
+        DataflowGraph::from_trace(b.finish(8).unwrap())
+    }
+
+    #[test]
+    fn symbolic_heavy_workload_gets_more_vsa_subarrays() {
+        let g = symbolic_heavy();
         let r = explore(&g, &DseOptions::default());
         if r.mapping.parallel {
             let avg_v: f64 =
@@ -301,6 +305,39 @@ mod tests {
                 r.mapping.n_l.iter().sum::<usize>() as f64 / r.mapping.n_l.len() as f64;
             assert!(avg_v >= avg_l, "VSA should dominate: {avg_v} vs {avg_l}");
         }
+    }
+
+    /// `Mapping::validate` checks each assignment alone; the DSE must keep
+    /// `N_l[i] + N_v[j] ≤ N` for every layer `i` and each VSA node `j` in
+    /// its span, since those run on the array at the same time.
+    #[test]
+    fn parallel_mappings_fit_every_concurrent_pair() {
+        let mut parallel = 0;
+        for g in [nvsa_like(4), nvsa_like(8), symbolic_heavy()] {
+            for max_pes in [1024, 4096, 8192] {
+                let opts = DseOptions {
+                    max_pes,
+                    ..DseOptions::default()
+                };
+                let r = explore(&g, &opts);
+                if !r.mapping.parallel {
+                    continue;
+                }
+                parallel += 1;
+                let n = r.config.n_subarrays();
+                for (layer, &nl) in r.mapping.n_l.iter().enumerate() {
+                    for j in phase2::vsa_span_of_layer(&g, layer) {
+                        let nv = r.mapping.n_v[j];
+                        assert!(
+                            nl + nv <= n,
+                            "{}: layer {layer} ({nl}) + vsa {j} ({nv}) > {n}",
+                            g.trace().name()
+                        );
+                    }
+                }
+            }
+        }
+        assert!(parallel > 0, "no fixture explored to a parallel mapping");
     }
 
     #[test]

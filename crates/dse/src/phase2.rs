@@ -26,7 +26,7 @@ use nsflow_telemetry as telemetry;
 /// (until the end of the loop for the last layer). Returns indices into
 /// the trace's `vsa_nodes()` list.
 #[must_use]
-pub fn vsa_span_of_layer(graph: &DataflowGraph, layer_idx: usize) -> Vec<usize> {
+pub(crate) fn vsa_span_of_layer(graph: &DataflowGraph, layer_idx: usize) -> Vec<usize> {
     let trace = graph.trace();
     let nn = trace.nn_nodes();
     let vsa = trace.vsa_nodes();

@@ -42,7 +42,7 @@ pub fn hw_config_count(m: u32) -> u64 {
 /// log₁₀ of the original mapping-space size for one `(H, W)` with `N`
 /// sub-arrays and `k` mapped nodes: `(N − 1)^k`.
 #[must_use]
-pub fn mapping_space_log10(n_subarrays: usize, nodes: usize) -> f64 {
+pub(crate) fn mapping_space_log10(n_subarrays: usize, nodes: usize) -> f64 {
     if n_subarrays <= 2 {
         return 0.0; // (N−1)^k = 1 possibility at N ≤ 2
     }
@@ -53,7 +53,7 @@ pub fn mapping_space_log10(n_subarrays: usize, nodes: usize) -> f64 {
 /// summed over every reachable `N` (dominated by the largest term; we sum
 /// exactly in log domain).
 #[must_use]
-pub fn original_space_log10(m: u32, nodes: usize) -> f64 {
+pub(crate) fn original_space_log10(m: u32, nodes: usize) -> f64 {
     // For each (H, W) pair, N = 2^m / (H·W) ranges over 2^0..2^m as the
     // pair sweeps; enumerate power-of-two pairs directly.
     let mut log_sum = f64::NEG_INFINITY;
@@ -73,7 +73,7 @@ pub fn original_space_log10(m: u32, nodes: usize) -> f64 {
 /// pruned `(H, W)` pairs times the `N̄_l` split (≤ `N`), Phase II adds
 /// `iter_max × layers`.
 #[must_use]
-pub fn dag_space_log10(
+pub(crate) fn dag_space_log10(
     pruned_hw_pairs: usize,
     max_splits: usize,
     iter_max: usize,

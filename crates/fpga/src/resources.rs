@@ -30,34 +30,34 @@ use nsflow_arch::{ArrayConfig, PrecisionConfig};
 use crate::{FpgaDevice, FpgaError, Result};
 
 /// DSP slices per PE (INT8 MAC with partial dual-INT4 DSP packing).
-pub const DSP_PER_PE: f64 = 1.3;
+pub(crate) const DSP_PER_PE: f64 = 1.3;
 /// DSP slices per SIMD lane.
-pub const DSP_PER_SIMD_LANE: f64 = 4.0;
+pub(crate) const DSP_PER_SIMD_LANE: f64 = 4.0;
 /// Logic LUTs per PE with a single-precision datapath.
-pub const LUT_PER_PE_UNIFORM: u64 = 75;
+pub(crate) const LUT_PER_PE_UNIFORM: u64 = 75;
 /// Logic LUTs per PE with mixed INT8+INT4 datapaths.
-pub const LUT_PER_PE_MIXED: u64 = 102;
+pub(crate) const LUT_PER_PE_MIXED: u64 = 102;
 /// Logic LUTs per SIMD lane (transcendental + norm + softmax logic).
-pub const LUT_PER_SIMD_LANE: u64 = 1_500;
+pub(crate) const LUT_PER_SIMD_LANE: u64 = 1_500;
 /// Fixed control/AXI/scheduler LUT overhead.
-pub const LUT_CONTROL: u64 = 50_000;
+pub(crate) const LUT_CONTROL: u64 = 50_000;
 /// Flip-flops per PE, single precision.
-pub const FF_PER_PE_UNIFORM: u64 = 200;
+pub(crate) const FF_PER_PE_UNIFORM: u64 = 200;
 /// Flip-flops per PE, mixed precision.
-pub const FF_PER_PE_MIXED: u64 = 235;
+pub(crate) const FF_PER_PE_MIXED: u64 = 235;
 /// Flip-flops per SIMD lane.
-pub const FF_PER_SIMD_LANE: u64 = 1_000;
+pub(crate) const FF_PER_SIMD_LANE: u64 = 1_000;
 /// Fixed control FF overhead.
-pub const FF_CONTROL: u64 = 100_000;
+pub(crate) const FF_CONTROL: u64 = 100_000;
 /// LUTRAM LUTs per PE, single precision (stationary + streaming regs).
-pub const LUTRAM_PER_PE_UNIFORM: u64 = 19;
+pub(crate) const LUTRAM_PER_PE_UNIFORM: u64 = 19;
 /// LUTRAM LUTs per PE, mixed precision (adds the packed-INT4 register
 /// file).
-pub const LUTRAM_PER_PE_MIXED: u64 = 23;
+pub(crate) const LUTRAM_PER_PE_MIXED: u64 = 23;
 /// BRAM block size in bytes (the paper's 18 KB unit).
-pub const BRAM_BLOCK_BYTES: u64 = 18 * 1024;
+pub(crate) const BRAM_BLOCK_BYTES: u64 = 18 * 1024;
 /// URAM block size in bytes (the paper's 288 KB unit).
-pub const URAM_BLOCK_BYTES: u64 = 288 * 1024;
+pub(crate) const URAM_BLOCK_BYTES: u64 = 288 * 1024;
 
 /// Absolute resource demand of a design point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,7 +95,7 @@ pub struct Utilization {
 
 /// Whether the precision configuration needs both integer datapaths.
 #[must_use]
-pub fn is_mixed(precision: &PrecisionConfig) -> bool {
+pub(crate) fn is_mixed(precision: &PrecisionConfig) -> bool {
     precision.neural != precision.symbolic
 }
 

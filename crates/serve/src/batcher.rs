@@ -108,7 +108,7 @@ impl Batcher {
     /// # Panics
     ///
     /// Panics if `policy.max_batch == 0`.
-    pub fn set_policy(&mut self, policy: BatchPolicy) {
+    pub(crate) fn set_policy(&mut self, policy: BatchPolicy) {
         assert!(policy.max_batch >= 1, "max_batch must be >= 1");
         self.policy = policy;
     }
@@ -134,8 +134,8 @@ impl Batcher {
 
     /// Deadline check at tick `now`: emits a partial batch if the oldest
     /// pending request has waited `max_wait` or longer, or a full batch
-    /// if a [`set_policy`](Batcher::set_policy) shrink left the pending
-    /// set at or past the (new) size threshold.
+    /// if a policy shrink since the last call left the pending set at or
+    /// past the (new) size threshold.
     ///
     /// A deadline reached with an **empty** pending set is a no-op:
     /// `poll` returns `None`, never an empty batch. (`oldest_since` is

@@ -30,7 +30,7 @@ use crate::server::Server;
 /// Most worker threads a server may be configured with. Each worker is
 /// one OS thread started by [`ServerBuilder::build`], so the bound
 /// keeps a mistyped count from starting threads until the OS refuses.
-pub const MAX_WORKERS: usize = 256;
+pub(crate) const MAX_WORKERS: usize = 256;
 
 /// Chainable configuration for [`Server::builder`].
 ///
@@ -88,7 +88,7 @@ impl ServerBuilder {
         self
     }
 
-    /// Worker threads executing batches, `1..=`[`MAX_WORKERS`].
+    /// Worker threads executing batches, `1..=256`.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -145,7 +145,7 @@ impl ServerBuilder {
     /// # Errors
     ///
     /// A [`ConfigError`] naming the violated bound: zero queue
-    /// capacity / `max_batch` / workers, more than [`MAX_WORKERS`]
+    /// capacity / `max_batch` / workers, more than 256
     /// workers, a retry policy allowing zero
     /// attempts, a default deadline shorter than one batch window,
     /// inverted degradation watermarks, an out-of-range degraded batch

@@ -20,7 +20,7 @@ use std::time::Instant;
 
 /// Wall time in microseconds since construction.
 #[derive(Debug)]
-pub struct WallClock {
+pub(crate) struct WallClock {
     start: Instant,
 }
 

@@ -22,7 +22,7 @@ pub enum ConfigError {
     ZeroMaxBatch,
     /// `workers == 0`: no thread would ever drain the queue.
     ZeroWorkers,
-    /// More workers than [`MAX_WORKERS`](crate::builder::MAX_WORKERS):
+    /// More than 256 workers:
     /// each is an OS thread, started before the server returns.
     TooManyWorkers {
         /// Configured worker count.

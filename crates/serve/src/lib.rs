@@ -7,7 +7,7 @@
 //! pipelines ([`executor`]). Per-request latency histograms and
 //! queue-depth gauges flow into `nsflow-telemetry`.
 //!
-//! Servers are configured through the validated [`builder`] API and
+//! Servers are configured through the validated [`ServerBuilder`] API and
 //! carry an optional robustness layer ([`robust`]): per-request
 //! **deadlines** enforced at admission and again before execution,
 //! bounded **retries** with deterministic backoff, seeded
@@ -16,11 +16,11 @@
 //! policy defaults to inert: an unconfigured server behaves exactly like
 //! the pre-robustness runtime.
 //!
-//! One serving core ([`core`]) owns the request lifecycle: the
-//! admission gates, batch formation, the attempt loop (deadline drops,
-//! fault rolls, retries, monitor accounting) and the one bookkeeping
-//! sink that feeds the flight recorder, [`ServeStats`] and the `serve.*`
-//! telemetry. Two drivers run it:
+//! One serving core (the crate-private `core` module) owns the request
+//! lifecycle: the admission gates, batch formation, the attempt loop
+//! (deadline drops, fault rolls, retries, monitor accounting) and the
+//! one bookkeeping sink that feeds the flight recorder, [`ServeStats`]
+//! and the `serve.*` telemetry. Two drivers run it:
 //!
 //! - [`server::Server`] — real threads; a tick is a wall microsecond;
 //!   waiting is a sleep and execution is real inference; graceful
@@ -63,12 +63,12 @@
 #![warn(missing_docs)]
 
 pub mod batcher;
-pub mod builder;
-pub mod clock;
-pub mod core;
-pub mod error;
+mod builder;
+mod clock;
+mod core;
+mod error;
 pub mod executor;
-pub mod metrics;
+mod metrics;
 pub mod prelude;
 pub mod queue;
 pub mod request;
@@ -84,9 +84,8 @@ pub use executor::{Executor, ExecutorConfig};
 pub use metrics::MetricsExporter;
 pub use request::{
     AdmissionError, FailedRequest, Priority, Request, Response, SubmitOptions, WorkloadKind,
-    NO_DEADLINE,
 };
-pub use robust::{DegradationPolicy, Fault, FaultPlan, RetryPolicy};
+pub use robust::{DegradationPolicy, FaultPlan, RetryPolicy};
 pub use server::Server;
 // Lifecycle-tracing vocabulary shared with `nsflow-telemetry`: the
 // serving core records these typed events and shed reasons.

@@ -1,20 +1,5 @@
 //! Live metrics export for a running server.
 //!
-//! [`MetricsExporter`] periodically writes the global
-//! [`TelemetrySnapshot`] to disk in two formats:
-//!
-//! - **Prometheus text exposition** (`metrics.prom`) via
-//!   [`nsflow_telemetry::prom::render`] — point a file-based scraper
-//!   (or `curl`-equivalent tooling) at it;
-//! - **deterministic JSON** (`metrics.json`) — the same snapshot shape
-//!   embedded in `BENCH_*.json`, for scripts that already parse it.
-//!
-//! The exporter is driven by the caller's loop (the `nsflow serve`
-//! submission loop calls [`MetricsExporter::tick`] between requests),
-//! so it adds no thread of its own; a final [`MetricsExporter::export`]
-//! at shutdown captures the end-of-run state. Writes are atomic-ish:
-//! rendered to a temp file first, then renamed over the target, so a
-//! concurrent reader never sees a half-written exposition.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -22,8 +7,21 @@ use std::time::{Duration, Instant};
 
 use nsflow_telemetry::{prom, TelemetrySnapshot};
 
-/// Periodic Prometheus + JSON snapshot writer. See the
-/// [module docs](self).
+/// Periodic Prometheus + JSON snapshot writer: writes the global
+/// [`TelemetrySnapshot`] to disk in two formats:
+///
+/// - **Prometheus text exposition** (`metrics.prom`) via
+///   [`nsflow_telemetry::prom::render`] — point a file-based scraper
+///   (or `curl`-equivalent tooling) at it;
+/// - **deterministic JSON** (`metrics.json`) — the same snapshot shape
+///   embedded in `BENCH_*.json`, for scripts that already parse it.
+///
+/// The exporter is driven by the caller's loop (the `nsflow serve`
+/// submission loop calls [`MetricsExporter::tick`] between requests),
+/// so it adds no thread of its own; a final [`MetricsExporter::export`]
+/// at shutdown captures the end-of-run state. Writes are atomic-ish:
+/// rendered to a temp file first, then renamed over the target, so a
+/// concurrent reader never sees a half-written exposition.
 #[derive(Debug)]
 pub struct MetricsExporter {
     prom_path: Option<PathBuf>,

@@ -27,13 +27,12 @@
 
 pub use crate::batcher::{Batch, BatchPolicy};
 pub use crate::builder::ServerBuilder;
-pub use crate::core::{ServeReport, ServeStats};
+pub use crate::core::ServeReport;
 pub use crate::error::ConfigError;
 pub use crate::executor::{Executor, ExecutorConfig};
 pub use crate::request::{
-    AdmissionError, FailedRequest, Priority, Request, Response, SubmitOptions, WorkloadKind,
-    NO_DEADLINE,
+    AdmissionError, Priority, Request, Response, SubmitOptions, WorkloadKind,
 };
-pub use crate::robust::{DegradationPolicy, Fault, FaultPlan, RetryPolicy};
+pub use crate::robust::{DegradationPolicy, FaultPlan, RetryPolicy};
 pub use crate::server::Server;
 pub use nsflow_telemetry::trace::ShedReason;

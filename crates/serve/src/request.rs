@@ -107,7 +107,7 @@ impl fmt::Display for Priority {
 }
 
 /// A request's deadline field value meaning "no deadline".
-pub const NO_DEADLINE: u64 = u64::MAX;
+pub(crate) const NO_DEADLINE: u64 = u64::MAX;
 
 /// One inference request.
 ///
@@ -126,7 +126,7 @@ pub struct Request {
     /// Tick at which the request was admitted to the queue.
     pub arrival: u64,
     /// Absolute tick the response must be produced by
-    /// ([`NO_DEADLINE`] = none). Enforced at admission (shed if
+    /// (`u64::MAX` = none). Enforced at admission (shed if
     /// infeasible) and again before execution (drop if expired).
     pub deadline: u64,
     /// Scheduling priority (degradation-policy input only).
@@ -273,7 +273,7 @@ impl AdmissionError {
     /// the single mapping both the threaded server and the simulator
     /// use.
     #[must_use]
-    pub fn shed_reason(&self) -> nsflow_telemetry::trace::ShedReason {
+    pub(crate) fn shed_reason(&self) -> nsflow_telemetry::trace::ShedReason {
         use nsflow_telemetry::trace::ShedReason;
         match self {
             AdmissionError::QueueFull { .. } => ShedReason::QueueFull,

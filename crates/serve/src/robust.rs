@@ -138,7 +138,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// True when the plan can never inject a fault.
     #[must_use]
-    pub fn is_inert(&self) -> bool {
+    pub(crate) fn is_inert(&self) -> bool {
         self.error_permille == 0 && self.spike_permille == 0 && self.stall_permille == 0
     }
 
@@ -342,7 +342,7 @@ impl LoadMonitor {
     }
 
     /// Feeds one batch execution latency sample (ticks).
-    pub fn observe_exec(&mut self, latency: u64) {
+    pub(crate) fn observe_exec(&mut self, latency: u64) {
         self.exec_samples[self.exec_next] = latency;
         self.exec_next = (self.exec_next + 1) % EXEC_WINDOW;
         self.exec_len = (self.exec_len + 1).min(EXEC_WINDOW);
@@ -350,7 +350,7 @@ impl LoadMonitor {
 
     /// p95 of the retained exec-latency window (0 with no samples).
     #[must_use]
-    pub fn exec_p95(&self) -> u64 {
+    pub(crate) fn exec_p95(&self) -> u64 {
         PhaseStats::from_samples(self.exec_samples[..self.exec_len].to_vec()).p95
     }
 
@@ -388,7 +388,7 @@ impl LoadMonitor {
     /// The batch bound in effect: the policy's degraded bound while
     /// degraded, `normal` otherwise.
     #[must_use]
-    pub fn effective_max_batch(&self, normal: usize) -> usize {
+    pub(crate) fn effective_max_batch(&self, normal: usize) -> usize {
         if self.degraded {
             self.policy.degraded_max_batch.min(normal)
         } else {
@@ -398,7 +398,7 @@ impl LoadMonitor {
 
     /// True when low-priority work should be shed at admission.
     #[must_use]
-    pub fn sheds_low_priority(&self) -> bool {
+    pub(crate) fn sheds_low_priority(&self) -> bool {
         self.degraded && self.policy.shed_low_priority
     }
 

@@ -9,9 +9,9 @@
 //!
 //! The request lifecycle itself — admission gates, the attempt loop
 //! with deadlines, fault injection and retries, and
-//! all bookkeeping — is the [`ServeCore`](crate::core) that
+//! all bookkeeping — is the `ServeCore` that
 //! [`crate::simlab`] drives too. This module is only its threaded
-//! driver: ticks are wall microseconds ([`WallClock`]), waiting is
+//! driver: ticks are wall microseconds (`WallClock`), waiting is
 //! `thread::sleep`, and execution is [`Executor::execute_batch`].
 //!
 //! Construction goes through the validated builder
@@ -33,7 +33,7 @@ use crate::batcher::Batcher;
 use crate::builder::ServerBuilder;
 use crate::clock::WallClock;
 use crate::core::{CoreConfig, Driver, ServeCore};
-pub use crate::core::{ServeReport, ServeStats};
+use crate::core::{ServeReport, ServeStats};
 use crate::error::ConfigError;
 use crate::executor::Executor;
 use crate::queue::{BoundedQueue, Popped};

@@ -3,7 +3,7 @@
 //! The threaded [`Server`](crate::server::Server) measures wall time, so
 //! its latency numbers vary run to run — useless for a CI-gated
 //! benchmark. This module drives the *same* serving core
-//! ([`crate::core`]: admission gates, batch formation, the attempt loop
+//! (`ServeCore`: admission gates, batch formation, the attempt loop
 //! and all bookkeeping) from a discrete-event simulation in the
 //! architecture's **cycle clock**: arrivals are an open-loop seeded
 //! Poisson-like process, execution costs come from a [`CostModel`]

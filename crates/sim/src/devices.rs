@@ -74,7 +74,7 @@ pub trait DeviceModel {
 /// paper finds symbolic kernels memory-bound (Fig. 1c). All other ops
 /// touch their natural operand sizes.
 #[must_use]
-pub fn lowered_elems(kind: &OpKind) -> usize {
+pub(crate) fn lowered_elems(kind: &OpKind) -> usize {
     match *kind {
         OpKind::VsaConv { n_vec, dim } => n_vec * dim * dim + 2 * n_vec * dim,
         ref k => k.input_elems() + k.weight_elems() + k.output_elems(),

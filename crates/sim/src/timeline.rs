@@ -121,14 +121,14 @@ impl CriticalPathReport {
 
     /// Transfer-stall cycles sitting on the critical path.
     #[must_use]
-    pub fn transfer_stall_cycles(&self) -> u64 {
+    pub(crate) fn transfer_stall_cycles(&self) -> u64 {
         self.nodes.iter().map(|n| n.transfer_stall).sum()
     }
 
     /// Path cycles entered through resource serialization (nodes whose
     /// start was bound by a resource release, not a data dependency).
     #[must_use]
-    pub fn resource_bound_cycles(&self) -> u64 {
+    pub(crate) fn resource_bound_cycles(&self) -> u64 {
         self.nodes
             .iter()
             .filter(|n| n.bound == BindKind::Resource)
@@ -139,7 +139,7 @@ impl CriticalPathReport {
     /// Aggregates path cycles per op (summed over loop instances),
     /// heaviest first; ties broken by op index for determinism.
     #[must_use]
-    pub fn top_ops(&self, graph: &DataflowGraph, n: usize) -> Vec<(String, u64, usize)> {
+    pub(crate) fn top_ops(&self, graph: &DataflowGraph, n: usize) -> Vec<(String, u64, usize)> {
         let mut per_op = vec![(0u64, 0usize); graph.trace().ops().len()];
         for node in &self.nodes {
             let e = &mut per_op[node.op.index()];
@@ -178,7 +178,7 @@ pub struct UtilizationWindow {
 
 /// Stable label for an op kind, used as the trace event category.
 #[must_use]
-pub fn kind_label(kind: &OpKind) -> &'static str {
+pub(crate) fn kind_label(kind: &OpKind) -> &'static str {
     match kind {
         OpKind::Gemm { .. } => "gemm",
         OpKind::VsaConv { .. } => "vsa_conv",

@@ -13,7 +13,7 @@
 //! [`JsonValue`] is built per event. Every event is filled in from the
 //! template of its shape: its phase, its category, its argument keys
 //! and whether it has `args` at all. The first event of a shape renders
-//! the template by [`JsonValue::write_pretty`] at its depth in the
+//! the template with [`JsonValue`]'s pretty writer at its depth in the
 //! document, with a placeholder in every hole (`tid`, `name`, `ts`,
 //! `dur` and the values of `args`, those of them the phase has); each
 //! event copies that text with its own values in the holes. An event's
@@ -270,7 +270,7 @@ impl ChromeTrace {
     /// Adds a thread-scoped instant (`i`) event at `ts` on track `tid`,
     /// sorted by `(ts, order)`. Without `args` the event has no `args`
     /// key.
-    pub fn instant(
+    pub(crate) fn instant(
         &mut self,
         order: u64,
         tid: u64,

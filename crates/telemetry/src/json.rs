@@ -81,7 +81,7 @@ const INLINE_ARRAY_WIDTH: usize = 72;
 /// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
 /// recurses once per level, so the limit keeps hostile input from
 /// overflowing the stack; emitted documents nest a handful of levels.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 impl JsonValue {
     /// An object with literal keys, in the given order.
@@ -99,8 +99,8 @@ impl JsonValue {
     /// # Errors
     ///
     /// A [`JsonError`] naming the byte offset of the first malformed
-    /// token, or of the first array/object nested deeper than
-    /// [`MAX_DEPTH`].
+    /// token, or of the first array/object nested deeper than 128
+    /// levels.
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
         let mut parser = Parser {
             text,
@@ -142,7 +142,7 @@ impl JsonValue {
     }
 
     /// Borrow object entries in document order.
-    pub fn as_object(&self) -> Option<&[(Cow<'static, str>, JsonValue)]> {
+    pub(crate) fn as_object(&self) -> Option<&[(Cow<'static, str>, JsonValue)]> {
         match self {
             JsonValue::Object(entries) => Some(entries),
             _ => None,
@@ -159,7 +159,7 @@ impl JsonValue {
     }
 
     /// Interpret as `i64` (integers only; out-of-range `u64` rejected).
-    pub fn as_i64(&self) -> Option<i64> {
+    pub(crate) fn as_i64(&self) -> Option<i64> {
         match self {
             JsonValue::Int(v) => Some(*v),
             JsonValue::UInt(v) => i64::try_from(*v).ok(),
@@ -192,7 +192,7 @@ impl JsonValue {
     }
 
     /// Append the compact rendering to `out`.
-    pub fn write_compact(&self, out: &mut String) {
+    pub(crate) fn write_compact(&self, out: &mut String) {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -235,7 +235,7 @@ impl JsonValue {
     /// The first line is not indented (the caller chooses its position);
     /// continuation lines are indented `level + 1` steps of two spaces,
     /// so a value can be embedded inside hand-written JSON at any depth.
-    pub fn write_pretty(&self, out: &mut String, level: usize) {
+    pub(crate) fn write_pretty(&self, out: &mut String, level: usize) {
         match self {
             JsonValue::Array(items) => {
                 if items.is_empty() {
@@ -380,7 +380,7 @@ pub(crate) fn decimal_len(v: u64) -> usize {
 /// Runs between escapable bytes (`"`, `\` and controls below 0x20, all
 /// ASCII and so on char boundaries) are copied whole; a string with none
 /// is one copy.
-pub fn escape_into(out: &mut String, s: &str) {
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {

@@ -40,7 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod chrome;
-pub mod json;
+mod json;
 pub mod prom;
 mod registry;
 mod snapshot;
@@ -49,10 +49,7 @@ pub mod trace;
 
 pub use chrome::{ChromeDocument, ChromeTrace};
 pub use json::{JsonError, JsonValue};
-pub use registry::{
-    bucket_index, bucket_lower_bound, global, Counter, Gauge, Histogram, Registry, SpanStat,
-    BUCKETS,
-};
+pub use registry::{global, Counter, Gauge, Histogram, Registry, BUCKETS};
 pub use snapshot::{HistogramSnapshot, SpanSnapshot, TelemetrySnapshot};
 pub use span::SpanGuard;
 pub use trace::{

@@ -16,7 +16,7 @@
 //! - **gauges** as a `gauge` (negative values allowed);
 //! - **histograms** as a `summary` — `{quantile="0.5|0.95|0.99"}`
 //!   estimates from the log2 buckets (see
-//!   [`HistogramSnapshot::quantile`]), `_sum`, `_count`, plus
+//!   [`HistogramSnapshot::p50`]), `_sum`, `_count`, plus
 //!   non-standard `_min`, `_max` and raw `_bucket{bucket="<log2
 //!   index>"}` series that keep the exposition lossless;
 //! - **spans** as three gauges: `_count`, `_total_ns`, `_max_ns`.
@@ -30,7 +30,7 @@ use crate::snapshot::{HistogramSnapshot, SpanSnapshot, TelemetrySnapshot};
 /// Every character outside `[a-zA-Z0-9_]` becomes `_`, and the result
 /// is prefixed with `nsflow_` (spans with `nsflow_span_`).
 #[must_use]
-pub fn mangle(name: &str, prefix: &str) -> String {
+pub(crate) fn mangle(name: &str, prefix: &str) -> String {
     let mut out = String::with_capacity(prefix.len() + name.len());
     out.push_str(prefix);
     for c in name.chars() {

@@ -22,13 +22,13 @@ pub const BUCKETS: usize = 65;
 /// Bucket `0` holds exactly the value `0`; bucket `i > 0` holds values
 /// in `[2^(i-1), 2^i)`; `u64::MAX` lands in bucket `64`.
 #[inline]
-pub fn bucket_index(value: u64) -> usize {
+pub(crate) fn bucket_index(value: u64) -> usize {
     64 - value.leading_zeros() as usize
 }
 
 /// Inclusive lower bound of a bucket produced by [`bucket_index`].
 #[inline]
-pub fn bucket_lower_bound(index: usize) -> u64 {
+pub(crate) fn bucket_lower_bound(index: usize) -> u64 {
     if index == 0 {
         0
     } else {
@@ -220,7 +220,7 @@ impl Default for Histogram {
 
 /// Aggregated timing for one span name.
 #[derive(Debug, Default)]
-pub struct SpanStat {
+pub(crate) struct SpanStat {
     count: AtomicU64,
     total_ns: AtomicU64,
     max_ns: AtomicU64,
@@ -242,11 +242,6 @@ impl SpanStat {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.total_ns.fetch_add(elapsed_ns, Ordering::Relaxed);
         self.max_ns.fetch_max(elapsed_ns, Ordering::Relaxed);
-    }
-
-    /// Number of completed spans.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
     }
 
     fn reset(&self) {
@@ -319,7 +314,7 @@ impl Registry {
     }
 
     /// Span aggregate handle for `name`, registering it on first use.
-    pub fn span_stat(&self, name: &str) -> &'static SpanStat {
+    pub(crate) fn span_stat(&self, name: &str) -> &'static SpanStat {
         lookup(&self.spans, name, SpanStat::new)
     }
 

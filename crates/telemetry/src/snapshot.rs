@@ -16,7 +16,8 @@ pub struct HistogramSnapshot {
     /// Largest sample (0 when empty).
     pub max: u64,
     /// Non-empty log2 buckets as `(bucket_index, sample_count)` pairs,
-    /// sorted by index; see [`crate::bucket_index`].
+    /// sorted by index. Bucket 0 holds the value 0 and bucket `i ≥ 1`
+    /// the values in `[2^(i-1), 2^i)`.
     pub buckets: Vec<(u8, u64)>,
 }
 
@@ -42,7 +43,7 @@ impl HistogramSnapshot {
     /// otherwise one bucket span (a factor of 2). Returns 0 when the
     /// histogram is empty.
     #[must_use]
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -60,7 +61,7 @@ impl HistogramSnapshot {
             if seen.saturating_add(*bucket_count) >= rank {
                 // Out-of-range indexes only come from parsed documents.
                 let index = usize::from(*index).min(crate::BUCKETS - 1);
-                let lo = crate::bucket_lower_bound(index);
+                let lo = crate::registry::bucket_lower_bound(index);
                 // Exclusive upper bound; the top bucket is open-ended.
                 let hi = if index == 0 {
                     1
@@ -81,19 +82,20 @@ impl HistogramSnapshot {
         self.max
     }
 
-    /// Median estimate; see [`HistogramSnapshot::quantile`].
+    /// Median estimate: the rank's log2 bucket, linearly interpolated
+    /// and clamped to `[min, max]` (0 when empty).
     #[must_use]
     pub fn p50(&self) -> u64 {
         self.quantile(0.50)
     }
 
-    /// 95th-percentile estimate; see [`HistogramSnapshot::quantile`].
+    /// 95th-percentile estimate, computed as for [`HistogramSnapshot::p50`].
     #[must_use]
     pub fn p95(&self) -> u64 {
         self.quantile(0.95)
     }
 
-    /// 99th-percentile estimate; see [`HistogramSnapshot::quantile`].
+    /// 99th-percentile estimate, computed as for [`HistogramSnapshot::p50`].
     #[must_use]
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
@@ -224,7 +226,7 @@ impl TelemetrySnapshot {
     ///
     /// The four sections are each optional (missing means empty);
     /// values of the wrong type are an error.
-    pub fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
+    pub(crate) fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
         if value.as_object().is_none() {
             return Err(JsonError::new("snapshot must be a JSON object"));
         }
@@ -389,7 +391,9 @@ mod tests {
     fn hist_of(samples: &[u64]) -> HistogramSnapshot {
         let mut buckets = std::collections::BTreeMap::new();
         for &s in samples {
-            *buckets.entry(crate::bucket_index(s) as u8).or_insert(0u64) += 1;
+            *buckets
+                .entry(crate::registry::bucket_index(s) as u8)
+                .or_insert(0u64) += 1;
         }
         HistogramSnapshot {
             count: samples.len() as u64,

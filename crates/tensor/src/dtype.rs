@@ -57,7 +57,7 @@ impl DType {
 
     /// Whether this precision is an integer fixed-point format.
     #[must_use]
-    pub const fn is_integer(self) -> bool {
+    pub(crate) const fn is_integer(self) -> bool {
         matches!(self, DType::Int4 | DType::Int8)
     }
 
@@ -74,7 +74,7 @@ impl DType {
 
     /// Smallest representable quantized value for integer formats.
     #[must_use]
-    pub const fn integer_min(self) -> Option<i32> {
+    pub(crate) const fn integer_min(self) -> Option<i32> {
         match self {
             DType::Int4 => Some(-8),
             DType::Int8 => Some(-128),

@@ -36,7 +36,7 @@ impl QuantParams {
     ///
     /// Returns [`TensorError::InvalidQuantInput`] if `scale` is not finite
     /// and positive, or if `dtype` is not an integer format.
-    pub fn with_scale(dtype: DType, scale: f32) -> Result<Self> {
+    pub(crate) fn with_scale(dtype: DType, scale: f32) -> Result<Self> {
         if !dtype.is_integer() {
             return Err(TensorError::InvalidQuantInput(format!(
                 "dtype {dtype} is not an integer format"
@@ -109,7 +109,7 @@ impl QuantParams {
 
     /// Dequantizes an integer code to its real value.
     #[must_use]
-    pub fn dequantize(&self, code: i32) -> f32 {
+    pub(crate) fn dequantize(&self, code: i32) -> f32 {
         code as f32 * self.scale
     }
 

@@ -130,7 +130,7 @@ pub enum OpKind {
 impl OpKind {
     /// Whether the op executes on the (systolic) array.
     #[must_use]
-    pub fn is_array_op(&self) -> bool {
+    pub(crate) fn is_array_op(&self) -> bool {
         matches!(self, OpKind::Gemm { .. } | OpKind::VsaConv { .. })
     }
 
@@ -190,7 +190,7 @@ impl OpKind {
 
     /// True when every size parameter is nonzero.
     #[must_use]
-    pub fn is_well_formed(&self) -> bool {
+    pub(crate) fn is_well_formed(&self) -> bool {
         match *self {
             OpKind::Gemm { m, n, k } => m > 0 && n > 0 && k > 0,
             OpKind::VsaConv { n_vec, dim } => n_vec > 0 && dim > 0,

@@ -134,7 +134,7 @@ impl BlockCode {
 
     /// Geometry rendered as `blocks×dim` (used in error messages).
     #[must_use]
-    pub fn geometry_string(&self) -> String {
+    pub(crate) fn geometry_string(&self) -> String {
         format!("{}×{}", self.n_blocks, self.block_dim)
     }
 

@@ -5,14 +5,11 @@ use crate::{ops, BlockCode, Result, VsaError};
 /// An item memory: a set of random codewords with cleanup (nearest-codeword
 /// recall).
 ///
-/// Two codeword families are provided:
-///
-/// - **bipolar**: i.i.d. ±1/√len entries — the classic dense binary VSA
-///   family; unbinding is approximate (crosstalk ~ 1/√d per block),
-/// - **unitary**: every block has a flat Fourier magnitude spectrum, so
-///   circular-convolution binding is exactly invertible and norm-preserving
-///   — the family NVSA's block codes use, and the reason the AdArray can
-///   treat inverse binding as just another convolution.
+/// The generated codewords are **unitary**: every block has a flat Fourier
+/// magnitude spectrum, so circular-convolution binding is exactly
+/// invertible and norm-preserving — the family NVSA's block codes use, and
+/// the reason the AdArray can treat inverse binding as just another
+/// convolution. [`Codebook::from_codewords`] wraps any other family.
 ///
 /// # Examples
 ///
@@ -20,7 +17,7 @@ use crate::{ops, BlockCode, Result, VsaError};
 /// use nsflow_vsa::Codebook;
 ///
 /// let mut rng = nsflow_tensor::rng::StdRng::seed_from_u64(1);
-/// let book = Codebook::random_bipolar(16, 4, 64, &mut rng);
+/// let book = Codebook::random_unitary(16, 4, 64, &mut rng);
 /// assert_eq!(book.len(), 16);
 /// assert_eq!(book.cleanup(book.codeword(3))?, 3);
 /// # Ok::<(), nsflow_vsa::VsaError>(())
@@ -43,36 +40,6 @@ impl Codebook {
             first.check_geometry(cw)?;
         }
         Ok(Codebook { codewords })
-    }
-
-    /// Generates `count` random bipolar codewords (entries ±1/√len).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any size parameter is zero.
-    #[must_use]
-    pub fn random_bipolar(
-        count: usize,
-        n_blocks: usize,
-        block_dim: usize,
-        rng: &mut StdRng,
-    ) -> Self {
-        assert!(
-            count > 0 && n_blocks > 0 && block_dim > 0,
-            "sizes must be nonzero"
-        );
-        let len = n_blocks * block_dim;
-        let amp = 1.0 / (len as f32).sqrt();
-        let codewords = (0..count)
-            .map(|_| {
-                let data = (0..len)
-                    .map(|_| if rng.gen::<bool>() { amp } else { -amp })
-                    .collect();
-                BlockCode::from_vec(n_blocks, block_dim, data)
-                    .expect("generated data matches geometry")
-            })
-            .collect();
-        Codebook { codewords }
     }
 
     /// Generates `count` random unitary codewords: each block is the
@@ -183,7 +150,7 @@ impl Codebook {
     ///
     /// Returns [`VsaError::DataLengthMismatch`] if `weights.len()` differs
     /// from `len()`.
-    pub fn weighted_superposition(&self, weights: &[f32]) -> Result<BlockCode> {
+    pub(crate) fn weighted_superposition(&self, weights: &[f32]) -> Result<BlockCode> {
         if weights.len() != self.codewords.len() {
             return Err(VsaError::DataLengthMismatch {
                 expected: self.codewords.len(),
@@ -265,26 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn bipolar_codewords_are_unit_norm() {
-        let book = Codebook::random_bipolar(4, 2, 32, &mut rng());
-        for cw in book.codewords() {
-            let n: f32 = cw.data().iter().map(|x| x * x).sum::<f32>().sqrt();
-            assert!((n - 1.0).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn bipolar_codewords_are_quasi_orthogonal() {
-        let book = Codebook::random_bipolar(8, 4, 256, &mut rng());
-        for i in 0..8 {
-            for j in (i + 1)..8 {
-                let s = book.codeword(i).similarity(book.codeword(j)).unwrap();
-                assert!(s.abs() < 0.15, "|sim({i},{j})| = {s} too high for d=1024");
-            }
-        }
-    }
-
-    #[test]
     fn unitary_blocks_have_unit_norm() {
         let book = Codebook::random_unitary(3, 2, 64, &mut rng());
         for cw in book.codewords() {
@@ -318,23 +265,8 @@ mod tests {
     }
 
     #[test]
-    fn bipolar_unbind_is_approximate() {
-        let mut r = rng();
-        let book = Codebook::random_bipolar(4, 4, 256, &mut r);
-        let x = book.codeword(0);
-        let k = book.codeword(1);
-        let recovered = x.bind(k).unwrap().unbind(k).unwrap();
-        let s = recovered.similarity(x).unwrap();
-        assert!(
-            s > 0.5,
-            "bipolar unbind should be noisy but similar, sim = {s}"
-        );
-        assert_eq!(book.cleanup(&recovered).unwrap(), 0);
-    }
-
-    #[test]
     fn cleanup_recovers_exact_codewords() {
-        let book = Codebook::random_bipolar(32, 2, 64, &mut rng());
+        let book = Codebook::random_unitary(32, 2, 64, &mut rng());
         for i in [0usize, 7, 31] {
             assert_eq!(book.cleanup(book.codeword(i)).unwrap(), i);
         }
@@ -367,7 +299,7 @@ mod tests {
 
     #[test]
     fn weighted_superposition_shapes_and_errors() {
-        let book = Codebook::random_bipolar(3, 1, 16, &mut rng());
+        let book = Codebook::random_unitary(3, 1, 16, &mut rng());
         assert!(book.weighted_superposition(&[1.0, 0.0]).is_err());
         let sup = book.weighted_superposition(&[1.0, 0.0, 0.0]).unwrap();
         assert!((sup.similarity(book.codeword(0)).unwrap() - 1.0).abs() < 1e-6);

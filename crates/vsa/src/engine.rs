@@ -73,11 +73,11 @@
 //!
 //! # Fallback contract
 //!
-//! The spectral path needs [`crate::fft::fast_path_applies`] to hold for
-//! the block dimension (power of two, ≥ 8). For any other geometry
-//! [`SpectralResonator::factorize`] transparently delegates to the
-//! reference [`Resonator`], so the engine is total over every geometry
-//! the reference accepts.
+//! The spectral path needs the block dimension to be a power of two and
+//! at least 8, the same condition as the [`crate::fft`] kernels. For any
+//! other geometry [`SpectralResonator::factorize`] transparently
+//! delegates to the reference [`Resonator`], so the engine is total over
+//! every geometry the reference accepts.
 
 use std::borrow::Cow;
 use std::sync::OnceLock;
@@ -179,7 +179,7 @@ impl SpectralCodebook {
     /// radix-2 fast path); when false the resonator delegates to the
     /// reference implementation.
     #[must_use]
-    pub fn is_spectral(&self) -> bool {
+    pub(crate) fn is_spectral(&self) -> bool {
         self.spectra.is_some()
     }
 
@@ -376,7 +376,7 @@ impl SpectralResonator {
     /// Whether factorization will run the spectral loop (vs. delegating
     /// to the reference resonator).
     #[must_use]
-    pub fn is_spectral(&self) -> bool {
+    pub(crate) fn is_spectral(&self) -> bool {
         self.books.iter().all(SpectralCodebook::is_spectral)
     }
 
@@ -808,7 +808,7 @@ mod tests {
         let engine = SpectralResonator::new(books).unwrap();
         let wrong = BlockCode::zeros(1, 64);
         assert!(engine.prepare(wrong.clone()).is_err());
-        let book_engine = SpectralCodebook::new(Codebook::random_bipolar(
+        let book_engine = SpectralCodebook::new(Codebook::random_unitary(
             3,
             2,
             32,

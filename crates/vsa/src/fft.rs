@@ -36,16 +36,14 @@
 //!
 //! # Fallback contract
 //!
-//! [`circular_convolve_fast`] and [`circular_correlate_fast`] are **total
-//! over all equal-length inputs**: when `n` is not a power of two — the
-//! radix-2 plan cannot decompose it — or `n < 8` — where the butterfly +
-//! complex-arithmetic overhead loses to the direct kernel — they fall back
-//! to [`ops::circular_convolve`]/[`ops::circular_correlate`] and are then
-//! **bit-identical** to the reference (same function, not an
+//! [`circular_convolve_fast`] is **total over all equal-length inputs**:
+//! when `n` is not a power of two — the radix-2 plan cannot decompose it —
+//! or `n < 8` — where the butterfly + complex-arithmetic overhead loses to
+//! the direct kernel — it falls back to [`ops::circular_convolve`] and is
+//! then **bit-identical** to the reference (same function, not an
 //! approximation). On the fast path the result carries f64-FFT rounding
 //! instead, within ~1e-3 absolute of the reference for unit-scale
-//! operands. Callers that need to know which path runs can test
-//! [`fast_path_applies`].
+//! operands.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -307,7 +305,7 @@ pub(crate) fn plan(n: usize) -> Rc<FftPlan> {
 /// and at least 8); otherwise the `*_fast` functions run the direct
 /// reference kernel. See the module-level fallback contract.
 #[must_use]
-pub fn fast_path_applies(n: usize) -> bool {
+pub(crate) fn fast_path_applies(n: usize) -> bool {
     n.is_power_of_two() && n >= 8
 }
 
@@ -329,7 +327,7 @@ fn spectral(a: &[f32], b: &[f32], n: usize, product: fn(&mut Spectrum, &Spectrum
 
 /// Circular convolution via the convolution theorem; falls back to the
 /// direct O(d²) kernel — bit-identical to [`ops::circular_convolve`] —
-/// when [`fast_path_applies`] is false (non-power-of-two `n`, or `n < 8`).
+/// when `n` is not a power of two or `n < 8`.
 ///
 /// # Panics
 ///
@@ -345,28 +343,9 @@ pub fn circular_convolve_fast(a: &[f32], b: &[f32]) -> Vec<f32> {
     spectral(a, b, n, Spectrum::mul)
 }
 
-/// Circular correlation via the spectrum (`FFT(a)·conj(FFT(b))`); exact
-/// counterpart of [`crate::ops::circular_correlate`], with the same
-/// fallback contract as [`circular_convolve_fast`] (bit-identical to the
-/// reference kernel when [`fast_path_applies`] is false).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[must_use]
-pub fn circular_correlate_fast(a: &[f32], b: &[f32]) -> Vec<f32> {
-    let n = a.len();
-    assert_eq!(b.len(), n, "operand lengths must match");
-    if !fast_path_applies(n) {
-        telemetry::counter!("vsa.kernel_fallbacks").incr();
-        return ops::circular_correlate(a, b);
-    }
-    spectral(a, b, n, Spectrum::mul_conj)
-}
-
 /// Blockwise binding through the fast path — drop-in accelerated
-/// equivalent of [`crate::ops::bind`], which it runs when
-/// [`fast_path_applies`] is false for the block dimension.
+/// equivalent of [`crate::ops::bind`], which it runs when the block
+/// dimension is not a power of two or is below 8.
 ///
 /// # Errors
 ///
@@ -382,8 +361,8 @@ pub fn bind_fast(a: &BlockCode, b: &BlockCode) -> Result<BlockCode> {
 }
 
 /// Blockwise inverse binding through the fast path — drop-in accelerated
-/// equivalent of [`crate::ops::unbind`], which it runs when
-/// [`fast_path_applies`] is false for the block dimension.
+/// equivalent of [`crate::ops::unbind`], which it runs when the block
+/// dimension is not a power of two or is below 8.
 ///
 /// # Errors
 ///
@@ -425,20 +404,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fast_correlation_matches_direct() {
-        let mut rng = StdRng::seed_from_u64(2);
-        for n in [8usize, 32, 128] {
-            let a = randvec(n, &mut rng);
-            let b = randvec(n, &mut rng);
-            let fast = circular_correlate_fast(&a, &b);
-            let direct = ops::circular_correlate(&a, &b);
-            for (f, d) in fast.iter().zip(&direct) {
-                assert!((f - d).abs() < 1e-3, "n={n}");
-            }
-        }
-    }
-
     /// The twiddle-table satellite: at d = 4096 the tabulated FFT stays
     /// tight against the direct O(d²) kernel. The seed's running-product
     /// twiddles drifted roughly an order of magnitude worse here, so the
@@ -471,7 +436,7 @@ mod tests {
 
     /// The fallback contract: both fallback branches (non-power-of-two,
     /// and power-of-two below 8) return the reference kernel's output
-    /// bit-for-bit, for convolution and correlation alike.
+    /// bit-for-bit.
     #[test]
     fn fallback_branches_are_bit_identical_to_reference() {
         let mut rng = StdRng::seed_from_u64(3);
@@ -484,10 +449,6 @@ mod tests {
                 circular_convolve_fast(&a, &b),
                 ops::circular_convolve(&a, &b)
             );
-            assert_eq!(
-                circular_correlate_fast(&a, &b),
-                ops::circular_correlate(&a, &b)
-            );
         }
         // Branch 2: power-of-two length below the n = 8 threshold.
         for n in [1usize, 2, 4] {
@@ -497,10 +458,6 @@ mod tests {
             assert_eq!(
                 circular_convolve_fast(&a, &b),
                 ops::circular_convolve(&a, &b)
-            );
-            assert_eq!(
-                circular_correlate_fast(&a, &b),
-                ops::circular_correlate(&a, &b)
             );
         }
         // And the boundary itself takes the fast path.
@@ -520,7 +477,7 @@ mod tests {
     #[test]
     fn fast_bind_matches_reference_bind() {
         let mut rng = StdRng::seed_from_u64(5);
-        let book = crate::Codebook::random_bipolar(2, 2, 64, &mut rng);
+        let book = crate::Codebook::random_unitary(2, 2, 64, &mut rng);
         let fast = bind_fast(book.codeword(0), book.codeword(1)).unwrap();
         let slow = ops::bind(book.codeword(0), book.codeword(1)).unwrap();
         for (f, s) in fast.data().iter().zip(slow.data()) {

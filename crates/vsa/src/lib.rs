@@ -15,7 +15,7 @@
 //!
 //! - [`BlockCode`]: a hypervector of `n_blocks × block_dim` elements,
 //! - [`ops`]: circular convolution/correlation, bundling, similarity,
-//! - [`Codebook`]: random item memories (bipolar and unitary) with cleanup,
+//! - [`Codebook`]: random unitary item memories with cleanup,
 //! - [`fft`]: O(d·log d) convolution/correlation for software consumers,
 //! - [`gemm`]: the dense `matmul`/`matvec` kernels the AdArray performs in
 //!   NN mode,

@@ -22,7 +22,7 @@ use crate::{BlockCode, Result, VsaError};
 /// # Panics
 ///
 /// Panics if the three slices differ in length.
-pub fn circular_convolve_into(a: &[f32], b: &[f32], out: &mut [f32]) {
+pub(crate) fn circular_convolve_into(a: &[f32], b: &[f32], out: &mut [f32]) {
     let n = a.len();
     assert_eq!(b.len(), n, "operand lengths must match");
     assert_eq!(out.len(), n, "output length must match");

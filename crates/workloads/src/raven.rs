@@ -205,21 +205,6 @@ pub fn generate(params: &TaskParams, rng: &mut StdRng) -> RpmTask {
 }
 
 impl RpmTask {
-    /// The eight context panels in row-major order (excluding `[2][2]`).
-    #[must_use]
-    pub fn context(&self) -> Vec<&[usize]> {
-        let mut out = Vec::with_capacity(8);
-        for (r, row) in self.grid.iter().enumerate() {
-            for (c, cell) in row.iter().enumerate() {
-                if r == 2 && c == 2 {
-                    continue;
-                }
-                out.push(cell.as_slice());
-            }
-        }
-        out
-    }
-
     /// The hidden answer panel's attribute values.
     #[must_use]
     pub fn answer_panel(&self) -> &[usize] {
@@ -233,7 +218,11 @@ impl RpmTask {
 /// distribute-three, else the bottom row's middle value (so the
 /// pipeline stays total). `values` is the attribute's value count.
 #[must_use]
-pub fn predict_attribute(grid: &[[Vec<usize>; 3]; 3], attribute: usize, values: usize) -> usize {
+pub(crate) fn predict_attribute(
+    grid: &[[Vec<usize>; 3]; 3],
+    attribute: usize,
+    values: usize,
+) -> usize {
     let v = values;
     let row = |r: usize, c: usize| grid[r][c][attribute];
 
@@ -335,12 +324,6 @@ mod tests {
             let unique: std::collections::HashSet<_> = t.candidates.iter().collect();
             assert_eq!(unique.len(), t.candidates.len());
         }
-    }
-
-    #[test]
-    fn context_has_eight_panels() {
-        let t = generate(&TaskParams::default(), &mut rng());
-        assert_eq!(t.context().len(), 8);
     }
 
     #[test]

@@ -158,7 +158,7 @@ impl VsaReasoner {
     ///
     /// Panics if `attrs` length differs from the attribute count or any
     /// value index is out of range.
-    pub fn encode_panel(&self, attrs: &[usize], rng: &mut StdRng) -> BlockCode {
+    pub(crate) fn encode_panel(&self, attrs: &[usize], rng: &mut StdRng) -> BlockCode {
         assert_eq!(
             attrs.len(),
             self.codebooks.len(),
@@ -198,7 +198,7 @@ impl VsaReasoner {
     /// Panics if `attrs` length differs from the attribute count or any
     /// value index is out of range.
     #[must_use]
-    pub fn encode_exact(&self, attrs: &[usize]) -> BlockCode {
+    pub(crate) fn encode_exact(&self, attrs: &[usize]) -> BlockCode {
         let mut code = self
             .engine
             .reconstruct(attrs)
@@ -212,7 +212,7 @@ impl VsaReasoner {
     /// the other factors' current codewords, clean up, repeat) — the
     /// "cleanup memory" refinement NVSA applies after resonance.
     #[must_use]
-    pub fn decode_panel(&self, panel: &BlockCode) -> Vec<usize> {
+    pub(crate) fn decode_panel(&self, panel: &BlockCode) -> Vec<usize> {
         let mut code = panel.clone();
         quantize_code(&mut code, self.config.symbolic_dtype);
         // Every unbind below reuses this one transform of the target.

@@ -79,7 +79,7 @@ impl SparseReasoner {
 
     /// Perceives a panel: sparse product → dense expansion → noise +
     /// ambiguity + quantization (the CNN-output side of the pipeline).
-    pub fn perceive(&self, attrs: &[usize], rng: &mut StdRng) -> BlockCode {
+    pub(crate) fn perceive(&self, attrs: &[usize], rng: &mut StdRng) -> BlockCode {
         assert_eq!(
             attrs.len(),
             self.codebooks.len(),
@@ -116,7 +116,7 @@ impl SparseReasoner {
     /// product is not factorizable in the codebooks (a perception error
     /// so strong no assignment matches).
     #[must_use]
-    pub fn decode(&self, dense: &BlockCode) -> Option<Vec<usize>> {
+    pub(crate) fn decode(&self, dense: &BlockCode) -> Option<Vec<usize>> {
         let observed = SparseBlockCode::from_dense(dense).ok()?;
         // Exact enumeration: fix attribute 0, peel it, recurse greedily —
         // for the RPM case (3 attributes) this is V² integer checks.

@@ -528,7 +528,7 @@ fn sample_serving_trace() -> TraceSnapshot {
         ts += rng.gen_range(1u64..900);
         push(id, ts, RequestEvent::Admitted);
         if rng.gen_range(0u32..6) == 0 {
-            let reason = ShedReason::all()[rng.gen_range(0usize..4)];
+            let reason = ShedReason::all()[rng.gen_range(0..ShedReason::all().len())];
             push(id, ts + 1, RequestEvent::Shed { reason });
             continue;
         }
