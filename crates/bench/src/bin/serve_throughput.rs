@@ -42,7 +42,7 @@ use nsflow_bench::{exact, write_artifact, write_csv};
 use nsflow_serve::batcher::BatchPolicy;
 use nsflow_serve::executor::{Executor, ExecutorConfig};
 use nsflow_serve::request::{Priority, WorkloadKind};
-use nsflow_serve::robust::{DegradationPolicy, FaultPlan, RetryPolicy};
+use nsflow_serve::robust::{FaultPlan, RetryPolicy};
 use nsflow_serve::simlab::{self, CostModel, SimConfig, SimReport};
 use nsflow_telemetry::JsonValue;
 
@@ -310,14 +310,7 @@ fn main() {
                 backoff_cap: mean_interarrival * 8,
                 jitter_seed: SEED,
             },
-            degradation: Some(DegradationPolicy {
-                high_watermark: 24,
-                low_watermark: 8,
-                exec_p95_limit: 0,
-                degraded_max_batch: 4,
-                shed_low_priority: true,
-                min_dwell: mean_interarrival * 32,
-            }),
+            degradation: None,
             faults: FaultPlan {
                 seed: SEED,
                 error_permille: 150,

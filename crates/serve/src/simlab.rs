@@ -433,13 +433,7 @@ mod tests {
                 backoff_cap: 1_000,
                 jitter_seed: 3,
             },
-            degradation: Some(DegradationPolicy {
-                high_watermark: 12,
-                low_watermark: 4,
-                degraded_max_batch: 2,
-                min_dwell: 500,
-                ..DegradationPolicy::default()
-            }),
+            degradation: None,
             faults: FaultPlan {
                 seed: 0xbad,
                 error_permille: 250,

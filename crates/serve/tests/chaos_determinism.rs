@@ -8,12 +8,12 @@
 
 use nsflow_serve::batcher::BatchPolicy;
 use nsflow_serve::request::{Priority, WorkloadKind};
-use nsflow_serve::robust::{DegradationPolicy, FaultPlan, RetryPolicy};
+use nsflow_serve::robust::{FaultPlan, RetryPolicy};
 use nsflow_serve::simlab::{self, CostModel, SimConfig};
 
 /// FNV-1a digest of the chaos run's rendered Chrome trace, pinned so a
 /// refactor of the serving core cannot change simlab output unnoticed.
-const CHAOS_TRACE_FNV1A: u64 = 0x95fe_c0e6_bfa6_ca55;
+const CHAOS_TRACE_FNV1A: u64 = 0x9875_88fd_af0c_9e76;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
@@ -21,9 +21,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// A saturating mixed-priority run where every robustness policy is
-/// live: deadlines, retries, all three fault kinds and degradation all
-/// fire at these rates.
+/// A saturating run where every robustness policy is live: deadlines,
+/// retries and all three fault kinds fire at these rates.
 fn chaos_config() -> SimConfig {
     SimConfig {
         requests: 160,
@@ -44,14 +43,7 @@ fn chaos_config() -> SimConfig {
             backoff_cap: 2_000,
             jitter_seed: 5,
         },
-        degradation: Some(DegradationPolicy {
-            high_watermark: 12,
-            low_watermark: 4,
-            exec_p95_limit: 0,
-            degraded_max_batch: 2,
-            shed_low_priority: true,
-            min_dwell: 1_000,
-        }),
+        degradation: None,
         faults: FaultPlan {
             seed: 0xbad_cafe,
             error_permille: 250,
