@@ -341,6 +341,26 @@ mod tests {
     }
 
     #[test]
+    fn phase2_keeps_every_concurrent_pair_within_the_array() {
+        // Every layer spans all six VSA nodes, so a VSA-side donation by
+        // one layer also shrinks the room of the others.
+        let g = nvsa_like(8);
+        let cfg = ArrayConfig::new(16, 16, 16).unwrap();
+        let n = cfg.n_subarrays();
+        let start = Mapping::uniform(4, 6, 15, 1);
+        let refined = phase2(&g, &cfg, &start, &DseOptions::default()).mapping;
+        for (layer, &n_l) in refined.n_l.iter().enumerate() {
+            for j in phase2::vsa_span_of_layer(&g, layer) {
+                assert!(
+                    n_l + refined.n_v[j] <= n,
+                    "layer {layer} ({n_l}) + VSA node {j} ({}) > {n}",
+                    refined.n_v[j]
+                );
+            }
+        }
+    }
+
+    #[test]
     fn more_pe_budget_never_hurts() {
         let g = nvsa_like(8);
         let small = explore(

@@ -124,33 +124,30 @@ pub fn phase2(
                 if snapshot.t_nn >= snapshot.t_vsa {
                     // NN is the bottleneck: take one sub-array from each
                     // span node that can spare it and give it to this layer.
-                    if span.iter().all(|&j| candidate.n_v[j] > 1)
-                        && layer_headroom(&candidate, layer, span, n)
-                    {
-                        candidate.n_l[layer] += 1;
-                        for &j in span {
-                            candidate.n_v[j] -= 1;
-                        }
-                    } else {
+                    if !span.iter().all(|&j| candidate.n_v[j] > 1) {
                         return None;
+                    }
+                    candidate.n_l[layer] += 1;
+                    for &j in span {
+                        candidate.n_v[j] -= 1;
                     }
                 } else {
                     // VSA is the bottleneck: donate one sub-array from the
                     // layer.
-                    if candidate.n_l[layer] > 1
-                        && span
-                            .iter()
-                            .all(|&j| candidate.n_v[j] + candidate.n_l[layer] - 1 <= n)
-                    {
-                        candidate.n_l[layer] -= 1;
-                        for &j in span {
-                            candidate.n_v[j] += 1;
-                        }
-                    } else {
+                    if candidate.n_l[layer] <= 1 {
                         return None;
                     }
+                    candidate.n_l[layer] -= 1;
+                    for &j in span {
+                        candidate.n_v[j] += 1;
+                    }
                 }
-                if candidate.validate(config, nn_count, vsa_count).is_err() {
+                // A span node can be shared by several layers, so a move
+                // must keep every concurrent pair within the array, not
+                // only the moving layer's.
+                if !pairs_fit(&candidate, &spans, n)
+                    || candidate.validate(config, nn_count, vsa_count).is_err()
+                {
                     return None;
                 }
                 Some(candidate)
@@ -192,12 +189,13 @@ pub fn phase2(
     }
 }
 
-/// Whether giving layer `layer` one more sub-array keeps every concurrent
-/// pair within the array.
-fn layer_headroom(mapping: &Mapping, layer: usize, span: &[usize], n: usize) -> bool {
-    let new_l = mapping.n_l[layer] + 1;
-    span.iter()
-        .all(|&j| new_l + mapping.n_v[j].saturating_sub(1) <= n)
+/// Whether every NN layer and each VSA node of its span fit the array
+/// together: `N_l[i] + N_v[j] <= n` for every concurrent pair.
+fn pairs_fit(mapping: &Mapping, spans: &[Vec<usize>], n: usize) -> bool {
+    spans
+        .iter()
+        .zip(&mapping.n_l)
+        .all(|(span, &n_l)| span.iter().all(|&j| n_l + mapping.n_v[j] <= n))
 }
 
 #[cfg(test)]
