@@ -19,8 +19,8 @@
 //!   queue.
 //! - **nvsa_chaos** — the full robustness layer under saturating load:
 //!   seeded fault injection (exec errors, latency spikes, lane stalls),
-//!   bounded retries with deterministic backoff, per-request deadlines
-//!   and watermark degradation. Shed, retry and failure rates land in
+//!   bounded retries with deterministic backoff and per-request
+//!   deadlines. Shed, retry and failure rates land in
 //!   `BENCH_serve.json`, where `bench_gate` holds them exact.
 //!
 //! Every dispatched request is also executed functionally (real
@@ -41,7 +41,7 @@ use std::borrow::Cow;
 use nsflow_bench::{exact, write_artifact, write_csv};
 use nsflow_serve::batcher::BatchPolicy;
 use nsflow_serve::executor::{Executor, ExecutorConfig};
-use nsflow_serve::request::{Priority, WorkloadKind};
+use nsflow_serve::request::WorkloadKind;
 use nsflow_serve::robust::{FaultPlan, RetryPolicy};
 use nsflow_serve::simlab::{self, CostModel, SimConfig, SimReport};
 use nsflow_telemetry::JsonValue;
@@ -91,17 +91,11 @@ fn run_scenario(
         phases.exec.p50,
         phases.exec.p95,
     );
-    let chaos_active =
-        stats.faults_injected + stats.retries + stats.failed + stats.expired + stats.degraded_ticks;
+    let chaos_active = stats.faults_injected + stats.retries + stats.failed + stats.expired;
     if chaos_active > 0 {
         println!(
-            "{:<16}   chaos: faults {} retries {} failed {} expired {} degraded-ticks {}",
-            "",
-            stats.faults_injected,
-            stats.retries,
-            stats.failed,
-            stats.expired,
-            stats.degraded_ticks,
+            "{:<16}   chaos: faults {} retries {} failed {} expired {}",
+            "", stats.faults_injected, stats.retries, stats.failed, stats.expired,
         );
     }
     Scenario {
@@ -165,7 +159,6 @@ fn scenario_json(s: &Scenario) -> JsonValue {
         // Admitted requests dropped at the pre-exec deadline check.
         ("deadline_shed", count(stats.expired)),
         ("failed", count(stats.failed)),
-        ("degraded_ticks", count(stats.degraded_ticks)),
         // Lifecycle events recorded, retained plus overwritten.
         (
             "trace_events",
@@ -295,7 +288,6 @@ fn main() {
             requests,
             mean_interarrival,
             kinds: vec![nvsa],
-            priorities: vec![Priority::Normal, Priority::Low, Priority::High],
             queue_capacity: 32,
             policy: BatchPolicy {
                 max_batch: MAX_BATCH,
@@ -310,7 +302,6 @@ fn main() {
                 backoff_cap: mean_interarrival * 8,
                 jitter_seed: SEED,
             },
-            degradation: None,
             faults: FaultPlan {
                 seed: SEED,
                 error_permille: 150,

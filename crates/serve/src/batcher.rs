@@ -72,7 +72,8 @@ pub struct Batcher {
 
 impl Batcher {
     /// Creates a batcher with the given policy, with room for one full
-    /// batch reserved up front.
+    /// batch reserved up front. Every flush hands its vector to the
+    /// batch and reserves a full batch's room for the next one.
     ///
     /// # Errors
     ///
@@ -91,26 +92,6 @@ impl Batcher {
             pending,
             oldest_since: None,
         })
-    }
-
-    /// The active policy.
-    #[must_use]
-    pub fn policy(&self) -> BatchPolicy {
-        self.policy
-    }
-
-    /// Replaces the policy mid-stream (the degradation path shrinks
-    /// `max_batch` under load and restores it on recovery). Takes
-    /// effect on the next [`offer`](Batcher::offer) /
-    /// [`poll`](Batcher::poll); an already-oversized pending set is
-    /// emitted by the next `poll`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `policy.max_batch == 0`.
-    pub(crate) fn set_policy(&mut self, policy: BatchPolicy) {
-        assert!(policy.max_batch >= 1, "max_batch must be >= 1");
-        self.policy = policy;
     }
 
     /// Requests currently waiting for a flush.
@@ -133,9 +114,7 @@ impl Batcher {
     }
 
     /// Deadline check at tick `now`: emits a partial batch if the oldest
-    /// pending request has waited `max_wait` or longer, or a full batch
-    /// if a policy shrink since the last call left the pending set at or
-    /// past the (new) size threshold.
+    /// pending request has waited `max_wait` or longer.
     ///
     /// A deadline reached with an **empty** pending set is a no-op:
     /// `poll` returns `None`, never an empty batch. (`oldest_since` is
@@ -143,9 +122,7 @@ impl Batcher {
     /// to trigger in the first place.)
     pub fn poll(&mut self, now: u64) -> Option<Batch> {
         let since = self.oldest_since?;
-        if self.pending.len() >= self.policy.max_batch
-            || now.saturating_sub(since) >= self.policy.max_wait
-        {
+        if now.saturating_sub(since) >= self.policy.max_wait {
             self.take(now)
         } else {
             None
@@ -179,8 +156,9 @@ impl Batcher {
             return None;
         }
         self.oldest_since = None;
+        let next = Vec::with_capacity(self.policy.max_batch);
         Some(Batch {
-            requests: std::mem::take(&mut self.pending),
+            requests: std::mem::replace(&mut self.pending, next),
             formed_at: now,
         })
     }
@@ -227,24 +205,19 @@ mod tests {
     }
 
     #[test]
-    fn shrinking_policy_flushes_oversized_pending_on_poll() {
+    fn every_flush_leaves_room_for_a_full_batch() {
         let mut b = Batcher::new(BatchPolicy {
-            max_batch: 8,
-            max_wait: 1_000,
+            max_batch: 4,
+            max_wait: 10,
         })
         .unwrap();
         for i in 0..4 {
-            assert!(b.offer(req(i, i), i).is_none());
+            b.offer(req(i, 0), 0);
         }
-        // Degradation shrinks the bound below the pending size: the
-        // next poll emits immediately, well before the deadline.
-        b.set_policy(BatchPolicy {
-            max_batch: 2,
-            max_wait: 1_000,
-        });
-        let batch = b.poll(5).expect("size flush after shrink");
-        assert_eq!(batch.len(), 4);
-        assert!(b.poll(6).is_none(), "accumulator now empty");
+        assert!(b.pending.capacity() >= 4, "after a size flush");
+        b.offer(req(4, 1), 1);
+        assert_eq!(b.poll(11).map(|batch| batch.len()), Some(1));
+        assert!(b.pending.capacity() >= 4, "after a deadline flush");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use crate::batcher::BatchPolicy;
 use crate::error::ConfigError;
 use crate::executor::ExecutorConfig;
-use crate::robust::{DegradationPolicy, FaultPlan, RetryPolicy};
+use crate::robust::{FaultPlan, RetryPolicy};
 use crate::server::Server;
 
 /// Most worker threads a server may be configured with. Each worker is
@@ -37,7 +37,7 @@ pub(crate) const MAX_WORKERS: usize = 256;
 /// Defaults: queue capacity 64, the default [`BatchPolicy`], 2 workers,
 /// the default [`ExecutorConfig`], a 4096-event flight recorder, and
 /// every robustness policy inert: no default deadline, one
-/// execution attempt, no fault injection and no degradation.
+/// execution attempt and no fault injection.
 #[derive(Debug, Clone)]
 pub struct ServerBuilder {
     pub(crate) queue_capacity: usize,
@@ -47,7 +47,6 @@ pub struct ServerBuilder {
     pub(crate) trace_capacity: usize,
     pub(crate) deadline_default: Option<u64>,
     pub(crate) retry: RetryPolicy,
-    pub(crate) degradation: Option<DegradationPolicy>,
     pub(crate) faults: FaultPlan,
 }
 
@@ -61,7 +60,6 @@ impl Default for ServerBuilder {
             trace_capacity: 4096,
             deadline_default: None,
             retry: RetryPolicy::default(),
-            degradation: None,
             faults: FaultPlan::default(),
         }
     }
@@ -126,13 +124,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Graceful-degradation policy (off unless set).
-    #[must_use]
-    pub fn degradation(mut self, degradation: DegradationPolicy) -> Self {
-        self.degradation = Some(degradation);
-        self
-    }
-
     /// Fault-injection plan (inert unless set).
     #[must_use]
     pub fn faults(mut self, faults: FaultPlan) -> Self {
@@ -148,8 +139,7 @@ impl ServerBuilder {
     /// capacity / `max_batch` / workers, more than 256
     /// workers, a retry policy allowing zero
     /// attempts, a default deadline shorter than one batch window,
-    /// inverted degradation watermarks, an out-of-range degraded batch
-    /// bound, fault rates summing past 1000 permille, an executor
+    /// fault rates summing past 1000 permille, an executor
     /// `block_dim` of 0 or a `superposition` outside `1..=16`
     /// (MIMONet's item count), a `max_batch` above
     /// `u16::MAX`, or a queue, batch or trace capacity too large to
@@ -180,9 +170,6 @@ impl ServerBuilder {
         self.executor.validate()?;
         self.retry.validate()?;
         self.faults.validate()?;
-        if let Some(degradation) = &self.degradation {
-            degradation.validate(self.policy.max_batch)?;
-        }
         if let Some(deadline) = self.deadline_default {
             if deadline < self.policy.max_wait {
                 return Err(ConfigError::DeadlineShorterThanBatchWindow {
@@ -252,17 +239,6 @@ mod tests {
                 deadline: 500,
                 max_wait: 1_000
             })
-        );
-        assert_eq!(
-            ServerBuilder::new()
-                .degradation(DegradationPolicy {
-                    low_watermark: 8,
-                    high_watermark: 8,
-                    ..DegradationPolicy::default()
-                })
-                .build()
-                .err(),
-            Some(ConfigError::InvertedWatermarks { low: 8, high: 8 })
         );
         assert_eq!(
             ServerBuilder::new()

@@ -4,10 +4,9 @@
 //! answer, once, without reading a clock: the admission gates
 //! (`ServeCore::admit`), batch formation (`ServeCore::form`), the
 //! attempt loop — expiry drops, [`FaultPlan`] rolls, retry or failure
-//! with backoff, load-monitor accounting, completion —
-//! (`ServeCore::run_batch`), the degradation update
-//! (`ServeCore::degrade`), and one event sink that writes the flight
-//! recorder, the run's [`ServeStats`] and the `serve.*` telemetry.
+//! with backoff, completion — (`ServeCore::run_batch`), and one event
+//! sink that writes the flight recorder, the run's [`ServeStats`] and
+//! the `serve.*` telemetry.
 //!
 //! A `Driver` supplies what differs between runtimes: the current
 //! tick, letting ticks pass, and executing a batch. The threaded
@@ -28,10 +27,10 @@ use nsflow_telemetry::trace::{
 };
 use nsflow_telemetry::{counter, histogram};
 
-use crate::batcher::{Batch, BatchPolicy, Batcher};
+use crate::batcher::Batch;
 use crate::error::ConfigError;
-use crate::request::{AdmissionError, FailedRequest, Priority, Request, Response, NO_DEADLINE};
-use crate::robust::{DegradationPolicy, Fault, FaultPlan, LoadMonitor, RetryPolicy};
+use crate::request::{AdmissionError, FailedRequest, Request, Response, NO_DEADLINE};
+use crate::robust::{Fault, FaultPlan, RetryPolicy};
 
 /// Counters accumulated over a run.
 ///
@@ -41,8 +40,8 @@ use crate::robust::{DegradationPolicy, Fault, FaultPlan, LoadMonitor, RetryPolic
 pub struct ServeStats {
     /// Requests admitted to the queue.
     pub submitted: u64,
-    /// Requests refused at admission (queue full, infeasible deadline,
-    /// load shed — not shutdown refusals).
+    /// Requests refused at admission (queue full or infeasible
+    /// deadline — not shutdown refusals).
     pub shed: u64,
     /// Requests executed to completion.
     pub completed: u64,
@@ -60,8 +59,6 @@ pub struct ServeStats {
     pub expired: u64,
     /// Requests that exhausted their retry budget and failed.
     pub failed: u64,
-    /// Degradation-monitor updates evaluated while degraded.
-    pub degraded_ticks: u64,
 }
 
 impl ServeStats {
@@ -81,8 +78,7 @@ impl ServeStats {
         }
     }
 
-    /// Adds an attempt's tally. `degraded_ticks` is read from the
-    /// monitor instead.
+    /// Adds an attempt's tally.
     fn absorb(&mut self, tally: &ServeStats) {
         self.submitted += tally.submitted;
         self.shed += tally.shed;
@@ -132,10 +128,7 @@ pub(crate) trait Driver {
 
 /// The policies a core runs under.
 pub(crate) struct CoreConfig {
-    /// Batch policy the degradation monitor shrinks and restores.
-    pub policy: BatchPolicy,
     pub retry: RetryPolicy,
-    pub degradation: Option<DegradationPolicy>,
     pub faults: FaultPlan,
     pub trace_capacity: usize,
 }
@@ -143,26 +136,14 @@ pub(crate) struct CoreConfig {
 /// Mutable state shared by admission and the attempt loop.
 struct State {
     stats: ServeStats,
-    /// Present when a degradation policy was configured.
-    monitor: Option<LoadMonitor>,
     responses: Vec<Response>,
     failed: Vec<FailedRequest>,
     /// See [`ServeReport::last_completion`].
     last_completion: u64,
 }
 
-impl State {
-    fn stats(&self) -> ServeStats {
-        ServeStats {
-            degraded_ticks: self.monitor.as_ref().map_or(0, LoadMonitor::degraded_ticks),
-            ..self.stats
-        }
-    }
-}
-
 /// The clock-agnostic request lifecycle. See the [module docs](self).
 pub(crate) struct ServeCore {
-    policy: BatchPolicy,
     retry: RetryPolicy,
     faults: FaultPlan,
     recorder: FlightRecorder,
@@ -177,14 +158,12 @@ impl ServeCore {
             ConfigError::too_large("trace_capacity", config.trace_capacity),
         )?;
         Ok(ServeCore {
-            policy: config.policy,
             retry: config.retry,
             faults: config.faults,
             recorder,
             next_batch: AtomicU64::new(0),
             state: Mutex::new(State {
                 stats: ServeStats::default(),
-                monitor: config.degradation.map(LoadMonitor::new),
                 responses: Vec::new(),
                 failed: Vec::new(),
                 last_completion: 0,
@@ -203,9 +182,8 @@ impl ServeCore {
 
     /// Admits `request` at its arrival tick, or sheds it. The gates run
     /// cheapest first: a deadline that passes before `min_cost` ticks of
-    /// execution could finish, a degraded core shedding low-priority
-    /// work, then `enqueue` — the runtime's capacity check, which queues
-    /// the request on success.
+    /// execution could finish, then `enqueue` — the runtime's capacity
+    /// check, which queues the request on success.
     ///
     /// # Errors
     ///
@@ -224,13 +202,6 @@ impl ServeCore {
             let mut state = self.state();
             let verdict = if infeasible {
                 Err(AdmissionError::DeadlineInfeasible { deadline, now })
-            } else if request.priority == Priority::Low
-                && state
-                    .monitor
-                    .as_ref()
-                    .is_some_and(LoadMonitor::sheds_low_priority)
-            {
-                Err(AdmissionError::LoadShed)
             } else {
                 enqueue()
             };
@@ -254,25 +225,6 @@ impl ServeCore {
             self.record(request.id, now, RequestEvent::Enqueued);
         }
         verdict
-    }
-
-    /// Re-evaluates the load monitor (when configured) against `depth`
-    /// waiting requests and applies its batch bound to `batcher`.
-    pub fn degrade(&self, batcher: &mut Batcher, depth: usize, now: u64) {
-        let mut state = self.state();
-        let Some(monitor) = state.monitor.as_mut() else {
-            return;
-        };
-        if monitor.update(now, depth) {
-            counter!("serve.degraded_ticks").incr();
-        }
-        let effective = monitor.effective_max_batch(self.policy.max_batch);
-        if effective != batcher.policy().max_batch {
-            batcher.set_policy(BatchPolicy {
-                max_batch: effective,
-                max_wait: self.policy.max_wait,
-            });
-        }
     }
 
     /// Gives a batch leaving the batcher its id and records one
@@ -389,9 +341,6 @@ impl ServeCore {
                 })
                 .collect();
             let mut state = self.state();
-            if let Some(monitor) = state.monitor.as_mut() {
-                monitor.observe_exec(exec);
-            }
             state.stats.absorb(&tally);
             state.responses.extend(responses);
             state.last_completion = state.last_completion.max(done);
@@ -424,7 +373,6 @@ impl ServeCore {
                     counter!("serve.deadline_shed").incr();
                     counter!("serve.shed.deadline_exceeded").incr();
                 }
-                ShedReason::LoadShed => counter!("serve.shed.load_shed").incr(),
             },
             _ => {}
         }
@@ -432,7 +380,7 @@ impl ServeCore {
 
     /// Point-in-time counters.
     pub fn stats(&self) -> ServeStats {
-        self.state().stats()
+        self.state().stats
     }
 
     /// Point-in-time copy of the flight recorder.
@@ -444,11 +392,10 @@ impl ServeCore {
     pub fn report(&self) -> ServeReport {
         let (mut responses, mut failed, stats, last_completion) = {
             let mut state = self.state();
-            let stats = state.stats();
             (
                 std::mem::take(&mut state.responses),
                 std::mem::take(&mut state.failed),
-                stats,
+                state.stats,
                 state.last_completion,
             )
         };
@@ -507,9 +454,7 @@ mod tests {
     #[test]
     fn exec_start_is_recorded_before_the_batch_executes() {
         let core = ServeCore::new(CoreConfig {
-            policy: BatchPolicy::default(),
             retry: RetryPolicy::default(),
-            degradation: None,
             faults: FaultPlan::default(),
             trace_capacity: 64,
         })

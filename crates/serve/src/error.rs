@@ -49,22 +49,6 @@ pub enum ConfigError {
         /// The batch policy's `max_wait` (ticks).
         max_wait: u64,
     },
-    /// Degradation watermarks are inverted or degenerate
-    /// (`low_watermark >= high_watermark` breaks the hysteresis).
-    InvertedWatermarks {
-        /// Configured low (recovery) watermark.
-        low: usize,
-        /// Configured high (degrade) watermark.
-        high: usize,
-    },
-    /// The degraded batch bound is zero or exceeds the normal
-    /// `max_batch` (degradation must shrink batches, not grow them).
-    DegradedBatchOutOfRange {
-        /// Configured degraded batch bound.
-        degraded: usize,
-        /// The batch policy's `max_batch`.
-        max_batch: usize,
-    },
     /// A fault-plan probability field is out of range (each permille
     /// must be ≤ 1000 and the three must sum to ≤ 1000).
     FaultRateOutOfRange {
@@ -131,17 +115,6 @@ impl fmt::Display for ConfigError {
                 "default deadline {deadline} ticks is shorter than one batch window \
                  (max_wait {max_wait} ticks): every request would be shed at admission"
             ),
-            ConfigError::InvertedWatermarks { low, high } => write!(
-                f,
-                "degradation watermarks inverted: low {low} must be < high {high}"
-            ),
-            ConfigError::DegradedBatchOutOfRange {
-                degraded,
-                max_batch,
-            } => write!(
-                f,
-                "degraded_max_batch {degraded} must be in 1..={max_batch} (the normal max_batch)"
-            ),
             ConfigError::FaultRateOutOfRange { total_permille } => write!(
                 f,
                 "fault plan rates sum to {total_permille} permille, exceeding 1000"
@@ -182,7 +155,5 @@ mod tests {
         }
         .to_string();
         assert!(msg.contains('5') && msg.contains("100"));
-        let msg = ConfigError::InvertedWatermarks { low: 9, high: 3 }.to_string();
-        assert!(msg.contains('9') && msg.contains('3'));
     }
 }

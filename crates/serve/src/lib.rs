@@ -10,15 +10,13 @@
 //! Servers are configured through the validated [`ServerBuilder`] API and
 //! carry an optional robustness layer ([`robust`]): per-request
 //! **deadlines** enforced at admission and again before execution,
-//! bounded **retries** with deterministic backoff, seeded
-//! **fault injection** for chaos testing and graceful **degradation**
-//! (watermark-driven batch shrinking and low-priority shedding). Every
-//! policy defaults to inert: an unconfigured server behaves exactly like
-//! the pre-robustness runtime.
+//! bounded **retries** with deterministic backoff and seeded
+//! **fault injection** for chaos testing. Every policy defaults to
+//! inert.
 //!
 //! One serving core (the crate-private `core` module) owns the request
 //! lifecycle: the admission gates, batch formation, the attempt loop
-//! (deadline drops, fault rolls, retries, monitor accounting) and the
+//! (deadline drops, fault rolls, retries) and the
 //! one bookkeeping sink that feeds the flight recorder, [`ServeStats`]
 //! and the `serve.*` telemetry. Two drivers run it:
 //!
@@ -82,10 +80,8 @@ pub use builder::ServerBuilder;
 pub use error::ConfigError;
 pub use executor::{Executor, ExecutorConfig};
 pub use metrics::MetricsExporter;
-pub use request::{
-    AdmissionError, FailedRequest, Priority, Request, Response, SubmitOptions, WorkloadKind,
-};
-pub use robust::{DegradationPolicy, FaultPlan, RetryPolicy};
+pub use request::{AdmissionError, FailedRequest, Request, Response, SubmitOptions, WorkloadKind};
+pub use robust::{FaultPlan, RetryPolicy};
 pub use server::Server;
 // Lifecycle-tracing vocabulary shared with `nsflow-telemetry`: the
 // serving core records these typed events and shed reasons.

@@ -16,7 +16,7 @@
 //!         WorkloadKind::Nvsa,
 //!         7,
 //!         SubmitOptions {
-//!             priority: Priority::High,
+//!             deadline: Some(5_000_000), // 5 s budget, in µs ticks
 //!             ..SubmitOptions::default()
 //!         },
 //!     )
@@ -30,9 +30,7 @@ pub use crate::builder::ServerBuilder;
 pub use crate::core::ServeReport;
 pub use crate::error::ConfigError;
 pub use crate::executor::{Executor, ExecutorConfig};
-pub use crate::request::{
-    AdmissionError, Priority, Request, Response, SubmitOptions, WorkloadKind,
-};
-pub use crate::robust::{DegradationPolicy, FaultPlan, RetryPolicy};
+pub use crate::request::{AdmissionError, Request, Response, SubmitOptions, WorkloadKind};
+pub use crate::robust::{FaultPlan, RetryPolicy};
 pub use crate::server::Server;
 pub use nsflow_telemetry::trace::ShedReason;

@@ -75,37 +75,6 @@ impl fmt::Display for WorkloadKind {
     }
 }
 
-/// Scheduling priority, consulted only by the degradation policy: a
-/// degraded server sheds [`Priority::Low`] work at admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub enum Priority {
-    /// First to be shed under load.
-    Low,
-    /// The default.
-    #[default]
-    Normal,
-    /// Never shed by the degradation policy.
-    High,
-}
-
-impl Priority {
-    /// Stable lower-case name.
-    #[must_use]
-    pub const fn name(self) -> &'static str {
-        match self {
-            Priority::Low => "low",
-            Priority::Normal => "normal",
-            Priority::High => "high",
-        }
-    }
-}
-
-impl fmt::Display for Priority {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// A request's deadline field value meaning "no deadline".
 pub(crate) const NO_DEADLINE: u64 = u64::MAX;
 
@@ -129,8 +98,6 @@ pub struct Request {
     /// (`u64::MAX` = none). Enforced at admission (shed if
     /// infeasible) and again before execution (drop if expired).
     pub deadline: u64,
-    /// Scheduling priority (degradation-policy input only).
-    pub priority: Priority,
     /// Execution attempts this request may consume before it fails
     /// permanently (≥ 1; from the server's [`RetryPolicy`] or a
     /// per-request override).
@@ -138,9 +105,7 @@ pub struct Request {
 }
 
 impl Request {
-    /// A request with no deadline, [`Priority::Normal`] and a single
-    /// allowed attempt — the exact shape every request had before the
-    /// robustness layer existed.
+    /// A request with no deadline and a single allowed attempt.
     #[must_use]
     pub fn new(id: u64, kind: WorkloadKind, seed: u64, arrival: u64) -> Request {
         Request {
@@ -149,7 +114,6 @@ impl Request {
             seed,
             arrival,
             deadline: NO_DEADLINE,
-            priority: Priority::Normal,
             attempts_allowed: 1,
         }
     }
@@ -165,15 +129,12 @@ impl Request {
 /// [`Server::submit_with`](crate::server::Server::submit_with).
 ///
 /// The default is exactly [`Server::submit`](crate::server::Server::submit)'s
-/// behavior: the server's default deadline and retry policy, normal
-/// priority.
+/// behavior: the server's default deadline and retry policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SubmitOptions {
     /// Deadline *budget* in ticks from admission (`None` = the
     /// server's default).
     pub deadline: Option<u64>,
-    /// Scheduling priority.
-    pub priority: Priority,
     /// Retry policy override for this request (`None` = the server's).
     pub retry_override: Option<RetryPolicy>,
 }
@@ -263,8 +224,6 @@ pub enum AdmissionError {
         /// The admission tick.
         now: u64,
     },
-    /// The degradation policy is shedding low-priority work.
-    LoadShed,
 }
 
 impl AdmissionError {
@@ -279,7 +238,6 @@ impl AdmissionError {
             AdmissionError::QueueFull { .. } => ShedReason::QueueFull,
             AdmissionError::ShuttingDown => ShedReason::Shutdown,
             AdmissionError::DeadlineInfeasible { .. } => ShedReason::DeadlineExceeded,
-            AdmissionError::LoadShed => ShedReason::LoadShed,
         }
     }
 }
@@ -295,9 +253,6 @@ impl fmt::Display for AdmissionError {
                 f,
                 "deadline {deadline} infeasible at admission tick {now}: request shed"
             ),
-            AdmissionError::LoadShed => {
-                write!(f, "degraded: low-priority request shed")
-            }
         }
     }
 }
@@ -342,14 +297,12 @@ mod tests {
             .shed_reason(),
             ShedReason::DeadlineExceeded
         );
-        assert_eq!(AdmissionError::LoadShed.shed_reason(), ShedReason::LoadShed);
     }
 
     #[test]
     fn plain_requests_carry_no_deadline() {
         let r = Request::new(3, WorkloadKind::Prae, 9, 100);
         assert_eq!(r.deadline, NO_DEADLINE);
-        assert_eq!(r.priority, Priority::Normal);
         assert_eq!(r.attempts_allowed, 1);
         assert!(!r.expired(u64::MAX - 1));
         let with_deadline = Request { deadline: 150, ..r };

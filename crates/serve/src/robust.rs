@@ -1,9 +1,8 @@
-//! Robustness policies: bounded retries with deterministic backoff,
-//! seeded fault injection and load-watermark degradation.
+//! Robustness policies: bounded retries with deterministic backoff and
+//! seeded fault injection.
 //!
-//! Everything in this module is a **clock-agnostic, allocation-light
-//! state machine** in the same spirit as [`crate::batcher`]: callers
-//! pass the current tick in, nothing here reads a clock or an OS
+//! Everything in this module is **clock-agnostic** in the same spirit
+//! as [`crate::batcher`]: callers pass the tick, batch and attempt in, nothing here reads a clock or an OS
 //! entropy source. That is what lets the identical policy code run
 //! under the threaded wall-clock server and the virtual-time simulator
 //! ([`crate::simlab`]) — and what makes chaos runs bit-reproducible:
@@ -11,15 +10,12 @@
 //! `(batch id, attempt)`, so the same seed replays the same faults in
 //! either driver.
 //!
-//! All three policies are **inert** unless configured: the default
-//! [`RetryPolicy`] executes once, the default [`FaultPlan`] injects
-//! nothing, and degradation acts only when a [`DegradationPolicy`] is
-//! set. A server built without explicit robustness configuration
-//! behaves byte-for-byte like the pre-robustness runtime.
+//! Both policies are **inert** unless configured: the default
+//! [`RetryPolicy`] executes once and the default [`FaultPlan`] injects
+//! nothing.
 
 use std::fmt;
 
-use nsflow_telemetry::trace::PhaseStats;
 // All robustness randomness (fault draws, backoff jitter) funnels
 // through this stateless hash so replays are exact.
 use nsflow_tensor::rng::mix64;
@@ -245,171 +241,6 @@ impl fmt::Display for FaultPlan {
     }
 }
 
-/// Graceful-degradation policy: when load crosses the high watermark,
-/// shrink batches (bounding per-batch latency) and optionally shed
-/// low-priority work; recover only after load has stayed below the low
-/// watermark for `min_dwell` ticks (hysteresis, so the server does not
-/// flap at the threshold).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegradationPolicy {
-    /// Queue depth (waiting requests) at which degraded mode engages.
-    pub high_watermark: usize,
-    /// Queue depth below which recovery *may* begin. Must be
-    /// `< high_watermark`.
-    pub low_watermark: usize,
-    /// p95 of recent batch execution latency (ticks) that also engages
-    /// degraded mode; 0 disables the latency trigger.
-    pub exec_p95_limit: u64,
-    /// `max_batch` bound applied while degraded. Must be in
-    /// `1..=max_batch`.
-    pub degraded_max_batch: usize,
-    /// Shed [`Priority::Low`](crate::request::Priority::Low) work at
-    /// admission while degraded.
-    pub shed_low_priority: bool,
-    /// Ticks load must stay calm before degraded mode disengages.
-    pub min_dwell: u64,
-}
-
-impl Default for DegradationPolicy {
-    fn default() -> Self {
-        DegradationPolicy {
-            high_watermark: 48,
-            low_watermark: 16,
-            exec_p95_limit: 0,
-            degraded_max_batch: 2,
-            shed_low_priority: true,
-            min_dwell: 10_000,
-        }
-    }
-}
-
-impl DegradationPolicy {
-    /// Checks the policy's invariants against the batch policy it will
-    /// govern.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError::InvertedWatermarks`] or
-    /// [`ConfigError::DegradedBatchOutOfRange`].
-    pub fn validate(&self, max_batch: usize) -> Result<(), ConfigError> {
-        if self.low_watermark >= self.high_watermark {
-            return Err(ConfigError::InvertedWatermarks {
-                low: self.low_watermark,
-                high: self.high_watermark,
-            });
-        }
-        if self.degraded_max_batch == 0 || self.degraded_max_batch > max_batch {
-            return Err(ConfigError::DegradedBatchOutOfRange {
-                degraded: self.degraded_max_batch,
-                max_batch,
-            });
-        }
-        Ok(())
-    }
-}
-
-/// Recent exec-latency samples kept for the p95 trigger.
-const EXEC_WINDOW: usize = 32;
-
-/// Tracks load against a [`DegradationPolicy`] and drives the
-/// degraded/normal transitions with hysteresis.
-#[derive(Debug, Clone)]
-pub(crate) struct LoadMonitor {
-    policy: DegradationPolicy,
-    degraded: bool,
-    /// Tick at which load last *became* calm (watermark + latency both
-    /// below their recovery bounds); `None` while overloaded.
-    calm_since: Option<u64>,
-    exec_samples: [u64; EXEC_WINDOW],
-    exec_len: usize,
-    exec_next: usize,
-    degraded_ticks: u64,
-}
-
-impl LoadMonitor {
-    /// New monitor, starting in normal (non-degraded) mode.
-    #[must_use]
-    pub fn new(policy: DegradationPolicy) -> Self {
-        LoadMonitor {
-            policy,
-            degraded: false,
-            calm_since: None,
-            exec_samples: [0; EXEC_WINDOW],
-            exec_len: 0,
-            exec_next: 0,
-            degraded_ticks: 0,
-        }
-    }
-
-    /// Feeds one batch execution latency sample (ticks).
-    pub(crate) fn observe_exec(&mut self, latency: u64) {
-        self.exec_samples[self.exec_next] = latency;
-        self.exec_next = (self.exec_next + 1) % EXEC_WINDOW;
-        self.exec_len = (self.exec_len + 1).min(EXEC_WINDOW);
-    }
-
-    /// p95 of the retained exec-latency window (0 with no samples).
-    #[must_use]
-    pub(crate) fn exec_p95(&self) -> u64 {
-        PhaseStats::from_samples(self.exec_samples[..self.exec_len].to_vec()).p95
-    }
-
-    /// Re-evaluates degraded mode at tick `now` against the current
-    /// queue depth. Engages immediately on overload; disengages only
-    /// after `min_dwell` calm ticks. Returns whether the server is
-    /// degraded after the update.
-    pub fn update(&mut self, now: u64, queue_depth: usize) -> bool {
-        let p95 = self.exec_p95();
-        let latency_hot = self.policy.exec_p95_limit > 0 && p95 > self.policy.exec_p95_limit;
-        let overloaded = queue_depth >= self.policy.high_watermark || latency_hot;
-        if !self.degraded {
-            if overloaded {
-                self.degraded = true;
-                self.calm_since = None;
-            }
-        } else {
-            let calm = queue_depth <= self.policy.low_watermark && !latency_hot;
-            if calm {
-                let since = *self.calm_since.get_or_insert(now);
-                if now.saturating_sub(since) >= self.policy.min_dwell {
-                    self.degraded = false;
-                    self.calm_since = None;
-                }
-            } else {
-                self.calm_since = None;
-            }
-        }
-        if self.degraded {
-            self.degraded_ticks += 1;
-        }
-        self.degraded
-    }
-
-    /// The batch bound in effect: the policy's degraded bound while
-    /// degraded, `normal` otherwise.
-    #[must_use]
-    pub(crate) fn effective_max_batch(&self, normal: usize) -> usize {
-        if self.degraded {
-            self.policy.degraded_max_batch.min(normal)
-        } else {
-            normal
-        }
-    }
-
-    /// True when low-priority work should be shed at admission.
-    #[must_use]
-    pub(crate) fn sheds_low_priority(&self) -> bool {
-        self.degraded && self.policy.shed_low_priority
-    }
-
-    /// Updates evaluated while degraded (the `serve.degraded_ticks`
-    /// metric).
-    #[must_use]
-    pub fn degraded_ticks(&self) -> u64 {
-        self.degraded_ticks
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,73 +328,6 @@ mod tests {
             FaultPlan::parse("error=900,spike=200:5"),
             Err(ConfigError::FaultRateOutOfRange {
                 total_permille: 1100
-            })
-        );
-    }
-
-    #[test]
-    fn degradation_hysteresis_requires_dwell() {
-        let policy = DegradationPolicy {
-            high_watermark: 8,
-            low_watermark: 2,
-            exec_p95_limit: 0,
-            degraded_max_batch: 2,
-            shed_low_priority: true,
-            min_dwell: 100,
-        };
-        policy.validate(8).expect("valid policy");
-        let mut monitor = LoadMonitor::new(policy);
-        assert!(!monitor.update(0, 4), "below high watermark");
-        assert!(monitor.update(10, 8), "high watermark engages");
-        assert_eq!(monitor.effective_max_batch(8), 2);
-        assert!(monitor.sheds_low_priority());
-        // Calm but dwell not yet served: still degraded.
-        assert!(monitor.update(20, 1));
-        assert!(monitor.update(60, 2));
-        // A load blip resets the dwell timer.
-        assert!(monitor.update(80, 5));
-        assert!(monitor.update(90, 1));
-        assert!(monitor.update(150, 1), "dwell restarted at 90");
-        assert!(!monitor.update(200, 1), "calm for >= 100 ticks");
-        assert_eq!(monitor.effective_max_batch(8), 8);
-        assert!(monitor.degraded_ticks() > 0);
-    }
-
-    #[test]
-    fn degradation_latency_trigger_and_validation() {
-        let policy = DegradationPolicy {
-            high_watermark: 100,
-            low_watermark: 10,
-            exec_p95_limit: 500,
-            degraded_max_batch: 1,
-            shed_low_priority: false,
-            min_dwell: 0,
-        };
-        let mut monitor = LoadMonitor::new(policy);
-        for _ in 0..EXEC_WINDOW {
-            monitor.observe_exec(1_000);
-        }
-        assert!(monitor.update(0, 0), "hot p95 engages degraded mode");
-        assert!(!monitor.sheds_low_priority(), "shedding disabled");
-
-        assert_eq!(
-            DegradationPolicy {
-                low_watermark: 8,
-                high_watermark: 8,
-                ..policy
-            }
-            .validate(8),
-            Err(ConfigError::InvertedWatermarks { low: 8, high: 8 })
-        );
-        assert_eq!(
-            DegradationPolicy {
-                degraded_max_batch: 9,
-                ..DegradationPolicy::default()
-            }
-            .validate(8),
-            Err(ConfigError::DegradedBatchOutOfRange {
-                degraded: 9,
-                max_batch: 8
             })
         );
     }

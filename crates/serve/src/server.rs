@@ -81,9 +81,7 @@ impl Server {
         let batcher = Batcher::new(spec.policy)
             .map_err(ConfigError::too_large("max_batch", spec.policy.max_batch))?;
         let core = ServeCore::new(CoreConfig {
-            policy: spec.policy,
             retry: spec.retry,
-            degradation: spec.degradation,
             faults: spec.faults,
             trace_capacity: spec.trace_capacity,
         })?;
@@ -122,20 +120,20 @@ impl Server {
     }
 
     /// Submits one inference request with default options (the
-    /// server's default deadline and retry policy, normal priority).
+    /// server's default deadline and retry policy).
     /// Returns the assigned request id, or the admission error when
     /// the request was refused.
     ///
     /// # Errors
     ///
-    /// Any [`AdmissionError`]: queue full, draining, infeasible
-    /// deadline, or load shed.
+    /// Any [`AdmissionError`]: queue full, draining or infeasible
+    /// deadline.
     pub fn submit(&self, kind: WorkloadKind, seed: u64) -> Result<u64, AdmissionError> {
         self.submit_with(kind, seed, SubmitOptions::default())
     }
 
     /// Submits one inference request with explicit per-request options
-    /// (deadline budget, priority, retry override).
+    /// (deadline budget, retry override).
     ///
     /// # Errors
     ///
@@ -154,7 +152,6 @@ impl Server {
         let budget = options.deadline.or(shared.deadline_default);
         let request = Request {
             deadline: budget.map_or(NO_DEADLINE, |b| now.saturating_add(b)),
-            priority: options.priority,
             attempts_allowed: options
                 .retry_override
                 .unwrap_or(shared.core.retry())
@@ -235,11 +232,6 @@ fn worker_loop(shared: &Shared, worker: u32) {
             let mut batcher = shared.batcher.lock().expect("batcher poisoned");
             loop {
                 let now = shared.clock.now();
-                // Degradation check: re-evaluate load, shrink or
-                // restore the batch bound. Lock order is always
-                // batcher → core state.
-                let depth = shared.queue.len() + batcher.pending();
-                shared.core.degrade(&mut batcher, depth, now);
                 if let Some(batch) = batcher.poll(now) {
                     break Some(batch); // deadline flush
                 }

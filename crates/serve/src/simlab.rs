@@ -39,8 +39,8 @@ use nsflow_workloads::traces;
 use crate::batcher::{Batch, BatchPolicy, Batcher};
 use crate::core::{CoreConfig, Driver, ServeCore, ServeReport};
 use crate::executor::Executor;
-use crate::request::{AdmissionError, Priority, Request, WorkloadKind, NO_DEADLINE};
-use crate::robust::{DegradationPolicy, FaultPlan, RetryPolicy};
+use crate::request::{AdmissionError, Request, WorkloadKind, NO_DEADLINE};
+use crate::robust::{FaultPlan, RetryPolicy};
 
 /// Exponential draw with the given mean, floored at 1 tick.
 fn exp_ticks(rng: &mut SplitMix64, mean: f64) -> u64 {
@@ -139,8 +139,6 @@ pub struct SimConfig {
     pub mean_interarrival: u64,
     /// Workload mix; request `i` gets `kinds[i % kinds.len()]`.
     pub kinds: Vec<WorkloadKind>,
-    /// Priority mix; request `i` gets `priorities[i % priorities.len()]`.
-    pub priorities: Vec<Priority>,
     /// Admission bound on *waiting* requests (batcher pending + formed
     /// batches not yet dispatched). Arrivals beyond it are shed.
     pub queue_capacity: usize,
@@ -157,8 +155,6 @@ pub struct SimConfig {
     /// Retry policy for injected-fault failures (default: one attempt,
     /// inert).
     pub retry: RetryPolicy,
-    /// Graceful-degradation policy (`None` = off).
-    pub degradation: Option<DegradationPolicy>,
     /// Seeded fault-injection plan (default: injects nothing).
     pub faults: FaultPlan,
     /// Flight-recorder capacity: lifecycle trace events retained for
@@ -173,7 +169,6 @@ impl Default for SimConfig {
             requests: 512,
             mean_interarrival: 100_000,
             kinds: vec![WorkloadKind::Nvsa],
-            priorities: vec![Priority::Normal],
             queue_capacity: 64,
             policy: BatchPolicy {
                 max_batch: 8,
@@ -183,7 +178,6 @@ impl Default for SimConfig {
             seed: 0x5f10,
             deadline: None,
             retry: RetryPolicy::default(),
-            degradation: None,
             faults: FaultPlan::default(),
             trace_capacity: 4096,
         }
@@ -265,7 +259,6 @@ pub fn run(config: &SimConfig, cost: &CostModel, executor: Option<&Executor>) ->
     assert!(config.lanes >= 1, "need at least one lane");
     assert!(config.requests >= 1, "need at least one request");
     assert!(!config.kinds.is_empty(), "need at least one workload kind");
-    assert!(!config.priorities.is_empty(), "need at least one priority");
     assert!(
         config.policy.max_batch <= cost.max_batch(),
         "max_batch {} exceeds the cost table, which prices batches up to {}",
@@ -281,7 +274,6 @@ pub fn run(config: &SimConfig, cost: &CostModel, executor: Option<&Executor>) ->
         t += exp_ticks(&mut rng, config.mean_interarrival as f64);
         arrivals.push(Request {
             deadline: config.deadline.map_or(NO_DEADLINE, |b| t.saturating_add(b)),
-            priority: config.priorities[i % config.priorities.len()],
             attempts_allowed: config.retry.max_attempts.max(1),
             ..Request::new(
                 i as u64,
@@ -293,9 +285,7 @@ pub fn run(config: &SimConfig, cost: &CostModel, executor: Option<&Executor>) ->
     }
 
     let core = ServeCore::new(CoreConfig {
-        policy: config.policy,
         retry: config.retry,
-        degradation: config.degradation,
         faults: config.faults,
         trace_capacity: config.trace_capacity,
     })
@@ -345,11 +335,6 @@ pub fn run(config: &SimConfig, cost: &CostModel, executor: Option<&Executor>) ->
         }
         now = now.max(next);
 
-        // Degradation check at every event — the leader-loop analog.
-        let depth = batcher.pending() + waiting_in_ready;
-        core.degrade(&mut batcher, depth, now);
-
-        // Deadline flush (or size flush after a degradation shrink).
         if let Some(batch) = batcher.poll(now) {
             waiting_in_ready += batch.len();
             ready.push_back(core.form(batch));
@@ -425,7 +410,6 @@ mod tests {
         SimConfig {
             requests: 128,
             mean_interarrival: 20,
-            priorities: vec![Priority::Normal, Priority::Low, Priority::High],
             deadline: Some(50_000),
             retry: RetryPolicy {
                 max_attempts: 3,
@@ -433,7 +417,6 @@ mod tests {
                 backoff_cap: 1_000,
                 jitter_seed: 3,
             },
-            degradation: None,
             faults: FaultPlan {
                 seed: 0xbad,
                 error_permille: 250,

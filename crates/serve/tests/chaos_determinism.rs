@@ -7,7 +7,7 @@
 //! the written traces byte-for-byte across processes.
 
 use nsflow_serve::batcher::BatchPolicy;
-use nsflow_serve::request::{Priority, WorkloadKind};
+use nsflow_serve::request::WorkloadKind;
 use nsflow_serve::robust::{FaultPlan, RetryPolicy};
 use nsflow_serve::simlab::{self, CostModel, SimConfig};
 
@@ -28,7 +28,6 @@ fn chaos_config() -> SimConfig {
         requests: 160,
         mean_interarrival: 400,
         kinds: WorkloadKind::all().to_vec(),
-        priorities: vec![Priority::Normal, Priority::Low, Priority::High],
         queue_capacity: 24,
         policy: BatchPolicy {
             max_batch: 6,
@@ -43,7 +42,6 @@ fn chaos_config() -> SimConfig {
             backoff_cap: 2_000,
             jitter_seed: 5,
         },
-        degradation: None,
         faults: FaultPlan {
             seed: 0xbad_cafe,
             error_permille: 250,
@@ -110,7 +108,6 @@ fn fault_free_runs_have_no_faults_track() {
     let config = SimConfig {
         deadline: None,
         retry: RetryPolicy::default(),
-        degradation: None,
         faults: FaultPlan::default(),
         ..chaos_config()
     };

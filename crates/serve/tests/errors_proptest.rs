@@ -8,9 +8,7 @@
 //! seed.
 
 use nsflow_serve::batcher::BatchPolicy;
-use nsflow_serve::{
-    AdmissionError, ConfigError, DegradationPolicy, FaultPlan, RetryPolicy, Server, ShedReason,
-};
+use nsflow_serve::{AdmissionError, ConfigError, FaultPlan, RetryPolicy, Server, ShedReason};
 use nsflow_tensor::rng::StdRng;
 
 /// Cases per property.
@@ -25,16 +23,15 @@ fn shed_reason_names_round_trip() {
 }
 
 fn admission_error(rng: &mut StdRng) -> AdmissionError {
-    match rng.gen_range(0..4) {
+    match rng.gen_range(0..3) {
         0 => AdmissionError::QueueFull {
             capacity: rng.next_u64() as usize,
         },
         1 => AdmissionError::ShuttingDown,
-        2 => AdmissionError::DeadlineInfeasible {
+        _ => AdmissionError::DeadlineInfeasible {
             deadline: rng.next_u64(),
             now: rng.next_u64(),
         },
-        _ => AdmissionError::LoadShed,
     }
 }
 
@@ -48,7 +45,7 @@ fn admission_errors_render_their_numbers() {
             AdmissionError::DeadlineInfeasible { deadline, now } => {
                 vec![deadline.to_string(), now.to_string()]
             }
-            AdmissionError::ShuttingDown | AdmissionError::LoadShed => Vec::new(),
+            AdmissionError::ShuttingDown => Vec::new(),
         };
         assert!(!msg.is_empty(), "seed {seed}");
         for n in numbers {
@@ -309,60 +306,8 @@ fn infeasible_default_deadlines_never_build() {
 }
 
 #[test]
-fn degenerate_degradation_never_builds() {
-    for seed in 0..CASES {
-        let rng = &mut StdRng::seed_from_u64(seed);
-        let (low, high, degraded) = (
-            rng.gen_range(0..=16),
-            rng.gen_range(0..=16),
-            rng.gen_range(0..=16),
-        );
-        let policy = DegradationPolicy {
-            high_watermark: high,
-            low_watermark: low,
-            degraded_max_batch: degraded,
-            ..DegradationPolicy::default()
-        };
-        let max_batch = 8usize;
-        if low >= high {
-            // The builder surfaces exactly the policy's own verdict;
-            // checking through `build()` would spawn threads on the
-            // valid arm, so fuzz the validator directly.
-            assert_eq!(
-                policy.validate(max_batch),
-                Err(ConfigError::InvertedWatermarks { low, high }),
-                "seed {seed}"
-            );
-            let result = Server::builder()
-                .batch(BatchPolicy {
-                    max_batch,
-                    max_wait: 100,
-                })
-                .degradation(policy)
-                .build();
-            assert_eq!(
-                result.err(),
-                Some(ConfigError::InvertedWatermarks { low, high }),
-                "seed {seed}"
-            );
-        } else if degraded == 0 || degraded > max_batch {
-            assert_eq!(
-                policy.validate(max_batch),
-                Err(ConfigError::DegradedBatchOutOfRange {
-                    degraded,
-                    max_batch
-                }),
-                "seed {seed}"
-            );
-        } else {
-            assert!(policy.validate(max_batch).is_ok(), "seed {seed}");
-        }
-    }
-}
-
-#[test]
 fn config_errors_always_render() {
-    for variant in 0..=9 {
+    for variant in 0..=7 {
         let err = match variant {
             0 => ConfigError::ZeroQueueCapacity,
             1 => ConfigError::ZeroMaxBatch,
@@ -372,15 +317,10 @@ fn config_errors_always_render() {
                 deadline: 1,
                 max_wait: 2,
             },
-            5 => ConfigError::InvertedWatermarks { low: 3, high: 2 },
-            6 => ConfigError::DegradedBatchOutOfRange {
-                degraded: 9,
-                max_batch: 4,
-            },
-            7 => ConfigError::FaultRateOutOfRange {
+            5 => ConfigError::FaultRateOutOfRange {
                 total_permille: 1_234,
             },
-            8 => ConfigError::TooManyWorkers {
+            6 => ConfigError::TooManyWorkers {
                 workers: 1_000,
                 max: 256,
             },

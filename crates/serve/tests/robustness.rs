@@ -1,7 +1,6 @@
 //! Robustness layer through the threaded server: injected faults drive
 //! retries and surfaced failures, deadlines shed at admission and drop
-//! before execution, degradation sheds low-priority work, and none of
-//! it perturbs answers.
+//! before execution, and none of it perturbs answers.
 
 use std::time::Duration;
 
@@ -258,67 +257,4 @@ fn expired_requests_are_dropped_before_execution() {
                 reason: ShedReason::DeadlineExceeded
             }
         )));
-}
-
-#[test]
-fn degraded_server_sheds_low_priority_only() {
-    // Watermark 4 with a huge dwell: the first time the leader sees 4+
-    // waiting requests it degrades and never recovers, so once
-    // `degraded_ticks` moves we can assert admission behavior stably.
-    let server = Server::builder()
-        .queue_capacity(64)
-        .batch(BatchPolicy {
-            max_batch: 1,
-            max_wait: 500,
-        })
-        .workers(1)
-        .executor(ExecutorConfig::serial())
-        .trace_capacity(1024)
-        .degradation(DegradationPolicy {
-            high_watermark: 4,
-            low_watermark: 0,
-            exec_p95_limit: 0,
-            degraded_max_batch: 1,
-            shed_low_priority: true,
-            min_dwell: u64::MAX,
-        })
-        .build()
-        .expect("valid configuration");
-    for seed in 0..16 {
-        server.submit(WorkloadKind::Nvsa, seed).expect("room");
-    }
-    let bound = std::time::Instant::now() + Duration::from_secs(30);
-    while server.stats().degraded_ticks == 0 {
-        assert!(
-            std::time::Instant::now() < bound,
-            "16 queued requests at watermark 4 must degrade the server"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let low = server.submit_with(
-        WorkloadKind::Nvsa,
-        99,
-        SubmitOptions {
-            priority: Priority::Low,
-            ..SubmitOptions::default()
-        },
-    );
-    assert_eq!(
-        low,
-        Err(AdmissionError::LoadShed),
-        "a degraded server sheds low-priority work"
-    );
-    let high = server.submit_with(
-        WorkloadKind::Nvsa,
-        100,
-        SubmitOptions {
-            priority: Priority::High,
-            ..SubmitOptions::default()
-        },
-    );
-    assert!(high.is_ok(), "higher priorities are never load-shed");
-    let report = server.shutdown();
-    assert!(report.stats.degraded_ticks > 0);
-    assert_eq!(report.stats.completed, 17, "16 normal + 1 high");
-    assert_eq!(report.stats.shed, 1, "only the low-priority probe");
 }

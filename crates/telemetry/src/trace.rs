@@ -49,20 +49,16 @@ pub enum ShedReason {
     /// The request's deadline was infeasible at admission or had
     /// already passed when its batch reached a worker.
     DeadlineExceeded,
-    /// The degradation policy was shedding low-priority work under
-    /// load.
-    LoadShed,
 }
 
 impl ShedReason {
     /// Every reason, in a fixed order.
     #[must_use]
-    pub const fn all() -> [ShedReason; 4] {
+    pub const fn all() -> [ShedReason; 3] {
         [
             ShedReason::QueueFull,
             ShedReason::Shutdown,
             ShedReason::DeadlineExceeded,
-            ShedReason::LoadShed,
         ]
     }
 
@@ -74,7 +70,6 @@ impl ShedReason {
             ShedReason::QueueFull => "queue_full",
             ShedReason::Shutdown => "shutdown",
             ShedReason::DeadlineExceeded => "deadline_exceeded",
-            ShedReason::LoadShed => "load_shed",
         }
     }
 
@@ -814,7 +809,6 @@ mod tests {
         assert_eq!(ShedReason::QueueFull.name(), "queue_full");
         assert_eq!(ShedReason::Shutdown.name(), "shutdown");
         assert_eq!(ShedReason::DeadlineExceeded.name(), "deadline_exceeded");
-        assert_eq!(ShedReason::LoadShed.name(), "load_shed");
         assert_eq!(
             RequestEvent::Shed {
                 reason: ShedReason::Shutdown

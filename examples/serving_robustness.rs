@@ -1,7 +1,6 @@
-//! Robust serving end to end: deadlines, bounded retries, seeded fault
-//! injection and graceful degradation through the builder-style API —
-//! then the same chaos replayed bit-identically on the virtual-time
-//! simulator.
+//! Robust serving end to end: deadlines, bounded retries and seeded
+//! fault injection through the builder-style API — then the same chaos
+//! replayed bit-identically on the virtual-time simulator.
 //!
 //! ```sh
 //! cargo run --release --example serving_robustness
@@ -30,18 +29,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             backoff_cap: 3_200,
             jitter_seed: 42,
         })
-        .degradation(DegradationPolicy {
-            high_watermark: 24,
-            low_watermark: 8,
-            ..DegradationPolicy::default()
-        })
         .faults(faults)
         .build()?;
     println!("fault plan: {faults}");
 
     // ── 2. Per-request options via submit_with ──────────────────────────
-    // submit_with carries a deadline, a priority and a retry override;
-    // it refuses with the same AdmissionError as the two-arg submit.
+    // submit_with carries a deadline and a retry override; it refuses
+    // with the same AdmissionError as the two-arg submit.
     for i in 0..24u64 {
         let kind = WorkloadKind::all()[i as usize % 4];
         let result = server.submit_with(
@@ -49,18 +43,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             100 + i,
             SubmitOptions {
                 deadline: Some(500_000),
-                priority: if i % 8 == 0 {
-                    Priority::High
-                } else {
-                    Priority::Normal
-                },
                 ..SubmitOptions::default()
             },
         );
         match result {
             Ok(_) => {}
-            // Typed shedding: overload, load shedding and infeasible
-            // deadlines each carry their reason.
+            // Typed shedding: overload and infeasible deadlines each
+            // carry their reason.
             Err(err) => println!("  shed {kind}: {err}"),
         }
     }
@@ -78,14 +67,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // ── 3. The same chaos, bit-reproducible in virtual time ─────────────
-    // The policies are clock-agnostic state machines, so the simulator
-    // runs the identical code under a virtual clock: two runs of a
-    // seeded chaos scenario match down to the trace bytes.
+    // The serving core is clock-agnostic, so the simulator runs the
+    // identical code under a virtual clock: two runs of a seeded chaos
+    // scenario match down to the trace bytes.
     let config = SimConfig {
         requests: 96,
         mean_interarrival: 500,
         kinds: WorkloadKind::all().to_vec(),
-        priorities: vec![Priority::Normal, Priority::Low, Priority::High],
         queue_capacity: 24,
         policy: BatchPolicy {
             max_batch: 6,

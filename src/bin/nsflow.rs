@@ -281,19 +281,11 @@ fn serve(args: ServeArgs) -> Result<(), String> {
         "submitted {}  shed {}  completed {}  batches {}",
         stats.submitted, stats.shed, stats.completed, stats.batches
     );
-    let chaos_active = stats.retries
-        + stats.faults_injected
-        + stats.failed
-        + stats.deadline_shed
-        + stats.degraded_ticks;
+    let chaos_active = stats.retries + stats.faults_injected + stats.failed + stats.deadline_shed;
     if chaos_active > 0 {
         println!(
-            "chaos: retries {}  faults {}  failed {}  deadline-shed {}  degraded-ticks {}",
-            stats.retries,
-            stats.faults_injected,
-            stats.failed,
-            stats.deadline_shed,
-            stats.degraded_ticks
+            "chaos: retries {}  faults {}  failed {}  deadline-shed {}",
+            stats.retries, stats.faults_injected, stats.failed, stats.deadline_shed
         );
     }
     let latency = PhaseStats::from_samples(report.responses.iter().map(|r| r.latency()).collect());
