@@ -49,24 +49,6 @@ impl MemoryPlan {
             cache: req.cache_bytes(),
         }
     }
-
-    /// Total BRAM-backed bytes (A1+A2+B+C, double-buffered).
-    #[must_use]
-    pub fn bram_bytes(&self) -> usize {
-        2 * (self.mem_a1 + self.mem_a2 + self.mem_b + self.mem_c)
-    }
-
-    /// Total URAM-backed bytes (the cache).
-    #[must_use]
-    pub fn uram_bytes(&self) -> usize {
-        self.cache
-    }
-
-    /// Total on-chip bytes.
-    #[must_use]
-    pub fn total_bytes(&self) -> usize {
-        self.bram_bytes() + self.uram_bytes()
-    }
 }
 
 /// Off-chip transfer timing under double buffering.
@@ -166,13 +148,6 @@ mod tests {
         assert_eq!(p.mem_b, 2000);
         assert_eq!(p.mem_c, 300);
         assert_eq!(p.cache, 2 * (1500 + 2000 + 300));
-    }
-
-    #[test]
-    fn bram_bytes_double_buffer() {
-        let p = MemoryPlan::from_requirements(&req());
-        assert_eq!(p.bram_bytes(), 2 * (1000 + 500 + 2000 + 300));
-        assert_eq!(p.total_bytes(), p.bram_bytes() + p.cache);
     }
 
     #[test]

@@ -18,7 +18,9 @@
 
 use std::time::Instant;
 
-use nsflow_bench::{exact, fmt_seconds, wall_ratio, wall_time, write_artifact, write_csv};
+use nsflow_bench::{
+    exact, fmt_seconds, metric, wall_ratio, wall_time, write_artifact, write_csv, Better,
+};
 use nsflow_dse::exhaustive::{exhaustive_uniform, exhaustive_uniform_reference, ExhaustiveResult};
 use nsflow_dse::DseOptions;
 use nsflow_graph::DataflowGraph;
@@ -117,7 +119,16 @@ fn emit_json(runs: &[Run], quick: bool) {
             fields.extend(run.modes.iter().map(|m| {
                 let mode = JsonValue::object([
                     ("wall_s", wall_time(m.wall, "s")),
-                    ("points_per_sec", wall_ratio(m.points_per_sec, "points/s")),
+                    // An absolute rate depends on the host: recorded, never gated.
+                    (
+                        "points_per_sec",
+                        metric(
+                            JsonValue::Float(m.points_per_sec),
+                            "points/s",
+                            Better::Higher,
+                            None,
+                        ),
+                    ),
                     ("speedup", wall_ratio(serial_wall / m.wall, "x")),
                 ]);
                 (m.name, mode)

@@ -127,8 +127,8 @@ pub fn exact(value: JsonValue, unit: &str) -> JsonValue {
     metric(value, unit, Better::Exact, Some(0.0))
 }
 
-/// A wall-clock speedup or rate (points/s) that must not fall below its
-/// baseline by more than [`WALL_CLOCK_BOUND`].
+/// A wall-clock speedup that must not fall below its baseline by more
+/// than [`WALL_CLOCK_BOUND`].
 #[must_use]
 pub fn wall_ratio(value: f64, unit: &str) -> JsonValue {
     metric(

@@ -53,18 +53,6 @@ impl SweepStats {
         self.tables_built += other.tables_built;
         self.wall += other.wall;
     }
-
-    /// Evaluation throughput in points per second (0 when the wall clock
-    /// is too coarse to measure).
-    #[must_use]
-    pub fn points_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.points_evaluated as f64 / secs
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Publishes a finished sweep's [`SweepStats`] into the global telemetry

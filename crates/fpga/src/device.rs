@@ -60,18 +60,6 @@ impl FpgaDevice {
     pub fn name(&self) -> &str {
         &self.name
     }
-
-    /// BRAM capacity in bytes (18 KB blocks).
-    #[must_use]
-    pub fn bram_bytes(&self) -> u64 {
-        self.bram_blocks * 18 * 1024
-    }
-
-    /// URAM capacity in bytes (288 KB blocks).
-    #[must_use]
-    pub fn uram_bytes(&self) -> u64 {
-        self.uram_blocks * 288 * 1024
-    }
 }
 
 #[cfg(test)]
@@ -82,8 +70,8 @@ mod tests {
     fn u250_capacities() {
         let d = FpgaDevice::u250();
         assert_eq!(d.dsps, 12_288);
-        assert_eq!(d.bram_bytes(), 5_376 * 18 * 1024);
-        assert_eq!(d.uram_bytes(), 1_280 * 288 * 1024);
+        assert_eq!(d.bram_blocks, 5_376);
+        assert_eq!(d.uram_blocks, 1_280);
         assert_eq!(d.default_freq_hz, 272.0e6);
     }
 

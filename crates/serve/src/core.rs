@@ -383,11 +383,6 @@ impl ServeCore {
         self.state().stats
     }
 
-    /// Point-in-time copy of the flight recorder.
-    pub fn trace(&self) -> TraceSnapshot {
-        self.recorder.snapshot()
-    }
-
     /// Takes the results gathered so far into a report.
     pub fn report(&self) -> ServeReport {
         let (mut responses, mut failed, stats, last_completion) = {
@@ -437,7 +432,7 @@ mod tests {
         fn wait(&mut self, _ticks: u64) {}
 
         fn execute(&mut self, members: &[Request]) -> Vec<u64> {
-            let records = self.core.trace().records;
+            let records = self.core.recorder.snapshot().records;
             for request in members {
                 assert!(
                     records.iter().any(|r| r.trace_id == request.id

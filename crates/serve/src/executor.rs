@@ -191,12 +191,6 @@ impl Executor {
         })
     }
 
-    /// The configuration the executor was built with.
-    #[must_use]
-    pub fn config(&self) -> ExecutorConfig {
-        self.config
-    }
-
     /// Runs one request to completion and returns its scalar answer
     /// (candidate index for RPM workloads, accuracy permille for
     /// MIMONet).

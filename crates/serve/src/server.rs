@@ -27,7 +27,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use nsflow_telemetry::gauge;
-use nsflow_telemetry::trace::TraceSnapshot;
 
 use crate::batcher::Batcher;
 use crate::builder::ServerBuilder;
@@ -177,14 +176,6 @@ impl Server {
                 }
             })?;
         Ok(id)
-    }
-
-    /// Point-in-time copy of the flight recorder — the last
-    /// `trace_capacity` lifecycle events across all workers. Safe to
-    /// call while the server is running.
-    #[must_use]
-    pub fn trace_snapshot(&self) -> TraceSnapshot {
-        self.shared.core.trace()
     }
 
     /// Point-in-time counters.

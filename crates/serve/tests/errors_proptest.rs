@@ -1,26 +1,17 @@
 //! Seeded property tests over the error taxonomy and builder
-//! validation: shed-reason names round-trip, every error renders a
-//! non-empty message, fault plans survive their textual spec format and
-//! arbitrary specs never panic the parser, backoff is deterministic and
-//! bounded, and degenerate configurations never build (all rejection
-//! paths return before any thread spawns, so they are cheap enough to
-//! fuzz). Each property runs over seeds `0..CASES`; a failure names its
-//! seed.
+//! validation: every error renders a non-empty message, fault plans
+//! survive their textual spec format and arbitrary specs never panic the
+//! parser, backoff is deterministic and bounded, and degenerate
+//! configurations never build (all rejection paths return before any
+//! thread spawns, so they are cheap enough to fuzz). Each property runs
+//! over seeds `0..CASES`; a failure names its seed.
 
 use nsflow_serve::batcher::BatchPolicy;
-use nsflow_serve::{AdmissionError, ConfigError, FaultPlan, RetryPolicy, Server, ShedReason};
+use nsflow_serve::{AdmissionError, ConfigError, FaultPlan, RetryPolicy, Server};
 use nsflow_tensor::rng::StdRng;
 
 /// Cases per property.
 const CASES: u64 = 256;
-
-#[test]
-fn shed_reason_names_round_trip() {
-    for reason in ShedReason::all() {
-        assert_eq!(ShedReason::by_name(reason.name()), Some(reason));
-    }
-    assert_eq!(ShedReason::by_name("bogus"), None);
-}
 
 fn admission_error(rng: &mut StdRng) -> AdmissionError {
     match rng.gen_range(0..3) {
@@ -51,38 +42,6 @@ fn admission_errors_render_their_numbers() {
         for n in numbers {
             assert!(msg.contains(&n), "seed {seed}: {msg:?} lacks {n}");
         }
-    }
-}
-
-/// Up to 24 printable characters, ASCII-heavy with some non-ASCII; every
-/// fourth case is a real reason name instead.
-fn reason_like_string(rng: &mut StdRng) -> String {
-    if rng.gen_range(0..4) == 0 {
-        let all = ShedReason::all();
-        return all[rng.gen_range(0..all.len())].name().to_string();
-    }
-    (0..rng.gen_range(0..=24))
-        .map(|_| {
-            let code = if rng.gen::<bool>() {
-                rng.gen_range(0x20..0x7f)
-            } else {
-                rng.gen_range(0xa0..0x3000)
-            };
-            char::from_u32(code).unwrap_or('?')
-        })
-        .collect()
-}
-
-#[test]
-fn arbitrary_strings_only_name_real_reasons() {
-    for seed in 0..CASES {
-        let s = reason_like_string(&mut StdRng::seed_from_u64(seed));
-        let known = ShedReason::all().iter().any(|r| r.name() == s);
-        assert_eq!(
-            ShedReason::by_name(&s).is_some(),
-            known,
-            "seed {seed}: {s:?}"
-        );
     }
 }
 

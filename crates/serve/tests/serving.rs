@@ -133,53 +133,3 @@ fn stats_snapshot_is_monotonic() {
     let size_sum: usize = report.responses.iter().map(|r| r.batch_size()).sum();
     assert!(size_sum >= report.responses.len());
 }
-
-#[test]
-fn live_trace_snapshot_shows_admission_before_shutdown() {
-    let server = Server::builder()
-        .queue_capacity(16)
-        .batch(BatchPolicy {
-            max_batch: 4,
-            max_wait: 1_000,
-        })
-        .workers(2)
-        .executor(ExecutorConfig::serial())
-        .trace_capacity(1024)
-        .build()
-        .expect("valid configuration");
-    let labels = |trace: &nsflow_serve::TraceSnapshot, id: u64| -> Vec<&'static str> {
-        let mut labels: Vec<_> = trace
-            .records
-            .iter()
-            .filter(|r| r.trace_id == id)
-            .map(|r| r.event.label())
-            .collect();
-        labels.sort_unstable();
-        labels
-    };
-    let mut ids = Vec::new();
-    for seed in 0..8 {
-        let id = server.submit(WorkloadKind::Lvrf, seed).expect("room");
-        // `submit` records both admission events before it returns; a
-        // worker may already have added batch events on top.
-        let live = labels(&server.trace_snapshot(), id);
-        assert!(
-            live.contains(&"admitted") && live.contains(&"enqueued"),
-            "request {id}: {live:?}"
-        );
-        ids.push(id);
-    }
-    let report = server.shutdown();
-    let mut chain = vec![
-        "admitted",
-        "enqueued",
-        "batch_formed",
-        "exec_start",
-        "exec_end",
-        "responded",
-    ];
-    chain.sort_unstable();
-    for id in ids {
-        assert_eq!(labels(&report.trace, id), chain, "request {id}");
-    }
-}

@@ -147,12 +147,6 @@ impl Schedule {
         self.total_cycles
     }
 
-    /// Busy cycles per resource `(nn, vsa, simd)`.
-    #[must_use]
-    pub fn busy_cycles(&self) -> (u64, u64, u64) {
-        (self.busy_nn, self.busy_vsa, self.busy_simd)
-    }
-
     /// Seconds at a given clock frequency.
     ///
     /// # Panics
@@ -400,8 +394,10 @@ impl ReadyQueues {
 ///
 /// # Panics
 ///
-/// Panics if `mapping` lengths disagree with the graph's node counts,
-/// or if the graph has `u32::MAX` or more op instances.
+/// Panics if `mapping` lengths disagree with the graph's node counts.
+/// The `assert!` that the graph has fewer than `u32::MAX` op instances
+/// cannot fire: `ExecutionTrace` rejects such loop counts with
+/// [`TraceError::TooManyInstances`](nsflow_trace::TraceError::TooManyInstances).
 #[must_use]
 pub fn run_pooled(
     graph: &DataflowGraph,
@@ -930,7 +926,5 @@ mod tests {
         assert!(u > 0.0 && u <= 1.0);
         let secs = s.seconds_at(272.0e6);
         assert!(secs > 0.0);
-        let (nn, vsa, simd_busy) = s.busy_cycles();
-        assert!(nn > 0 && vsa > 0 && simd_busy > 0);
     }
 }

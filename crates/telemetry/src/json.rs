@@ -28,11 +28,6 @@ impl JsonError {
             message: message.into(),
         }
     }
-
-    /// Human-readable description of the failure.
-    pub fn message(&self) -> &str {
-        &self.message
-    }
 }
 
 impl fmt::Display for JsonError {
@@ -725,7 +720,7 @@ mod tests {
                 for open in ["[", "{\"k\":"] {
                     let deep = open.repeat(20_000);
                     let err = JsonValue::parse(&deep).unwrap_err();
-                    assert!(err.message().contains("nesting too deep"), "{err}");
+                    assert!(err.to_string().contains("nesting too deep"), "{err}");
                 }
                 let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
                 assert!(JsonValue::parse(&ok).is_ok());

@@ -15,8 +15,8 @@
 //! - **counters** render as a Prometheus `counter` with one sample;
 //! - **gauges** as a `gauge` (negative values allowed);
 //! - **histograms** as a `summary` — `{quantile="0.5|0.95|0.99"}`
-//!   estimates from the log2 buckets (see
-//!   [`HistogramSnapshot::p50`]), `_sum`, `_count`, plus
+//!   estimates interpolated within the log2 buckets and clamped to
+//!   the recorded `[min, max]`, `_sum`, `_count`, plus
 //!   non-standard `_min`, `_max` and raw `_bucket{bucket="<log2
 //!   index>"}` series that keep the exposition lossless;
 //! - **spans** as three gauges: `_count`, `_total_ns`, `_max_ns`.
@@ -91,27 +91,13 @@ pub fn render(snapshot: &TelemetrySnapshot) -> String {
 }
 
 /// Error produced by [`parse`]: the first malformed line or incomplete
-/// family, with its 1-based line number.
+/// family. It displays as `line N: message`, with `N` 1-based; an
+/// incomplete family is reported on the line that follows it (the next
+/// family comment, or one past the last line).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PromError {
     line: usize,
     message: String,
-}
-
-impl PromError {
-    /// The 1-based line the error was found on. An incomplete family is
-    /// reported on the line that follows it: the next family comment,
-    /// or one past the last line.
-    #[must_use]
-    pub fn line(&self) -> usize {
-        self.line
-    }
-
-    /// Human-readable description of the failure.
-    #[must_use]
-    pub fn message(&self) -> &str {
-        &self.message
-    }
 }
 
 impl fmt::Display for PromError {
@@ -391,8 +377,6 @@ mod tests {
     #[test]
     fn errors_name_their_line() {
         let err = parse("# nsflow counter \"x\"\nnsflow_x 1\nnsflow_x notanumber\n").unwrap_err();
-        assert_eq!(err.line(), 3);
-        assert_eq!(err.message(), "bad counter value: nsflow_x notanumber");
         assert_eq!(
             err.to_string(),
             "line 3: bad counter value: nsflow_x notanumber"
@@ -400,10 +384,7 @@ mod tests {
         // An incomplete family is reported where the next one begins.
         let err = parse("# nsflow span \"s\"\nnsflow_span_s_count 1\n# nsflow counter \"x\"\n")
             .unwrap_err();
-        assert_eq!(
-            (err.line(), err.message()),
-            (3, "span \"s\" missing _total_ns")
-        );
+        assert_eq!(err.to_string(), "line 3: span \"s\" missing _total_ns");
     }
 
     #[test]

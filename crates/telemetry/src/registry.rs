@@ -98,12 +98,6 @@ impl Gauge {
         self.value.store(v, Ordering::Relaxed);
     }
 
-    /// Shift the level by `delta`.
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
     /// Current level.
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
@@ -174,11 +168,6 @@ impl Histogram {
                 cell.fetch_add(n, Ordering::Relaxed);
             }
         }
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
     }
 
     fn reset(&self) {

@@ -22,15 +22,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Mean sample value, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Estimates the `q`-quantile (`0.0 < q <= 1.0`) from the log2
     /// buckets.
     ///
@@ -80,25 +71,6 @@ impl HistogramSnapshot {
             seen = seen.saturating_add(*bucket_count);
         }
         self.max
-    }
-
-    /// Median estimate: the rank's log2 bucket, linearly interpolated
-    /// and clamped to `[min, max]` (0 when empty).
-    #[must_use]
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// 95th-percentile estimate, computed as for [`HistogramSnapshot::p50`].
-    #[must_use]
-    pub fn p95(&self) -> u64 {
-        self.quantile(0.95)
-    }
-
-    /// 99th-percentile estimate, computed as for [`HistogramSnapshot::p50`].
-    #[must_use]
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
     }
 }
 
@@ -407,8 +379,8 @@ mod tests {
     #[test]
     fn quantile_of_empty_histogram_is_zero() {
         let h = HistogramSnapshot::default();
-        assert_eq!(h.p50(), 0);
-        assert_eq!(h.p99(), 0);
+        assert_eq!(h.quantile(0.50), 0);
+        assert_eq!(h.quantile(0.99), 0);
     }
 
     #[test]
@@ -416,17 +388,17 @@ mod tests {
         // All mass in one bucket with min == max: clamping pins every
         // quantile to the exact recorded value.
         let h = hist_of(&[700; 1000]);
-        assert_eq!(h.p50(), 700);
-        assert_eq!(h.p95(), 700);
-        assert_eq!(h.p99(), 700);
+        assert_eq!(h.quantile(0.50), 700);
+        assert_eq!(h.quantile(0.95), 700);
+        assert_eq!(h.quantile(0.99), 700);
         assert_eq!(h.quantile(1.0), 700);
     }
 
     #[test]
     fn quantile_of_zeroes_is_zero() {
         let h = hist_of(&[0; 17]);
-        assert_eq!(h.p50(), 0);
-        assert_eq!(h.p99(), 0);
+        assert_eq!(h.quantile(0.50), 0);
+        assert_eq!(h.quantile(0.99), 0);
     }
 
     #[test]
@@ -438,10 +410,11 @@ mod tests {
         let mut samples = vec![8u64; 90];
         samples.extend(std::iter::repeat_n(4096u64, 10));
         let h = hist_of(&samples);
-        assert!(h.p50() >= 8 && h.p50() < 16, "p50 = {}", h.p50());
-        assert!(h.p95() >= 4096 && h.p95() <= 8192, "p95 = {}", h.p95());
-        assert!(h.p99() >= 4096 && h.p99() <= 8192, "p99 = {}", h.p99());
-        assert!(h.p50() <= h.p95() && h.p95() <= h.p99());
+        let (p50, p95, p99) = (h.quantile(0.50), h.quantile(0.95), h.quantile(0.99));
+        assert!((8..16).contains(&p50), "p50 = {p50}");
+        assert!((4096..=8192).contains(&p95), "p95 = {p95}");
+        assert!((4096..=8192).contains(&p99), "p99 = {p99}");
+        assert!(p50 <= p95 && p95 <= p99);
     }
 
     #[test]
@@ -456,7 +429,8 @@ mod tests {
             last = v;
         }
         // Log2 buckets: the estimate is within a factor of 2 of truth.
-        assert!(h.p50() >= 256 && h.p50() <= 1024, "p50 = {}", h.p50());
+        let p50 = h.quantile(0.50);
+        assert!((256..=1024).contains(&p50), "p50 = {p50}");
         assert_eq!(h.quantile(1.0), 1024);
     }
 
@@ -464,7 +438,7 @@ mod tests {
     fn quantile_handles_top_bucket_without_overflow() {
         let h = hist_of(&[u64::MAX, u64::MAX - 1]);
         assert_eq!(h.quantile(1.0), u64::MAX);
-        assert!(h.p50() >= u64::MAX - 1);
+        assert!(h.quantile(0.50) >= u64::MAX - 1);
     }
 
     #[test]

@@ -72,13 +72,6 @@ impl ShedReason {
             ShedReason::DeadlineExceeded => "deadline_exceeded",
         }
     }
-
-    /// Parses the stable name back into the reason ([`Self::name`]'s
-    /// inverse).
-    #[must_use]
-    pub fn by_name(name: &str) -> Option<ShedReason> {
-        ShedReason::all().into_iter().find(|r| r.name() == name)
-    }
 }
 
 /// One step in a request's lifecycle.
@@ -126,24 +119,6 @@ pub enum RequestEvent {
         /// Total execution attempts made before giving up.
         attempts: u32,
     },
-}
-
-impl RequestEvent {
-    /// Stable snake_case label for the event type.
-    #[must_use]
-    pub const fn label(&self) -> &'static str {
-        match self {
-            RequestEvent::Admitted => "admitted",
-            RequestEvent::Enqueued => "enqueued",
-            RequestEvent::BatchFormed { .. } => "batch_formed",
-            RequestEvent::ExecStart { .. } => "exec_start",
-            RequestEvent::ExecEnd { .. } => "exec_end",
-            RequestEvent::Responded => "responded",
-            RequestEvent::Shed { .. } => "shed",
-            RequestEvent::Retried { .. } => "retried",
-            RequestEvent::Failed { .. } => "failed",
-        }
-    }
 }
 
 /// One recorded lifecycle event.
@@ -809,24 +784,6 @@ mod tests {
         assert_eq!(ShedReason::QueueFull.name(), "queue_full");
         assert_eq!(ShedReason::Shutdown.name(), "shutdown");
         assert_eq!(ShedReason::DeadlineExceeded.name(), "deadline_exceeded");
-        assert_eq!(
-            RequestEvent::Shed {
-                reason: ShedReason::Shutdown
-            }
-            .label(),
-            "shed"
-        );
-        assert_eq!(RequestEvent::Responded.label(), "responded");
-        assert_eq!(RequestEvent::Retried { attempt: 1 }.label(), "retried");
-        assert_eq!(RequestEvent::Failed { attempts: 2 }.label(), "failed");
-    }
-
-    #[test]
-    fn shed_reason_names_round_trip() {
-        for reason in ShedReason::all() {
-            assert_eq!(ShedReason::by_name(reason.name()), Some(reason));
-        }
-        assert_eq!(ShedReason::by_name("unknown"), None);
     }
 
     #[test]

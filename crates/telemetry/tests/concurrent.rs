@@ -30,9 +30,15 @@ fn concurrent_increments_are_lossless() {
 fn concurrent_histogram_recording_is_lossless() {
     let histogram = telemetry::global().histogram("concurrent_test.samples");
     let items: Vec<u64> = (0..4096).collect();
-    let before = histogram.count();
+    let count = || {
+        let snap = telemetry::TelemetrySnapshot::capture();
+        snap.histograms
+            .get("concurrent_test.samples")
+            .map_or(0, |h| h.count)
+    };
+    let before = count();
     parallel_map(&items, 8, |&v| histogram.record(v));
-    assert_eq!(histogram.count() - before, items.len() as u64);
+    assert_eq!(count() - before, items.len() as u64);
     let snap = telemetry::TelemetrySnapshot::capture();
     let h = snap.histograms.get("concurrent_test.samples").unwrap();
     assert_eq!(h.buckets.iter().map(|(_, n)| n).sum::<u64>(), h.count);

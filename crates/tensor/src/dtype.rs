@@ -81,12 +81,6 @@ impl DType {
             DType::Fp16 | DType::Fp32 => None,
         }
     }
-
-    /// All precisions, widest first — the order used by the Tab. IV sweep.
-    #[must_use]
-    pub const fn all() -> [DType; 4] {
-        [DType::Fp32, DType::Fp16, DType::Int8, DType::Int4]
-    }
 }
 
 impl fmt::Display for DType {

@@ -83,18 +83,6 @@ impl QuantParams {
         QuantParams::with_scale(dtype, scale)
     }
 
-    /// The integer format these parameters target.
-    #[must_use]
-    pub fn dtype(&self) -> DType {
-        self.dtype
-    }
-
-    /// The positive real value represented by quantized code `1`.
-    #[must_use]
-    pub fn scale(&self) -> f32 {
-        self.scale
-    }
-
     /// Quantizes one value to its integer code (round-to-nearest, saturating).
     #[must_use]
     pub fn quantize(&self, value: f32) -> i32 {
@@ -117,12 +105,6 @@ impl QuantParams {
     #[must_use]
     pub fn fake_quantize(&self, value: f32) -> f32 {
         self.dequantize(self.quantize(value))
-    }
-
-    /// Worst-case absolute rounding error (half a quantization step).
-    #[must_use]
-    pub fn max_rounding_error(&self) -> f32 {
-        self.scale * 0.5
     }
 }
 
@@ -249,7 +231,7 @@ mod tests {
     #[test]
     fn all_zero_input_gets_valid_scale() {
         let q = QuantParams::fit(&[0.0, 0.0], DType::Int4).unwrap();
-        assert!(q.scale() > 0.0);
+        assert!(q.dequantize(1) > 0.0);
         assert_eq!(q.fake_quantize(0.0), 0.0);
     }
 
@@ -264,10 +246,11 @@ mod tests {
     #[test]
     fn fake_quantize_error_bounded_by_half_step() {
         let q = QuantParams::fit(&[-1.0, 1.0], DType::Int8).unwrap();
+        let half_step = q.dequantize(1) / 2.0;
         for i in -100..=100 {
             let v = i as f32 / 100.0;
             let err = (q.fake_quantize(v) - v).abs();
-            assert!(err <= q.max_rounding_error() + 1e-7, "v={v} err={err}");
+            assert!(err <= half_step + 1e-7, "v={v} err={err}");
         }
     }
 

@@ -57,31 +57,15 @@ impl TraceBuilder {
         id
     }
 
-    /// Number of ops pushed so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether no ops have been pushed yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Id of the most recently pushed op, if any.
-    #[must_use]
-    pub fn last_id(&self) -> Option<OpId> {
-        self.ops.last().map(|op| op.id)
-    }
-
     /// Validates and finishes the trace.
     ///
     /// # Errors
     ///
     /// Returns the first structural violation: [`crate::TraceError::EmptyTrace`],
-    /// [`crate::TraceError::ZeroLoopCount`], [`crate::TraceError::ZeroDimension`]
-    /// or [`crate::TraceError::DanglingInput`].
+    /// [`crate::TraceError::ZeroLoopCount`],
+    /// [`crate::TraceError::TooManyInstances`],
+    /// [`crate::TraceError::ZeroDimension`] or
+    /// [`crate::TraceError::DanglingInput`].
     pub fn finish(self, loop_count: usize) -> Result<ExecutionTrace> {
         ExecutionTrace::new(self.name, self.ops, loop_count)
     }
@@ -161,7 +145,5 @@ mod tests {
         );
         assert_eq!(a.index(), 0);
         assert_eq!(c.index(), 1);
-        assert_eq!(b.last_id(), Some(c));
-        assert_eq!(b.len(), 2);
     }
 }

@@ -15,6 +15,14 @@ pub enum TraceError {
     EmptyTrace,
     /// The loop count was zero.
     ZeroLoopCount,
+    /// `loop_count × ops` op instances reach `u32::MAX` (or overflow),
+    /// more than the scheduler can number.
+    TooManyInstances {
+        /// Ops per loop iteration.
+        ops: usize,
+        /// The requested loop count.
+        loop_count: usize,
+    },
     /// An op was constructed with a zero-sized dimension.
     ZeroDimension {
         /// The offending op name.
@@ -47,6 +55,11 @@ impl fmt::Display for TraceError {
             }
             TraceError::EmptyTrace => write!(f, "trace must contain at least one op"),
             TraceError::ZeroLoopCount => write!(f, "loop count must be at least 1"),
+            TraceError::TooManyInstances { ops, loop_count } => write!(
+                f,
+                "loop count {loop_count} × {ops} ops must stay below {} op instances",
+                u32::MAX
+            ),
             TraceError::ZeroDimension { op } => {
                 write!(f, "op {op} has a zero-sized dimension")
             }
@@ -84,6 +97,10 @@ mod tests {
             },
             TraceError::EmptyTrace,
             TraceError::ZeroLoopCount,
+            TraceError::TooManyInstances {
+                ops: 2,
+                loop_count: 1 << 31,
+            },
             TraceError::ZeroDimension { op: "x".into() },
             TraceError::ParseLine {
                 line: 2,

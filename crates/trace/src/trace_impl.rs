@@ -18,9 +18,7 @@ impl ExecutionTrace {
         if ops.is_empty() {
             return Err(TraceError::EmptyTrace);
         }
-        if loop_count == 0 {
-            return Err(TraceError::ZeroLoopCount);
-        }
+        check_loop_count(ops.len(), loop_count)?;
         for (pos, op) in ops.iter().enumerate() {
             if !op.kind.is_well_formed() {
                 return Err(TraceError::ZeroDimension {
@@ -75,11 +73,11 @@ impl ExecutionTrace {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::ZeroLoopCount`] if `loop_count == 0`.
+    /// Returns [`TraceError::ZeroLoopCount`] if `loop_count == 0` and
+    /// [`TraceError::TooManyInstances`] if `loop_count × ops` reaches
+    /// `u32::MAX`.
     pub fn with_loop_count(&self, loop_count: usize) -> Result<Self> {
-        if loop_count == 0 {
-            return Err(TraceError::ZeroLoopCount);
-        }
+        check_loop_count(self.ops.len(), loop_count)?;
         Ok(ExecutionTrace {
             name: self.name.clone(),
             ops: self.ops.clone(),
@@ -169,6 +167,21 @@ impl ExecutionTrace {
     }
 }
 
+/// Checks that `loop_count` is nonzero and that the `loop_count × n_ops`
+/// op instances stay below `u32::MAX`, the scheduler's instance bound.
+fn check_loop_count(n_ops: usize, loop_count: usize) -> Result<()> {
+    if loop_count == 0 {
+        return Err(TraceError::ZeroLoopCount);
+    }
+    match n_ops.checked_mul(loop_count) {
+        Some(total) if total < u32::MAX as usize => Ok(()),
+        _ => Err(TraceError::TooManyInstances {
+            ops: n_ops,
+            loop_count,
+        }),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,5 +259,20 @@ mod tests {
         let t = sample();
         assert_eq!(t.with_loop_count(16).unwrap().loop_count(), 16);
         assert_eq!(t.with_loop_count(0).unwrap_err(), TraceError::ZeroLoopCount);
+    }
+
+    #[test]
+    fn loop_counts_reaching_the_instance_bound_are_rejected() {
+        let t = sample();
+        let ops = t.ops().len();
+        // The largest count whose instances stay below u32::MAX.
+        let max = (u32::MAX as usize - 1) / ops;
+        assert_eq!(t.with_loop_count(max).unwrap().loop_count(), max);
+        for loop_count in [max + 1, usize::MAX] {
+            let err = TraceError::TooManyInstances { ops, loop_count };
+            assert_eq!(t.with_loop_count(loop_count).unwrap_err(), err);
+            let rebuilt = ExecutionTrace::new("s".into(), t.ops().to_vec(), loop_count);
+            assert_eq!(rebuilt.unwrap_err(), err);
+        }
     }
 }

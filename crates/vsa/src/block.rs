@@ -13,7 +13,7 @@ use crate::{ops, Result, VsaError};
 /// use nsflow_vsa::BlockCode;
 /// let a = BlockCode::from_vec(2, 3, vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0])?;
 /// // Binding with a one-hot block at index 0 is the identity.
-/// let id = BlockCode::identity(2, 3);
+/// let id = BlockCode::from_vec(2, 3, vec![1.0, 0.0, 0.0, 1.0, 0.0, 0.0])?;
 /// let b = a.bind(&id)?;
 /// assert!(a.similarity(&b)? > 0.999);
 /// # Ok::<(), nsflow_vsa::VsaError>(())
@@ -66,21 +66,6 @@ impl BlockCode {
         }
     }
 
-    /// The binding identity: every block is the delta vector `[1, 0, …, 0]`
-    /// (circular convolution with a delta leaves the operand unchanged).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either geometry parameter is zero.
-    #[must_use]
-    pub fn identity(n_blocks: usize, block_dim: usize) -> Self {
-        let mut code = BlockCode::zeros(n_blocks, block_dim);
-        for b in 0..n_blocks {
-            code.data[b * block_dim] = 1.0;
-        }
-        code
-    }
-
     /// Number of blocks.
     #[must_use]
     pub fn n_blocks(&self) -> usize {
@@ -91,18 +76,6 @@ impl BlockCode {
     #[must_use]
     pub fn block_dim(&self) -> usize {
         self.block_dim
-    }
-
-    /// Total element count (`n_blocks * block_dim`).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the code has zero elements (never true for a valid code).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Read-only view of the backing data.
@@ -155,15 +128,6 @@ impl BlockCode {
     /// Returns [`VsaError::GeometryMismatch`] if geometries differ.
     pub fn unbind(&self, other: &BlockCode) -> Result<BlockCode> {
         ops::unbind(self, other)
-    }
-
-    /// Bundles (element-wise sum) with `other`; no normalization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VsaError::GeometryMismatch`] if geometries differ.
-    pub fn bundle(&self, other: &BlockCode) -> Result<BlockCode> {
-        ops::bundle([self, other])
     }
 
     /// Normalized similarity in `[-1, 1]` (cosine over all elements).
@@ -227,16 +191,6 @@ mod tests {
             })
         );
         assert!(BlockCode::from_vec(2, 2, vec![0.0; 4]).is_ok());
-    }
-
-    #[test]
-    fn identity_blocks_are_deltas() {
-        let id = BlockCode::identity(3, 4);
-        for b in 0..3 {
-            let blk = id.block(b).unwrap();
-            assert_eq!(blk[0], 1.0);
-            assert!(blk[1..].iter().all(|&x| x == 0.0));
-        }
     }
 
     #[test]

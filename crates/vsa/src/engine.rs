@@ -214,20 +214,6 @@ impl SpectralCodebook {
         Ok(best)
     }
 
-    /// Softmax match probabilities — bit-identical to
-    /// [`Codebook::match_prob`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::VsaError::GeometryMismatch`] on geometry
-    /// disagreement.
-    pub fn match_prob(&self, query: &BlockCode, temperature: f32) -> Result<Vec<f32>> {
-        let sims = self.similarities(query)?;
-        let t = temperature.max(f32::MIN_POSITIVE);
-        let logits: Vec<f32> = sims.into_iter().map(|s| s / t).collect();
-        Ok(ops::softmax(&logits))
-    }
-
     /// The cached blockwise spectrum of codeword `index`.
     ///
     /// # Panics
@@ -364,13 +350,6 @@ impl SpectralResonator {
     #[must_use]
     pub fn books(&self) -> &[SpectralCodebook] {
         &self.books
-    }
-
-    /// The reference resonator over the same factors (the fallback path
-    /// and the oracle the equivalence tests compare against).
-    #[must_use]
-    pub fn reference(&self) -> &Resonator {
-        &self.reference
     }
 
     /// Whether factorization will run the spectral loop (vs. delegating
@@ -712,10 +691,6 @@ mod tests {
         assert_eq!(
             engine.cleanup(&noisy).unwrap(),
             book.cleanup(&noisy).unwrap()
-        );
-        assert_eq!(
-            engine.match_prob(&noisy, 0.08).unwrap(),
-            book.match_prob(&noisy, 0.08).unwrap()
         );
     }
 

@@ -36,11 +36,12 @@
 //!
 //! # Fallback contract
 //!
-//! [`circular_convolve_fast`] is **total over all equal-length inputs**:
-//! when `n` is not a power of two — the radix-2 plan cannot decompose it —
-//! or `n < 8` — where the butterfly + complex-arithmetic overhead loses to
-//! the direct kernel — it falls back to [`ops::circular_convolve`] and is
-//! then **bit-identical** to the reference (same function, not an
+//! [`bind_fast`] and [`unbind_fast`] are **total over all same-geometry
+//! codes**: when the block dimension is not a power of two — the radix-2
+//! plan cannot decompose it — or is below 8 — where the butterfly +
+//! complex-arithmetic overhead loses to the direct kernel — they fall
+//! back to [`ops::bind`] and [`ops::unbind`] and are then
+//! **bit-identical** to the reference (same function, not an
 //! approximation). On the fast path the result carries f64-FFT rounding
 //! instead, within ~1e-3 absolute of the reference for unit-scale
 //! operands.
@@ -325,24 +326,6 @@ fn spectral(a: &[f32], b: &[f32], n: usize, product: fn(&mut Spectrum, &Spectrum
     out
 }
 
-/// Circular convolution via the convolution theorem; falls back to the
-/// direct O(d²) kernel — bit-identical to [`ops::circular_convolve`] —
-/// when `n` is not a power of two or `n < 8`.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[must_use]
-pub fn circular_convolve_fast(a: &[f32], b: &[f32]) -> Vec<f32> {
-    let n = a.len();
-    assert_eq!(b.len(), n, "operand lengths must match");
-    if !fast_path_applies(n) {
-        telemetry::counter!("vsa.kernel_fallbacks").incr();
-        return ops::circular_convolve(a, b);
-    }
-    spectral(a, b, n, Spectrum::mul)
-}
-
 /// Blockwise binding through the fast path — drop-in accelerated
 /// equivalent of [`crate::ops::bind`], which it runs when the block
 /// dimension is not a power of two or is below 8.
@@ -390,13 +373,23 @@ mod tests {
         (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
     }
 
+    /// One-block code holding `v`.
+    fn code(v: &[f32]) -> BlockCode {
+        BlockCode::from_vec(1, v.len(), v.to_vec()).unwrap()
+    }
+
+    /// Fast circular convolution of two vectors: a one-block `bind_fast`.
+    fn convolve_fast(a: &[f32], b: &[f32]) -> Vec<f32> {
+        bind_fast(&code(a), &code(b)).unwrap().data().to_vec()
+    }
+
     #[test]
     fn fast_convolution_matches_direct_power_of_two() {
         let mut rng = StdRng::seed_from_u64(1);
         for n in [8usize, 16, 64, 256, 1024] {
             let a = randvec(n, &mut rng);
             let b = randvec(n, &mut rng);
-            let fast = circular_convolve_fast(&a, &b);
+            let fast = convolve_fast(&a, &b);
             let direct = ops::circular_convolve(&a, &b);
             for (f, d) in fast.iter().zip(&direct) {
                 assert!((f - d).abs() < 1e-3, "n={n}: {f} vs {d}");
@@ -414,7 +407,7 @@ mod tests {
         let n = 4096;
         let a = randvec(n, &mut rng);
         let b = randvec(n, &mut rng);
-        let fast = circular_convolve_fast(&a, &b);
+        let fast = convolve_fast(&a, &b);
         let direct = ops::circular_convolve(&a, &b);
         let mut max_err = 0.0f32;
         for (f, d) in fast.iter().zip(&direct) {
@@ -434,31 +427,20 @@ mod tests {
         assert!(sim > 0.9999, "round-trip similarity {sim} at d={n}");
     }
 
-    /// The fallback contract: both fallback branches (non-power-of-two,
-    /// and power-of-two below 8) return the reference kernel's output
-    /// bit-for-bit.
+    /// The fallback contract: both fallback branches (non-power-of-two
+    /// block dimension, and power-of-two below 8) return the reference
+    /// kernels' output bit-for-bit.
     #[test]
     fn fallback_branches_are_bit_identical_to_reference() {
         let mut rng = StdRng::seed_from_u64(3);
-        // Branch 1: non-power-of-two length (≥ 8 so only this branch trips).
-        for n in [12usize, 100] {
-            assert!(!fast_path_applies(n));
-            let a = randvec(n, &mut rng);
-            let b = randvec(n, &mut rng);
-            assert_eq!(
-                circular_convolve_fast(&a, &b),
-                ops::circular_convolve(&a, &b)
-            );
-        }
-        // Branch 2: power-of-two length below the n = 8 threshold.
-        for n in [1usize, 2, 4] {
-            assert!(!fast_path_applies(n));
-            let a = randvec(n, &mut rng);
-            let b = randvec(n, &mut rng);
-            assert_eq!(
-                circular_convolve_fast(&a, &b),
-                ops::circular_convolve(&a, &b)
-            );
+        // Branch 1: non-power-of-two blocks (≥ 8 so only this branch
+        // trips); branch 2: power-of-two blocks below the 8 threshold.
+        for bd in [12usize, 100, 1, 2, 4] {
+            assert!(!fast_path_applies(bd));
+            let a = BlockCode::from_vec(2, bd, randvec(2 * bd, &mut rng)).unwrap();
+            let b = BlockCode::from_vec(2, bd, randvec(2 * bd, &mut rng)).unwrap();
+            assert_eq!(bind_fast(&a, &b).unwrap(), ops::bind(&a, &b).unwrap());
+            assert_eq!(unbind_fast(&a, &b).unwrap(), ops::unbind(&a, &b).unwrap());
         }
         // And the boundary itself takes the fast path.
         assert!(fast_path_applies(8));
@@ -499,7 +481,7 @@ mod tests {
         let mut delta = vec![0.0f32; 16];
         delta[0] = 1.0;
         let x: Vec<f32> = (0..16).map(|i| i as f32).collect();
-        let out = circular_convolve_fast(&x, &delta);
+        let out = convolve_fast(&x, &delta);
         for (o, v) in out.iter().zip(&x) {
             assert!((o - v).abs() < 1e-4);
         }

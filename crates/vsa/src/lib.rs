@@ -16,7 +16,8 @@
 //! - [`BlockCode`]: a hypervector of `n_blocks × block_dim` elements,
 //! - [`ops`]: circular convolution/correlation, bundling, similarity,
 //! - [`Codebook`]: random unitary item memories with cleanup,
-//! - [`fft`]: O(d·log d) convolution/correlation for software consumers,
+//! - [`fft`]: O(d·log d) blockwise binding and inverse binding
+//!   (`bind_fast`/`unbind_fast`),
 //! - [`gemm`]: the dense `matmul`/`matvec` kernels the AdArray performs in
 //!   NN mode,
 //! - [`engine`]: spectral-cached codebook + resonator kernels for the

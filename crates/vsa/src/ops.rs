@@ -260,7 +260,7 @@ mod tests {
     #[test]
     fn bind_with_identity_preserves() {
         let a = code(2, 4, vec![0.1, 0.2, 0.3, 0.4, -0.1, -0.2, -0.3, -0.4]);
-        let id = BlockCode::identity(2, 4);
+        let id = code(2, 4, vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]);
         let bound = bind(&a, &id).unwrap();
         assert!((a.similarity(&bound).unwrap() - 1.0).abs() < 1e-6);
     }

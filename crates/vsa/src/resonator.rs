@@ -89,12 +89,6 @@ impl Resonator {
         Ok(Resonator { factors })
     }
 
-    /// The factor codebooks.
-    #[must_use]
-    pub fn factors(&self) -> &[Codebook] {
-        &self.factors
-    }
-
     /// Iteratively factorizes `target` into one codeword per factor.
     ///
     /// Each sweep refines every factor in turn: the other factors' current

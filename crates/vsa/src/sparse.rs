@@ -10,7 +10,7 @@
 
 use nsflow_tensor::rng::StdRng;
 
-use crate::{ops, BlockCode, Result, VsaError};
+use crate::{BlockCode, Result, VsaError};
 
 /// A sparse block code: one active index per block (activation value 1).
 ///
@@ -21,7 +21,7 @@ use crate::{ops, BlockCode, Result, VsaError};
 /// let a = SparseBlockCode::new(vec![1, 2], 4)?;
 /// let b = SparseBlockCode::new(vec![3, 3], 4)?;
 /// let bound = a.bind(&b)?;
-/// assert_eq!(bound.indices(), &[0, 1]); // (1+3) mod 4, (2+3) mod 4
+/// assert_eq!(bound, SparseBlockCode::new(vec![0, 1], 4)?); // (1+3) mod 4, (2+3) mod 4
 /// assert_eq!(bound.unbind(&b)?, a);
 /// # Ok::<(), nsflow_vsa::VsaError>(())
 /// ```
@@ -66,38 +66,6 @@ impl SparseBlockCode {
             indices: (0..n_blocks).map(|_| rng.gen_range(0..block_dim)).collect(),
             block_dim,
         }
-    }
-
-    /// The binding identity (index 0 in every block).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either size parameter is zero.
-    #[must_use]
-    pub fn identity(n_blocks: usize, block_dim: usize) -> Self {
-        assert!(n_blocks > 0 && block_dim > 0, "geometry must be nonzero");
-        SparseBlockCode {
-            indices: vec![0; n_blocks],
-            block_dim,
-        }
-    }
-
-    /// Active index per block.
-    #[must_use]
-    pub fn indices(&self) -> &[usize] {
-        &self.indices
-    }
-
-    /// Number of blocks.
-    #[must_use]
-    pub fn n_blocks(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// Elements per block.
-    #[must_use]
-    pub fn block_dim(&self) -> usize {
-        self.block_dim
     }
 
     /// Binding: per-block index addition modulo the block size — exactly
@@ -244,47 +212,12 @@ impl SparseCodebook {
     pub fn codeword(&self, index: usize) -> &SparseBlockCode {
         &self.codewords[index]
     }
-
-    /// Index of the most similar codeword.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VsaError::GeometryMismatch`] on geometry disagreement.
-    pub fn cleanup(&self, query: &SparseBlockCode) -> Result<usize> {
-        let mut best = 0usize;
-        let mut best_sim = f32::NEG_INFINITY;
-        for (i, cw) in self.codewords.iter().enumerate() {
-            let s = query.similarity(cw)?;
-            if s > best_sim {
-                best_sim = s;
-                best = i;
-            }
-        }
-        Ok(best)
-    }
-}
-
-/// Dense-path equivalence: circular convolution of the dense expansions
-/// equals the dense expansion of the sparse binding. Exposed as a
-/// function (rather than only a test) so property tests in the workspace
-/// can reuse it.
-///
-/// # Errors
-///
-/// Propagates geometry errors from the dense kernels.
-pub fn dense_equivalence_check(a: &SparseBlockCode, b: &SparseBlockCode) -> Result<bool> {
-    let dense_bound = ops::bind(&a.to_dense(), &b.to_dense())?;
-    let sparse_bound = a.bind(b)?.to_dense();
-    Ok(dense_bound
-        .data()
-        .iter()
-        .zip(sparse_bound.data())
-        .all(|(x, y)| (x - y).abs() < 1e-5))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(31)
@@ -304,7 +237,10 @@ mod tests {
     fn bind_is_index_addition() {
         let a = SparseBlockCode::new(vec![1, 3], 4).unwrap();
         let b = SparseBlockCode::new(vec![2, 2], 4).unwrap();
-        assert_eq!(a.bind(&b).unwrap().indices(), &[3, 1]);
+        assert_eq!(
+            a.bind(&b).unwrap(),
+            SparseBlockCode::new(vec![3, 1], 4).unwrap()
+        );
     }
 
     #[test]
@@ -320,7 +256,8 @@ mod tests {
     #[test]
     fn identity_is_neutral() {
         let a = SparseBlockCode::random(3, 16, &mut rng());
-        let id = SparseBlockCode::identity(3, 16);
+        // The binding identity: index 0 in every block.
+        let id = SparseBlockCode::new(vec![0; 3], 16).unwrap();
         assert_eq!(a.bind(&id).unwrap(), a);
     }
 
@@ -338,7 +275,8 @@ mod tests {
         for _ in 0..10 {
             let a = SparseBlockCode::random(3, 32, &mut r);
             let b = SparseBlockCode::random(3, 32, &mut r);
-            assert!(dense_equivalence_check(&a, &b).unwrap());
+            let dense_bound = ops::bind(&a.to_dense(), &b.to_dense()).unwrap();
+            assert_eq!(dense_bound, a.bind(&b).unwrap().to_dense());
         }
     }
 
@@ -367,7 +305,7 @@ mod tests {
                 *x += 0.3 * (r.gen::<f32>() - 0.5);
             }
             let recovered = SparseBlockCode::from_dense(&dense).unwrap();
-            assert_eq!(book.cleanup(&recovered).unwrap(), i);
+            assert_eq!(&recovered, book.codeword(i));
         }
     }
 

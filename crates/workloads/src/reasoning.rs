@@ -145,12 +145,6 @@ impl VsaReasoner {
         }
     }
 
-    /// The pipeline configuration.
-    #[must_use]
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
-    }
-
     /// Encodes a panel as the bound product of its attribute codewords,
     /// with perception noise and neural-precision quantization.
     ///

@@ -9,9 +9,10 @@ use nsflow::arch::PrecisionConfig;
 use nsflow::core::NsFlow;
 use nsflow::sim::schedule::{run_pooled, SimOptions};
 use nsflow::telemetry::JsonValue;
+use nsflow::tensor::DType;
 use nsflow::trace::emitter::emit_trace;
 use nsflow::trace::parser::{parse_trace, ParsePrecision};
-use nsflow::trace::OpKind;
+use nsflow::trace::{Domain, OpKind, TraceBuilder};
 use nsflow::workloads::traces;
 
 #[test]
@@ -90,4 +91,35 @@ fn compile_out_writes_every_artifact_and_the_design_timeline() {
     );
     assert!(timeline == schedule.to_chrome_trace(&design.graph).render_pretty());
     fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn compile_rejects_a_loop_count_past_the_instance_bound() {
+    let mut b = TraceBuilder::new("w");
+    let conv = OpKind::VsaConv { n_vec: 1, dim: 64 };
+    let a = b.push("a", conv, Domain::Symbolic, DType::Int4, &[]);
+    b.push("b", conv, Domain::Symbolic, DType::Int4, &[a]);
+    let (text, _) = emit_trace(&b.finish(1).unwrap());
+
+    let dir = std::env::temp_dir().join(format!("nsflow-compile-loops-{}", std::process::id()));
+    fs::create_dir_all(&dir).unwrap();
+    let trace_path = dir.join("w.txt");
+    fs::write(&trace_path, &text).unwrap();
+    // 2 ops × 2^32 loops is past the u32 instance bound.
+    let output = Command::new(env!("CARGO_BIN_EXE_nsflow"))
+        .arg("compile")
+        .arg("--trace")
+        .arg(&trace_path)
+        .args(["--loops", "4294967296"])
+        .output()
+        .unwrap();
+    fs::remove_dir_all(&dir).unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains(
+            "error: loop count 4294967296 × 2 ops must stay below 4294967295 op instances"
+        ),
+        "stderr: {stderr}"
+    );
 }

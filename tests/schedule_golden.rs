@@ -87,8 +87,14 @@ fn digest(schedule: &Schedule, graph: &DataflowGraph) -> u64 {
             h.u64(u64::from(u));
         }
     }
-    let (nn, vsa, simd) = schedule.busy_cycles();
-    for v in [nn, vsa, simd, schedule.total_cycles()] {
+    // Busy cycles per resource (nn, vsa, simd), each op weighted by the
+    // sub-arrays it claimed (a SIMD op claims none and weighs one lane).
+    let mut busy = [0u64; 3];
+    for (i, so) in schedule.ops().iter().enumerate() {
+        let weight = schedule.claimed_units(i).len().max(1) as u64;
+        busy[resource_code(so.resource) as usize] += (so.end - so.start) * weight;
+    }
+    for v in busy.into_iter().chain([schedule.total_cycles()]) {
         h.u64(v);
     }
     h.u64(schedule.pool_units() as u64);
